@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, asdict
 import networkx as nx
 import numpy as np
 
-from .exact import enumerate_support, kl_divergence
+from .exact import enumerate_support, kl_divergence, stationary_distribution
+from .models import lambda_c  # noqa: F401  (re-exported)
 from .ordercore import enumerate_up_sets, Poset
 
 _TRANSPORT_SCALE = 10 ** 12
@@ -22,9 +23,7 @@ _TRANSPORT_SCALE = 10 ** 12
 
 def _support_data(model):
     sup = enumerate_support(model)
-    lws = np.array([model.log_weight(s) for s in sup.states], dtype=float)
-    w = np.exp(lws - lws.max())
-    return sup.states, w / w.sum()
+    return sup.states, stationary_distribution(model, sup)
 
 
 def _conditional_law(states, probs, pins: dict):
@@ -353,12 +352,6 @@ def bhc_schedule(lam, delta_deg, n, delta):
     s5 = (1 + lam) ** (5 * delta_deg)
     sched = _clipped_two_piece(theta, t0_break, 1e4 * s5 / delta, 2e4 * s5)
     return theta, sched
-
-
-def lambda_c(delta: int) -> float:
-    if delta < 3:
-        raise ValueError("defined for degree bounds >= 3")
-    return (delta - 1) ** (delta - 1) / (delta - 2) ** delta
 
 
 def uniqueness_check(lam, d, beta, w, delta):

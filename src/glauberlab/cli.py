@@ -2,7 +2,7 @@
 
 Subcommands: sample, verify, analyze, mixing, kernel-export.  Exit codes:
 0 = everything as expected, 1 = a check failed, 2 = configuration or guard
-error.
+error, 3 = internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -69,14 +70,15 @@ def _start_state(params, model):
 
 def cmd_sample(args):
     graph, params, base, model, chash = _load(args)
-    record = [int(x) for x in args.record.split(",") if x] or None
     dyn = params.get("dynamics", "glauber")
     theta = float(params.get("theta", 0.25))
+    steps = args.t1 * args.t2 if dyn == "simulate" else args.steps
+    record = ([int(x) for x in args.record.split(",") if x]
+              or range(steps + 1))
     t0 = time.time()
     if dyn == "glauber":
         run = dynamics.glauber_run(model, _start_state(params, model),
-                                   args.steps, args.seed,
-                                   record_at=record or range(args.steps + 1))
+                                   steps, args.seed, record_at=record)
     elif dyn == "censored":
         period = int(params.get("period", 10))
         if graph.bipartite_k is None:
@@ -85,22 +87,14 @@ def cmd_sample(args):
             range(graph.bipartite_k), range(graph.bipartite_k, graph.n),
             period, int(params.get("schedule-seed", 1)))
         run = dynamics.censored_glauber(model, _start_state(params, model),
-                                        sched, args.steps, args.seed,
-                                        record_at=record or
-                                        range(args.steps + 1))
+                                        sched, steps, args.seed,
+                                        record_at=record)
     elif dyn == "simulate":
-        run, final = dynamics.simulate_algorithm(
-            model, theta, args.t1, args.t2, args.seed,
-            record_at=record or range(args.t1 * args.t2 + 1))
+        run, _ = dynamics.simulate_algorithm(
+            model, theta, args.t1, args.t2, args.seed, record_at=record)
     elif dyn == "field":
-        rng = dynamics.make_rng(args.seed, 0, "field")
-        state = _start_state(params, model)
-        run = dynamics.ChainRun(model, state, args.seed, args.steps)
-        run.recorded[0] = state
-        for t in range(1, args.steps + 1):
-            state = dynamics.field_dynamics_step(model, theta, state, rng)
-            run.recorded[t] = state
-        run.final = state
+        run = dynamics.field_run(model, theta, _start_state(params, model),
+                                 steps, args.seed, record_at=record)
     else:
         raise ValueError(f"unknown dynamics: {dyn!r}")
     wall = time.time() - t0
@@ -117,131 +111,157 @@ def cmd_sample(args):
     return 0
 
 
-_DEFAULT_CHECKS = ["detailed-balance", "monotone-system",
-                   "stochastic-monotonicity", "many-stationary",
-                   "lift-identity", "dominance", "tv-comparison",
-                   "single-vertex-mc"]
+class _VerifyContext:
+    """What the checks share; each kernel is built on first use, at most once."""
+
+    def __init__(self, model, theta, t1, t2):
+        self.model, self.theta, self.t1, self.t2 = model, theta, t1, t2
+        self.ones = tuple([1] * model.n_vars)
+        self.is_plain_hc = (isinstance(model, models.HardcoreModel)
+                            and model.graph.m > 0)
+
+    sup = cached_property(lambda c: exact.enumerate_support(c.model))
+    gker = cached_property(lambda c: exact.glauber_kernel(c.model, c.sup))
+    lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
+    lsup = cached_property(lambda c: exact.enumerate_support(c.lifted))
+    lker = cached_property(lambda c: exact.glauber_kernel(c.lifted, c.lsup))
+    freeze = cached_property(lambda c: exact.freeze_kernel(c.lifted, c.lsup))
+    starg = cached_property(
+        lambda c: exact.star_glauber_kernel(c.lifted, c.lsup))
+    # the lift of the point mass at the all-1 state
+    pi0 = cached_property(lambda c: exact.lift_pushforward(
+        exact.point_mass(c.sup, c.ones), c.sup, c.theta, c.lsup))
+    # laws of the simulation run over 2*t1*t2 steps from pi0
+    alg = cached_property(lambda c: exact.propagate(
+        c.pi0, exact.algorithm_kernel_sequence(
+            c.model, c.theta, c.t1, c.t2, steps=2 * c.t1 * c.t2)[2]))
+
+
+def _check_detailed_balance(c):
+    kers = [c.gker]
+    if not c.model.ternary:
+        kers += [c.lker, c.freeze, c.starg]
+    worst = max(exact.check_detailed_balance(k) for k in kers)
+    return worst <= 1e-12, True, worst
+
+
+def _check_monotone_system(c):
+    ok, wit = exact.check_monotone_system(c.model)
+    return ok, not c.is_plain_hc, None if wit is None else repr(wit)
+
+
+def _check_stochastic_monotonicity(c):
+    if c.is_plain_hc or c.model.ternary:
+        ok, wit = exact.check_stochastic_monotonicity(c.gker)
+        return ok, not c.is_plain_hc, None if wit is None else repr(wit)
+    for ker in (c.lker, c.freeze, c.starg):
+        ok, wit = exact.check_stochastic_monotonicity(ker)
+        if not ok:
+            break
+    return ok, True, None if wit is None else repr(wit)
+
+
+def _check_many_stationary(c):
+    nu = c.pi0
+    worst = 0.0
+    for _ in range(20):
+        worst = max(worst, float(np.abs(nu @ c.freeze.matrix - nu).sum()))
+        nu = nu @ c.lker.matrix
+    return worst <= 1e-10, True, worst
+
+
+def _check_lift_identity(c):
+    mu_t = exact.point_mass(c.sup, c.ones)
+    pi_t = c.pi0
+    worst = 0.0
+    for _ in range(20):
+        mu_t = mu_t @ c.gker.matrix
+        pi_t = pi_t @ c.lker.matrix
+        push = exact.lift_pushforward(mu_t, c.sup, c.theta, c.lsup)
+        worst = max(worst, exact.tv_distance(push, pi_t))
+    return worst <= 1e-10, True, worst
+
+
+def _check_dominance(c):
+    gd = [c.pi0]
+    for _ in range(2 * c.t1 * c.t2):
+        gd.append(gd[-1] @ c.lker.matrix)
+    poset = c.lsup.poset()
+    ok, wit = True, None
+    for a, b in zip(gd, c.alg):
+        ok, wit = stochastic_dominance(a, b, poset)
+        if not ok:
+            break
+    return ok, True, None if wit is None else sorted(wit)
+
+
+def _check_tv_comparison(c):
+    mu = c.gker.stationary
+    mu_t = exact.point_mass(c.sup, c.ones)
+    worst = -math.inf
+    for nu in c.alg[:c.t1 * c.t2 + 1]:
+        lhs = exact.tv_distance(mu_t, mu)
+        rhs = exact.tv_distance(
+            exact.contract_pushforward(nu, c.lsup, c.sup), mu)
+        worst = max(worst, lhs - rhs)
+        mu_t = mu_t @ c.gker.matrix
+    return worst <= 1e-10, True, worst
+
+
+def _check_single_vertex_mc(c):
+    ok, wit = True, None
+    for v in range(c.model.n_vars):
+        pv = exact.glauber_kernel(c.lifted, c.lsup, site=v)
+        qv = exact.star_glauber_kernel(c.lifted, c.lsup, site=v)
+        ok, wit = exact.check_mc_leq(pv, qv)
+        if not ok:
+            break
+    return ok, True, None if wit is None else repr(wit)
+
+
+def _check_product_comparison(c):
+    ok, wit = exact.check_mc_leq(c.lker, c.freeze @ c.starg)
+    return ok, False, None if wit is None else repr(wit)
+
+
+# check name -> (function, whether it needs the binary lift of the model);
+# each function returns (observed, expected, witness)
+_CHECKS = {
+    "detailed-balance": (_check_detailed_balance, False),
+    "monotone-system": (_check_monotone_system, False),
+    "stochastic-monotonicity": (_check_stochastic_monotonicity, False),
+    "many-stationary": (_check_many_stationary, True),
+    "lift-identity": (_check_lift_identity, True),
+    "dominance": (_check_dominance, True),
+    "tv-comparison": (_check_tv_comparison, True),
+    "single-vertex-mc": (_check_single_vertex_mc, True),
+    "product-comparison": (_check_product_comparison, True),
+}
+
+# every check but the known counterexample
+_DEFAULT_CHECKS = [name for name in _CHECKS if name != "product-comparison"]
 
 
 def _verify_checks(model, theta, t1, t2, selected):
-    """Run the selected structural checks; yields result dicts.
+    """Run the selected structural checks; returns result dicts.
 
     Expected-negative checks: plain-hardcore monotonicity (conditioning a
     neighbor occupied reverses the order) and the comparison counterexample.
     """
-    is_plain_hc = isinstance(model, models.HardcoreModel) and model.graph.m > 0
-    results = []
-
-    def add(name, ok_raw, expected=True, witness=None):
-        results.append({"check": name, "observed": bool(ok_raw),
-                        "expected": expected,
-                        "pass": bool(ok_raw) == expected,
-                        "witness": witness})
-
-    sup = exact.enumerate_support(model)
-    gker = exact.glauber_kernel(model, sup)
-    lifted = starg = freeze = lker = None
-    if not model.ternary:
-        lifted = models.lift_model(model, theta)
-        lsup = exact.enumerate_support(lifted)
-        lker = exact.glauber_kernel(lifted, lsup)
-        freeze = exact.freeze_kernel(lifted, lsup)
-        starg = exact.star_glauber_kernel(lifted, lsup)
-
     for name in selected:
-        if name == "detailed-balance":
-            worst = exact.check_detailed_balance(gker)
-            if lker is not None:
-                worst = max(worst, exact.check_detailed_balance(lker),
-                            exact.check_detailed_balance(freeze),
-                            exact.check_detailed_balance(starg))
-            add(name, worst <= 1e-12, witness=worst)
-        elif name == "monotone-system":
-            ok, wit = exact.check_monotone_system(model)
-            add(name, ok, expected=not is_plain_hc,
-                witness=None if wit is None else repr(wit))
-        elif name == "stochastic-monotonicity":
-            if is_plain_hc or lker is None:
-                ok, wit = exact.check_stochastic_monotonicity(gker)
-                add(name, ok, expected=not is_plain_hc,
-                    witness=None if wit is None else repr(wit))
-            else:
-                ok = True
-                wit = None
-                for ker in (lker, freeze, starg):
-                    ok, wit = exact.check_stochastic_monotonicity(ker)
-                    if not ok:
-                        break
-                add(name, ok, witness=None if wit is None else repr(wit))
-        elif name == "many-stationary":
-            ones = tuple([1] * model.n_vars)
-            nu = exact.lift_pushforward(exact.point_mass(sup, ones), sup,
-                                        theta, lker.support)
-            worst = 0.0
-            for _ in range(20):
-                worst = max(worst, float(np.abs(nu @ freeze.matrix - nu).sum()))
-                nu = nu @ lker.matrix
-            add(name, worst <= 1e-10, witness=worst)
-        elif name == "lift-identity":
-            ones = tuple([1] * model.n_vars)
-            mu_t = exact.point_mass(sup, ones)
-            pi_t = exact.lift_pushforward(mu_t, sup, theta, lker.support)
-            worst = 0.0
-            for _ in range(20):
-                mu_t = mu_t @ gker.matrix
-                pi_t = pi_t @ lker.matrix
-                push = exact.lift_pushforward(mu_t, sup, theta, lker.support)
-                worst = max(worst, exact.tv_distance(push, pi_t))
-            add(name, worst <= 1e-10, witness=worst)
-        elif name == "dominance":
-            _, lsup2, seq = exact.algorithm_kernel_sequence(
-                model, theta, t1, t2, steps=2 * t1 * t2)
-            ones = tuple([1] * model.n_vars)
-            pi0 = exact.lift_pushforward(exact.point_mass(sup, ones), sup,
-                                         theta, lsup2)
-            alg = exact.propagate(pi0, seq)
-            gd = [pi0]
-            for _ in range(2 * t1 * t2):
-                gd.append(gd[-1] @ lker.matrix)
-            poset = lker.support.poset()
-            ok, wit = True, None
-            for a, b in zip(gd, alg):
-                ok, wit = stochastic_dominance(a, b, poset)
-                if not ok:
-                    break
-            add(name, ok, witness=None if wit is None else sorted(wit))
-        elif name == "tv-comparison":
-            _, lsup2, seq = exact.algorithm_kernel_sequence(
-                model, theta, t1, t2)
-            ones = tuple([1] * model.n_vars)
-            pi0 = exact.lift_pushforward(exact.point_mass(sup, ones), sup,
-                                         theta, lsup2)
-            alg = exact.propagate(pi0, seq)
-            mu = gker.stationary
-            mu_t = exact.point_mass(sup, ones)
-            worst = -math.inf
-            for nu in alg:
-                lhs = exact.tv_distance(mu_t, mu)
-                rhs = exact.tv_distance(
-                    exact.contract_pushforward(nu, lsup2, sup), mu)
-                worst = max(worst, lhs - rhs)
-                mu_t = mu_t @ gker.matrix
-            add(name, worst <= 1e-10, witness=worst)
-        elif name == "single-vertex-mc":
-            ok, wit = True, None
-            for v in range(model.n_vars):
-                pv = exact.site_glauber_kernel(lifted, v, lker.support)
-                qv = exact.site_star_glauber_kernel(lifted, v, lker.support)
-                ok, wit = exact.check_mc_leq(pv, qv)
-                if not ok:
-                    break
-            add(name, ok, witness=None if wit is None else repr(wit))
-        elif name == "product-comparison":
-            ok, wit = exact.check_mc_leq(lker, freeze @ starg)
-            add(name, ok, expected=False,
-                witness=None if wit is None else repr(wit))
-        else:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check: {name!r}")
+        if model.ternary and _CHECKS[name][1]:
+            raise ValueError(f"check {name!r} needs the binary lift; a "
+                             "ternary model takes only non-lift checks")
+    ctx = _VerifyContext(model, theta, t1, t2)
+    results = []
+    for name in selected:
+        ok, expected, witness = _CHECKS[name][0](ctx)
+        results.append({"check": name, "observed": bool(ok),
+                        "expected": expected,
+                        "pass": bool(ok) == expected,
+                        "witness": witness})
     return results
 
 
@@ -341,6 +361,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a crash must never read as a failed check (1)
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,10 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ordercore import STAR, contract, lift, state_str
-from .models import tilt, pin
-
-_SUPPORT_ASSERTS = False  # flip on to re-check support membership every step
+from .ordercore import contract, lift, state_str
+from .models import LiftedModel, heat_bath_law, pin, star_frozen_law, tilt
 
 
 def make_rng(seed, chain_index=0, purpose=""):
@@ -67,45 +65,53 @@ class ChainRun:
         return "\n".join(lines) + "\n"
 
 
-def _check_support(model, state):
-    if _SUPPORT_ASSERTS and model.log_weight(state) is None:
-        raise AssertionError("chain left the support")
-
-
-def glauber_run(model, x0, steps, seed, record_at=(), chain_index=0) -> ChainRun:
-    """Heat-bath run: uniform site choice, exact conditional resample."""
+def _new_run(model, x0, seed, steps, record_at):
+    """An empty run from the feasible start x0, recorded at time 0 if asked;
+    returned with the record times as a set."""
     x0 = tuple(x0)
-    if model.log_weight(x0) is None:
-        raise ValueError("start state is outside the support")
-    rng = make_rng(seed, chain_index, "glauber")
+    if len(x0) != model.n_vars or model.log_weight(x0) is None:
+        raise ValueError("infeasible start: the start state has weight 0")
     record_at = set(record_at)
     run = ChainRun(model, x0, seed, steps)
-    state = list(x0)
-    alpha = model.alphabet
     if 0 in record_at:
         run.recorded[0] = x0
-    n = model.n_vars
-    for t in range(1, steps + 1):
+    return run, record_at
+
+
+def _site_steps(law, state, rng, t0, steps, run=None, record_at=(),
+                allowed=None):
+    """Advance the list `state` in place by single-site steps t0+1..t0+steps:
+    pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
+    from `law`.  A law with a single outcome draws no uniform and writes no
+    log entry.  With a run, each redraw is logged and the states at
+    record_at are recorded."""
+    n = len(state)
+    for t in range(t0 + 1, t0 + steps + 1):
         v = int(rng.integers(n))
-        val = alpha[_sample_from(model.conditional(tuple(state), v), rng)]
-        state[v] = val
-        run.log.append((t, v, val))
-        _check_support(model, tuple(state))
+        if allowed is None or v in allowed(t - 1):
+            values, probs = law(tuple(state), v)
+            if len(values) > 1:
+                val = values[_sample_from(probs, rng)]
+                state[v] = val
+                if run is not None:
+                    run.log.append((t, v, val))
         if t in record_at:
             run.recorded[t] = tuple(state)
+
+
+def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
+    run, record_at = _new_run(model, x0, seed, steps, record_at)
+    state = list(run.x0)
+    _site_steps(heat_bath_law(model), state, rng, 0, steps, run, record_at,
+                allowed)
     run.final = tuple(state)
     return run
 
 
-def _exact_slice_sample(model, theta, pinned_ones, rng):
-    """Exact draw from the theta-tilted model with the given set pinned to 1."""
-    m = tilt(model, theta)
-    if pinned_ones:
-        m = pin(m, {v: 1 for v in pinned_ones})
-    states = list(m.support_iter())
-    ws = np.array([m.weight(s) for s in states])
-    ws /= ws.sum()
-    return states[_sample_from(ws, rng)]
+def glauber_run(model, x0, steps, seed, record_at=(), chain_index=0) -> ChainRun:
+    """Heat-bath run: uniform site choice, exact conditional resample."""
+    return _heat_bath_run(model, x0, steps, seed, record_at,
+                          make_rng(seed, chain_index, "glauber"))
 
 
 def field_dynamics_step(model, theta, x, rng, inner="exact"):
@@ -117,20 +123,37 @@ def field_dynamics_step(model, theta, x, rng, inner="exact"):
     x = tuple(x)
     pinned = [v for v in range(model.n_vars)
               if x[v] == 1 and rng.random() >= theta]
-    if inner == "exact":
-        return _exact_slice_sample(model, theta, pinned, rng)
-    kind, t2 = inner
-    if kind != "glauber":
-        raise ValueError("inner mode must be 'exact' or ('glauber', steps)")
     m = tilt(model, theta)
     if pinned:
         m = pin(m, {v: 1 for v in pinned})
+    if inner == "exact":
+        states = list(m.support_iter())
+        ws = np.array([m.weight(s) for s in states])
+        return states[_sample_from(ws / ws.sum(), rng)]
+    kind, t2 = inner
+    if kind != "glauber":
+        raise ValueError("inner mode must be 'exact' or ('glauber', steps)")
     state = list(x)
-    alpha = m.alphabet
-    for _ in range(t2):
-        v = int(rng.integers(m.n_vars))
-        state[v] = alpha[_sample_from(m.conditional(tuple(state), v), rng)]
+    _site_steps(heat_bath_law(m), state, rng, 0, t2)
     return tuple(state)
+
+
+def field_run(model, theta, x0, steps, seed, record_at=(),
+              chain_index=0) -> ChainRun:
+    """Field-dynamics run with exact inner resampling.  The log holds the
+    coordinates each step changes."""
+    rng = make_rng(seed, chain_index, "field")
+    run, record_at = _new_run(model, x0, seed, steps, record_at)
+    state = run.x0
+    for t in range(1, steps + 1):
+        nxt = field_dynamics_step(model, theta, state, rng)
+        run.log.extend((t, v, b) for v, (a, b) in enumerate(zip(state, nxt))
+                       if a != b)
+        state = nxt
+        if t in record_at:
+            run.recorded[t] = state
+    run.final = state
+    return run
 
 
 def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
@@ -143,38 +166,23 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     resampled from the theta-tilted base conditional.  Returns
     (ChainRun over ternary states, final contracted sample).
     """
-    ones = tuple([1] * model.n_vars)
-    if model.log_weight(ones) is None:
-        raise ValueError("infeasible start: the all-1 state has weight 0")
     if t1 < 1 or t2 < 1:
         raise ValueError("t1 and t2 must be at least 1")
     rng = make_rng(seed, chain_index, "simulate")
-    record_at = set(record_at)
-    state = list(lift(ones, theta, rng))
-    run = ChainRun(model, tuple(state), seed, t1 * t2)
-    if 0 in record_at:
-        run.recorded[0] = tuple(state)
-    n = model.n_vars
-    t = 0
-    for _ in range(t1):
+    lifted = LiftedModel(model, theta)
+    state = list(lift((1,) * model.n_vars, theta, rng))
+    run, record_at = _new_run(lifted, state, seed, t1 * t2, record_at)
+    law = star_frozen_law(lifted)
+    for block in range(t1):
+        t = block * t2
         # the relift belongs to the next step, so recorded states at block
         # boundaries are the pre-relift ones; the log timestamps reflect that
         relift = lift(contract(tuple(state)), theta, rng)
-        for v in range(n):
+        for v in range(model.n_vars):
             if relift[v] != state[v]:
                 run.log.append((t + 1, v, relift[v]))
         state = list(relift)
-        for _ in range(t2):
-            t += 1
-            v = int(rng.integers(n))
-            if state[v] != STAR:
-                q0, q1 = model.conditional(contract(tuple(state)), v)
-                z = q0 + theta * q1
-                val = 0 if rng.random() < q0 / z else 1
-                state[v] = val
-                run.log.append((t, v, val))
-            if t in record_at:
-                run.recorded[t] = tuple(state)
+        _site_steps(law, state, rng, t, t2, run, record_at)
     run.final = tuple(state)
     return run, contract(tuple(state))
 
@@ -223,25 +231,6 @@ def censored_glauber(model, x0, schedule: Schedule, steps, seed,
                      record_at=(), chain_index=0) -> ChainRun:
     """Glauber with censoring: the chosen site is resampled only when the
     schedule allows it at that step; disallowed picks leave the state as is."""
-    x0 = tuple(x0)
-    if model.log_weight(x0) is None:
-        raise ValueError("start state is outside the support")
-    rng = make_rng(seed, chain_index, "censored")
-    record_at = set(record_at)
-    run = ChainRun(model, x0, seed, steps)
-    state = list(x0)
-    if 0 in record_at:
-        run.recorded[0] = x0
-    alpha = model.alphabet
-    n = model.n_vars
-    for t in range(1, steps + 1):
-        v = int(rng.integers(n))
-        if v in schedule.allowed(t - 1):
-            val = alpha[_sample_from(model.conditional(tuple(state), v), rng)]
-            state[v] = val
-            run.log.append((t, v, val))
-        _check_support(model, tuple(state))
-        if t in record_at:
-            run.recorded[t] = tuple(state)
-    run.final = tuple(state)
-    return run
+    return _heat_bath_run(model, x0, steps, seed, record_at,
+                          make_rng(seed, chain_index, "censored"),
+                          schedule.allowed)

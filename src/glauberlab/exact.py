@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordercore import (STAR, Poset, contract, enumerate_up_sets, num_ones,
-                        num_stars, state_str, stochastic_dominance)
-from .models import ENUM_GUARD, LiftedModel, PinnedModel, pin, tilt
+from .ordercore import (PROB_TOL, STAR, Poset, contract, enumerate_up_sets,
+                        state_str, stochastic_dominance)
+from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, pin,
+                     star_frozen_law, tilt)
 
-PROB_TOL = 1e-12
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
 
@@ -45,19 +45,6 @@ class EnumeratedSupport:
 
 def enumerate_support(model, guard=ENUM_GUARD) -> EnumeratedSupport:
     return EnumeratedSupport(tuple(model.support_iter(guard=guard)))
-
-
-@dataclass
-class DistributionVector:
-    support: EnumeratedSupport
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.shape != (self.support.size,):
-            raise ValueError("length mismatch with support")
-        if np.any(self.probs < -PROB_TOL) or abs(self.probs.sum() - 1) > PROB_TOL:
-            raise ValueError("not a probability vector")
 
 
 def stationary_distribution(model, support: EnumeratedSupport) -> np.ndarray:
@@ -100,18 +87,17 @@ class Kernel:
 # kernels
 
 
-def glauber_kernel(model, support=None) -> Kernel:
-    """Single-site heat-bath kernel: uniform site choice, conditional resample."""
+def _law_kernel(model, law, site, support) -> Kernel:
+    """Kernel of one step of `law` at `site`, or at a uniform site if None."""
     support = support or enumerate_support(model)
-    n = model.n_vars
+    sites = range(model.n_vars) if site is None else (site,)
+    n = len(sites)
     k = support.size
-    alpha = model.alphabet
     mat = np.zeros((k, k))
     for i, s in enumerate(support.states):
-        for v in range(n):
-            probs = model.conditional(s, v)
+        for v in sites:
             t = list(s)
-            for val, pr in zip(alpha, probs):
+            for val, pr in zip(*law(s, v)):
                 if pr == 0.0:
                     continue
                 t[v] = val
@@ -119,21 +105,10 @@ def glauber_kernel(model, support=None) -> Kernel:
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
 
 
-def site_glauber_kernel(model, v, support=None) -> Kernel:
-    """The single-site kernel that always updates variable v."""
-    support = support or enumerate_support(model)
-    k = support.size
-    alpha = model.alphabet
-    mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        probs = model.conditional(s, v)
-        t = list(s)
-        for val, pr in zip(alpha, probs):
-            if pr == 0.0:
-                continue
-            t[v] = val
-            mat[i, support.index(tuple(t))] += pr
-    return Kernel(support, mat, stationary=stationary_distribution(model, support))
+def glauber_kernel(model, support=None, site=None) -> Kernel:
+    """Single-site heat-bath kernel: uniform site choice (or always `site`),
+    conditional resample."""
+    return _law_kernel(model, heat_bath_law(model), site, support)
 
 
 def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
@@ -156,44 +131,10 @@ def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
     return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
 
 
-def _star_glauber_site_update(lifted, s, v):
-    """Transition law at site v for the star-frozen dynamics: a star never
-    moves; otherwise resample from the theta-tilted base conditional."""
-    if s[v] == STAR:
-        return ((STAR, 1.0),)
-    q0, q1 = lifted.base.conditional(contract(s), v)
-    z = q0 + lifted.theta * q1
-    return ((0, q0 / z), (1, lifted.theta * q1 / z))
-
-
-def star_glauber_kernel(lifted: LiftedModel, support=None) -> Kernel:
-    support = support or enumerate_support(lifted)
-    n = lifted.n_vars
-    k = support.size
-    mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        for v in range(n):
-            t = list(s)
-            for val, pr in _star_glauber_site_update(lifted, s, v):
-                if pr == 0.0:
-                    continue
-                t[v] = val
-                mat[i, support.index(tuple(t))] += pr / n
-    return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
-
-
-def site_star_glauber_kernel(lifted: LiftedModel, v, support=None) -> Kernel:
-    support = support or enumerate_support(lifted)
-    k = support.size
-    mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        t = list(s)
-        for val, pr in _star_glauber_site_update(lifted, s, v):
-            if pr == 0.0:
-                continue
-            t[v] = val
-            mat[i, support.index(tuple(t))] += pr
-    return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
+def star_glauber_kernel(lifted: LiftedModel, support=None, site=None) -> Kernel:
+    """Star-frozen single-site kernel: uniform site choice (or always
+    `site`); stars stay, other sites follow the tilted base conditional."""
+    return _law_kernel(lifted, star_frozen_law(lifted), site, support)
 
 
 def fd_kernel(model, theta, support=None) -> Kernel:
@@ -225,35 +166,32 @@ def fd_kernel(model, theta, support=None) -> Kernel:
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
 
 
+def _block_kernel_sequence(model, theta, t1, t2, steps, inner):
+    lifted = LiftedModel(model, theta)
+    support = enumerate_support(lifted)
+    p_freeze = freeze_kernel(lifted, support)
+    p_inner = inner(lifted, support)
+    both = p_freeze @ p_inner
+    if steps is None:
+        steps = t1 * t2
+    seq = [both if t % t2 == 0 else p_inner for t in range(steps)]
+    return lifted, support, seq
+
+
 def algorithm_kernel_sequence(model, theta, t1, t2, steps=None):
     """Time-inhomogeneous kernels of the simulation run: at the start of each
     inner block the contract-then-lift kernel is prefixed.
 
     Returns (lifted_model, support, [Kernel for step 1..steps]).
     """
-    lifted = LiftedModel(model, theta)
-    support = enumerate_support(lifted)
-    p_freeze = freeze_kernel(lifted, support)
-    p_starg = star_glauber_kernel(lifted, support)
-    both = p_freeze @ p_starg
-    if steps is None:
-        steps = t1 * t2
-    seq = [both if t % t2 == 0 else p_starg for t in range(steps)]
-    return lifted, support, seq
+    return _block_kernel_sequence(model, theta, t1, t2, steps,
+                                  star_glauber_kernel)
 
 
 def modified_glauber_kernel_sequence(model, theta, t1, t2, steps=None):
     """Same block structure with the lifted Glauber kernel in place of the
     star-frozen one."""
-    lifted = LiftedModel(model, theta)
-    support = enumerate_support(lifted)
-    p_freeze = freeze_kernel(lifted, support)
-    p_gd = glauber_kernel(lifted, support)
-    both = p_freeze @ p_gd
-    if steps is None:
-        steps = t1 * t2
-    seq = [both if t % t2 == 0 else p_gd for t in range(steps)]
-    return lifted, support, seq
+    return _block_kernel_sequence(model, theta, t1, t2, steps, glauber_kernel)
 
 
 def propagate(nu0: np.ndarray, kernels) -> list:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .ordercore import STAR, contract, num_ones, num_stars
 
@@ -33,10 +32,9 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if bipartite_k is not None and not (u < bipartite_k <= v):
                 raise ValueError("edge does not cross the bipartition")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("duplicate edges are not allowed")
         self.m = len(self.edges)
-
-    def incident(self, v):
-        return [i for i, (a, b) in enumerate(self.edges) if v in (a, b)]
 
     def neighbors(self, v):
         out = []
@@ -52,17 +50,17 @@ class Graph:
         """Parse "n m [bipartite k]" header plus m "u v" lines."""
         lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty graph text")
         head = lines[0].split()
-        n, m = int(head[0]), int(head[1])
         k = None
-        if len(head) >= 4 and head[2] == "bipartite":
+        if len(head) == 4 and head[2] == "bipartite":
             k = int(head[3])
-        elif len(head) == 2:
-            pass
         elif len(head) != 2:
             raise ValueError(f"bad graph header: {lines[0]!r}")
+        n, m = int(head[0]), int(head[1])
         edges = []
-        for ln in lines[1:1 + m]:
+        for ln in lines[1:]:
             u, v = ln.split()
             edges.append((int(u), int(v)))
         if len(edges) != m:
@@ -93,12 +91,6 @@ def components(n, edges):
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return list(groups.values())
-
-
-def _log(x):
-    if x == 0:
-        return None
-    return math.log(x)
 
 
 class Model:
@@ -545,6 +537,31 @@ def pin(model, pins: dict):
 
 def lift_model(model, theta):
     return LiftedModel(model, theta)
+
+
+# ---------------------------------------------------------------------------
+# site-update laws (state, v) -> (values, probs), for kernels and samplers
+
+
+def heat_bath_law(model):
+    """Resample site v from its exact conditional over the model's alphabet."""
+    alpha = model.alphabet
+    return lambda state, v: (alpha, model.conditional(state, v))
+
+
+def star_frozen_law(lifted: LiftedModel):
+    """The star-frozen dynamics on a lifted model: a star never moves; any
+    other site is resampled from the theta-tilted base conditional."""
+    base, theta = lifted.base, lifted.theta
+
+    def law(state, v):
+        if state[v] == STAR:
+            return (STAR,), (1.0,)
+        q0, q1 = base.conditional(contract(state), v)
+        z = q0 + theta * q1
+        return (0, 1), (q0 / z, theta * q1 / z)
+
+    return law
 
 
 # ---------------------------------------------------------------------------

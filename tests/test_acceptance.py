@@ -145,8 +145,8 @@ def test_07_single_vertex_comparison(small_monotone_pool):
     for m, theta in small_monotone_pool:
         lifted, lsup, _, _, _ = lifted_kernels(m, theta)
         for v in range(m.n_vars):
-            pv = exact.site_glauber_kernel(lifted, v, lsup)
-            qv = exact.site_star_glauber_kernel(lifted, v, lsup)
+            pv = exact.glauber_kernel(lifted, lsup, site=v)
+            qv = exact.star_glauber_kernel(lifted, lsup, site=v)
             ok, wit = exact.check_mc_leq(pv, qv)
             assert ok, (v, wit)
     report(7, "per-vertex lifted update is comparison-dominated")

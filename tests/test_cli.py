@@ -88,6 +88,17 @@ class TestVerify:
         assert run_cli(["verify", "--graph", p3, "--params", rc_params,
                         "--check", "nope"]) == 2
 
+    def test_ternary_lift_check_exits_two(self, p3, rc_params, capsys):
+        base = ["verify", "--graph", p3, "--params", rc_params,
+                "--transform", "flip", "--transform", "lift=0.5"]
+        assert run_cli(base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "many-stationary" in err
+        assert run_cli(base + ["--check", "detailed-balance",
+                               "--check", "dominance"]) == 2
+        assert "dominance" in capsys.readouterr().err
+        assert run_cli(base + ["--check", "detailed-balance"]) == 0
+
 
 class TestSample:
     def test_glauber_deterministic(self, p3, rc_params, tmp_path):
@@ -138,6 +149,17 @@ class TestSample:
                  "--record", "0,15,30", "--out", str(out)])
         body = (out.parent / "rec.traj.tsv").read_text().split("\n")[1:]
         assert [ln.split("\t")[0] for ln in body if ln] == ["0", "15", "30"]
+
+    def test_field_record_subset(self, p3, tmp_path):
+        params = write(tmp_path / "f.params",
+                       "model=rc\np.default=0.5\nlambda.default=1.0\n"
+                       "theta=0.5\ndynamics=field\n")
+        out = tmp_path / "fd"
+        assert run_cli(["sample", "--graph", p3, "--params", params,
+                        "--transform", "flip", "--steps", "20",
+                        "--record", "0,3", "--out", str(out)]) == 0
+        body = (out.parent / "fd.traj.tsv").read_text().split("\n")[1:]
+        assert [ln.split("\t")[0] for ln in body if ln] == ["0", "3"]
 
     def test_censored_needs_bipartite(self, p3, tmp_path):
         params = write(tmp_path / "c.params",
@@ -216,6 +238,22 @@ class TestErrors:
     def test_missing_graph_file(self, rc_params):
         assert run_cli(["verify", "--graph", "/nonexistent",
                         "--params", rc_params]) == 2
+
+    def test_empty_graph_file(self, tmp_path, rc_params, capsys):
+        graph = write(tmp_path / "empty.graph", "")
+        assert run_cli(["verify", "--graph", graph,
+                        "--params", rc_params]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_internal_error_exits_three(self, k2, rc_params, monkeypatch,
+                                        capsys):
+        def boom(args):
+            raise TypeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_kernel_export", boom)
+        assert run_cli(["kernel-export", "--graph", k2,
+                        "--params", rc_params]) == 3
+        assert capsys.readouterr().err.startswith("error: internal:")
 
     def test_module_entry_point(self, k2, rc_params):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from glauberlab import dynamics, exact, models
 from glauberlab.dynamics import (ChainRun, Schedule, censored_glauber,
-                                 field_dynamics_step, glauber_run, make_rng,
-                                 simulate_algorithm)
+                                 field_dynamics_step, field_run, glauber_run,
+                                 make_rng, simulate_algorithm)
 from glauberlab.models import Graph, HardcoreModel, RandomClusterModel, flip
 from conftest import random_monotone_model
 
@@ -91,6 +92,21 @@ class TestFieldDynamics:
         out = field_dynamics_step(m, 0.3, (1,), make_rng(0, 0, "fd"),
                                   inner=("glauber", 5))
         assert m.log_weight(out) is not None
+
+
+class TestFieldRun:
+    def test_replay_matches(self):
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2)]),
+                                    [0.4, 0.6], [0.5, 1.0, 0.8]))
+        run = field_run(m, 0.4, (1, 1), 60, seed=4, record_at=[0, 5, 31, 60])
+        assert run.log
+        assert run.replay() == run.recorded
+        assert run.recorded[60] == run.final
+
+    def test_infeasible_start(self):
+        hc = HardcoreModel(K2, 1.0)
+        with pytest.raises(ValueError):
+            field_run(hc, 0.5, (1, 1), 10, seed=0)
 
 
 class TestSimulateAlgorithm:
@@ -223,3 +239,40 @@ class TestTrajectoryDump:
             t, s = ln.split("\t")
             assert t.isdigit()
             assert set(s) <= set("01*")
+
+
+class TestTrajectoryDigests:
+    """sha256 of each sampler's trajectory (and log) for seed 0 on the flipped
+    random cluster model of a triangle; a change of the site-update law, the
+    step loop or the RNG use changes these."""
+
+    M3 = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                 [0.5] * 3, [0.5] * 3))
+
+    @staticmethod
+    def digest(run, with_log=True):
+        text = run.dump_trajectory() + (repr(run.log) if with_log else "")
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_glauber(self):
+        run = glauber_run(self.M3, (1, 1, 1), 200, 0, record_at=range(201))
+        assert self.digest(run) == (
+            "351f30ac8af98a017d1f0564b369a2b3d387d67c7b902d74e11bd8862c91d201")
+
+    def test_censored(self):
+        sched = Schedule.two_level((0,), (1, 2), 3, 1)
+        run = censored_glauber(self.M3, (1, 1, 1), sched, 200, 0,
+                               record_at=range(201))
+        assert self.digest(run) == (
+            "a8f2a9a4db5d39cf01779d1b176feb28102cb90ad2549c44f9c2b78be12966e2")
+
+    def test_simulate(self):
+        run, _ = simulate_algorithm(self.M3, 0.5, 4, 5, 0, record_at=range(21))
+        assert self.digest(run) == (
+            "33c8ff528174200aa7a7636bf062184f696e38c0330103b1ca45b9528abea265")
+
+    def test_field(self):
+        # the trajectory only: field runs carry a log since field_run
+        run = field_run(self.M3, 0.5, (1, 1, 1), 50, 0, record_at=range(51))
+        assert self.digest(run, with_log=False) == (
+            "b85766e845d0ab7e5ef9892614fce2c0ec495ebecd0ccb846f3cd2892b92deaa")

@@ -12,8 +12,8 @@ from glauberlab.exact import (EnumeratedSupport, Kernel, algorithm_kernel_sequen
                               fd_kernel, glauber_kernel, kernel_to_csv,
                               kl_divergence, lift_pushforward,
                               modified_glauber_kernel_sequence, freeze_kernel, point_mass,
-                              propagate, star_glauber_kernel, site_glauber_kernel,
-                              site_star_glauber_kernel, stationary_distribution,
+                              propagate, star_glauber_kernel,
+                              stationary_distribution,
                               tilted_mixing_time, tv_distance,
                               two_state_mixing_time)
 from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip,
@@ -87,6 +87,18 @@ class TestKernels:
         # stars never move
         st = sup.index((ordercore.STAR,))
         assert ker.matrix[st, st] == pytest.approx(1.0)
+
+    def test_full_kernels_are_mean_of_site_kernels(self, rng):
+        for _ in range(6):
+            m = random_monotone_model(rng, max_vars=3)
+            lm = lift_model(m, 0.4)
+            for build, model in ((glauber_kernel, m), (glauber_kernel, lm),
+                                 (star_glauber_kernel, lm)):
+                sup = enumerate_support(model)
+                full = build(model, sup).matrix
+                mean = sum(build(model, sup, site=v).matrix
+                           for v in range(model.n_vars)) / model.n_vars
+                assert np.max(np.abs(full - mean)) <= 1e-15
 
     def test_rows_stochastic_and_reversible(self, rng):
         for _ in range(5):
@@ -284,8 +296,8 @@ class TestChecks:
         m = k2_flipped_rc(0.5, (0.9, 0.3))
         lm = lift_model(m, 0.5)
         sup = enumerate_support(lm)
-        pv = site_glauber_kernel(lm, 0, sup)
-        qv = site_star_glauber_kernel(lm, 0, sup)
+        pv = glauber_kernel(lm, sup, site=0)
+        qv = star_glauber_kernel(lm, sup, site=0)
         assert check_mc_leq(pv, qv, n_random=100, rng=rng)[0]
 
     def test_monotone_guard(self):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glauberlab import exact, models
 from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
@@ -25,6 +26,23 @@ class TestGraph:
     def test_parse_bipartite(self):
         g = Graph.from_text("3 2 bipartite 1\n0 1\n0 2\n")
         assert g.bipartite_k == 1
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "3\n0 1\n", "3 1\n0 1\n1 2\n",
+        "3 2\n0 1\n1 0\n", "3 1\n0\n", "3 1 extra\n0 1\n",
+        "3 2 bipartite 1 junk\n0 1\n0 2\n"])
+    def test_parse_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            Graph.from_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123 \n#-bipartite", max_size=40) | st.text())
+    def test_parse_returns_graph_or_value_error(self, text):
+        try:
+            g = Graph.from_text(text)
+        except ValueError:
+            return
+        assert isinstance(g, Graph)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
