@@ -9,39 +9,31 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import networkx as nx
 import numpy as np
 
-from .exact import enumerate_support, kl_divergence, stationary_distribution
+from .exact import (enumerate_support, kl_divergence, pinnings,
+                    stationary_distribution)
 from .models import lambda_c  # noqa: F401  (re-exported)
-from .ordercore import enumerate_up_sets, Poset
+from .ordercore import enumerate_up_sets
 
 _TRANSPORT_SCALE = 10 ** 12
 
 
 def _support_data(model):
     sup = enumerate_support(model)
-    return sup.states, stationary_distribution(model, sup)
+    return sup, stationary_distribution(model, sup)
 
 
-def _conditional_law(states, probs, pins: dict):
-    """Law over full states given a partial pinning; None if infeasible."""
-    mask = np.array([all(s[v] == val for v, val in pins.items())
-                     for s in states])
+def _marginal_one(sup, probs, pins: dict, v):
+    """P[coordinate v = 1 | pins]; None if the pinning is infeasible."""
+    mask = sup.where(pins)
     mass = probs[mask].sum()
     if mass == 0.0:
-        return None, None
-    return [s for s, m in zip(states, mask) if m], probs[mask] / mass
-
-
-def _marginal_one(states, probs, pins: dict, v):
-    """P[coordinate v = 1 | pins]; None if the pinning is infeasible."""
-    sub, p = _conditional_law(states, probs, pins)
-    if sub is None:
         return None
-    return float(sum(x for s, x in zip(sub, p) if s[v] == 1))
+    return float(probs[mask & (sup.array[:, v] == 1)].sum() / mass)
 
 
 @dataclass
@@ -56,24 +48,27 @@ def influence_matrix(model, pinning=None, include_diagonal=True) -> InfluenceMat
     either u-pinning is infeasible or v cannot take value 1.  The literal
     definition gives diagonal entries equal to 1; a flag drops them."""
     pinning = dict(pinning or {})
-    n = model.n_vars
-    if len(pinning) > n - 2:
+    if len(pinning) > model.n_vars - 2:
         raise ValueError("pinning must leave at least two free variables")
-    states, probs = _support_data(model)
+    return _influence(*_support_data(model), pinning, include_diagonal)
+
+
+def _influence(sup, probs, pinning, include_diagonal=True) -> InfluenceMatrix:
+    n = sup.array.shape[1]
     free = [v for v in range(n) if v not in pinning]
     mat = np.zeros((n, n))
     for u in free:
-        m_u0 = _marginal_one(states, probs, pinning, u)
+        m_u0 = _marginal_one(sup, probs, pinning, u)
         if m_u0 is None or m_u0 in (0.0, 1.0):
             continue  # u is not decisive under this pinning
         for v in free:
             if v == u and not include_diagonal:
                 continue
-            m_v = _marginal_one(states, probs, pinning, v)
+            m_v = _marginal_one(sup, probs, pinning, v)
             if m_v is None or m_v == 0.0:
                 continue
-            hi = _marginal_one(states, probs, {**pinning, u: 1}, v)
-            lo = _marginal_one(states, probs, {**pinning, u: 0}, v)
+            hi = _marginal_one(sup, probs, {**pinning, u: 1}, v)
+            lo = _marginal_one(sup, probs, {**pinning, u: 0}, v)
             if hi is None or lo is None:
                 continue  # u is pinned de facto by the support
             mat[u, v] = hi - lo
@@ -88,16 +83,12 @@ def max_sinf_norm(model, max_pin=None) -> float:
     """Max influence-matrix norm over all feasible pinnings leaving at least
     two free variables."""
     n = model.n_vars
-    states, probs = _support_data(model)
+    sup, probs = _support_data(model)
     limit = n - 2 if max_pin is None else min(max_pin, n - 2)
     best = 0.0
-    for r in range(limit + 1):
-        for lam in itertools.combinations(range(n), r):
-            for vals in itertools.product((0, 1), repeat=r):
-                pins = dict(zip(lam, vals))
-                if _conditional_law(states, probs, pins)[0] is None:
-                    continue
-                best = max(best, sinf_norm(influence_matrix(model, pins)))
+    for pins in pinnings(n, limit):
+        if sup.where(pins).any():
+            best = max(best, sinf_norm(_influence(sup, probs, pins)))
     return best
 
 
@@ -109,62 +100,59 @@ def marginal_stability(model, max_vars=10) -> float:
     n = model.n_vars
     if n > max_vars:
         raise ValueError(f"guarded to {max_vars} variables")
-    states, probs = _support_data(model)
+    sup, probs = _support_data(model)
     # odds[(pins as frozenset of (v,val), v)] computed lazily
     cache = {}
 
     def odds_and_p0(pins, v):
         key = (frozenset(pins.items()), v)
         if key not in cache:
-            m1 = _marginal_one(states, probs, pins, v)
+            m1 = _marginal_one(sup, probs, pins, v)
             cache[key] = None if m1 is None else (m1, 1.0 - m1)
         return cache[key]
 
     best = 1.0
-    for r in range(n):
-        for lam in itertools.combinations(range(n), r):
-            for vals in itertools.product((0, 1), repeat=r):
-                tau = dict(zip(lam, vals))
-                for v in range(n):
-                    if v in tau:
-                        continue
-                    got = odds_and_p0(tau, v)
-                    if got is None:
-                        continue
-                    m1, m0 = got
-                    if m0 == 0.0:
-                        return math.inf
-                    best = max(best, 1.0 / m0)
-                    r_full = m1 / m0
-                    for k in range(r):
-                        for sub in itertools.combinations(lam, k):
-                            tau_s = {u: tau[u] for u in sub}
-                            s1, s0 = odds_and_p0(tau_s, v)
-                            r_sub = s1 / s0 if s0 > 0 else math.inf
-                            if r_full > 0:
-                                if r_sub == 0.0:
-                                    return math.inf
-                                if r_sub is not math.inf:
-                                    best = max(best, r_full / r_sub)
+    for tau in pinnings(n, n - 1):
+        for v in range(n):
+            if v in tau:
+                continue
+            got = odds_and_p0(tau, v)
+            if got is None:
+                continue
+            m1, m0 = got
+            if m0 == 0.0:
+                return math.inf
+            best = max(best, 1.0 / m0)
+            r_full = m1 / m0
+            for k in range(len(tau)):
+                for sub in itertools.combinations(tau, k):
+                    tau_s = {u: tau[u] for u in sub}
+                    s1, s0 = odds_and_p0(tau_s, v)
+                    r_sub = s1 / s0 if s0 > 0 else math.inf
+                    if r_full > 0:
+                        if r_sub == 0.0:
+                            return math.inf
+                        if r_sub is not math.inf:
+                            best = max(best, r_full / r_sub)
     return best
 
 
 def _transport_cost(states_a, pa, states_b, pb) -> float:
-    """Exact min-cost transport between two laws over full configurations,
-    with Hamming cost; integer-scaled min-cost flow."""
+    """Exact min-cost transport between two laws over full configurations
+    (rows of int arrays), with Hamming cost; integer-scaled min-cost flow."""
     ia = [int(round(x * _TRANSPORT_SCALE)) for x in pa]
     ib = [int(round(x * _TRANSPORT_SCALE)) for x in pb]
     ia[int(np.argmax(pa))] += _TRANSPORT_SCALE - sum(ia)
     ib[int(np.argmax(pb))] += _TRANSPORT_SCALE - sum(ib)
+    ham = (states_a[:, None, :] != states_b[None, :, :]).sum(axis=2)
     g = nx.DiGraph()
     for i, m in enumerate(ia):
         g.add_node(("a", i), demand=-m)
     for j, m in enumerate(ib):
         g.add_node(("b", j), demand=m)
-    for i, sa in enumerate(states_a):
-        for j, sb in enumerate(states_b):
-            ham = sum(1 for x, y in zip(sa, sb) if x != y)
-            g.add_edge(("a", i), ("b", j), weight=ham)
+    for i in range(len(ia)):
+        for j in range(len(ib)):
+            g.add_edge(("a", i), ("b", j), weight=int(ham[i, j]))
     flow = nx.min_cost_flow(g)
     cost = nx.cost_of_flow(g, flow)
     return cost / _TRANSPORT_SCALE
@@ -175,22 +163,20 @@ def coupling_independence(model, max_states=512) -> float:
     coordinate) expected Hamming distance of the best coupling between the
     two single-site conditionings."""
     n = model.n_vars
-    states, probs = _support_data(model)
+    sup, probs = _support_data(model)
     best = 0.0
-    for r in range(n):
-        for lam in itertools.combinations(range(n), r):
-            for vals in itertools.product((0, 1), repeat=r):
-                pins = dict(zip(lam, vals))
-                for i in range(n):
-                    if i in pins:
-                        continue
-                    sub0, p0 = _conditional_law(states, probs, {**pins, i: 0})
-                    sub1, p1 = _conditional_law(states, probs, {**pins, i: 1})
-                    if sub0 is None or sub1 is None:
-                        continue
-                    if max(len(sub0), len(sub1)) > max_states:
-                        raise ValueError("conditional support exceeds the guard")
-                    best = max(best, _transport_cost(sub1, p1, sub0, p0))
+    for pins in pinnings(n, n - 1):
+        for i in range(n):
+            if i in pins:
+                continue
+            m0, m1 = sup.where({**pins, i: 0}), sup.where({**pins, i: 1})
+            mass0, mass1 = probs[m0].sum(), probs[m1].sum()
+            if mass0 == 0.0 or mass1 == 0.0:
+                continue
+            if max(m0.sum(), m1.sum()) > max_states:
+                raise ValueError("conditional support exceeds the guard")
+            best = max(best, _transport_cost(sup.array[m1], probs[m1] / mass1,
+                                             sup.array[m0], probs[m0] / mass0))
     return best
 
 
@@ -201,11 +187,10 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
 
     Returns (best ratio, best nu as an array over the support)."""
     rng = rng or np.random.default_rng(0)
-    states, mu = _support_data(model)
+    sup, mu = _support_data(model)
     n = model.n_vars
-    k = len(states)
-    ind = np.array([[1.0 if s[i] == 1 else 0.0 for i in range(n)]
-                    for s in states])
+    k = sup.size
+    ind = (sup.array == 1).astype(float)
     mu_marg = mu @ ind
 
     def ratio(nu):
@@ -220,8 +205,7 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
 
     candidates = [np.eye(k)[i] for i in range(k)]
     if k <= 22:
-        poset = Poset(tuple(states))
-        for u in enumerate_up_sets(poset):
+        for u in enumerate_up_sets(sup.poset()):
             if not u:
                 continue
             nu = np.zeros(k)
@@ -407,15 +391,10 @@ def uniqueness_grid(lam, d, beta, delta, exps=range(-6, 13)):
 @dataclass
 class IndependenceReport:
     sinf: float = None
-    sinf_pinning: dict = None
     marginal_stability: float = None
     coupling: float = None
     ei_ratio: float = None
     ei_nu: list = None
-    kappa: float = None
-    log_kappa: float = None
-    t_bound: float = None
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         d = asdict(self)

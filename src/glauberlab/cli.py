@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -40,16 +40,21 @@ def _build_parser():
 
 
 def _load(args):
-    graph = models.Graph.from_file(args.graph)
+    """Graph, parameters, transformed model and the config hash, which covers
+    the text of the graph and pin files rather than their paths."""
+    graph_text = Path(args.graph).read_text()
+    graph = models.Graph.from_text(graph_text)
     params = fileio.load_params(args.params)
-    base = fileio.build_model(params, graph)
-    model = fileio.apply_transforms(base, args.transform)
-    parts = {"command": args.command, "graph": args.graph,
+    model = fileio.apply_transforms(fileio.build_model(params, graph),
+                                    args.transform)
+    transforms = ["pin=" + Path(t[4:]).read_text() if t.startswith("pin=")
+                  else t for t in args.transform]
+    parts = {"command": args.command, "graph": graph_text,
              "params": json.dumps(params, sort_keys=True),
-             "transforms": ",".join(args.transform), "seed": args.seed,
+             "transforms": ",".join(transforms), "seed": args.seed,
              "eps": args.eps, "t1": args.t1, "t2": args.t2,
              "steps": args.steps, "record": args.record}
-    return graph, params, base, model, fileio.config_hash(parts)
+    return graph, params, model, fileio.config_hash(parts)
 
 
 def _emit(args, text, suffix=""):
@@ -69,12 +74,17 @@ def _start_state(params, model):
 
 
 def cmd_sample(args):
-    graph, params, base, model, chash = _load(args)
+    graph, params, model, chash = _load(args)
     dyn = params.get("dynamics", "glauber")
     theta = float(params.get("theta", 0.25))
+    if args.steps < 0:
+        raise ValueError(f"--steps must be non-negative, got {args.steps}")
     steps = args.t1 * args.t2 if dyn == "simulate" else args.steps
     record = ([int(x) for x in args.record.split(",") if x]
               or range(steps + 1))
+    for t in record:
+        if not 0 <= t <= steps:
+            raise ValueError(f"record time {t} lies outside [0, {steps}]")
     t0 = time.time()
     if dyn == "glauber":
         run = dynamics.glauber_run(model, _start_state(params, model),
@@ -135,6 +145,12 @@ class _VerifyContext:
     alg = cached_property(lambda c: exact.propagate(
         c.pi0, exact.algorithm_kernel_sequence(
             c.model, c.theta, c.t1, c.t2, steps=2 * c.t1 * c.t2)[2]))
+    # laws of the lifted Glauber chain from pi0, and of the Glauber chain
+    # from the all-1 state, over max(20, 2*t1*t2) steps
+    lifted_laws = cached_property(lambda c: exact.propagate(
+        c.pi0, [c.lker] * max(20, 2 * c.t1 * c.t2)))
+    laws = cached_property(lambda c: exact.propagate(
+        exact.point_mass(c.sup, c.ones), [c.gker] * max(20, 2 * c.t1 * c.t2)))
 
 
 def _check_detailed_balance(c):
@@ -162,33 +178,22 @@ def _check_stochastic_monotonicity(c):
 
 
 def _check_many_stationary(c):
-    nu = c.pi0
-    worst = 0.0
-    for _ in range(20):
-        worst = max(worst, float(np.abs(nu @ c.freeze.matrix - nu).sum()))
-        nu = nu @ c.lker.matrix
+    worst = max(float(np.abs(nu @ c.freeze.matrix - nu).sum())
+                for nu in c.lifted_laws[:20])
     return worst <= 1e-10, True, worst
 
 
 def _check_lift_identity(c):
-    mu_t = exact.point_mass(c.sup, c.ones)
-    pi_t = c.pi0
-    worst = 0.0
-    for _ in range(20):
-        mu_t = mu_t @ c.gker.matrix
-        pi_t = pi_t @ c.lker.matrix
-        push = exact.lift_pushforward(mu_t, c.sup, c.theta, c.lsup)
-        worst = max(worst, exact.tv_distance(push, pi_t))
+    worst = max(exact.tv_distance(
+        exact.lift_pushforward(mu_t, c.sup, c.theta, c.lsup), pi_t)
+        for mu_t, pi_t in zip(c.laws[1:21], c.lifted_laws[1:21]))
     return worst <= 1e-10, True, worst
 
 
 def _check_dominance(c):
-    gd = [c.pi0]
-    for _ in range(2 * c.t1 * c.t2):
-        gd.append(gd[-1] @ c.lker.matrix)
     poset = c.lsup.poset()
     ok, wit = True, None
-    for a, b in zip(gd, c.alg):
+    for a, b in zip(c.lifted_laws, c.alg):
         ok, wit = stochastic_dominance(a, b, poset)
         if not ok:
             break
@@ -197,14 +202,10 @@ def _check_dominance(c):
 
 def _check_tv_comparison(c):
     mu = c.gker.stationary
-    mu_t = exact.point_mass(c.sup, c.ones)
-    worst = -math.inf
-    for nu in c.alg[:c.t1 * c.t2 + 1]:
-        lhs = exact.tv_distance(mu_t, mu)
-        rhs = exact.tv_distance(
-            exact.contract_pushforward(nu, c.lsup, c.sup), mu)
-        worst = max(worst, lhs - rhs)
-        mu_t = mu_t @ c.gker.matrix
+    worst = max(
+        exact.tv_distance(mu_t, mu)
+        - exact.tv_distance(exact.contract_pushforward(nu, c.lsup, c.sup), mu)
+        for mu_t, nu in zip(c.laws, c.alg[:c.t1 * c.t2 + 1]))
     return worst <= 1e-10, True, worst
 
 
@@ -266,7 +267,7 @@ def _verify_checks(model, theta, t1, t2, selected):
 
 
 def cmd_verify(args):
-    graph, params, base, model, chash = _load(args)
+    graph, params, model, chash = _load(args)
     theta = float(params.get("theta", 0.25))
     selected = args.check or _DEFAULT_CHECKS
     results = _verify_checks(model, theta, args.t1, args.t2, selected)
@@ -277,13 +278,14 @@ def cmd_verify(args):
 
 
 def cmd_analyze(args):
-    graph, params, base, model, chash = _load(args)
+    graph, params, model, chash = _load(args)
     rng = dynamics.make_rng(args.seed, 0, "analyze")
     rep = analysis.independence_report(model, rng=rng)
     out = {"config": chash, "seed": args.seed,
            "sinf": rep.sinf, "marginal_stability": rep.marginal_stability,
            "coupling": rep.coupling, "ei_ratio": rep.ei_ratio}
     kind = params.get("model")
+    sched = None
     if kind == "rc":
         theta, sched = analysis.rc_schedule(
             min(float(params.get(f"p.{i}", params.get("p.default")))
@@ -291,23 +293,18 @@ def cmd_analyze(args):
             max(float(params.get(f"lambda.{i}", params.get("lambda.default")))
                 for i in range(graph.n)),
             max(graph.n, 3))
-        out["schedule"] = {"theta": theta, "segments": sched.segments,
-                          "kappa": analysis.kappa(sched),
-                          "log_kappa": analysis.log_kappa(sched)}
     elif kind == "bipartite-hardcore":
         deg = max(len(graph.neighbors(v)) for v in range(graph.n))
         theta, sched = analysis.bhc_schedule(
             float(params["lambda"]), max(deg, 1), max(graph.n, 3),
             float(params.get("delta", 0.5)))
+    if sched is not None:
         out["schedule"] = {"theta": theta, "segments": sched.segments,
                           "kappa": analysis.kappa(sched),
                           "log_kappa": analysis.log_kappa(sched)}
-    if "schedule" in out:
         sup = exact.enumerate_support(model)
         mu = exact.stationary_distribution(model, sup)
-        sched_obj = analysis.AlphaSchedule(out["schedule"]["theta"],
-                                           tuple(out["schedule"]["segments"]))
-        out["t_bound"] = analysis.t_bound(sched_obj, float(mu.min()), args.eps)
+        out["t_bound"] = analysis.t_bound(sched, float(mu.min()), args.eps)
     if {"lambda", "d", "beta"} <= params.keys():
         grid = analysis.uniqueness_grid(
             float(params["lambda"]), float(params["d"]),
@@ -319,7 +316,7 @@ def cmd_analyze(args):
 
 
 def cmd_mixing(args):
-    graph, params, base, model, chash = _load(args)
+    graph, params, model, chash = _load(args)
     theta = float(params.get("theta", 0.25))
     eps = args.eps
     sup = exact.enumerate_support(model)
@@ -343,7 +340,7 @@ def cmd_mixing(args):
 
 
 def cmd_kernel_export(args):
-    graph, params, base, model, chash = _load(args)
+    graph, params, model, chash = _load(args)
     sup = exact.enumerate_support(model)
     ker = exact.glauber_kernel(model, sup)
     text = f"# config={chash} seed={args.seed}\n" + exact.kernel_to_csv(ker)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exact import enumerate_support
 from .ordercore import contract, lift, state_str
 from .models import LiftedModel, heat_bath_law, pin, star_frozen_law, tilt
 
@@ -114,25 +115,42 @@ def glauber_run(model, x0, steps, seed, record_at=(), chain_index=0) -> ChainRun
                           make_rng(seed, chain_index, "glauber"))
 
 
+def _kept_ones(x, theta, rng):
+    """Pins at 1 for the 1-sites of x, each kept with probability 1 - theta."""
+    return {v: 1 for v in range(len(x)) if x[v] == 1 and rng.random() >= theta}
+
+
+def _field_sampler(model, theta):
+    """The exact field-dynamics step (x, rng) -> next state, drawing from the
+    support table of model and its unnormalized theta-tilted weights."""
+    if not 0 < theta < 1:
+        raise ValueError("theta must lie in (0,1)")
+    support = enumerate_support(model)
+    tilted = tilt(model, theta)
+    weights = np.array([tilted.weight(s) for s in support.states])
+
+    def step(x, rng):
+        idx = np.flatnonzero(support.where(_kept_ones(x, theta, rng)))
+        if not idx.size:
+            raise ValueError("infeasible pin: the slice has empty support")
+        w = weights[idx]
+        return support.states[idx[_sample_from(w / w.sum(), rng)]]
+
+    return step
+
+
 def field_dynamics_step(model, theta, x, rng, inner="exact"):
     """One field-dynamics transition: every 0-site is freed, each 1-site is
     freed independently with probability theta; the freed set is resampled
     from the tilted conditional, exactly or by inner Glauber steps."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
-    x = tuple(x)
-    pinned = [v for v in range(model.n_vars)
-              if x[v] == 1 and rng.random() >= theta]
-    m = tilt(model, theta)
-    if pinned:
-        m = pin(m, {v: 1 for v in pinned})
     if inner == "exact":
-        states = list(m.support_iter())
-        ws = np.array([m.weight(s) for s in states])
-        return states[_sample_from(ws / ws.sum(), rng)]
+        return _field_sampler(model, theta)(x, rng)
     kind, t2 = inner
     if kind != "glauber":
         raise ValueError("inner mode must be 'exact' or ('glauber', steps)")
+    m = pin(tilt(model, theta), _kept_ones(x, theta, rng))
     state = list(x)
     _site_steps(heat_bath_law(m), state, rng, 0, t2)
     return tuple(state)
@@ -142,11 +160,12 @@ def field_run(model, theta, x0, steps, seed, record_at=(),
               chain_index=0) -> ChainRun:
     """Field-dynamics run with exact inner resampling.  The log holds the
     coordinates each step changes."""
+    step = _field_sampler(model, theta)
     rng = make_rng(seed, chain_index, "field")
     run, record_at = _new_run(model, x0, seed, steps, record_at)
     state = run.x0
     for t in range(1, steps + 1):
-        nxt = field_dynamics_step(model, theta, state, rng)
+        nxt = step(state, rng)
         run.log.extend((t, v, b) for v, (a, b) in enumerate(zip(state, nxt))
                        if a != b)
         state = nxt

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,8 @@ TV_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EnumeratedSupport:
-    """Lexicographically ordered support states with index lookup."""
+    """The state table: lexicographically ordered support states with index
+    lookup, also held as a (k, n) int8 array (STAR = 2), one row per state."""
 
     states: tuple
 
@@ -32,6 +34,15 @@ class EnumeratedSupport:
     @property
     def size(self):
         return len(self.states)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.array(self.states, dtype=np.int8)
+
+    def where(self, pins: dict) -> np.ndarray:
+        """Boolean mask of the states that agree with the partial assignment
+        pins (site -> value)."""
+        return (self.array[:, list(pins)] == list(pins.values())).all(axis=1)
 
     def index(self, state):
         return self._index[state]
@@ -45,6 +56,15 @@ class EnumeratedSupport:
 
 def enumerate_support(model, guard=ENUM_GUARD) -> EnumeratedSupport:
     return EnumeratedSupport(tuple(model.support_iter(guard=guard)))
+
+
+def pinnings(n, max_size, values=(0, 1)):
+    """Partial assignments {site: value} of at most max_size of n sites, by
+    size, then site set (combinations order), then values (product order)."""
+    for r in range(max_size + 1):
+        for sites in itertools.combinations(range(n), r):
+            for vals in itertools.product(values, repeat=r):
+                yield dict(zip(sites, vals))
 
 
 def stationary_distribution(model, support: EnumeratedSupport) -> np.ndarray:
@@ -115,19 +135,11 @@ def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
     """Contract-then-lift kernel: from X, mass theta^{#1}(1-theta)^{#star} on
     every Y with the same contraction."""
     support = support or enumerate_support(lifted)
-    theta = lifted.theta
     k = support.size
     mat = np.zeros((k, k))
     for i, s in enumerate(support.states):
-        tau = contract(s)
-        ones = [v for v in range(len(tau)) if tau[v] == 1]
-        for choice in itertools.product((1, STAR), repeat=len(ones)):
-            y = list(tau)
-            pr = 1.0
-            for v, c in zip(ones, choice):
-                y[v] = c
-                pr *= theta if c == 1 else 1 - theta
-            mat[i, support.index(tuple(y))] += pr
+        for y, pr in _lift_fanout(contract(s), lifted.theta, 1.0):
+            mat[i, support.index(y)] += pr
     return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
 
 
@@ -146,9 +158,7 @@ def fd_kernel(model, theta, support=None) -> Kernel:
     support = support or enumerate_support(model)
     k = support.size
     tilted = tilt(model, theta)
-    tilted_w = {s: math.exp(tilted.log_weight(s) or 0.0)
-                if tilted.log_weight(s) is not None else 0.0
-                for s in support.states}
+    w = np.array([tilted.weight(s) for s in support.states])
     mat = np.zeros((k, k))
     for i, s in enumerate(support.states):
         ones = [v for v in range(model.n_vars) if s[v] == 1]
@@ -157,12 +167,8 @@ def fd_kernel(model, theta, support=None) -> Kernel:
             pinned = [v for v, kp in zip(ones, keep) if kp]
             pr_s = (theta ** (len(ones) - len(pinned))
                     * (1 - theta) ** len(pinned))
-            idx = [j for j, t in enumerate(support.states)
-                   if all(t[v] == 1 for v in pinned)]
-            ws = np.array([tilted_w[support.states[j]] for j in idx])
-            ws /= ws.sum()
-            for j, w in zip(idx, ws):
-                mat[i, j] += pr_s * w
+            mask = support.where(dict.fromkeys(pinned, 1))
+            mat[i, mask] += pr_s * (w[mask] / w[mask].sum())
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
 
 
@@ -213,23 +219,28 @@ def propagate(nu0: np.ndarray, kernels) -> list:
 # pushforwards
 
 
+def _lift_fanout(x, theta, mass):
+    """The lifts of the binary state x with their masses, starting at mass:
+    each 1 stays 1 with weight theta or becomes STAR with weight 1 - theta."""
+    ones = [v for v in range(len(x)) if x[v] == 1]
+    for choice in itertools.product((1, STAR), repeat=len(ones)):
+        y = list(x)
+        pr = mass
+        for v, c in zip(ones, choice):
+            y[v] = c
+            pr *= theta if c == 1 else 1 - theta
+        yield tuple(y), pr
+
+
 def lift_pushforward(probs, bin_support: EnumeratedSupport, theta,
                      lifted_support: EnumeratedSupport) -> np.ndarray:
     """Analytic pushforward of a binary law under the randomized lift: each
     state fans out over its 1-coordinates with theta/(1-theta) weights."""
     out = np.zeros(lifted_support.size)
     for i, s in enumerate(bin_support.states):
-        p = probs[i]
-        if p == 0.0:
-            continue
-        ones = [v for v in range(len(s)) if s[v] == 1]
-        for choice in itertools.product((1, STAR), repeat=len(ones)):
-            y = list(s)
-            pr = p
-            for v, c in zip(ones, choice):
-                y[v] = c
-                pr *= theta if c == 1 else 1 - theta
-            out[lifted_support.index(tuple(y))] += pr
+        if probs[i] != 0.0:
+            for y, pr in _lift_fanout(s, theta, probs[i]):
+                out[lifted_support.index(y)] += pr
     return out
 
 
@@ -391,16 +402,11 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
     pinnings, maximized over starting states."""
     support = enumerate_support(model)
+    tilted = tilt(model, theta)
     best = 0
-    n = model.n_vars
-    for r in range(n + 1):
-        for lam_set in itertools.combinations(range(n), r):
-            if not any(all(s[v] == 1 for v in lam_set) for s in support.states):
-                continue
-            m = tilt(model, theta)
-            if lam_set:
-                m = pin(m, {v: 1 for v in lam_set})
-            ker = glauber_kernel(m)
+    for pins in pinnings(model.n_vars, model.n_vars, values=(1,)):
+        if support.where(pins).any():
+            ker = glauber_kernel(pin(tilted, pins) if pins else tilted)
             best = max(best, exact_mixing_time(ker, None, eps, cap=cap))
     return best
 

@@ -54,6 +54,18 @@ class TestInfluence:
         base = sinf_norm(influence_matrix(m))
         assert max_sinf_norm(m) >= base - 1e-12
 
+    def test_max_is_max_over_feasible_pinnings(self, rng):
+        # exact equality: the one-table loop and the public per-pinning
+        # function compute each matrix the same way
+        for _ in range(6):
+            m = random_monotone_model(rng)
+            states = exact.enumerate_support(m).states
+            want = max((sinf_norm(influence_matrix(m, p))
+                        for p in exact.pinnings(m.n_vars, m.n_vars - 2)
+                        if any(all(s[v] == x for v, x in p.items())
+                               for s in states)), default=0.0)
+            assert max_sinf_norm(m) == want
+
     def test_flip_invariance(self, rng):
         done = 0
         while done < 5:

@@ -161,6 +161,19 @@ class TestSample:
         body = (out.parent / "fd.traj.tsv").read_text().split("\n")[1:]
         assert [ln.split("\t")[0] for ln in body if ln] == ["0", "3"]
 
+    @pytest.mark.parametrize("extra, value", [
+        (["--steps", "10", "--record", "50"], "50"),
+        (["--steps", "10", "--record", "0,50"], "50"),
+        (["--steps", "10", "--record", "-1"], "-1"),
+        (["--steps", "-3"], "-3"),
+    ])
+    def test_bad_record_or_steps_exits_two(self, p3, rc_params, capsys,
+                                           extra, value):
+        assert run_cli(["sample", "--graph", p3, "--params", rc_params,
+                        "--transform", "flip"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and value in err
+
     def test_censored_needs_bipartite(self, p3, tmp_path):
         params = write(tmp_path / "c.params",
                        "model=hardcore\nlambda=0.5\ndynamics=censored\n"
@@ -215,6 +228,33 @@ class TestMixing:
 
 
 class TestKernelExport:
+    @staticmethod
+    def config(argv, capsys):
+        assert run_cli(["kernel-export"] + argv) == 0
+        return capsys.readouterr().out.split("\n", 1)[0]
+
+    def test_config_hash_follows_content_not_path(self, rc_params, tmp_path,
+                                                  capsys):
+        heads = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            g = write(tmp_path / d / "g", "3 2\n0 1\n1 2\n")
+            pins = write(tmp_path / d / "pins", "0 1\n")
+            heads.append(self.config(["--graph", g, "--params", rc_params,
+                                      "--transform", "flip",
+                                      "--transform", f"pin={pins}"], capsys))
+        assert heads[0] == heads[1]
+        other = write(tmp_path / "c.graph", "3 2\n0 1\n0 2\n")
+        assert self.config(["--graph", other, "--params", rc_params,
+                            "--transform", "flip", "--transform",
+                            f"pin={tmp_path / 'a' / 'pins'}"],
+                           capsys) != heads[0]
+        write(tmp_path / "b" / "pins", "1 1\n")
+        assert self.config(["--graph", str(tmp_path / "b" / "g"),
+                            "--params", rc_params, "--transform", "flip",
+                            "--transform", f"pin={tmp_path / 'b' / 'pins'}"],
+                           capsys) != heads[0]
+
     def test_rows_are_stochastic(self, k2, rc_params, capsys):
         rc = run_cli(["kernel-export", "--graph", k2, "--params", rc_params,
                       "--transform", "flip"])

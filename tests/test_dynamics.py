@@ -87,6 +87,12 @@ class TestFieldDynamics:
         emp = np.array([cnt[s] / 40000 for s in sup.states])
         assert exact.tv_distance(emp, ker.matrix[i]) < 0.015
 
+    def test_empty_slice_is_rejected(self):
+        # both 1-sites of an infeasible hard-core state stay pinned
+        with pytest.raises(ValueError, match="infeasible"):
+            field_dynamics_step(HardcoreModel(K2, 1.0), 1e-9, (1, 1),
+                                make_rng(0, 0, "fd"))
+
     def test_inner_glauber_mode_stays_in_slice(self):
         m = k2_flipped_rc()
         out = field_dynamics_step(m, 0.3, (1,), make_rng(0, 0, "fd"),
@@ -107,6 +113,20 @@ class TestFieldRun:
         hc = HardcoreModel(K2, 1.0)
         with pytest.raises(ValueError):
             field_run(hc, 0.5, (1, 1), 10, seed=0)
+
+    def test_theta_range(self):
+        with pytest.raises(ValueError):
+            field_run(k2_flipped_rc(), 1.5, (1,), 0, seed=0)
+
+    def test_first_step_is_field_dynamics_step(self, rng):
+        # field_run draws from its table what field_dynamics_step draws from
+        # a fresh one, on the same stream
+        for seed in range(6):
+            m = random_monotone_model(rng)
+            x0 = (1,) * m.n_vars
+            run = field_run(m, 0.4, x0, 1, seed)
+            step = field_dynamics_step(m, 0.4, x0, make_rng(seed, 0, "field"))
+            assert run.final == step
 
 
 class TestSimulateAlgorithm:

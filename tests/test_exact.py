@@ -11,7 +11,8 @@ from glauberlab.exact import (EnumeratedSupport, Kernel, algorithm_kernel_sequen
                               dist_to_csv, enumerate_support, exact_mixing_time,
                               fd_kernel, glauber_kernel, kernel_to_csv,
                               kl_divergence, lift_pushforward,
-                              modified_glauber_kernel_sequence, freeze_kernel, point_mass,
+                              modified_glauber_kernel_sequence, freeze_kernel,
+                              pinnings, point_mass,
                               propagate, star_glauber_kernel,
                               stationary_distribution,
                               tilted_mixing_time, tv_distance,
@@ -45,6 +46,67 @@ class TestSupport:
         hc = HardcoreModel(g, 1.0)
         with pytest.raises(ValueError, match="guard"):
             enumerate_support(hc, guard=2 ** 20)
+
+
+def where_by_tuples(support, pins):
+    """Reference for `EnumeratedSupport.where`: the per-tuple filter."""
+    return np.array([all(s[v] == val for v, val in pins.items())
+                     for s in support.states])
+
+
+def fd_kernel_by_scan(model, theta):
+    """Reference for `fd_kernel`: a list scan over the whole support for each
+    (state, kept set), normalizing the tilted weights of the slice."""
+    support = enumerate_support(model)
+    tilted = models.tilt(model, theta)
+    w = {s: tilted.weight(s) for s in support.states}
+    mat = np.zeros((support.size, support.size))
+    for i, s in enumerate(support.states):
+        ones = [v for v in range(model.n_vars) if s[v] == 1]
+        for keep in itertools.product((0, 1), repeat=len(ones)):
+            pinned = [v for v, kp in zip(ones, keep) if kp]
+            pr_s = (theta ** (len(ones) - len(pinned))
+                    * (1 - theta) ** len(pinned))
+            idx = [j for j, t in enumerate(support.states)
+                   if all(t[v] == 1 for v in pinned)]
+            ws = np.array([w[support.states[j]] for j in idx])
+            ws /= ws.sum()
+            for j, x in zip(idx, ws):
+                mat[i, j] += pr_s * x
+    return mat
+
+
+class TestStateTable:
+    def test_array_rows_are_states(self):
+        sup = enumerate_support(lift_model(k2_flipped_rc(), 0.5))
+        assert sup.array.dtype == np.int8
+        assert sup.array.tolist() == [[0], [1], [ordercore.STAR]]
+
+    def test_where_matches_tuple_filter(self, rng):
+        for _ in range(8):
+            m = random_monotone_model(rng)
+            for model in (m, lift_model(m, 0.4)):
+                sup = enumerate_support(model)
+                assert sup.where({}).all()
+                for pins in pinnings(model.n_vars, model.n_vars,
+                                     values=model.alphabet):
+                    assert np.array_equal(sup.where(pins),
+                                          where_by_tuples(sup, pins))
+
+    def test_pinnings_order_and_count(self):
+        got = list(pinnings(3, 2))
+        assert got[:5] == [{}, {0: 0}, {0: 1}, {1: 0}, {1: 1}]
+        assert got[7:11] == [{0: 0, 1: 0}, {0: 0, 1: 1}, {0: 1, 1: 0},
+                             {0: 1, 1: 1}]
+        assert got[-1] == {1: 1, 2: 1}
+        assert len(got) == 1 + 3 * 2 + 3 * 4
+        for n, size, values in ((4, 4, (1,)), (4, 2, (0, 1, 2)),
+                                (5, 3, (0, 1))):
+            assert len(list(pinnings(n, size, values))) == sum(
+                math.comb(n, r) * len(values) ** r for r in range(size + 1))
+        assert list(pinnings(1, -1)) == []
+        assert list(pinnings(2, 2, values=(1,))) == [{}, {0: 1}, {1: 1},
+                                                     {0: 1, 1: 1}]
 
 
 class TestKernels:
@@ -123,6 +185,13 @@ class TestKernels:
                 t = models.tilt(m, theta)
                 want = stationary_distribution(t, sup)
                 assert tv_distance(ker.matrix[i], want) <= 1e-12
+
+    def test_fd_kernel_matches_scan_reference(self, rng):
+        for _ in range(6):
+            m = random_monotone_model(rng)
+            for theta in (0.3, 0.5):
+                assert np.array_equal(fd_kernel(m, theta).matrix,
+                                      fd_kernel_by_scan(m, theta))
 
     def test_fd_kernel_high_theta_limit(self):
         m = k2_flipped_rc()
