@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, exact, fileio, models
-from .ordercore import parse_state, stochastic_dominance
+from .ordercore import first_dominance_failure, parse_state
 
 
 def _build_parser():
@@ -191,13 +191,8 @@ def _check_lift_identity(c):
 
 
 def _check_dominance(c):
-    poset = c.lsup.poset()
-    ok, wit = True, None
-    for a, b in zip(c.lifted_laws, c.alg):
-        ok, wit = stochastic_dominance(a, b, poset)
-        if not ok:
-            break
-    return ok, True, None if wit is None else sorted(wit)
+    fail = first_dominance_failure(zip(c.lifted_laws, c.alg), c.lsup.poset())
+    return fail is None, True, None if fail is None else sorted(fail[1])
 
 
 def _check_tv_comparison(c):
@@ -269,6 +264,9 @@ def _verify_checks(model, theta, t1, t2, selected):
 def cmd_verify(args):
     graph, params, model, chash = _load(args)
     theta = float(params.get("theta", 0.25))
+    for flag, value in (("--t1", args.t1), ("--t2", args.t2)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     selected = args.check or _DEFAULT_CHECKS
     results = _verify_checks(model, theta, args.t1, args.t2, selected)
     report = {"config": chash, "seed": args.seed, "results": results,

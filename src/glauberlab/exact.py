@@ -13,7 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .ordercore import (PROB_TOL, STAR, Poset, contract, enumerate_up_sets,
-                        state_str, stochastic_dominance)
+                        first_dominance_failure, state_str,
+                        stochastic_dominance)
 from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, pin,
                      star_frozen_law, tilt)
 
@@ -51,6 +52,10 @@ class EnumeratedSupport:
         return state in self._index
 
     def poset(self) -> Poset:
+        return self._poset
+
+    @cached_property
+    def _poset(self) -> Poset:
         return Poset(self.states)
 
 
@@ -287,12 +292,15 @@ def check_stochastic_monotonicity(kernel: Kernel, poset: Poset = None,
 
     Returns (True, None) or (False, (state_lo, state_hi, up_set))."""
     poset = poset or kernel.support.poset()
-    for i, j in poset.comparable_pairs():
-        ok, wit = stochastic_dominance(kernel.matrix[i], kernel.matrix[j],
-                                       poset, tol=tol)
-        if not ok:
-            return False, (poset.elements[i], poset.elements[j], wit)
-    return True, None
+    pairs = poset.comparable_pairs()
+    rows = kernel.matrix
+    fail = first_dominance_failure(((rows[i], rows[j]) for i, j in pairs),
+                                   poset, tol=tol)
+    if fail is None:
+        return True, None
+    r, wit = fail
+    i, j = pairs[r]
+    return False, (poset.elements[i], poset.elements[j], wit)
 
 
 def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
@@ -307,21 +315,23 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     alpha = model.alphabet
     chain = Poset(tuple((a,) for a in alpha))
     for v in range(model.n_vars):
-        reps = {}
-        for s in support.states:
-            key = s[:v] + (None,) + s[v + 1:]
-            reps.setdefault(key, s)
-        keys = list(reps)
-        for ka in keys:
-            for kb in keys:
-                if ka == kb:
-                    continue
-                if all(a <= b for a, b in zip(ka, kb) if a is not None):
-                    pa = model.conditional(reps[ka], v)
-                    pb = model.conditional(reps[kb], v)
-                    ok, _ = stochastic_dominance(pa, pb, chain, tol=tol)
-                    if not ok:
-                        return False, (v, reps[ka], reps[kb])
+        # the first state of each configuration of the other sites, in
+        # support order, and its conditional at v (computed once per key)
+        _, first = np.unique(np.delete(support.array, v, axis=1), axis=0,
+                             return_index=True)
+        first = np.sort(first)
+        reps = [support.states[i] for i in first]
+        conds = np.array([model.conditional(s, v) for s in reps])
+        others = support.array[first]
+        others[:, v] = 0
+        for a in range(len(reps)):
+            above = np.flatnonzero((others[a] <= others).all(axis=1))
+            above = above[above != a]
+            ok, wit = stochastic_dominance(
+                np.broadcast_to(conds[a], (len(above), len(alpha))),
+                conds[above], chain, tol=tol)
+            if not ok:
+                return False, (v, reps[a], reps[above[wit[0]]])
     return True, None
 
 
@@ -333,40 +343,44 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, poset: Poset = None,
     It suffices to test the extreme rays nu_U proportional to mu restricted to
     an up-set U, since every increasing-density nu is a mixture of these and
     dominance is preserved under mixtures.  Optionally cross-checks n_random
-    random increasing-density nu as well.
+    random increasing-density nu as well; all n_random are drawn from rng
+    before any is tested.
 
     Returns (True, None) or (False, (up_set_or_probs, kind)).
     """
     mu = p.stationary if mu is None else np.asarray(mu, float)
     poset = poset or p.support.poset()
-    for u in enumerate_up_sets(poset):
-        mass = sum(mu[i] for i in u)
-        if mass <= 0.0:
+    rays = [(u, mass) for u in poset.up_sets or enumerate_up_sets(poset)
+            if (mass := sum(mu[i] for i in u)) > 0.0]
+
+    def ray_laws():
+        for u, mass in rays:
+            nu = np.zeros(poset.size)
+            for i in u:
+                nu[i] = mu[i] / mass
+            yield nu
+
+    randoms = []
+    m = poset.leq_matrix()
+    for _ in range(n_random):
+        # random increasing density: positive mixture of up-set indicators
+        dens = np.zeros(poset.size)
+        for _ in range(3):
+            i = rng.integers(poset.size)
+            dens[np.nonzero(m[i])[0]] += rng.random()
+        dens += rng.random() * 0.1
+        nu = dens * mu
+        if nu.sum() == 0:
             continue
-        nu = np.zeros(poset.size)
-        for i in u:
-            nu[i] = mu[i] / mass
-        ok, _ = stochastic_dominance(nu @ p.matrix, nu @ q.matrix, poset,
-                                     tol=tol)
-        if not ok:
-            return False, (u, "extreme-ray")
-    if n_random:
-        m = poset.leq_matrix()
-        for _ in range(n_random):
-            # random increasing density: positive mixture of up-set indicators
-            dens = np.zeros(poset.size)
-            for _ in range(3):
-                i = rng.integers(poset.size)
-                dens[np.nonzero(m[i])[0]] += rng.random()
-            dens += rng.random() * 0.1
-            nu = dens * mu
-            if nu.sum() == 0:
-                continue
-            nu /= nu.sum()
-            ok, _ = stochastic_dominance(nu @ p.matrix, nu @ q.matrix, poset,
-                                         tol=tol)
-            if not ok:
-                return False, (nu, "random-increasing")
+        randoms.append(nu / nu.sum())
+
+    for kind, labels, nus in (("extreme-ray", [u for u, _ in rays],
+                               ray_laws()),
+                              ("random-increasing", randoms, randoms)):
+        fail = first_dominance_failure(
+            ((nu @ p.matrix, nu @ q.matrix) for nu in nus), poset, tol=tol)
+        if fail is not None:
+            return False, (labels[fail[0]], kind)
     return True, None
 
 
@@ -385,7 +399,7 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6,
     mu = kernel.stationary if target is None else np.asarray(target, float)
     if x0 is None:
         cur = np.eye(kernel.support.size)
-        dist = lambda: max(tv_distance(row, mu) for row in cur)
+        dist = lambda: 0.5 * np.abs(cur - mu).sum(axis=1).max()
     else:
         cur = point_mass(kernel.support, x0)
         dist = lambda: tv_distance(cur, mu)

@@ -2,14 +2,17 @@
 
 States are tuples over {0, 1} or {0, 1, STAR}.  The ternary chain order is
 0 < 1 < STAR, so plain integer comparison (STAR = 2) realizes both orders.
-Provides up-set enumeration and a max-flow feasibility test for stochastic
-dominance, with an up-set cross-check usable on tiny posets.
+Provides up-set enumeration and two exact tests for stochastic dominance:
+sums over enumerated up-sets for many row pairs at once, and a max-flow
+feasibility test with a violating up-set as its witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +22,13 @@ PROB_TOL = 1e-12
 
 # integer scale for exact flow arithmetic; 1e-12 tolerance maps to 1000 units
 _FLOW_SCALE = 10 ** 15
+
+# posets with at most this many up-sets decide dominance by up-set sums; the
+# up-set matrix of such a poset is at most _UP_SET_CAP x 32 floats (1 MB)
+_UP_SET_CAP = 4096
+# row pairs per stack in first_dominance_failure; a stack's up-set sums are
+# _BLOCK x (#up-sets)
+_BLOCK = 64
 
 _CHARS = "01*"
 _CHAR_TO_VAL = {"0": 0, "1": 1, "*": STAR}
@@ -89,13 +99,40 @@ class Poset:
         return self.elements.index(x)
 
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix M[i,j] = elements[i] <= elements[j]."""
+        """Boolean matrix M[i,j] = elements[i] <= elements[j], computed once
+        and read-only, since every caller shares it."""
+        return self._leq
+
+    @cached_property
+    def _leq(self) -> np.ndarray:
         k = self.size
         arr = np.array(self.elements)
         m = np.ones((k, k), dtype=bool)
         for c in range(arr.shape[1]):
             m &= arr[:, c][:, None] <= arr[:, c][None, :]
+        m.flags.writeable = False
         return m
+
+    @cached_property
+    def up_sets(self) -> tuple | None:
+        """Every up-set (as enumerate_up_sets lists them), computed once, or
+        None when there are more than _UP_SET_CAP of them or more than 32
+        elements."""
+        try:
+            return tuple(enumerate_up_sets(self, max_up_sets=_UP_SET_CAP))
+        except ValueError:
+            return None
+
+    @cached_property
+    def up_set_matrix(self) -> np.ndarray | None:
+        """Read-only indicator rows (float 0/1) of up_sets, or None."""
+        if self.up_sets is None:
+            return None
+        ind = np.zeros((len(self.up_sets), self.size))
+        for r, u in enumerate(self.up_sets):
+            ind[r, list(u)] = 1.0
+        ind.flags.writeable = False
+        return ind
 
     def comparable_pairs(self):
         """All ordered pairs (i, j), i != j, with elements[i] < elements[j]."""
@@ -165,10 +202,14 @@ def enumerate_up_sets(poset: Poset, max_elements: int = 32,
     return partial
 
 
-def _scale_to_ints(p: np.ndarray) -> list:
-    ints = [int(round(x * _FLOW_SCALE)) for x in p]
-    # pin the total exactly to the scale so both sides of the flow agree
-    ints[int(np.argmax(p))] += _FLOW_SCALE - sum(ints)
+def _scale_to_ints(p: np.ndarray) -> np.ndarray:
+    """Rows of p rounded to integers at _FLOW_SCALE (int64, exact: every
+    value and partial sum stays below 2**53)."""
+    ints = np.rint(p * _FLOW_SCALE).astype(np.int64)
+    # pin each total exactly to the scale so both sides of the flow agree
+    rows = ints.reshape(-1, ints.shape[-1])
+    rows[np.arange(len(rows)), p.reshape(rows.shape).argmax(axis=1)] += (
+        _FLOW_SCALE - rows.sum(axis=1))
     return ints
 
 
@@ -232,49 +273,117 @@ class _Dinic:
         return seen
 
 
+def _invalid(p: np.ndarray):
+    """Per row of p: not a probability vector (a negative entry beyond
+    PROB_TOL, a total off 1 by more than PROB_TOL, or a NaN)."""
+    return ((p < -PROB_TOL).any(axis=-1)
+            | ~(np.abs(p.sum(axis=-1) - 1.0) <= PROB_TOL))
+
+
 def _check_dist(p, k):
     p = np.asarray(p, dtype=float)
     if p.shape != (k,):
         raise ValueError("distribution length does not match the poset")
-    if np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
+    if _invalid(p):
         raise ValueError("input is not a probability vector")
     return np.clip(p, 0.0, None)
+
+
+def _slack(tol, k) -> int:
+    """Flow units a pass may fall short by: tol plus one unit of rounding per
+    element."""
+    return int(tol * _FLOW_SCALE) + k + 1
+
+
+def _flow_dominance(nu, nu_prime, poset: Poset, tol: float):
+    """stochastic_dominance of one pair of distributions, by max-flow."""
+    k = poset.size
+    left = _scale_to_ints(_check_dist(nu, k))
+    right = _scale_to_ints(_check_dist(nu_prime, k))
+    src = np.flatnonzero(left > 0)
+    dst = np.flatnonzero(right > 0)
+    arcs = poset.leq_matrix()[np.ix_(src, dst)]
+
+    s, t = 0, len(src) + len(dst) + 1
+    net = _Dinic(t + 1)
+    for a, i in enumerate(src.tolist()):
+        net.add_edge(s, 1 + a, int(left[i]))
+    for b, j in enumerate(dst.tolist()):
+        net.add_edge(1 + len(src) + b, t, int(right[j]))
+    for a, b in zip(*np.nonzero(arcs)):
+        net.add_edge(1 + int(a), 1 + len(src) + int(b), _FLOW_SCALE)
+
+    if net.max_flow(s, t) >= _FLOW_SCALE - _slack(tol, k):
+        return True, None
+    reach = net.reachable_in_residual(s)
+    return False, poset.up_closure(
+        i for a, i in enumerate(src.tolist()) if 1 + a in reach)
+
+
+def _first_violation(nus, nus_prime, up_sets: np.ndarray, tol: float):
+    """First row r with nus[r](U) > nus_prime[r](U) + slack for some up-set U
+    (a row of the indicator matrix up_sets) or with an invalid row on either
+    side, or None."""
+    bad = _invalid(nus) | _invalid(nus_prime)
+    with np.errstate(invalid="ignore"):  # non-finite rows are bad already
+        diff = (_scale_to_ints(np.clip(nus, 0.0, None))
+                - _scale_to_ints(np.clip(nus_prime, 0.0, None)))
+    fail = bad | ((diff @ up_sets.T) > _slack(tol, nus.shape[1])).any(axis=1)
+    return int(fail.argmax()) if fail.any() else None
 
 
 def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL):
     """Test nu <=_sd nu_prime over the poset.
 
     Feasibility of a monotone coupling is decided by max-flow on the bipartite
-    graph with an arc x -> y whenever x <= y.  Returns (True, None) on
-    success, else (False, witness) where witness is an up-set U (frozenset of
-    element indices) with nu(U) > nu_prime(U).
+    graph with an arc x -> y whenever x <= y, over supp(nu) x supp(nu_prime)
+    only: elements of mass zero carry no flow and are never reachable in the
+    residual graph, so the flow value and the witness are those of the full
+    graph.  Returns (True, None) on success, else (False, witness) where
+    witness is an up-set U (frozenset of element indices) with
+    nu(U) > nu_prime(U).
+
+    nu and nu_prime may also be (b, k) stacks, tested row by row; the witness
+    is then (r, U) for the first failing row r.  When the poset has an
+    up_set_matrix, the stack is decided by sums over its up-sets: the rows
+    are validated, scaled to integers and given the same slack as for the
+    flow, so each row's verdict is the flow's (max-flow = min-cut), and the
+    sums are exact in float64, every partial sum being an integer of
+    magnitude at most _FLOW_SCALE < 2**53.  Only the first failing row then
+    goes through the flow, which gives its witness.
     """
-    k = poset.size
-    nu = _check_dist(nu, k)
-    nu_prime = _check_dist(nu_prime, k)
-    left = _scale_to_ints(nu)
-    right = _scale_to_ints(nu_prime)
-    m = poset.leq_matrix()
+    nu = np.asarray(nu, dtype=float)
+    nu_prime = np.asarray(nu_prime, dtype=float)
+    if nu.ndim != 2:
+        return _flow_dominance(nu, nu_prime, poset, tol)
+    if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
+        raise ValueError("distribution length does not match the poset")
+    if poset.up_set_matrix is None:
+        rows = range(len(nu))
+    else:
+        # the flow confirms the first failing row, or raises if it is invalid
+        r = _first_violation(nu, nu_prime, poset.up_set_matrix, tol)
+        rows = [] if r is None else [r]
+    for r in rows:
+        ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, tol)
+        if not ok:
+            return False, (r, wit)
+    return True, None
 
-    s, t = 0, 2 * k + 1
-    net = _Dinic(2 * k + 2)
-    for i in range(k):
-        if left[i] > 0:
-            net.add_edge(s, 1 + i, left[i])
-        if right[i] > 0:
-            net.add_edge(1 + k + i, t, right[i])
-    for i in range(k):
-        for j in np.nonzero(m[i])[0]:
-            net.add_edge(1 + i, 1 + k + j, _FLOW_SCALE)
 
-    flow = net.max_flow(s, t)
-    slack = int(tol * _FLOW_SCALE) + k + 1
-    if flow >= _FLOW_SCALE - slack:
-        return True, None
-    reach = net.reachable_in_residual(s)
-    base = [i for i in range(k) if (1 + i) in reach]
-    witness = poset.up_closure(base)
-    return False, witness
+def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):
+    """(index, witness up-set) of the first pair (nu, nu_prime) of the
+    iterable pairs with nu not <=_sd nu_prime, or None.  Pairs are drawn and
+    tested in stacks of _BLOCK."""
+    it = iter(pairs)
+    for start in itertools.count(0, _BLOCK):
+        block = list(itertools.islice(it, _BLOCK))
+        if not block:
+            return None
+        ok, wit = stochastic_dominance([a for a, _ in block],
+                                       [b for _, b in block], poset, tol=tol)
+        if not ok:
+            return start + wit[0], wit[1]
 
 
 def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,

@@ -1,0 +1,135 @@
+"""Test-only reference implementations of the dominance layer.
+
+These are the slow forms the fast code replaced, kept to compare against:
+the max-flow over the full k x k order network, one flow per extreme ray in
+the kernel comparison, one flow per ordered pair of keys with two conditional
+calls each in the monotone-system check, and the per-row worst-start distance
+of the exact mixing time.
+"""
+
+import numpy as np
+
+from glauberlab import exact
+from glauberlab.ordercore import (PROB_TOL, _FLOW_SCALE, Poset, _Dinic,
+                                  enumerate_up_sets)
+
+
+def _check_dist(p, k):
+    p = np.asarray(p, dtype=float)
+    if p.shape != (k,):
+        raise ValueError("distribution length does not match the poset")
+    if np.any(p < -PROB_TOL) or abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValueError("input is not a probability vector")
+    return np.clip(p, 0.0, None)
+
+
+def _scale_to_ints(p):
+    ints = [int(round(x * _FLOW_SCALE)) for x in p]
+    ints[int(np.argmax(p))] += _FLOW_SCALE - sum(ints)
+    return ints
+
+
+def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
+    """stochastic_dominance on the full network: every element on both sides
+    and an arc for every one of the order pairs."""
+    k = poset.size
+    left = _scale_to_ints(_check_dist(nu, k))
+    right = _scale_to_ints(_check_dist(nu_prime, k))
+    m = poset.leq_matrix()
+    s, t = 0, 2 * k + 1
+    net = _Dinic(2 * k + 2)
+    for i in range(k):
+        if left[i] > 0:
+            net.add_edge(s, 1 + i, left[i])
+        if right[i] > 0:
+            net.add_edge(1 + k + i, t, right[i])
+    for i in range(k):
+        for j in np.nonzero(m[i])[0]:
+            net.add_edge(1 + i, 1 + k + j, _FLOW_SCALE)
+    flow = net.max_flow(s, t)
+    slack = int(tol * _FLOW_SCALE) + k + 1
+    if flow >= _FLOW_SCALE - slack:
+        return True, None
+    reach = net.reachable_in_residual(s)
+    return False, poset.up_closure([i for i in range(k) if (1 + i) in reach])
+
+
+def per_pair_monotonicity(kernel, tol=PROB_TOL):
+    """check_stochastic_monotonicity with one full-network flow per pair."""
+    poset = kernel.support.poset()
+    for i, j in poset.comparable_pairs():
+        ok, wit = full_network_dominance(kernel.matrix[i], kernel.matrix[j],
+                                         poset, tol=tol)
+        if not ok:
+            return False, (poset.elements[i], poset.elements[j], wit)
+    return True, None
+
+
+def pairwise_monotone_system(model, tol=PROB_TOL):
+    """check_monotone_system over every ordered pair of keys, computing both
+    conditionals for each pair."""
+    support = exact.enumerate_support(model)
+    chain = Poset(tuple((a,) for a in model.alphabet))
+    for v in range(model.n_vars):
+        reps = {}
+        for s in support.states:
+            reps.setdefault(s[:v] + (None,) + s[v + 1:], s)
+        keys = list(reps)
+        for ka in keys:
+            for kb in keys:
+                if ka == kb:
+                    continue
+                if all(a <= b for a, b in zip(ka, kb) if a is not None):
+                    pa = model.conditional(reps[ka], v)
+                    pb = model.conditional(reps[kb], v)
+                    ok, _ = full_network_dominance(pa, pb, chain, tol=tol)
+                    if not ok:
+                        return False, (v, reps[ka], reps[kb])
+    return True, None
+
+
+def per_ray_mc_leq(p, q, mu=None, tol=PROB_TOL, n_random=0, rng=None):
+    """check_mc_leq with one full-network flow per extreme ray and per
+    random increasing density, each drawn just before its test."""
+    mu = p.stationary if mu is None else np.asarray(mu, float)
+    poset = p.support.poset()
+    for u in enumerate_up_sets(poset):
+        mass = sum(mu[i] for i in u)
+        if mass <= 0.0:
+            continue
+        nu = np.zeros(poset.size)
+        for i in u:
+            nu[i] = mu[i] / mass
+        ok, _ = full_network_dominance(nu @ p.matrix, nu @ q.matrix, poset,
+                                       tol=tol)
+        if not ok:
+            return False, (u, "extreme-ray")
+    m = poset.leq_matrix()
+    for _ in range(n_random):
+        dens = np.zeros(poset.size)
+        for _ in range(3):
+            i = rng.integers(poset.size)
+            dens[np.nonzero(m[i])[0]] += rng.random()
+        dens += rng.random() * 0.1
+        nu = dens * mu
+        if nu.sum() == 0:
+            continue
+        nu /= nu.sum()
+        ok, _ = full_network_dominance(nu @ p.matrix, nu @ q.matrix, poset,
+                                       tol=tol)
+        if not ok:
+            return False, (nu, "random-increasing")
+    return True, None
+
+
+def per_row_mixing_time(kernel, eps, cap=10 ** 6):
+    """Worst-start exact_mixing_time with one tv_distance call per row."""
+    mu = kernel.stationary
+    cur = np.eye(kernel.support.size)
+    t = 0
+    while max(exact.tv_distance(row, mu) for row in cur) > eps:
+        cur = cur @ kernel.matrix
+        t += 1
+        if t > cap:
+            raise RuntimeError(f"mixing time exceeds the cap {cap}")
+    return t

@@ -99,6 +99,17 @@ class TestVerify:
         assert "dominance" in capsys.readouterr().err
         assert run_cli(base + ["--check", "detailed-balance"]) == 0
 
+    @pytest.mark.parametrize("flag,value", [("--t1", "-1"), ("--t1", "0"),
+                                            ("--t2", "0")])
+    def test_block_sizes_below_one_exit_two(self, p3, rc_params, capsys,
+                                            flag, value):
+        # --t1 -1 used to crash on an empty max(); --t2 0 passed the lift
+        # checks over zero simulation steps
+        assert run_cli(["verify", "--graph", p3, "--params", rc_params,
+                        "--transform", "flip", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and value in err
+
 
 class TestSample:
     def test_glauber_deterministic(self, p3, rc_params, tmp_path):

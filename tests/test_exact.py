@@ -19,7 +19,8 @@ from glauberlab.exact import (EnumeratedSupport, Kernel, algorithm_kernel_sequen
                               two_state_mixing_time)
 from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip,
                                lift_model)
-from conftest import random_monotone_model, random_rc
+from conftest import random_hardcore, random_monotone_model, random_rc
+import oracles
 
 K2 = Graph(2, [(0, 1)])
 
@@ -373,6 +374,75 @@ class TestChecks:
         g = Graph(13, [])
         with pytest.raises(ValueError):
             exact.check_monotone_system(HardcoreModel(g, 1.0))
+
+
+class TestChecksMatchOracles:
+    """The batched checks give the verdicts and witnesses of the per-pair and
+    per-ray full-network flow loops they replaced."""
+
+    def test_monotone_system(self, rng):
+        pool = [random_monotone_model(rng) for _ in range(6)]
+        pool += [random_hardcore(rng) for _ in range(3)]
+        pool += [lift_model(random_monotone_model(rng, max_vars=3), 0.4)
+                 for _ in range(2)]
+        pool.append(HardcoreModel(Graph(3, [(0, 1), (1, 2)]), 1.3))
+        failed = 0
+        for m in pool:
+            got = exact.check_monotone_system(m)
+            assert got == oracles.pairwise_monotone_system(m)
+            failed += not got[0]
+        assert failed >= 1
+
+    def test_stochastic_monotonicity(self, rng):
+        kers = [glauber_kernel(random_monotone_model(rng)) for _ in range(4)]
+        kers.append(glauber_kernel(HardcoreModel(Graph(3, [(0, 1), (1, 2)]),
+                                                 1.3)))
+        lm = lift_model(random_monotone_model(rng, max_vars=2), 0.5)
+        lsup = enumerate_support(lm)
+        kers += [glauber_kernel(lm, lsup), freeze_kernel(lm, lsup),
+                 star_glauber_kernel(lm, lsup)]
+        for ker in kers:
+            assert (check_stochastic_monotonicity(ker)
+                    == oracles.per_pair_monotonicity(ker))
+        assert not check_stochastic_monotonicity(kers[4])[0]
+
+    def test_mc_leq_site_kernels_and_product_counterexample(self):
+        for p, lams in ((0.5, (0.9, 0.3)), (0.3, (0.5, 0.5)), (0.7, (0.2, 1.0))):
+            lm = lift_model(flip(RandomClusterModel(
+                Graph(3, [(0, 1), (1, 2)]), [p, 1 - p], list(lams) + [0.5])),
+                0.5)
+            sup = enumerate_support(lm)
+            for v in range(lm.n_vars):
+                pv = glauber_kernel(lm, sup, site=v)
+                qv = star_glauber_kernel(lm, sup, site=v)
+                got = check_mc_leq(pv, qv, n_random=30,
+                                   rng=np.random.default_rng(v))
+                assert got == (True, None)
+                assert got == oracles.per_ray_mc_leq(
+                    pv, qv, n_random=30, rng=np.random.default_rng(v))
+            lker = glauber_kernel(lm, sup)
+            prod = freeze_kernel(lm, sup) @ star_glauber_kernel(lm, sup)
+            ok, wit = check_mc_leq(lker, prod)
+            assert not ok and wit is not None
+            assert (ok, wit) == oracles.per_ray_mc_leq(lker, prod)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_worst_start_mixing_matches_per_row(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 13))
+        mat = rng.random((k, k)) ** 4
+        if seed % 2:
+            mat += 20 * np.eye(k)  # lazy: slower mixing
+        mat /= mat.sum(axis=1, keepdims=True)
+        w, vecs = np.linalg.eig(mat.T)
+        mu = np.real(vecs[:, np.argmin(np.abs(w - 1.0))])
+        ker = Kernel(EnumeratedSupport(tuple((i,) for i in range(k))), mat,
+                     stationary=mu / mu.sum())
+        models_ker = glauber_kernel(random_monotone_model(rng))
+        for kernel in (ker, models_ker):
+            for eps in (0.3, 0.1, 1e-3, 1e-7):
+                assert (exact_mixing_time(kernel, None, eps)
+                        == oracles.per_row_mixing_time(kernel, eps))
 
 
 class TestMixing:

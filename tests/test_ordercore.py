@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glauberlab.ordercore import (STAR, Poset, contract, dominance_by_up_sets,
-                                  enumerate_up_sets, is_increasing, is_up_set,
-                                  leq, lift, num_ones, num_stars, parse_state,
-                                  state_str, stochastic_dominance)
+from glauberlab import ordercore
+from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
+                                  dominance_by_up_sets, enumerate_up_sets,
+                                  first_dominance_failure, is_increasing,
+                                  is_up_set, leq, lift, num_ones, num_stars,
+                                  parse_state, state_str,
+                                  stochastic_dominance)
+from oracles import full_network_dominance
 
 
 def chain(vals):
@@ -193,3 +197,174 @@ class TestDominance:
                 found += 1
                 assert stochastic_dominance(a, c, p)[0]
         assert found > 0
+
+
+class TestOrderMatrix:
+    def test_cached_and_read_only(self):
+        p = Poset(tuple(itertools.product((0, 1, STAR), repeat=2)))
+        m = p.leq_matrix()
+        assert p.leq_matrix() is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[1, 0] = True
+        with pytest.raises(ValueError):
+            m.fill(True)
+        # the shared matrix is intact: (1, 0) is not below (0, 0)
+        assert not p.leq_matrix()[p.index((1, 0)), p.index((0, 0))]
+
+    def test_up_set_matrix(self):
+        p = Poset(tuple(itertools.product((0, 1, STAR), repeat=2)))
+        ups = enumerate_up_sets(p)
+        assert p.up_sets == tuple(ups)
+        assert p.up_sets is p.up_sets
+        ind = p.up_set_matrix
+        assert ind.shape == (len(ups), p.size)
+        for row, u in zip(ind, ups):
+            assert set(np.flatnonzero(row)) == u and set(row) <= {0.0, 1.0}
+        assert p.up_set_matrix is ind
+        assert not ind.flags.writeable
+        with pytest.raises(ValueError):
+            ind[0, 0] = 1.0
+        # 33 elements, or more than the cap of up-sets: no matrix
+        assert Poset(tuple((i,) for i in range(33))).up_set_matrix is None
+        # an antichain of 13 elements has 2**13 up-sets
+        antichain = Poset(tuple((i, 12 - i) for i in range(13)))
+        assert antichain.up_sets is None and antichain.up_set_matrix is None
+
+
+SCALE = ordercore._FLOW_SCALE
+
+
+def random_poset(draw):
+    """A binary or ternary product poset on 1 to 3 sites, or a random
+    sub-poset of one."""
+    alphabet = draw(st.sampled_from([(0, 1), (0, 1, STAR)]))
+    elems = list(itertools.product(alphabet, repeat=draw(st.integers(1, 3))))
+    keep = draw(st.lists(st.booleans(), min_size=len(elems),
+                         max_size=len(elems)))
+    if draw(st.booleans()) and any(keep):
+        elems = [e for e, kp in zip(elems, keep) if kp]
+    return Poset(tuple(elems))
+
+
+def random_row(rng, k, sparse):
+    nu = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 2.0))
+    if sparse:
+        nu[rng.random(k) < 0.6] = 0.0
+        if nu.sum() == 0.0:
+            nu[rng.integers(k)] = 1.0
+        nu /= nu.sum()
+    return nu
+
+
+def near_tie(rng, poset, tol, offset):
+    """A pair whose largest up-set excess is exactly the slack + offset flow
+    units: mass moved down from b to a below it, in integers at the scale."""
+    k = poset.size
+    m = poset.leq_matrix() & ~np.eye(k, dtype=bool)
+    below = np.argwhere(m)
+    if len(below) == 0:
+        return None
+    a, b = below[rng.integers(len(below))]
+    t = ordercore._slack(tol, k) + offset
+    left = np.rint(rng.dirichlet(np.ones(k)) * (SCALE - t)).astype(np.int64)
+    left[b] += t
+    left[left.argmax()] += SCALE - left.sum()
+    right = left.copy()
+    right[b] -= t
+    right[a] += t
+    return left / SCALE, right / SCALE
+
+
+def row_pair(rng, poset, tol, kind):
+    k = poset.size
+    if kind == "near-tie":
+        pair = near_tie(rng, poset, tol, int(rng.integers(-1, 2)))
+        if pair is not None:
+            return pair
+    if kind == "dominated":
+        # push each element's mass to random elements above it
+        up = poset.leq_matrix() * rng.random((k, k))
+        nu = random_row(rng, k, rng.random() < 0.5)
+        return nu, nu @ (up / up.sum(axis=1, keepdims=True))
+    return (random_row(rng, k, kind == "sparse"),
+            random_row(rng, k, rng.random() < 0.5))
+
+
+class TestDominanceOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["random", "sparse", "near-tie", "dominated"]),
+           st.sampled_from([0.0, PROB_TOL, 1e-9]))
+    def test_support_flow_and_up_set_sums_match_full_flow(self, data, seed,
+                                                          kind, tol):
+        poset = random_poset(data.draw)
+        rng = np.random.default_rng(seed)
+        nu, nup = row_pair(rng, poset, tol, kind)
+        got = stochastic_dominance(nu, nup, poset, tol=tol)
+        assert got == full_network_dominance(nu, nup, poset, tol=tol)
+        stacked = stochastic_dominance([nu], [nup], poset, tol=tol)
+        assert stacked == (got if got[0] else (False, (0, got[1])))
+        if not got[0]:
+            assert is_up_set(poset, got[1])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_near_tie_verdict(self, rng, offset):
+        # an excess of exactly the slack passes; one unit more fails
+        p = Poset(tuple(itertools.product((0, 1, STAR), repeat=2)))
+        assert p.up_set_matrix is not None  # stacks take the up-set sums
+        for tol in (0.0, PROB_TOL):
+            for _ in range(20):
+                nu, nup = near_tie(rng, p, tol, offset)
+                ok, wit = stochastic_dominance(nu, nup, p, tol=tol)
+                assert ok == (offset <= 0)
+                assert stochastic_dominance([nu], [nup], p, tol=tol)[0] == ok
+                assert (ok, wit) == full_network_dominance(nu, nup, p, tol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(0, 150))
+    def test_batched_first_failure_matches_per_row_flow(self, data, seed,
+                                                        n_rows):
+        # 0 to 150 rows span up to three blocks; most rows pass
+        poset = random_poset(data.draw)
+        rng = np.random.default_rng(seed)
+        kinds = ["dominated"] * 12 + ["near-tie", "random", "sparse"]
+        pairs = [row_pair(rng, poset, PROB_TOL, kinds[rng.integers(15)])
+                 for _ in range(n_rows)]
+        want = next(((r, wit) for r, (a, b) in enumerate(pairs)
+                     for ok, wit in [stochastic_dominance(a, b, poset)]
+                     if not ok), None)
+        assert first_dominance_failure(iter(pairs), poset) == want
+        if pairs:
+            nus, nus_prime = zip(*pairs)
+            assert stochastic_dominance(nus, nus_prime, poset) == (
+                (True, None) if want is None else (False, want))
+
+    def test_flow_fallback_above_the_cap(self, rng):
+        # 64 elements: no up-set matrix, one support-restricted flow per pair
+        p = Poset(tuple(itertools.product((0, 1), repeat=6)))
+        assert p.up_set_matrix is None
+        pairs = [row_pair(rng, p, PROB_TOL, kind) for kind in
+                 ("dominated", "sparse", "dominated", "near-tie", "random")]
+        want = next(((r, wit) for r, (a, b) in enumerate(pairs)
+                     for ok, wit in [full_network_dominance(a, b, p)]
+                     if not ok), None)
+        assert want is not None
+        assert first_dominance_failure(iter(pairs), p) == want
+        nus, nus_prime = zip(*pairs)
+        assert stochastic_dominance(nus, nus_prime, p) == (False, want)
+
+    def test_invalid_row_after_a_violation_is_not_reached(self):
+        p = chain((0, 1))
+        bad = [0.5, 0.6]
+        half = [[0.5, 0.5], [0.5, 0.5]]
+        assert stochastic_dominance([[0.2, 0.8], bad], half, p) == (
+            False, (0, frozenset({1})))
+        with pytest.raises(ValueError, match="probability vector"):
+            stochastic_dominance([[0.5, 0.5], bad], half, p)
+        with pytest.raises(ValueError, match="probability vector"):
+            stochastic_dominance([[0.5, 0.5]], [[np.nan, 1.0]], p)
+        with pytest.raises(ValueError, match="length"):
+            stochastic_dominance([[1.0]], [[1.0]], p)
+        with pytest.raises(ValueError, match="length"):
+            stochastic_dominance(half, half[:1], p)
