@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def _start_state(params, model):
 def cmd_sample(args):
     graph, params, model, chash = _load(args)
     dyn = params.get("dynamics", "glauber")
-    theta = float(params.get("theta", 0.25))
+    theta = fileio.parse_float("theta", params.get("theta", 0.25))
     if args.steps < 0:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     steps = args.t1 * args.t2 if dyn == "simulate" else args.steps
@@ -110,8 +111,8 @@ def cmd_sample(args):
     wall = time.time() - t0
 
     # occupancy of value 1 across recorded states, per variable
-    recs = [run.recorded[t] for t in sorted(run.recorded)]
-    occ = [sum(1 for s in recs if s[v] == 1) / len(recs)
+    counts = Counter(run.recorded.values())
+    occ = [sum(c for s, c in counts.items() if s[v] == 1) / len(run.recorded)
            for v in range(model.n_vars)]
     head = f"# config={chash} seed={args.seed} wall={wall:.3f}\n"
     _emit(args, head + run.dump_trajectory(), suffix=".traj.tsv")
@@ -263,7 +264,7 @@ def _verify_checks(model, theta, t1, t2, selected):
 
 def cmd_verify(args):
     graph, params, model, chash = _load(args)
-    theta = float(params.get("theta", 0.25))
+    theta = fileio.parse_float("theta", params.get("theta", 0.25))
     for flag, value in (("--t1", args.t1), ("--t2", args.t2)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
@@ -295,7 +296,7 @@ def cmd_analyze(args):
         deg = max(len(graph.neighbors(v)) for v in range(graph.n))
         theta, sched = analysis.bhc_schedule(
             float(params["lambda"]), max(deg, 1), max(graph.n, 3),
-            float(params.get("delta", 0.5)))
+            fileio.parse_float("delta", params.get("delta", 0.5)))
     if sched is not None:
         out["schedule"] = {"theta": theta, "segments": sched.segments,
                           "kappa": analysis.kappa(sched),
@@ -304,9 +305,10 @@ def cmd_analyze(args):
         mu = exact.stationary_distribution(model, sup)
         out["t_bound"] = analysis.t_bound(sched, float(mu.min()), args.eps)
     if {"lambda", "d", "beta"} <= params.keys():
-        grid = analysis.uniqueness_grid(
-            float(params["lambda"]), float(params["d"]),
-            float(params["beta"]), float(params.get("delta", 0.0)))
+        lam, d, beta = (fileio.parse_float(k, params[k])
+                        for k in ("lambda", "d", "beta"))
+        delta = fileio.parse_float("delta", params.get("delta", 0.0))
+        grid = analysis.uniqueness_grid(lam, d, beta, delta)
         out["uniqueness_grid"] = {str(w): g for w, g in grid.items()}
         out["uniqueness_note"] = "heuristic w-grid, not exhaustive"
     _emit(args, json.dumps(out, indent=2, default=str) + "\n")
@@ -315,7 +317,7 @@ def cmd_analyze(args):
 
 def cmd_mixing(args):
     graph, params, model, chash = _load(args)
-    theta = float(params.get("theta", 0.25))
+    theta = fileio.parse_float("theta", params.get("theta", 0.25))
     eps = args.eps
     sup = exact.enumerate_support(model)
     gker = exact.glauber_kernel(model, sup)

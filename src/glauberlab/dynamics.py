@@ -4,7 +4,10 @@ replayable trajectories."""
 
 from __future__ import annotations
 
+import functools
+import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +24,24 @@ def make_rng(seed, chain_index=0, purpose=""):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _sample_from(probs, rng):
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
+# entries of a run's site-law table; beyond it the least recently used go
+_SITE_TABLE_SIZE = 2 ** 14
+
+
+def _cumulative(probs):
+    """Running sums of probs, added left to right from 0.0, with the last
+    one replaced by infinity: bisecting a uniform to the right then gives
+    the first index whose sum exceeds it, or the last index if none does."""
+    acc, out = 0.0, []
+    for p in probs:
         acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
+        out.append(acc)
+    out[-1] = math.inf
+    return tuple(out)
+
+
+def _sample_from(probs, rng):
+    return bisect_right(_cumulative(probs), rng.random())
 
 
 @dataclass
@@ -62,7 +75,8 @@ class ChainRun:
         return out
 
     def dump_trajectory(self) -> str:
-        lines = [f"{t}\t{state_str(s)}" for t, s in sorted(self.recorded.items())]
+        text = {s: state_str(s) for s in set(self.recorded.values())}
+        lines = [f"{t}\t{text[s]}" for t, s in sorted(self.recorded.items())]
         return "\n".join(lines) + "\n"
 
 
@@ -79,33 +93,47 @@ def _new_run(model, x0, seed, steps, record_at):
     return run, record_at
 
 
-def _site_steps(law, state, rng, t0, steps, run=None, record_at=(),
+def _site_table(law):
+    """The site-update law as a bounded table (state, v) -> (values,
+    cumulative probabilities, successor state for each value); each entry
+    calls the law once."""
+
+    @functools.lru_cache(maxsize=_SITE_TABLE_SIZE)
+    def lookup(state, v):
+        values, probs = law(state, v)
+        nxt = tuple(state[:v] + (val,) + state[v + 1:] for val in values)
+        return values, _cumulative(probs), nxt
+
+    return lookup
+
+
+def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
                 allowed=None):
-    """Advance the list `state` in place by single-site steps t0+1..t0+steps:
-    pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
-    from `law`.  A law with a single outcome draws no uniform and writes no
-    log entry.  With a run, each redraw is logged and the states at
-    record_at are recorded."""
+    """Advance the state tuple by single-site steps t0+1..t0+steps and return
+    it: pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
+    from the site-law `table`.  A law with a single outcome draws no uniform
+    and writes no log entry.  With a run, each redraw is logged and the states
+    at record_at are recorded."""
     n = len(state)
+    integers, uniform = rng.integers, rng.random
     for t in range(t0 + 1, t0 + steps + 1):
-        v = int(rng.integers(n))
+        v = int(integers(n))
         if allowed is None or v in allowed(t - 1):
-            values, probs = law(tuple(state), v)
+            values, cum, nxt = table(state, v)
             if len(values) > 1:
-                val = values[_sample_from(probs, rng)]
-                state[v] = val
+                i = bisect_right(cum, uniform())
+                state = nxt[i]
                 if run is not None:
-                    run.log.append((t, v, val))
+                    run.log.append((t, v, values[i]))
         if t in record_at:
-            run.recorded[t] = tuple(state)
+            run.recorded[t] = state
+    return state
 
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     run, record_at = _new_run(model, x0, seed, steps, record_at)
-    state = list(run.x0)
-    _site_steps(heat_bath_law(model), state, rng, 0, steps, run, record_at,
-                allowed)
-    run.final = tuple(state)
+    run.final = _site_steps(_site_table(heat_bath_law(model)), run.x0, rng, 0,
+                            steps, run, record_at, allowed)
     return run
 
 
@@ -151,9 +179,7 @@ def field_dynamics_step(model, theta, x, rng, inner="exact"):
     if kind != "glauber":
         raise ValueError("inner mode must be 'exact' or ('glauber', steps)")
     m = pin(tilt(model, theta), _kept_ones(x, theta, rng))
-    state = list(x)
-    _site_steps(heat_bath_law(m), state, rng, 0, t2)
-    return tuple(state)
+    return _site_steps(_site_table(heat_bath_law(m)), tuple(x), rng, 0, t2)
 
 
 def field_run(model, theta, x0, steps, seed, record_at=(),
@@ -189,21 +215,20 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
         raise ValueError("t1 and t2 must be at least 1")
     rng = make_rng(seed, chain_index, "simulate")
     lifted = LiftedModel(model, theta)
-    state = list(lift((1,) * model.n_vars, theta, rng))
+    state = lift((1,) * model.n_vars, theta, rng)
     run, record_at = _new_run(lifted, state, seed, t1 * t2, record_at)
-    law = star_frozen_law(lifted)
+    table = _site_table(star_frozen_law(lifted))
     for block in range(t1):
         t = block * t2
         # the relift belongs to the next step, so recorded states at block
         # boundaries are the pre-relift ones; the log timestamps reflect that
-        relift = lift(contract(tuple(state)), theta, rng)
+        relift = lift(contract(state), theta, rng)
         for v in range(model.n_vars):
             if relift[v] != state[v]:
                 run.log.append((t + 1, v, relift[v]))
-        state = list(relift)
-        _site_steps(law, state, rng, t, t2, run, record_at)
-    run.final = tuple(state)
-    return run, contract(tuple(state))
+        state = _site_steps(table, relift, rng, t, t2, run, record_at)
+    run.final = state
+    return run, contract(state)
 
 
 @dataclass(frozen=True)
@@ -232,16 +257,18 @@ class Schedule:
         outer left vertex is drawn (from the schedule's own stream, so the
         rule depends only on (t, seed)); the allowed set is that vertex plus
         the whole right side."""
+        if period < 1:
+            raise ValueError(f"period must be at least 1, got {period}")
         left = tuple(left)
         right = frozenset(right)
         rng = make_rng(seed, 0, "schedule")
-        cache = []
+        cache = []  # the allowed set of each block drawn so far
 
         def rule(t):
             block = t // period
             while len(cache) <= block:
-                cache.append(left[int(rng.integers(len(left)))])
-            return frozenset([cache[block]]) | right
+                cache.append(right | {left[int(rng.integers(len(left)))]})
+            return cache[block]
 
         return cls(rule, name="two-level")
 

@@ -4,6 +4,7 @@ config hashing, and atomic output writing."""
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 
@@ -42,16 +43,26 @@ def load_params(path) -> dict:
         return parse_kv(f.read())
 
 
-def _per_item(params, prefix, count, default_key=None, required=True):
-    default = params.get(f"{prefix}.default")
+def parse_float(key, text):
+    """The finite float written as text; the error names key."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return x
+
+
+def _per_item(params, prefix, count):
     out = []
     for i in range(count):
-        v = params.get(f"{prefix}.{i}", default)
-        if v is None:
-            if required:
+        key = f"{prefix}.{i}"
+        if key not in params:
+            key = f"{prefix}.default"
+            if key not in params:
                 raise ValueError(f"missing {prefix}.{i} (and no {prefix}.default)")
-            return None
-        out.append(float(v))
+        out.append(parse_float(key, params[key]))
     return out
 
 
@@ -67,10 +78,11 @@ def build_model(params: dict, graph: Graph):
         return SubgraphWorldModel(graph, _per_item(params, "p", graph.m),
                                   _per_item(params, "eta", graph.n))
     if kind == "hardcore":
-        return HardcoreModel(graph, float(params["lambda"]))
+        return HardcoreModel(graph, parse_float("lambda", params["lambda"]))
     if kind == "bipartite-hardcore":
-        return BipartiteHardcoreModel(graph, float(params["lambda"]),
-                                      float(params["beta"]))
+        return BipartiteHardcoreModel(graph,
+                                      parse_float("lambda", params["lambda"]),
+                                      parse_float("beta", params["beta"]))
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
@@ -85,9 +97,9 @@ def apply_transforms(model, transforms):
                 raise ValueError("left-marginal needs a bipartite hardcore model")
             model = LeftMarginalModel(model)
         elif t.startswith("tilt="):
-            model = tilt(model, float(t[5:]))
+            model = tilt(model, parse_float("tilt", t[5:]))
         elif t.startswith("lift="):
-            model = lift_model(model, float(t[5:]))
+            model = lift_model(model, parse_float("lift", t[5:]))
         elif t.startswith("pin="):
             with open(t[4:]) as f:
                 pins = {}

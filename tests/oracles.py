@@ -1,15 +1,18 @@
-"""Test-only reference implementations of the dominance layer.
+"""Test-only reference implementations of the dominance layer and the
+single-site samplers.
 
 These are the slow forms the fast code replaced, kept to compare against:
 the max-flow over the full k x k order network, one flow per extreme ray in
 the kernel comparison, one flow per ordered pair of keys with two conditional
-calls each in the monotone-system check, and the per-row worst-start distance
-of the exact mixing time.
+calls each in the monotone-system check, the per-row worst-start distance
+of the exact mixing time, and the sampler loop that calls the site-update law
+and scans its probabilities on every step.
 """
 
 import numpy as np
 
-from glauberlab import exact
+from glauberlab import dynamics, exact, models
+from glauberlab.ordercore import contract, lift
 from glauberlab.ordercore import (PROB_TOL, _FLOW_SCALE, Poset, _Dinic,
                                   enumerate_up_sets)
 
@@ -133,3 +136,88 @@ def per_row_mixing_time(kernel, eps, cap=10 ** 6):
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
     return t
+
+
+def linear_sample_from(probs, rng):
+    """The first index whose running sum exceeds a uniform, by linear scan."""
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def per_step_site_steps(law, state, rng, t0, steps, run=None, record_at=(),
+                        allowed=None):
+    """The single-site step loop calling law(tuple(state), v) on every step;
+    advances the list state in place."""
+    n = len(state)
+    for t in range(t0 + 1, t0 + steps + 1):
+        v = int(rng.integers(n))
+        if allowed is None or v in allowed(t - 1):
+            values, probs = law(tuple(state), v)
+            if len(values) > 1:
+                val = values[linear_sample_from(probs, rng)]
+                state[v] = val
+                if run is not None:
+                    run.log.append((t, v, val))
+        if t in record_at:
+            run.recorded[t] = tuple(state)
+
+
+def per_block_two_level(left, right, period, seed):
+    """Schedule.two_level's rule, building each step's allowed set anew."""
+    left, right = tuple(left), frozenset(right)
+    rng = dynamics.make_rng(seed, 0, "schedule")
+    picks = []
+
+    def rule(t):
+        while len(picks) <= t // period:
+            picks.append(left[int(rng.integers(len(left)))])
+        return frozenset([picks[t // period]]) | right
+
+    return rule
+
+
+def per_step_heat_bath_run(model, x0, steps, seed, record_at=(),
+                           purpose="glauber", allowed=None):
+    """glauber_run (purpose "glauber") or censored_glauber (purpose
+    "censored", allowed = the schedule's rule) by the per-step loop."""
+    rng = dynamics.make_rng(seed, 0, purpose)
+    run, record_at = dynamics._new_run(model, x0, seed, steps, record_at)
+    state = list(run.x0)
+    per_step_site_steps(models.heat_bath_law(model), state, rng, 0, steps,
+                        run, record_at, allowed)
+    run.final = tuple(state)
+    return run
+
+
+def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
+    """simulate_algorithm by the per-step loop."""
+    rng = dynamics.make_rng(seed, 0, "simulate")
+    lifted = models.LiftedModel(model, theta)
+    state = list(lift((1,) * model.n_vars, theta, rng))
+    run, record_at = dynamics._new_run(lifted, state, seed, t1 * t2,
+                                       record_at)
+    law = models.star_frozen_law(lifted)
+    for block in range(t1):
+        t = block * t2
+        relift = lift(contract(tuple(state)), theta, rng)
+        for v in range(model.n_vars):
+            if relift[v] != state[v]:
+                run.log.append((t + 1, v, relift[v]))
+        state = list(relift)
+        per_step_site_steps(law, state, rng, t, t2, run, record_at)
+    run.final = tuple(state)
+    return run, contract(tuple(state))
+
+
+def per_step_field_glauber_step(model, theta, x, rng, t2):
+    """field_dynamics_step with inner=("glauber", t2) by the per-step loop."""
+    m = models.pin(models.tilt(model, theta),
+                   dynamics._kept_ones(x, theta, rng))
+    state = list(x)
+    per_step_site_steps(models.heat_bath_law(m), state, rng, 0, t2)
+    return tuple(state)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,17 @@ class TestSample:
         occ = (out.parent / "cen.occupancy.csv").read_text()
         assert occ.count("\n") == 5  # header comment + csv header + 3 vars
 
+    @pytest.mark.parametrize("period", ["0", "-1"])
+    def test_censored_period_below_one_exits_two(self, bip, tmp_path, capsys,
+                                                 period):
+        params = write(tmp_path / "c.params",
+                       "model=bipartite-hardcore\nlambda=0.8\nbeta=0.6\n"
+                       f"dynamics=censored\nperiod={period}\n")
+        assert run_cli(["sample", "--graph", bip, "--params", params,
+                        "--steps", "40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "period" in err
+
 
 class TestAnalyze:
     def test_rc_report(self, p3, tmp_path, capsys):
@@ -306,10 +319,48 @@ class TestErrors:
                         "--params", rc_params]) == 3
         assert capsys.readouterr().err.startswith("error: internal:")
 
+    @pytest.mark.parametrize("lines, transform, key", [
+        ("model=hardcore lambda=nan", None, "lambda"),
+        ("model=hardcore lambda=inf", None, "lambda"),
+        ("model=ising beta.default=nan lambda.default=0.5", None,
+         "beta.default"),
+        ("model=ising beta.default=2 lambda.1=-inf lambda.default=0.5",
+         None, "lambda.1"),
+        ("model=rc p.default=0.5 lambda.default=0.5", "tilt=nan", "tilt"),
+        ("model=rc p.default=0.5 lambda.default=0.5", "tilt=inf", "tilt"),
+        ("model=rc p.default=0.5 lambda.default=0.5", "lift=nan", "lift"),
+        ("model=rc p.default=0.5 lambda.default=0.5", "lift=x", "lift"),
+    ])
+    def test_non_finite_parameter_exits_two(self, k2, tmp_path, capsys,
+                                            lines, transform, key):
+        path = write(tmp_path / "bad.params", lines.replace(" ", "\n"))
+        argv = ["verify", "--graph", k2, "--params", path]
+        argv += ["--transform", transform] if transform else []
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("analyze", "delta=nan", "delta"),
+        ("analyze", "d=inf delta=0.1", "d"),
+        ("sample", "theta=nan dynamics=field", "theta"),
+        ("mixing", "theta=-inf", "theta"),
+    ])
+    def test_non_finite_command_parameter_exits_two(self, bip, tmp_path,
+                                                    capsys, command, extra,
+                                                    key):
+        lines = "model=bipartite-hardcore lambda=0.5 beta=0.5 " + extra
+        path = write(tmp_path / "bad.params", lines.replace(" ", "\n"))
+        assert run_cli([command, "--graph", bip, "--params", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
     def test_module_entry_point(self, k2, rc_params):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "glauberlab", "kernel-export",
              "--graph", k2, "--params", rc_params, "--transform", "flip"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("# config=")

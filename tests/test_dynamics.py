@@ -9,7 +9,8 @@ from glauberlab.dynamics import (ChainRun, Schedule, censored_glauber,
                                  field_dynamics_step, field_run, glauber_run,
                                  make_rng, simulate_algorithm)
 from glauberlab.models import Graph, HardcoreModel, RandomClusterModel, flip
-from conftest import random_monotone_model
+from conftest import random_hardcore, random_monotone_model
+import oracles
 
 K2 = Graph(2, [(0, 1)])
 
@@ -216,6 +217,17 @@ class TestCensored:
             assert len(outer) == 1 and outer <= {0, 1}
             assert allowed == first[(t // 4) * 4]
 
+    def test_two_level_allowed_set_built_once_per_block(self):
+        sched = Schedule.two_level([0, 1], [2, 3], period=4, seed=9)
+        assert sched.allowed(4) is sched.allowed(7)
+        assert sched.allowed(4) == oracles.per_block_two_level(
+            [0, 1], [2, 3], 4, 9)(4)
+
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_two_level_period_below_one(self, period):
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            Schedule.two_level([0], [1], period, 0)
+
     def test_censoring_slows_convergence(self):
         # censoring a monotone chain from the top state cannot help: exact
         # one-block TV vs stationarity is no smaller than uncensored
@@ -260,6 +272,17 @@ class TestTrajectoryDump:
             assert t.isdigit()
             assert set(s) <= set("01*")
 
+    def test_dump_renders_each_state_once(self, monkeypatch):
+        m = k2_flipped_rc()
+        run = glauber_run(m, (1,), 100, 0, record_at=range(101))
+        rendered = []
+        state_str = dynamics.state_str
+        monkeypatch.setattr(dynamics, "state_str",
+                            lambda s: rendered.append(s) or state_str(s))
+        text = run.dump_trajectory()
+        assert len(rendered) == len(set(run.recorded.values())) == 2
+        assert text.count("\n") == 101
+
 
 class TestTrajectoryDigests:
     """sha256 of each sampler's trajectory (and log) for seed 0 on the flipped
@@ -296,3 +319,120 @@ class TestTrajectoryDigests:
         run = field_run(self.M3, 0.5, (1, 1, 1), 50, 0, record_at=range(51))
         assert self.digest(run, with_log=False) == (
             "b85766e845d0ab7e5ef9892614fce2c0ec495ebecd0ccb846f3cd2892b92deaa")
+
+
+def table_cases(rng):
+    """(model, feasible start) pairs: random monotone models from all-1,
+    hard-core models from all-0, and ternary lifts from all-1."""
+    cases = []
+    for _ in range(4):
+        m = random_monotone_model(rng)
+        cases.append((m, (1,) * m.n_vars))
+        hc = random_hardcore(rng)
+        cases.append((hc, (0,) * hc.n_vars))
+        lm = models.lift_model(random_monotone_model(rng, max_vars=3),
+                               float(rng.uniform(0.2, 0.8)))
+        cases.append((lm, (1,) * lm.n_vars))
+    return cases
+
+
+def same_run(a, b):
+    return (a.log, a.recorded, a.final) == (b.log, b.recorded, b.final)
+
+
+def count_calls(monkeypatch, model):
+    """Count the calls of model.conditional; returns a one-item list."""
+    calls = [0]
+    conditional = model.conditional
+
+    def counted(state, v):
+        calls[0] += 1
+        return conditional(state, v)
+
+    monkeypatch.setattr(model, "conditional", counted)
+    return calls
+
+
+class TestSiteTable:
+    """The table-driven samplers give the per-step loop's log, recorded
+    states and final state for every seed."""
+
+    def test_glauber_equals_per_step_loop(self, rng):
+        for m, x0 in table_cases(rng):
+            for seed in range(3):
+                run = glauber_run(m, x0, 300, seed, record_at=range(0, 301, 7))
+                ref = oracles.per_step_heat_bath_run(
+                    m, x0, 300, seed, record_at=range(0, 301, 7))
+                assert same_run(run, ref)
+
+    def test_censored_equals_per_step_loop(self, rng):
+        for m, x0 in table_cases(rng):
+            n = m.n_vars
+            for k, period, sched_seed in ((1, 1, 0), (1, 3, 5),
+                                          (n // 2 or 1, 7, 2)):
+                left, right = range(k), range(k, n)
+                for seed in range(2):
+                    sched = Schedule.two_level(left, right, period, sched_seed)
+                    run = censored_glauber(m, x0, sched, 300, seed,
+                                           record_at=range(301))
+                    ref = oracles.per_step_heat_bath_run(
+                        m, x0, 300, seed, record_at=range(301),
+                        purpose="censored",
+                        allowed=oracles.per_block_two_level(
+                            left, right, period, sched_seed))
+                    assert same_run(run, ref)
+
+    def test_simulate_equals_per_step_loop(self, rng):
+        for _ in range(6):
+            m = random_monotone_model(rng)
+            theta = float(rng.uniform(0.2, 0.8))
+            for seed in range(3):
+                run, out = simulate_algorithm(m, theta, 5, 9, seed,
+                                              record_at=range(0, 46, 4))
+                ref, ref_out = oracles.per_step_simulate(
+                    m, theta, 5, 9, seed, record_at=range(0, 46, 4))
+                assert same_run(run, ref) and out == ref_out
+
+    def test_field_inner_glauber_equals_per_step_loop(self, rng):
+        for _ in range(6):
+            m = random_monotone_model(rng)
+            for seed in range(3):
+                a, b = make_rng(seed, 0, "fd"), make_rng(seed, 0, "fd")
+                x = y = (1,) * m.n_vars
+                for _ in range(10):
+                    x = field_dynamics_step(m, 0.4, x, a, inner=("glauber", 6))
+                    y = oracles.per_step_field_glauber_step(m, 0.4, y, b, 6)
+                    assert x == y
+
+    def test_bounded_table_equals_per_step_loop(self, monkeypatch):
+        # a two-entry table must evict and recompute, with the same draws
+        monkeypatch.setattr(dynamics, "_SITE_TABLE_SIZE", 2)
+        m = flip(RandomClusterModel(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+                                    [0.5] * 4, [0.5] * 4))
+        calls = count_calls(monkeypatch, m)
+        run = glauber_run(m, (1,) * 4, 500, 3, record_at=range(501))
+        pairs = {(s, v) for s in run.recorded.values() for v in range(4)}
+        assert calls[0] > len(pairs)
+        ref = oracles.per_step_heat_bath_run(m, (1,) * 4, 500, 3,
+                                             record_at=range(501))
+        assert same_run(run, ref)
+
+    def test_conditional_calls_bounded_by_states_times_sites(self, rng,
+                                                            monkeypatch):
+        for m, x0 in table_cases(rng):
+            calls = count_calls(monkeypatch, m)
+            run = glauber_run(m, x0, 2000, 1, record_at=range(2001))
+            assert 0 < calls[0] <= len(set(run.recorded.values())) * m.n_vars
+
+    def test_simulate_conditional_calls_bounded(self, rng, monkeypatch):
+        # the relift states are not recorded; every state the log passes
+        # through (one entry at a time) covers them
+        for _ in range(4):
+            m = random_monotone_model(rng, max_vars=3)
+            calls = count_calls(monkeypatch, m)
+            run, _ = simulate_algorithm(m, 0.5, 40, 50, 2)
+            state, seen = list(run.x0), {run.x0}
+            for _, v, val in run.log:
+                state[v] = val
+                seen.add(tuple(state))
+            assert 0 < calls[0] <= len(seen) * m.n_vars < 2000
