@@ -6,20 +6,19 @@ checks."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
 
-import networkx as nx
 import numpy as np
 
-from .exact import (enumerate_support, kl_divergence, pinnings,
-                    stationary_distribution)
+from .exact import (check_monotone_system, enumerate_support, kl_divergence,
+                    pinnings, stationary_distribution)
 from .models import lambda_c  # noqa: F401  (re-exported)
 from .ordercore import enumerate_up_sets
 
 _TRANSPORT_SCALE = 10 ** 12
+_FREE = 2  # index of "free" on each axis of a pinned-mass table
 
 
 def _support_data(model):
@@ -27,13 +26,54 @@ def _support_data(model):
     return sup, stationary_distribution(model, sup)
 
 
-def _marginal_one(sup, probs, pins: dict, v):
-    """P[coordinate v = 1 | pins]; None if the pinning is infeasible."""
-    mask = sup.where(pins)
-    mass = probs[mask].sum()
-    if mass == 0.0:
-        return None
-    return float(probs[mask & (sup.array[:, v] == 1)].sum() / mass)
+def _pinned_masses(sup, probs) -> np.ndarray:
+    """The pinned-mass table: T[tau] = mass of the states that agree with the
+    partial assignment tau.  Built over (a+1)^n cells (a the alphabet size,
+    the last index on each axis meaning "free") by scattering probs into the
+    cells and summing each axis into its free index (Yates' wildcard
+    transform); returned on the values 0, 1 and free (index _FREE), the only
+    cells the diagnostics read, as a 3^n array."""
+    n = sup.array.shape[1]
+    a = max(2, int(sup.array.max()) + 1)
+    table = np.zeros((a + 1,) * n)
+    table[tuple(sup.array.T)] = probs
+    for axis in range(n):
+        cell = [slice(None)] * n
+        cell[axis] = a
+        table[tuple(cell)] = table.take(range(a), axis=axis).sum(axis=axis)
+    return table[np.ix_(*[(0, 1, a)] * n)]
+
+
+def _marginals(table) -> np.ndarray:
+    """P[v=1 | tau] for every site v and cell tau of a pinned-mass table, as
+    an array of shape (n,) + table.shape: T[tau, v=1] / T[tau] where tau
+    leaves v free, exactly 1.0 or 0.0 where tau pins v, NaN where T[tau] = 0.
+    Both sides of each ratio are cells of one table, so a slice with all its
+    mass at v = 1 gives exactly 1.0."""
+    n = table.ndim
+    out = np.empty((n,) + table.shape)
+    with np.errstate(invalid="ignore"):
+        for v in range(n):
+            one = table.take([1], axis=v)
+            num = np.concatenate([np.zeros_like(one), one, one], axis=v)
+            out[v] = num / table
+    return out
+
+
+def _influence_rows(marg, u, include_diagonal=True) -> np.ndarray:
+    """Row u of the influence matrix of every pinning tau that leaves u free,
+    as an array over those pinnings (axis u of the table dropped) by column:
+    entry v is P[v=1 | tau, u=1] - P[v=1 | tau, u=0], and 0 when u is not
+    decisive (infeasible, or P[u=1 | tau] in {0, 1}), when P[v=1 | tau] = 0,
+    when either u-pinning has no mass, or when tau pins v."""
+    hi, lo = marg.take(1, axis=1 + u), marg.take(0, axis=1 + u)
+    given = marg.take(_FREE, axis=1 + u)
+    m_u = given[u]
+    ok = (m_u > 0.0) & (m_u < 1.0) & (given != 0.0) & ~np.isnan(hi - lo)
+    if not include_diagonal:
+        ok[u] = False
+    # C order: each row then sums exactly as a row of a single matrix does
+    return np.moveaxis(np.where(ok, hi - lo, 0.0), 0, -1).copy()
 
 
 @dataclass
@@ -48,30 +88,16 @@ def influence_matrix(model, pinning=None, include_diagonal=True) -> InfluenceMat
     either u-pinning is infeasible or v cannot take value 1.  The literal
     definition gives diagonal entries equal to 1; a flag drops them."""
     pinning = dict(pinning or {})
-    if len(pinning) > model.n_vars - 2:
+    n = model.n_vars
+    if len(pinning) > n - 2:
         raise ValueError("pinning must leave at least two free variables")
-    return _influence(*_support_data(model), pinning, include_diagonal)
-
-
-def _influence(sup, probs, pinning, include_diagonal=True) -> InfluenceMatrix:
-    n = sup.array.shape[1]
-    free = [v for v in range(n) if v not in pinning]
+    marg = _marginals(_pinned_masses(*_support_data(model)))
+    cell = [pinning.get(v, _FREE) for v in range(n)]
     mat = np.zeros((n, n))
-    for u in free:
-        m_u0 = _marginal_one(sup, probs, pinning, u)
-        if m_u0 is None or m_u0 in (0.0, 1.0):
-            continue  # u is not decisive under this pinning
-        for v in free:
-            if v == u and not include_diagonal:
-                continue
-            m_v = _marginal_one(sup, probs, pinning, v)
-            if m_v is None or m_v == 0.0:
-                continue
-            hi = _marginal_one(sup, probs, {**pinning, u: 1}, v)
-            lo = _marginal_one(sup, probs, {**pinning, u: 0}, v)
-            if hi is None or lo is None:
-                continue  # u is pinned de facto by the support
-            mat[u, v] = hi - lo
+    for u in range(n):
+        if u not in pinning:
+            mat[u] = _influence_rows(marg, u, include_diagonal)[
+                tuple(cell[:u] + cell[u + 1:])]
     return InfluenceMatrix(mat, pinning, include_diagonal)
 
 
@@ -81,65 +107,74 @@ def sinf_norm(psi: InfluenceMatrix) -> float:
 
 def max_sinf_norm(model, max_pin=None) -> float:
     """Max influence-matrix norm over all feasible pinnings leaving at least
-    two free variables."""
+    two free variables: every pinning is a cell of the pinned-mass table, so
+    each row u is computed for all of them at once."""
     n = model.n_vars
-    sup, probs = _support_data(model)
+    marg = _marginals(_pinned_masses(*_support_data(model)))
     limit = n - 2 if max_pin is None else min(max_pin, n - 2)
-    best = 0.0
-    for pins in pinnings(n, limit):
-        if sup.where(pins).any():
-            best = max(best, sinf_norm(_influence(sup, probs, pins)))
-    return best
+    if limit < 0:
+        return 0.0
+    norms = np.zeros((3,) * n)
+    for u in range(n):
+        cell = [slice(None)] * n
+        cell[u] = _FREE
+        rows = np.abs(_influence_rows(marg, u)).sum(axis=-1)
+        norms[tuple(cell)] = np.maximum(norms[tuple(cell)], rows)
+    pinned = sum(np.ix_(*[(1, 1, 0)] * n))
+    return max(0.0, float(norms[pinned <= limit].max()))
+
+
+def _strict_sub_min(x) -> np.ndarray:
+    """For every cell tau of an array over pinnings (index _FREE = free), the
+    minimum of x over the pinnings obtained from tau by freeing at least one
+    pinned site; +inf where tau pins nothing."""
+    axes = [((slice(None),) * axis + (slice(0, _FREE),),
+             (slice(None),) * axis + (slice(_FREE, None),))
+            for axis in range(x.ndim)]
+    below = x.copy()  # min over the sub-pinnings of tau, tau included
+    for pinned, free in axes:
+        below[pinned] = np.minimum(below[pinned], below[free])
+    out = np.full(x.shape, np.inf)
+    for pinned, free in axes:
+        out[pinned] = np.minimum(out[pinned], below[free])
+    return out
 
 
 def marginal_stability(model, max_vars=10) -> float:
     """Smallest K such that, for every feasible pinning tau on Lambda, every
     sub-pinning tau_S and every free v: odds(v | tau) <= K * odds(v | tau_S)
     and P[v=0 | tau] >= 1/K.  Returns math.inf when some conditional forces
-    v to 1."""
+    v to 1.  Every pinning leaving v free is a cell of one odds array per v,
+    and the sub-pinning side is one minimum over sub-cells."""
     n = model.n_vars
     if n > max_vars:
         raise ValueError(f"guarded to {max_vars} variables")
-    sup, probs = _support_data(model)
-    # odds[(pins as frozenset of (v,val), v)] computed lazily
-    cache = {}
-
-    def odds_and_p0(pins, v):
-        key = (frozenset(pins.items()), v)
-        if key not in cache:
-            m1 = _marginal_one(sup, probs, pins, v)
-            cache[key] = None if m1 is None else (m1, 1.0 - m1)
-        return cache[key]
-
+    marg = _marginals(_pinned_masses(*_support_data(model)))
     best = 1.0
-    for tau in pinnings(n, n - 1):
-        for v in range(n):
-            if v in tau:
-                continue
-            got = odds_and_p0(tau, v)
-            if got is None:
-                continue
-            m1, m0 = got
-            if m0 == 0.0:
-                return math.inf
-            best = max(best, 1.0 / m0)
-            r_full = m1 / m0
-            for k in range(len(tau)):
-                for sub in itertools.combinations(tau, k):
-                    tau_s = {u: tau[u] for u in sub}
-                    s1, s0 = odds_and_p0(tau_s, v)
-                    r_sub = s1 / s0 if s0 > 0 else math.inf
-                    if r_full > 0:
-                        if r_sub == 0.0:
-                            return math.inf
-                        if r_sub is not math.inf:
-                            best = max(best, r_full / r_sub)
+    for v in range(n):
+        m1 = marg[v].take(_FREE, axis=v)
+        feasible = ~np.isnan(m1)
+        m0 = 1.0 - m1
+        if (m0[feasible] == 0.0).any():
+            return math.inf
+        best = max(best, float((1.0 / m0[feasible]).max()))
+        with np.errstate(divide="ignore"):
+            odds = np.where(feasible, m1 / m0, np.inf)
+        low = _strict_sub_min(odds)
+        live = feasible & (odds > 0.0)
+        if (low[live] == 0.0).any():
+            return math.inf
+        live &= np.isfinite(low)
+        if live.any():
+            best = max(best, float((odds[live] / low[live]).max()))
     return best
 
 
 def _transport_cost(states_a, pa, states_b, pb) -> float:
     """Exact min-cost transport between two laws over full configurations
     (rows of int arrays), with Hamming cost; integer-scaled min-cost flow."""
+    import networkx as nx  # only the flow fallback needs it
+
     ia = [int(round(x * _TRANSPORT_SCALE)) for x in pa]
     ib = [int(round(x * _TRANSPORT_SCALE)) for x in pb]
     ia[int(np.argmax(pa))] += _TRANSPORT_SCALE - sum(ia)
@@ -158,12 +193,48 @@ def _transport_cost(states_a, pa, states_b, pb) -> float:
     return cost / _TRANSPORT_SCALE
 
 
+def _certified_monotone(model, sup, probs) -> bool:
+    """Whether every pair of conditionings law(.|tau, i=1), law(.|tau, i=0)
+    is ordered by stochastic dominance, certified once for the model.
+
+    For a positive law on {0,1}^n, single-site conditionals that increase
+    with the other coordinates are equivalent to the FKG lattice condition
+    mu(x v y) mu(x ^ y) >= mu(x) mu(y), which pinning preserves; Holley's
+    inequality (1974) then gives law(.|tau, i=1) >=_sd law(.|tau, i=0) for
+    every pinning tau.  So the certificate is a binary alphabet, full product
+    support with mu > 0, and check_monotone_system, which decides monotone
+    conditionals up to PROB_TOL; the ordering holds up to the same
+    tolerance."""
+    if tuple(model.alphabet) != (0, 1) or sup.size != 2 ** model.n_vars:
+        return False
+    if not (probs > 0.0).all():
+        return False
+    try:
+        return check_monotone_system(model)[0]
+    except ValueError:  # guarded out of the check
+        return False
+
+
 def coupling_independence(model, max_states=512) -> float:
     """Exact optimal value C: the worst (over pinnings and a discrepancy
     coordinate) expected Hamming distance of the best coupling between the
-    two single-site conditionings."""
+    two single-site conditionings.
+
+    On a certified monotone model (_certified_monotone) the two
+    conditionings are ordered, so a monotone coupling exists (Strassen 1965)
+    and attains the lower bound sum_j |P[j=1 | tau, i=1] - P[j=1 | tau, i=0]|
+    that every coupling obeys; the j = i term is 1.  C is then the largest
+    influence-matrix row sum (diagonal included) over pinnings of up to n-1
+    sites, read from the pinned-mass table with no flow.  Every other model
+    solves one min-cost flow per pair of conditionings, each guarded to
+    max_states states."""
     n = model.n_vars
     sup, probs = _support_data(model)
+    if _certified_monotone(model, sup, probs):
+        marg = _marginals(_pinned_masses(sup, probs))
+        return max(float(np.abs(marg.take(1, axis=1 + i)
+                                - marg.take(0, axis=1 + i)).sum(axis=0).max())
+                   for i in range(n))
     best = 0.0
     for pins in pinnings(n, n - 1):
         for i in range(n):

@@ -348,12 +348,22 @@ def cmd_kernel_export(args):
     return 0
 
 
+def _check_option_values(args):
+    """argparse reads an option written "--opt=--" as an empty list rather
+    than as a value; refuse it."""
+    for name, value in vars(args).items():
+        if (value == [] and name not in ("transform", "check")
+                or isinstance(value, list) and [] in value):
+            raise ValueError(f"--{name} needs a value")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"sample": cmd_sample, "verify": cmd_verify,
                 "analyze": cmd_analyze, "mixing": cmd_mixing,
                 "kernel-export": cmd_kernel_export}
     try:
+        _check_option_values(args)
         return handlers[args.command](args)
     except (ValueError, RuntimeError, ArithmeticError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

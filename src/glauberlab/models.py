@@ -597,12 +597,3 @@ def sw_for_rc(rc: RandomClusterModel):
                               [x / 2 for x in rc.p],
                               [(1 - l) / (1 + l) for l in rc.lam])
 
-
-def sw_to_rc(edge_state, rc: RandomClusterModel, rng):
-    """Union the subgraph-world sample with independent Bernoulli(q_i) edges,
-    q_i = p_i/(2-p_i); the result is distributed as the RC model."""
-    out = []
-    for i in range(rc.n_vars):
-        q = rc.p[i] / (2 - rc.p[i])
-        out.append(1 if edge_state[i] == 1 or rng.random() < q else 0)
-    return tuple(out)

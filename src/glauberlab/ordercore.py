@@ -385,14 +385,3 @@ def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):
         if not ok:
             return start + wit[0], wit[1]
 
-
-def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
-                         **guards):
-    """Cross-check: nu(U) <= nu_prime(U) + tol for every up-set U."""
-    k = poset.size
-    nu = _check_dist(nu, k)
-    nu_prime = _check_dist(nu_prime, k)
-    for u in enumerate_up_sets(poset, **guards):
-        if sum(nu[i] for i in u) > sum(nu_prime[i] for i in u) + tol:
-            return False, u
-    return True, None

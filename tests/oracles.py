@@ -5,13 +5,20 @@ These are the slow forms the fast code replaced, kept to compare against:
 the max-flow over the full k x k order network, one flow per extreme ray in
 the kernel comparison, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
-of the exact mixing time, and the sampler loop that calls the site-update law
-and scans its probabilities on every step.
+of the exact mixing time, the sampler loop that calls the site-update law
+and scans its probabilities on every step, the up-set cross-check of
+stochastic dominance, and the independence diagnostics that scan the state
+table once per pinning and solve one min-cost flow per pair of
+conditionings.
 """
 
+import itertools
+import math
+
+import networkx as nx
 import numpy as np
 
-from glauberlab import dynamics, exact, models
+from glauberlab import dynamics, exact, models, ordercore
 from glauberlab.ordercore import contract, lift
 from glauberlab.ordercore import (PROB_TOL, _FLOW_SCALE, Poset, _Dinic,
                                   enumerate_up_sets)
@@ -221,3 +228,150 @@ def per_step_field_glauber_step(model, theta, x, rng, t2):
     state = list(x)
     per_step_site_steps(models.heat_bath_law(m), state, rng, 0, t2)
     return tuple(state)
+
+
+def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol=PROB_TOL, **guards):
+    """Cross-check: nu(U) <= nu_prime(U) + tol for every up-set U, with the
+    input rule of stochastic_dominance."""
+    k = poset.size
+    nu = ordercore._check_dist(nu, k)
+    nu_prime = ordercore._check_dist(nu_prime, k)
+    for u in enumerate_up_sets(poset, **guards):
+        if sum(nu[i] for i in u) > sum(nu_prime[i] for i in u) + tol:
+            return False, u
+    return True, None
+
+
+def _support_data(model):
+    sup = exact.enumerate_support(model)
+    return sup, exact.stationary_distribution(model, sup)
+
+
+def marginal_one(sup, probs, pins: dict, v):
+    """P[coordinate v = 1 | pins] by a scan of the state table; None if the
+    pinning is infeasible."""
+    mask = sup.where(pins)
+    mass = probs[mask].sum()
+    if mass == 0.0:
+        return None
+    return float(probs[mask & (sup.array[:, v] == 1)].sum() / mass)
+
+
+def influence(sup, probs, pinning, include_diagonal=True):
+    """The influence matrix under one pinning, entry by entry."""
+    n = sup.array.shape[1]
+    free = [v for v in range(n) if v not in pinning]
+    mat = np.zeros((n, n))
+    for u in free:
+        m_u0 = marginal_one(sup, probs, pinning, u)
+        if m_u0 is None or m_u0 in (0.0, 1.0):
+            continue  # u is not decisive under this pinning
+        for v in free:
+            if v == u and not include_diagonal:
+                continue
+            m_v = marginal_one(sup, probs, pinning, v)
+            if m_v is None or m_v == 0.0:
+                continue
+            hi = marginal_one(sup, probs, {**pinning, u: 1}, v)
+            lo = marginal_one(sup, probs, {**pinning, u: 0}, v)
+            if hi is None or lo is None:
+                continue  # u is pinned de facto by the support
+            mat[u, v] = hi - lo
+    return mat
+
+
+def influence_matrix(model, pinning=None, include_diagonal=True):
+    return influence(*_support_data(model), dict(pinning or {}),
+                     include_diagonal)
+
+
+def max_sinf_norm(model, max_pin=None):
+    """The largest influence row sum over the feasible pinnings, one pinning
+    at a time."""
+    n = model.n_vars
+    sup, probs = _support_data(model)
+    limit = n - 2 if max_pin is None else min(max_pin, n - 2)
+    best = 0.0
+    for pins in exact.pinnings(n, limit):
+        if sup.where(pins).any():
+            mat = influence(sup, probs, pins)
+            best = max(best, float(np.max(np.abs(mat).sum(axis=1))))
+    return best
+
+
+def marginal_stability(model):
+    """Marginal stability over every (pinning, sub-pinning, site) triple."""
+    n = model.n_vars
+    sup, probs = _support_data(model)
+    cache = {}
+
+    def odds_and_p0(pins, v):
+        key = (frozenset(pins.items()), v)
+        if key not in cache:
+            m1 = marginal_one(sup, probs, pins, v)
+            cache[key] = None if m1 is None else (m1, 1.0 - m1)
+        return cache[key]
+
+    best = 1.0
+    for tau in exact.pinnings(n, n - 1):
+        for v in range(n):
+            if v in tau:
+                continue
+            got = odds_and_p0(tau, v)
+            if got is None:
+                continue
+            m1, m0 = got
+            if m0 == 0.0:
+                return math.inf
+            best = max(best, 1.0 / m0)
+            r_full = m1 / m0
+            for k in range(len(tau)):
+                for sub in itertools.combinations(tau, k):
+                    tau_s = {u: tau[u] for u in sub}
+                    s1, s0 = odds_and_p0(tau_s, v)
+                    r_sub = s1 / s0 if s0 > 0 else math.inf
+                    if r_full > 0:
+                        if r_sub == 0.0:
+                            return math.inf
+                        if r_sub is not math.inf:
+                            best = max(best, r_full / r_sub)
+    return best
+
+
+def transport_cost(states_a, pa, states_b, pb, scale=10 ** 12):
+    """Exact min-cost transport with Hamming cost, as an integer-scaled
+    min-cost flow."""
+    ia = [int(round(x * scale)) for x in pa]
+    ib = [int(round(x * scale)) for x in pb]
+    ia[int(np.argmax(pa))] += scale - sum(ia)
+    ib[int(np.argmax(pb))] += scale - sum(ib)
+    ham = (states_a[:, None, :] != states_b[None, :, :]).sum(axis=2)
+    g = nx.DiGraph()
+    for i, m in enumerate(ia):
+        g.add_node(("a", i), demand=-m)
+    for j, m in enumerate(ib):
+        g.add_node(("b", j), demand=m)
+    for i in range(len(ia)):
+        for j in range(len(ib)):
+            g.add_edge(("a", i), ("b", j), weight=int(ham[i, j]))
+    flow = nx.min_cost_flow(g)
+    return nx.cost_of_flow(g, flow) / scale
+
+
+def per_pair_coupling(model):
+    """Coupling independence with one min-cost flow per pair of single-site
+    conditionings."""
+    n = model.n_vars
+    sup, probs = _support_data(model)
+    best = 0.0
+    for pins in exact.pinnings(n, n - 1):
+        for i in range(n):
+            if i in pins:
+                continue
+            m0, m1 = sup.where({**pins, i: 0}), sup.where({**pins, i: 1})
+            mass0, mass1 = probs[m0].sum(), probs[m1].sum()
+            if mass0 == 0.0 or mass1 == 0.0:
+                continue
+            best = max(best, transport_cost(sup.array[m1], probs[m1] / mass1,
+                                            sup.array[m0], probs[m0] / mass0))
+    return best

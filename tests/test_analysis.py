@@ -12,6 +12,7 @@ from glauberlab.analysis import (AlphaSchedule, bhc_schedule, coupling_independe
                                  uniqueness_check, uniqueness_grid)
 from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip)
 from conftest import random_monotone_model
+import oracles
 
 K2 = Graph(2, [(0, 1)])
 
@@ -287,3 +288,119 @@ class TestReport:
         assert abs(rep.coupling - 1.5) < 1e-9
         assert abs(rep.marginal_stability - 2.0) < 1e-12
         assert rep.ei_ratio > 0
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def assert_same_value(got, want, rel):
+    """Equal within rel, with identical 0 / 1 / inf outcomes."""
+    for special in (0.0, 1.0, math.inf):
+        assert (got == special) == (want == special), (got, want)
+    if math.isfinite(want):
+        assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+class TestPinnedTable:
+    """The pinned-mass table against scans of the state table."""
+
+    def cases(self, rng, count=6):
+        out = [hc_k2(), flip(HardcoreModel(cycle(4), 1.3)),
+               models.LiftedModel(flip(RandomClusterModel(
+                   Graph(3, [(0, 1), (1, 2)]), [0.4, 0.6], [0.5, 0.7, 0.2])),
+                   0.4)]
+        out += [random_monotone_model(rng, max_vars=5) for _ in range(count)]
+        return out
+
+    def test_masses_and_marginals_match_scans(self, rng):
+        for m in self.cases(rng):
+            sup, probs = analysis._support_data(m)
+            table = analysis._pinned_masses(sup, probs)
+            marg = analysis._marginals(table)
+            assert table.shape == (3,) * m.n_vars
+            for pins in exact.pinnings(m.n_vars, m.n_vars):
+                cell = tuple(pins.get(v, analysis._FREE)
+                             for v in range(m.n_vars))
+                mass = probs[sup.where(pins)].sum()
+                assert abs(table[cell] - mass) <= 1e-15
+                assert (table[cell] == 0.0) == (mass == 0.0)
+                for v in range(m.n_vars):
+                    want = oracles.marginal_one(sup, probs, pins, v)
+                    if want is None:
+                        assert math.isnan(marg[(v,) + cell])
+                    else:
+                        assert_same_value(marg[(v,) + cell], want, 1e-12)
+
+
+class TestAgainstOracles:
+    """Every diagnostic equals the slice-scan and per-pair-flow forms."""
+
+    def test_influence_matrices(self, rng):
+        for _ in range(8):
+            m = random_monotone_model(rng, max_vars=5)
+            for pins in exact.pinnings(m.n_vars, m.n_vars - 2):
+                for diag in (True, False):
+                    got = influence_matrix(m, pins, diag).matrix
+                    want = oracles.influence_matrix(m, pins, diag)
+                    # entries are differences of probabilities, and an
+                    # exact 0 may meet the scan's rounding noise, so they
+                    # compare absolutely; the diagonal (1 exactly where u
+                    # is decisive) is exact
+                    assert (np.diag(got) == np.diag(want)).all()
+                    assert np.abs(got - want).max() <= 1e-12
+
+    def test_max_sinf_norm_and_marginal_stability(self, rng):
+        cases = [hc_k2(), flip(hc_k2()), HardcoreModel(cycle(5), 1.0),
+                 independent_pair(2.0)]
+        cases += [random_monotone_model(rng, max_vars=5) for _ in range(10)]
+        for m in cases:
+            assert_same_value(max_sinf_norm(m), oracles.max_sinf_norm(m),
+                              1e-12)
+            assert_same_value(max_sinf_norm(m, max_pin=1),
+                              oracles.max_sinf_norm(m, max_pin=1), 1e-12)
+            assert_same_value(marginal_stability(m),
+                              oracles.marginal_stability(m), 1e-12)
+
+    def test_closed_form_coupling(self, rng):
+        done = 0
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            for _ in range(3):
+                m = random_monotone_model(r, max_vars=5)
+                got = coupling_independence(m)
+                assert abs(got - oracles.per_pair_coupling(m)) <= 1e-9
+                done += analysis._certified_monotone(
+                    m, *analysis._support_data(m))
+        assert done >= 10  # most random monotone instances take the closed form
+
+    @pytest.mark.parametrize("model", [
+        HardcoreModel(cycle(5), 1.0),
+        flip(HardcoreModel(cycle(4), 0.8)),
+        models.LiftedModel(flip(RandomClusterModel(
+            Graph(3, [(0, 1), (1, 2)]), [0.4, 0.6], [0.5, 0.7, 0.2])), 0.4),
+        # a monotone system, but on a restricted support
+        models.BipartiteHardcoreModel(
+            Graph(3, [(0, 1), (0, 2)], bipartite_k=1), 0.7, 1.2),
+    ], ids=["hardcore-c5", "flipped-hardcore-c4", "lifted-rc-path",
+            "bipartite-hardcore"])
+    def test_uncertified_models_take_the_flow(self, model, monkeypatch):
+        assert not analysis._certified_monotone(
+            model, *analysis._support_data(model))
+        calls = []
+        flow = analysis._transport_cost
+        monkeypatch.setattr(analysis, "_transport_cost",
+                            lambda *a: calls.append(1) or flow(*a))
+        assert coupling_independence(model) == oracles.per_pair_coupling(model)
+        assert calls
+        with pytest.raises(ValueError, match="exceeds the guard"):
+            coupling_independence(model, max_states=1)
+
+    def test_certified_model_never_calls_the_flow(self, monkeypatch):
+        m = flip(RandomClusterModel(cycle(5), [0.5] * 5, [0.5] * 5))
+        calls = []
+        monkeypatch.setattr(analysis, "_transport_cost",
+                            lambda *a: calls.append(1))
+        got = coupling_independence(m, max_states=1)  # guards the flow only
+        assert calls == []
+        assert abs(got - oracles.per_pair_coupling(m)) <= 1e-9

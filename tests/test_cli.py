@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from glauberlab import cli
 
@@ -364,3 +368,94 @@ class TestErrors:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("# config=")
+
+
+def test_cli_import_leaves_networkx_and_scipy_unloaded():
+    # only the min-cost-flow fallback of coupling_independence needs
+    # networkx, and nothing in the package needs scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, glauberlab.cli; "
+            "print([m for m in ('networkx', 'scipy') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("option", ["--transform=--", "--check=--",
+                                    "--record=--", "--seed=--", "--out=--"])
+def test_option_given_double_dash_exits_two(k2, rc_params, capsys, option):
+    # argparse reads "--opt=--" as an empty list (an internal error before)
+    argv = ["verify", "--graph", k2, "--params", rc_params, option]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
+# -- exit-contract fuzz -------------------------------------------------------
+
+_KEYS = ("model", "theta", "dynamics", "start", "lambda", "beta", "d",
+         "delta", "period", "schedule-seed", "p.default", "p.0",
+         "lambda.default", "lambda.2", "beta.default", "beta.0",
+         "eta.default", "steps", "bogus")
+_WORDS = ("rc", "ising", "hardcore", "bipartite-hardcore", "subgraph-world",
+          "glauber", "censored", "simulate", "field", "ones", "zeros", "01",
+          "010", "0*1", "**")
+_NUMBERS = ("0.5", "0.3", "0.9", "1", "2", "3", "0", "-1", "nan", "inf",
+            "-inf", "1_0", "0x10", "")
+# values that freeze a chain, so that an exact mixing time runs to its cap
+# of 10^6 steps (seconds) before exiting 2; kept out of `mixing` for speed
+_EXTREMES = ("1e-300", "1e308", "99999999999999999999")
+_BASE = {"rc": "p.default=0.5 lambda.default=0.5",
+         "ising": "beta.default=2 lambda.default=0.5",
+         "hardcore": "lambda=1", "bipartite-hardcore": "lambda=1 beta=1",
+         "subgraph-world": "p.default=0.4 eta.default=0.5"}
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(("verify", "analyze", "mixing",
+                                    "kernel-export", "sample")))
+    pool = _WORDS + _NUMBERS + (() if command == "mixing" else _EXTREMES)
+    value = st.one_of(st.sampled_from(pool), st.text(max_size=5))
+    kind = draw(st.sampled_from(sorted(_BASE)))
+    lines = [f"model={kind}"] + _BASE[kind].split()
+    # mostly a complete model, so that most cases get past build_model
+    lines = draw(st.sampled_from([lines, lines, lines, lines[:-1], []]))
+    lines += draw(st.lists(st.one_of(
+        st.builds("{}={}".format, st.sampled_from(_KEYS), value),
+        st.text(max_size=8)), max_size=2))
+    transforms = draw(st.lists(st.one_of(
+        st.sampled_from(("flip", "left-marginal", "pin=@", "--", "")),
+        st.builds("{}={}".format, st.sampled_from(("tilt", "lift", "pin")),
+                  value),
+        st.text(max_size=6)), max_size=3))
+    pins = draw(st.text(alphabet="0123*- \n", max_size=8))
+    return command, "\n".join(lines), transforms, pins
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_case())
+def test_exit_contract_fuzz(case):
+    """Any parameter text and transform list exits 0, 1 or 2, never 3 and
+    never by an exception; every exit 2 prints an error: line."""
+    command, params, transforms, pins = case
+    with tempfile.TemporaryDirectory() as d:
+        graph = write(Path(d) / "bip.graph", "3 2 bipartite 1\n0 1\n0 2\n")
+        path = write(Path(d) / "fuzz.params", params)
+        pin_file = write(Path(d) / "fuzz.pins", pins)
+        argv = [command, "--graph", graph, "--params", path,
+                "--steps", "50"]
+        argv += ["--transform=" + t.replace("@", pin_file)
+                 for t in transforms]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = run_cli(argv)
+    assert rc in (0, 1, 2), err.getvalue()
+    if rc == 2:
+        assert any(ln.startswith("error: ") for ln in
+                   err.getvalue().splitlines()), err.getvalue()

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from glauberlab import ordercore
 from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
-                                  dominance_by_up_sets, enumerate_up_sets,
-                                  first_dominance_failure, is_increasing,
-                                  is_up_set, leq, lift, num_ones, num_stars,
-                                  parse_state, state_str,
+                                  enumerate_up_sets, first_dominance_failure,
+                                  is_increasing, is_up_set, leq, lift,
+                                  num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance)
-from oracles import full_network_dominance
+from oracles import dominance_by_up_sets, full_network_dominance
 
 
 def chain(vals):
