@@ -276,13 +276,13 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
 
     candidates = [np.eye(k)[i] for i in range(k)]
     if k <= 22:
-        for u in enumerate_up_sets(sup.poset()):
-            if not u:
-                continue
+        for u in enumerate_up_sets(sup):
             nu = np.zeros(k)
             for i in u:
                 nu[i] = mu[i]
-            candidates.append(nu / nu.sum())
+            mass = nu.sum()
+            if mass > 0.0:  # not the empty set, nor a mass lost to underflow
+                candidates.append(nu / mass)
     best_r, best_nu = 0.0, None
     for nu in candidates:
         r = ratio(nu)
@@ -472,13 +472,12 @@ class IndependenceReport:
         return json.dumps(d, indent=2, default=str)
 
 
-def independence_report(model, rng=None, with_ei=True) -> IndependenceReport:
+def independence_report(model, rng=None) -> IndependenceReport:
     rep = IndependenceReport()
     rep.sinf = max_sinf_norm(model)
     rep.marginal_stability = marginal_stability(model)
     rep.coupling = coupling_independence(model)
-    if with_ei:
-        r, nu = ei_witness(model, rng=rng)
-        rep.ei_ratio = r
-        rep.ei_nu = None if nu is None else [float(x) for x in nu]
+    r, nu = ei_witness(model, rng=rng)
+    rep.ei_ratio = r
+    rep.ei_nu = None if nu is None else [float(x) for x in nu]
     return rep

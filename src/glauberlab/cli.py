@@ -192,7 +192,7 @@ def _check_lift_identity(c):
 
 
 def _check_dominance(c):
-    fail = first_dominance_failure(zip(c.lifted_laws, c.alg), c.lsup.poset())
+    fail = first_dominance_failure(zip(c.lifted_laws, c.alg), c.lsup)
     return fail is None, True, None if fail is None else sorted(fail[1])
 
 

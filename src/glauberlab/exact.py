@@ -5,62 +5,25 @@ exact mixing times)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .ordercore import (PROB_TOL, STAR, Poset, contract, enumerate_up_sets,
                         first_dominance_failure, state_str,
                         stochastic_dominance)
-from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, pin,
-                     star_frozen_law, tilt)
+from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
+                     tilt)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EnumeratedSupport:
-    """The state table: lexicographically ordered support states with index
-    lookup, also held as a (k, n) int8 array (STAR = 2), one row per state."""
-
-    states: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
-
-    @property
-    def size(self):
-        return len(self.states)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self.states, dtype=np.int8)
-
-    def where(self, pins: dict) -> np.ndarray:
-        """Boolean mask of the states that agree with the partial assignment
-        pins (site -> value)."""
-        return (self.array[:, list(pins)] == list(pins.values())).all(axis=1)
-
-    def index(self, state):
-        return self._index[state]
-
-    def __contains__(self, state):
-        return state in self._index
-
-    def poset(self) -> Poset:
-        return self._poset
-
-    @cached_property
-    def _poset(self) -> Poset:
-        return Poset(self.states)
-
-
-def enumerate_support(model, guard=ENUM_GUARD) -> EnumeratedSupport:
-    return EnumeratedSupport(tuple(model.support_iter(guard=guard)))
+def enumerate_support(model, guard=ENUM_GUARD) -> Poset:
+    return Poset(tuple(model.support_iter(guard=guard)))
 
 
 def pinnings(n, max_size, values=(0, 1)):
@@ -72,14 +35,14 @@ def pinnings(n, max_size, values=(0, 1)):
                 yield dict(zip(sites, vals))
 
 
-def stationary_distribution(model, support: EnumeratedSupport) -> np.ndarray:
+def stationary_distribution(model, support: Poset) -> np.ndarray:
     """Normalized weights over the enumerated support (log-stable)."""
     lws = np.array([model.log_weight(s) for s in support.states], dtype=float)
     w = np.exp(lws - lws.max())
     return w / w.sum()
 
 
-def point_mass(support: EnumeratedSupport, state) -> np.ndarray:
+def point_mass(support: Poset, state) -> np.ndarray:
     v = np.zeros(support.size)
     v[support.index(state)] = 1.0
     return v
@@ -87,7 +50,7 @@ def point_mass(support: EnumeratedSupport, state) -> np.ndarray:
 
 @dataclass
 class Kernel:
-    support: EnumeratedSupport
+    support: Poset
     matrix: np.ndarray
     stationary: np.ndarray | None = None
 
@@ -98,7 +61,7 @@ class Kernel:
             raise ValueError("kernel shape mismatch")
         if np.any(self.matrix < -PROB_TOL):
             raise ValueError("negative transition probability")
-        if np.max(np.abs(self.matrix.sum(axis=1) - 1)) > PROB_TOL:
+        if not np.max(np.abs(self.matrix.sum(axis=1) - 1)) <= PROB_TOL:
             raise ValueError("rows do not sum to 1")
 
     def __matmul__(self, other):
@@ -158,6 +121,8 @@ def fd_kernel(model, theta, support=None) -> Kernel:
     """Field dynamics: free every 0-site and each 1-site independently with
     probability theta, then resample the freed set from the tilted conditional.
     Exact sum over all freed sets; guarded to at most 20 variables."""
+    if not 0 < theta < 1:
+        raise ValueError("theta must lie in (0,1)")
     if model.n_vars > 20:
         raise ValueError("field-dynamics kernel is guarded to 20 variables")
     support = support or enumerate_support(model)
@@ -173,7 +138,11 @@ def fd_kernel(model, theta, support=None) -> Kernel:
             pr_s = (theta ** (len(ones) - len(pinned))
                     * (1 - theta) ** len(pinned))
             mask = support.where(dict.fromkeys(pinned, 1))
-            mat[i, mask] += pr_s * (w[mask] / w[mask].sum())
+            z = w[mask].sum()
+            if z == 0.0:
+                raise ValueError("tilted weights underflow to 0 on a "
+                                 "pinned slice")
+            mat[i, mask] += pr_s * (w[mask] / z)
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
 
 
@@ -237,8 +206,8 @@ def _lift_fanout(x, theta, mass):
         yield tuple(y), pr
 
 
-def lift_pushforward(probs, bin_support: EnumeratedSupport, theta,
-                     lifted_support: EnumeratedSupport) -> np.ndarray:
+def lift_pushforward(probs, bin_support: Poset, theta,
+                     lifted_support: Poset) -> np.ndarray:
     """Analytic pushforward of a binary law under the randomized lift: each
     state fans out over its 1-coordinates with theta/(1-theta) weights."""
     out = np.zeros(lifted_support.size)
@@ -249,8 +218,8 @@ def lift_pushforward(probs, bin_support: EnumeratedSupport, theta,
     return out
 
 
-def contract_pushforward(probs, lifted_support: EnumeratedSupport,
-                         bin_support: EnumeratedSupport) -> np.ndarray:
+def contract_pushforward(probs, lifted_support: Poset,
+                         bin_support: Poset) -> np.ndarray:
     out = np.zeros(bin_support.size)
     for i, s in enumerate(lifted_support.states):
         out[bin_support.index(contract(s))] += probs[i]
@@ -286,21 +255,20 @@ def check_detailed_balance(kernel: Kernel, probs=None) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
-def check_stochastic_monotonicity(kernel: Kernel, poset: Poset = None,
-                                  tol=PROB_TOL):
+def check_stochastic_monotonicity(kernel: Kernel, tol=PROB_TOL):
     """Rows at comparable states must be stochastically ordered.
 
     Returns (True, None) or (False, (state_lo, state_hi, up_set))."""
-    poset = poset or kernel.support.poset()
-    pairs = poset.comparable_pairs()
+    sup = kernel.support
+    pairs = sup.comparable_pairs()
     rows = kernel.matrix
     fail = first_dominance_failure(((rows[i], rows[j]) for i, j in pairs),
-                                   poset, tol=tol)
+                                   sup, tol=tol)
     if fail is None:
         return True, None
     r, wit = fail
     i, j = pairs[r]
-    return False, (poset.elements[i], poset.elements[j], wit)
+    return False, (sup.states[i], sup.states[j], wit)
 
 
 def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
@@ -335,8 +303,8 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     return True, None
 
 
-def check_mc_leq(p: Kernel, q: Kernel, mu=None, poset: Poset = None,
-                 tol=PROB_TOL, n_random=0, rng=None):
+def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL, n_random=0,
+                 rng=None):
     """Comparison of kernels: nu P <=_sd nu Q for every nu whose density
     against mu is increasing.
 
@@ -349,7 +317,7 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, poset: Poset = None,
     Returns (True, None) or (False, (up_set_or_probs, kind)).
     """
     mu = p.stationary if mu is None else np.asarray(mu, float)
-    poset = poset or p.support.poset()
+    poset = p.support
     rays = [(u, mass) for u in poset.up_sets or enumerate_up_sets(poset)
             if (mass := sum(mu[i] for i in u)) > 0.0]
 
@@ -388,15 +356,14 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, poset: Poset = None,
 # mixing times
 
 
-def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6,
-                      target=None) -> int:
+def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
     x0 is a start state (tuple) or None for the worst case over all starts.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    mu = kernel.stationary if target is None else np.asarray(target, float)
+    mu = kernel.stationary
     if x0 is None:
         cur = np.eye(kernel.support.size)
         dist = lambda: 0.5 * np.abs(cur - mu).sum(axis=1).max()
@@ -414,13 +381,20 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6,
 
 def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
-    pinnings, maximized over starting states."""
-    support = enumerate_support(model)
+    pinnings, maximized over starting states.  Each pinned chain runs on its
+    slice of the tilted support, holding the pinned sites at 1 and reading
+    the tilted conditional, computed once per (state, site), elsewhere."""
     tilted = tilt(model, theta)
+    support = enumerate_support(tilted)
+    law = functools.cache(heat_bath_law(tilted))
     best = 0
     for pins in pinnings(model.n_vars, model.n_vars, values=(1,)):
-        if support.where(pins).any():
-            ker = glauber_kernel(pin(tilted, pins) if pins else tilted)
+        mask = support.where(pins)
+        if mask.any():
+            def held(s, v):
+                return ((1,), (1.0,)) if v in pins else law(s, v)
+            ker = _law_kernel(tilted, held, None, Poset(
+                tuple(itertools.compress(support.states, mask))))
             best = max(best, exact_mixing_time(ker, None, eps, cap=cap))
     return best
 
@@ -453,7 +427,7 @@ def kernel_to_csv(kernel: Kernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dist_to_csv(probs, support: EnumeratedSupport) -> str:
+def dist_to_csv(probs, support: Poset) -> str:
     lines = ["state,prob"]
     for s, x in zip(support.states, probs):
         lines.append(state_str(s) + "," + format_float(x))

@@ -13,9 +13,8 @@ from .models import (BipartiteHardcoreModel, Graph, HardcoreModel, IsingModel,
                      flip, lift_model, pin, tilt)
 from .ordercore import parse_state
 
-_KNOWN_KEYS = {"model", "theta", "dynamics", "start", "steps", "t1", "t2",
-               "eps", "delta", "record", "seed", "lambda", "beta", "d",
-               "period", "schedule-seed"}
+_KNOWN_KEYS = {"model", "theta", "dynamics", "start", "delta", "lambda",
+               "beta", "d", "period", "schedule-seed"}
 _KNOWN_PREFIXES = ("p.", "lambda.", "beta.", "eta.")
 
 

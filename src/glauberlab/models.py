@@ -438,7 +438,7 @@ class FlippedModel(Model):
 class PinnedModel(Model):
     """Support restricted to states agreeing with a partial assignment."""
 
-    def __init__(self, base, pins: dict, check_feasible=True):
+    def __init__(self, base, pins: dict):
         self.base = base
         self.pins = dict(pins)
         self.n_vars = base.n_vars
@@ -446,7 +446,7 @@ class PinnedModel(Model):
         for v, val in self.pins.items():
             if not (0 <= v < base.n_vars) or val not in base.alphabet:
                 raise ValueError("bad pin")
-        if check_feasible and not self._feasible():
+        if not self._feasible():
             raise ValueError("infeasible pin: the slice has empty support")
 
     def _feasible(self):

@@ -78,35 +78,51 @@ def contract(y) -> tuple:
 
 @dataclass(frozen=True)
 class Poset:
-    """An enumerated set of equal-length configurations under leq."""
+    """The state table: an enumerated set of equal-length configurations
+    under leq, with index lookup, also held as a (k, n) int8 array (STAR =
+    2), one row per state."""
 
-    elements: tuple
+    states: tuple
 
     def __post_init__(self):
-        if len(self.elements) == 0:
+        if len(self.states) == 0:
             raise ValueError("empty poset")
-        n = len(self.elements[0])
-        if any(len(e) != n for e in self.elements):
+        n = len(self.states[0])
+        if any(len(e) != n for e in self.states):
             raise ValueError("mixed configuration lengths")
-        if len(set(self.elements)) != len(self.elements):
+        object.__setattr__(self, "_index",
+                           {s: i for i, s in enumerate(self.states)})
+        if len(self._index) != len(self.states):
             raise ValueError("duplicate elements")
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.states)
 
-    def index(self, x) -> int:
-        return self.elements.index(x)
+    def index(self, state) -> int:
+        return self._index[state]
+
+    def __contains__(self, state):
+        return state in self._index
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.array(self.states, dtype=np.int8)
+
+    def where(self, pins: dict) -> np.ndarray:
+        """Boolean mask of the states that agree with the partial assignment
+        pins (site -> value)."""
+        return (self.array[:, list(pins)] == list(pins.values())).all(axis=1)
 
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix M[i,j] = elements[i] <= elements[j], computed once
-        and read-only, since every caller shares it."""
+        """Boolean matrix M[i,j] = states[i] <= states[j], computed once and
+        read-only, since every caller shares it."""
         return self._leq
 
     @cached_property
     def _leq(self) -> np.ndarray:
         k = self.size
-        arr = np.array(self.elements)
+        arr = self.array
         m = np.ones((k, k), dtype=bool)
         for c in range(arr.shape[1]):
             m &= arr[:, c][:, None] <= arr[:, c][None, :]
@@ -135,7 +151,7 @@ class Poset:
         return ind
 
     def comparable_pairs(self):
-        """All ordered pairs (i, j), i != j, with elements[i] < elements[j]."""
+        """All ordered pairs (i, j), i != j, with states[i] < states[j]."""
         m = self.leq_matrix()
         k = self.size
         return [(i, j) for i in range(k) for j in range(k) if i != j and m[i, j]]
@@ -159,7 +175,7 @@ def is_up_set(poset: Poset, members: frozenset) -> bool:
 def is_increasing(values, poset: Poset, tol: float = 0.0):
     """Check f(x) <= f(y) for all comparable pairs x <= y.
 
-    values: sequence aligned with poset.elements.
+    values: sequence aligned with poset.states.
     Returns (True, None) or (False, (i, j)) with a violating index pair.
     """
     m = poset.leq_matrix()
@@ -183,7 +199,7 @@ def enumerate_up_sets(poset: Poset, max_elements: int = 32,
         raise ValueError(
             f"poset has {k} > {max_elements} elements; "
             "use the flow-based dominance check instead")
-    order = sorted(range(k), key=lambda i: poset.elements[i], reverse=True)
+    order = sorted(range(k), key=lambda i: poset.states[i], reverse=True)
     m = poset.leq_matrix()
     succ = [frozenset(j for j in np.nonzero(m[i])[0] if j != i)
             for i in range(k)]

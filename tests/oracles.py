@@ -5,11 +5,12 @@ These are the slow forms the fast code replaced, kept to compare against:
 the max-flow over the full k x k order network, one flow per extreme ray in
 the kernel comparison, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
-of the exact mixing time, the sampler loop that calls the site-update law
-and scans its probabilities on every step, the up-set cross-check of
-stochastic dominance, and the independence diagnostics that scan the state
-table once per pinning and solve one min-cost flow per pair of
-conditionings.
+of the exact mixing time, the tilted mixing time that rebuilds and
+re-enumerates one pinned model per pinning, the sampler loop that calls
+the site-update law and scans its probabilities on every step, the up-set
+cross-check of stochastic dominance, and the independence diagnostics
+that scan the state table once per pinning and solve one min-cost flow per
+pair of conditionings.
 """
 
 import itertools
@@ -66,12 +67,12 @@ def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
 
 def per_pair_monotonicity(kernel, tol=PROB_TOL):
     """check_stochastic_monotonicity with one full-network flow per pair."""
-    poset = kernel.support.poset()
+    poset = kernel.support
     for i, j in poset.comparable_pairs():
         ok, wit = full_network_dominance(kernel.matrix[i], kernel.matrix[j],
                                          poset, tol=tol)
         if not ok:
-            return False, (poset.elements[i], poset.elements[j], wit)
+            return False, (poset.states[i], poset.states[j], wit)
     return True, None
 
 
@@ -102,7 +103,7 @@ def per_ray_mc_leq(p, q, mu=None, tol=PROB_TOL, n_random=0, rng=None):
     """check_mc_leq with one full-network flow per extreme ray and per
     random increasing density, each drawn just before its test."""
     mu = p.stationary if mu is None else np.asarray(mu, float)
-    poset = p.support.poset()
+    poset = p.support
     for u in enumerate_up_sets(poset):
         mass = sum(mu[i] for i in u)
         if mass <= 0.0:
@@ -143,6 +144,24 @@ def per_row_mixing_time(kernel, eps, cap=10 ** 6):
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
     return t
+
+
+def per_pinning_tilted_kernels(model, theta):
+    """(pins, Glauber kernel) of every feasible all-1 pinning of the tilted
+    model, each built on a rebuilt and re-enumerated pinned model."""
+    support = exact.enumerate_support(model)
+    tilted = models.tilt(model, theta)
+    for pins in exact.pinnings(model.n_vars, model.n_vars, values=(1,)):
+        if support.where(pins).any():
+            yield pins, exact.glauber_kernel(
+                models.pin(tilted, pins) if pins else tilted)
+
+
+def per_pinning_tilted_mixing_time(model, theta, eps, cap=10 ** 6):
+    """tilted_mixing_time over the kernels of per_pinning_tilted_kernels."""
+    return max((exact.exact_mixing_time(ker, None, eps, cap=cap)
+                for _, ker in per_pinning_tilted_kernels(model, theta)),
+               default=0)
 
 
 def linear_sample_from(probs, rng):

@@ -104,7 +104,6 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
         gker = exact.glauber_kernel(m, sup)
         mu = gker.stationary
         _, lsup, lker, _, _ = lifted_kernels(m, theta)
-        poset = lsup.poset()
         _, lsup2, seq = exact.algorithm_kernel_sequence(m, theta, t1, t2,
                                                         steps=horizon)
         assert lsup2.states == lsup.states
@@ -115,7 +114,7 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
         gd = pi0
         mu_t = exact.point_mass(sup, ones)
         for t in range(horizon + 1):
-            ok, wit = stochastic_dominance(gd, alg[t], poset)
+            ok, wit = stochastic_dominance(gd, alg[t], lsup)
             assert ok, (t, wit)
             lhs = exact.tv_distance(mu_t, mu)
             rhs = exact.tv_distance(

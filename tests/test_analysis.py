@@ -148,6 +148,17 @@ class TestEiWitness:
         r, _ = ei_witness(m, iterations=50, restarts=1)
         assert r >= best - 1e-9
 
+    def test_up_sets_of_zero_mass_are_skipped(self):
+        # tilting by 1e-300 underflows the mass of every state with an edge,
+        # so most up-sets carry none; none of them may be normalized
+        rc = RandomClusterModel(Graph(3, [(0, 1), (0, 2)]), [0.5, 0.5],
+                                [0.5, 0.5, 0.5])
+        m = models.tilt(models.tilt(rc, 3.0), 1e-300)
+        with np.errstate(divide="raise", invalid="raise"):
+            r, nu = ei_witness(m, iterations=20, restarts=1)
+        assert math.isfinite(r)
+        assert nu is None or np.isfinite(nu).all()
+
 
 class TestAlphaSchedule:
     def test_validation(self):

@@ -394,6 +394,42 @@ def test_option_given_double_dash_exits_two(k2, rc_params, capsys, option):
     assert capsys.readouterr().err.startswith("error: --")
 
 
+_RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
+
+
+@pytest.mark.parametrize("command, params, transforms, message", [
+    # the tilted weights of the pinned slices underflow to 0
+    ("mixing", _RC + "theta=0.5\n", ["tilt=1e-300"],
+     "tilted weights underflow to 0"),
+    ("mixing", _RC + "theta=2\n", [], "theta must lie in (0,1)"),
+    ("mixing", "model=ising\nbeta.default=2\nlambda.default=0.5\n"
+     "theta=1e308\n", [], "theta must lie in (0,1)"),
+    # the law underflows: up-sets of zero mass, then mu_min = 0
+    ("analyze", _RC + "theta=0.5\n", ["tilt=3", "tilt=1e-300"],
+     "mu_min and eps must lie in (0,1)"),
+    # a key that no command reads
+    ("sample", _RC + "steps=5\n", [], "unknown key: steps"),
+], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
+        "analyze-underflow", "sample-steps-key"])
+def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
+                                             transforms, message):
+    """One error: line on stderr and nothing else, no numpy warning."""
+    path = write(tmp_path / "repro.params", params)
+    argv = [command, "--graph", bip, "--params", path,
+            "--out", str(tmp_path / "repro.out")]
+    argv += [f"--transform={t}" for t in transforms]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "glauberlab"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: {message}")
+
+
 # -- exit-contract fuzz -------------------------------------------------------
 
 _KEYS = ("model", "theta", "dynamics", "start", "lambda", "beta", "d",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from glauberlab import exact, models, ordercore
-from glauberlab.exact import (EnumeratedSupport, Kernel, algorithm_kernel_sequence,
+from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               check_detailed_balance, check_mc_leq,
                               check_stochastic_monotonicity, contract_pushforward,
                               dist_to_csv, enumerate_support, exact_mixing_time,
@@ -19,7 +19,9 @@ from glauberlab.exact import (EnumeratedSupport, Kernel, algorithm_kernel_sequen
                               two_state_mixing_time)
 from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip,
                                lift_model)
-from conftest import random_hardcore, random_monotone_model, random_rc
+from glauberlab.ordercore import Poset
+from conftest import (random_bhc, random_hardcore, random_monotone_model,
+                      random_rc)
 import oracles
 
 K2 = Graph(2, [(0, 1)])
@@ -50,7 +52,7 @@ class TestSupport:
 
 
 def where_by_tuples(support, pins):
-    """Reference for `EnumeratedSupport.where`: the per-tuple filter."""
+    """Reference for `Poset.where`: the per-tuple filter."""
     return np.array([all(s[v] == val for v, val in pins.items())
                      for s in support.states])
 
@@ -291,21 +293,19 @@ class TestPushforwards:
         theta = 0.3
         sup = enumerate_support(m)
         lsup = enumerate_support(lift_model(m, theta))
-        poset_b = sup.poset()
-        poset_l = lsup.poset()
         found = 0
         for _ in range(50):
             a = rng.dirichlet(np.ones(sup.size))
             b = rng.dirichlet(np.ones(sup.size))
-            if not ordercore.stochastic_dominance(a, b, poset_b)[0]:
+            if not ordercore.stochastic_dominance(a, b, sup)[0]:
                 continue
             found += 1
             la = lift_pushforward(a, sup, theta, lsup)
             lb = lift_pushforward(b, sup, theta, lsup)
-            assert ordercore.stochastic_dominance(la, lb, poset_l)[0]
+            assert ordercore.stochastic_dominance(la, lb, lsup)[0]
             assert ordercore.stochastic_dominance(
                 contract_pushforward(la, lsup, sup),
-                contract_pushforward(lb, lsup, sup), poset_b)[0]
+                contract_pushforward(lb, lsup, sup), sup)[0]
         assert found > 0
 
     def test_initial_lifted_density_is_increasing(self):
@@ -318,7 +318,7 @@ class TestPushforwards:
         pi0 = lift_pushforward(point_mass(sup, (1,)), sup, theta, lsup)
         pi = stationary_distribution(lm, lsup)
         dens = [a / b if b > 0 else 0.0 for a, b in zip(pi0, pi)]
-        assert ordercore.is_increasing(dens, lsup.poset(), tol=1e-12)[0]
+        assert ordercore.is_increasing(dens, lsup, tol=1e-12)[0]
 
 
 class TestDivergences:
@@ -337,7 +337,7 @@ class TestDivergences:
 
 class TestChecks:
     def test_three_cycle_violation(self):
-        sup = EnumeratedSupport(((0,), (1,), (2,)))
+        sup = Poset(((0,), (1,), (2,)))
         cyc = Kernel(sup, np.array([[0.0, 1.0, 0.0],
                                     [0.0, 0.0, 1.0],
                                     [1.0, 0.0, 0.0]]))
@@ -436,7 +436,7 @@ class TestChecksMatchOracles:
         mat /= mat.sum(axis=1, keepdims=True)
         w, vecs = np.linalg.eig(mat.T)
         mu = np.real(vecs[:, np.argmin(np.abs(w - 1.0))])
-        ker = Kernel(EnumeratedSupport(tuple((i,) for i in range(k))), mat,
+        ker = Kernel(Poset(tuple((i,) for i in range(k))), mat,
                      stationary=mu / mu.sum())
         models_ker = glauber_kernel(random_monotone_model(rng))
         for kernel in (ker, models_ker):
@@ -482,6 +482,65 @@ class TestMixing:
         ker = glauber_kernel(k2_flipped_rc())
         with pytest.raises(ValueError):
             exact_mixing_time(ker, (0,), 1.5)
+
+
+def tilted_pool(rng):
+    pool = [random_monotone_model(rng) for _ in range(4)]
+    pool += [random_hardcore(rng) for _ in range(2)]
+    pool += [models.LeftMarginalModel(random_bhc(rng)) for _ in range(2)]
+    return pool
+
+
+class TestTiltedMixing:
+    """tilted_mixing_time runs each pinned chain on a slice of one tilted
+    support; the parent form rebuilt and enumerated a pinned model each."""
+
+    def test_matches_per_pinning_oracle(self, rng):
+        for m in tilted_pool(rng):
+            for theta in (0.3, 0.5, 0.9):
+                for eps in (0.25, 0.05, 1e-3):
+                    assert (tilted_mixing_time(m, theta, eps)
+                            == oracles.per_pinning_tilted_mixing_time(
+                                m, theta, eps))
+
+    def test_pinned_kernels_are_bit_identical(self, rng, monkeypatch):
+        seen = []
+        monkeypatch.setattr(exact, "exact_mixing_time",
+                            lambda ker, *a, **kw: seen.append(ker) or 0)
+        for m in tilted_pool(rng):
+            for theta in (0.3, 0.9):
+                seen.clear()
+                tilted_mixing_time(m, theta, 0.1)
+                want = list(oracles.per_pinning_tilted_kernels(m, theta))
+                assert len(seen) == len(want)
+                for got, (pins, _) in zip(seen, want):
+                    ker = glauber_kernel(
+                        models.pin(models.tilt(m, theta), pins))
+                    assert got.support.states == ker.support.states
+                    assert np.array_equal(got.matrix, ker.matrix)
+                    assert np.array_equal(got.stationary, ker.stationary)
+
+
+class TestUnderflowAndRanges:
+    def test_kernel_rejects_nan_rows(self):
+        sup = enumerate_support(k2_flipped_rc())
+        for mat in ([[np.nan, np.nan], [0.5, 0.5]],
+                    [[np.nan, 1.0], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match="rows do not sum"):
+                Kernel(sup, np.array(mat))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0, -0.5, 1e308,
+                                       float("nan")])
+    def test_fd_kernel_theta_range(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0,1\)"):
+            fd_kernel(k2_flipped_rc(), theta)
+
+    def test_fd_kernel_refuses_underflowed_slice(self):
+        rc = RandomClusterModel(Graph(3, [(0, 1), (0, 2)]), [0.5, 0.5],
+                                [0.5, 0.5, 0.5])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="underflow"):
+                fd_kernel(models.tilt(rc, 1e-300), 0.5)
 
 
 class TestCsv:

@@ -181,14 +181,14 @@ class TestDominance:
 
     def test_transitivity_spot_check(self, rng):
         p = Poset(tuple(itertools.product((0, 1), repeat=3)))
-        mono = sorted(p.elements, key=sum)
+        mono = sorted(p.states, key=sum)
         found = 0
         for _ in range(500):
             raw = [rng.dirichlet(np.ones(p.size)) for _ in range(3)]
             # bias the three laws toward increasing mass up the order
             vs = []
             for j, r in enumerate(raw):
-                w = r * np.array([(1 + j) ** sum(e) for e in p.elements])
+                w = r * np.array([(1 + j) ** sum(e) for e in p.states])
                 vs.append(w / w.sum())
             a, b, c = vs
             if (stochastic_dominance(a, b, p)[0]
