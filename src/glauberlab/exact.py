@@ -255,13 +255,44 @@ def check_detailed_balance(kernel: Kernel, probs=None) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
+# cover row pairs per stack in check_stochastic_monotonicity
+_COVER_BLOCK = 64
+
+
+def _passes_on_covers(stacks, poset: Poset, tol, height) -> bool:
+    """Whether every row pair of the stacks (lo_rows, hi_rows), one pair per
+    cover of an order of the given height, passes at 1/height of the slack
+    of tol (stochastic_dominance with split=height), so that every
+    comparable pair passes at tol.  False leaves the verdict to the full
+    pair scan, also when a row is not a probability vector: the scan then
+    raises or reports as it would alone."""
+    if height == 0:
+        return True  # no covers, no comparable pairs
+    try:
+        return all(stochastic_dominance(lo, hi, poset, tol=tol,
+                                        split=height)[0]
+                   for lo, hi in stacks)
+    except ValueError:
+        return False
+
+
 def check_stochastic_monotonicity(kernel: Kernel, tol=PROB_TOL):
     """Rows at comparable states must be stochastically ordered.
 
+    <=_sd is transitive, so the rows at covering pairs are tested first, at
+    the split slack of _passes_on_covers.  Only if one of them fails does
+    the scan over every comparable pair run; it alone gives the verdict and
+    the witness.
+
     Returns (True, None) or (False, (state_lo, state_hi, up_set))."""
     sup = kernel.support
-    pairs = sup.comparable_pairs()
     rows = kernel.matrix
+    stacks = (rows[sup.covers[c:c + _COVER_BLOCK].T]
+              for c in range(0, len(sup.covers), _COVER_BLOCK))
+    if _passes_on_covers(stacks, sup, tol, sup.height):
+        return True, None
+    less = sup.leq_matrix() & ~np.eye(sup.size, dtype=bool)
+    pairs = np.argwhere(less).tolist()
     fail = first_dominance_failure(((rows[i], rows[j]) for i, j in pairs),
                                    sup, tol=tol)
     if fail is None:
@@ -275,6 +306,10 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     """Single-site conditionals must be stochastically increasing in the
     conditioning configuration, over all feasible full pinnings of the other
     coordinates.
+
+    For each site, the conditionals at the covers of the order on those
+    configurations (keys) are tested first, as one stack, at the split
+    slack of _passes_on_covers; only if one fails are all keys scanned.
 
     Returns (True, None) or (False, (v, state_lo, state_hi))."""
     if model.n_vars > max_vars:
@@ -292,6 +327,9 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
         conds = np.array([model.conditional(s, v) for s in reps])
         others = support.array[first]
         others[:, v] = 0
+        keys = Poset(tuple(map(tuple, others.tolist())))
+        if _passes_on_covers([conds[keys.covers.T]], chain, tol, keys.height):
+            continue
         for a in range(len(reps)):
             above = np.flatnonzero((others[a] <= others).all(axis=1))
             above = above[above != a]
@@ -356,10 +394,18 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL, n_random=0,
 # mixing times
 
 
+# exact_mixing_time compares a step with the one before it this often
+_FIXED_POINT_EVERY = 1024
+
+
 def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
     x0 is a start state (tuple) or None for the worst case over all starts.
+    Past the cap, or once a step leaves the law bit for bit unchanged while
+    it is still farther than eps (the iteration is deterministic, so it
+    would reach the cap), raises RuntimeError.  Steps are compared every
+    _FIXED_POINT_EVERY steps only.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
@@ -372,10 +418,14 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
         dist = lambda: tv_distance(cur, mu)
     t = 0
     while dist() > eps:
-        cur = cur @ kernel.matrix
+        nxt = cur @ kernel.matrix
         t += 1
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
+        if t % _FIXED_POINT_EVERY == 0 and np.array_equal(nxt, cur):
+            raise RuntimeError(f"mixing time exceeds the cap {cap}: the law "
+                               f"stopped changing by step {t}")
+        cur = nxt
     return t
 
 

@@ -2,9 +2,10 @@
 
 States are tuples over {0, 1} or {0, 1, STAR}.  The ternary chain order is
 0 < 1 < STAR, so plain integer comparison (STAR = 2) realizes both orders.
-Provides up-set enumeration and two exact tests for stochastic dominance:
-sums over enumerated up-sets for many row pairs at once, and a max-flow
-feasibility test with a violating up-set as its witness.
+Provides up-set enumeration, the covering pairs and height of a poset, and
+two exact tests for stochastic dominance: sums over enumerated up-sets for
+many row pairs at once, and a max-flow feasibility test with a violating
+up-set as its witness.
 """
 
 from __future__ import annotations
@@ -150,11 +151,39 @@ class Poset:
         ind.flags.writeable = False
         return ind
 
-    def comparable_pairs(self):
-        """All ordered pairs (i, j), i != j, with states[i] < states[j]."""
-        m = self.leq_matrix()
-        k = self.size
-        return [(i, j) for i in range(k) for j in range(k) if i != j and m[i, j]]
+    @cached_property
+    def _less(self) -> np.ndarray:
+        """Strict order: M[i,j] = states[i] < states[j]."""
+        less = self._leq.copy()
+        np.fill_diagonal(less, False)
+        return less
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """Read-only (c, 2) index pairs (i, j), in row-major order, with
+        states[i] covered by states[j]: strictly below it with no state of
+        the poset in between.  The count of states between each pair comes
+        from one float32 matrix product of the strict order; every count and
+        partial sum is an integer below k, so the product is exact for
+        k < 2**24."""
+        strict = self._less.astype(np.float32)
+        out = np.argwhere(self._less & (strict @ strict == 0))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def height(self) -> int:
+        """Number of covers on a longest chain (0 without comparable pairs).
+        A strictly larger state has a strictly larger coordinate sum, so the
+        sum levels, taken in increasing order, form a linear extension whose
+        levels are antichains."""
+        sums = self.array.sum(axis=1, dtype=np.int64)
+        depth = np.zeros(self.size, dtype=np.int64)
+        for s in range(int(sums.max()) + 1):
+            level = np.flatnonzero(sums == s)
+            below = self._less[:, level]
+            depth[level] = np.where(below, depth[:, None] + 1, 0).max(axis=0)
+        return int(depth.max())
 
     def up_closure(self, indices) -> frozenset:
         m = self.leq_matrix()
@@ -311,8 +340,9 @@ def _slack(tol, k) -> int:
     return int(tol * _FLOW_SCALE) + k + 1
 
 
-def _flow_dominance(nu, nu_prime, poset: Poset, tol: float):
-    """stochastic_dominance of one pair of distributions, by max-flow."""
+def _flow_dominance(nu, nu_prime, poset: Poset, slack: int):
+    """stochastic_dominance of one pair of distributions, by max-flow: the
+    flow may fall short of _FLOW_SCALE by at most slack units."""
     k = poset.size
     left = _scale_to_ints(_check_dist(nu, k))
     right = _scale_to_ints(_check_dist(nu_prime, k))
@@ -329,14 +359,14 @@ def _flow_dominance(nu, nu_prime, poset: Poset, tol: float):
     for a, b in zip(*np.nonzero(arcs)):
         net.add_edge(1 + int(a), 1 + len(src) + int(b), _FLOW_SCALE)
 
-    if net.max_flow(s, t) >= _FLOW_SCALE - _slack(tol, k):
+    if net.max_flow(s, t) >= _FLOW_SCALE - slack:
         return True, None
     reach = net.reachable_in_residual(s)
     return False, poset.up_closure(
         i for a, i in enumerate(src.tolist()) if 1 + a in reach)
 
 
-def _first_violation(nus, nus_prime, up_sets: np.ndarray, tol: float):
+def _first_violation(nus, nus_prime, up_sets: np.ndarray, slack: int):
     """First row r with nus[r](U) > nus_prime[r](U) + slack for some up-set U
     (a row of the indicator matrix up_sets) or with an invalid row on either
     side, or None."""
@@ -344,11 +374,12 @@ def _first_violation(nus, nus_prime, up_sets: np.ndarray, tol: float):
     with np.errstate(invalid="ignore"):  # non-finite rows are bad already
         diff = (_scale_to_ints(np.clip(nus, 0.0, None))
                 - _scale_to_ints(np.clip(nus_prime, 0.0, None)))
-    fail = bad | ((diff @ up_sets.T) > _slack(tol, nus.shape[1])).any(axis=1)
+    fail = bad | ((diff @ up_sets.T) > slack).any(axis=1)
     return int(fail.argmax()) if fail.any() else None
 
 
-def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL):
+def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
+                         *, split: int = 1):
     """Test nu <=_sd nu_prime over the poset.
 
     Feasibility of a monotone coupling is decided by max-flow on the bipartite
@@ -367,21 +398,31 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL):
     sums are exact in float64, every partial sum being an integer of
     magnitude at most _FLOW_SCALE < 2**53.  Only the first failing row then
     goes through the flow, which gives its witness.
+
+    split > 1 tests each pair at the integer slack s = _slack(tol, k) //
+    split instead.  Rows are scaled to integers the same way whatever they
+    are paired with, so over a chain nu_0, ..., nu_m of m <= split pairs
+    that each pass at s, every up-set's deficits add up exactly to at most
+    m * s <= _slack(tol, k): the pair (nu_0, nu_m) passes at tol.
     """
+    if split < 1:
+        raise ValueError("split must be a positive integer")
+    slack = _slack(tol, poset.size) // split
+    assert split * slack <= _slack(tol, poset.size)
     nu = np.asarray(nu, dtype=float)
     nu_prime = np.asarray(nu_prime, dtype=float)
     if nu.ndim != 2:
-        return _flow_dominance(nu, nu_prime, poset, tol)
+        return _flow_dominance(nu, nu_prime, poset, slack)
     if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
         raise ValueError("distribution length does not match the poset")
     if poset.up_set_matrix is None:
         rows = range(len(nu))
     else:
         # the flow confirms the first failing row, or raises if it is invalid
-        r = _first_violation(nu, nu_prime, poset.up_set_matrix, tol)
+        r = _first_violation(nu, nu_prime, poset.up_set_matrix, slack)
         rows = [] if r is None else [r]
     for r in rows:
-        ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, tol)
+        ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, slack)
         if not ok:
             return False, (r, wit)
     return True, None

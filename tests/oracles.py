@@ -2,17 +2,20 @@
 single-site samplers.
 
 These are the slow forms the fast code replaced, kept to compare against:
-the max-flow over the full k x k order network, one flow per extreme ray in
-the kernel comparison, one flow per ordered pair of keys with two conditional
+the max-flow over the full k x k order network, one flow per comparable
+pair in the monotonicity check, one flow per extreme ray in the kernel
+comparison, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
 re-enumerates one pinned model per pinning, the sampler loop that calls
 the site-update law and scans its probabilities on every step, the up-set
-cross-check of stochastic dominance, and the independence diagnostics
+cross-check of stochastic dominance, the covers and height of a poset by
+their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
 pair of conditionings.
 """
 
+import functools
 import itertools
 import math
 
@@ -20,7 +23,7 @@ import networkx as nx
 import numpy as np
 
 from glauberlab import dynamics, exact, models, ordercore
-from glauberlab.ordercore import contract, lift
+from glauberlab.ordercore import contract, leq, lift
 from glauberlab.ordercore import (PROB_TOL, _FLOW_SCALE, Poset, _Dinic,
                                   enumerate_up_sets)
 
@@ -65,10 +68,39 @@ def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
     return False, poset.up_closure([i for i in range(k) if (1 + i) in reach])
 
 
+def comparable_pairs(poset: Poset):
+    """All ordered pairs (i, j), i != j, with states[i] < states[j]."""
+    m = poset.leq_matrix()
+    k = poset.size
+    return [(i, j) for i in range(k) for j in range(k) if i != j and m[i, j]]
+
+
+def brute_covers(poset):
+    """(i, j) with states[i] < states[j] and no state strictly between."""
+    k = poset.size
+    lt = [[i != j and leq(poset.states[i], poset.states[j]) for j in range(k)]
+          for i in range(k)]
+    return [(i, j) for i in range(k) for j in range(k)
+            if lt[i][j] and not any(lt[i][m] and lt[m][j] for m in range(k))]
+
+
+def brute_height(poset):
+    """Longest strict chain, in steps: the longest chain upward from each
+    state, by recursion over every state strictly above it."""
+    states = poset.states
+
+    @functools.cache
+    def up_from(x):
+        return max((1 + up_from(y) for y in states
+                    if y != x and leq(x, y)), default=0)
+
+    return max(up_from(x) for x in states)
+
+
 def per_pair_monotonicity(kernel, tol=PROB_TOL):
     """check_stochastic_monotonicity with one full-network flow per pair."""
     poset = kernel.support
-    for i, j in poset.comparable_pairs():
+    for i, j in comparable_pairs(poset):
         ok, wit = full_network_dominance(kernel.matrix[i], kernel.matrix[j],
                                          poset, tol=tol)
         if not ok:

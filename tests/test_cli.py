@@ -409,8 +409,12 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
      "mu_min and eps must lie in (0,1)"),
     # a key that no command reads
     ("sample", _RC + "steps=5\n", [], "unknown key: steps"),
+    # the all-1 law stops changing long before the cap of 10**6 steps
+    ("mixing", "model=hardcore\nlambda=1\n", ["flip", "tilt=1e-300"],
+     "mixing time exceeds the cap 1000000: the law stopped changing by "
+     "step 2048"),
 ], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
-        "analyze-underflow", "sample-steps-key"])
+        "analyze-underflow", "sample-steps-key", "mixing-frozen-law"])
 def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
                                              transforms, message):
     """One error: line on stderr and nothing else, no numpy warning."""

@@ -96,6 +96,19 @@ class TestStateTable:
                     assert np.array_equal(sup.where(pins),
                                           where_by_tuples(sup, pins))
 
+    def test_covers_and_height_of_model_supports(self, rng):
+        # supports that are not full products: hard-core, bipartite
+        # hard-core, lifted
+        pool = [random_hardcore(rng) for _ in range(3)]
+        pool += [random_bhc(rng) for _ in range(3)]
+        pool += [lift_model(random_monotone_model(rng, max_vars=3), 0.4)
+                 for _ in range(3)]
+        for m in pool:
+            sup = enumerate_support(m)
+            assert ([tuple(c) for c in sup.covers.tolist()]
+                    == oracles.brute_covers(sup))
+            assert sup.height == oracles.brute_height(sup)
+
     def test_pinnings_order_and_count(self):
         got = list(pinnings(3, 2))
         assert got[:5] == [{}, {0: 0}, {0: 1}, {1: 0}, {1: 1}]
@@ -406,6 +419,52 @@ class TestChecksMatchOracles:
                     == oracles.per_pair_monotonicity(ker))
         assert not check_stochastic_monotonicity(kers[4])[0]
 
+    def test_lifted_c4_kernels(self):
+        # the exact-large verify instance: 81 states, more than the up-set
+        # path takes, so one flow per cover
+        lm = lift_model(flip(RandomClusterModel(
+            Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [0.5] * 4,
+            [0.5] * 4)), 0.5)
+        lsup = enumerate_support(lm)
+        assert lsup.size == 81 and lsup.up_set_matrix is None
+        for ker in (glauber_kernel(lm, lsup), freeze_kernel(lm, lsup),
+                    star_glauber_kernel(lm, lsup)):
+            got = check_stochastic_monotonicity(ker)
+            assert got == (True, None) == oracles.per_pair_monotonicity(ker)
+
+    def test_plain_hardcore_negative_control(self):
+        m = HardcoreModel(Graph(3, [(0, 1), (1, 2)]), 1.0)
+        ker = glauber_kernel(m)
+        got = check_stochastic_monotonicity(ker)
+        assert not got[0] and got == oracles.per_pair_monotonicity(ker)
+        got = exact.check_monotone_system(m)
+        assert not got[0] and got == oracles.pairwise_monotone_system(m)
+
+    @pytest.mark.parametrize("shifts, covers_pass, verdict", [
+        # covers short by 300 units each: within half the slack of 1004
+        ((0.0, 3e-13, 6e-13), True, (True, None)),
+        # covers short by 600 and 0, the pair (a, c) by 600: all pass
+        ((0.0, 6e-13, 6e-13), False, (True, None)),
+        # covers short by 700 each pass, the pair (a, c) short by 1400 fails
+        ((0.0, 7e-13, 1.4e-12), False,
+         (False, ((0,), (2,), frozenset({1, 2})))),
+        # the first cover is short by 1200 and fails
+        ((0.0, 1.2e-12, 2.4e-12), False,
+         (False, ((0,), (1,), frozenset({1, 2})))),
+    ])
+    def test_chain_kernels(self, shifts, covers_pass, verdict):
+        # a chain a < b < c (height 2) whose rows move mass down; a cover
+        # short by more than half the slack fails the split test, and the
+        # scan over all pairs decides
+        sup = Poset(((0,), (1,), (2,)))
+        mat = np.array([[0.5 + d, 0.5 - d, 0.0] for d in shifts])
+        ker = Kernel(sup, mat)
+        lo, hi = mat[sup.covers.T]
+        assert ordercore.stochastic_dominance(
+            lo, hi, sup, split=sup.height)[0] == covers_pass
+        assert check_stochastic_monotonicity(ker) == verdict
+        assert oracles.per_pair_monotonicity(ker) == verdict
+
     def test_mc_leq_site_kernels_and_product_counterexample(self):
         for p, lams in ((0.5, (0.9, 0.3)), (0.3, (0.5, 0.5)), (0.7, (0.2, 1.0))):
             lm = lift_model(flip(RandomClusterModel(
@@ -457,6 +516,26 @@ class TestMixing:
         ident = Kernel(sup, np.eye(2), stationary=stationary_distribution(m, sup))
         with pytest.raises(RuntimeError, match="cap"):
             exact_mixing_time(ident, (0,), 0.01, cap=50)
+
+    def test_frozen_law_is_refused_at_once(self):
+        # the all-1 law of this chain stops changing bit for bit at step
+        # 1791 while still far from stationarity; it used to run to the cap
+        m = models.tilt(flip(HardcoreModel(Graph(3, [(0, 1), (0, 2)]), 1.0)),
+                        1e-300)
+        with pytest.raises(RuntimeError, match=r"^mixing time exceeds the "
+                           r"cap 1000000: the law stopped changing by step "
+                           r"2048$"):
+            exact_mixing_time(glauber_kernel(m), (1, 1, 1), 0.25)
+
+    def test_slow_chain_is_not_refused(self):
+        # a lazy two-state chain whose law changes on every step past 2048
+        a = b = 5e-4
+        sup = Poset(((0,), (1,)))
+        ker = Kernel(sup, np.array([[1 - a, a], [b, 1 - b]]),
+                     stationary=np.array([0.5, 0.5]))
+        t = exact_mixing_time(ker, (0,), 0.01)
+        assert t > 2048
+        assert t == two_state_mixing_time(a, b, 0.5, False, 0.01)
 
     def test_k2_rc_matches_two_state_closed_form(self):
         rc = RandomClusterModel(K2, [0.5], [1.0, 1.0])

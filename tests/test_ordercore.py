@@ -11,7 +11,8 @@ from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   is_increasing, is_up_set, leq, lift,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance)
-from oracles import dominance_by_up_sets, full_network_dominance
+from oracles import (brute_covers, brute_height, dominance_by_up_sets,
+                     full_network_dominance)
 
 
 def chain(vals):
@@ -256,16 +257,17 @@ def random_row(rng, k, sparse):
     return nu
 
 
-def near_tie(rng, poset, tol, offset):
-    """A pair whose largest up-set excess is exactly the slack + offset flow
-    units: mass moved down from b to a below it, in integers at the scale."""
+def near_tie(rng, poset, tol, offset, split=1):
+    """A pair whose largest up-set excess is exactly the slack (split as in
+    stochastic_dominance) + offset flow units: mass moved down from b to a
+    below it, in integers at the scale."""
     k = poset.size
     m = poset.leq_matrix() & ~np.eye(k, dtype=bool)
     below = np.argwhere(m)
     if len(below) == 0:
         return None
     a, b = below[rng.integers(len(below))]
-    t = ordercore._slack(tol, k) + offset
+    t = ordercore._slack(tol, k) // split + offset
     left = np.rint(rng.dirichlet(np.ones(k)) * (SCALE - t)).astype(np.int64)
     left[b] += t
     left[left.argmax()] += SCALE - left.sum()
@@ -339,6 +341,31 @@ class TestDominanceOracles:
             assert stochastic_dominance(nus, nus_prime, poset) == (
                 (True, None) if want is None else (False, want))
 
+    @pytest.mark.parametrize("split", [2, 3, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_split_slack_verdict(self, rng, split, offset):
+        # an excess of exactly slack // split passes; one unit more fails,
+        # on the up-set sums (9 elements) and on the flow (64 elements)
+        for p in (Poset(tuple(itertools.product((0, 1, STAR), repeat=2))),
+                  Poset(tuple(itertools.product((0, 1), repeat=6)))):
+            for tol in (0.0, PROB_TOL):
+                for _ in range(5):
+                    nu, nup = near_tie(rng, p, tol, offset, split)
+                    ok, wit = stochastic_dominance(nu, nup, p, tol=tol,
+                                                   split=split)
+                    assert ok == (offset <= 0)
+                    assert stochastic_dominance([nu], [nup], p, tol=tol,
+                                                split=split)[0] == ok
+                    if not ok:
+                        assert is_up_set(p, wit)
+                    # the unsplit slack passes it
+                    assert stochastic_dominance(nu, nup, p, tol=tol)[0]
+
+    def test_split_must_be_positive(self):
+        with pytest.raises(ValueError, match="split"):
+            stochastic_dominance([0.5, 0.5], [0.5, 0.5], chain((0, 1)),
+                                 split=0)
+
     def test_flow_fallback_above_the_cap(self, rng):
         # 64 elements: no up-set matrix, one support-restricted flow per pair
         p = Poset(tuple(itertools.product((0, 1), repeat=6)))
@@ -367,3 +394,38 @@ class TestDominanceOracles:
             stochastic_dominance([[1.0]], [[1.0]], p)
         with pytest.raises(ValueError, match="length"):
             stochastic_dominance(half, half[:1], p)
+
+
+class TestCovers:
+    def check(self, poset):
+        covers = poset.covers
+        assert covers.shape[1:] == (2,) and not covers.flags.writeable
+        assert [tuple(c) for c in covers.tolist()] == brute_covers(poset)
+        assert poset.height == brute_height(poset)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_sub_posets_match_brute_force(self, data):
+        # random subsets are not convex: a cover may skip several sites
+        self.check(random_poset(data.draw))
+
+    def test_induced_cover_skips_missing_states(self):
+        p = Poset(((0, 0), (1, 1), (STAR, 1), (0, STAR)))
+        assert p.covers.tolist() == [[0, 1], [0, 3], [1, 2]]
+        assert p.height == 2
+        self.check(p)
+
+    @pytest.mark.parametrize("states", [
+        ((0, 1), (1, 0)),                          # an antichain
+        ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+        ((STAR,),),                                 # a single state
+    ])
+    def test_no_comparable_pairs(self, states):
+        p = Poset(states)
+        assert p.covers.shape == (0, 2) and p.height == 0
+        self.check(p)
+
+    def test_product_poset_counts(self):
+        # {0,1,*}^4: 4 * 2 * 27 covers, the longest chain has 8 steps
+        p = Poset(tuple(itertools.product((0, 1, STAR), repeat=4)))
+        assert len(p.covers) == 216 and p.height == 8
