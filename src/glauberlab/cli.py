@@ -71,7 +71,11 @@ def _start_state(params, model):
         return tuple([1] * model.n_vars)
     if start == "zeros":
         return tuple([0] * model.n_vars)
-    return parse_state(start)
+    try:
+        return parse_state(start)
+    except KeyError:
+        raise ValueError(f"start must be ones, zeros or a string over 01*, "
+                         f"got {start!r}") from None
 
 
 def cmd_sample(args):

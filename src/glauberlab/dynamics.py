@@ -84,6 +84,8 @@ def _new_run(model, x0, seed, steps, record_at):
     """An empty run from the feasible start x0, recorded at time 0 if asked;
     returned with the record times as a set."""
     x0 = tuple(x0)
+    if not set(x0) <= set(model.alphabet):
+        raise ValueError("infeasible start: values outside the model alphabet")
     if len(x0) != model.n_vars or model.log_weight(x0) is None:
         raise ValueError("infeasible start: the start state has weight 0")
     record_at = set(record_at)
@@ -162,7 +164,11 @@ def _field_sampler(model, theta):
         if not idx.size:
             raise ValueError("infeasible pin: the slice has empty support")
         w = weights[idx]
-        return support.states[idx[_sample_from(w / w.sum(), rng)]]
+        z = w.sum()
+        if z == 0.0:
+            raise ValueError("tilted weights underflow to 0 on a pinned "
+                             "slice")
+        return support.states[idx[_sample_from(w / z, rng)]]
 
     return step
 

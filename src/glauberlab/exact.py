@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordercore import (PROB_TOL, STAR, Poset, contract, enumerate_up_sets,
-                        first_dominance_failure, state_str,
+from .ordercore import (PAIR_BLOCK, PROB_TOL, STAR, Poset, contract,
+                        enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance)
 from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
                      tilt)
@@ -255,68 +255,60 @@ def check_detailed_balance(kernel: Kernel, probs=None) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
-# cover row pairs per stack in check_stochastic_monotonicity
-_COVER_BLOCK = 64
+def _first_unordered(laws, index: Poset, target: Poset, tol):
+    """First pair i < j of the poset index, in row-major order, with laws[i]
+    not <=_sd laws[j] over target, as (i, j, witness up-set), or None; row i
+    of laws is the law at state i of index.
 
-
-def _passes_on_covers(stacks, poset: Poset, tol, height) -> bool:
-    """Whether every row pair of the stacks (lo_rows, hi_rows), one pair per
-    cover of an order of the given height, passes at 1/height of the slack
-    of tol (stochastic_dominance with split=height), so that every
-    comparable pair passes at tol.  False leaves the verdict to the full
-    pair scan, also when a row is not a probability vector: the scan then
-    raises or reports as it would alone."""
-    if height == 0:
-        return True  # no covers, no comparable pairs
+    <=_sd is transitive, so the covers of index are tested first, in stacks
+    of PAIR_BLOCK, each at 1/height of the integer slack (stochastic_dominance
+    with split), so that every comparable pair passes at tol.  Only if a
+    cover fails, or a law is not a probability vector, does the scan over
+    every comparable pair run; it alone gives the verdict and the witness,
+    or raises."""
+    covers = index.covers
+    stacks = (laws[covers[c:c + PAIR_BLOCK].T]
+              for c in range(0, len(covers), PAIR_BLOCK))
     try:
-        return all(stochastic_dominance(lo, hi, poset, tol=tol,
-                                        split=height)[0]
-                   for lo, hi in stacks)
+        if all(stochastic_dominance(*stack, target, tol=tol,
+                                    split=index.height)[0]
+               for stack in stacks):
+            return None
     except ValueError:
-        return False
+        pass
+    pairs = np.argwhere(index.leq_matrix()
+                        & ~np.eye(index.size, dtype=bool)).tolist()
+    fail = first_dominance_failure(((laws[i], laws[j]) for i, j in pairs),
+                                   target, tol=tol)
+    if fail is None:
+        return None
+    r, wit = fail
+    return (*pairs[r], wit)
 
 
 def check_stochastic_monotonicity(kernel: Kernel, tol=PROB_TOL):
-    """Rows at comparable states must be stochastically ordered.
-
-    <=_sd is transitive, so the rows at covering pairs are tested first, at
-    the split slack of _passes_on_covers.  Only if one of them fails does
-    the scan over every comparable pair run; it alone gives the verdict and
-    the witness.
+    """Rows at comparable states must be stochastically ordered; tested
+    over covers first by _first_unordered.
 
     Returns (True, None) or (False, (state_lo, state_hi, up_set))."""
     sup = kernel.support
-    rows = kernel.matrix
-    stacks = (rows[sup.covers[c:c + _COVER_BLOCK].T]
-              for c in range(0, len(sup.covers), _COVER_BLOCK))
-    if _passes_on_covers(stacks, sup, tol, sup.height):
-        return True, None
-    less = sup.leq_matrix() & ~np.eye(sup.size, dtype=bool)
-    pairs = np.argwhere(less).tolist()
-    fail = first_dominance_failure(((rows[i], rows[j]) for i, j in pairs),
-                                   sup, tol=tol)
+    fail = _first_unordered(kernel.matrix, sup, sup, tol)
     if fail is None:
         return True, None
-    r, wit = fail
-    i, j = pairs[r]
+    i, j, wit = fail
     return False, (sup.states[i], sup.states[j], wit)
 
 
 def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     """Single-site conditionals must be stochastically increasing in the
     conditioning configuration, over all feasible full pinnings of the other
-    coordinates.
-
-    For each site, the conditionals at the covers of the order on those
-    configurations (keys) are tested first, as one stack, at the split
-    slack of _passes_on_covers; only if one fails are all keys scanned.
+    coordinates (keys), tested per site by _first_unordered.
 
     Returns (True, None) or (False, (v, state_lo, state_hi))."""
     if model.n_vars > max_vars:
         raise ValueError(f"guarded to {max_vars} variables")
     support = enumerate_support(model)
-    alpha = model.alphabet
-    chain = Poset(tuple((a,) for a in alpha))
+    chain = Poset(tuple((a,) for a in model.alphabet))
     for v in range(model.n_vars):
         # the first state of each configuration of the other sites, in
         # support order, and its conditional at v (computed once per key)
@@ -328,16 +320,9 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
         others = support.array[first]
         others[:, v] = 0
         keys = Poset(tuple(map(tuple, others.tolist())))
-        if _passes_on_covers([conds[keys.covers.T]], chain, tol, keys.height):
-            continue
-        for a in range(len(reps)):
-            above = np.flatnonzero((others[a] <= others).all(axis=1))
-            above = above[above != a]
-            ok, wit = stochastic_dominance(
-                np.broadcast_to(conds[a], (len(above), len(alpha))),
-                conds[above], chain, tol=tol)
-            if not ok:
-                return False, (v, reps[a], reps[above[wit[0]]])
+        fail = _first_unordered(conds, keys, chain, tol)
+        if fail is not None:
+            return False, (v, reps[fail[0]], reps[fail[1]])
     return True, None
 
 
@@ -401,28 +386,25 @@ _FIXED_POINT_EVERY = 1024
 def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
-    x0 is a start state (tuple) or None for the worst case over all starts.
-    Past the cap, or once a step leaves the law bit for bit unchanged while
-    it is still farther than eps (the iteration is deterministic, so it
-    would reach the cap), raises RuntimeError.  Steps are compared every
-    _FIXED_POINT_EVERY steps only.
+    x0 is a start state (tuple) or None for the worst case over all starts,
+    one row per start.  Past the cap, or once a step leaves some row bit for
+    bit unchanged while it is still farther than eps (each row evolves on its
+    own, deterministically, so it would reach the cap), raises RuntimeError.
+    Steps are compared every _FIXED_POINT_EVERY steps only.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     mu = kernel.stationary
-    if x0 is None:
-        cur = np.eye(kernel.support.size)
-        dist = lambda: 0.5 * np.abs(cur - mu).sum(axis=1).max()
-    else:
-        cur = point_mass(kernel.support, x0)
-        dist = lambda: tv_distance(cur, mu)
+    cur = (np.eye(kernel.support.size) if x0 is None
+           else point_mass(kernel.support, x0))
     t = 0
-    while dist() > eps:
+    while (far := 0.5 * np.abs(cur - mu).sum(axis=-1) > eps).any():
         nxt = cur @ kernel.matrix
         t += 1
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
-        if t % _FIXED_POINT_EVERY == 0 and np.array_equal(nxt, cur):
+        if (t % _FIXED_POINT_EVERY == 0
+                and (far & (nxt == cur).all(axis=-1)).any()):
             raise RuntimeError(f"mixing time exceeds the cap {cap}: the law "
                                f"stopped changing by step {t}")
         cur = nxt

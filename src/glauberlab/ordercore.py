@@ -27,9 +27,9 @@ _FLOW_SCALE = 10 ** 15
 # posets with at most this many up-sets decide dominance by up-set sums; the
 # up-set matrix of such a poset is at most _UP_SET_CAP x 32 floats (1 MB)
 _UP_SET_CAP = 4096
-# row pairs per stack in first_dominance_failure; a stack's up-set sums are
-# _BLOCK x (#up-sets)
-_BLOCK = 64
+# row pairs per stack in first_dominance_failure and in the cover stage of
+# the order checks; a stack's up-set sums are PAIR_BLOCK x (#up-sets)
+PAIR_BLOCK = 64
 
 _CHARS = "01*"
 _CHAR_TO_VAL = {"0": 0, "1": 1, "*": STAR}
@@ -431,10 +431,10 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
 def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):
     """(index, witness up-set) of the first pair (nu, nu_prime) of the
     iterable pairs with nu not <=_sd nu_prime, or None.  Pairs are drawn and
-    tested in stacks of _BLOCK."""
+    tested in stacks of PAIR_BLOCK."""
     it = iter(pairs)
-    for start in itertools.count(0, _BLOCK):
-        block = list(itertools.islice(it, _BLOCK))
+    for start in itertools.count(0, PAIR_BLOCK):
+        block = list(itertools.islice(it, PAIR_BLOCK))
         if not block:
             return None
         ok, wit = stochastic_dominance([a for a, _ in block],

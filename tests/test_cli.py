@@ -178,6 +178,33 @@ class TestSample:
         body = (out.parent / "fd.traj.tsv").read_text().split("\n")[1:]
         assert [ln.split("\t")[0] for ln in body if ln] == ["0", "3"]
 
+    @pytest.mark.parametrize("start, first", [("zeros", "00"),
+                                              ("10", "10")])
+    def test_start_state(self, p3, tmp_path, start, first):
+        params = write(tmp_path / "s.params",
+                       f"model=rc\np.default=0.5\nlambda.default=1.0\n"
+                       f"start={start}\n")
+        out = tmp_path / "st"
+        assert run_cli(["sample", "--graph", p3, "--params", params,
+                        "--steps", "5", "--record", "0",
+                        "--out", str(out)]) == 0
+        body = (out.parent / "st.traj.tsv").read_text().split("\n")[1:]
+        assert body[0] == f"0\t{first}"
+
+    @pytest.mark.parametrize("start, message", [
+        # a state outside the binary alphabet of the random cluster model
+        ("*1", "infeasible start: values outside the model alphabet"),
+        ("*2", "start must be ones, zeros or a string over 01*, got '*2'"),
+    ])
+    def test_bad_start_exits_two(self, p3, tmp_path, capsys, start, message):
+        params = write(tmp_path / "s.params",
+                       f"model=rc\np.default=0.5\nlambda.default=1.0\n"
+                       f"start={start}\n")
+        assert run_cli(["sample", "--graph", p3, "--params", params,
+                        "--steps", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
     @pytest.mark.parametrize("extra, value", [
         (["--steps", "10", "--record", "50"], "50"),
         (["--steps", "10", "--record", "0,50"], "50"),
@@ -413,8 +440,12 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
     ("mixing", "model=hardcore\nlambda=1\n", ["flip", "tilt=1e-300"],
      "mixing time exceeds the cap 1000000: the law stopped changing by "
      "step 2048"),
+    # the field sampler's tilted weights underflow to 0 on a pinned slice
+    ("sample", _RC + "dynamics=field\ntheta=1e-300\n", ["flip"],
+     "tilted weights underflow to 0 on a pinned slice"),
 ], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
-        "analyze-underflow", "sample-steps-key", "mixing-frozen-law"])
+        "analyze-underflow", "sample-steps-key", "mixing-frozen-law",
+        "sample-field-underflow"])
 def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
                                              transforms, message):
     """One error: line on stderr and nothing else, no numpy warning."""

@@ -50,8 +50,17 @@ class TestGlauberRun:
 
     def test_infeasible_start(self):
         hc = HardcoreModel(K2, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="infeasible start: the start "
+                           "state has weight 0"):
             glauber_run(hc, (1, 1), 10, seed=0)
+
+    def test_start_outside_the_alphabet(self):
+        rc = RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                [0.5] * 3, [0.5] * 3)
+        assert rc.log_weight((2, 1, 1)) is not None
+        with pytest.raises(ValueError, match="infeasible start: values "
+                           "outside the model alphabet"):
+            glauber_run(rc, (2, 1, 1), 10, seed=0)
 
     def test_support_closure_hardcore(self):
         hc = HardcoreModel(Graph(3, [(0, 1), (1, 2)]), 2.0)
@@ -118,6 +127,14 @@ class TestFieldRun:
     def test_theta_range(self):
         with pytest.raises(ValueError):
             field_run(k2_flipped_rc(), 1.5, (1,), 0, seed=0)
+
+    def test_underflowed_slice_is_refused(self):
+        # as fd_kernel does: no draw from the NaN law of a zero-weight slice
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (0, 2)]), [0.5, 0.5],
+                                    [0.5, 0.5, 0.5]))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="underflow"):
+                field_run(m, 1e-300, (1, 1), 10, seed=0)
 
     def test_first_step_is_field_dynamics_step(self, rng):
         # field_run draws from its table what field_dynamics_step draws from

@@ -504,6 +504,65 @@ class TestChecksMatchOracles:
                         == oracles.per_row_mixing_time(kernel, eps))
 
 
+class _ChainKeyed(models.Model):
+    """Three binary sites with x2 <= x1, so that the keys of site 0 form the
+    chain 00 < 10 < 11 (height 2).  Site 0 reads the given law of its key;
+    sites 1 and 2 follow the uniform weight on the support."""
+
+    n_vars = 3
+
+    def __init__(self, laws):
+        self.laws = dict(zip(((0, 0), (1, 0), (1, 1)), laws))
+
+    def log_weight(self, state):
+        return None if state[2] > state[1] else 0.0
+
+    def conditional(self, state, v):
+        if v == 0:
+            return self.laws[state[1:]]
+        return super().conditional(state, v)
+
+
+class TestMonotoneSystemScan:
+    """check_monotone_system on key conditionals near a tie: the covers of
+    the keys are tested at half the slack, and the scan over every pair of
+    keys decides when one of them fails."""
+
+    KEYS = Poset(((0, 0), (1, 0), (1, 1)))
+    CHAIN = Poset(((0,), (1,)))
+
+    @pytest.mark.parametrize("shifts, covers_pass, verdict", [
+        # covers short by 300 units each: within half the slack of 1003
+        ((0.0, 3e-13, 6e-13), True, (True, None)),
+        # covers short by 600 and 0, the pair (a, c) by 600: all pass
+        ((0.0, 6e-13, 6e-13), False, (True, None)),
+        # covers short by 700 each, the pair (a, c) short by 1400 fails
+        ((0.0, 7e-13, 1.4e-12), False,
+         (False, (0, (0, 0, 0), (0, 1, 1)))),
+    ])
+    def test_near_tie(self, monkeypatch, shifts, covers_pass, verdict):
+        m = _ChainKeyed([(0.5 + d, 0.5 - d) for d in shifts])
+        lo, hi = np.array([m.laws[k] for k in self.KEYS.states])[
+            self.KEYS.covers.T]
+        assert ordercore.stochastic_dominance(
+            lo, hi, self.CHAIN, split=self.KEYS.height)[0] == covers_pass
+        scans = []
+        scan = exact.first_dominance_failure
+        monkeypatch.setattr(exact, "first_dominance_failure",
+                            lambda *a, **kw: scans.append(1) or scan(*a, **kw))
+        assert exact.check_monotone_system(m) == verdict
+        assert len(scans) == (not covers_pass)
+        assert oracles.pairwise_monotone_system(m) == verdict
+
+    @pytest.mark.parametrize("law", [(0.7, 0.7), (1.2, -0.2)])
+    def test_law_that_is_not_a_probability_vector(self, law):
+        m = _ChainKeyed([(0.5, 0.5), (0.5, 0.5), law])
+        with pytest.raises(ValueError, match="not a probability vector"):
+            exact.check_monotone_system(m)
+        with pytest.raises(ValueError, match="not a probability vector"):
+            oracles.pairwise_monotone_system(m)
+
+
 class TestMixing:
     def test_single_variable(self):
         ker = glauber_kernel(k2_flipped_rc())
@@ -526,6 +585,17 @@ class TestMixing:
                            r"cap 1000000: the law stopped changing by step "
                            r"2048$"):
             exact_mixing_time(glauber_kernel(m), (1, 1, 1), 0.25)
+
+    def test_frozen_row_is_refused_at_once(self):
+        # worst start: the row of (1, 1, 1) stops changing while still far,
+        # but the far row of (0, 1, 1) keeps changing, so the whole law never
+        # stops; it used to run to the cap
+        m = models.tilt(flip(HardcoreModel(Graph(3, [(0, 1), (0, 2)]), 1.0)),
+                        1e-300)
+        with pytest.raises(RuntimeError, match=r"^mixing time exceeds the "
+                           r"cap 1000000: the law stopped changing by step "
+                           r"2048$"):
+            exact_mixing_time(glauber_kernel(m), None, 0.25)
 
     def test_slow_chain_is_not_refused(self):
         # a lazy two-state chain whose law changes on every step past 2048
