@@ -109,13 +109,146 @@ def _site_table(law):
     return lookup
 
 
+# raw words the single-site loop draws at most at once, and the uniform's
+# scale 2^-53
+_RAW_BLOCK = 2 ** 10
+_TWO_TO_MINUS_53 = 2.0 ** -53
+
+
+def _raw_words(raw, k):
+    """k raw words as Python ints, by a scalar call for one word."""
+    return [raw()] if k == 1 else raw(k).tolist()
+
+
+def _check_law(state, v):
+    """Site v takes v % 3 + 1 equally likely values: no uniform at every
+    third site."""
+    k = v % 3 + 1
+    return tuple(range(k)), (1 / k,) * k
+
+
+@functools.cache
+def _raw_draws_match():
+    """Whether raw PCG64 words decode to numpy's per-call draws here: eight
+    uniforms against `random()`, then 60-step block runs against per-call
+    runs (log, final state and generator state) for n = 1, 2, 3, 6, 7 and
+    13 sites, from a fresh generator and from a carried spare half 0, which
+    forces a Lemire rejection unless n is a power of 2."""
+    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
+    decoded = [(w >> 11) * _TWO_TO_MINUS_53
+               for w in gens[0].bit_generator.random_raw(8).tolist()]
+    if decoded != [gens[1].random() for _ in range(8)]:
+        return False
+    table = _site_table(_check_law)
+    for n in (1, 2, 3, 6, 7, 13):
+        for carried in (False, True):
+            gens = [np.random.Generator(np.random.PCG64(n)) for _ in range(2)]
+            if carried:
+                st = gens[0].bit_generator.state
+                st["has_uint32"], st["uinteger"] = 1, 0
+                for g in gens:
+                    g.bit_generator.state = st
+            out = []
+            for loop, g in zip((_block_site_steps, _per_call_site_steps),
+                               gens):
+                run = ChainRun(None, (0,) * n, 0, 60)
+                final = loop(table, (0,) * n, g, 0, 60, run, (), None)
+                out.append((final, run.log, g.bit_generator.state))
+            if out[0] != out[1]:
+                return False
+    return True
+
+
 def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
                 allowed=None):
     """Advance the state tuple by single-site steps t0+1..t0+steps and return
     it: pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
     from the site-law `table`.  A law with a single outcome draws no uniform
     and writes no log entry.  With a run, each redraw is logged and the states
-    at record_at are recorded."""
+    at record_at are recorded.
+
+    The draws are those of `rng.integers(n)` for the site and `rng.random()`
+    for the uniform, one call each per step.  On numpy's PCG64 they are
+    decoded from raw 64-bit words of `bit_generator.random_raw` instead:
+
+    - site: Lemire's method on 32-bit halves (n < 2^32, as for any state
+      tuple).  A word gives its low half first and keeps the high half as
+      the spare, carried in the generator's `has_uint32` / `uinteger`; a
+      low product below 2^32 mod n is rejected and drawn again.  n = 1
+      draws nothing.
+    - uniform: `(w >> 11) * 2^-53` of the next word.
+
+    Words come in blocks no larger than what the remaining steps must use
+    (their site halves, or one word for a uniform), so the generator never
+    runs ahead of the draws; on return the spare half is written back, and
+    the generator is the one the per-call draws leave.  A self-check
+    (`_raw_draws_match`, once per process) compares the decode with the
+    per-call draws; on a mismatch, or another bit generator, every step
+    makes the per-call draws."""
+    if type(rng.bit_generator) is np.random.PCG64 and _raw_draws_match():
+        return _block_site_steps(table, state, rng, t0, steps, run,
+                                 record_at, allowed)
+    return _per_call_site_steps(table, state, rng, t0, steps, run, record_at,
+                                allowed)
+
+
+def _block_site_steps(table, state, rng, t0, steps, run, record_at, allowed):
+    """`_site_steps` with the draws decoded from raw PCG64 words."""
+    n = len(state)
+    bits = rng.bit_generator
+    raw = bits.random_raw
+    sites = n > 1 and steps > 0
+    has = spare = 0
+    if sites:
+        entry = bits.state
+        has, spare = entry["has_uint32"], entry["uinteger"]
+        has0, spare0 = has, spare
+    reject_below = (1 << 32) % n
+    words, i, nw = (), 0, 0
+    end = t0 + steps
+    v = 0
+    for t in range(t0 + 1, end + 1):
+        if sites:
+            low = -1
+            while low < reject_below:
+                if has:
+                    has, half = 0, spare
+                else:
+                    if i == nw:
+                        # steps t..end need a half each
+                        nw = min(_RAW_BLOCK, (end - t + 2) // 2)
+                        words, i = _raw_words(raw, nw), 0
+                    w = words[i]
+                    i += 1
+                    has, half, spare = 1, w & 0xFFFFFFFF, w >> 32
+                m = half * n
+                low = m & 0xFFFFFFFF
+            v = m >> 32
+        if allowed is None or v in allowed(t - 1):
+            values, cum, nxt = table(state, v)
+            if len(values) > 1:
+                if i == nw:
+                    # this word, then the halves of steps t+1..end
+                    nw = min(_RAW_BLOCK,
+                             1 + (sites * (end - t) - has + 1) // 2)
+                    words, i = _raw_words(raw, nw), 0
+                j = bisect_right(cum, (words[i] >> 11) * _TWO_TO_MINUS_53)
+                i += 1
+                state = nxt[j]
+                if run is not None:
+                    run.log.append((t, v, values[j]))
+        if t in record_at:
+            run.recorded[t] = state
+    if sites and (has, spare) != (has0, spare0):
+        st = bits.state
+        st["has_uint32"], st["uinteger"] = has, spare
+        bits.state = st
+    return state
+
+
+def _per_call_site_steps(table, state, rng, t0, steps, run, record_at,
+                         allowed):
+    """`_site_steps` with one `integers` and one `random` call per step."""
     n = len(state)
     integers, uniform = rng.integers, rng.random
     for t in range(t0 + 1, t0 + steps + 1):
@@ -285,4 +418,4 @@ def censored_glauber(model, x0, schedule: Schedule, steps, seed,
     schedule allows it at that step; disallowed picks leave the state as is."""
     return _heat_bath_run(model, x0, steps, seed, record_at,
                           make_rng(seed, chain_index, "censored"),
-                          schedule.allowed)
+                          schedule.rule)

@@ -453,3 +453,169 @@ class TestSiteTable:
                 state[v] = val
                 seen.add(tuple(state))
             assert 0 < calls[0] <= len(seen) * m.n_vars < 2000
+
+
+def path_hardcore(n):
+    """Hard-core (lambda = 1.3) on the path of n vertices; all-0 is a
+    feasible start."""
+    return HardcoreModel(Graph(n, [(u, u + 1) for u in range(n - 1)]), 1.3)
+
+
+def rng_copies(seed, spare=None):
+    """Two generators in one state; with `spare`, both carry that spare
+    32-bit half (as a generator does after an odd number of site draws)."""
+    a, b = make_rng(seed, 0, "block"), make_rng(seed, 0, "block")
+    if spare is not None:
+        st = a.bit_generator.state
+        st["has_uint32"], st["uinteger"] = 1, spare
+        a.bit_generator.state = b.bit_generator.state = st
+    return a, b
+
+
+def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
+    """The block loop against the per-call oracle loop on copies of one
+    generator: log, recorded states, final state and generator state."""
+    a, b = rng_copies(seed, spare)
+    record_at = set(range(t0, t0 + steps + 1, 3))
+    run, ref = ChainRun(None, x0, seed, steps), ChainRun(None, x0, seed, steps)
+    final = dynamics._block_site_steps(dynamics._site_table(law), tuple(x0),
+                                       a, t0, steps, run, record_at, allowed)
+    state = list(x0)
+    oracles.per_step_site_steps(law, state, b, t0, steps, ref, record_at,
+                                allowed)
+    assert (run.log, run.recorded, final) == (ref.log, ref.recorded,
+                                              tuple(state))
+    assert a.bit_generator.state == b.bit_generator.state
+    return run
+
+
+def handing_out(monkeypatch, gen):
+    """Make every sampler (and oracle) draw from gen."""
+    monkeypatch.setattr(dynamics, "make_rng", lambda *args: gen)
+
+
+class TestBlockDraws:
+    """The single-site loop decodes raw words on PCG64; every run and the
+    generator it leaves equal the per-call draws."""
+
+    def test_glauber_censored_and_simulate(self, rng, monkeypatch):
+        monkeypatch.setattr(dynamics, "_raw_draws_match", lambda: True)
+        for m, x0 in table_cases(rng)[:6]:
+            n = m.n_vars
+            rule = Schedule.two_level(range(n // 2 or 1), range(n // 2 or 1, n),
+                                      3, 4).rule
+            calls = (
+                (lambda: glauber_run(m, x0, 400, 0, record_at=range(401)),
+                 lambda: oracles.per_step_heat_bath_run(
+                     m, x0, 400, 0, record_at=range(401))),
+                (lambda: censored_glauber(m, x0, Schedule(rule), 400, 0,
+                                          record_at=range(401)),
+                 lambda: oracles.per_step_heat_bath_run(
+                     m, x0, 400, 0, record_at=range(401), allowed=rule)))
+            if x0 == (1,) * n and not m.ternary:
+                # the lift draws between blocks share the stream
+                calls += ((
+                    lambda: simulate_algorithm(m, 0.4, 6, 13, 0,
+                                               record_at=range(79))[0],
+                    lambda: oracles.per_step_simulate(
+                        m, 0.4, 6, 13, 0, record_at=range(79))[0]),)
+            for sampler, oracle in calls:
+                for seed in range(2):
+                    a, b = rng_copies(seed)
+                    handing_out(monkeypatch, a)
+                    run = sampler()
+                    handing_out(monkeypatch, b)
+                    assert same_run(run, oracle())
+                    assert a.bit_generator.state == b.bit_generator.state
+
+    def test_one_site_draws_no_site(self):
+        law = models.heat_bath_law(k2_flipped_rc())
+        for spare in (None, 7):
+            run = steps_vs_per_call(law, (1,), 50, spare=spare)
+            assert len(run.log) == 50
+
+    def test_single_outcome_laws_draw_no_uniform(self):
+        # a star never moves: all stars draw sites only, one free site
+        # draws a uniform when it is picked
+        path = Graph(5, [(u, u + 1) for u in range(4)])
+        lifted = models.LiftedModel(
+            flip(RandomClusterModel(path, [0.5] * 4, [0.5] * 5)), 0.5)
+        law = models.star_frozen_law(lifted)
+        star = models.STAR
+        assert steps_vs_per_call(law, (star,) * 4, 100).log == []
+        run = steps_vs_per_call(law, (star, 0, star, star), 200)
+        assert 0 < len(run.log) < 200
+
+    def test_censored_skip(self):
+        law = models.heat_bath_law(path_hardcore(4))
+        for allowed in (lambda t: frozenset(), lambda t: frozenset({t % 4}),
+                        lambda t: frozenset({0, 3})):
+            for spare in (None, 1 << 31):
+                steps_vs_per_call(law, (0,) * 4, 120, spare=spare,
+                                  allowed=allowed)
+
+    def test_run_longer_than_one_block(self):
+        steps = 3 * dynamics._RAW_BLOCK
+        m = flip(RandomClusterModel(Graph(4, [(0, 1), (1, 2), (2, 3),
+                                              (0, 3)]), [0.5] * 4, [0.5] * 4))
+        run = steps_vs_per_call(models.heat_bath_law(m), (1,) * 4, steps)
+        assert len(run.log) > steps // 2
+
+    @pytest.mark.parametrize("n", [3, 6, 7])
+    def test_lemire_rejection(self, n):
+        # a carried spare half 0 gives the low product 0 < 2^32 mod n
+        assert (1 << 32) % n
+        law = models.heat_bath_law(path_hardcore(n))
+        for steps in (1, 2, 40):
+            steps_vs_per_call(law, (0,) * n, steps, seed=n, spare=0)
+
+    def test_short_runs(self):
+        law = models.heat_bath_law(path_hardcore(3))
+        for steps in range(6):
+            for spare in (None, 0, 12345):
+                steps_vs_per_call(law, (0,) * 3, steps, seed=steps,
+                                  spare=spare)
+
+    def test_block_loop_runs_exactly_when_the_self_check_passes(
+            self, monkeypatch):
+        calls = []
+        block = dynamics._block_site_steps
+        monkeypatch.setattr(dynamics, "_block_site_steps",
+                            lambda *args: calls.append(1) or block(*args))
+        law = models.heat_bath_law(path_hardcore(3))
+        table = dynamics._site_table(law)
+        dynamics._site_steps(table, (0,) * 3, make_rng(0), 0, 30)
+        assert bool(calls) == dynamics._raw_draws_match()
+        # another bit generator takes the per-call draws
+        calls.clear()
+        a, b = (np.random.Generator(np.random.MT19937(1)) for _ in range(2))
+        final = dynamics._site_steps(table, (0,) * 3, a, 0, 30)
+        state = [0] * 3
+        oracles.per_step_site_steps(law, state, b, 0, 30)
+        assert final == tuple(state) and not calls
+        ka, kb = a.bit_generator.state["state"], b.bit_generator.state["state"]
+        assert ka["pos"] == kb["pos"] and np.array_equal(ka["key"], kb["key"])
+
+    def test_fallback_equals_block_loop(self, monkeypatch):
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                    [0.5] * 3, [0.5] * 3))
+        rule = Schedule.two_level((0,), (1, 2), 3, 1).rule
+        samplers = (
+            lambda: glauber_run(m, (1,) * 3, 300, 0, record_at=range(301)),
+            lambda: censored_glauber(m, (1,) * 3, Schedule(rule), 300, 0,
+                                     record_at=range(301)),
+            lambda: simulate_algorithm(m, 0.5, 7, 11, 0,
+                                       record_at=range(78))[0])
+        outs = []
+        for match in (True, False):
+            monkeypatch.setattr(dynamics, "_raw_draws_match", lambda: match)
+            out = []
+            for sampler in samplers:
+                for spare in (None, 0):
+                    gen = rng_copies(3, spare)[0]
+                    handing_out(monkeypatch, gen)
+                    run = sampler()
+                    out.append((run.log, run.recorded, run.final,
+                                gen.bit_generator.state))
+            outs.append(out)
+        assert outs[0] == outs[1]
