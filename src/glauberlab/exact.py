@@ -5,7 +5,6 @@ exact mixing times)."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +36,12 @@ def pinnings(n, max_size, values=(0, 1)):
 
 def stationary_distribution(model, support: Poset) -> np.ndarray:
     """Normalized weights over the enumerated support (log-stable)."""
-    lws = np.array([model.log_weight(s) for s in support.states], dtype=float)
+    return _normalized(np.array([model.log_weight(s) for s in support.states],
+                                dtype=float))
+
+
+def _normalized(lws) -> np.ndarray:
+    """The law with log weights lws (1-D), the largest subtracted first."""
     w = np.exp(lws - lws.max())
     return w / w.sum()
 
@@ -59,10 +63,7 @@ class Kernel:
         k = self.support.size
         if self.matrix.shape != (k, k):
             raise ValueError("kernel shape mismatch")
-        if np.any(self.matrix < -PROB_TOL):
-            raise ValueError("negative transition probability")
-        if not np.max(np.abs(self.matrix.sum(axis=1) - 1)) <= PROB_TOL:
-            raise ValueError("rows do not sum to 1")
+        _check_rows(self.matrix)
 
     def __matmul__(self, other):
         if isinstance(other, Kernel):
@@ -71,26 +72,56 @@ class Kernel:
         return NotImplemented
 
 
+def _check_rows(matrix):
+    """Refuse a transition matrix, or a stack of them, with an entry below
+    -PROB_TOL or a row sum off 1 by more than PROB_TOL (NaN included)."""
+    if np.any(matrix < -PROB_TOL):
+        raise ValueError("negative transition probability")
+    if not np.max(np.abs(matrix.sum(axis=-1) - 1)) <= PROB_TOL:
+        raise ValueError("rows do not sum to 1")
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
 
+def _law_arrays(law, support: Poset, sites, a):
+    """One step of `law` at each of `sites` from every state of the support,
+    evaluated once per (state, site), as arrays over (state, site, value):
+    succ (k, n, a) int, the index of the successor state, and prob (k, n, a),
+    its probability, for a law of at most a values.  A value of probability
+    0, and the padding of a law with fewer than a values, is given the
+    state's own index and prob 0."""
+    k, n = support.size, len(sites)
+    succ = np.repeat(np.arange(k), n * a).reshape(k, n, a)
+    prob = np.zeros((k, n, a))
+    for i, s in enumerate(support.states):
+        for j, v in enumerate(sites):
+            t = list(s)
+            for c, (val, pr) in enumerate(zip(*law(s, v))):
+                if pr != 0.0:
+                    t[v] = val
+                    succ[i, j, c] = support.index(tuple(t))
+                    prob[i, j, c] = pr
+    return succ, prob
+
+
 def _law_kernel(model, law, site, support) -> Kernel:
-    """Kernel of one step of `law` at `site`, or at a uniform site if None."""
+    """Kernel of one step of `law` at `site`, or at a uniform site if None.
+
+    Entry (i, j) sums prob / n over the (site, value) pairs of state i that
+    lead to j; np.add.at adds in the flattened (state, site, value) order, so
+    each entry is the sum a loop over states, sites and values would form,
+    in the same order (a zero-probability pair adds 0.0 to the diagonal)."""
     support = support or enumerate_support(model)
     sites = range(model.n_vars) if site is None else (site,)
-    n = len(sites)
+    succ, prob = _law_arrays(law, support, sites, len(model.alphabet))
     k = support.size
-    mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        for v in sites:
-            t = list(s)
-            for val, pr in zip(*law(s, v)):
-                if pr == 0.0:
-                    continue
-                t[v] = val
-                mat[i, support.index(tuple(t))] += pr / n
-    return Kernel(support, mat, stationary=stationary_distribution(model, support))
+    mat = np.zeros(k * k)
+    np.add.at(mat, (np.arange(k)[:, None, None] * k + succ).ravel(),
+              (prob / len(sites)).ravel())
+    return Kernel(support, mat.reshape(k, k),
+                  stationary=stationary_distribution(model, support))
 
 
 def glauber_kernel(model, support=None, site=None) -> Kernel:
@@ -120,30 +151,56 @@ def star_glauber_kernel(lifted: LiftedModel, support=None, site=None) -> Kernel:
 def fd_kernel(model, theta, support=None) -> Kernel:
     """Field dynamics: free every 0-site and each 1-site independently with
     probability theta, then resample the freed set from the tilted conditional.
-    Exact sum over all freed sets; guarded to at most 20 variables."""
+    Exact sum over all freed sets; guarded to at most 20 variables.
+
+    Summed kept set by kept set: for each set A of kept (pinned) 1-sites, in
+    increasing binary value with site 0 the most significant bit, every state
+    that is 1 on A moves with probability theta^(#1s - |A|) (1 - theta)^|A|
+    into the slice of A, distributed as the tilted weights there.  A row
+    meets its own kept sets in that order (itertools.product over its
+    1-sites), so each entry receives the same addends in the same order as
+    a loop over rows and kept sets would give it."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     if model.n_vars > 20:
         raise ValueError("field-dynamics kernel is guarded to 20 variables")
     support = support or enumerate_support(model)
-    k = support.size
+    k, n = support.size, model.n_vars
     tilted = tilt(model, theta)
     w = np.array([tilted.weight(s) for s in support.states])
+    ones = support.array == 1
+    count = ones.sum(axis=1)
+    move = np.array([[theta ** (c - r) * (1 - theta) ** r if r <= c else 0.0
+                      for r in range(n + 1)] for c in range(n + 1)])
     mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        ones = [v for v in range(model.n_vars) if s[v] == 1]
-        for keep in itertools.product((0, 1), repeat=len(ones)):
-            # kept 1-sites stay pinned at 1; everything else is resampled
-            pinned = [v for v, kp in zip(ones, keep) if kp]
-            pr_s = (theta ** (len(ones) - len(pinned))
-                    * (1 - theta) ** len(pinned))
-            mask = support.where(dict.fromkeys(pinned, 1))
-            z = w[mask].sum()
-            if z == 0.0:
-                raise ValueError("tilted weights underflow to 0 on a "
-                                 "pinned slice")
-            mat[i, mask] += pr_s * (w[mask] / z)
+    for kept, idx in _one_slices(ones):
+        z = w[idx].sum()
+        if z == 0.0:
+            raise ValueError("tilted weights underflow to 0 on a "
+                             "pinned slice")
+        mat[np.ix_(idx, idx)] += np.outer(move[count[idx], len(kept)],
+                                          w[idx] / z)
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
+
+
+def _one_slices(ones):
+    """(A, idx_A) for every set A of sites (a tuple) such that some row of
+    the boolean table ones (k, n) is True on all of A, with idx_A those rows
+    in order; A in increasing binary value with site 0 the most significant
+    bit (depth first, leaving a site out before putting it in)."""
+    n = ones.shape[1]
+
+    def walk(v, sites, idx):
+        if v == n:
+            yield sites, idx
+            return
+        yield from walk(v + 1, sites, idx)
+        sub = idx[ones[idx, v]]
+        if sub.size:
+            yield from walk(v + 1, sites + (v,), sub)
+
+    if len(ones):
+        yield from walk(0, (), np.arange(len(ones)))
 
 
 def _block_kernel_sequence(model, theta, t1, t2, steps, inner):
@@ -379,27 +436,55 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL, n_random=0,
 # mixing times
 
 
-# exact_mixing_time compares a step with the one before it this often
+# the mixing loop compares a step with the one before it this often
 _FIXED_POINT_EVERY = 1024
 
 
-def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
-    """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
-
-    x0 is a start state (tuple) or None for the worst case over all starts,
-    one row per start.  Past the cap, or once a step leaves some row bit for
-    bit unchanged while it is still farther than eps (each row evolves on its
-    own, deterministically, so it would reach the cap), raises RuntimeError.
-    Steps are compared every _FIXED_POINT_EVERY steps only.
-    """
+def _check_eps(eps):
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    mu = kernel.stationary
-    cur = (np.eye(kernel.support.size) if x0 is None
-           else point_mass(kernel.support, x0))
+
+
+def _mixing_times(mats, mus, eps, cap, cur=None):
+    """Exact mixing times of a stack of chains: for each kernel of mats
+    (g, m, m), with stationary law mus (g, m) and start laws cur (g, s, m),
+    one row per start (by default one per state: the worst start), the
+    smallest t with every row at TV <= eps from stationarity.  Each chain
+    stops at its own t; matmul multiplies a stack slice by slice, so a
+    chain's products, and its t, are those of a loop over it alone.
+
+    Raises RuntimeError past the cap, and every _FIXED_POINT_EVERY steps
+    (from step 0) when it is already clear that some row would reach the
+    cap: when a step has left a row bit for bit unchanged while it is still
+    farther than eps (each row evolves on its own, deterministically), or
+    when _refuse_unreachable finds a row that cannot come within eps in the
+    steps left."""
+    g, m = len(mats), mats.shape[-1]
+    if cur is None:
+        cur = np.zeros((g, m, m))
+        cur[:, np.arange(m), np.arange(m)] = 1.0
+    else:
+        cur = np.array(cur, dtype=float)  # a copy: the steps write into it
+    ts = np.zeros(g, dtype=int)
+    live = np.arange(g)
+    mus = mus[:, None, :]
+    # the steps swap two buffers; the free one holds |cur - mu| first
+    nxt = np.empty_like(cur)
     t = 0
-    while (far := 0.5 * np.abs(cur - mu).sum(axis=-1) > eps).any():
-        nxt = cur @ kernel.matrix
+    while True:
+        np.subtract(cur, mus, out=nxt)
+        far = 0.5 * np.abs(nxt, out=nxt).sum(axis=-1) > eps
+        if not far.all() and not (go := far.any(axis=-1)).all():
+            ts[live[~go]] = t
+            if not go.any():
+                return ts
+            nxt = None  # let the free buffer go before the copies
+            live, mats, cur, mus, far = (x[go]
+                                         for x in (live, mats, cur, mus, far))
+            nxt = np.empty_like(cur)
+        if t % _FIXED_POINT_EVERY == 0:
+            _refuse_unreachable(mats, cur, mus, eps, cap, t)
+        np.matmul(cur, mats, out=nxt)
         t += 1
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
@@ -407,28 +492,112 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
                 and (far & (nxt == cur).all(axis=-1)).any()):
             raise RuntimeError(f"mixing time exceeds the cap {cap}: the law "
                                f"stopped changing by step {t}")
-        cur = nxt
-    return t
+        cur, nxt = nxt, cur
+
+
+def _refuse_unreachable(mats, cur, mus, eps, cap, t):
+    """Raise the cap's RuntimeError if at step t some row of the stack
+    cannot come within eps of stationarity by step cap.
+
+    Let S be the states where some row of a chain exceeds stationarity.  A
+    row's TV is at least its excess nu(S) - pi(S), and a step takes at most
+    q * nu(S) out of S: q is the largest P(x, outside S), plus the mass row
+    x loses if it sums below 1, over x in S.  So if the excess less
+    (cap - t) q is still above eps (with TV_TOL for rounding), the row is
+    farther than eps at the cap."""
+    over = (cur > mus).any(axis=1)
+    inside = over[..., None].astype(float)
+    excess = ((cur @ inside)[..., 0] - (mus @ inside)[..., 0]).max(axis=-1)
+    leak = (mats @ (1 - inside))[..., 0]
+    leak += np.maximum(0.0, 1 - mats.sum(axis=-1))
+    q = np.where(over, leak, 0.0).max(axis=-1)
+    if np.any(excess - (cap - t) * q > eps + TV_TOL):
+        raise RuntimeError(f"mixing time exceeds the cap {cap}: at step {t} "
+                           f"a law is too far from stationarity to come "
+                           f"within eps by step {cap}")
+
+
+def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
+    """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
+
+    x0 is a start state (tuple) or None for the worst case over all starts,
+    one row per start: _mixing_times of the one-chain stack, with its
+    refusals."""
+    _check_eps(eps)
+    start = None if x0 is None else point_mass(kernel.support, x0)[None, None]
+    return int(_mixing_times(kernel.matrix[None], kernel.stationary[None],
+                             eps, cap, start)[0])
+
+
+def _tilted_slices(model, theta):
+    """The Glauber kernels of the tilted model on its feasible all-1 pinned
+    slices, as stacks of equal-size slices of at most k^2 matrix entries in
+    all (k the support size), built one stack at a time by _slice_stack.
+    Yields (pinned, sel, mats, mus): the pinned site sets (tuples), sel
+    (g, m) the slices' state indices in the tilted support, mats (g, m, m)
+    their row-checked kernels and mus (g, m) their stationary laws.
+
+    The tilted conditional is evaluated once per (state, site) and the log
+    weights once per state; each slice's kernel and stationary law equal
+    those of the pinned tilted model bit for bit."""
+    tilted = tilt(model, theta)
+    support = enumerate_support(tilted)
+    k = support.size
+    succ, prob = _law_arrays(heat_bath_law(tilted), support,
+                             range(model.n_vars), len(tilted.alphabet))
+    lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
+    by_size = {}
+    for pinned, idx in _one_slices(support.array == 1):
+        by_size.setdefault(idx.size, []).append((pinned, idx))
+    for m, slices in by_size.items():
+        per = max(1, k * k // (m * m))
+        for c in range(0, len(slices), per):
+            yield _slice_stack(slices[c:c + per], succ, prob, lw)
+
+
+def _slice_stack(slices, succ, prob, lw):
+    """(pinned, sel, mats, mus) of _tilted_slices for the equal-size slices
+    [(pinned sites, state indices), ...] of the law arrays succ, prob of a
+    support with log weights lw.
+
+    A slice's kernel takes its states' rows of the law arrays, holds each
+    pinned site (its own index with prob 1, as the pinned model's
+    conditional gives it) and sums them as _law_kernel does; its stationary
+    law normalizes its states' log weights as stationary_distribution
+    does."""
+    pinned, sel = zip(*slices)
+    sel = np.array(sel)
+    (g, m), (k, n, a) = sel.shape, succ.shape
+    held = np.zeros((g, 1, n, 1), dtype=bool)
+    for j, sites in enumerate(pinned):
+        held[j, 0, list(sites)] = True
+    to = np.where(held, sel[:, :, None, None], succ[sel])
+    pr = np.where(held, np.arange(a) == 0, prob[sel])
+    # local[j, x] is the position of state x in slice j, which holds every
+    # successor of its states (a held site stays, the others keep the pins)
+    local = np.zeros((g, k), dtype=int)
+    local[np.arange(g)[:, None], sel] = np.arange(m)
+    cells = (np.arange(g * m).reshape(g, m, 1, 1) * m
+             + local[np.arange(g)[:, None, None, None], to])
+    mats = np.zeros(g * m * m)
+    np.add.at(mats, cells.ravel(), (pr / n).ravel())
+    mats = mats.reshape(g, m, m)
+    _check_rows(mats)
+    return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
 
 def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
-    pinnings, maximized over starting states.  Each pinned chain runs on its
-    slice of the tilted support, holding the pinned sites at 1 and reading
-    the tilted conditional, computed once per (state, site), elsewhere."""
-    tilted = tilt(model, theta)
-    support = enumerate_support(tilted)
-    law = functools.cache(heat_bath_law(tilted))
-    best = 0
-    for pins in pinnings(model.n_vars, model.n_vars, values=(1,)):
-        mask = support.where(pins)
-        if mask.any():
-            def held(s, v):
-                return ((1,), (1.0,)) if v in pins else law(s, v)
-            ker = _law_kernel(tilted, held, None, Poset(
-                tuple(itertools.compress(support.states, mask))))
-            best = max(best, exact_mixing_time(ker, None, eps, cap=cap))
-    return best
+    pinnings, maximized over starting states: the stacks of _tilted_slices,
+    each run by _mixing_times from one row per state of each slice."""
+    _check_eps(eps)
+
+    def worst(stack):
+        _, _, mats, mus = stack
+        return int(_mixing_times(mats, mus, eps, cap).max())
+
+    # map lets go of each stack before the next one is built
+    return max(map(worst, _tilted_slices(model, theta)), default=0)
 
 
 def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:

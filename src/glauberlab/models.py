@@ -193,13 +193,16 @@ class RandomClusterModel(Model):
         self._comp_cache = {}
 
     def _components(self, edge_idx):
+        """Components of the edge subset, cached; the cache is emptied
+        before it would pass 4096 entries."""
         key = frozenset(edge_idx)
-        if key not in self._comp_cache:
-            self._comp_cache[key] = components(
-                self.graph.n, [self.graph.edges[i] for i in key])
-            if len(self._comp_cache) > 4096:
+        comps = self._comp_cache.get(key)
+        if comps is None:
+            comps = components(self.graph.n, [self.graph.edges[i] for i in key])
+            if len(self._comp_cache) >= 4096:
                 self._comp_cache.clear()
-        return self._comp_cache[key]
+            self._comp_cache[key] = comps
+        return comps
 
     def log_weight(self, state):
         lw = 0.0

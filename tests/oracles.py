@@ -12,7 +12,9 @@ the site-update law and scans its probabilities on every step, the up-set
 cross-check of stochastic dominance, the covers and height of a poset by
 their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
-pair of conditionings.
+pair of conditionings; the kernel builders that loop over states, sites and
+values (site-update laws) or over rows and kept sets (field dynamics), and
+the mixing time of one chain at a time without the refusal by distance.
 """
 
 import functools
@@ -175,6 +177,68 @@ def per_row_mixing_time(kernel, eps, cap=10 ** 6):
         t += 1
         if t > cap:
             raise RuntimeError(f"mixing time exceeds the cap {cap}")
+    return t
+
+
+def loop_law_kernel(model, law, site=None, support=None):
+    """Kernel of one step of law at site (uniform if None): a loop over
+    states, sites and values adding prob / n at each successor."""
+    support = support or exact.enumerate_support(model)
+    sites = range(model.n_vars) if site is None else (site,)
+    n = len(sites)
+    k = support.size
+    mat = np.zeros((k, k))
+    for i, s in enumerate(support.states):
+        for v in sites:
+            t = list(s)
+            for val, pr in zip(*law(s, v)):
+                if pr == 0.0:
+                    continue
+                t[v] = val
+                mat[i, support.index(tuple(t))] += pr / n
+    return mat
+
+
+def loop_fd_kernel(model, theta, support=None):
+    """Field-dynamics kernel: a loop over rows and, per row, over its kept
+    sets (itertools.product over its 1-sites), with a support mask each."""
+    support = support or exact.enumerate_support(model)
+    k = support.size
+    tilted = models.tilt(model, theta)
+    w = np.array([tilted.weight(s) for s in support.states])
+    mat = np.zeros((k, k))
+    for i, s in enumerate(support.states):
+        ones = [v for v in range(model.n_vars) if s[v] == 1]
+        for keep in itertools.product((0, 1), repeat=len(ones)):
+            pinned = [v for v, kp in zip(ones, keep) if kp]
+            pr_s = (theta ** (len(ones) - len(pinned))
+                    * (1 - theta) ** len(pinned))
+            mask = support.where(dict.fromkeys(pinned, 1))
+            z = w[mask].sum()
+            if z == 0.0:
+                raise ValueError("tilted weights underflow to 0 on a "
+                                 "pinned slice")
+            mat[i, mask] += pr_s * (w[mask] / z)
+    return mat
+
+
+def loop_mixing_time(matrix, mu, x0_index=None, eps=0.25, cap=10 ** 6,
+                     every=1024):
+    """Exact mixing time of one chain by its own propagation loop, refused
+    past the cap or once a far row is bit for bit fixed (checked every
+    `every` steps)."""
+    k = len(mu)
+    cur = np.eye(k) if x0_index is None else np.eye(k)[x0_index]
+    t = 0
+    while (far := 0.5 * np.abs(cur - mu).sum(axis=-1) > eps).any():
+        nxt = cur @ matrix
+        t += 1
+        if t > cap:
+            raise RuntimeError(f"mixing time exceeds the cap {cap}")
+        if t % every == 0 and (far & (nxt == cur).all(axis=-1)).any():
+            raise RuntimeError(f"mixing time exceeds the cap {cap}: the law "
+                               f"stopped changing by step {t}")
+        cur = nxt
     return t
 
 

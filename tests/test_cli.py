@@ -246,6 +246,17 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "period" in err
 
+    def test_rc_run_past_the_component_cache(self, tmp_path):
+        # 20,000 steps on the 14-cycle meet more than 4096 edge sets; the
+        # component cache used to raise KeyError (exit 2) as it emptied
+        graph = write(tmp_path / "c14.graph", "14 14\n" + "".join(
+            f"{i} {(i + 1) % 14}\n" for i in range(14)))
+        params = write(tmp_path / "rc.params",
+                       "model=rc\np.default=0.5\nlambda.default=0.5\n")
+        assert run_cli(["sample", "--graph", graph, "--params", params,
+                        "--steps", "20000", "--seed", "1",
+                        "--out", str(tmp_path / "c14")]) == 0
+
 
 class TestAnalyze:
     def test_rc_report(self, p3, tmp_path, capsys):
@@ -280,6 +291,17 @@ class TestMixing:
         cols = dict(zip(head.split(","), row.split(",")))
         assert int(cols["t_gd_ones"]) <= int(cols["product_bound"])
         assert int(cols["t_fd_ones"]) <= int(cols["t_fd_worst"])
+
+    def test_frozen_start_is_refused_at_once(self, tmp_path, capsys):
+        # the all-1 state of this Ising triangle keeps its mass up to
+        # ~1e-206 a step, so the Glauber law from it would run to the cap
+        graph = write(tmp_path / "tri.graph", "3 3\n0 1\n1 2\n0 2\n")
+        params = write(tmp_path / "i.params", "model=ising\n"
+                       "beta.default=1e103\nlambda.default=0.5\n")
+        assert run_cli(["mixing", "--graph", graph, "--params", params]) == 2
+        assert capsys.readouterr().err == (
+            "error: mixing time exceeds the cap 1000000: at step 0 a law is "
+            "too far from stationarity to come within eps by step 1000000\n")
 
 
 class TestKernelExport:
@@ -476,8 +498,8 @@ _WORDS = ("rc", "ising", "hardcore", "bipartite-hardcore", "subgraph-world",
           "010", "0*1", "**")
 _NUMBERS = ("0.5", "0.3", "0.9", "1", "2", "3", "0", "-1", "nan", "inf",
             "-inf", "1_0", "0x10", "")
-# values that freeze a chain, so that an exact mixing time runs to its cap
-# of 10^6 steps (seconds) before exiting 2; kept out of `mixing` for speed
+# values that freeze a chain, which the exact mixing times must refuse
+# without running to their cap of 10^6 steps
 _EXTREMES = ("1e-300", "1e308", "99999999999999999999")
 _BASE = {"rc": "p.default=0.5 lambda.default=0.5",
          "ising": "beta.default=2 lambda.default=0.5",
@@ -489,7 +511,7 @@ _BASE = {"rc": "p.default=0.5 lambda.default=0.5",
 def _cli_case(draw):
     command = draw(st.sampled_from(("verify", "analyze", "mixing",
                                     "kernel-export", "sample")))
-    pool = _WORDS + _NUMBERS + (() if command == "mixing" else _EXTREMES)
+    pool = _WORDS + _NUMBERS + _EXTREMES
     value = st.one_of(st.sampled_from(pool), st.text(max_size=5))
     kind = draw(st.sampled_from(sorted(_BASE)))
     lines = [f"model={kind}"] + _BASE[kind].split()

@@ -652,22 +652,147 @@ class TestTiltedMixing:
                             == oracles.per_pinning_tilted_mixing_time(
                                 m, theta, eps))
 
-    def test_pinned_kernels_are_bit_identical(self, rng, monkeypatch):
-        seen = []
-        monkeypatch.setattr(exact, "exact_mixing_time",
-                            lambda ker, *a, **kw: seen.append(ker) or 0)
+    def test_pinned_kernels_are_bit_identical(self, rng):
         for m in tilted_pool(rng):
             for theta in (0.3, 0.9):
-                seen.clear()
-                tilted_mixing_time(m, theta, 0.1)
+                tilted = models.tilt(m, theta)
+                states = enumerate_support(tilted).states
+                got = {}
+                for pinned, sel, mats, mus in exact._tilted_slices(m, theta):
+                    for sites, rows, mat, mu in zip(pinned, sel, mats, mus):
+                        got[sites] = ([states[i] for i in rows], mat, mu)
                 want = list(oracles.per_pinning_tilted_kernels(m, theta))
-                assert len(seen) == len(want)
-                for got, (pins, _) in zip(seen, want):
-                    ker = glauber_kernel(
-                        models.pin(models.tilt(m, theta), pins))
-                    assert got.support.states == ker.support.states
-                    assert np.array_equal(got.matrix, ker.matrix)
-                    assert np.array_equal(got.stationary, ker.stationary)
+                assert len(got) == len(want)
+                for pins, _ in want:
+                    ker = glauber_kernel(models.pin(tilted, pins))
+                    sup, mat, mu = got[tuple(pins)]
+                    assert tuple(sup) == ker.support.states
+                    assert np.array_equal(mat, ker.matrix)
+                    assert np.array_equal(mu, ker.stationary)
+
+
+def kernel_pool(rng):
+    """Monotone models, hard-core and bipartite hard-core (whose supports
+    are not cubes)."""
+    pool = [random_monotone_model(rng) for _ in range(4)]
+    pool += [random_hardcore(rng) for _ in range(2)]
+    return pool + [random_bhc(rng) for _ in range(2)]
+
+
+class TestKernelsMatchLoops:
+    """Kernels summed from one law table, and fd_kernel summed kept set by
+    kept set, add the loops' addends in the loops' order: equal bit for
+    bit."""
+
+    def test_glauber_kernels(self, rng):
+        for m in kernel_pool(rng):
+            sup = enumerate_support(m)
+            for site in (None, *range(m.n_vars)):
+                assert np.array_equal(
+                    glauber_kernel(m, sup, site).matrix,
+                    oracles.loop_law_kernel(m, models.heat_bath_law(m), site,
+                                            sup))
+
+    def test_lifted_kernels(self, rng):
+        for m in kernel_pool(rng):
+            lifted = lift_model(m, float(rng.uniform(0.2, 0.8)))
+            sup = enumerate_support(lifted)
+            for site in (None, *range(m.n_vars)):
+                for build, law in (
+                        (glauber_kernel, models.heat_bath_law(lifted)),
+                        (star_glauber_kernel, models.star_frozen_law(lifted))):
+                    assert np.array_equal(
+                        build(lifted, sup, site).matrix,
+                        oracles.loop_law_kernel(lifted, law, site, sup))
+
+    def test_fd_kernel(self, rng):
+        for m in kernel_pool(rng):
+            for theta in (0.3, 0.5, 0.9):
+                assert np.array_equal(fd_kernel(m, theta).matrix,
+                                      oracles.loop_fd_kernel(m, theta))
+
+
+def random_chain(rng, m, lazy):
+    """A random stochastic matrix (lazy: slower mixing) and its stationary
+    law."""
+    mat = rng.random((m, m)) ** 4
+    if lazy:
+        mat += 20 * np.eye(m)
+    mat /= mat.sum(axis=1, keepdims=True)
+    w, vecs = np.linalg.eig(mat.T)
+    mu = np.real(vecs[:, np.argmin(np.abs(w - 1.0))])
+    return mat, mu / mu.sum()
+
+
+class TestStackedMixing:
+    """_mixing_times runs a stack of chains at once; each chain's time, and
+    each refusal, is that of its own loop."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_chain_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        m, g = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        chains = [random_chain(rng, m, j % 2) for j in range(g)]
+        mats, mus = (np.array(x) for x in zip(*chains))
+        x0 = rng.integers(m, size=g)
+        for eps in (0.3, 0.1, 1e-3, 1e-7):
+            assert exact._mixing_times(mats, mus, eps, 10 ** 6).tolist() == [
+                oracles.loop_mixing_time(mat, mu, None, eps)
+                for mat, mu in chains]
+            assert exact._mixing_times(
+                mats, mus, eps, 10 ** 6, np.eye(m)[x0][:, None]).tolist() == [
+                oracles.loop_mixing_time(mat, mu, i, eps)
+                for (mat, mu), i in zip(chains, x0)]
+
+    def test_tilted_stacks_match_one_chain_loops(self, rng):
+        for m in tilted_pool(rng):
+            for _, _, mats, mus in exact._tilted_slices(m, 0.5):
+                for eps in (0.25, 1e-3):
+                    assert exact._mixing_times(mats, mus, eps, 10 ** 6
+                                               ).tolist() == [
+                        oracles.loop_mixing_time(mat, mu, None, eps)
+                        for mat, mu in zip(mats, mus)]
+
+    def test_cap(self):
+        # lazy two-state chains: TV 0.5 (1 - 2a)^t from either state
+        def lazy(a):
+            return np.array([[1 - a, a], [a, 1 - a]])
+
+        mats, mus = np.array([np.full((2, 2), 0.5), lazy(5e-4)]), np.full(
+            (2, 2), 0.5)
+        assert exact._mixing_times(mats, mus, 0.01, 10 ** 4).tolist() == [
+            oracles.loop_mixing_time(mat, mus[0], None, 0.01) for mat in mats]
+        for run in (lambda: oracles.loop_mixing_time(lazy(5e-4), mus[0], None,
+                                                     0.01, cap=1000),
+                    lambda: exact._mixing_times(mats, mus, 0.01, 1000)):
+            with pytest.raises(RuntimeError, match="^mixing time exceeds the "
+                               "cap 1000$"):
+                run()
+        # from one state the excess 0.5 less 10^4 a stays above 0.01, so the
+        # chain is refused at step 0 instead of running to the cap
+        with pytest.raises(RuntimeError, match="^mixing time exceeds the cap "
+                           "10000$"):
+            oracles.loop_mixing_time(lazy(1e-5), mus[0], 0, 0.01, cap=10 ** 4)
+        with pytest.raises(RuntimeError, match="^mixing time exceeds the cap "
+                           "10000: at step 0 a law is too far from "
+                           "stationarity to come within eps by step 10000$"):
+            exact._mixing_times(lazy(1e-5)[None], mus[:1], 0.01, 10 ** 4,
+                                np.eye(2)[None, :1])
+
+    def test_fixed_point(self, rng):
+        m = models.tilt(flip(HardcoreModel(Graph(3, [(0, 1), (0, 2)]), 1.0)),
+                        1e-300)
+        frozen = glauber_kernel(m)
+        mat, mu = random_chain(rng, frozen.support.size, True)
+        message = ("mixing time exceeds the cap 1000000: the law stopped "
+                   "changing by step 2048")
+        oracles.loop_mixing_time(mat, mu)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            oracles.loop_mixing_time(frozen.matrix, frozen.stationary)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            exact._mixing_times(np.array([mat, frozen.matrix]),
+                                np.array([mu, frozen.stationary]), 0.25,
+                                10 ** 6)
 
 
 class TestUnderflowAndRanges:

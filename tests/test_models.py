@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glauberlab import exact, models
+from glauberlab import dynamics, exact, models
 from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
                                IsingModel, LeftMarginalModel,
                                RandomClusterModel, SubgraphWorldModel,
@@ -191,6 +191,46 @@ class TestRcMarginalRatio:
         rc = RandomClusterModel(K2, [0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             rc_marginal_ratio(rc, [], 3)
+
+
+CYCLE16 = Graph(16, [(i, (i + 1) % 16) for i in range(16)])
+
+
+class _CountingDict(dict):
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestComponentCache:
+    """RandomClusterModel caches the components of each edge set and empties
+    the cache before it would pass 4096 entries; a key that arrives as the
+    cache is emptied used to raise KeyError."""
+
+    def test_more_keys_than_the_cache_holds(self):
+        rc = RandomClusterModel(CYCLE16, [0.5] * 16, [0.5] * 16)
+        rc._comp_cache = _CountingDict()
+        for key in itertools.islice(itertools.combinations(range(16), 5),
+                                    4097):
+            assert rc._components(key) == components(
+                16, [CYCLE16.edges[i] for i in key])
+        assert rc._comp_cache.clears == 1
+        assert len(rc._comp_cache) == 1
+
+    def test_long_run_matches_uncached_components(self):
+        rc = RandomClusterModel(CYCLE16, [0.5] * 16, [0.5] * 16)
+        rc._comp_cache = _CountingDict()
+        run = dynamics.glauber_run(rc, (0,) * 16, 200_000, 1)
+        assert rc._comp_cache.clears >= 1
+        plain = RandomClusterModel(CYCLE16, [0.5] * 16, [0.5] * 16)
+        plain._components = lambda idx: components(
+            16, [CYCLE16.edges[i] for i in idx])
+        # the first 20,000 steps of the cached run empty its cache twice
+        short = dynamics.glauber_run(plain, (0,) * 16, 20_000, 1)
+        assert run.log[:len(short.log)] == short.log
+        assert run.log[len(short.log)][0] > 20_000
 
 
 def _same_distribution(a, b, tol=1e-12):
