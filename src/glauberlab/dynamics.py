@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import enumerate_support
+from .exact import _tilted_weights, enumerate_support
 from .ordercore import contract, lift, state_str
-from .models import LiftedModel, heat_bath_law, pin, star_frozen_law, tilt
+from .models import LiftedModel, heat_bath_law, star_frozen_law
 
 
 def make_rng(seed, chain_index=0, purpose=""):
@@ -120,45 +120,6 @@ def _raw_words(raw, k):
     return [raw()] if k == 1 else raw(k).tolist()
 
 
-def _check_law(state, v):
-    """Site v takes v % 3 + 1 equally likely values: no uniform at every
-    third site."""
-    k = v % 3 + 1
-    return tuple(range(k)), (1 / k,) * k
-
-
-@functools.cache
-def _raw_draws_match():
-    """Whether raw PCG64 words decode to numpy's per-call draws here: eight
-    uniforms against `random()`, then 60-step block runs against per-call
-    runs (log, final state and generator state) for n = 1, 2, 3, 6, 7 and
-    13 sites, from a fresh generator and from a carried spare half 0, which
-    forces a Lemire rejection unless n is a power of 2."""
-    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
-    decoded = [(w >> 11) * _TWO_TO_MINUS_53
-               for w in gens[0].bit_generator.random_raw(8).tolist()]
-    if decoded != [gens[1].random() for _ in range(8)]:
-        return False
-    table = _site_table(_check_law)
-    for n in (1, 2, 3, 6, 7, 13):
-        for carried in (False, True):
-            gens = [np.random.Generator(np.random.PCG64(n)) for _ in range(2)]
-            if carried:
-                st = gens[0].bit_generator.state
-                st["has_uint32"], st["uinteger"] = 1, 0
-                for g in gens:
-                    g.bit_generator.state = st
-            out = []
-            for loop, g in zip((_block_site_steps, _per_call_site_steps),
-                               gens):
-                run = ChainRun(None, (0,) * n, 0, 60)
-                final = loop(table, (0,) * n, g, 0, 60, run, (), None)
-                out.append((final, run.log, g.bit_generator.state))
-            if out[0] != out[1]:
-                return False
-    return True
-
-
 def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
                 allowed=None):
     """Advance the state tuple by single-site steps t0+1..t0+steps and return
@@ -167,9 +128,10 @@ def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
     and writes no log entry.  With a run, each redraw is logged and the states
     at record_at are recorded.
 
-    The draws are those of `rng.integers(n)` for the site and `rng.random()`
-    for the uniform, one call each per step.  On numpy's PCG64 they are
-    decoded from raw 64-bit words of `bit_generator.random_raw` instead:
+    rng must be a `make_rng` generator (numpy's PCG64): the raw PCG64 stream
+    defines the draws.  They are decoded from raw 64-bit words of its
+    `bit_generator.random_raw` the way `rng.integers(n)` draws the site and
+    `rng.random()` the uniform, one call each per step:
 
     - site: Lemire's method on 32-bit halves (n < 2^32, as for any state
       tuple).  A word gives its low half first and keeps the high half as
@@ -181,19 +143,7 @@ def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
     Words come in blocks no larger than what the remaining steps must use
     (their site halves, or one word for a uniform), so the generator never
     runs ahead of the draws; on return the spare half is written back, and
-    the generator is the one the per-call draws leave.  A self-check
-    (`_raw_draws_match`, once per process) compares the decode with the
-    per-call draws; on a mismatch, or another bit generator, every step
-    makes the per-call draws."""
-    if type(rng.bit_generator) is np.random.PCG64 and _raw_draws_match():
-        return _block_site_steps(table, state, rng, t0, steps, run,
-                                 record_at, allowed)
-    return _per_call_site_steps(table, state, rng, t0, steps, run, record_at,
-                                allowed)
-
-
-def _block_site_steps(table, state, rng, t0, steps, run, record_at, allowed):
-    """`_site_steps` with the draws decoded from raw PCG64 words."""
+    the generator is the one the per-call draws leave."""
     n = len(state)
     bits = rng.bit_generator
     raw = bits.random_raw
@@ -246,25 +196,6 @@ def _block_site_steps(table, state, rng, t0, steps, run, record_at, allowed):
     return state
 
 
-def _per_call_site_steps(table, state, rng, t0, steps, run, record_at,
-                         allowed):
-    """`_site_steps` with one `integers` and one `random` call per step."""
-    n = len(state)
-    integers, uniform = rng.integers, rng.random
-    for t in range(t0 + 1, t0 + steps + 1):
-        v = int(integers(n))
-        if allowed is None or v in allowed(t - 1):
-            values, cum, nxt = table(state, v)
-            if len(values) > 1:
-                i = bisect_right(cum, uniform())
-                state = nxt[i]
-                if run is not None:
-                    run.log.append((t, v, values[i]))
-        if t in record_at:
-            run.recorded[t] = state
-    return state
-
-
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     run, record_at = _new_run(model, x0, seed, steps, record_at)
     run.final = _site_steps(_site_table(heat_bath_law(model)), run.x0, rng, 0,
@@ -285,12 +216,12 @@ def _kept_ones(x, theta, rng):
 
 def _field_sampler(model, theta):
     """The exact field-dynamics step (x, rng) -> next state, drawing from the
-    support table of model and its unnormalized theta-tilted weights."""
+    support table of model and its unnormalized theta-tilted weights
+    (`exact._tilted_weights`)."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     support = enumerate_support(model)
-    tilted = tilt(model, theta)
-    weights = np.array([tilted.weight(s) for s in support.states])
+    weights = _tilted_weights(model, theta, support)
 
     def step(x, rng):
         idx = np.flatnonzero(support.where(_kept_ones(x, theta, rng)))
@@ -306,19 +237,11 @@ def _field_sampler(model, theta):
     return step
 
 
-def field_dynamics_step(model, theta, x, rng, inner="exact"):
+def field_dynamics_step(model, theta, x, rng):
     """One field-dynamics transition: every 0-site is freed, each 1-site is
     freed independently with probability theta; the freed set is resampled
-    from the tilted conditional, exactly or by inner Glauber steps."""
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0,1)")
-    if inner == "exact":
-        return _field_sampler(model, theta)(x, rng)
-    kind, t2 = inner
-    if kind != "glauber":
-        raise ValueError("inner mode must be 'exact' or ('glauber', steps)")
-    m = pin(tilt(model, theta), _kept_ones(x, theta, rng))
-    return _site_steps(_site_table(heat_bath_law(m)), tuple(x), rng, 0, t2)
+    exactly from the tilted conditional."""
+    return _field_sampler(model, theta)(x, rng)
 
 
 def field_run(model, theta, x0, steps, seed, record_at=(),

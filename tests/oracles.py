@@ -336,15 +336,6 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
     return run, contract(tuple(state))
 
 
-def per_step_field_glauber_step(model, theta, x, rng, t2):
-    """field_dynamics_step with inner=("glauber", t2) by the per-step loop."""
-    m = models.pin(models.tilt(model, theta),
-                   dynamics._kept_ones(x, theta, rng))
-    state = list(x)
-    per_step_site_steps(models.heat_bath_law(m), state, rng, 0, t2)
-    return tuple(state)
-
-
 def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol=PROB_TOL, **guards):
     """Cross-check: nu(U) <= nu_prime(U) + tol for every up-set U, with the
     input rule of stochastic_dominance."""

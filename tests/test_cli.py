@@ -178,6 +178,17 @@ class TestSample:
         body = (out.parent / "fd.traj.tsv").read_text().split("\n")[1:]
         assert [ln.split("\t")[0] for ln in body if ln] == ["0", "3"]
 
+    def test_field_on_weights_past_the_float_range(self, tmp_path):
+        # the largest log weight of this Ising triangle is 711.5, past the
+        # log of the largest float; Glauber reads only ratios and samples it
+        graph = write(tmp_path / "tri.graph", "3 3\n0 1\n1 2\n0 2\n")
+        params = write(tmp_path / "i.params", "model=ising\n"
+                       "beta.default=1e103\nlambda.default=0.5\n"
+                       "theta=0.5\ndynamics=field\n")
+        assert run_cli(["sample", "--graph", graph, "--params", params,
+                        "--steps", "20", "--out",
+                        str(tmp_path / "fd")]) == 0
+
     @pytest.mark.parametrize("start, first", [("zeros", "00"),
                                               ("10", "10")])
     def test_start_state(self, p3, tmp_path, start, first):

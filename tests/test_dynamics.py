@@ -103,12 +103,6 @@ class TestFieldDynamics:
             field_dynamics_step(HardcoreModel(K2, 1.0), 1e-9, (1, 1),
                                 make_rng(0, 0, "fd"))
 
-    def test_inner_glauber_mode_stays_in_slice(self):
-        m = k2_flipped_rc()
-        out = field_dynamics_step(m, 0.3, (1,), make_rng(0, 0, "fd"),
-                                  inner=("glauber", 5))
-        assert m.log_weight(out) is not None
-
 
 class TestFieldRun:
     def test_replay_matches(self):
@@ -410,17 +404,6 @@ class TestSiteTable:
                     m, theta, 5, 9, seed, record_at=range(0, 46, 4))
                 assert same_run(run, ref) and out == ref_out
 
-    def test_field_inner_glauber_equals_per_step_loop(self, rng):
-        for _ in range(6):
-            m = random_monotone_model(rng)
-            for seed in range(3):
-                a, b = make_rng(seed, 0, "fd"), make_rng(seed, 0, "fd")
-                x = y = (1,) * m.n_vars
-                for _ in range(10):
-                    x = field_dynamics_step(m, 0.4, x, a, inner=("glauber", 6))
-                    y = oracles.per_step_field_glauber_step(m, 0.4, y, b, 6)
-                    assert x == y
-
     def test_bounded_table_equals_per_step_loop(self, monkeypatch):
         # a two-entry table must evict and recompute, with the same draws
         monkeypatch.setattr(dynamics, "_SITE_TABLE_SIZE", 2)
@@ -473,13 +456,13 @@ def rng_copies(seed, spare=None):
 
 
 def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
-    """The block loop against the per-call oracle loop on copies of one
+    """The single-site loop against the per-call oracle loop on copies of one
     generator: log, recorded states, final state and generator state."""
     a, b = rng_copies(seed, spare)
     record_at = set(range(t0, t0 + steps + 1, 3))
     run, ref = ChainRun(None, x0, seed, steps), ChainRun(None, x0, seed, steps)
-    final = dynamics._block_site_steps(dynamics._site_table(law), tuple(x0),
-                                       a, t0, steps, run, record_at, allowed)
+    final = dynamics._site_steps(dynamics._site_table(law), tuple(x0), a, t0,
+                                 steps, run, record_at, allowed)
     state = list(x0)
     oracles.per_step_site_steps(law, state, b, t0, steps, ref, record_at,
                                 allowed)
@@ -487,6 +470,16 @@ def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
                                               tuple(state))
     assert a.bit_generator.state == b.bit_generator.state
     return run
+
+
+class BitGeneratorOnly:
+    """A generator that hands out its bit generator and nothing else."""
+
+    def __init__(self, gen):
+        self.bit_generator = gen.bit_generator
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} called")
 
 
 def handing_out(monkeypatch, gen):
@@ -499,7 +492,6 @@ class TestBlockDraws:
     generator it leaves equal the per-call draws."""
 
     def test_glauber_censored_and_simulate(self, rng, monkeypatch):
-        monkeypatch.setattr(dynamics, "_raw_draws_match", lambda: True)
         for m, x0 in table_cases(rng)[:6]:
             n = m.n_vars
             rule = Schedule.two_level(range(n // 2 or 1), range(n // 2 or 1, n),
@@ -576,46 +568,25 @@ class TestBlockDraws:
                 steps_vs_per_call(law, (0,) * 3, steps, seed=steps,
                                   spare=spare)
 
-    def test_block_loop_runs_exactly_when_the_self_check_passes(
-            self, monkeypatch):
-        calls = []
-        block = dynamics._block_site_steps
-        monkeypatch.setattr(dynamics, "_block_site_steps",
-                            lambda *args: calls.append(1) or block(*args))
-        law = models.heat_bath_law(path_hardcore(3))
-        table = dynamics._site_table(law)
-        dynamics._site_steps(table, (0,) * 3, make_rng(0), 0, 30)
-        assert bool(calls) == dynamics._raw_draws_match()
-        # another bit generator takes the per-call draws
-        calls.clear()
-        a, b = (np.random.Generator(np.random.MT19937(1)) for _ in range(2))
-        final = dynamics._site_steps(table, (0,) * 3, a, 0, 30)
-        state = [0] * 3
-        oracles.per_step_site_steps(law, state, b, 0, 30)
-        assert final == tuple(state) and not calls
-        ka, kb = a.bit_generator.state["state"], b.bit_generator.state["state"]
-        assert ka["pos"] == kb["pos"] and np.array_equal(ka["key"], kb["key"])
-
-    def test_fallback_equals_block_loop(self, monkeypatch):
+    def test_draws_read_only_the_bit_generator(self, monkeypatch):
+        # the raw PCG64 stream defines the draws: no Generator method runs
         m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
                                     [0.5] * 3, [0.5] * 3))
+        x0 = (1,) * 3
         rule = Schedule.two_level((0,), (1, 2), 3, 1).rule
-        samplers = (
-            lambda: glauber_run(m, (1,) * 3, 300, 0, record_at=range(301)),
-            lambda: censored_glauber(m, (1,) * 3, Schedule(rule), 300, 0,
-                                     record_at=range(301)),
-            lambda: simulate_algorithm(m, 0.5, 7, 11, 0,
-                                       record_at=range(78))[0])
-        outs = []
-        for match in (True, False):
-            monkeypatch.setattr(dynamics, "_raw_draws_match", lambda: match)
-            out = []
-            for sampler in samplers:
-                for spare in (None, 0):
-                    gen = rng_copies(3, spare)[0]
-                    handing_out(monkeypatch, gen)
-                    run = sampler()
-                    out.append((run.log, run.recorded, run.final,
-                                gen.bit_generator.state))
-            outs.append(out)
-        assert outs[0] == outs[1]
+        calls = (
+            (lambda: glauber_run(m, x0, 300, 0, record_at=range(301)),
+             lambda: oracles.per_step_heat_bath_run(
+                 m, x0, 300, 0, record_at=range(301))),
+            (lambda: censored_glauber(m, x0, Schedule(rule), 300, 0,
+                                      record_at=range(301)),
+             lambda: oracles.per_step_heat_bath_run(
+                 m, x0, 300, 0, record_at=range(301), allowed=rule)))
+        for sampler, oracle in calls:
+            for spare in (None, 0):
+                a, b = rng_copies(3, spare)
+                handing_out(monkeypatch, BitGeneratorOnly(a))
+                run = sampler()
+                handing_out(monkeypatch, b)
+                assert same_run(run, oracle())
+                assert a.bit_generator.state == b.bit_generator.state

@@ -17,8 +17,8 @@ from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               stationary_distribution,
                               tilted_mixing_time, tv_distance,
                               two_state_mixing_time)
-from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip,
-                               lift_model)
+from glauberlab.models import (Graph, HardcoreModel, IsingModel,
+                               RandomClusterModel, flip, lift_model)
 from glauberlab.ordercore import Poset
 from conftest import (random_bhc, random_hardcore, random_monotone_model,
                       random_rc)
@@ -381,7 +381,8 @@ class TestChecks:
         sup = enumerate_support(lm)
         pv = glauber_kernel(lm, sup, site=0)
         qv = star_glauber_kernel(lm, sup, site=0)
-        assert check_mc_leq(pv, qv, n_random=100, rng=rng)[0]
+        assert check_mc_leq(pv, qv) == (True, None)
+        assert oracles.per_ray_mc_leq(pv, qv, n_random=100, rng=rng)[0]
 
     def test_monotone_guard(self):
         g = Graph(13, [])
@@ -474,8 +475,7 @@ class TestChecksMatchOracles:
             for v in range(lm.n_vars):
                 pv = glauber_kernel(lm, sup, site=v)
                 qv = star_glauber_kernel(lm, sup, site=v)
-                got = check_mc_leq(pv, qv, n_random=30,
-                                   rng=np.random.default_rng(v))
+                got = check_mc_leq(pv, qv)
                 assert got == (True, None)
                 assert got == oracles.per_ray_mc_leq(
                     pv, qv, n_random=30, rng=np.random.default_rng(v))
@@ -815,6 +815,14 @@ class TestUnderflowAndRanges:
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="underflow"):
                 fd_kernel(models.tilt(rc, 1e-300), 0.5)
+
+    def test_fd_kernel_on_weights_past_the_float_range(self):
+        # the largest log weight is 3 log(1e103) = 711.5
+        tri = IsingModel(Graph(3, [(0, 1), (1, 2), (0, 2)]), [1e103] * 3,
+                         [0.5] * 3)
+        with np.errstate(all="raise"):
+            ker = fd_kernel(tri, 0.5)
+        assert np.allclose(ker.matrix.sum(axis=1), 1.0)
 
 
 class TestCsv:
