@@ -4,7 +4,6 @@ replayable trajectories."""
 
 from __future__ import annotations
 
-import functools
 import math
 import zlib
 from bisect import bisect_right
@@ -24,7 +23,7 @@ def make_rng(seed, chain_index=0, purpose=""):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# entries of a run's site-law table; beyond it the least recently used go
+# filled site slots of a run's state graph; beyond it the graph is dropped
 _SITE_TABLE_SIZE = 2 ** 14
 
 
@@ -75,9 +74,16 @@ class ChainRun:
         return out
 
     def dump_trajectory(self) -> str:
-        text = {s: state_str(s) for s in set(self.recorded.values())}
-        lines = [f"{t}\t{text[s]}" for t, s in sorted(self.recorded.items())]
-        return "\n".join(lines) + "\n"
+        """`t<TAB>state` lines in time order.  Each distinct state is
+        rendered once, and the text is one join over interleaved time and
+        state pieces; a run with no recorded state gives one empty line."""
+        rec = self.recorded
+        text = {s: f"\t{state_str(s)}\n" for s in set(rec.values())}
+        times = sorted(rec)
+        parts = [""] * (2 * len(times))
+        parts[0::2] = map(str, times)
+        parts[1::2] = map(text.__getitem__, map(rec.__getitem__, times))
+        return "".join(parts) or "\n"
 
 
 def _new_run(model, x0, seed, steps, record_at):
@@ -95,18 +101,48 @@ def _new_run(model, x0, seed, steps, record_at):
     return run, record_at
 
 
+class _SiteGraph:
+    """The nodes of a `_site_table` by state tuple, and its count of filled
+    slots."""
+
+    def __init__(self, law):
+        self.law = law
+        self.nodes, self.filled = {}, 0
+
+    def node(self, state):
+        """The node of the state tuple, new if the graph has none."""
+        node = self.nodes.get(state)
+        if node is None:
+            node = self.nodes[state] = [None] * len(state) + [state]
+        return node
+
+    def fill(self, node, v):
+        """Fill slot v of node; returns (node, slot), with node the fresh
+        one for the same state if the graph was dropped."""
+        if self.filled >= _SITE_TABLE_SIZE:
+            self.nodes, self.filled = {}, 0
+            node = self.node(node[-1])
+        state = node[-1]
+        values, probs = self.law(state, v)
+        succ = [self.node(state[:v] + (val,) + state[v + 1:])
+                for val in values]
+        node[v] = slot = (values, _cumulative(probs), succ, len(values) > 1)
+        self.filled += 1
+        return node, slot
+
+
 def _site_table(law):
-    """The site-update law as a bounded table (state, v) -> (values,
-    cumulative probabilities, successor state for each value); each entry
-    calls the law once."""
+    """A run's site-update law as a graph over the states it visits.
 
-    @functools.lru_cache(maxsize=_SITE_TABLE_SIZE)
-    def lookup(state, v):
-        values, probs = law(state, v)
-        nxt = tuple(state[:v] + (val,) + state[v + 1:] for val in values)
-        return values, _cumulative(probs), nxt
-
-    return lookup
+    A node is a list: n site slots, then its state tuple.  The first use of
+    slot v calls the law once and fills the slot with (values, cumulative
+    probabilities (`_cumulative`), successor nodes, whether there is more
+    than one value); a step then follows a pointer and hashes no tuple.
+    Beyond _SITE_TABLE_SIZE filled slots, the next fill drops the whole
+    graph and starts again at a fresh node for the current state, so no old
+    node stays reachable.  The law is deterministic, so dropping changes no
+    draw."""
+    return _SiteGraph(law)
 
 
 # raw words the single-site loop draws at most at once, and the uniform's
@@ -115,18 +151,32 @@ _RAW_BLOCK = 2 ** 10
 _TWO_TO_MINUS_53 = 2.0 ** -53
 
 
-def _raw_words(raw, k):
-    """k raw words as Python ints, by a scalar call for one word."""
-    return [raw()] if k == 1 else raw(k).tolist()
+def _draw_block(bits, steps, n, reject_below):
+    """Raw words for at most `steps` more steps (one uniform and, for n > 1,
+    one site half each), capped at _RAW_BLOCK, decoded once into lists:
+    (low-half sites, high-half sites, high halves, uniforms).  A half draws
+    the site (half * n) >> 32 by Lemire's method, or -1 if the low word of
+    half * n falls below 2^32 mod n (a rejection)."""
+    words = bits.random_raw(
+        min(_RAW_BLOCK, steps + (n > 1) * (steps + 1) // 2))
+    unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
+    if n == 1:
+        return (), (), (), unif
+    high, low = np.divmod(words, 1 << 32)
+    m = np.concatenate((low, high)) * n
+    sites = (m >> 32).astype(np.int64)
+    sites[(m & 0xFFFFFFFF) < reject_below] = -1
+    sites = sites.tolist()
+    return sites[:len(words)], sites[len(words):], high.tolist(), unif
 
 
-def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
+def _site_steps(graph, state, rng, t0, steps, run=None, record_at=(),
                 allowed=None):
     """Advance the state tuple by single-site steps t0+1..t0+steps and return
     it: pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
-    from the site-law `table`.  A law with a single outcome draws no uniform
-    and writes no log entry.  With a run, each redraw is logged and the states
-    at record_at are recorded.
+    from the state `graph` (`_site_table`).  A law with a single outcome
+    draws no uniform and writes no log entry.  With a run, each redraw is
+    logged and the states at record_at are recorded.
 
     rng must be a `make_rng` generator (numpy's PCG64): the raw PCG64 stream
     defines the draws.  They are decoded from raw 64-bit words of its
@@ -140,60 +190,70 @@ def _site_steps(table, state, rng, t0, steps, run=None, record_at=(),
       draws nothing.
     - uniform: `(w >> 11) * 2^-53` of the next word.
 
-    Words come in blocks no larger than what the remaining steps must use
-    (their site halves, or one word for a uniform), so the generator never
-    runs ahead of the draws; on return the spare half is written back, and
-    the generator is the one the per-call draws leave."""
+    Words are drawn in blocks of at most what the remaining steps can use
+    (one uniform and one site half per step), capped at _RAW_BLOCK, and
+    each block is decoded once in numpy (`_draw_block`) into lists of
+    low-half sites, high-half sites, high halves and uniforms that the loop
+    only indexes.  On return the unused words of the last block are handed
+    back by `bit_generator.advance(2**128 - unused)`; then `has_uint32` and
+    `uinteger` are written (advance clears both, and numpy keeps the last
+    high half in `uinteger` after using it), so the generator is the one
+    the per-call draws leave."""
     n = len(state)
     bits = rng.bit_generator
-    raw = bits.random_raw
-    sites = n > 1 and steps > 0
-    has = spare = 0
-    if sites:
-        entry = bits.state
-        has, spare = entry["has_uint32"], entry["uinteger"]
-        has0, spare0 = has, spare
+    entry = bits.state
+    has, spare = entry["has_uint32"], entry["uinteger"]
+    sites = n > 1
     reject_below = (1 << 32) % n
-    words, i, nw = (), 0, 0
+    if sites and has:
+        m = spare * n
+        spare_site = m >> 32 if (m & 0xFFFFFFFF) >= reject_below else -1
+    lo, hi, high, unif, i, nw = (), (), (), (), 0, 0
+    node = graph.node(state)
+    log = run.log.append if run is not None else None
+    recorded = run.recorded if run is not None else None
     end = t0 + steps
     v = 0
     for t in range(t0 + 1, end + 1):
         if sites:
-            low = -1
-            while low < reject_below:
+            v = -1
+            while v < 0:
                 if has:
-                    has, half = 0, spare
-                else:
-                    if i == nw:
-                        # steps t..end need a half each
-                        nw = min(_RAW_BLOCK, (end - t + 2) // 2)
-                        words, i = _raw_words(raw, nw), 0
-                    w = words[i]
-                    i += 1
-                    has, half, spare = 1, w & 0xFFFFFFFF, w >> 32
-                m = half * n
-                low = m & 0xFFFFFFFF
-            v = m >> 32
-        if allowed is None or v in allowed(t - 1):
-            values, cum, nxt = table(state, v)
-            if len(values) > 1:
+                    has, v = 0, spare_site
+                    continue
                 if i == nw:
-                    # this word, then the halves of steps t+1..end
-                    nw = min(_RAW_BLOCK,
-                             1 + (sites * (end - t) - has + 1) // 2)
-                    words, i = _raw_words(raw, nw), 0
-                j = bisect_right(cum, (words[i] >> 11) * _TWO_TO_MINUS_53)
+                    lo, hi, high, unif = _draw_block(bits, end - t + 1, n,
+                                                     reject_below)
+                    i, nw = 0, len(unif)
+                v = lo[i]
+                spare_site = hi[i]
+                spare = high[i]
+                has = 1
                 i += 1
-                state = nxt[j]
-                if run is not None:
-                    run.log.append((t, v, values[j]))
+        if allowed is None or v in allowed(t - 1):
+            slot = node[v]
+            if slot is None:
+                node, slot = graph.fill(node, v)
+            values, cum, succ, multi = slot
+            if multi:
+                if i == nw:
+                    lo, hi, high, unif = _draw_block(bits, end - t + 1, n,
+                                                     reject_below)
+                    i, nw = 0, len(unif)
+                j = bisect_right(cum, unif[i])
+                i += 1
+                node = succ[j]
+                if log is not None:
+                    log((t, v, values[j]))
         if t in record_at:
-            run.recorded[t] = state
-    if sites and (has, spare) != (has0, spare0):
+            recorded[t] = node[n]
+    if nw > i:
+        bits.advance(2 ** 128 - (nw - i))
+    if nw > i or (has, spare) != (entry["has_uint32"], entry["uinteger"]):
         st = bits.state
         st["has_uint32"], st["uinteger"] = has, spare
         bits.state = st
-    return state
+    return node[n]
 
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):

@@ -22,6 +22,11 @@ DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
 # the log of the largest finite float
 _LOG_MAX = math.log(sys.float_info.max)
+# the most states a dense kernel may have: its k x k float matrix is then
+# 128 MiB
+DENSE_GUARD = 4096
+# entries of the largest temporary fd_kernel builds to add one slice
+_FD_BLOCK_ENTRIES = 2 ** 16
 
 
 def enumerate_support(model, guard=ENUM_GUARD) -> Poset:
@@ -59,6 +64,14 @@ def _tilted_weights(model, theta, support: Poset) -> np.ndarray:
     top = max(lws, default=0.0)
     shift = top if top + math.log(max(len(lws), 1)) >= _LOG_MAX else 0.0
     return np.array([math.exp(lw - shift) for lw in lws])
+
+
+def _check_dense(k):
+    """Refuse a dense kernel over more than DENSE_GUARD states."""
+    if k > DENSE_GUARD:
+        raise ValueError(f"a dense kernel over k = {k} states exceeds the "
+                         f"guard of {DENSE_GUARD} ({8 * k * k >> 20} MiB "
+                         "per matrix)")
 
 
 def point_mass(support: Poset, state) -> np.ndarray:
@@ -129,6 +142,7 @@ def _law_kernel(model, law, site, support) -> Kernel:
     each entry is the sum a loop over states, sites and values would form,
     in the same order (a zero-probability pair adds 0.0 to the diagonal)."""
     support = support or enumerate_support(model)
+    _check_dense(support.size)
     sites = range(model.n_vars) if site is None else (site,)
     succ, prob = _law_arrays(law, support, sites, len(model.alphabet))
     k = support.size
@@ -150,6 +164,7 @@ def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
     every Y with the same contraction."""
     support = support or enumerate_support(lifted)
     k = support.size
+    _check_dense(k)
     mat = np.zeros((k, k))
     for i, s in enumerate(support.states):
         for y, pr in _lift_fanout(contract(s), lifted.theta, 1.0):
@@ -181,6 +196,7 @@ def fd_kernel(model, theta, support=None) -> Kernel:
         raise ValueError("field-dynamics kernel is guarded to 20 variables")
     support = support or enumerate_support(model)
     k, n = support.size, model.n_vars
+    _check_dense(k)
     w = _tilted_weights(model, theta, support)
     ones = support.array == 1
     count = ones.sum(axis=1)
@@ -192,8 +208,11 @@ def fd_kernel(model, theta, support=None) -> Kernel:
         if z == 0.0:
             raise ValueError("tilted weights underflow to 0 on a "
                              "pinned slice")
-        mat[np.ix_(idx, idx)] += np.outer(move[count[idx], len(kept)],
-                                          w[idx] / z)
+        # in row blocks, so that no temporary exceeds _FD_BLOCK_ENTRIES
+        rows, to = move[count[idx], len(kept)], w[idx] / z
+        per = max(1, _FD_BLOCK_ENTRIES // idx.size)
+        for a in range(0, idx.size, per):
+            mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per], to)
     return Kernel(support, mat, stationary=stationary_distribution(model, support))
 
 

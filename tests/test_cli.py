@@ -373,6 +373,19 @@ class TestErrors:
                         "--params", rc_params]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_dense_guard_exits_two(self, tmp_path, capsys):
+        # default verify on flipped RC on C8 lifts to k = 6561 states, past
+        # the dense-kernel guard: refused before the 328 MiB matrix exists
+        graph = write(tmp_path / "c8.graph", "8 8\n" + "".join(
+            f"{i} {(i + 1) % 8}\n" for i in range(8)))
+        params = write(tmp_path / "rc.params", "model = rc\n"
+                       "p.default = 0.5\nlambda.default = 0.5\n"
+                       "theta = 0.5\n")
+        assert run_cli(["verify", "--graph", graph, "--params", params,
+                        "--transform", "flip"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k = 6561" in err
+
     def test_internal_error_exits_three(self, k2, rc_params, monkeypatch,
                                         capsys):
         def boom(args):

@@ -1,8 +1,10 @@
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glauberlab import dynamics, exact, models
 from glauberlab.dynamics import (ChainRun, Schedule, censored_glauber,
@@ -417,6 +419,22 @@ class TestSiteTable:
                                              record_at=range(501))
         assert same_run(run, ref)
 
+    def test_dropped_graph_is_left_behind(self):
+        # a one-slot graph is dropped at each fill; the loop goes on from a
+        # fresh node, so a site picked again after another one calls the
+        # law again.  Every site keeps its value, so the state stays put.
+        calls = []
+
+        def law(state, v):
+            calls.append(v)
+            return (state[v],), (1.0,)
+
+        with mock.patch.object(dynamics, "_SITE_TABLE_SIZE", 1):
+            steps_vs_per_call(law, (0,) * 4, 200)
+        ours, picked = calls[:-200], calls[-200:]  # the oracle calls per step
+        assert ours == [v for i, v in enumerate(picked)
+                        if i == 0 or v != picked[i - 1]]
+
     def test_conditional_calls_bounded_by_states_times_sites(self, rng,
                                                             monkeypatch):
         for m, x0 in table_cases(rng):
@@ -590,3 +608,40 @@ class TestBlockDraws:
                 handing_out(monkeypatch, b)
                 assert same_run(run, oracle())
                 assert a.bit_generator.state == b.bit_generator.state
+
+
+def frozen_at(law, stars):
+    """law, except that each site of stars keeps its value: a single
+    outcome, as a star of a lifted state has."""
+    return lambda state, v: (((state[v],), (1.0,)) if v in stars
+                             else law(state, v))
+
+
+class TestBlockDrawProperties:
+    """Random site-step runs equal the per-call draws: log, recorded
+    states, final state and generator state."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_call_draws(self, n, data):
+        # n = 3, 6, 7 and 13 reject some halves (2^32 mod n > 0); a carried
+        # spare 0 is always rejected.  A two-slot graph is dropped again and
+        # again mid-run.
+        sites = st.integers(0, n - 1)
+        stars = data.draw(st.frozensets(sites), label="stars")
+        spare = data.draw(st.one_of(st.none(), st.just(0),
+                                    st.integers(0, 2 ** 32 - 1)),
+                          label="spare")
+        sets = data.draw(st.one_of(st.none(), st.lists(
+            st.frozensets(sites), min_size=1, max_size=6)), label="allowed")
+        steps = data.draw(st.integers(0, 3 * dynamics._RAW_BLOCK + 1),
+                          label="steps")
+        slots = data.draw(st.sampled_from([2, dynamics._SITE_TABLE_SIZE]),
+                          label="slots")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        allowed = None if sets is None else (lambda t: sets[t % len(sets)])
+        law = frozen_at(models.heat_bath_law(path_hardcore(n)), stars)
+        with mock.patch.object(dynamics, "_SITE_TABLE_SIZE", slots):
+            steps_vs_per_call(law, (0,) * n, steps, seed=seed, spare=spare,
+                              allowed=allowed)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -823,6 +824,45 @@ class TestUnderflowAndRanges:
         with np.errstate(all="raise"):
             ker = fd_kernel(tri, 0.5)
         assert np.allclose(ker.matrix.sum(axis=1), 1.0)
+
+
+class TestDenseGuard:
+    """Every dense kernel builder refuses more than DENSE_GUARD states with a
+    ValueError naming k, before it allocates the matrix."""
+
+    def test_builders_refuse_past_the_guard(self, monkeypatch):
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                    [0.5] * 3, [0.5] * 3))
+        lifted = models.LiftedModel(m, 0.5)
+        monkeypatch.setattr(exact, "DENSE_GUARD", 7)
+        for build in (lambda: glauber_kernel(m),
+                      lambda: glauber_kernel(m, site=0),
+                      lambda: star_glauber_kernel(lifted),
+                      lambda: freeze_kernel(lifted),
+                      lambda: fd_kernel(m, 0.5)):
+            with pytest.raises(ValueError, match=r"k = (8|27) states"):
+                build()
+
+    def test_guard_admits_its_own_size(self, monkeypatch):
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                    [0.5] * 3, [0.5] * 3))
+        monkeypatch.setattr(exact, "DENSE_GUARD", 8)
+        assert glauber_kernel(m).matrix.shape == (8, 8)
+        assert fd_kernel(m, 0.5).matrix.shape == (8, 8)
+
+    def test_fd_kernel_adds_slices_in_row_blocks(self):
+        # flipped RC on C10 (k = 1024): the temporaries of a slice stay
+        # small next to the 8 MiB output matrix
+        c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+        m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
+        sup = enumerate_support(m)
+        tracemalloc.start()
+        try:
+            ker = fd_kernel(m, 0.5, sup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ker.matrix.nbytes
 
 
 class TestCsv:
