@@ -3,9 +3,11 @@
 States are tuples over {0, 1} or {0, 1, STAR}.  The ternary chain order is
 0 < 1 < STAR, so plain integer comparison (STAR = 2) realizes both orders.
 Provides up-set enumeration, the covering pairs and height of a poset, and
-two exact tests for stochastic dominance: sums over enumerated up-sets for
-many row pairs at once, and a max-flow feasibility test with a violating
-up-set as its witness.
+exact tests for stochastic dominance, all on the same integers and slack: a
+max-flow feasibility test with a violating up-set as its witness, and, for
+many row pairs at once, either sums over enumerated up-sets (small posets)
+or each row's largest up-set excess by a table of closure sums or one
+closure min cut (larger posets).
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ _FLOW_SCALE = 10 ** 15
 # posets with at most this many up-sets decide dominance by up-set sums; the
 # up-set matrix of such a poset is at most _UP_SET_CAP x 32 floats (1 MB)
 _UP_SET_CAP = 4096
+# above the up-set cap, a stack row whose closure table (2^g subsets of g
+# generators, times the |W| elements where the two laws differ) has at most
+# this many entries is decided by the table, a larger one by a min cut
+_TABLE_ENTRIES = 2 ** 16
 # row pairs per stack in first_dominance_failure and in the cover stage of
 # the order checks; a stack's up-set sums are PAIR_BLOCK x (#up-sets)
 PAIR_BLOCK = 64
@@ -366,16 +372,122 @@ def _flow_dominance(nu, nu_prime, poset: Poset, slack: int):
         i for a, i in enumerate(src.tolist()) if 1 + a in reach)
 
 
-def _first_violation(nus, nus_prime, up_sets: np.ndarray, slack: int):
+def _table_chunk(signed: np.ndarray, rel: np.ndarray, g: int):
+    """Per row s of signed, with at most g positive entries P (generators):
+    the max over subsets A of P of s(A) + s(N ∩ rel-image of A), N the
+    negative entries.  That is the max of s over rel-images of subsets of
+    P: an image scores at least the value of A, and exactly that of its own
+    trace on P.  Generator subsets are bitmasks; a row with fewer
+    generators is padded with generators of zero mass that reach nothing.
+    With key(n) the generators that reach n, the image of A misses n iff
+    key(n) lies in the complement of A, so the loss of every A comes from
+    one subset-sum transform of the masses of N placed at their keys."""
+    pos = signed > 0
+    rows, cols = np.nonzero(pos)
+    gens = np.zeros((len(signed), g), dtype=np.intp)
+    gens[rows, (np.cumsum(pos, axis=1) - 1)[rows, cols]] = cols
+    real = np.arange(g) < pos.sum(axis=1)[:, None]
+    rows, negs = np.nonzero(signed < 0)
+    reach = rel[gens[rows], negs[:, None]] & real[rows]
+    missed = np.zeros((len(signed), 1 << g), dtype=np.int64)
+    np.add.at(missed, (rows, reach @ (1 << np.arange(g))), signed[rows, negs])
+    value = np.zeros_like(missed)
+    gen_mass = np.where(real, np.take_along_axis(signed, gens, 1), 0)
+    for i in range(g):
+        np.add(value[:, :1 << i], gen_mass[:, i, None],
+               out=value[:, 1 << i:2 << i])
+        # missed[C] becomes the mass of N with key(n) within C
+        half = missed.reshape(len(signed), -1, 2, 1 << i)
+        half[:, :, 1] += half[:, :, 0]
+    # value[A] = s(A) + s(N) - missed[complement of A]: A = 0 scores 0
+    value += missed[:, -1:]
+    value -= missed[:, ::-1]
+    return value.max(axis=1)
+
+
+def _table_excess(signed: np.ndarray, rel: np.ndarray):
+    """_table_chunk over every row of signed, in chunks of rows in order of
+    their generator count whose padded tables hold at most _TABLE_ENTRIES
+    subsets together."""
+    g = (signed > 0).sum(axis=1)
+    order = np.argsort(g, kind="stable").tolist()
+    g = g.tolist()
+    out = np.empty(len(signed), dtype=np.int64)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while (stop < len(order) and
+               (stop + 1 - start) << g[order[stop]] <= _TABLE_ENTRIES):
+            stop += 1
+        rows = order[start:stop]
+        out[rows] = _table_chunk(signed[rows], rel, g[order[stop - 1]])
+        start = stop
+    return out
+
+
+def _closure_cut(d: np.ndarray, poset: Poset) -> int:
+    """max over up-sets U of d(U) for an integer row d of total 0, by one
+    min cut (Picard): source arcs carry d on its positive entries P, sink
+    arcs carry -d on its negative entries N, and the order arcs, of capacity
+    _FLOW_SCALE (no less than the whole source capacity), are the leq pairs
+    P -> N or the covers of the poset, whichever are fewer.  The excess is
+    the source capacity less the max flow."""
+    pos = np.flatnonzero(d > 0)
+    neg = np.flatnonzero(d < 0)
+    pairs = np.nonzero(poset.leq_matrix()[np.ix_(pos, neg)])
+    if len(pairs[0]) <= len(poset.covers):
+        # nodes: source, P, N, sink
+        node = {e: v for v, e in enumerate(pos.tolist() + neg.tolist(), 1)}
+        arcs = zip(pos[pairs[0]].tolist(), neg[pairs[1]].tolist())
+    else:
+        # nodes: source, every element, sink
+        node = range(1, poset.size + 1)
+        arcs = poset.covers.tolist()
+    s, t = 0, len(node) + 1
+    net = _Dinic(t + 1)
+    for i, j in arcs:
+        net.add_edge(node[i], node[j], _FLOW_SCALE)
+    for i in pos.tolist():
+        net.add_edge(s, node[i], int(d[i]))
+    for j in neg.tolist():
+        net.add_edge(node[j], t, -int(d[j]))
+    return int(d[pos].sum()) - net.max_flow(s, t)
+
+
+def _first_violation(nus, nus_prime, poset: Poset, slack: int):
     """First row r with nus[r](U) > nus_prime[r](U) + slack for some up-set U
-    (a row of the indicator matrix up_sets) or with an invalid row on either
-    side, or None."""
+    of the poset, in integers at the scale, or with an invalid row on either
+    side, or None.  With an up_set_matrix, by the sums over its up-sets;
+    else each row's excess max_U d(U), d the integer row difference, by its
+    closure table when that has at most _TABLE_ENTRIES entries, and by one
+    closure cut otherwise, the cuts in row order up to the first failure."""
     bad = _invalid(nus) | _invalid(nus_prime)
     with np.errstate(invalid="ignore"):  # non-finite rows are bad already
         diff = (_scale_to_ints(np.clip(nus, 0.0, None))
                 - _scale_to_ints(np.clip(nus_prime, 0.0, None)))
-    fail = bad | ((diff @ up_sets.T) > slack).any(axis=1)
-    return int(fail.argmax()) if fail.any() else None
+    if poset.up_set_matrix is not None:
+        fail = bad | ((diff @ poset.up_set_matrix.T) > slack).any(axis=1)
+        return int(fail.argmax()) if fail.any() else None
+    n_pos = (diff > 0).sum(axis=1)
+    n_neg = (diff < 0).sum(axis=1)
+    up = n_pos <= n_neg
+    # 2^g |W| entries, g = min(n_pos, n_neg) (capped where 2^g alone is over)
+    table = ~bad & ((n_pos + n_neg) << np.minimum(n_pos, n_neg).clip(max=17)
+                    <= _TABLE_ENTRIES)
+    fail = bad.copy()
+    leq = poset.leq_matrix()
+    # the dual side: max_U d(U) = max over down-sets D of -d(D), as d sums
+    # to 0, so the negative entries generate down-closures
+    for side, sign, rel in ((up, 1, leq), (~up, -1, leq.T)):
+        rows = np.flatnonzero(table & side)
+        fail[rows] = _table_excess(sign * diff[rows], rel) > slack
+    first = int(fail.argmax()) if fail.any() else len(fail)
+    for r in np.flatnonzero(~table & ~bad).tolist():
+        if r > first:
+            break
+        if _closure_cut(diff[r], poset) > slack:
+            return r
+    return first if first < len(fail) else None
 
 
 def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
@@ -391,13 +503,27 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     nu(U) > nu_prime(U).
 
     nu and nu_prime may also be (b, k) stacks, tested row by row; the witness
-    is then (r, U) for the first failing row r.  When the poset has an
-    up_set_matrix, the stack is decided by sums over its up-sets: the rows
-    are validated, scaled to integers and given the same slack as for the
-    flow, so each row's verdict is the flow's (max-flow = min-cut), and the
-    sums are exact in float64, every partial sum being an integer of
-    magnitude at most _FLOW_SCALE < 2**53.  Only the first failing row then
-    goes through the flow, which gives its witness.
+    is then (r, U) for the first failing row r.  A stack is validated and
+    scaled to integers once, with the same slack as for the flow; a row
+    fails iff its excess max_U d(U), d the integer difference of its two
+    rows, is above the slack, which is the flow's verdict (the max flow is
+    _FLOW_SCALE minus that excess: max-flow = min-cut).  The excess comes from
+    the first of these that applies:
+
+    1. the poset's up_set_matrix: one product over every up-set, exact in
+       float64, every partial sum being an integer of magnitude at most
+       _FLOW_SCALE < 2**53;
+    2. a closure table: for A = U ∩ P, P the positive entries of d, the
+       up-closure of A lies in U and holds A, so d(up(A)) >= d(U), and the
+       maximum is reached at the up-closure of a subset of P.  Dually, as d
+       sums to 0, it is max over down-sets D of -d(D), reached at the
+       down-closure of a subset of the negative entries N.  The side with
+       fewer entries, g = min(|P|, |N|), is enumerated, all 2^g subsets in
+       int64, when 2^g |P ∪ N| is at most _TABLE_ENTRIES;
+    3. one min cut (Picard) on P, N and the order, by _closure_cut.
+
+    Only the first failing row then goes through the flow, which gives its
+    witness, or raises if that row is invalid.
 
     split > 1 tests each pair at the integer slack s = _slack(tol, k) //
     split instead.  Rows are scaled to integers the same way whatever they
@@ -415,13 +541,9 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
         return _flow_dominance(nu, nu_prime, poset, slack)
     if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
         raise ValueError("distribution length does not match the poset")
-    if poset.up_set_matrix is None:
-        rows = range(len(nu))
-    else:
-        # the flow confirms the first failing row, or raises if it is invalid
-        r = _first_violation(nu, nu_prime, poset.up_set_matrix, slack)
-        rows = [] if r is None else [r]
-    for r in rows:
+    # the flow confirms the first failing row, or raises if it is invalid
+    r = _first_violation(nu, nu_prime, poset, slack)
+    if r is not None:
         ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, slack)
         if not ok:
             return False, (r, wit)

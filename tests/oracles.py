@@ -2,7 +2,8 @@
 single-site samplers.
 
 These are the slow forms the fast code replaced, kept to compare against:
-the max-flow over the full k x k order network, one flow per comparable
+the max-flow over the full k x k order network, one flow per row of a
+dominance stack above the up-set cap, one flow per comparable
 pair in the monotonicity check, one flow per extreme ray in the kernel
 comparison, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
@@ -68,6 +69,23 @@ def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
         return True, None
     reach = net.reachable_in_residual(s)
     return False, poset.up_closure([i for i in range(k) if (1 + i) in reach])
+
+
+def per_row_flow_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL, *,
+                           split=1):
+    """stochastic_dominance of (b, k) stacks by one support-restricted flow
+    per row, in row order: raises at an invalid row, returns (False, (r, U))
+    at the first failing row r."""
+    nu = np.asarray(nu, dtype=float)
+    nu_prime = np.asarray(nu_prime, dtype=float)
+    if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
+        raise ValueError("distribution length does not match the poset")
+    slack = ordercore._slack(tol, poset.size) // split
+    for r in range(len(nu)):
+        ok, wit = ordercore._flow_dominance(nu[r], nu_prime[r], poset, slack)
+        if not ok:
+            return False, (r, wit)
+    return True, None
 
 
 def comparable_pairs(poset: Poset):

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glauberlab import cli
+from glauberlab import cli, ordercore
 
 
 def write(path, text):
@@ -115,6 +116,49 @@ class TestVerify:
                         "--transform", "flip", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err and value in err
+
+
+def cycle_graph(tmp_path, n):
+    return write(tmp_path / f"c{n}.graph", f"{n} {n}\n" + "".join(
+        f"{i} {(i + 1) % n}\n" for i in range(n)))
+
+
+class TestLiftedOrderCeilings:
+    """Order checks on posets far above the up-set cap."""
+
+    def test_flipped_rc_c6_dominance_and_monotonicity(self, tmp_path):
+        # lifted k = 729: the freeze kernel's cover rows have 16 or 32
+        # entries of each sign, past every closure table, so they take cuts
+        params = write(tmp_path / "rc.params", "model = rc\n"
+                       "p.default = 0.5\nlambda.default = 0.5\n"
+                       "theta = 0.5\n")
+        out = tmp_path / "verify.json"
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            assert run_cli(["verify", "--graph", cycle_graph(tmp_path, 6),
+                            "--params", params, "--transform", "flip",
+                            "--check", "dominance",
+                            "--check", "stochastic-monotonicity",
+                            "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["all_pass"] and all(r["observed"] for r in rep["results"])
+        sides = {min(int((d > 0).sum()), int((d < 0).sum()))
+                 for (d, _), _ in cut.call_args_list}
+        assert {16, 32} <= sides
+
+    def test_plain_hardcore_c9_witness(self, tmp_path, capsys):
+        # negative control above the cap: 76 independent sets of C9
+        params = write(tmp_path / "hc.params", "model=hardcore\nlambda=1.0\n")
+        assert run_cli(["verify", "--graph", cycle_graph(tmp_path, 9),
+                        "--params", params,
+                        "--check", "stochastic-monotonicity"]) == 0
+        r = json.loads(capsys.readouterr().out)["results"][0]
+        assert r["observed"] is False and r["expected"] is False
+        assert r["witness"] == (
+            "((0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1), "
+            "frozenset({2, 7, 10, 15, 20, 23, 28, 31, 36, 41, 44, 49, 54, 55, "
+            "56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, "
+            "72, 73, 74, 75}))")
 
 
 class TestSample:

@@ -423,7 +423,7 @@ class TestChecksMatchOracles:
 
     def test_lifted_c4_kernels(self):
         # the exact-large verify instance: 81 states, more than the up-set
-        # path takes, so one flow per cover
+        # path takes, so closure tables and cuts per cover
         lm = lift_model(flip(RandomClusterModel(
             Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [0.5] * 4,
             [0.5] * 4)), 0.5)

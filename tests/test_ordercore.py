@@ -1,18 +1,21 @@
+import functools
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glauberlab import ordercore
+from glauberlab import exact, models, ordercore
 from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   enumerate_up_sets, first_dominance_failure,
                                   is_increasing, is_up_set, leq, lift,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance)
 from oracles import (brute_covers, brute_height, dominance_by_up_sets,
-                     full_network_dominance)
+                     full_network_dominance, per_row_flow_dominance)
 
 
 def chain(vals):
@@ -367,7 +370,7 @@ class TestDominanceOracles:
                                  split=0)
 
     def test_flow_fallback_above_the_cap(self, rng):
-        # 64 elements: no up-set matrix, one support-restricted flow per pair
+        # 64 elements: no up-set matrix, closure tables and cuts per pair
         p = Poset(tuple(itertools.product((0, 1), repeat=6)))
         assert p.up_set_matrix is None
         pairs = [row_pair(rng, p, PROB_TOL, kind) for kind in
@@ -381,19 +384,189 @@ class TestDominanceOracles:
         assert stochastic_dominance(nus, nus_prime, p) == (False, want)
 
     def test_invalid_row_after_a_violation_is_not_reached(self):
-        p = chain((0, 1))
-        bad = [0.5, 0.6]
-        half = [[0.5, 0.5], [0.5, 0.5]]
-        assert stochastic_dominance([[0.2, 0.8], bad], half, p) == (
-            False, (0, frozenset({1})))
-        with pytest.raises(ValueError, match="probability vector"):
-            stochastic_dominance([[0.5, 0.5], bad], half, p)
-        with pytest.raises(ValueError, match="probability vector"):
-            stochastic_dominance([[0.5, 0.5]], [[np.nan, 1.0]], p)
-        with pytest.raises(ValueError, match="length"):
-            stochastic_dominance([[1.0]], [[1.0]], p)
-        with pytest.raises(ValueError, match="length"):
-            stochastic_dominance(half, half[:1], p)
+        # a 2-element chain (up-set sums) and {0,1}^6 (64 elements: closure
+        # tables); each law puts its mass on the bottom and the top
+        for n in (1, 6):
+            p = Poset(tuple(itertools.product((0, 1), repeat=n)))
+            bottom_top = np.zeros((3, p.size))
+            bottom_top[:, [0, -1]] = [[0.2, 0.8], [0.5, 0.6], [0.5, 0.5]]
+            violating, bad, half = bottom_top
+            assert stochastic_dominance([violating, bad], [half, half], p) == (
+                False, (0, frozenset({p.size - 1})))
+            with pytest.raises(ValueError, match="probability vector"):
+                stochastic_dominance([half, bad], [half, half], p)
+            nan = half.copy()
+            nan[0] = np.nan
+            with pytest.raises(ValueError, match="probability vector"):
+                stochastic_dominance([half], [nan], p)
+            with pytest.raises(ValueError, match="length"):
+                stochastic_dominance([[1.0]], [[1.0]], p)
+            with pytest.raises(ValueError, match="length"):
+                stochastic_dominance([half, half], [half], p)
+
+
+@functools.cache
+def lifted_c4():
+    """The support of the exact-large verify instance: flipped RC on C4,
+    lifted at theta = 0.5 (81 states), with the laws of its dominance check
+    and its three lifted kernels."""
+    c4 = models.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    m = models.flip(models.RandomClusterModel(c4, [0.5] * 4, [0.5] * 4))
+    lm = models.lift_model(m, 0.5)
+    sup, lsup = exact.enumerate_support(m), exact.enumerate_support(lm)
+    pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,) * 4), sup, 0.5,
+                                 lsup)
+    alg = exact.propagate(pi0, exact.algorithm_kernel_sequence(
+        m, 0.5, 2, 3, steps=12)[2])
+    lker = exact.glauber_kernel(lm, lsup)
+    laws = exact.propagate(pi0, [lker] * 20)[:len(alg)]
+    kernels = (lker, exact.freeze_kernel(lm, lsup),
+               exact.star_glauber_kernel(lm, lsup))
+    return lsup, np.array(laws), np.array(alg), kernels
+
+
+@st.composite
+def large_posets(draw):
+    """Lifted C4, or a random sub-poset of {0,1,*}^n of 33 to 100 elements:
+    above the up-set cap."""
+    if draw(st.booleans()):
+        return lifted_c4()[0]
+    n = draw(st.integers(4, 5))
+    elems = list(itertools.product((0, 1, STAR), repeat=n))
+    size = draw(st.integers(33, min(100, len(elems))))
+    keep = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice(
+        len(elems), size, replace=False)
+    return Poset(tuple(elems[i] for i in sorted(keep)))
+
+
+def closure_tie(rng, poset, excess, n_atoms):
+    """A pair whose largest up-set excess is exactly excess flow units, with
+    left on n_atoms elements (the first one, where the closure table's pad
+    slots point, half the time): right moves excess units from b down to
+    some a < b, then pushes mass up within U = up(b) and within its
+    complement only, which lowers no up-set's mass; so U keeps the excess
+    and no up-set has more."""
+    k = poset.size
+    m = poset.leq_matrix()
+    below = np.argwhere(m & ~np.eye(k, dtype=bool))
+    a, b = below[rng.integers(len(below))]
+    atoms = rng.choice(k, n_atoms, replace=False)
+    if rng.random() < 0.5 and 0 not in atoms:
+        atoms[0] = 0
+    left = np.zeros(k, dtype=np.int64)
+    left[atoms] = np.rint(rng.dirichlet(np.ones(n_atoms)) * (SCALE - excess))
+    left[left.argmax()] += SCALE - excess - left.sum()
+    left[b] += excess
+    right = left.copy()
+    right[b] -= excess
+    right[a] += excess
+    for i in rng.permutation(np.flatnonzero(right))[:n_atoms]:
+        up = np.flatnonzero(m[i] & (m[b] == m[b, i]))
+        x = int(rng.integers(0, right[i] + 1))
+        right[i] -= x
+        right[up[rng.integers(len(up))]] += x
+    return left / SCALE, right / SCALE
+
+
+def stack_row(rng, poset, slack, kind):
+    k = poset.size
+    if kind == "few":
+        # a dominated pair on a few atoms: a closure table row
+        return closure_tie(rng, poset, 0, int(rng.integers(1, 8)))
+    if kind == "tie":
+        # a dense tie takes a cut, a tie on a few atoms a table
+        n_atoms = k if rng.random() < 0.5 else int(rng.integers(1, 8))
+        return closure_tie(rng, poset, slack + int(rng.integers(2)), n_atoms)
+    if kind == "lopsided":
+        # one side on at most three elements: few entries of one sign
+        few = np.zeros(k)
+        few[rng.choice(k, int(rng.integers(1, 4)), replace=False)] = 1.0
+        pair = (random_row(rng, k, False), few / few.sum())
+        return pair if rng.random() < 0.5 else pair[::-1]
+    if kind == "invalid":
+        pair = row_pair(rng, poset, PROB_TOL, "dominated")
+        bad, i = pair[rng.integers(2)], rng.integers(k)
+        bad[i] = [np.nan, -1e-9, bad[i] + 1e-9][rng.integers(3)]
+        return pair
+    return row_pair(rng, poset, PROB_TOL, kind)
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except ValueError as e:
+        return "raises", str(e)
+
+
+class TestClosureStacks:
+    """Stacks above the up-set cap: closure tables and closure cuts against
+    one flow per row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_posets(), st.data(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, PROB_TOL]))
+    def test_stacks_match_per_row_flows(self, poset, data, seed, tol):
+        split = data.draw(st.sampled_from([1, 2, poset.height]))
+        # most rows pass, so that later rows are reached
+        kinds = data.draw(st.lists(st.sampled_from(
+            ["dominated", "few", "few", "tie", "tie", "sparse", "random",
+             "invalid", "lopsided", "lopsided"]),
+            min_size=1, max_size=6))
+        rng = np.random.default_rng(seed)
+        slack = ordercore._slack(tol, poset.size) // split
+        nus, nups = map(np.array, zip(*[stack_row(rng, poset, slack, kind)
+                                        for kind in kinds]))
+        want = outcome(per_row_flow_dominance, nus, nups, poset, tol,
+                       split=split)
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            got = outcome(stochastic_dominance, nus, nups, poset, tol,
+                          split=split)
+        assert got == want
+        # before any flow, the decision stops where the flows stop: at the
+        # first failing row, else at the first invalid one
+        invalid = np.flatnonzero(ordercore._invalid(nus)
+                                 | ordercore._invalid(nups)).tolist()
+        stop = (want[1][0] if want[0] is False
+                else invalid[0] if invalid else None)
+        assert ordercore._first_violation(nus, nups, poset, slack) == stop
+        # a row takes a cut only if the closure table of neither side fits
+        for (d, _), _ in cut.call_args_list:
+            g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
+            assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_tie_on_a_cut_row(self, rng, offset):
+        # dense rows: both sides too large for a table, so the cut decides
+        p = lifted_c4()[0]
+        for split in (1, 2, p.height):
+            slack = ordercore._slack(PROB_TOL, p.size) // split
+            nu, nup = closure_tie(rng, p, slack + offset, p.size)
+            d = (ordercore._scale_to_ints(nu)
+                 - ordercore._scale_to_ints(nup))
+            g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
+            assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
+            assert ordercore._closure_cut(d, p) == slack + offset
+            got = stochastic_dominance([nu], [nup], p, split=split)
+            assert got[0] == (offset == 0)
+            assert got == per_row_flow_dominance([nu], [nup], p, split=split)
+
+    def test_table_memory_on_lifted_c4(self):
+        # the dominance laws of the exact-large verify instance, and the
+        # cover stacks of its three lifted kernels, in at most 2 MB each
+        p, laws, alg, kernels = lifted_c4()
+        stacks = [(laws, alg, 1)] + [
+            (*ker.matrix[p.covers[c:c + ordercore.PAIR_BLOCK].T], p.height)
+            for ker in kernels
+            for c in range(0, len(p.covers), ordercore.PAIR_BLOCK)]
+        for nus, nups, split in stacks:
+            tracemalloc.start()
+            try:
+                assert stochastic_dominance(nus, nups, p, split=split)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
 
 
 class TestCovers:
