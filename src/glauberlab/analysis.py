@@ -276,13 +276,10 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
 
     candidates = [np.eye(k)[i] for i in range(k)]
     if k <= 22:
-        for u in enumerate_up_sets(sup):
-            nu = np.zeros(k)
-            for i in u:
-                nu[i] = mu[i]
-            mass = nu.sum()
-            if mass > 0.0:  # not the empty set, nor a mass lost to underflow
-                candidates.append(nu / mass)
+        nus = enumerate_up_sets(sup) * mu
+        mass = nus.sum(axis=1)
+        keep = mass > 0.0  # not the empty set, nor a mass lost to underflow
+        candidates.extend(nus[keep] / mass[keep, None])
     best_r, best_nu = 0.0, None
     for nu in candidates:
         r = ratio(nu)
@@ -474,8 +471,9 @@ class IndependenceReport:
 
 def independence_report(model, rng=None) -> IndependenceReport:
     rep = IndependenceReport()
-    rep.sinf = max_sinf_norm(model)
+    # first: its variable guard refuses a model before any n 3^n table is built
     rep.marginal_stability = marginal_stability(model)
+    rep.sinf = max_sinf_norm(model)
     rep.coupling = coupling_independence(model)
     r, nu = ei_witness(model, rng=rng)
     rep.ei_ratio = r

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ordercore import (PAIR_BLOCK, PROB_TOL, STAR, Poset, contract,
                         enumerate_up_sets, first_dominance_failure, state_str,
-                        stochastic_dominance)
+                        stochastic_dominance, up_set_of_row)
 from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
                      tilt)
 
@@ -75,6 +75,8 @@ def _check_dense(k):
 
 
 def point_mass(support: Poset, state) -> np.ndarray:
+    if state not in support:
+        raise ValueError(f"state {state_str(state)} is not in the support")
     v = np.zeros(support.size)
     v[support.index(state)] = 1.0
     return v
@@ -422,26 +424,27 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL):
 
     It suffices to test the extreme rays nu_U proportional to mu restricted to
     an up-set U, since every increasing-density nu is a mixture of these and
-    dominance is preserved under mixtures.
+    dominance is preserved under mixtures.  The rays are the rows of mass
+    row . mu > 0 of the up-set matrix (above its cap, of enumerate_up_sets),
+    tested in blocks of PAIR_BLOCK rows, each one product per kernel and one
+    stochastic_dominance stack.
 
     Returns (True, None) or (False, (up_set, "extreme-ray")).
     """
     mu = p.stationary if mu is None else np.asarray(mu, float)
     poset = p.support
-    rays = [(u, mass) for u in poset.up_sets or enumerate_up_sets(poset)
-            if (mass := sum(mu[i] for i in u)) > 0.0]
-
-    def ray_laws():
-        for u, mass in rays:
-            nu = np.zeros(poset.size)
-            for i in u:
-                nu[i] = mu[i] / mass
-            yield nu
-
-    fail = first_dominance_failure(
-        ((nu @ p.matrix, nu @ q.matrix) for nu in ray_laws()), poset, tol=tol)
-    if fail is not None:
-        return False, (rays[fail[0]][0], "extreme-ray")
+    rows = poset.up_set_matrix
+    if rows is None:
+        rows = enumerate_up_sets(poset)
+    for start in range(0, len(rows), PAIR_BLOCK):
+        block = rows[start:start + PAIR_BLOCK]
+        mass = block @ mu
+        block, mass = block[mass > 0.0], mass[mass > 0.0]
+        nus = block * mu / mass[:, None]
+        ok, wit = stochastic_dominance(nus @ p.matrix, nus @ q.matrix, poset,
+                                       tol=tol)
+        if not ok:
+            return False, (up_set_of_row(poset, block[wit[0]]), "extreme-ray")
     return True, None
 
 

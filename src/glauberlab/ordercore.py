@@ -2,12 +2,13 @@
 
 States are tuples over {0, 1} or {0, 1, STAR}.  The ternary chain order is
 0 < 1 < STAR, so plain integer comparison (STAR = 2) realizes both orders.
-Provides up-set enumeration, the covering pairs and height of a poset, and
-exact tests for stochastic dominance, all on the same integers and slack: a
-max-flow feasibility test with a violating up-set as its witness, and, for
-many row pairs at once, either sums over enumerated up-sets (small posets)
-or each row's largest up-set excess by a table of closure sums or one
-closure min cut (larger posets).
+Provides up-set enumeration, as one indicator matrix with a row per up-set,
+the covering pairs and height of a poset, and exact tests for stochastic
+dominance, all on the same integers and slack: every pair or stack of pairs
+is decided by sums over the rows of the up-set matrix (small posets) or
+each row's largest up-set excess by a table of closure sums or one closure
+min cut (larger posets), and only the first failing row goes through a
+max-flow feasibility test, which gives a violating up-set as its witness.
 """
 
 from __future__ import annotations
@@ -137,25 +138,23 @@ class Poset:
         return m
 
     @cached_property
-    def up_sets(self) -> tuple | None:
-        """Every up-set (as enumerate_up_sets lists them), computed once, or
-        None when there are more than _UP_SET_CAP of them or more than 32
+    def up_set_matrix(self) -> np.ndarray | None:
+        """Read-only float 0/1 rows of enumerate_up_sets, computed once, or
+        None when there are more than _UP_SET_CAP up-sets or more than 32
         elements."""
         try:
-            return tuple(enumerate_up_sets(self, max_up_sets=_UP_SET_CAP))
+            ind = enumerate_up_sets(self, max_up_sets=_UP_SET_CAP) * 1.0
         except ValueError:
             return None
-
-    @cached_property
-    def up_set_matrix(self) -> np.ndarray | None:
-        """Read-only indicator rows (float 0/1) of up_sets, or None."""
-        if self.up_sets is None:
-            return None
-        ind = np.zeros((len(self.up_sets), self.size))
-        for r, u in enumerate(self.up_sets):
-            ind[r, list(u)] = 1.0
         ind.flags.writeable = False
         return ind
+
+    @cached_property
+    def extension(self) -> list:
+        """Element indices by decreasing state in lexicographic order: a
+        reverse linear extension."""
+        return sorted(range(self.size), key=self.states.__getitem__,
+                      reverse=True)
 
     @cached_property
     def _less(self) -> np.ndarray:
@@ -199,14 +198,6 @@ class Poset:
         return frozenset(out)
 
 
-def is_up_set(poset: Poset, members: frozenset) -> bool:
-    m = poset.leq_matrix()
-    for i in members:
-        if not all(j in members for j in np.nonzero(m[i])[0]):
-            return False
-    return True
-
-
 def is_increasing(values, poset: Poset, tol: float = 0.0):
     """Check f(x) <= f(y) for all comparable pairs x <= y.
 
@@ -223,34 +214,43 @@ def is_increasing(values, poset: Poset, tol: float = 0.0):
 
 
 def enumerate_up_sets(poset: Poset, max_elements: int = 32,
-                      max_up_sets: int = 10 ** 6):
-    """All upward-closed subsets, as frozensets of element indices.
+                      max_up_sets: int = 10 ** 6) -> np.ndarray:
+    """All upward-closed subsets, as a read-only (r, k) bool matrix with one
+    indicator row per up-set.
 
-    Processes elements along a reverse linear extension; an element may join
-    a partial up-set only once all of its strict successors are present.
+    Processes elements along poset.extension, doubling a matrix of partial
+    up-sets: an element joins a partial up-set only once all of its strict
+    successors are present, and each extended row follows the row it
+    extends.
     """
     k = poset.size
     if k > max_elements:
         raise ValueError(
             f"poset has {k} > {max_elements} elements; "
             "use the flow-based dominance check instead")
-    order = sorted(range(k), key=lambda i: poset.states[i], reverse=True)
-    m = poset.leq_matrix()
-    succ = [frozenset(j for j in np.nonzero(m[i])[0] if j != i)
-            for i in range(k)]
-    partial = [frozenset()]
-    for i in order:
-        new = []
-        for u in partial:
-            new.append(u)
-            if succ[i] <= u:
-                new.append(u | {i})
-        if len(new) > max_up_sets:
+    less = poset._less
+    rows = np.zeros((1, k), dtype=bool)
+    for i in poset.extension:
+        grows = rows[:, less[i]].all(axis=1)
+        if len(rows) + grows.sum() > max_up_sets:
             raise ValueError(
                 f"more than {max_up_sets} up-sets; "
                 "use the flow-based dominance check instead")
-        partial = new
-    return partial
+        rows = rows[np.repeat(np.arange(len(rows)), 1 + grows)]
+        rows[np.flatnonzero(grows) + np.arange(1, grows.sum() + 1), i] = True
+    rows.flags.writeable = False
+    return rows
+
+
+def up_set_of_row(poset: Poset, row) -> frozenset:
+    """The up-set of an indicator row, its members added one at a time along
+    poset.extension: a frozenset prints its members in an order that depends
+    on how it was built, and this fixes that order by the row alone."""
+    u = frozenset()
+    for i in poset.extension:
+        if row[i]:
+            u |= {i}
+    return u
 
 
 def _scale_to_ints(p: np.ndarray) -> np.ndarray:
@@ -331,15 +331,6 @@ def _invalid(p: np.ndarray):
             | ~(np.abs(p.sum(axis=-1) - 1.0) <= PROB_TOL))
 
 
-def _check_dist(p, k):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (k,):
-        raise ValueError("distribution length does not match the poset")
-    if _invalid(p):
-        raise ValueError("input is not a probability vector")
-    return np.clip(p, 0.0, None)
-
-
 def _slack(tol, k) -> int:
     """Flow units a pass may fall short by: tol plus one unit of rounding per
     element."""
@@ -347,11 +338,13 @@ def _slack(tol, k) -> int:
 
 
 def _flow_dominance(nu, nu_prime, poset: Poset, slack: int):
-    """stochastic_dominance of one pair of distributions, by max-flow: the
-    flow may fall short of _FLOW_SCALE by at most slack units."""
-    k = poset.size
-    left = _scale_to_ints(_check_dist(nu, k))
-    right = _scale_to_ints(_check_dist(nu_prime, k))
+    """stochastic_dominance of one pair of rows of the poset's length, by
+    max-flow: the flow may fall short of _FLOW_SCALE by at most slack units.
+    Raises if either row is not a probability vector."""
+    pair = np.array([nu, nu_prime])
+    if _invalid(pair).any():
+        raise ValueError("input is not a probability vector")
+    left, right = _scale_to_ints(np.clip(pair, 0.0, None))
     src = np.flatnonzero(left > 0)
     dst = np.flatnonzero(right > 0)
     arcs = poset.leq_matrix()[np.ix_(src, dst)]
@@ -503,12 +496,12 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     nu(U) > nu_prime(U).
 
     nu and nu_prime may also be (b, k) stacks, tested row by row; the witness
-    is then (r, U) for the first failing row r.  A stack is validated and
-    scaled to integers once, with the same slack as for the flow; a row
-    fails iff its excess max_U d(U), d the integer difference of its two
-    rows, is above the slack, which is the flow's verdict (the max flow is
-    _FLOW_SCALE minus that excess: max-flow = min-cut).  The excess comes from
-    the first of these that applies:
+    is then (r, U) for the first failing row r.  One pair is a one-row stack.
+    A stack is validated and scaled to integers once, with the same slack as
+    for the flow; a row fails iff its excess max_U d(U), d the integer
+    difference of its two rows, is above the slack, which is the flow's
+    verdict (the max flow is _FLOW_SCALE minus that excess: max-flow =
+    min-cut).  The excess comes from the first of these that applies:
 
     1. the poset's up_set_matrix: one product over every up-set, exact in
        float64, every partial sum being an integer of magnitude at most
@@ -537,16 +530,18 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     assert split * slack <= _slack(tol, poset.size)
     nu = np.asarray(nu, dtype=float)
     nu_prime = np.asarray(nu_prime, dtype=float)
-    if nu.ndim != 2:
-        return _flow_dominance(nu, nu_prime, poset, slack)
-    if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
+    stack = nu.ndim == 2
+    if not stack:  # one pair: a one-row stack
+        nu, nu_prime = nu[None], nu_prime[None]
+    if (nu.ndim != 2 or nu_prime.shape != nu.shape
+            or nu.shape[1] != poset.size):
         raise ValueError("distribution length does not match the poset")
     # the flow confirms the first failing row, or raises if it is invalid
     r = _first_violation(nu, nu_prime, poset, slack)
     if r is not None:
         ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, slack)
         if not ok:
-            return False, (r, wit)
+            return False, (r, wit) if stack else wit
     return True, None
 
 

@@ -10,6 +10,7 @@ calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
 re-enumerates one pinned model per pinning, the sampler loop that calls
 the site-update law and scans its probabilities on every step, the up-set
+enumeration one frozenset at a time, the up-set test and the up-set
 cross-check of stochastic dominance, the covers and height of a poset by
 their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
@@ -27,8 +28,44 @@ import numpy as np
 
 from glauberlab import dynamics, exact, models, ordercore
 from glauberlab.ordercore import contract, leq, lift
-from glauberlab.ordercore import (PROB_TOL, _FLOW_SCALE, Poset, _Dinic,
-                                  enumerate_up_sets)
+from glauberlab.ordercore import PROB_TOL, _FLOW_SCALE, Poset, _Dinic
+
+
+def is_up_set(poset: Poset, members) -> bool:
+    m = poset.leq_matrix()
+    for i in members:
+        if not all(j in members for j in np.nonzero(m[i])[0]):
+            return False
+    return True
+
+
+def up_sets_by_sets(poset: Poset, max_elements: int = 32,
+                    max_up_sets: int = 10 ** 6):
+    """enumerate_up_sets one set at a time: a list of frozensets of element
+    indices, along a reverse linear extension, each partial up-set followed
+    by its extension."""
+    k = poset.size
+    if k > max_elements:
+        raise ValueError(
+            f"poset has {k} > {max_elements} elements; "
+            "use the flow-based dominance check instead")
+    order = sorted(range(k), key=lambda i: poset.states[i], reverse=True)
+    m = poset.leq_matrix()
+    succ = [frozenset(j for j in np.nonzero(m[i])[0] if j != i)
+            for i in range(k)]
+    partial = [frozenset()]
+    for i in order:
+        new = []
+        for u in partial:
+            new.append(u)
+            if succ[i] <= u:
+                new.append(u | {i})
+        if len(new) > max_up_sets:
+            raise ValueError(
+                f"more than {max_up_sets} up-sets; "
+                "use the flow-based dominance check instead")
+        partial = new
+    return partial
 
 
 def _check_dist(p, k):
@@ -156,7 +193,7 @@ def per_ray_mc_leq(p, q, mu=None, tol=PROB_TOL, n_random=0, rng=None):
     random increasing density, each drawn just before its test."""
     mu = p.stationary if mu is None else np.asarray(mu, float)
     poset = p.support
-    for u in enumerate_up_sets(poset):
+    for u in up_sets_by_sets(poset):
         mass = sum(mu[i] for i in u)
         if mass <= 0.0:
             continue
@@ -357,10 +394,11 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
 def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol=PROB_TOL, **guards):
     """Cross-check: nu(U) <= nu_prime(U) + tol for every up-set U, with the
     input rule of stochastic_dominance."""
-    k = poset.size
-    nu = ordercore._check_dist(nu, k)
-    nu_prime = ordercore._check_dist(nu_prime, k)
-    for u in enumerate_up_sets(poset, **guards):
+    pair = np.asarray([nu, nu_prime], dtype=float)
+    if pair.shape != (2, poset.size) or ordercore._invalid(pair).any():
+        raise ValueError("input is not a probability vector")
+    nu, nu_prime = np.clip(pair, 0.0, None)
+    for u in up_sets_by_sets(poset, **guards):
         if sum(nu[i] for i in u) > sum(nu_prime[i] for i in u) + tol:
             return False, u
     return True, None

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -337,6 +338,26 @@ class TestAnalyze:
         assert rep["uniqueness_note"].startswith("heuristic")
 
 
+    def test_past_ten_variables_refused_before_any_table(self, tmp_path,
+                                                         capsys):
+        # flipped RC on C16: the 16 * 3^16 pinned-mass table would take
+        # 5.1 GiB; the 10-variable guard refuses the model before it
+        graph = write(tmp_path / "c16.graph", "16 16\n" + "".join(
+            f"{i} {(i + 1) % 16}\n" for i in range(16)))
+        params = write(tmp_path / "rc.params",
+                       "model=rc\np.default=0.5\nlambda.default=0.5\n")
+        tracemalloc.start()
+        try:
+            rc = run_cli(["analyze", "--graph", graph, "--params", params,
+                          "--transform", "flip"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == "error: guarded to 10 variables\n"
+        assert peak < 2 ** 20
+
+
 class TestMixing:
     def test_product_bound_holds(self, k2, rc_params, capsys):
         rc = run_cli(["mixing", "--graph", k2, "--params", rc_params,
@@ -416,6 +437,15 @@ class TestErrors:
         assert run_cli(["verify", "--graph", graph,
                         "--params", rc_params]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["verify", "mixing"])
+    def test_all_one_start_outside_the_support_exits_two(self, k2, tmp_path,
+                                                         capsys, command):
+        # plain hard-core on one edge: the all-1 start 11 is infeasible
+        params = write(tmp_path / "hc.params", "model=hardcore\nlambda=1.0\n")
+        assert run_cli([command, "--graph", k2, "--params", params]) == 2
+        assert capsys.readouterr().err == (
+            "error: state 11 is not in the support\n")
 
     def test_dense_guard_exits_two(self, tmp_path, capsys):
         # default verify on flipped RC on C8 lifts to k = 6561 states, past

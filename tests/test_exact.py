@@ -486,6 +486,36 @@ class TestChecksMatchOracles:
             assert not ok and wit is not None
             assert (ok, wit) == oracles.per_ray_mc_leq(lker, prod)
 
+    def test_mc_leq_above_the_up_set_cap(self, rng):
+        # a 12-antichain between a bottom and a top: 14 elements and 4098
+        # up-sets, past the up-set cap, so the rays come in blocks from
+        # enumerate_up_sets; q = p after an upward kernel passes, and the
+        # pair swapped fails
+        sup = Poset(((0, 0),) + tuple((i, 11 - i) for i in range(12))
+                    + ((11, 11),))
+        assert sup.up_set_matrix is None
+        assert len(ordercore.enumerate_up_sets(sup)) == 4098
+        k = sup.size
+        base = rng.dirichlet(np.ones(k), size=k)
+        upward = rng.random((k, k)) * sup.leq_matrix()
+        upward /= upward.sum(axis=1, keepdims=True)
+        mu = rng.dirichlet(np.ones(k))
+        mu[[3, k - 1]] = 0.0  # rays of mass 0 are dropped
+        p, q = Kernel(sup, base), Kernel(sup, base @ upward)
+        for a, b, ok in ((p, q, True), (q, p, False)):
+            tracemalloc.start()
+            try:
+                got = check_mc_leq(a, b, mu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = oracles.per_ray_mc_leq(a, b, mu)
+            assert got[0] == ok and got == want
+            assert repr(got) == repr(want)
+            # the 4098 x 14 bool rows and one block at a time, not a
+            # frozenset per up-set
+            assert peak < 2 ** 20
+
     @pytest.mark.parametrize("seed", range(6))
     def test_worst_start_mixing_matches_per_row(self, seed):
         rng = np.random.default_rng(seed)

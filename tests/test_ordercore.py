@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -11,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from glauberlab import exact, models, ordercore
 from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   enumerate_up_sets, first_dominance_failure,
-                                  is_increasing, is_up_set, leq, lift,
+                                  is_increasing, leq, lift,
                                   num_ones, num_stars, parse_state, state_str,
-                                  stochastic_dominance)
+                                  stochastic_dominance, up_set_of_row)
 from oracles import (brute_covers, brute_height, dominance_by_up_sets,
-                     full_network_dominance, per_row_flow_dominance)
+                     full_network_dominance, is_up_set, per_row_flow_dominance,
+                     up_sets_by_sets)
 
 
 def chain(vals):
@@ -66,9 +68,8 @@ class TestIsIncreasing:
 
     def test_up_set_indicator(self):
         p = Poset(tuple(itertools.product((0, 1), repeat=2)))
-        for u in enumerate_up_sets(p):
-            f = [1.0 if i in u else 0.0 for i in range(p.size)]
-            assert is_increasing(f, p)[0]
+        for row in enumerate_up_sets(p):
+            assert is_increasing(row * 1.0, p)[0]
 
     def test_violation_witness(self):
         p = chain((0, 1))
@@ -96,7 +97,8 @@ class TestUpSets:
             members = frozenset(i for i in range(len(elems)) if mask >> i & 1)
             if is_up_set(p, members):
                 brute += 1
-        got = enumerate_up_sets(p)
+        got = [frozenset(np.flatnonzero(row).tolist())
+               for row in enumerate_up_sets(p)]
         assert len(got) == brute
         assert len(set(got)) == len(got)
         for u in got:
@@ -106,6 +108,50 @@ class TestUpSets:
         p = Poset(tuple((i,) for i in range(40)))
         with pytest.raises(ValueError, match="flow-based"):
             enumerate_up_sets(p, max_elements=32)
+
+    def test_read_only_bool_rows(self):
+        rows = enumerate_up_sets(chain((0, 1, STAR)))
+        assert rows.dtype == bool and not rows.flags.writeable
+        # the empty up-set first, each partial up-set before its extension
+        assert rows.tolist() == [[False, False, False], [False, False, True],
+                                 [False, True, True], [True, True, True]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([24, 32]),
+           st.sampled_from([40, 10 ** 6]))
+    def test_rows_match_set_enumeration_in_order(self, data, max_elements,
+                                                 max_up_sets):
+        poset = random_poset(data.draw)
+        guards = {"max_elements": max_elements, "max_up_sets": max_up_sets}
+        try:
+            want = up_sets_by_sets(poset, **guards)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                enumerate_up_sets(poset, **guards)
+            return
+        rows = enumerate_up_sets(poset, **guards)
+        assert rows.shape == (len(want), poset.size)
+        assert [frozenset(np.flatnonzero(r).tolist()) for r in rows] == want
+        # built along the same extension, each witness set prints as before
+        assert ([repr(up_set_of_row(poset, r)) for r in rows]
+                == [repr(u) for u in want])
+
+    def test_both_guards_refuse(self):
+        p = Poset(tuple(itertools.product((0, 1), repeat=5)))
+        for guards in ({"max_elements": 31}, {"max_up_sets": 7580}):
+            with pytest.raises(ValueError) as want:
+                up_sets_by_sets(p, **guards)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                enumerate_up_sets(p, **guards)
+        assert len(enumerate_up_sets(p, max_up_sets=7581)) == 7581
+
+    @pytest.mark.parametrize("alphabet, n", [((0, 1, STAR), 3), ((0, 1), 5)])
+    def test_witness_sets_print_as_the_set_enumeration(self, alphabet, n):
+        # frozenset(list) of a row prints 88 of the 980 and 282 of the 7581
+        # up-sets here with their members in another order
+        p = Poset(tuple(itertools.product(alphabet, repeat=n)))
+        assert ([repr(up_set_of_row(p, r)) for r in enumerate_up_sets(p)]
+                == [repr(u) for u in up_sets_by_sets(p)])
 
 
 class TestLiftContract:
@@ -218,12 +264,9 @@ class TestOrderMatrix:
     def test_up_set_matrix(self):
         p = Poset(tuple(itertools.product((0, 1, STAR), repeat=2)))
         ups = enumerate_up_sets(p)
-        assert p.up_sets == tuple(ups)
-        assert p.up_sets is p.up_sets
         ind = p.up_set_matrix
-        assert ind.shape == (len(ups), p.size)
-        for row, u in zip(ind, ups):
-            assert set(np.flatnonzero(row)) == u and set(row) <= {0.0, 1.0}
+        assert ind.dtype == float and ind.shape == ups.shape
+        assert (ind == ups).all()
         assert p.up_set_matrix is ind
         assert not ind.flags.writeable
         with pytest.raises(ValueError):
@@ -232,7 +275,7 @@ class TestOrderMatrix:
         assert Poset(tuple((i,) for i in range(33))).up_set_matrix is None
         # an antichain of 13 elements has 2**13 up-sets
         antichain = Poset(tuple((i, 12 - i) for i in range(13)))
-        assert antichain.up_sets is None and antichain.up_set_matrix is None
+        assert antichain.up_set_matrix is None
 
 
 SCALE = ordercore._FLOW_SCALE
