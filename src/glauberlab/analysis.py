@@ -274,7 +274,7 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
             num += kl_divergence((1 - m1, m1), (1 - mu_marg[i], mu_marg[i]))
         return num / denom
 
-    candidates = [np.eye(k)[i] for i in range(k)]
+    candidates = list(np.eye(k))
     if k <= 22:
         nus = enumerate_up_sets(sup) * mu
         mass = nus.sum(axis=1)

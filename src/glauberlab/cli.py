@@ -139,6 +139,9 @@ class _VerifyContext:
     gker = cached_property(lambda c: exact.glauber_kernel(c.model, c.sup))
     lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
     lsup = cached_property(lambda c: exact.enumerate_support(c.lifted))
+    # the stationary law of the lift, over lsup
+    lmu = cached_property(
+        lambda c: exact.stationary_distribution(c.lifted, c.lsup))
     lker = cached_property(lambda c: exact.glauber_kernel(c.lifted, c.lsup))
     freeze = cached_property(lambda c: exact.freeze_kernel(c.lifted, c.lsup))
     starg = cached_property(
@@ -210,11 +213,10 @@ def _check_tv_comparison(c):
 
 
 def _check_single_vertex_mc(c):
+    laws = models.heat_bath_law(c.lifted), models.star_frozen_law(c.lifted)
     ok, wit = True, None
     for v in range(c.model.n_vars):
-        pv = exact.glauber_kernel(c.lifted, c.lsup, site=v)
-        qv = exact.star_glauber_kernel(c.lifted, c.lsup, site=v)
-        ok, wit = exact.check_mc_leq(pv, qv)
+        ok, wit = exact.check_site_mc_leq(c.lifted, *laws, v, c.lsup, c.lmu)
         if not ok:
             break
     return ok, True, None if wit is None else repr(wit)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordercore import (PAIR_BLOCK, PROB_TOL, STAR, Poset, contract,
-                        enumerate_up_sets, first_dominance_failure, state_str,
-                        stochastic_dominance, up_set_of_row)
+from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
+                        contract, enumerate_up_sets, first_dominance_failure,
+                        state_str, stochastic_dominance, up_set_of_row)
 from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
                      tilt)
 
@@ -27,6 +27,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 DENSE_GUARD = 4096
 # entries of the largest temporary fd_kernel builds to add one slice
 _FD_BLOCK_ENTRIES = 2 ** 16
+# the share of tol a fiber certificate of check_site_mc_leq may use; the
+# rest of tol is its rounding budget
+_FIBER_SHARE = 0.5
+# the most elements whose up-sets check_mc_leq enumerates
+_RAY_ELEMENTS = 32
 
 
 def enumerate_support(model, guard=ENUM_GUARD) -> Poset:
@@ -448,6 +453,135 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL):
     return True, None
 
 
+def _site_tails(succ, prob, support: Poset, site, a):
+    """tails[x, c] = the probability that one step of a law at `site`, from
+    its law arrays (k, 1, a), moves state x to a value >= c at the site.
+    The (state, value) table is summed by np.add.at in the order
+    _law_kernel sums the kernel, so each entry is the kernel entry of the
+    successor with that value, bit for bit."""
+    k = support.size
+    vals = support.array[succ[:, 0], site]
+    table = np.zeros(k * a)
+    np.add.at(table, (np.arange(k)[:, None] * a + vals).ravel(),
+              prob[:, 0].ravel())
+    return np.cumsum(table.reshape(k, a)[:, ::-1], axis=1)[:, ::-1]
+
+
+def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
+                      tol=PROB_TOL):
+    """check_mc_leq(P, Q, mu, tol) for the kernels P and Q of one step of
+    p_law and q_law at `site` over the support (as _law_kernel builds
+    them), decided fiber by fiber in O(k) from the law arrays, without
+    either kernel.
+
+    A fiber is one configuration of the other sites.  P and Q move the
+    site only, so within fibers, and an up-set meets a fiber f in a suffix
+    of the chain of its values at the site.  For a ray U (mu on an up-set,
+    of mass mu(U) > 0) and an up-set V meeting f in the suffixes s_f, c_f:
+
+        mu(U) (nu_U P - nu_U Q)(V) = sum_f S(f, s_f, c_f),
+        S(f, s, c) = sum of mu(x) T(x, c) over x in f with x_site >= s,
+
+    with T(x, c) = P(x, values >= c) - Q(x, values >= c) the tail
+    difference.  The certificate is max_c S(f, s, c) <= h mu(f, s) for
+    every fiber f and suffix s, with mu(f, s) the suffix's mass and h =
+    _FIBER_SHARE * tol (an empty suffix of V gives 0).  Summed over the
+    fibers U meets, every ray and up-set V then have
+    (nu_U P - nu_U Q)(V) <= h.
+
+    Proof that a certificate implies check_mc_leq's integer-slack pass.
+    Let u = 2^-53 and SC = _FLOW_SCALE units per unit of mass (SC u <
+    1/8), and e_P, e_Q the largest |row sum - 1| of P and Q.  The fast path
+    applies where every law probability and mu are >= 0, every law sums to
+    within PROB_TOL/2 of 1, k <= DENSE_GUARD and tol <= 1e-6; a law's
+    (state, value) entry is then the kernel entry (_site_tails), and the
+    terms of second order in u, tol, e_P and e_Q below add under a unit.
+    (a) The certificate is computed in floats, each tail and suffix sum a
+        running sum of at most 3 terms: a computed pass gives the exact
+        S(f, s, c) <= (h + 12u) mu(f, s).
+    (b) check_mc_leq forms m = row . mu = mu(U)(1 + r), |r| <= k u, and
+        nu = mu / m entrywise, within u.  A column of P or Q has at most 3
+        nonzero entries, all in one fiber, and an IEEE product with an
+        exact 0 or sum with 0 is exact, so each entry of the computed rows
+        a = nu P and b = nu Q is within 3u of the exact product of nu.
+        With (a): SC (a - b)(V) <= SC h + 19 SC u.
+    (c) _scale_to_ints rounds SC a entrywise, off by at most 1/2 + SC u a_y
+        per entry, and adds SC less the rounded total at the largest entry
+        y*.  So the scaled row sums over V to SC a(V) + (the rounding over
+        V) when y* is not in V, and to SC a(V) + SC (1 - sum a) - (the
+        rounding over the complement of V) when it is.  For V neither
+        empty nor everything (there d(V) = 0), the roundings of both rows
+        add up to at most k - 1 + 2 SC u, and the corrections at the two
+        y* to at most SC (|1 - sum nu| + e_P + e_Q + 6u), |1 - sum nu| <=
+        (k + 1) u: with both y* in V, the 1 - sum nu parts cancel.
+    Hence d(V) <= SC h + SC (e_P + e_Q) + k - 1 + SC u (k + 28), and the
+    slack is floor(SC tol) + k + 1 >= SC tol + k.  With h = tol/2 a pass
+    follows from the rounding budget SC (e_P + e_Q) + (k + 48) / 8 <=
+    SC tol / 2, tested with the computed deviations (off by 4u in all).
+    Each ray law stays valid: its sum is within (k + 4) u + PROB_TOL/2 <
+    PROB_TOL of 1 for k <= DENSE_GUARD.
+
+    Past the certificate, in this order:
+    1. laws or mu outside these conditions, or over the budget: both
+       kernels and check_mc_leq, which raise as they do for any caller;
+    2. an uncertified fiber, on at most _RAY_ELEMENTS elements: the same,
+       for the same verdict, witness and messages;
+    3. on more: the ray of the up-closure U of the first uncertified
+       suffix is tested by stochastic_dominance over every up-set V (the
+       up-closures of the fiber's suffixes among them), and (U,
+       "extreme-ray") is the witness if it fails;
+    4. otherwise a ValueError naming the fiber.
+
+    Returns (True, None) or (False, (up_set, "extreme-ray"))."""
+    k, a = support.size, len(model.alphabet)
+    mu = np.asarray(mu, dtype=float)
+    budget = (1 - _FIBER_SHARE) * tol * _FLOW_SCALE - (k + 48) / 8
+    bad = None
+    if k <= DENSE_GUARD and tol <= 1e-6 and budget >= 0 and np.all(mu >= 0):
+        laws = [_law_arrays(law, support, (site,), a)
+                for law in (p_law, q_law)]
+        tails = [_site_tails(succ, prob, support, site, a)
+                 for succ, prob in laws]
+        dev = np.abs(np.array([t[:, 0] for t in tails]) - 1).max(axis=1)
+        if (all(np.all(prob >= 0) for _, prob in laws)
+                and np.all(dev <= PROB_TOL / 2)
+                and _FLOW_SCALE * dev.sum() <= budget):
+            arr = support.array
+            _, fiber = np.unique(np.delete(arr, site, axis=1), axis=0,
+                                 return_inverse=True)
+            fiber, at = fiber.ravel(), arr[:, site]
+            # mass and tail difference per (fiber, value at the site); the
+            # suffix sums run down from the top, so column j is the suffix
+            # of the values >= a - 1 - j
+            cells = np.zeros((fiber.max() + 1, a))
+            cells[fiber, at] = mu
+            diff = np.zeros(cells.shape + (a,))
+            diff[fiber, at] = tails[0] - tails[1]
+            sums = np.cumsum((cells[:, :, None] * diff)[:, ::-1], axis=1)
+            mass = np.cumsum(cells[:, ::-1], axis=1)
+            bad = sums.max(axis=2) > _FIBER_SHARE * tol * mass
+            if not bad.any():
+                return True, None
+    if bad is None or k <= _RAY_ELEMENTS:
+        return check_mc_leq(_law_kernel(model, p_law, site, support),
+                            _law_kernel(model, q_law, site, support), mu, tol)
+    f, s = np.argwhere(bad)[0]
+    seed = np.flatnonzero((fiber == f) & (at >= a - 1 - s))
+    row = np.zeros(k)
+    row[list(support.up_closure(seed))] = 1.0
+    nu = row * mu / (row @ mu)
+    images = [np.bincount(succ.ravel(), (nu[:, None, None] * prob).ravel(),
+                          minlength=k) for succ, prob in laws]
+    if not stochastic_dominance(*images, support, tol=tol)[0]:
+        return False, (up_set_of_row(support, row), "extreme-ray")
+    x = support.states[seed[0]]
+    raise ValueError(
+        f"single-vertex-mc at site {site}: fiber "
+        f"{state_str(x[:site])}_{state_str(x[site + 1:])} is not certified "
+        f"and the ray of its up-closure passes; {k} > {_RAY_ELEMENTS} "
+        "elements are too many to enumerate the rays")
+
+
 # ---------------------------------------------------------------------------
 # mixing times
 
@@ -618,13 +752,18 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
 
 def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:
     """Closed-form mixing of a 2-state chain with off-diagonal rates a, b:
-    TV after t steps is |1-a-b|^t times the start's TV."""
+    TV after t steps is |1-a-b|^t times the start's TV.  A frozen (a = b =
+    0) or periodic (a = b = 1) chain never comes closer, so a start farther
+    than eps raises RuntimeError, as exact_mixing_time does."""
     gap = abs(1.0 - a - b)
     d0 = abs((1.0 if x0_is_state1 else 0.0) - pi1)
     if d0 <= eps:
         return 0
     if gap == 0.0:
         return 1
+    if gap == 1.0:
+        raise RuntimeError(f"the chain never mixes: |1 - a - b| = 1 and "
+                           f"the start is {d0} > eps = {eps} away")
     return math.ceil(math.log(eps / d0) / math.log(gap) - 1e-12)
 
 

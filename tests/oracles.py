@@ -5,7 +5,8 @@ These are the slow forms the fast code replaced, kept to compare against:
 the max-flow over the full k x k order network, one flow per row of a
 dominance stack above the up-set cap, one flow per comparable
 pair in the monotonicity check, one flow per extreme ray in the kernel
-comparison, one flow per ordered pair of keys with two conditional
+comparison, the single-vertex comparison by both site kernels and every
+up-set of the support, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
 re-enumerates one pinned model per pinning, the sampler loop that calls
@@ -220,6 +221,15 @@ def per_ray_mc_leq(p, q, mu=None, tol=PROB_TOL, n_random=0, rng=None):
         if not ok:
             return False, (nu, "random-increasing")
     return True, None
+
+
+def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu,
+                           tol=PROB_TOL):
+    """exact.check_site_mc_leq by the path it replaced: both kernels of one
+    step at the site, then check_mc_leq over every up-set of the support."""
+    return exact.check_mc_leq(exact._law_kernel(model, p_law, site, support),
+                              exact._law_kernel(model, q_law, site, support),
+                              mu, tol)
 
 
 def per_row_mixing_time(kernel, eps, cap=10 ** 6):

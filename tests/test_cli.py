@@ -12,7 +12,8 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glauberlab import cli, ordercore
+from glauberlab import cli, exact, ordercore
+import oracles
 
 
 def write(path, text):
@@ -160,6 +161,58 @@ class TestLiftedOrderCeilings:
             "frozenset({2, 7, 10, 15, 20, 23, 28, 31, 36, 41, 44, 49, 54, 55, "
             "56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, "
             "72, 73, 74, 75}))")
+
+
+class TestSingleVertexByFibers:
+    """Default verify past three variables, and the JSON of verify with the
+    fiber test equal to that with both site kernels and check_mc_leq
+    (oracles.per_site_kernel_mc_leq) on each verify-small instance shape."""
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_default_verify_on_flipped_rc_cycles(self, tmp_path, m, capsys):
+        graph = write(tmp_path / "c.graph", f"{m} {m}\n" + "".join(
+            f"{i} {(i + 1) % m}\n" for i in range(m)))
+        params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
+                       "lambda.default = 0.5\ntheta = 0.5\n")
+        assert run_cli(["verify", "--graph", graph, "--params", params,
+                        "--transform", "flip"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["all_pass"] and rep["results"][-1] == {
+            "check": "single-vertex-mc", "observed": True, "expected": True,
+            "pass": True, "witness": None}
+
+    P4 = "4 3\n0 1\n1 2\n2 3\n"
+    RC3 = ("model=rc\ntheta=0.47\np.0=0.52\np.1=0.46\np.2=0.5\n"
+           "lambda.0=0.51\nlambda.1=0.45\nlambda.2=0.54\nlambda.3=0.49\n")
+    BHC = "model=bipartite-hardcore\nlambda=1.04\nbeta=0.97\ntheta=0.53\n"
+
+    @pytest.mark.parametrize("graph, params, argv", [
+        ("3 3\n0 1\n1 2\n2 0\n", RC3, ["--transform", "flip"]),
+        (P4, RC3, ["--transform", "flip", "--transform", "tilt=0.68"]),
+        ("3 2 bipartite 1\n0 1\n0 2\n", BHC, []),
+        ("5 6 bipartite 3\n0 3\n0 4\n1 3\n1 4\n2 3\n2 4\n", BHC,
+         ["--transform", "left-marginal"]),
+        (P4, RC3, ["--transform", "flip", "--check", "product-comparison"]),
+        ("3 2\n0 1\n1 2\n", "model=hardcore\nlambda=1.02\n",
+         ["--check", "monotone-system", "--check",
+          "stochastic-monotonicity"]),
+    ], ids=["rc-triangle", "tilted-rc-path", "bhc-k12", "left-marginal-k32",
+            "product-comparison", "plain-hardcore"])
+    def test_json_equals_kernel_path(self, tmp_path, monkeypatch, capsys,
+                                     graph, params, argv):
+        argv = ["verify", "--graph", write(tmp_path / "g.graph", graph),
+                "--params", write(tmp_path / "m.params", params)] + argv
+        with mock.patch.object(exact, "check_mc_leq",
+                               wraps=exact.check_mc_leq) as kernel_path:
+            assert run_cli(argv) == 0
+        fibers = capsys.readouterr().out
+        # only product-comparison builds kernels for check_mc_leq: the
+        # default suite certifies every site by its fibers
+        assert kernel_path.called == ("product-comparison" in argv)
+        monkeypatch.setattr(exact, "check_site_mc_leq",
+                            oracles.per_site_kernel_mc_leq)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == fibers
 
 
 class TestSample:

@@ -2,8 +2,11 @@ import itertools
 import math
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glauberlab import exact, models, ordercore
 from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
@@ -19,8 +22,9 @@ from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               tilted_mixing_time, tv_distance,
                               two_state_mixing_time)
 from glauberlab.models import (Graph, HardcoreModel, IsingModel,
-                               RandomClusterModel, flip, lift_model)
-from glauberlab.ordercore import Poset
+                               RandomClusterModel, flip, heat_bath_law,
+                               lift_model, star_frozen_law)
+from glauberlab.ordercore import STAR, Poset
 from conftest import (random_bhc, random_hardcore, random_monotone_model,
                       random_rc)
 import oracles
@@ -594,6 +598,178 @@ class TestMonotoneSystemScan:
             oracles.pairwise_monotone_system(m)
 
 
+def one_site_lift():
+    """The lift of one free binary variable: the chain 0 < 1 < * as one
+    fiber of three states."""
+    return lift_model(HardcoreModel(Graph(1, []), 1.0), 0.5)
+
+
+def fixed_law(*laws):
+    """A site law over the values (0, 1, *): the first law from a state with
+    a 0 at the site and the last one from any other state."""
+    return lambda state, v: ((0, 1, STAR), laws[min(state[v], len(laws) - 1)])
+
+
+def outcome(check, *args):
+    try:
+        return repr(check(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def cycle_lift(m):
+    return lift_model(flip(RandomClusterModel(
+        Graph(m, [(i, (i + 1) % m) for i in range(m)]), [0.5] * m,
+        [0.5] * m)), 0.5)
+
+
+class TestSiteComparisonByFibers:
+    """check_site_mc_leq decides P_v <=_mc Q_v per fiber and gives the
+    verdict, witness and errors of both site kernels and check_mc_leq
+    (oracles.per_site_kernel_mc_leq) on every lifted poset of at most 32
+    elements."""
+
+    @staticmethod
+    def compare(lm, p_law, q_law, site, sup=None, mu=None):
+        """The result of check_site_mc_leq, asserted equal to the oracle's,
+        and whether it built the kernels."""
+        sup = sup or enumerate_support(lm)
+        mu = stationary_distribution(lm, sup) if mu is None else mu
+        with mock.patch.object(exact, "check_mc_leq",
+                               wraps=exact.check_mc_leq) as kernel_path:
+            got = outcome(exact.check_site_mc_leq, lm, p_law, q_law, site,
+                          sup, mu)
+        want = outcome(oracles.per_site_kernel_mc_leq, lm, p_law, q_law,
+                       site, sup, mu)
+        assert got == want
+        return got, kernel_path.called
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95))
+    def test_matches_kernel_path_on_random_models(self, seed, theta):
+        lm = lift_model(random_monotone_model(np.random.default_rng(seed),
+                                              max_vars=3), theta)
+        sup = enumerate_support(lm)
+        assert sup.size <= 32
+        p, q = heat_bath_law(lm), star_frozen_law(lm)
+        for v in range(lm.n_vars):
+            # P_v <=_mc Q_v holds and is certified without the kernels; the
+            # laws swapped fail, through the kernel path
+            assert self.compare(lm, p, q, v, sup) == ("(True, None)", False)
+            got, kernels = self.compare(lm, q, p, v, sup)
+            assert got.startswith("(False, (frozenset(") and kernels
+
+    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)]])
+    def test_plain_hardcore(self, edges, lam):
+        lm = lift_model(HardcoreModel(Graph(len(edges) + 1, edges), lam), 0.5)
+        p, q = heat_bath_law(lm), star_frozen_law(lm)
+        for v in range(lm.n_vars):
+            assert self.compare(lm, p, q, v)[0] == "(True, None)"
+            assert self.compare(lm, q, p, v)[0].startswith("(False,")
+
+    def test_each_fiber_alone_fails(self):
+        # Q sends the states of one fiber to 0 and is Q_v elsewhere: every
+        # fiber must be read, on 27 elements by the kernel path's verdict
+        # and on 81 by a ray that fails with the kernels
+        for lm, sites in ((cycle_lift(3), range(3)), (cycle_lift(4), [1])):
+            sup = enumerate_support(lm)
+            mu = stationary_distribution(lm, sup)
+            p, q = heat_bath_law(lm), star_frozen_law(lm)
+            for v in sites:
+                for key in {s[:v] + s[v + 1:] for s in sup.states}:
+                    def q_bad(state, u, key=key):
+                        if state[:u] + state[u + 1:] == key:
+                            return (0,), (1.0,)
+                        return q(state, u)
+
+                    if sup.size <= 32:
+                        got, _ = self.compare(lm, p, q_bad, v, sup, mu)
+                        assert got.startswith("(False,")
+                        continue
+                    ok, (up, kind) = exact.check_site_mc_leq(
+                        lm, p, q_bad, v, sup, mu)
+                    assert not ok and kind == "extreme-ray"
+                    row = np.isin(np.arange(sup.size), list(up))
+                    assert oracles.is_up_set(sup, up)
+                    nu = row * mu / (row @ mu)
+                    pk = exact._law_kernel(lm, p, v, sup)
+                    qk = exact._law_kernel(lm, q_bad, v, sup)
+                    assert not ordercore.stochastic_dominance(
+                        nu @ pk.matrix, nu @ qk.matrix, sup)[0]
+
+    def test_a_suffix_fails_where_the_whole_fiber_passes(self):
+        # T(x, c) = -1 at x = 0 and +1 at 1 and *, for c >= 1: the whole
+        # fiber sums to -0.8, the suffixes {1, *} and {*} to +0.1 and +0.05
+        lm = one_site_lift()
+        mu = np.array([0.9, 0.05, 0.05])
+        p = fixed_law((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        q = fixed_law((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+        got, _ = self.compare(lm, p, q, 0, mu=mu)
+        assert got == "(False, (frozenset({2}), 'extreme-ray'))"
+
+    @pytest.mark.parametrize("delta, verdict, certified", [
+        # T = delta - 1e-13 per unit of mass on every suffix, and the row
+        # sums 1 -+ 1e-13 add 200 units at the largest entry, *, which is in
+        # every nonempty up-set: the kernel path sees SC (delta + 1e-13)
+        (3e-13, True, True),     # T within h = tol / 2: certified
+        (7e-13, True, False),    # T past h: the kernel path passes, 800
+        (9.5e-13, False, False),  # T within tol, but 1050 > slack 1004
+        (1.2e-12, False, False),
+    ])
+    def test_share_of_tol_on_a_near_tie(self, delta, verdict, certified):
+        lm = one_site_lift()
+        p = fixed_law((0.25, 0.25, 0.5 - 1e-13))
+        q = fixed_law((0.25 + 1e-13 + delta, 0.25, 0.5 - delta))
+        got, kernels = self.compare(lm, p, q, 0)
+        assert got.startswith(f"({verdict},") and kernels != certified
+
+    @pytest.mark.parametrize("probs", [
+        (0.5, 0.5 + 2e-12, -2e-12),     # refused: negative probability
+        (0.5, 0.5, 2e-12),              # refused: sum off by 2e-12
+        (0.5, 0.5, float("nan")),
+        (0.5, 0.5, float("inf")),
+        (0.5, 0.5 + 1e-14, -1e-14),     # accepted, but not certified
+        (0.5, 0.5, 8e-13),              # accepted, off by more than half
+    ])
+    def test_laws_outside_the_fast_path(self, probs):
+        lm = one_site_lift()
+        q = fixed_law((0.0, 0.0, 1.0))
+        for pair in ((fixed_law(probs), q), (q, fixed_law(probs))):
+            self.compare(lm, *pair, 0)
+
+    def test_past_32_elements(self):
+        # p = q = Q_v but for delta moved from 1 to 0 in one fiber: at the
+        # top fiber its ray is the witness, at the bottom one it is
+        # diluted by the up-closure and the fiber is named
+        lm = cycle_lift(4)
+        sup = enumerate_support(lm)
+        mu = stationary_distribution(lm, sup)
+        q = star_frozen_law(lm)
+
+        def moved(key, delta):
+            def law(state, u):
+                vals, probs = q(state, u)
+                if state[1:] != key or vals != (0, 1):
+                    return vals, probs
+                return vals, (probs[0] + delta, probs[1] - delta)
+            return law
+
+        top, bottom = (STAR,) * 3, (0,) * 3
+        assert exact.check_site_mc_leq(lm, q, moved(top, 3e-13), 0, sup,
+                                       mu) == (True, None)
+        ok, (up, _) = exact.check_site_mc_leq(lm, q, moved(top, 4e-12), 0,
+                                              sup, mu)
+        assert not ok
+        assert sorted(up) == [sup.index((1,) + top), sup.index((STAR,) + top)]
+        with pytest.raises(ValueError, match="fiber _000 is not certified"):
+            exact.check_site_mc_leq(lm, q, moved(bottom, 7e-13), 0, sup, mu)
+        # past the dense guard, as before: the kernel path refuses
+        with mock.patch.object(exact, "DENSE_GUARD", 80):
+            with pytest.raises(ValueError, match="k = 81"):
+                exact.check_site_mc_leq(lm, q, q, 0, sup, mu)
+
+
 class TestMixing:
     def test_single_variable(self):
         ker = glauber_kernel(k2_flipped_rc())
@@ -637,6 +813,20 @@ class TestMixing:
         t = exact_mixing_time(ker, (0,), 0.01)
         assert t > 2048
         assert t == two_state_mixing_time(a, b, 0.5, False, 0.01)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_frozen_or_periodic_two_state_chain_is_refused(self, a):
+        # a = b = 0 never moves and a = b = 1 swaps the two states forever:
+        # from state 1, 0.5 away from (0.5, 0.5), neither comes within 0.1
+        sup = Poset(((0,), (1,)))
+        ker = Kernel(sup, np.array([[1 - a, a], [a, 1 - a]]),
+                     stationary=np.array([0.5, 0.5]))
+        with pytest.raises(RuntimeError, match="exceeds the cap 1000"):
+            exact_mixing_time(ker, (1,), 0.1, cap=1000)
+        with pytest.raises(RuntimeError, match="never mixes"):
+            two_state_mixing_time(a, a, 0.5, True, 0.1)
+        assert (two_state_mixing_time(a, a, 0.5, True, 0.6) == 0
+                == exact_mixing_time(ker, (1,), 0.6, cap=1000))
 
     def test_k2_rc_matches_two_state_closed_form(self):
         rc = RandomClusterModel(K2, [0.5], [1.0, 1.0])
