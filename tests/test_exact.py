@@ -724,6 +724,27 @@ class TestSiteComparisonByFibers:
         got, kernels = self.compare(lm, p, q, 0)
         assert got.startswith(f"({verdict},") and kernels != certified
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.floats(0, 2e-12),
+           st.floats(-2e-13, 2e-13), st.floats(-2e-13, 2e-13))
+    def test_near_ties_match_kernel_path(self, seed, lifted_c3, delta, e_p,
+                                         e_q):
+        # random laws p, and q = p with up to delta moved from * to 0 at
+        # each state, their sums off 1 by e_p and e_q: certified or not,
+        # the verdict is check_mc_leq's on the integer slack
+        lm = cycle_lift(3) if lifted_c3 else one_site_lift()
+        sup = enumerate_support(lm)
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(3), size=sup.size)
+        q = p + delta * rng.random((sup.size, 1)) * [1.0, 0.0, -1.0]
+        p[:, 0] += e_p
+        q[:, 0] += e_q
+        p_law, q_law = (
+            lambda state, v, t=t: ((0, 1, STAR), tuple(t[sup.index(state)]))
+            for t in (p, q))
+        for v in range(lm.n_vars):
+            self.compare(lm, p_law, q_law, v, sup)
+
     @pytest.mark.parametrize("probs", [
         (0.5, 0.5 + 2e-12, -2e-12),     # refused: negative probability
         (0.5, 0.5, 2e-12),              # refused: sum off by 2e-12
