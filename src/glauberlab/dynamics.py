@@ -102,8 +102,17 @@ def _new_run(model, x0, seed, steps, record_at):
 
 
 class _SiteGraph:
-    """The nodes of a `_site_table` by state tuple, and its count of filled
-    slots."""
+    """A run's site-update law as a graph over the states it visits, held
+    as its nodes by state tuple and its count of filled slots.
+
+    A node is a list: n site slots, then its state tuple.  The first use of
+    slot v calls the law once and fills the slot with (values, cumulative
+    probabilities (`_cumulative`), successor nodes, whether there is more
+    than one value); a step then follows a pointer and hashes no tuple.
+    Beyond _SITE_TABLE_SIZE filled slots, the next fill drops the whole
+    graph and starts again at a fresh node for the current state, so no old
+    node stays reachable.  The law is deterministic, so dropping changes no
+    draw."""
 
     def __init__(self, law):
         self.law = law
@@ -129,20 +138,6 @@ class _SiteGraph:
         node[v] = slot = (values, _cumulative(probs), succ, len(values) > 1)
         self.filled += 1
         return node, slot
-
-
-def _site_table(law):
-    """A run's site-update law as a graph over the states it visits.
-
-    A node is a list: n site slots, then its state tuple.  The first use of
-    slot v calls the law once and fills the slot with (values, cumulative
-    probabilities (`_cumulative`), successor nodes, whether there is more
-    than one value); a step then follows a pointer and hashes no tuple.
-    Beyond _SITE_TABLE_SIZE filled slots, the next fill drops the whole
-    graph and starts again at a fresh node for the current state, so no old
-    node stays reachable.  The law is deterministic, so dropping changes no
-    draw."""
-    return _SiteGraph(law)
 
 
 # raw words the single-site loop draws at most at once, and the uniform's
@@ -174,7 +169,7 @@ def _site_steps(graph, state, rng, t0, steps, run=None, record_at=(),
                 allowed=None):
     """Advance the state tuple by single-site steps t0+1..t0+steps and return
     it: pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
-    from the state `graph` (`_site_table`).  A law with a single outcome
+    from the state `graph` (`_SiteGraph`).  A law with a single outcome
     draws no uniform and writes no log entry.  With a run, each redraw is
     logged and the states at record_at are recorded.
 
@@ -258,7 +253,7 @@ def _site_steps(graph, state, rng, t0, steps, run=None, record_at=(),
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     run, record_at = _new_run(model, x0, seed, steps, record_at)
-    run.final = _site_steps(_site_table(heat_bath_law(model)), run.x0, rng, 0,
+    run.final = _site_steps(_SiteGraph(heat_bath_law(model)), run.x0, rng, 0,
                             steps, run, record_at, allowed)
     return run
 
@@ -339,7 +334,7 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     lifted = LiftedModel(model, theta)
     state = lift((1,) * model.n_vars, theta, rng)
     run, record_at = _new_run(lifted, state, seed, t1 * t2, record_at)
-    table = _site_table(star_frozen_law(lifted))
+    table = _SiteGraph(star_frozen_law(lifted))
     for block in range(t1):
         t = block * t2
         # the relift belongs to the next step, so recorded states at block

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import tempfile
 
 from .models import (BipartiteHardcoreModel, Graph, HardcoreModel, IsingModel,
@@ -85,6 +86,15 @@ def build_model(params: dict, graph: Graph):
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
+def _pin_line(line):
+    """(site, value) of a pin-file line "site value", value one of 0, 1, *."""
+    m = re.fullmatch(r"\s*(-?\d+)\s+([01*])\s*", line)
+    if m is None:
+        raise ValueError(f"bad pin line {line.strip()!r}: "
+                         "expected 'site value' with value 0, 1 or *")
+    return int(m[1]), parse_state(m[2])[0]
+
+
 def apply_transforms(model, transforms):
     """transforms: iterable of strings like tilt=0.5 | flip | pin=FILE |
     lift=0.3 | left-marginal."""
@@ -101,12 +111,7 @@ def apply_transforms(model, transforms):
             model = lift_model(model, parse_float("lift", t[5:]))
         elif t.startswith("pin="):
             with open(t[4:]) as f:
-                pins = {}
-                for ln in f:
-                    ln = ln.strip()
-                    if ln:
-                        v, val = ln.split()
-                        pins[int(v)] = parse_state(val)[0]
+                pins = dict(_pin_line(ln) for ln in f if ln.strip())
             model = pin(model, pins)
         else:
             raise ValueError(f"unknown transform: {t!r}")

@@ -25,6 +25,8 @@ class Graph:
         self.bipartite_k = bipartite_k
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        if bipartite_k is not None and not 0 <= bipartite_k <= self.n:
+            raise ValueError("bipartition size out of range")
         for u, v in self.edges:
             if u == v:
                 raise ValueError("self-loops are not allowed")

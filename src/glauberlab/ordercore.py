@@ -7,8 +7,8 @@ the covering pairs and height of a poset, and exact tests for stochastic
 dominance, all on the same integers and slack: every pair or stack of pairs
 is decided by sums over the rows of the up-set matrix (small posets) or
 each row's largest up-set excess by a table of closure sums or one closure
-min cut (larger posets), and only the first failing row goes through a
-max-flow feasibility test, which gives a violating up-set as its witness.
+min cut (larger posets), and the same sums or a closure cut give the first
+failing row's witness: its least up-set of largest excess.
 """
 
 from __future__ import annotations
@@ -265,7 +265,9 @@ def _scale_to_ints(p: np.ndarray) -> np.ndarray:
 
 
 class _Dinic:
-    """Max-flow on small graphs with exact (Python int) capacities."""
+    """Max-flow on small graphs with exact (Python int) capacities.  After
+    max_flow, level[v] >= 0 iff v is on the source side of the final
+    residual graph, the least min cut: the last search found no sink."""
 
     def __init__(self, n):
         self.n = n
@@ -312,17 +314,6 @@ class _Dinic:
                 total += f
         return total
 
-    def reachable_in_residual(self, s):
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    q.append(e[0])
-        return seen
-
 
 def _invalid(p: np.ndarray):
     """Per row of p: not a probability vector (a negative entry beyond
@@ -335,34 +326,6 @@ def _slack(tol, k) -> int:
     """Flow units a pass may fall short by: tol plus one unit of rounding per
     element."""
     return int(tol * _FLOW_SCALE) + k + 1
-
-
-def _flow_dominance(nu, nu_prime, poset: Poset, slack: int):
-    """stochastic_dominance of one pair of rows of the poset's length, by
-    max-flow: the flow may fall short of _FLOW_SCALE by at most slack units.
-    Raises if either row is not a probability vector."""
-    pair = np.array([nu, nu_prime])
-    if _invalid(pair).any():
-        raise ValueError("input is not a probability vector")
-    left, right = _scale_to_ints(np.clip(pair, 0.0, None))
-    src = np.flatnonzero(left > 0)
-    dst = np.flatnonzero(right > 0)
-    arcs = poset.leq_matrix()[np.ix_(src, dst)]
-
-    s, t = 0, len(src) + len(dst) + 1
-    net = _Dinic(t + 1)
-    for a, i in enumerate(src.tolist()):
-        net.add_edge(s, 1 + a, int(left[i]))
-    for b, j in enumerate(dst.tolist()):
-        net.add_edge(1 + len(src) + b, t, int(right[j]))
-    for a, b in zip(*np.nonzero(arcs)):
-        net.add_edge(1 + int(a), 1 + len(src) + int(b), _FLOW_SCALE)
-
-    if net.max_flow(s, t) >= _FLOW_SCALE - slack:
-        return True, None
-    reach = net.reachable_in_residual(s)
-    return False, poset.up_closure(
-        i for a, i in enumerate(src.tolist()) if 1 + a in reach)
 
 
 def _table_chunk(signed: np.ndarray, rel: np.ndarray, g: int):
@@ -418,13 +381,15 @@ def _table_excess(signed: np.ndarray, rel: np.ndarray):
     return out
 
 
-def _closure_cut(d: np.ndarray, poset: Poset) -> int:
-    """max over up-sets U of d(U) for an integer row d of total 0, by one
-    min cut (Picard): source arcs carry d on its positive entries P, sink
-    arcs carry -d on its negative entries N, and the order arcs, of capacity
-    _FLOW_SCALE (no less than the whole source capacity), are the leq pairs
-    P -> N or the covers of the poset, whichever are fewer.  The excess is
-    the source capacity less the max flow."""
+def _closure_cut(d: np.ndarray, poset: Poset):
+    """(max over up-sets U of d(U), the least U reaching it) for an integer
+    row d of total 0, by one min cut (Picard): source arcs carry d on its
+    positive entries P, sink arcs carry -d on its negative entries N, and
+    the order arcs, of capacity _FLOW_SCALE (no less than the whole source
+    capacity), are the leq pairs P -> N or the covers of the poset,
+    whichever are fewer.  The excess is the source capacity less the max
+    flow; U, a bool mask, is the up-closure of P on the source side of the
+    final residual graph, the least min cut."""
     pos = np.flatnonzero(d > 0)
     neg = np.flatnonzero(d < 0)
     pairs = np.nonzero(poset.leq_matrix()[np.ix_(pos, neg)])
@@ -444,23 +409,32 @@ def _closure_cut(d: np.ndarray, poset: Poset) -> int:
         net.add_edge(s, node[i], int(d[i]))
     for j in neg.tolist():
         net.add_edge(node[j], t, -int(d[j]))
-    return int(d[pos].sum()) - net.max_flow(s, t)
+    excess = int(d[pos].sum()) - net.max_flow(s, t)
+    gens = [i for i in pos.tolist() if net.level[node[i]] >= 0]
+    return excess, poset.leq_matrix()[gens].any(axis=0)
 
 
 def _first_violation(nus, nus_prime, poset: Poset, slack: int):
-    """First row r with nus[r](U) > nus_prime[r](U) + slack for some up-set U
-    of the poset, in integers at the scale, or with an invalid row on either
-    side, or None.  With an up_set_matrix, by the sums over its up-sets;
-    else each row's excess max_U d(U), d the integer row difference, by its
-    closure table when that has at most _TABLE_ENTRIES entries, and by one
-    closure cut otherwise, the cuts in row order up to the first failure."""
+    """(r, U) for the first row r with nus[r](U) > nus_prime[r](U) + slack
+    for some up-set U, in integers at the scale, U then the least up-set of
+    largest excess as a bool mask, or (r, None) for a first row r invalid
+    on either side, or None.  With an up_set_matrix, by the sums over its
+    up-sets; else each row's excess max_U d(U), d the integer row difference,
+    by its closure table when that has at most _TABLE_ENTRIES entries, and by
+    one closure cut otherwise, the cuts in row order up to the first
+    failure."""
     bad = _invalid(nus) | _invalid(nus_prime)
     with np.errstate(invalid="ignore"):  # non-finite rows are bad already
         diff = (_scale_to_ints(np.clip(nus, 0.0, None))
                 - _scale_to_ints(np.clip(nus_prime, 0.0, None)))
-    if poset.up_set_matrix is not None:
-        fail = bad | ((diff @ poset.up_set_matrix.T) > slack).any(axis=1)
-        return int(fail.argmax()) if fail.any() else None
+    ups = poset.up_set_matrix
+    if ups is not None:
+        sums = diff @ ups.T
+        fail = bad | (sums > slack).any(axis=1)
+        if not fail.any():
+            return None
+        r = int(fail.argmax())
+        return r, None if bad[r] else ups[sums[r] == sums[r].max()].all(0)
     n_pos = (diff > 0).sum(axis=1)
     n_neg = (diff < 0).sum(axis=1)
     up = n_pos <= n_neg
@@ -478,30 +452,30 @@ def _first_violation(nus, nus_prime, poset: Poset, slack: int):
     for r in np.flatnonzero(~table & ~bad).tolist():
         if r > first:
             break
-        if _closure_cut(diff[r], poset) > slack:
-            return r
-    return first if first < len(fail) else None
+        excess, least = _closure_cut(diff[r], poset)
+        if excess > slack:
+            return r, least
+    if first == len(fail):
+        return None
+    return first, None if bad[first] else _closure_cut(diff[first], poset)[1]
 
 
 def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
                          *, split: int = 1):
     """Test nu <=_sd nu_prime over the poset.
 
-    Feasibility of a monotone coupling is decided by max-flow on the bipartite
-    graph with an arc x -> y whenever x <= y, over supp(nu) x supp(nu_prime)
-    only: elements of mass zero carry no flow and are never reachable in the
-    residual graph, so the flow value and the witness are those of the full
-    graph.  Returns (True, None) on success, else (False, witness) where
-    witness is an up-set U (frozenset of element indices) with
-    nu(U) > nu_prime(U).
+    A monotone coupling exists iff nu(U) <= nu_prime(U) for every up-set U
+    (Strassen).  Both laws are scaled to integers at _FLOW_SCALE, and a pair
+    fails iff its excess max_U d(U), d the integer difference of nu and
+    nu_prime, is above the slack _slack(tol, k).  Returns (True, None) on
+    success, else (False, witness) where witness is an up-set U (frozenset
+    of element indices) with nu(U) > nu_prime(U).
 
     nu and nu_prime may also be (b, k) stacks, tested row by row; the witness
     is then (r, U) for the first failing row r.  One pair is a one-row stack.
-    A stack is validated and scaled to integers once, with the same slack as
-    for the flow; a row fails iff its excess max_U d(U), d the integer
-    difference of its two rows, is above the slack, which is the flow's
-    verdict (the max flow is _FLOW_SCALE minus that excess: max-flow =
-    min-cut).  The excess comes from the first of these that applies:
+    A stack is validated and scaled to integers once; if its first invalid
+    or failing row is invalid, it raises.  The excess comes from the first
+    of these that applies:
 
     1. the poset's up_set_matrix: one product over every up-set, exact in
        float64, every partial sum being an integer of magnitude at most
@@ -515,8 +489,19 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
        int64, when 2^g |P ∪ N| is at most _TABLE_ENTRIES;
     3. one min cut (Picard) on P, N and the order, by _closure_cut.
 
-    Only the first failing row then goes through the flow, which gives its
-    witness, or raises if that row is invalid.
+    The witness is the least up-set U* of largest excess: d is modular,
+    d(U ∩ V) + d(U ∪ V) = d(U) + d(V), so those up-sets are closed under ∩.
+    On path 1 it is the AND of the up-sets at the largest sum, else the
+    least min cut of one closure cut (_closure_cut, run already on path 3).
+    It is also the witness of the coupling's max-flow on supp(nu) x
+    supp(nu_prime), arcs x -> y for x <= y: a cut with sources S costs at
+    least _FLOW_SCALE - d(up(S)), with equality at S = U ∩ supp(nu) for an
+    up-set U (cutting an order arc costs no less than U = {}).  So the
+    sources L of the least min cut, within those of every min cut, lie in
+    U* ∩ supp(nu) and generate an up-set of largest excess: up(L) = U*,
+    and L = U* ∩ supp(nu), as no element of supp(nu) has mass 0.  The flow
+    returned up_closure(L) in index order, as this does, and a frozenset
+    prints in the order it was built.
 
     split > 1 tests each pair at the integer slack s = _slack(tol, k) //
     split instead.  Rows are scaled to integers the same way whatever they
@@ -536,13 +521,15 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     if (nu.ndim != 2 or nu_prime.shape != nu.shape
             or nu.shape[1] != poset.size):
         raise ValueError("distribution length does not match the poset")
-    # the flow confirms the first failing row, or raises if it is invalid
-    r = _first_violation(nu, nu_prime, poset, slack)
-    if r is not None:
-        ok, wit = _flow_dominance(nu[r], nu_prime[r], poset, slack)
-        if not ok:
-            return False, (r, wit) if stack else wit
-    return True, None
+    found = _first_violation(nu, nu_prime, poset, slack)
+    if found is None:
+        return True, None
+    r, least = found
+    if least is None:
+        raise ValueError("input is not a probability vector")
+    gens = least & (_scale_to_ints(np.clip(nu[r], 0.0, None)) > 0)
+    wit = poset.up_closure(np.flatnonzero(gens).tolist())
+    return False, (r, wit) if stack else wit
 
 
 def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):

@@ -2,8 +2,9 @@
 single-site samplers.
 
 These are the slow forms the fast code replaced, kept to compare against:
-the max-flow over the full k x k order network, one flow per row of a
-dominance stack above the up-set cap, one flow per comparable
+the max-flow over the full k x k order network, the max-flow over
+supp(nu) x supp(nu_prime) that gave each dominance witness, one such flow
+per row of a dominance stack, one flow per comparable
 pair in the monotonicity check, one flow per extreme ray in the kernel
 comparison, the single-vertex comparison by both site kernels and every
 up-set of the support, one flow per ordered pair of keys with two conditional
@@ -105,22 +106,52 @@ def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
     slack = int(tol * _FLOW_SCALE) + k + 1
     if flow >= _FLOW_SCALE - slack:
         return True, None
-    reach = net.reachable_in_residual(s)
-    return False, poset.up_closure([i for i in range(k) if (1 + i) in reach])
+    return False, poset.up_closure([i for i in range(k)
+                                    if net.level[1 + i] >= 0])
+
+
+def flow_dominance(nu, nu_prime, poset: Poset, slack: int):
+    """stochastic_dominance of one pair of rows of the poset's length, by
+    max-flow on the bipartite graph supp(nu) x supp(nu_prime) with an arc
+    x -> y whenever x <= y: the flow may fall short of _FLOW_SCALE by at
+    most slack units, and a failing pair's witness is the up-closure of the
+    elements of supp(nu) reachable in the residual graph.  Raises if either
+    row is not a probability vector."""
+    pair = np.array([nu, nu_prime])
+    if ordercore._invalid(pair).any():
+        raise ValueError("input is not a probability vector")
+    left, right = ordercore._scale_to_ints(np.clip(pair, 0.0, None))
+    src = np.flatnonzero(left > 0)
+    dst = np.flatnonzero(right > 0)
+    arcs = poset.leq_matrix()[np.ix_(src, dst)]
+
+    s, t = 0, len(src) + len(dst) + 1
+    net = _Dinic(t + 1)
+    for a, i in enumerate(src.tolist()):
+        net.add_edge(s, 1 + a, int(left[i]))
+    for b, j in enumerate(dst.tolist()):
+        net.add_edge(1 + len(src) + b, t, int(right[j]))
+    for a, b in zip(*np.nonzero(arcs)):
+        net.add_edge(1 + int(a), 1 + len(src) + int(b), _FLOW_SCALE)
+
+    if net.max_flow(s, t) >= _FLOW_SCALE - slack:
+        return True, None
+    return False, poset.up_closure(
+        i for a, i in enumerate(src.tolist()) if net.level[1 + a] >= 0)
 
 
 def per_row_flow_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL, *,
                            split=1):
-    """stochastic_dominance of (b, k) stacks by one support-restricted flow
-    per row, in row order: raises at an invalid row, returns (False, (r, U))
-    at the first failing row r."""
+    """stochastic_dominance of (b, k) stacks by one flow_dominance per row,
+    in row order: raises at an invalid row, returns (False, (r, U)) at the
+    first failing row r."""
     nu = np.asarray(nu, dtype=float)
     nu_prime = np.asarray(nu_prime, dtype=float)
     if nu_prime.shape != nu.shape or nu.shape[1] != poset.size:
         raise ValueError("distribution length does not match the poset")
     slack = ordercore._slack(tol, poset.size) // split
     for r in range(len(nu)):
-        ok, wit = ordercore._flow_dominance(nu[r], nu_prime[r], poset, slack)
+        ok, wit = flow_dominance(nu[r], nu_prime[r], poset, slack)
         if not ok:
             return False, (r, wit)
     return True, None

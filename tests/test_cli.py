@@ -491,6 +491,30 @@ class TestErrors:
                         "--params", rc_params]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["verify", "analyze", "mixing"])
+    def test_bipartition_past_the_vertices_exits_two(self, tmp_path, capsys,
+                                                     command):
+        # 5 left vertices of 3 would make -2 right ones
+        graph = write(tmp_path / "bad.graph", "3 0 bipartite 5\n")
+        params = write(tmp_path / "bhc.params",
+                       "model=bipartite-hardcore\nlambda=1\nbeta=1\n")
+        assert run_cli([command, "--graph", graph, "--params", params,
+                        "--transform", "left-marginal"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bipartition size out of range\n")
+
+    @pytest.mark.parametrize("line", ["0 10", "0 x", "0", "0 1 1", "x 1"])
+    def test_malformed_pin_line_exits_two(self, k2, rc_params, tmp_path,
+                                          capsys, line):
+        # "0 10" pinned site 0 to 1 before, and "0 x" printed only 'x'
+        pins = write(tmp_path / "pins", f"1 1\n{line}\n")
+        assert run_cli(["kernel-export", "--graph", k2, "--params",
+                        rc_params, "--transform", "flip",
+                        "--transform", f"pin={pins}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad pin line {line!r}: expected 'site value' with "
+            "value 0, 1 or *\n")
+
     @pytest.mark.parametrize("command", ["verify", "mixing"])
     def test_all_one_start_outside_the_support_exits_two(self, k2, tmp_path,
                                                          capsys, command):

@@ -479,7 +479,7 @@ def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
     a, b = rng_copies(seed, spare)
     record_at = set(range(t0, t0 + steps + 1, 3))
     run, ref = ChainRun(None, x0, seed, steps), ChainRun(None, x0, seed, steps)
-    final = dynamics._site_steps(dynamics._site_table(law), tuple(x0), a, t0,
+    final = dynamics._site_steps(dynamics._SiteGraph(law), tuple(x0), a, t0,
                                  steps, run, record_at, allowed)
     state = list(x0)
     oracles.per_step_site_steps(law, state, b, t0, steps, ref, record_at,

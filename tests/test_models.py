@@ -30,7 +30,8 @@ class TestGraph:
     @pytest.mark.parametrize("text", [
         "", "# only a comment\n", "3\n0 1\n", "3 1\n0 1\n1 2\n",
         "3 2\n0 1\n1 0\n", "3 1\n0\n", "3 1 extra\n0 1\n",
-        "3 2 bipartite 1 junk\n0 1\n0 2\n"])
+        "3 2 bipartite 1 junk\n0 1\n0 2\n", "3 0 bipartite 4\n",
+        "3 0 bipartite -1\n"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             Graph.from_text(text)

@@ -16,8 +16,8 @@ from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance, up_set_of_row)
 from oracles import (brute_covers, brute_height, dominance_by_up_sets,
-                     full_network_dominance, is_up_set, per_row_flow_dominance,
-                     up_sets_by_sets)
+                     flow_dominance, full_network_dominance, is_up_set,
+                     per_row_flow_dominance, up_sets_by_sets)
 
 
 def chain(vals):
@@ -293,6 +293,15 @@ def random_poset(draw):
     return Poset(tuple(elems))
 
 
+def permuted(draw, poset):
+    """The poset, or half the time its states in a random index order: a
+    witness frozenset prints in an order that follows how it was built."""
+    if not draw(st.booleans()):
+        return poset
+    order = draw(st.permutations(range(poset.size)))
+    return Poset(tuple(poset.states[i] for i in order))
+
+
 def random_row(rng, k, sparse):
     nu = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 2.0))
     if sparse:
@@ -349,7 +358,8 @@ class TestDominanceOracles:
         rng = np.random.default_rng(seed)
         nu, nup = row_pair(rng, poset, tol, kind)
         got = stochastic_dominance(nu, nup, poset, tol=tol)
-        assert got == full_network_dominance(nu, nup, poset, tol=tol)
+        want = full_network_dominance(nu, nup, poset, tol=tol)
+        assert got == want and repr(got) == repr(want)
         stacked = stochastic_dominance([nu], [nup], poset, tol=tol)
         assert stacked == (got if got[0] else (False, (0, got[1])))
         if not got[0]:
@@ -373,19 +383,48 @@ class TestDominanceOracles:
     def test_batched_first_failure_matches_per_row_flow(self, data, seed,
                                                         n_rows):
         # 0 to 150 rows span up to three blocks; most rows pass
-        poset = random_poset(data.draw)
+        poset = permuted(data.draw, random_poset(data.draw))
         rng = np.random.default_rng(seed)
         kinds = ["dominated"] * 12 + ["near-tie", "random", "sparse"]
         pairs = [row_pair(rng, poset, PROB_TOL, kinds[rng.integers(15)])
                  for _ in range(n_rows)]
+        slack = ordercore._slack(PROB_TOL, poset.size)
         want = next(((r, wit) for r, (a, b) in enumerate(pairs)
-                     for ok, wit in [stochastic_dominance(a, b, poset)]
+                     for ok, wit in [flow_dominance(a, b, poset, slack)]
                      if not ok), None)
-        assert first_dominance_failure(iter(pairs), poset) == want
+        got = first_dominance_failure(iter(pairs), poset)
+        assert got == want and repr(got) == repr(want)
         if pairs:
             nus, nus_prime = zip(*pairs)
-            assert stochastic_dominance(nus, nus_prime, poset) == (
-                (True, None) if want is None else (False, want))
+            want = (True, None) if want is None else (False, want)
+            got = stochastic_dominance(nus, nus_prime, poset)
+            assert got == want and repr(got) == repr(want)
+
+    def test_witness_prints_as_the_flow_on_permuted_posets(self):
+        # random sub-posets in random index order, nu on one or two atoms:
+        # the witness must print as the flow's, and some of these witnesses
+        # print otherwise when built from every member of the least up-set
+        # of largest excess instead of its members where nu is positive
+        rng = np.random.default_rng(0)
+        differs = 0
+        for _ in range(400):
+            alphabet = (0, 1) if rng.random() < 0.5 else (0, 1, STAR)
+            n = int(rng.integers(3, 8 if len(alphabet) == 2 else 6))
+            elems = list(itertools.product(alphabet, repeat=n))
+            keep = rng.choice(len(elems), int(rng.integers(
+                8, min(len(elems), 100) + 1)), replace=False)
+            p = Poset(tuple(elems[i] for i in keep))
+            nu = np.zeros(p.size)
+            nu[rng.choice(p.size, int(rng.integers(1, 3)), replace=False)] = 1
+            nu /= nu.sum()
+            nup = rng.dirichlet(np.ones(p.size))
+            got = stochastic_dominance(nu, nup, p)
+            want = flow_dominance(nu, nup, p,
+                                  ordercore._slack(PROB_TOL, p.size))
+            assert got == want and repr(got) == repr(want)
+            if not got[0]:
+                differs += repr(p.up_closure(sorted(got[1]))) != repr(got[1])
+        assert differs > 0
 
     @pytest.mark.parametrize("split", [2, 3, 8])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -471,15 +510,15 @@ def lifted_c4():
 @st.composite
 def large_posets(draw):
     """Lifted C4, or a random sub-poset of {0,1,*}^n of 33 to 100 elements:
-    above the up-set cap."""
+    above the up-set cap; either half the time in a permuted index order."""
     if draw(st.booleans()):
-        return lifted_c4()[0]
+        return permuted(draw, lifted_c4()[0])
     n = draw(st.integers(4, 5))
     elems = list(itertools.product((0, 1, STAR), repeat=n))
     size = draw(st.integers(33, min(100, len(elems))))
     keep = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice(
         len(elems), size, replace=False)
-    return Poset(tuple(elems[i] for i in sorted(keep)))
+    return permuted(draw, Poset(tuple(elems[i] for i in sorted(keep))))
 
 
 def closure_tie(rng, poset, excess, n_atoms):
@@ -565,16 +604,27 @@ class TestClosureStacks:
                                wraps=ordercore._closure_cut) as cut:
             got = outcome(stochastic_dominance, nus, nups, poset, tol,
                           split=split)
-        assert got == want
-        # before any flow, the decision stops where the flows stop: at the
-        # first failing row, else at the first invalid one
+        assert got == want and repr(got) == repr(want)
+        # the decision stops where the flows stop: at the first failing row,
+        # with a violating up-set, else at the first invalid one, without
         invalid = np.flatnonzero(ordercore._invalid(nus)
                                  | ordercore._invalid(nups)).tolist()
         stop = (want[1][0] if want[0] is False
                 else invalid[0] if invalid else None)
-        assert ordercore._first_violation(nus, nups, poset, slack) == stop
-        # a row takes a cut only if the closure table of neither side fits
-        for (d, _), _ in cut.call_args_list:
+        found = ordercore._first_violation(nus, nups, poset, slack)
+        assert (None if found is None else found[0]) == stop
+        assert (found is not None and found[1] is None) == (
+            want[0] == "raises")
+        # a row takes a cut only if the closure table of neither side fits,
+        # or for the witness of the first failing row
+        cuts = [d for (d, _), _ in cut.call_args_list]
+        if want[0] is False:
+            r = want[1][0]
+            d = (ordercore._scale_to_ints(np.clip(nus[r], 0.0, None))
+                 - ordercore._scale_to_ints(np.clip(nups[r], 0.0, None)))
+            if cuts and np.array_equal(cuts[-1], d):
+                cuts.pop()
+        for d in cuts:
             g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
             assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
 
@@ -589,10 +639,12 @@ class TestClosureStacks:
                  - ordercore._scale_to_ints(nup))
             g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
             assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
-            assert ordercore._closure_cut(d, p) == slack + offset
+            excess, least = ordercore._closure_cut(d, p)
+            assert excess == d[least].sum() == slack + offset
             got = stochastic_dominance([nu], [nup], p, split=split)
             assert got[0] == (offset == 0)
-            assert got == per_row_flow_dominance([nu], [nup], p, split=split)
+            want = per_row_flow_dominance([nu], [nup], p, split=split)
+            assert got == want and repr(got) == repr(want)
 
     def test_table_memory_on_lifted_c4(self):
         # the dominance laws of the exact-large verify instance, and the
