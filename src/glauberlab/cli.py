@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -78,6 +77,24 @@ def _start_state(params, model):
                          f"got {start!r}") from None
 
 
+def _parse_record(text, steps):
+    """The times of --record, each in [0, steps], or every time 0..steps if
+    it names none."""
+    times = []
+    for item in text.split(","):
+        if not item:
+            continue
+        try:
+            t = int(item)
+        except ValueError:
+            raise ValueError(f"--record must be a comma-separated list of "
+                             f"integers, got {item!r}") from None
+        if not 0 <= t <= steps:
+            raise ValueError(f"record time {t} lies outside [0, {steps}]")
+        times.append(t)
+    return times or range(steps + 1)
+
+
 def cmd_sample(args):
     graph, params, model, chash = _load(args)
     dyn = params.get("dynamics", "glauber")
@@ -85,22 +102,19 @@ def cmd_sample(args):
     if args.steps < 0:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     steps = args.t1 * args.t2 if dyn == "simulate" else args.steps
-    record = ([int(x) for x in args.record.split(",") if x]
-              or range(steps + 1))
-    for t in record:
-        if not 0 <= t <= steps:
-            raise ValueError(f"record time {t} lies outside [0, {steps}]")
+    record = _parse_record(args.record, steps)
     t0 = time.time()
     if dyn == "glauber":
         run = dynamics.glauber_run(model, _start_state(params, model),
                                    steps, args.seed, record_at=record)
     elif dyn == "censored":
-        period = int(params.get("period", 10))
+        period = fileio.parse_int("period", params.get("period", "10"))
         if graph.bipartite_k is None:
             raise ValueError("censored dynamics needs a bipartite graph")
         sched = dynamics.Schedule.two_level(
             range(graph.bipartite_k), range(graph.bipartite_k, graph.n),
-            period, int(params.get("schedule-seed", 1)))
+            period, fileio.parse_int("schedule-seed",
+                                     params.get("schedule-seed", "1")))
         run = dynamics.censored_glauber(model, _start_state(params, model),
                                         sched, steps, args.seed,
                                         record_at=record)
@@ -114,10 +128,10 @@ def cmd_sample(args):
         raise ValueError(f"unknown dynamics: {dyn!r}")
     wall = time.time() - t0
 
-    # occupancy of value 1 across recorded states, per variable
-    counts = Counter(run.recorded.values())
-    occ = [sum(c for s, c in counts.items() if s[v] == 1) / len(run.recorded)
-           for v in range(model.n_vars)]
+    # occupancy of value 1 across recorded states, per variable: integer
+    # counts over the number of records
+    rows = run.state_rows()
+    occ = [c / len(rows) for c in (rows == 1).sum(axis=0).tolist()]
     head = f"# config={chash} seed={args.seed} wall={wall:.3f}\n"
     _emit(args, head + run.dump_trajectory(), suffix=".traj.tsv")
     occ_csv = head + "var,frac_one\n" + "".join(

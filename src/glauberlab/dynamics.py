@@ -1,13 +1,20 @@
 """Monte Carlo samplers: single-site Glauber, field dynamics, the
 lift/contract simulation run, and censored Glauber, with deterministic
-replayable trajectories."""
+replayable trajectories.
+
+A run is stored as columns: one int per step (the edge a single-site step
+took, or the state a field step reached) over a table of the states the
+run visited.  The assignment log, the recorded states and the trajectory
+text are derived from them on first use."""
 
 from __future__ import annotations
 
 import math
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -43,19 +50,98 @@ def _sample_from(probs, rng):
     return bisect_right(_cumulative(probs), rng.random())
 
 
-@dataclass
+_NO_TIMES = np.zeros(0, np.int64)
+
+
+def _record_times(record_at, steps):
+    """The times of record_at in [0, steps], sorted and distinct, as an int64
+    array.  A range is cut to [0, steps] before numpy expands it; any other
+    iterable of ints is read once into a set."""
+    if isinstance(record_at, range):
+        r = record_at if record_at.step > 0 else record_at[::-1]
+        r = r[max(0, -(r.start // r.step)):max(0, (steps - r.start) // r.step
+                                                + 1)]
+        return np.arange(r.start, r.stop, r.step, dtype=np.int64)
+    times = sorted({t for t in record_at if 0 <= t <= steps})
+    return np.array(times, np.int64) if times else _NO_TIMES
+
+
 class ChainRun:
-    """A completed run: initial state, per-step assignment log, and the states
-    recorded at requested times.  Replaying the log reproduces every recorded
+    """A completed run, held as columns.
+
+    `path` holds one int per step.  For a single-site run it is the id of
+    the edge the step took (`_SiteGraph`): on n sites, s (n + 1) + v + 1
+    for a redraw of site v into the state of id s, or s (n + 1) for a step
+    that left the state s as it was.  For a field run (`field`) it is the
+    id of the state the step reached.  `states` holds the state tuples by
+    id, with the start x0 at `start_id`; `relifts` holds the simulation
+    run's relift entries (t, var, value) and `times` the record times,
+    sorted and distinct in [0, steps].
+
+    The assignment log, the recorded states, the trajectory text and the
+    recorded state rows are derived on first use, so a run pays for none of
+    them until they are read.  Replaying the log reproduces every recorded
     state exactly."""
 
-    model: object
-    x0: tuple
-    seed: int
-    steps: int
-    recorded: dict = field(default_factory=dict)
-    log: list = field(default_factory=list)  # entries (t, var, value)
-    final: tuple = None
+    def __init__(self, model, x0, seed, steps, times, states, path,
+                 field=False, relifts=(), start_id=0, final=None):
+        self.model, self.x0, self.seed, self.steps = model, x0, seed, steps
+        self.times, self.states, self.path = times, states, path
+        self.field, self.relifts, self.start_id = field, relifts, start_id
+        self.final = final
+
+    @cached_property
+    def _columns(self):
+        """(ids, site): the state id at every time 0..steps and, for a
+        single-site run, the site each step redrew (-1: none), as int64
+        arrays; site is None for a field run."""
+        ids = np.fromiter(chain((self.start_id,), self.path), np.int64,
+                          len(self.path) + 1)
+        site = None
+        if not self.field:
+            site = np.empty(len(self.path), np.int64)
+            np.divmod(ids[1:], len(self.x0) + 1, out=(ids[1:], site))
+            site -= 1
+        return ids, site
+
+    @cached_property
+    def _table(self):
+        """The state table as int8 rows, one per state id (STAR = 2)."""
+        return np.array(self.states, np.int8).reshape(len(self.states),
+                                                      len(self.x0))
+
+    @cached_property
+    def log(self):
+        """Assignment entries (t, var, value) in time order: one per
+        single-site redraw, after the relift entries of the same time, or
+        one per coordinate a field step changes."""
+        ids, site = self._columns
+        if site is None:
+            rows = self._table[ids]
+            t, v = np.nonzero(rows[1:] != rows[:-1])
+        else:
+            t = np.flatnonzero(site >= 0)
+            v = site[t]
+        t += 1
+        val = self._table[ids[t], v]
+        if self.relifts:
+            rt, rv, rval = np.array(self.relifts, np.int64).T
+            order = np.argsort(np.concatenate((2 * rt, 2 * t + 1)),
+                               kind="stable")
+            t, v, val = (np.concatenate(pair)[order]
+                         for pair in ((rt, t), (rv, v), (rval, val)))
+        return list(zip(t.tolist(), v.tolist(), val.tolist()))
+
+    @cached_property
+    def recorded(self):
+        """The recorded states by time."""
+        ids = self._columns[0][self.times]
+        return dict(zip(self.times.tolist(),
+                        map(self.states.__getitem__, ids.tolist())))
+
+    def state_rows(self):
+        """The recorded states in time order as int8 rows (STAR = 2)."""
+        return self._table[self._columns[0][self.times]]
 
     def replay(self):
         """Recompute the recorded states from the assignment log alone."""
@@ -74,55 +160,91 @@ class ChainRun:
         return out
 
     def dump_trajectory(self) -> str:
-        """`t<TAB>state` lines in time order.  Each distinct state is
-        rendered once, and the text is one join over interleaved time and
-        state pieces; a run with no recorded state gives one empty line."""
-        rec = self.recorded
-        text = {s: f"\t{state_str(s)}\n" for s in set(rec.values())}
-        times = sorted(rec)
-        parts = [""] * (2 * len(times))
-        parts[0::2] = map(str, times)
-        parts[1::2] = map(text.__getitem__, map(rec.__getitem__, times))
-        return "".join(parts) or "\n"
+        """`t<TAB>state` lines in time order, written into one byte array
+        that is decoded once: each distinct recorded state is rendered once,
+        and each run of times of one digit count is one block of rows.  A
+        run with no recorded state gives one empty line."""
+        times = self.times
+        if not times.size:
+            return "\n"
+        ids = self._columns[0][times]
+        used = np.zeros(len(self.states), bool)
+        used[ids] = True
+        used = np.flatnonzero(used)
+        row = np.zeros(len(self.states), np.intp)
+        row[used] = np.arange(len(used))
+        rows = row[ids]  # each recorded time's row of `rendered`
+        text = "".join(f"\t{state_str(self.states[i])}\n"
+                       for i in used.tolist())
+        width = len(self.x0) + 2
+        rendered = np.frombuffer(text.encode(), np.uint8).reshape(
+            len(used), width)
+        digits = len(str(times[-1]))
+        cuts = [0, *np.searchsorted(times, 10 ** np.arange(1, digits)),
+                len(times)]
+        out = np.empty(len(times) * width + sum(
+            w * (cuts[w] - cuts[w - 1]) for w in range(1, digits + 1)),
+            np.uint8)
+        start = 0
+        for w in range(1, digits + 1):
+            a, b = cuts[w - 1], cuts[w]
+            block = out[start:start + (b - a) * (w + width)].reshape(
+                b - a, w + width)
+            rest, digit = times[a:b].copy(), np.empty(b - a, np.int64)
+            for k in range(w - 1, -1, -1):
+                np.divmod(rest, 10, out=(rest, digit))
+                block[:, k] = digit
+            block[:, :w] += 48
+            block[:, w:] = rendered[rows[a:b]]
+            start += block.size
+        return str(out, "ascii")
 
 
-def _new_run(model, x0, seed, steps, record_at):
-    """An empty run from the feasible start x0, recorded at time 0 if asked;
-    returned with the record times as a set."""
+def _check_start(model, x0):
+    """x0 as a tuple, if it is a feasible start of model."""
     x0 = tuple(x0)
     if not set(x0) <= set(model.alphabet):
         raise ValueError("infeasible start: values outside the model alphabet")
     if len(x0) != model.n_vars or model.log_weight(x0) is None:
         raise ValueError("infeasible start: the start state has weight 0")
-    record_at = set(record_at)
-    run = ChainRun(model, x0, seed, steps)
-    if 0 in record_at:
-        run.recorded[0] = x0
-    return run, record_at
+    return x0
 
 
 class _SiteGraph:
     """A run's site-update law as a graph over the states it visits, held
-    as its nodes by state tuple and its count of filled slots.
+    as its nodes by state tuple and its count of filled slots, plus the
+    run's state table `ids`: each state met, in the order met, to its state
+    id.  The state table outlives every drop.
 
-    A node is a list: n site slots, then its state tuple.  The first use of
-    slot v calls the law once and fills the slot with (values, cumulative
-    probabilities (`_cumulative`), successor nodes, whether there is more
-    than one value); a step then follows a pointer and hashes no tuple.
-    Beyond _SITE_TABLE_SIZE filled slots, the next fill drops the whole
-    graph and starts again at a fresh node for the current state, so no old
-    node stays reachable.  The law is deterministic, so dropping changes no
-    draw."""
+    Edge ids are arithmetic, so the edge table takes no storage: on n
+    sites, the edge that redraws site v into the state of id s has id
+    s (n + 1) + v + 1, which gives its site, its target state and so its
+    value; the stay edge of state s, for a step that changes nothing, has
+    id s (n + 1).
+
+    A node is a list: n site slots, its state tuple, its stay edge id and
+    its state id.  The first use of slot v calls the law once and fills the
+    slot with (the edge id of each value, cumulative probabilities
+    (`_cumulative`), successor nodes, whether there is more than one
+    value); a step then follows a pointer and hashes no tuple.  Beyond
+    _SITE_TABLE_SIZE filled slots, the next fill drops the nodes and starts
+    again at a fresh node for the current state, so no old node stays
+    reachable.  The law is deterministic, so dropping changes no draw."""
 
     def __init__(self, law):
         self.law = law
-        self.nodes, self.filled = {}, 0
+        self.nodes, self.filled, self.ids = {}, 0, {}
 
     def node(self, state):
-        """The node of the state tuple, new if the graph has none."""
+        """The node of the state tuple, new if the graph has none; a state
+        new to the run gets the next state id."""
         node = self.nodes.get(state)
         if node is None:
-            node = self.nodes[state] = [None] * len(state) + [state]
+            sid = self.ids.get(state)
+            if sid is None:
+                sid = self.ids[state] = len(self.ids)
+            node = self.nodes[state] = [None] * len(state) + [
+                state, sid * (len(state) + 1), sid]
         return node
 
     def fill(self, node, v):
@@ -130,132 +252,197 @@ class _SiteGraph:
         one for the same state if the graph was dropped."""
         if self.filled >= _SITE_TABLE_SIZE:
             self.nodes, self.filled = {}, 0
-            node = self.node(node[-1])
-        state = node[-1]
+            node = self.node(node[-3])
+        state = node[-3]
         values, probs = self.law(state, v)
-        succ = [self.node(state[:v] + (val,) + state[v + 1:])
+        succ = [node if val == state[v]
+                else self.node(state[:v] + (val,) + state[v + 1:])
                 for val in values]
-        node[v] = slot = (values, _cumulative(probs), succ, len(values) > 1)
+        node[v] = slot = (tuple([nxt[-2] + v + 1 for nxt in succ]),
+                          _cumulative(probs), succ, len(values) > 1)
         self.filled += 1
         return node, slot
 
 
-# raw words the single-site loop draws at most at once, and the uniform's
-# scale 2^-53
+# raw words the single-site loop draws at most at once, the largest block
+# decoded word by word rather than in numpy (which costs more below it),
+# and the uniform's scale 2^-53
 _RAW_BLOCK = 2 ** 10
+_WORD_BY_WORD = 32
 _TWO_TO_MINUS_53 = 2.0 ** -53
 
 
-def _draw_block(bits, steps, n, reject_below):
-    """Raw words for at most `steps` more steps (one uniform and, for n > 1,
-    one site half each), capped at _RAW_BLOCK, decoded once into lists:
-    (low-half sites, high-half sites, high halves, uniforms).  A half draws
-    the site (half * n) >> 32 by Lemire's method, or -1 if the low word of
-    half * n falls below 2^32 mod n (a rejection)."""
-    words = bits.random_raw(
-        min(_RAW_BLOCK, steps + (n > 1) * (steps + 1) // 2))
-    unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
-    if n == 1:
-        return (), (), (), unif
-    high, low = np.divmod(words, 1 << 32)
-    m = np.concatenate((low, high)) * n
-    sites = (m >> 32).astype(np.int64)
-    sites[(m & 0xFFFFFFFF) < reject_below] = -1
-    sites = sites.tolist()
-    return sites[:len(words)], sites[len(words):], high.tolist(), unif
-
-
-def _site_steps(graph, state, rng, t0, steps, run=None, record_at=(),
-                allowed=None):
-    """Advance the state tuple by single-site steps t0+1..t0+steps and return
-    it: pick a uniform site and, if `allowed(step - 1)` contains it, redraw it
-    from the state `graph` (`_SiteGraph`).  A law with a single outcome
-    draws no uniform and writes no log entry.  With a run, each redraw is
-    logged and the states at record_at are recorded.
-
-    rng must be a `make_rng` generator (numpy's PCG64): the raw PCG64 stream
-    defines the draws.  They are decoded from raw 64-bit words of its
-    `bit_generator.random_raw` the way `rng.integers(n)` draws the site and
-    `rng.random()` the uniform, one call each per step:
+class _RawDraws:
+    """Site and uniform draws decoded from the raw 64-bit words of a
+    `make_rng` generator (numpy's PCG64), the way `rng.integers(n)` draws a
+    site and `rng.random()` a uniform, one call each:
 
     - site: Lemire's method on 32-bit halves (n < 2^32, as for any state
       tuple).  A word gives its low half first and keeps the high half as
       the spare, carried in the generator's `has_uint32` / `uinteger`; a
       low product below 2^32 mod n is rejected and drawn again.  n = 1
       draws nothing.
-    - uniform: `(w >> 11) * 2^-53` of the next word.
+    - uniform: `(w >> 11) * 2^-53` of the next word; the spare half stays.
+      Between blocks, `random` (the simulation run's lift uniforms) lets
+      `Generator.random` read that word itself.
 
-    Words are drawn in blocks of at most what the remaining steps can use
-    (one uniform and one site half per step), capped at _RAW_BLOCK, and
-    each block is decoded once in numpy (`_draw_block`) into lists of
-    low-half sites, high-half sites, high halves and uniforms that the loop
-    only indexes.  On return the unused words of the last block are handed
-    back by `bit_generator.advance(2**128 - unused)`; then `has_uint32` and
-    `uinteger` are written (advance clears both, and numpy keeps the last
-    high half in `uinteger` after using it), so the generator is the one
-    the per-call draws leave."""
+    `words` bounds the words the run can use without rejections.  Words are
+    drawn in blocks of at most what is left of it (at least one), capped
+    at _RAW_BLOCK, and each block is decoded once (in numpy, or word by
+    word up to _WORD_BY_WORD words) into lists of low-half sites,
+    high-half sites, high halves and uniforms (a rejected half has site
+    -1) that the step loop only indexes.  `close` hands the
+    unused words of the last block back by
+    `bit_generator.advance(2**128 - unused)`, then writes `has_uint32` and
+    `uinteger` (advance clears both, and numpy keeps the last high half in
+    `uinteger` after using it), so the generator is the one the per-call
+    draws leave."""
+
+    def __init__(self, rng, n, words):
+        self.rng, self.bits = rng, rng.bit_generator
+        self.n, self.reject_below, self.left = n, (1 << 32) % n, words
+        self.lo = self.hi = self.high = self.unif = ()
+        self.i = self.nw = 0
+        # the generator's spare half as found, then as carried; one site
+        # draws no site half, so its spare is read only if close needs it
+        self.entry = self.has = self.spare = None
+        self.spare_site = -1
+        if n > 1:
+            self._read_spare()
+
+    def _read_spare(self):
+        st = self.bits.state
+        self.entry = self.has, self.spare = st["has_uint32"], st["uinteger"]
+        if self.has:
+            self.spare_site = self._site(self.spare)
+
+    def _site(self, half):
+        m = half * self.n
+        return m >> 32 if (m & 0xFFFFFFFF) >= self.reject_below else -1
+
+    def refill(self):
+        """Draw and decode the next block; returns its four lists."""
+        k = max(1, min(_RAW_BLOCK, self.left))
+        words = self.bits.random_raw(k)
+        self.left -= k
+        self.i, self.nw = 0, k
+        if k <= _WORD_BY_WORD:
+            words = words.tolist()
+            self.unif = [(w >> 11) * _TWO_TO_MINUS_53 for w in words]
+            if self.n > 1:
+                self.high = [w >> 32 for w in words]
+                self.lo = [self._site(w & 0xFFFFFFFF) for w in words]
+                self.hi = [self._site(h) for h in self.high]
+            return self.lo, self.hi, self.high, self.unif
+        self.unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
+        if self.n > 1:
+            high, low = np.divmod(words, 1 << 32)
+            m = np.concatenate((low, high)) * self.n
+            sites = (m >> 32).astype(np.int64)
+            sites[(m & 0xFFFFFFFF) < self.reject_below] = -1
+            sites = sites.tolist()
+            self.lo, self.hi = sites[:k], sites[k:]
+            self.high = high.tolist()
+        return self.lo, self.hi, self.high, self.unif
+
+    def random(self):
+        """The next uniform, as `Generator.random` draws it: from the block,
+        or from the generator itself if no decoded word is left."""
+        self.left -= 1
+        if self.i == self.nw:
+            return self.rng.random()
+        self.i += 1
+        return self.unif[self.i - 1]
+
+    def close(self):
+        """Hand back the unused words and write the spare half."""
+        unused = self.nw - self.i
+        if unused:
+            if self.entry is None:
+                self._read_spare()
+            self.bits.advance(2 ** 128 - unused)
+        if self.entry is not None and (
+                unused or (self.has, self.spare) != self.entry):
+            st = self.bits.state
+            st["has_uint32"], st["uinteger"] = self.has, self.spare
+            self.bits.state = st
+
+
+def _single_site_words(n, steps):
+    """The most raw words `steps` single-site steps on n sites draw without
+    rejections: one uniform each and, for n > 1, one site half each."""
+    return steps + (n > 1) * (steps + 1) // 2
+
+
+def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
+    """Advance the state tuple by single-site steps t0+1..t0+steps and return
+    it: pick a uniform site from draws (`_RawDraws`) and, if the schedule
+    `allowed` (a `Schedule`, or None for every site) allows it at step - 1,
+    redraw it from the state `graph` (`_SiteGraph`).  Each step appends one
+    edge id to path: the edge of the redraw, or the state's stay edge if
+    the site was not allowed or its law has a single outcome, which draws
+    no uniform.  The schedule's rule is called once per `allowed.period`
+    block of steps."""
     n = len(state)
-    bits = rng.bit_generator
-    entry = bits.state
-    has, spare = entry["has_uint32"], entry["uinteger"]
+    n1 = n + 1
     sites = n > 1
-    reject_below = (1 << 32) % n
-    if sites and has:
-        m = spare * n
-        spare_site = m >> 32 if (m & 0xFFFFFFFF) >= reject_below else -1
-    lo, hi, high, unif, i, nw = (), (), (), (), 0, 0
+    lo, hi, high, unif = draws.lo, draws.hi, draws.high, draws.unif
+    i, nw = draws.i, draws.nw
+    has, spare, spare_site = draws.has, draws.spare, draws.spare_site
     node = graph.node(state)
-    log = run.log.append if run is not None else None
-    recorded = run.recorded if run is not None else None
-    end = t0 + steps
+    append = path.append
     v = 0
-    for t in range(t0 + 1, end + 1):
-        if sites:
-            v = -1
-            while v < 0:
-                if has:
-                    has, v = 0, spare_site
+    t, end = t0, t0 + steps
+    while t < end:
+        keep, stop = None, end
+        if allowed is not None:
+            keep = allowed.rule(t)
+            if allowed.period is not None:
+                stop = min(end, (t // allowed.period + 1) * allowed.period)
+        for t in range(t + 1, stop + 1):
+            if sites:
+                v = -1
+                while v < 0:
+                    if has:
+                        has, v = 0, spare_site
+                        continue
+                    if i == nw:
+                        lo, hi, high, unif = draws.refill()
+                        i, nw = 0, len(unif)
+                    v = lo[i]
+                    spare_site = hi[i]
+                    spare = high[i]
+                    has = 1
+                    i += 1
+            if keep is None or v in keep:
+                slot = node[v]
+                if slot is None:
+                    node, slot = graph.fill(node, v)
+                edges, cum, succ, multi = slot
+                if multi:
+                    if i == nw:
+                        lo, hi, high, unif = draws.refill()
+                        i, nw = 0, len(unif)
+                    j = bisect_right(cum, unif[i])
+                    i += 1
+                    node = succ[j]
+                    append(edges[j])
                     continue
-                if i == nw:
-                    lo, hi, high, unif = _draw_block(bits, end - t + 1, n,
-                                                     reject_below)
-                    i, nw = 0, len(unif)
-                v = lo[i]
-                spare_site = hi[i]
-                spare = high[i]
-                has = 1
-                i += 1
-        if allowed is None or v in allowed(t - 1):
-            slot = node[v]
-            if slot is None:
-                node, slot = graph.fill(node, v)
-            values, cum, succ, multi = slot
-            if multi:
-                if i == nw:
-                    lo, hi, high, unif = _draw_block(bits, end - t + 1, n,
-                                                     reject_below)
-                    i, nw = 0, len(unif)
-                j = bisect_right(cum, unif[i])
-                i += 1
-                node = succ[j]
-                if log is not None:
-                    log((t, v, values[j]))
-        if t in record_at:
-            recorded[t] = node[n]
-    if nw > i:
-        bits.advance(2 ** 128 - (nw - i))
-    if nw > i or (has, spare) != (entry["has_uint32"], entry["uinteger"]):
-        st = bits.state
-        st["has_uint32"], st["uinteger"] = has, spare
-        bits.state = st
+            append(node[n1])
+    draws.i, draws.nw = i, nw
+    draws.has, draws.spare, draws.spare_site = has, spare, spare_site
     return node[n]
 
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
-    run, record_at = _new_run(model, x0, seed, steps, record_at)
-    run.final = _site_steps(_SiteGraph(heat_bath_law(model)), run.x0, rng, 0,
-                            steps, run, record_at, allowed)
-    return run
+    x0 = _check_start(model, x0)
+    graph = _SiteGraph(heat_bath_law(model))
+    draws = _RawDraws(rng, len(x0), _single_site_words(len(x0), steps))
+    path = []
+    final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
+    draws.close()
+    return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
+                    list(graph.ids), path, final=final)
 
 
 def glauber_run(model, x0, steps, seed, record_at=(), chain_index=0) -> ChainRun:
@@ -270,9 +457,9 @@ def _kept_ones(x, theta, rng):
 
 
 def _field_sampler(model, theta):
-    """The exact field-dynamics step (x, rng) -> next state, drawing from the
-    support table of model and its unnormalized theta-tilted weights
-    (`exact._tilted_weights`)."""
+    """The support table of model and the exact field-dynamics step
+    (x, rng) -> index of the next state in it, drawing from the unnormalized
+    theta-tilted weights (`exact._tilted_weights`)."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     support = enumerate_support(model)
@@ -287,35 +474,35 @@ def _field_sampler(model, theta):
         if z == 0.0:
             raise ValueError("tilted weights underflow to 0 on a pinned "
                              "slice")
-        return support.states[idx[_sample_from(w / z, rng)]]
+        return int(idx[_sample_from(w / z, rng)])
 
-    return step
+    return support, step
 
 
 def field_dynamics_step(model, theta, x, rng):
     """One field-dynamics transition: every 0-site is freed, each 1-site is
     freed independently with probability theta; the freed set is resampled
     exactly from the tilted conditional."""
-    return _field_sampler(model, theta)(x, rng)
+    support, step = _field_sampler(model, theta)
+    return support.states[step(x, rng)]
 
 
 def field_run(model, theta, x0, steps, seed, record_at=(),
               chain_index=0) -> ChainRun:
-    """Field-dynamics run with exact inner resampling.  The log holds the
-    coordinates each step changes."""
-    step = _field_sampler(model, theta)
+    """Field-dynamics run with exact inner resampling.  The path holds the
+    support index of each step's state; the log holds the coordinates each
+    step changes."""
+    support, step = _field_sampler(model, theta)
     rng = make_rng(seed, chain_index, "field")
-    run, record_at = _new_run(model, x0, seed, steps, record_at)
-    state = run.x0
-    for t in range(1, steps + 1):
-        nxt = step(state, rng)
-        run.log.extend((t, v, b) for v, (a, b) in enumerate(zip(state, nxt))
-                       if a != b)
-        state = nxt
-        if t in record_at:
-            run.recorded[t] = state
-    run.final = state
-    return run
+    x0 = _check_start(model, x0)
+    state, path = x0, []
+    for _ in range(steps):
+        i = step(state, rng)
+        path.append(i)
+        state = support.states[i]
+    return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
+                    support.states, path, field=True,
+                    start_id=support.index(x0), final=state)
 
 
 def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
@@ -325,35 +512,50 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     Start at lift(1_V).  Each of the t1 phases contracts, re-lifts, freezes
     the star set, and performs t2 single-site steps: a uniformly chosen
     star site is left alone (the step is still consumed), any other site is
-    resampled from the theta-tilted base conditional.  Returns
-    (ChainRun over ternary states, final contracted sample).
+    resampled from the theta-tilted base conditional.  The lifts draw their
+    uniforms from the same raw words as the steps.  Returns (ChainRun over
+    ternary states, final contracted sample).
     """
     if t1 < 1 or t2 < 1:
         raise ValueError("t1 and t2 must be at least 1")
     rng = make_rng(seed, chain_index, "simulate")
     lifted = LiftedModel(model, theta)
-    state = lift((1,) * model.n_vars, theta, rng)
-    run, record_at = _new_run(lifted, state, seed, t1 * t2, record_at)
-    table = _SiteGraph(star_frozen_law(lifted))
+    n, steps = model.n_vars, t1 * t2
+    draws = _RawDraws(rng, n, _single_site_words(n, steps) + (t1 + 1) * n)
+    state = _check_start(lifted, lift((1,) * n, theta, draws))
+    x0 = state
+    graph = _SiteGraph(star_frozen_law(lifted))
+    path, relifts = [], []
     for block in range(t1):
         t = block * t2
         # the relift belongs to the next step, so recorded states at block
         # boundaries are the pre-relift ones; the log timestamps reflect that
-        relift = lift(contract(state), theta, rng)
-        for v in range(model.n_vars):
+        relift = lift(contract(state), theta, draws)
+        for v in range(n):
             if relift[v] != state[v]:
-                run.log.append((t + 1, v, relift[v]))
-        state = _site_steps(table, relift, rng, t, t2, run, record_at)
-    run.final = state
+                relifts.append((t + 1, v, relift[v]))
+        state = _site_steps(graph, relift, draws, t, t2, path)
+    draws.close()
+    start_id = graph.ids.setdefault(x0, len(graph.ids))
+    run = ChainRun(lifted, x0, seed, steps, _record_times(record_at, steps),
+                   list(graph.ids), path, relifts=relifts, start_id=start_id,
+                   final=state)
     return run, contract(state)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """State-independent censoring rule: step index -> allowed update set."""
+    """State-independent censoring rule: step index -> allowed update set.
+    The rule's value is constant on each block of `period` steps (t //
+    period), or on every step if period is None."""
 
     rule: object  # callable t -> frozenset of variable indices
     name: str = "custom"
+    period: int | None = 1
+
+    def __post_init__(self):
+        if self.period is not None and self.period < 1:
+            raise ValueError(f"period must be at least 1, got {self.period}")
 
     def allowed(self, t) -> frozenset:
         return self.rule(t)
@@ -361,12 +563,12 @@ class Schedule:
     @classmethod
     def always(cls, n):
         full = frozenset(range(n))
-        return cls(lambda t: full, name="always")
+        return cls(lambda t: full, name="always", period=None)
 
     @classmethod
     def never(cls):
         empty = frozenset()
-        return cls(lambda t: empty, name="never")
+        return cls(lambda t: empty, name="never", period=None)
 
     @classmethod
     def two_level(cls, left, right, period, seed):
@@ -387,7 +589,7 @@ class Schedule:
                 cache.append(right | {left[int(rng.integers(len(left)))]})
             return cache[block]
 
-        return cls(rule, name="two-level")
+        return cls(rule, name="two-level", period=period)
 
 
 def censored_glauber(model, x0, schedule: Schedule, steps, seed,
@@ -395,5 +597,4 @@ def censored_glauber(model, x0, schedule: Schedule, steps, seed,
     """Glauber with censoring: the chosen site is resampled only when the
     schedule allows it at that step; disallowed picks leave the state as is."""
     return _heat_bath_run(model, x0, steps, seed, record_at,
-                          make_rng(seed, chain_index, "censored"),
-                          schedule.rule)
+                          make_rng(seed, chain_index, "censored"), schedule)

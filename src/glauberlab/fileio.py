@@ -54,6 +54,14 @@ def parse_float(key, text):
     return x
 
 
+def parse_int(key, text):
+    """The integer written as text; the error names key."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
 def _per_item(params, prefix, count):
     out = []
     for i in range(count):

@@ -10,11 +10,12 @@ comparison, the single-vertex comparison by both site kernels and every
 up-set of the support, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
-re-enumerates one pinned model per pinning, the sampler loop that calls
-the site-update law and scans its probabilities on every step, the up-set
-enumeration one frozenset at a time, the up-set test and the up-set
-cross-check of stochastic dominance, the covers and height of a poset by
-their definitions, and the independence diagnostics
+re-enumerates one pinned model per pinning, the sampler loops that call
+the site-update law (or the field step) on every step and log a tuple and
+store each recorded state as they go, the trajectory text one formatted
+line at a time, the up-set enumeration one frozenset at a time, the up-set
+test and the up-set cross-check of stochastic dominance, the covers and
+height of a poset by their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
 pair of conditionings; the kernel builders that loop over states, sites and
 values (site-update laws) or over rows and kept sets (field dynamics), and
@@ -367,10 +368,25 @@ def linear_sample_from(probs, rng):
     return len(probs) - 1
 
 
+class PerStepRun:
+    """A run as the per-step loops build it: the assignment log as a list
+    of (t, var, value) entries and the recorded states in a dict."""
+
+    def __init__(self, x0):
+        self.x0, self.log, self.recorded, self.final = tuple(x0), [], {}, None
+
+
+def trajectory_text(recorded):
+    """`t<TAB>state` lines of the recorded states in time order, one
+    formatted line per time; one empty line if nothing was recorded."""
+    return "".join(f"{t}\t{ordercore.state_str(recorded[t])}\n"
+                   for t in sorted(recorded)) or "\n"
+
+
 def per_step_site_steps(law, state, rng, t0, steps, run=None, record_at=(),
                         allowed=None):
     """The single-site step loop calling law(tuple(state), v) on every step;
-    advances the list state in place."""
+    advances the list state in place, logging into the `PerStepRun` run."""
     n = len(state)
     for t in range(t0 + 1, t0 + steps + 1):
         v = int(rng.integers(n))
@@ -399,12 +415,22 @@ def per_block_two_level(left, right, period, seed):
     return rule
 
 
+def _per_step_run(model, x0, record_at):
+    """An empty `PerStepRun` from the feasible start x0, recorded at time 0
+    if asked; returned with the record times as a set."""
+    run = PerStepRun(dynamics._check_start(model, x0))
+    record_at = set(record_at)
+    if 0 in record_at:
+        run.recorded[0] = run.x0
+    return run, record_at
+
+
 def per_step_heat_bath_run(model, x0, steps, seed, record_at=(),
                            purpose="glauber", allowed=None):
     """glauber_run (purpose "glauber") or censored_glauber (purpose
     "censored", allowed = the schedule's rule) by the per-step loop."""
     rng = dynamics.make_rng(seed, 0, purpose)
-    run, record_at = dynamics._new_run(model, x0, seed, steps, record_at)
+    run, record_at = _per_step_run(model, x0, record_at)
     state = list(run.x0)
     per_step_site_steps(models.heat_bath_law(model), state, rng, 0, steps,
                         run, record_at, allowed)
@@ -417,8 +443,7 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
     rng = dynamics.make_rng(seed, 0, "simulate")
     lifted = models.LiftedModel(model, theta)
     state = list(lift((1,) * model.n_vars, theta, rng))
-    run, record_at = dynamics._new_run(lifted, state, seed, t1 * t2,
-                                       record_at)
+    run, record_at = _per_step_run(lifted, state, record_at)
     law = models.star_frozen_law(lifted)
     for block in range(t1):
         t = block * t2
@@ -430,6 +455,22 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
         per_step_site_steps(law, state, rng, t, t2, run, record_at)
     run.final = tuple(state)
     return run, contract(tuple(state))
+
+
+def per_step_field_run(model, theta, x0, steps, seed, record_at=()):
+    """field_run by field_dynamics_step, logging each changed coordinate."""
+    rng = dynamics.make_rng(seed, 0, "field")
+    run, record_at = _per_step_run(model, x0, record_at)
+    state = run.x0
+    for t in range(1, steps + 1):
+        nxt = dynamics.field_dynamics_step(model, theta, state, rng)
+        run.log.extend((t, v, b) for v, (a, b) in enumerate(zip(state, nxt))
+                       if a != b)
+        state = nxt
+        if t in record_at:
+            run.recorded[t] = state
+    run.final = state
+    return run
 
 
 def dominance_by_up_sets(nu, nu_prime, poset: Poset, tol=PROB_TOL, **guards):

@@ -327,6 +327,43 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("error:") and value in err
 
+    @pytest.mark.parametrize("record, item", [("a", "a"), ("0,1.5", "1.5"),
+                                              ("3,,x", "x")])
+    def test_non_integer_record_names_the_option(self, p3, rc_params, capsys,
+                                                 record, item):
+        assert run_cli(["sample", "--graph", p3, "--params", rc_params,
+                        "--steps", "10", "--record", record]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --record must be a comma-separated list of integers, "
+            f"got {item!r}"]
+
+    @pytest.mark.parametrize("key", ["period", "schedule-seed"])
+    def test_non_integer_schedule_key_names_it(self, bip, tmp_path, capsys,
+                                               key):
+        params = write(tmp_path / "c.params",
+                       "model=bipartite-hardcore\nlambda=0.8\nbeta=0.6\n"
+                       f"dynamics=censored\n{key}=x\n")
+        assert run_cli(["sample", "--graph", bip, "--params", params,
+                        "--steps", "40"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} must be an integer, got 'x'"]
+
+    def test_default_record_is_every_step(self, p3, rc_params, tmp_path):
+        # the occupancy is the share of the 31 recorded states with a 1
+        out = tmp_path / "all"
+        assert run_cli(["sample", "--graph", p3, "--params", rc_params,
+                        "--transform", "flip", "--steps", "30",
+                        "--out", str(out)]) == 0
+        body = (out.parent / "all.traj.tsv").read_text().split("\n")[1:-1]
+        states = [ln.split("\t")[1] for ln in body]
+        assert [ln.split("\t")[0] for ln in body] == [str(t) for t in
+                                                        range(31)]
+        occ = (out.parent / "all.occupancy.csv").read_text().split("\n")[2:-1]
+        ones = [sum(s[v] == "1" for s in states)
+                for v in range(len(states[0]))]
+        assert occ == [f"{v},{exact.format_float(c / 31)}"
+                       for v, c in enumerate(ones)]
+
     def test_censored_needs_bipartite(self, p3, tmp_path):
         params = write(tmp_path / "c.params",
                        "model=hardcore\nlambda=0.5\ndynamics=censored\n"

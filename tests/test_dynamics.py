@@ -241,6 +241,34 @@ class TestCensored:
         with pytest.raises(ValueError, match="period must be at least 1"):
             Schedule.two_level([0], [1], period, 0)
 
+    @pytest.mark.parametrize("period, calls", [(1, 40), (7, 6), (None, 1)])
+    def test_rule_read_once_per_block(self, period, calls):
+        # a rule constant on blocks of 7 steps, read where a block starts;
+        # the run equals the per-step loop asking it at every step
+        read = []
+
+        def rule(t):
+            read.append(t)
+            return frozenset({t // 7 % 3} if period else {0, 2})
+
+        m = models.BipartiteHardcoreModel(Graph(3, [(0, 2), (1, 2)],
+                                                bipartite_k=2), 1.3, 0.7)
+        run = censored_glauber(m, (0,) * 3, Schedule(rule, period=period), 40,
+                               5, record_at=range(41))
+        assert len(read) == calls
+        assert read == sorted(set(read))
+        ref = oracles.per_step_heat_bath_run(
+            m, (0,) * 3, 40, 5, record_at=range(41), purpose="censored",
+            allowed=lambda t: frozenset({t // 7 % 3} if period else {0, 2}))
+        assert same_run(run, ref)
+
+    def test_schedule_periods(self):
+        assert Schedule.always(3).period is Schedule.never().period is None
+        assert Schedule.two_level([0], [1], 4, 0).period == 4
+        assert Schedule(lambda t: frozenset()).period == 1
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            Schedule(lambda t: frozenset(), period=0)
+
     def test_censoring_slows_convergence(self):
         # censoring a monotone chain from the top state cannot help: exact
         # one-block TV vs stationarity is no smaller than uncensored
@@ -475,17 +503,27 @@ def rng_copies(seed, spare=None):
 
 def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
     """The single-site loop against the per-call oracle loop on copies of one
-    generator: log, recorded states, final state and generator state."""
+    generator: log and recorded states (the oracle's, shifted back by t0),
+    final state and generator state."""
     a, b = rng_copies(seed, spare)
-    record_at = set(range(t0, t0 + steps + 1, 3))
-    run, ref = ChainRun(None, x0, seed, steps), ChainRun(None, x0, seed, steps)
-    final = dynamics._site_steps(dynamics._SiteGraph(law), tuple(x0), a, t0,
-                                 steps, run, record_at, allowed)
-    state = list(x0)
-    oracles.per_step_site_steps(law, state, b, t0, steps, ref, record_at,
-                                allowed)
-    assert (run.log, run.recorded, final) == (ref.log, ref.recorded,
-                                              tuple(state))
+    x0 = tuple(x0)
+    graph = dynamics._SiteGraph(law)
+    draws = dynamics._RawDraws(a, len(x0),
+                               dynamics._single_site_words(len(x0), steps))
+    path = []
+    schedule = None if allowed is None else Schedule(allowed)
+    final = dynamics._site_steps(graph, x0, draws, t0, steps, path, schedule)
+    draws.close()
+    assert len(path) == steps
+    run = ChainRun(None, x0, seed, steps,
+                   dynamics._record_times(range(3, steps + 1, 3), steps),
+                   list(graph.ids), path, final=final)
+    ref, state = oracles.PerStepRun(x0), list(x0)
+    oracles.per_step_site_steps(law, state, b, t0, steps, ref,
+                                set(range(t0, t0 + steps + 1, 3)), allowed)
+    assert (run.log, run.recorded, final) == (
+        [(t - t0, v, val) for t, v, val in ref.log],
+        {t - t0: s for t, s in ref.recorded.items()}, tuple(state))
     assert a.bit_generator.state == b.bit_generator.state
     return run
 
@@ -503,6 +541,33 @@ class BitGeneratorOnly:
 def handing_out(monkeypatch, gen):
     """Make every sampler (and oracle) draw from gen."""
     monkeypatch.setattr(dynamics, "make_rng", lambda *args: gen)
+
+
+class CountingBits:
+    """A bit generator that counts its raw draws and hand-backs."""
+
+    def __init__(self, bits):
+        self.bits, self.draws, self.advances = bits, 0, 0
+
+    def random_raw(self, size):
+        self.draws += 1
+        return self.bits.random_raw(size)
+
+    def advance(self, delta):
+        self.advances += 1
+        return self.bits.advance(delta)
+
+    state = property(lambda self: self.bits.state,
+                     lambda self, st: setattr(self.bits, "state", st))
+
+
+class CountingGenerator:
+    """A generator whose bit generator counts; its uniforms read the same
+    stream."""
+
+    def __init__(self, gen):
+        self.bit_generator = CountingBits(gen.bit_generator)
+        self.random = gen.random
 
 
 class TestBlockDraws:
@@ -537,6 +602,25 @@ class TestBlockDraws:
                     handing_out(monkeypatch, b)
                     assert same_run(run, oracle())
                     assert a.bit_generator.state == b.bit_generator.state
+
+    def test_simulate_hands_back_once(self, monkeypatch):
+        # 300 blocks of 7 steps on one stream of words: the lifts read it
+        # between the steps, and unused words go back once, at the end
+        m = flip(RandomClusterModel(Graph(4, [(0, 1), (1, 2), (2, 3)]),
+                                    [0.5] * 3, [0.5] * 4))
+        for seed in range(3):
+            a, b = rng_copies(seed)
+            counted = CountingGenerator(a)
+            handing_out(monkeypatch, counted)
+            run, out = simulate_algorithm(m, 0.4, 300, 7, 0,
+                                          record_at=range(2101))
+            handing_out(monkeypatch, b)
+            ref, ref_out = oracles.per_step_simulate(m, 0.4, 300, 7, 0,
+                                                     record_at=range(2101))
+            assert same_run(run, ref) and out == ref_out
+            assert a.bit_generator.state == b.bit_generator.state
+            assert counted.bit_generator.advances <= 1
+            assert counted.bit_generator.draws <= 4
 
     def test_one_site_draws_no_site(self):
         law = models.heat_bath_law(k2_flipped_rc())
@@ -645,3 +729,93 @@ class TestBlockDrawProperties:
         with mock.patch.object(dynamics, "_SITE_TABLE_SIZE", slots):
             steps_vs_per_call(law, (0,) * n, steps, seed=seed, spare=spare,
                               allowed=allowed)
+
+
+def record_times(steps):
+    """Strategy: record_at as a list (sparse, duplicated, out of range,
+    with the digit-width boundaries 9, 10, 99 and 100), a range (either
+    direction, possibly reaching outside [0, steps]) or nothing."""
+    times = st.one_of(st.integers(-3, steps + 3),
+                      st.sampled_from([0, 9, 10, 99, 100, steps]))
+    return st.one_of(
+        st.lists(times, max_size=12),
+        st.builds(range, st.integers(-5, 5), st.integers(0, steps + 5),
+                  st.integers(1, 7)),
+        st.builds(lambda a, b, s: range(b, a, -s), st.integers(-5, 5),
+                  st.integers(0, steps + 5), st.integers(1, 7)),
+        st.just(()))
+
+
+def same_columns(run, ref):
+    """The run's derived log, recorded states, final state, trajectory text
+    and state rows against the per-step loop's run."""
+    assert run.log == ref.log
+    assert run.recorded == ref.recorded
+    assert run.final == ref.final
+    assert run.dump_trajectory() == oracles.trajectory_text(ref.recorded)
+    rows = [ref.recorded[t] for t in sorted(ref.recorded)]
+    assert run.state_rows().tolist() == [list(s) for s in rows]
+
+
+class TestColumnsMatchPerStepLoops:
+    """A run is stored as one int per step; the log, recorded states and
+    trajectory derived from those columns equal what the per-step loops
+    build directly, for every sampler."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_sampler(self, data):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        m = random_monotone_model(np.random.default_rng(seed), max_vars=3)
+        kind = data.draw(st.sampled_from(
+            ["glauber", "lifted", "censored", "simulate", "field"]),
+            label="kind")
+        if kind == "simulate":
+            t1 = data.draw(st.integers(1, 4), label="t1")
+            t2 = data.draw(st.integers(1, 30), label="t2")
+            record_at = data.draw(record_times(t1 * t2), label="record_at")
+            run, out = simulate_algorithm(m, 0.5, t1, t2, seed, record_at)
+            ref, ref_out = oracles.per_step_simulate(m, 0.5, t1, t2, seed,
+                                                     record_at)
+            assert out == ref_out
+        else:
+            steps = data.draw(st.integers(0, 120), label="steps")
+            record_at = data.draw(record_times(steps), label="record_at")
+            x0 = (1,) * m.n_vars
+            if kind == "field":
+                run = field_run(m, 0.5, x0, steps, seed, record_at)
+                ref = oracles.per_step_field_run(m, 0.5, x0, steps, seed,
+                                                 record_at)
+            elif kind == "censored":
+                k = data.draw(st.integers(1, m.n_vars), label="k")
+                period = data.draw(st.integers(1, 9), label="period")
+                left, right = range(k), range(k, m.n_vars)
+                run = censored_glauber(
+                    m, x0, Schedule.two_level(left, right, period, seed),
+                    steps, seed, record_at)
+                ref = oracles.per_step_heat_bath_run(
+                    m, x0, steps, seed, record_at, purpose="censored",
+                    allowed=oracles.per_block_two_level(left, right, period,
+                                                        seed))
+            else:
+                if kind == "lifted":  # states over 0, 1 and *
+                    m = models.lift_model(m, 0.5)
+                run = glauber_run(m, x0, steps, seed, record_at)
+                ref = oracles.per_step_heat_bath_run(m, x0, steps, seed,
+                                                     record_at)
+        same_columns(run, ref)
+
+    def test_times_past_five_digits(self):
+        # time stamps 99,999 and 100,000 on either side of a width change;
+        # replay is the log's own check of the recorded states
+        m = models.lift_model(k2_flipped_rc(), 0.5)
+        run = glauber_run(m, (models.STAR,), 100_001, 3,
+                          record_at=[0, 9, 10, 99_999, 100_000, 100_001])
+        assert run.dump_trajectory() == oracles.trajectory_text(run.recorded)
+        assert run.replay() == run.recorded
+        assert run.dump_trajectory().splitlines()[-2].startswith("100000\t")
+
+    def test_nothing_recorded(self):
+        run = glauber_run(k2_flipped_rc(), (1,), 10, 0, record_at=[-1, 11])
+        assert run.recorded == {} and run.dump_trajectory() == "\n"
+        assert run.state_rows().shape == (0, 1)
