@@ -47,6 +47,8 @@ def _load(args):
     params = fileio.load_params(args.params)
     model = fileio.apply_transforms(fileio.build_model(params, graph),
                                     args.transform)
+    if model.n_vars == 0:
+        raise ValueError("the model has no variables")
     transforms = ["pin=" + Path(t[4:]).read_text() if t.startswith("pin=")
                   else t for t in args.transform]
     parts = {"command": args.command, "graph": graph_text,
@@ -166,7 +168,7 @@ class _VerifyContext:
     # laws of the simulation run over 2*t1*t2 steps from pi0
     alg = cached_property(lambda c: exact.propagate(
         c.pi0, exact.algorithm_kernel_sequence(
-            c.model, c.theta, c.t1, c.t2, steps=2 * c.t1 * c.t2)[2]))
+            c.freeze, c.starg, c.t1, c.t2, steps=2 * c.t1 * c.t2)))
     # laws of the lifted Glauber chain from pi0, and of the Glauber chain
     # from the all-1 state, over max(20, 2*t1*t2) steps
     lifted_laws = cached_property(lambda c: exact.propagate(
@@ -307,15 +309,13 @@ def cmd_analyze(args):
     sched = None
     if kind == "rc":
         theta, sched = analysis.rc_schedule(
-            min(float(params.get(f"p.{i}", params.get("p.default")))
-                for i in range(graph.m)),
-            max(float(params.get(f"lambda.{i}", params.get("lambda.default")))
-                for i in range(graph.n)),
-            max(graph.n, 3))
+            min(fileio._per_item(params, "p", graph.m)),
+            max(fileio._per_item(params, "lambda", graph.n)), max(graph.n, 3))
     elif kind == "bipartite-hardcore":
         deg = max(len(graph.neighbors(v)) for v in range(graph.n))
         theta, sched = analysis.bhc_schedule(
-            float(params["lambda"]), max(deg, 1), max(graph.n, 3),
+            fileio.parse_float("lambda", params["lambda"]), max(deg, 1),
+            max(graph.n, 3),
             fileio.parse_float("delta", params.get("delta", 0.5)))
     if sched is not None:
         out["schedule"] = {"theta": theta, "segments": sched.segments,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
-                        contract, enumerate_up_sets, first_dominance_failure,
-                        state_str, stochastic_dominance, up_set_of_row)
+                        enumerate_up_sets, first_dominance_failure, state_str,
+                        stochastic_dominance, up_set_of_row)
 from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
                      tilt)
 
@@ -170,12 +170,9 @@ def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
     """Contract-then-lift kernel: from X, mass theta^{#1}(1-theta)^{#star} on
     every Y with the same contraction."""
     support = support or enumerate_support(lifted)
-    k = support.size
-    _check_dense(k)
-    mat = np.zeros((k, k))
-    for i, s in enumerate(support.states):
-        for y, pr in _lift_fanout(contract(s), lifted.theta, 1.0):
-            mat[i, support.index(y)] += pr
+    _check_dense(support.size)
+    code = _contraction_codes(support.array)
+    mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
     return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
 
 
@@ -243,32 +240,16 @@ def _one_slices(ones):
         yield from walk(0, (), np.arange(len(ones)))
 
 
-def _block_kernel_sequence(model, theta, t1, t2, steps, inner):
-    lifted = LiftedModel(model, theta)
-    support = enumerate_support(lifted)
-    p_freeze = freeze_kernel(lifted, support)
-    p_inner = inner(lifted, support)
-    both = p_freeze @ p_inner
+def algorithm_kernel_sequence(freeze: Kernel, inner: Kernel, t1, t2,
+                              steps=None) -> list:
+    """Kernels of the simulation run for steps 1..steps (default t1 * t2):
+    inner, with the contract-then-lift kernel freeze prefixed at the start
+    of each block of t2 steps.  The star-frozen kernel as inner gives the
+    algorithm, the lifted Glauber kernel the modified run."""
+    both = freeze @ inner
     if steps is None:
         steps = t1 * t2
-    seq = [both if t % t2 == 0 else p_inner for t in range(steps)]
-    return lifted, support, seq
-
-
-def algorithm_kernel_sequence(model, theta, t1, t2, steps=None):
-    """Time-inhomogeneous kernels of the simulation run: at the start of each
-    inner block the contract-then-lift kernel is prefixed.
-
-    Returns (lifted_model, support, [Kernel for step 1..steps]).
-    """
-    return _block_kernel_sequence(model, theta, t1, t2, steps,
-                                  star_glauber_kernel)
-
-
-def modified_glauber_kernel_sequence(model, theta, t1, t2, steps=None):
-    """Same block structure with the lifted Glauber kernel in place of the
-    star-frozen one."""
-    return _block_kernel_sequence(model, theta, t1, t2, steps, glauber_kernel)
+    return [both if t % t2 == 0 else inner for t in range(steps)]
 
 
 def propagate(nu0: np.ndarray, kernels) -> list:
@@ -290,37 +271,55 @@ def propagate(nu0: np.ndarray, kernels) -> list:
 # pushforwards
 
 
-def _lift_fanout(x, theta, mass):
-    """The lifts of the binary state x with their masses, starting at mass:
-    each 1 stays 1 with weight theta or becomes STAR with weight 1 - theta."""
-    ones = [v for v in range(len(x)) if x[v] == 1]
-    for choice in itertools.product((1, STAR), repeat=len(ones)):
-        y = list(x)
-        pr = mass
-        for v, c in zip(ones, choice):
-            y[v] = c
-            pr *= theta if c == 1 else 1 - theta
-        yield tuple(y), pr
+def _lift_weights(support: Poset, theta, mass=1.0) -> np.ndarray:
+    """Each state's lift weight theta^{#1}(1-theta)^{#star}, multiplied into
+    mass (scalar or per state) column by column in site order, each factor
+    looked up by the entry's value (0, 1, STAR): the loop that fans a binary
+    state out over its lifts multiplies the same factors in the same order
+    (a 0 site here by an exact 1.0).  With one addend per kernel and lifted
+    entry, and np.bincount adding in support order, the freeze kernel and
+    both pushforwards equal those loops bit for bit."""
+    w = mass * np.ones(support.size)
+    for col in np.array([1.0, theta, 1 - theta])[support.array].T:
+        w = w * col
+    return w
+
+
+def _contraction_codes(array):
+    """Each row's contraction code: bit v set where site v is 1 or STAR."""
+    if array.shape[1] > 62:
+        raise ValueError("contraction codes are guarded to 62 sites")
+    return (array != 0) @ (1 << np.arange(array.shape[1], dtype=np.int64))
+
+
+def _contraction_index(lifted_support: Poset, bin_support: Poset):
+    """The index in bin_support of each lifted state's contraction; refused
+    unless the lifted support holds exactly the lifts of bin_support."""
+    bcode = _contraction_codes(bin_support.array)
+    lcode = _contraction_codes(lifted_support.array)
+    order = np.argsort(bcode)
+    idx = order[np.searchsorted(bcode, lcode, sorter=order) % bcode.size]
+    if np.any(bcode[idx] != lcode) or lifted_support.size != np.exp2(
+            (bin_support.array == 1).sum(axis=1)).sum():
+        raise ValueError("the lifted support is not the lift of the binary "
+                         "support")
+    return idx
 
 
 def lift_pushforward(probs, bin_support: Poset, theta,
                      lifted_support: Poset) -> np.ndarray:
-    """Analytic pushforward of a binary law under the randomized lift: each
-    state fans out over its 1-coordinates with theta/(1-theta) weights."""
-    out = np.zeros(lifted_support.size)
-    for i, s in enumerate(bin_support.states):
-        if probs[i] != 0.0:
-            for y, pr in _lift_fanout(s, theta, probs[i]):
-                out[lifted_support.index(y)] += pr
-    return out
+    """Pushforward of a binary law under the randomized lift: each lifted
+    state gets its contraction's mass times its lift weight (+0.0 if 0)."""
+    mass = np.asarray(probs, dtype=float)[
+        _contraction_index(lifted_support, bin_support)]
+    return np.where(mass == 0, 0.0, _lift_weights(lifted_support, theta, mass))
 
 
 def contract_pushforward(probs, lifted_support: Poset,
                          bin_support: Poset) -> np.ndarray:
-    out = np.zeros(bin_support.size)
-    for i, s in enumerate(lifted_support.states):
-        out[bin_support.index(contract(s))] += probs[i]
-    return out
+    """Pushforward of a lifted law under the contraction."""
+    return np.bincount(_contraction_index(lifted_support, bin_support),
+                       probs, minlength=bin_support.size)
 
 
 # ---------------------------------------------------------------------------

@@ -226,16 +226,16 @@ def enumerate_up_sets(poset: Poset, max_elements: int = 32,
     k = poset.size
     if k > max_elements:
         raise ValueError(
-            f"poset has {k} > {max_elements} elements; "
-            "use the flow-based dominance check instead")
+            f"poset has {k} > {max_elements} elements; up-sets are "
+            f"enumerated on at most {max_elements} elements")
     less = poset._less
     rows = np.zeros((1, k), dtype=bool)
     for i in poset.extension:
         grows = rows[:, less[i]].all(axis=1)
         if len(rows) + grows.sum() > max_up_sets:
             raise ValueError(
-                f"more than {max_up_sets} up-sets; "
-                "use the flow-based dominance check instead")
+                f"more than {max_up_sets} up-sets; at most {max_up_sets} "
+                "up-sets are enumerated")
         rows = rows[np.repeat(np.arange(len(rows)), 1 + grows)]
         rows[np.flatnonzero(grows) + np.arange(1, grows.sum() + 1), i] = True
     rows.flags.writeable = False

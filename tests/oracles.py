@@ -18,8 +18,10 @@ test and the up-set cross-check of stochastic dominance, the covers and
 height of a poset by their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
 pair of conditionings; the kernel builders that loop over states, sites and
-values (site-update laws) or over rows and kept sets (field dynamics), and
-the mixing time of one chain at a time without the refusal by distance.
+values (site-update laws) or over rows and kept sets (field dynamics), the
+freeze kernel and the lift and contract pushforwards that fan each binary
+state out over its lifts with one support.index per entry, and the mixing
+time of one chain at a time without the refusal by distance.
 """
 
 import functools
@@ -50,8 +52,8 @@ def up_sets_by_sets(poset: Poset, max_elements: int = 32,
     k = poset.size
     if k > max_elements:
         raise ValueError(
-            f"poset has {k} > {max_elements} elements; "
-            "use the flow-based dominance check instead")
+            f"poset has {k} > {max_elements} elements; up-sets are "
+            f"enumerated on at most {max_elements} elements")
     order = sorted(range(k), key=lambda i: poset.states[i], reverse=True)
     m = poset.leq_matrix()
     succ = [frozenset(j for j in np.nonzero(m[i])[0] if j != i)
@@ -65,8 +67,8 @@ def up_sets_by_sets(poset: Poset, max_elements: int = 32,
                 new.append(u | {i})
         if len(new) > max_up_sets:
             raise ValueError(
-                f"more than {max_up_sets} up-sets; "
-                "use the flow-based dominance check instead")
+                f"more than {max_up_sets} up-sets; at most {max_up_sets} "
+                "up-sets are enumerated")
         partial = new
     return partial
 
@@ -317,6 +319,50 @@ def loop_fd_kernel(model, theta, support=None):
                                  "pinned slice")
             mat[i, mask] += pr_s * (w[mask] / z)
     return mat
+
+
+def lift_fanout(x, theta, mass):
+    """The lifts of the binary state x with their masses, starting at mass:
+    each 1 stays 1 with weight theta or becomes STAR with weight 1 - theta."""
+    ones = [v for v in range(len(x)) if x[v] == 1]
+    for choice in itertools.product((1, ordercore.STAR), repeat=len(ones)):
+        y = list(x)
+        pr = mass
+        for v, c in zip(ones, choice):
+            y[v] = c
+            pr *= theta if c == 1 else 1 - theta
+        yield tuple(y), pr
+
+
+def loop_freeze_kernel(lifted, support):
+    """Contract-then-lift kernel: each row fans its contraction out over
+    its lifts, one support.index per entry."""
+    k = support.size
+    mat = np.zeros((k, k))
+    for i, s in enumerate(support.states):
+        for y, pr in lift_fanout(contract(s), lifted.theta, 1.0):
+            mat[i, support.index(y)] += pr
+    return mat
+
+
+def loop_lift_pushforward(probs, bin_support, theta, lifted_support):
+    """Lift pushforward: each binary state of nonzero mass fans out over
+    its lifts."""
+    out = np.zeros(lifted_support.size)
+    for i, s in enumerate(bin_support.states):
+        if probs[i] != 0.0:
+            for y, pr in lift_fanout(s, theta, probs[i]):
+                out[lifted_support.index(y)] += pr
+    return out
+
+
+def loop_contract_pushforward(probs, lifted_support, bin_support):
+    """Contract pushforward: each lifted state adds its mass at its
+    contraction, in support order."""
+    out = np.zeros(bin_support.size)
+    for i, s in enumerate(lifted_support.states):
+        out[bin_support.index(contract(s))] += probs[i]
+    return out
 
 
 def loop_mixing_time(matrix, mu, x0_index=None, eps=0.25, cap=10 ** 6,

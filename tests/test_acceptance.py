@@ -103,10 +103,10 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
         sup = exact.enumerate_support(m)
         gker = exact.glauber_kernel(m, sup)
         mu = gker.stationary
-        _, lsup, lker, _, _ = lifted_kernels(m, theta)
-        _, lsup2, seq = exact.algorithm_kernel_sequence(m, theta, t1, t2,
-                                                        steps=horizon)
-        assert lsup2.states == lsup.states
+        _, lsup, lker, freeze, starg = lifted_kernels(m, theta)
+        seq = exact.algorithm_kernel_sequence(freeze, starg, t1, t2,
+                                              steps=horizon)
+        assert seq[0].support.states == lsup.states
         ones = tuple([1] * m.n_vars)
         pi0 = exact.lift_pushforward(exact.point_mass(sup, ones), sup,
                                      theta, lsup)

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glauberlab import cli, exact, ordercore
+from glauberlab import cli, exact, models, ordercore
 import oracles
 
 
@@ -123,6 +123,24 @@ class TestVerify:
 def cycle_graph(tmp_path, n):
     return write(tmp_path / f"c{n}.graph", f"{n} {n}\n" + "".join(
         f"{i} {(i + 1) % n}\n" for i in range(n)))
+
+
+def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
+                                             capsys):
+    # the simulation run reuses the freeze and star-frozen kernels that the
+    # other checks hold, over the one lifted support
+    calls = {name: mock.Mock(wraps=getattr(exact, name)) for name in
+             ("enumerate_support", "freeze_kernel", "star_glauber_kernel")}
+    for name, spy in calls.items():
+        monkeypatch.setattr(exact, name, spy)
+    assert run_cli(["verify", "--graph", p3, "--params", rc_params,
+                    "--transform", "flip"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
+    lifted = [c for c in calls["enumerate_support"].call_args_list
+              if isinstance(c.args[0], models.LiftedModel)]
+    assert len(lifted) == 1
+    assert calls["freeze_kernel"].call_count == 1
+    assert calls["star_glauber_kernel"].call_count == 1
 
 
 class TestLiftedOrderCeilings:
@@ -539,6 +557,38 @@ class TestErrors:
                         "--transform", "left-marginal"]) == 2
         assert capsys.readouterr().err == (
             "error: bipartition size out of range\n")
+
+    @pytest.mark.parametrize("command", ["sample", "verify", "analyze",
+                                         "mixing", "kernel-export"])
+    @pytest.mark.parametrize("graph, params, transforms", [
+        ("2 0\n", "model=rc\np.default=0.5\nlambda.default=0.5\n", []),
+        ("2 0 bipartite 0\n", "model=bipartite-hardcore\nlambda=1\nbeta=1\n",
+         ["--transform", "left-marginal"]),
+    ], ids=["rc-edgeless", "left-marginal-no-left"])
+    def test_model_without_variables_exits_two(self, tmp_path, capsys,
+                                               command, graph, params,
+                                               transforms):
+        # each command failed on its own before, with a message about rows,
+        # a modulo or a reduction
+        argv = [command, "--graph", write(tmp_path / "g.graph", graph),
+                "--params", write(tmp_path / "m.params", params)]
+        assert run_cli(argv + transforms) == 2
+        assert capsys.readouterr().err == "error: the model has no variables\n"
+
+    def test_product_comparison_past_the_up_set_limit_exits_two(self,
+                                                                tmp_path,
+                                                                capsys):
+        # flipped RC on C5 lifts to 243 states; check_mc_leq enumerates the
+        # up-sets of at most 32
+        params = write(tmp_path / "rc.params", "model = rc\n"
+                       "p.default = 0.5\nlambda.default = 0.5\n"
+                       "theta = 0.5\n")
+        assert run_cli(["verify", "--graph", cycle_graph(tmp_path, 5),
+                        "--params", params, "--transform", "flip",
+                        "--check", "product-comparison"]) == 2
+        assert capsys.readouterr().err == (
+            "error: poset has 243 > 32 elements; up-sets are enumerated on "
+            "at most 32 elements\n")
 
     @pytest.mark.parametrize("line", ["0 10", "0 x", "0", "0 1 1", "x 1"])
     def test_malformed_pin_line_exits_two(self, k2, rc_params, tmp_path,

@@ -21,6 +21,15 @@ def k2_flipped_rc():
     return flip(RandomClusterModel(K2, [0.5], [1.0, 1.0]))
 
 
+def algorithm_sequence(m, theta, t1, t2):
+    """The lifted support of m and the kernels of its simulation run."""
+    lifted = models.lift_model(m, theta)
+    lsup = exact.enumerate_support(lifted)
+    return lsup, exact.algorithm_kernel_sequence(
+        exact.freeze_kernel(lifted, lsup),
+        exact.star_glauber_kernel(lifted, lsup), t1, t2)
+
+
 class TestRng:
     def test_streams_differ_by_purpose(self):
         a = make_rng(1, 0, "x").random(4)
@@ -168,7 +177,7 @@ class TestSimulateAlgorithm:
     def test_one_step_law_matches_kernel_product(self):
         m = k2_flipped_rc()
         theta, t1, t2 = 0.5, 1, 1
-        lifted, lsup, seq = exact.algorithm_kernel_sequence(m, theta, t1, t2)
+        lsup, seq = algorithm_sequence(m, theta, t1, t2)
         sup = exact.enumerate_support(m)
         pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,)), sup, theta,
                                      lsup)
@@ -189,7 +198,7 @@ class TestSimulateAlgorithm:
         mu = exact.stationary_distribution(m, sup)
         tvs = []
         for t2 in (1, 4, 16):
-            _, lsup, seq = exact.algorithm_kernel_sequence(m, theta, 2, t2)
+            lsup, seq = algorithm_sequence(m, theta, 2, t2)
             pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,)), sup,
                                          theta, lsup)
             out = exact.contract_pushforward(exact.propagate(pi0, seq)[-1],

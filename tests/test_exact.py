@@ -14,8 +14,7 @@ from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               check_stochastic_monotonicity, contract_pushforward,
                               dist_to_csv, enumerate_support, exact_mixing_time,
                               fd_kernel, glauber_kernel, kernel_to_csv,
-                              kl_divergence, lift_pushforward,
-                              modified_glauber_kernel_sequence, freeze_kernel,
+                              kl_divergence, lift_pushforward, freeze_kernel,
                               pinnings, point_mass,
                               propagate, star_glauber_kernel,
                               stationary_distribution,
@@ -230,9 +229,10 @@ class TestKernels:
 class TestSequences:
     def test_block_structure(self):
         m = k2_flipped_rc()
-        _, sup, seq = algorithm_kernel_sequence(m, 0.5, 2, 3)
         lm = lift_model(m, 0.5)
+        sup = enumerate_support(lm)
         p_starg = star_glauber_kernel(lm, sup)
+        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup), p_starg, 2, 3)
         assert len(seq) == 6
         for t, ker in enumerate(seq):
             if t % 3 == 0:
@@ -242,8 +242,10 @@ class TestSequences:
 
     def test_t2_one_always_prefixed(self):
         m = k2_flipped_rc()
-        _, sup, seq = algorithm_kernel_sequence(m, 0.5, 3, 1)
         lm = lift_model(m, 0.5)
+        sup = enumerate_support(lm)
+        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup),
+                                        star_glauber_kernel(lm, sup), 3, 1)
         both = (freeze_kernel(lm, sup) @ star_glauber_kernel(lm, sup)).matrix
         for ker in seq:
             assert np.allclose(ker.matrix, both)
@@ -253,11 +255,13 @@ class TestSequences:
         # trajectory laws unchanged when started from the lifted all-1 law
         m = k2_flipped_rc(0.4, (0.6, 0.9))
         theta = 0.5
-        lm, sup, seq = modified_glauber_kernel_sequence(m, theta, 2, 3)
+        lm = lift_model(m, theta)
+        sup = enumerate_support(lm)
+        gd = glauber_kernel(lm, sup)
+        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup), gd, 2, 3)
         bsup = enumerate_support(m)
         pi0 = lift_pushforward(point_mass(bsup, (1,)), bsup, theta, sup)
         via_seq = propagate(pi0, seq)
-        gd = glauber_kernel(lm, sup)
         plain = pi0.copy()
         for t in range(1, len(seq) + 1):
             plain = plain @ gd.matrix
@@ -325,6 +329,65 @@ class TestPushforwards:
                 contract_pushforward(la, lsup, sup),
                 contract_pushforward(lb, lsup, sup), sup)[0]
         assert found > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.floats(0, 1, exclude_min=True, exclude_max=True),
+           st.sampled_from(["none", "tilt", "flip", "pin"]), st.booleans())
+    def test_lift_table_equals_loops(self, seed, theta, transform, shuffle):
+        """freeze_kernel and both pushforwards equal their loop forms bit for
+        bit: random monotone models (tilted and left marginals among them)
+        and their tilts, flips and pins, supports in lexicographic or random
+        order, laws with zero entries of either sign."""
+        rng = np.random.default_rng(seed)
+        m = random_monotone_model(rng, max_vars=3)
+        sup = enumerate_support(m)
+        if transform == "tilt":
+            m = models.tilt(m, float(rng.uniform(0.1, 3.0)))
+        elif transform == "flip":
+            m = flip(m)
+        elif transform == "pin":
+            v = int(rng.integers(m.n_vars))
+            m = models.pin(m, {v: sup.states[rng.integers(sup.size)][v]})
+        lm = lift_model(m, theta)
+        sup, lsup = enumerate_support(m), enumerate_support(lm)
+        if shuffle:
+            sup, lsup = (Poset(tuple(p.states[i]
+                                     for i in rng.permutation(p.size)))
+                         for p in (sup, lsup))
+
+        def law(k):
+            p = rng.dirichlet(np.ones(k))
+            p[rng.random(k) < 0.4] = 0.0
+            p[(p == 0.0) & (rng.random(k) < 0.5)] = -0.0
+            return p
+
+        assert (freeze_kernel(lm, lsup).matrix.tobytes()
+                == oracles.loop_freeze_kernel(lm, lsup).tobytes())
+        p = law(sup.size)
+        assert (lift_pushforward(p, sup, theta, lsup).tobytes()
+                == oracles.loop_lift_pushforward(p, sup, theta,
+                                                 lsup).tobytes())
+        q = law(lsup.size)
+        assert (contract_pushforward(q, lsup, sup).tobytes()
+                == oracles.loop_contract_pushforward(q, lsup, sup).tobytes())
+
+    def test_pushforwards_refuse_supports_that_are_not_a_lift(self):
+        m = k2_flipped_rc(0.4, (0.5, 0.8))
+        sup = enumerate_support(m)
+        lsup = enumerate_support(lift_model(m, 0.5))
+        short = Poset(sup.states[1:])
+        # a lifted state contracts outside the binary support
+        with pytest.raises(ValueError, match="not the lift"):
+            contract_pushforward(np.ones(lsup.size) / lsup.size, lsup, short)
+        # a binary state lacks one of its lifts
+        with pytest.raises(ValueError, match="not the lift"):
+            lift_pushforward(np.ones(sup.size) / sup.size, sup, 0.5,
+                             Poset(lsup.states[:-1]))
+        # a contraction code is one int64 bit per site
+        wide = Poset(((1,) * 63,))
+        with pytest.raises(ValueError, match="guarded to 62 sites"):
+            contract_pushforward([1.0], wide, wide)
 
     def test_initial_lifted_density_is_increasing(self):
         # law of lift(all-1) has increasing density against the lifted law
