@@ -158,10 +158,12 @@ class _VerifyContext:
     # the stationary law of the lift, over lsup
     lmu = cached_property(
         lambda c: exact.stationary_distribution(c.lifted, c.lsup))
-    lker = cached_property(lambda c: exact.glauber_kernel(c.lifted, c.lsup))
-    freeze = cached_property(lambda c: exact.freeze_kernel(c.lifted, c.lsup))
-    starg = cached_property(
-        lambda c: exact.star_glauber_kernel(c.lifted, c.lsup))
+    lker = cached_property(
+        lambda c: exact.glauber_kernel(c.lifted, c.lsup, stationary=c.lmu))
+    freeze = cached_property(
+        lambda c: exact.freeze_kernel(c.lifted, c.lsup, stationary=c.lmu))
+    starg = cached_property(lambda c: exact.star_glauber_kernel(
+        c.lifted, c.lsup, stationary=c.lmu))
     # the lift of the point mass at the all-1 state
     pi0 = cached_property(lambda c: exact.lift_pushforward(
         exact.point_mass(c.sup, c.ones), c.sup, c.theta, c.lsup))
@@ -340,15 +342,20 @@ def cmd_mixing(args):
     theta = fileio.parse_float("theta", params.get("theta", 0.25))
     eps = args.eps
     sup = exact.enumerate_support(model)
-    gker = exact.glauber_kernel(model, sup)
+    # the heat-bath law and the stationary law, evaluated once for the
+    # Glauber, field-dynamics and tilted kernels
+    mu = exact.stationary_distribution(model, sup)
+    arrays = exact.heat_bath_arrays(model, sup)
+    gker = exact.glauber_kernel(model, sup, stationary=mu, arrays=arrays)
     ones = tuple([1] * model.n_vars)
     t_gd = exact.exact_mixing_time(gker, ones, eps)
-    fker = exact.fd_kernel(model, theta, sup)
+    fker = exact.fd_kernel(model, theta, sup, stationary=mu)
     t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
     t_fd_worst = exact.exact_mixing_time(fker, None, eps / 2)
     t_fd = t_fd_worst
     delta = eps / (2 * max(t_fd, 1))
-    t_tilted = exact.tilted_mixing_time(model, theta, delta)
+    t_tilted = exact.tilted_mixing_time(model, theta, delta, support=sup,
+                                        arrays=arrays)
     bound = t_fd * t_tilted
     head = ("config,seed,eps,theta,t_gd_ones,t_fd_ones,t_fd_worst,"
             "t_tilted,product_bound\n")

@@ -575,19 +575,25 @@ class Schedule:
         """Bipartite two-level schedule: for each block of `period` steps an
         outer left vertex is drawn (from the schedule's own stream, so the
         rule depends only on (t, seed)); the allowed set is that vertex plus
-        the whole right side."""
+        the whole right side.
+
+        The draws are made ahead in chunks that double in size: PCG64
+        keeps the spare half of a 64-bit output in the bit generator, so
+        rng.integers(n, size=c) gives the values of c calls
+        rng.integers(n), in order."""
         if period < 1:
             raise ValueError(f"period must be at least 1, got {period}")
-        left = tuple(left)
         right = frozenset(right)
+        allowed = [right | {v} for v in left]
         rng = make_rng(seed, 0, "schedule")
-        cache = []  # the allowed set of each block drawn so far
+        picks = []  # the index into left drawn for each block so far
 
         def rule(t):
             block = t // period
-            while len(cache) <= block:
-                cache.append(right | {left[int(rng.integers(len(left)))]})
-            return cache[block]
+            while len(picks) <= block:
+                picks.extend(rng.integers(len(allowed),
+                                          size=max(1, len(picks))).tolist())
+            return allowed[picks[block]]
 
         return cls(rule, name="two-level", period=period)
 

@@ -15,8 +15,8 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, heat_bath_law, star_frozen_law,
-                     tilt)
+from .models import (ENUM_GUARD, LiftedModel, TiltedModel, heat_bath_law,
+                     star_frozen_law, tilt)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -141,8 +141,17 @@ def _law_arrays(law, support: Poset, sites, a):
     return succ, prob
 
 
-def _law_kernel(model, law, site, support) -> Kernel:
-    """Kernel of one step of `law` at `site`, or at a uniform site if None.
+def heat_bath_arrays(model, support: Poset):
+    """(succ, prob) of _law_arrays for the heat-bath law at every site."""
+    return _law_arrays(heat_bath_law(model), support, range(model.n_vars),
+                       len(model.alphabet))
+
+
+def _law_kernel(model, law, site, support, stationary=None,
+                arrays=None) -> Kernel:
+    """Kernel of one step of `law` at `site`, or at a uniform site if None,
+    from the law arrays of `law` over the support (evaluated unless given)
+    and with the model's stationary law (computed unless given).
 
     Entry (i, j) sums prob / n over the (site, value) pairs of state i that
     lead to j; np.add.at adds in the flattened (state, site, value) order, so
@@ -151,38 +160,52 @@ def _law_kernel(model, law, site, support) -> Kernel:
     support = support or enumerate_support(model)
     _check_dense(support.size)
     sites = range(model.n_vars) if site is None else (site,)
-    succ, prob = _law_arrays(law, support, sites, len(model.alphabet))
+    succ, prob = arrays or _law_arrays(law, support, sites,
+                                       len(model.alphabet))
     k = support.size
     mat = np.zeros(k * k)
     np.add.at(mat, (np.arange(k)[:, None, None] * k + succ).ravel(),
               (prob / len(sites)).ravel())
     return Kernel(support, mat.reshape(k, k),
-                  stationary=stationary_distribution(model, support))
+                  stationary=_stationary(model, support, stationary))
 
 
-def glauber_kernel(model, support=None, site=None) -> Kernel:
+def _stationary(model, support, given):
+    """The given stationary law, or the model's over the support."""
+    return stationary_distribution(model, support) if given is None else given
+
+
+def glauber_kernel(model, support=None, site=None, stationary=None,
+                   arrays=None) -> Kernel:
     """Single-site heat-bath kernel: uniform site choice (or always `site`),
-    conditional resample."""
-    return _law_kernel(model, heat_bath_law(model), site, support)
+    conditional resample.  A caller holding the model's stationary law over
+    the support, or (for a uniform site) its heat_bath_arrays, passes them
+    in."""
+    return _law_kernel(model, heat_bath_law(model), site, support,
+                       stationary, arrays)
 
 
-def freeze_kernel(lifted: LiftedModel, support=None) -> Kernel:
+def freeze_kernel(lifted: LiftedModel, support=None,
+                  stationary=None) -> Kernel:
     """Contract-then-lift kernel: from X, mass theta^{#1}(1-theta)^{#star} on
     every Y with the same contraction."""
     support = support or enumerate_support(lifted)
     _check_dense(support.size)
     code = _contraction_codes(support.array)
     mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
-    return Kernel(support, mat, stationary=stationary_distribution(lifted, support))
+    return Kernel(support, mat,
+                  stationary=_stationary(lifted, support, stationary))
 
 
-def star_glauber_kernel(lifted: LiftedModel, support=None, site=None) -> Kernel:
+def star_glauber_kernel(lifted: LiftedModel, support=None, site=None,
+                        stationary=None) -> Kernel:
     """Star-frozen single-site kernel: uniform site choice (or always
     `site`); stars stay, other sites follow the tilted base conditional."""
-    return _law_kernel(lifted, star_frozen_law(lifted), site, support)
+    return _law_kernel(lifted, star_frozen_law(lifted), site, support,
+                       stationary)
 
 
-def fd_kernel(model, theta, support=None) -> Kernel:
+def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
     """Field dynamics: free every 0-site and each 1-site independently with
     probability theta, then resample the freed set from the tilted conditional.
     Exact sum over all freed sets; guarded to at most 20 variables.
@@ -217,7 +240,8 @@ def fd_kernel(model, theta, support=None) -> Kernel:
         per = max(1, _FD_BLOCK_ENTRIES // idx.size)
         for a in range(0, idx.size, per):
             mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per], to)
-    return Kernel(support, mat, stationary=stationary_distribution(model, support))
+    return Kernel(support, mat,
+                  stationary=_stationary(model, support, stationary))
 
 
 def _one_slices(ones):
@@ -587,6 +611,8 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
 
 # the mixing loop compares a step with the one before it this often
 _FIXED_POINT_EVERY = 1024
+# the unit roundoff of a float
+_UNIT = sys.float_info.epsilon / 2
 
 
 def _check_eps(eps):
@@ -598,9 +624,27 @@ def _mixing_times(mats, mus, eps, cap, cur=None):
     """Exact mixing times of a stack of chains: for each kernel of mats
     (g, m, m), with stationary law mus (g, m) and start laws cur (g, s, m),
     one row per start (by default one per state: the worst start), the
-    smallest t with every row at TV <= eps from stationarity.  Each chain
-    stops at its own t; matmul multiplies a stack slice by slice, so a
-    chain's products, and its t, are those of a loop over it alone.
+    smallest t with every row at TV <= eps from stationarity, as the step
+    loop _stepped_times gives it, refusals included.
+
+    A worst start goes to _squared_times first; only the chains it cannot
+    certify run the step loop.  The loop treats each chain on its own (see
+    _stepped_times), and every chain _squared_times certifies has t <= cap
+    and t <= _FIXED_POINT_EVERY, past its refusal at step 0, so that chain
+    could not raise in the loop: running the rest alone raises the loop's
+    first refusal, and gives each of their times."""
+    if cur is not None:
+        return _stepped_times(mats, mus, eps, cap, cur)
+    ts, unsure = _squared_times(mats, mus, eps, cap)
+    if unsure.any():
+        ts[unsure] = _stepped_times(mats[unsure], mus[unsure], eps, cap)
+    return ts
+
+
+def _stepped_times(mats, mus, eps, cap, cur=None):
+    """_mixing_times by the step loop: each chain stops at its own t;
+    matmul multiplies a stack slice by slice, so a chain's products, and
+    its t, are those of a loop over it alone.
 
     Raises RuntimeError past the cap, and every _FIXED_POINT_EVERY steps
     (from step 0) when it is already clear that some row would reach the
@@ -666,6 +710,162 @@ def _refuse_unreachable(mats, cur, mus, eps, cap, t):
                            f"within eps by step {cap}")
 
 
+def _far_at_start(mats, mus, eps, cap):
+    """Which chains of the stack have a worst start farther than eps, as
+    _stepped_times computes it at step 0, after its refusal at step 0 of
+    those chains (the same call on the same arrays)."""
+    g, m = len(mats), mats.shape[-1]
+    cur = np.zeros((g, m, m))
+    cur[:, np.arange(m), np.arange(m)] = 1.0
+    far = _worst_tv(cur, mus[:, None, :]) > eps
+    if not far.all():
+        mats, cur, mus = mats[far], cur[far], mus[far]
+    _refuse_unreachable(mats, cur, mus[:, None, :], eps, cap, 0)
+    return far
+
+
+def _worst_tv(power, mus):
+    """Each chain's largest row TV to stationarity (mus (g, 1, m)), each
+    row's as _stepped_times computes it."""
+    dev = power - mus
+    return (0.5 * np.abs(dev, out=dev).sum(axis=-1)).max(axis=-1)
+
+
+def _power(mats, t):
+    """mats^t slice by slice (t >= 1), by binary powering from the
+    leading bit: per later bit a squaring and, if it is set, a product
+    with mats."""
+    acc = mats
+    for bit in bin(t)[3:]:
+        acc = acc @ acc
+        if bit == "1":
+            acc = acc @ mats
+    return acc
+
+
+def _power_margin(mats, mus, eps, horizon):
+    """How far each chain's TV computed from a product of its kernel's
+    powers, at any t <= horizon <= _FIXED_POINT_EVERY, must clear eps for
+    the step loop to be on the same side of eps at t and, if it is above,
+    at every step before t.
+
+    Let P be a chain's (float) kernel taken as exact, u = 2^-53, gamma =
+    (m + 2) u / (1 - (m + 2) u), R = max(1, the largest row l1 of |P|),
+    pi = the chain's mus and d(t) the exact worst-row TV of P^t.
+    (a) A computed product AB adds at most gamma |A||B| entrywise (Higham,
+        Accuracy and Stability of Numerical Algorithms, 3.5), in any
+        summation order, so with e(X) the largest row l1 error of X against
+        the power it stands for, e(AB) <= e(A) R^b + R^a e(B) + gamma R^a
+        R^b, up to terms of second order.  By induction every computed
+        power, whatever its tree of products (the step loop's C P, or
+        squarings), has e <= E = 2 (t - 1) gamma R^t: the factor 2 covers
+        the second-order terms while horizon^2 gamma <= 1/16, that is for m
+        below 2^29 at horizon 1024.
+    (b) A computed TV of a row x is within tau = gamma (|x|_1 + |pi|_1) / 2
+        of the exact one, with |x|_1 <= R^t + E.  So the fast path's TV and
+        the loop's are each within E/2 + tau of d(t).
+    (c) With the drift r = |pi P - pi|_1 / 2, d(t + 1) <= R d(t) + r (one
+        step is a contraction in TV when R = 1 and pi is stationary: Levin,
+        Peres and Wilmer, Markov Chains and Mixing Times, ch. 4), so d(s)
+        >= d(t) / R^h - h r for s <= t, h = horizon.
+    A computed TV at most eps - M thus puts the loop's at t within eps; one
+    above eps + M puts the loop's at every s <= t above eps, for M =
+    (R^h - 1) eps + (R^h + 1)(E/2 + tau) + h r R^h.  The margin is twice
+    M, which covers the rounding of M's own arithmetic and of underflow (m
+    times the smallest subnormal per entry).  R, |pi|_1 and r are computed
+    and rounded up."""
+    m = mats.shape[-1]
+    gamma = (m + 2) * _UNIT / (1 - (m + 2) * _UNIT)
+    up = 1 + 2 * gamma
+    rows = np.abs(mats).sum(axis=-1).max(axis=-1) * up
+    grow = np.maximum(rows, 1.0) ** horizon
+    mass = np.abs(mus).sum(axis=(1, 2)) * up
+    drift = (0.5 * np.abs(mus @ mats - mus).sum(axis=(1, 2))
+             + gamma * mass * (rows + 2))
+    err = 2 * (horizon - 1) * gamma * grow
+    tau = 0.5 * gamma * (grow + err + mass)
+    return 2 * ((grow - 1) * eps + (grow + 1) * (err / 2 + tau)
+                + horizon * drift * grow)
+
+
+def _squared_times(mats, mus, eps, cap):
+    """(ts, unsure): the worst-start times of _stepped_times for the chains
+    of the stack that powers of their kernels certify, and a mask of the
+    chains they do not.
+
+    After the loop's own test and refusal at step 0 (_far_at_start), each
+    chain farther than eps is bracketed: P, P^2, P^4, ... until every chain
+    is within eps or the power reaches min(cap, _FIXED_POINT_EVERY).  From
+    its last power P^h still farther than eps, a chain then steps on by P,
+    and its t is the first step within eps, or 2h.  Every TV compared with
+    eps must clear it by _power_margin at the last power, so that the step
+    loop's TV at t is within eps, and at t - 1, hence (by the margin's (c))
+    at every step before, above it.  A chain not within eps by the limit,
+    whose t exceeds the limit, or with a TV inside its margin is unsure.
+
+    Holds the kernels and at most three stacks of the same size."""
+    g = len(mats)
+    ts, unsure = np.zeros(g, dtype=int), np.zeros(g, dtype=bool)
+    live = np.flatnonzero(_far_at_start(mats, mus, eps, cap))
+    if not live.size:
+        return ts, unsure
+    if live.size < g:
+        mats, mus = mats[live], mus[live]
+    mus = mus[:, None, :]
+    limit = min(cap, _FIXED_POINT_EVERY)
+    gap = np.full(live.size, np.inf)  # the least |TV - eps| compared
+    half = np.zeros(live.size, dtype=int)  # the last power still far
+    far = np.ones(live.size, dtype=bool)
+    power, last, p = mats, mats, 1
+    while True:
+        d = _worst_tv(power, mus)
+        gap[far] = np.minimum(gap[far], np.abs(d - eps)[far])
+        far &= d > eps
+        last = power if far.all() else np.where(far[:, None, None], power,
+                                                last)
+        half[far] = p
+        if not far.any() or p >= limit:
+            break
+        power, p = power @ power, 2 * p
+    power = None  # only the last far powers step on
+    t = np.where(half > 0, 2 * half, 1)
+    stepping = ~far & (half > 1)
+    for s in range(1, half.max()):
+        stepping &= s < half
+        if not stepping.any():
+            break
+        last = last @ mats
+        d = _worst_tv(last, mus)
+        gap[stepping] = np.minimum(gap[stepping],
+                                   np.abs(d - eps)[stepping])
+        done = stepping & (d <= eps)
+        t[done] = half[done] + s
+        stepping &= ~done
+    sure = ~far & (t <= limit) & (gap > _power_margin(mats, mus, eps, p))
+    ts[live[sure]] = t[sure]
+    unsure[live[~sure]] = True
+    return ts, unsure
+
+
+def _within(mats, mus, eps, cap, t):
+    """Which chains of the stack have a worst-start time of at most t (1 <=
+    t <= _FIXED_POINT_EVERY) in _stepped_times, certified from P^t alone:
+    its worst TV at most eps less _power_margin puts the loop's TV at t
+    within eps, so the loop stops by t.  Chains within eps at step 0 pass;
+    the loop's refusal at step 0 is raised first.  Since every chain that
+    passes has t <= _FIXED_POINT_EVERY, none could raise later in the loop
+    (see _mixing_times)."""
+    ok = ~_far_at_start(mats, mus, eps, cap)
+    live = np.flatnonzero(~ok)
+    if live.size:
+        if live.size < len(mats):
+            mats, mus = mats[live], mus[live]
+        mus = mus[:, None, :]
+        ok[live] = (_worst_tv(_power(mats, t), mus)
+                    <= eps - _power_margin(mats, mus, eps, t))
+    return ok
+
+
 def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
@@ -678,7 +878,7 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
                              eps, cap, start)[0])
 
 
-def _tilted_slices(model, theta):
+def _tilted_slices(model, theta, support=None, arrays=None):
     """The Glauber kernels of the tilted model on its feasible all-1 pinned
     slices, as stacks of equal-size slices of at most k^2 matrix entries in
     all (k the support size), built one stack at a time by _slice_stack.
@@ -686,14 +886,18 @@ def _tilted_slices(model, theta):
     (g, m) the slices' state indices in the tilted support, mats (g, m, m)
     their row-checked kernels and mus (g, m) their stationary laws.
 
-    The tilted conditional is evaluated once per (state, site) and the log
-    weights once per state; each slice's kernel and stationary law equal
-    those of the pinned tilted model bit for bit."""
+    The tilted conditional is evaluated once per (state, site), or derived
+    by _tilted_arrays from the model's heat_bath_arrays over its support
+    when the caller holds them, and the log weights once per state; each
+    slice's kernel and stationary law equal those of the pinned tilted
+    model bit for bit."""
     tilted = tilt(model, theta)
-    support = enumerate_support(tilted)
+    if arrays is None:
+        support = enumerate_support(tilted)
+        succ, prob = heat_bath_arrays(tilted, support)
+    else:
+        succ, prob = _tilted_arrays(model, tilted, support, arrays)
     k = support.size
-    succ, prob = _law_arrays(heat_bath_law(tilted), support,
-                             range(model.n_vars), len(tilted.alphabet))
     lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
     by_size = {}
     for pinned, idx in _one_slices(support.array == 1):
@@ -702,6 +906,28 @@ def _tilted_slices(model, theta):
         per = max(1, k * k // (m * m))
         for c in range(0, len(slices), per):
             yield _slice_stack(slices[c:c + per], succ, prob, lw)
+
+
+def _tilted_arrays(model, tilted, support: Poset, arrays):
+    """heat_bath_arrays of tilted = tilt(model, theta) over the model's
+    support, which the tilt keeps state for state, from the model's own
+    arrays.
+
+    Where the tilt wraps the model in a TiltedModel, its conditional's
+    arithmetic is applied elementwise: z = q0 + theta q1, then q0 / z and
+    theta q1 / z, the same bits.  A probability that underflows to 0 keeps
+    the model's successor where an evaluation would point at the state
+    itself; either adds +0.0 to a kernel entry, which is never -0.0, so no
+    kernel or slice changes.  Other tilts (of a hard-core or an already
+    tilted model) are evaluated."""
+    if not (isinstance(tilted, TiltedModel) and tilted.base is model):
+        return heat_bath_arrays(tilted, support)
+    succ, prob = arrays
+    q0, q1 = prob[..., 0], tilted.theta * prob[..., 1]
+    z = q0 + q1
+    if np.any(z == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return succ, np.stack([q0 / z, q1 / z], axis=-1)
 
 
 def _slice_stack(slices, succ, prob, lw):
@@ -735,18 +961,28 @@ def _slice_stack(slices, succ, prob, lw):
     return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
 
-def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
+def tilted_mixing_time(model, theta, eps, cap=10 ** 6, support=None,
+                       arrays=None) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
-    pinnings, maximized over starting states: the stacks of _tilted_slices,
-    each run by _mixing_times from one row per state of each slice."""
+    pinnings, maximized over starting states: the largest time
+    _mixing_times gives a chain of the stacks of _tilted_slices.  A caller
+    holding the model's support and its heat_bath_arrays passes them in.
+
+    Only the largest is needed.  The first stack (the full slice) gives a
+    time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
+    chains that _within certifies from P^t have times <= t and need
+    nothing more, and only the others run _mixing_times, which may raise
+    t.  Every stack still meets the step loop's refusal at step 0."""
     _check_eps(eps)
-
-    def worst(stack):
-        _, _, mats, mus = stack
-        return int(_mixing_times(mats, mus, eps, cap).max())
-
-    # map lets go of each stack before the next one is built
-    return max(map(worst, _tilted_slices(model, theta)), default=0)
+    best = 0
+    for _, _, mats, mus in _tilted_slices(model, theta, support, arrays):
+        if 1 <= best <= _FIXED_POINT_EVERY:
+            slow = ~_within(mats, mus, eps, cap, best)
+            mats, mus = mats[slow], mus[slow]
+        if len(mats):
+            best = max(best, int(_mixing_times(mats, mus, eps, cap).max()))
+        del mats, mus  # let the stack go before the next one is built
+    return best
 
 
 def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:

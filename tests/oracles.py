@@ -10,7 +10,8 @@ comparison, the single-vertex comparison by both site kernels and every
 up-set of the support, one flow per ordered pair of keys with two conditional
 calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
-re-enumerates one pinned model per pinning, the sampler loops that call
+re-enumerates one pinned model per pinning and the one that runs every
+stack by the step loop, the sampler loops that call
 the site-update law (or the field step) on every step and log a tuple and
 store each recorded state as they go, the trajectory text one formatted
 line at a time, the up-set enumeration one frozenset at a time, the up-set
@@ -383,6 +384,14 @@ def loop_mixing_time(matrix, mu, x0_index=None, eps=0.25, cap=10 ** 6,
                                f"stopped changing by step {t}")
         cur = nxt
     return t
+
+
+def stepped_tilted_mixing_time(model, theta, eps, cap=10 ** 6):
+    """tilted_mixing_time with every stack of _tilted_slices run by the
+    step loop, without certificates."""
+    return max((int(exact._stepped_times(mats, mus, eps, cap).max())
+                for _, _, mats, mus in exact._tilted_slices(model, theta)),
+               default=0)
 
 
 def per_pinning_tilted_kernels(model, theta):

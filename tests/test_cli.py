@@ -130,7 +130,8 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
     # the simulation run reuses the freeze and star-frozen kernels that the
     # other checks hold, over the one lifted support
     calls = {name: mock.Mock(wraps=getattr(exact, name)) for name in
-             ("enumerate_support", "freeze_kernel", "star_glauber_kernel")}
+             ("enumerate_support", "freeze_kernel", "star_glauber_kernel",
+              "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["verify", "--graph", p3, "--params", rc_params,
@@ -141,6 +142,24 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
     assert len(lifted) == 1
     assert calls["freeze_kernel"].call_count == 1
     assert calls["star_glauber_kernel"].call_count == 1
+    # one lifted stationary law, handed to the three lifted kernels
+    assert len([c for c in calls["stationary_distribution"].call_args_list
+                if isinstance(c.args[0], models.LiftedModel)]) == 1
+
+
+def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
+    # the Glauber kernel and the tilted slices share one evaluation of the
+    # heat-bath law, and the Glauber and field-dynamics kernels one
+    # stationary law
+    calls = {name: mock.Mock(wraps=getattr(exact, name))
+             for name in ("_law_arrays", "stationary_distribution")}
+    for name, spy in calls.items():
+        monkeypatch.setattr(exact, name, spy)
+    assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
+                    "--transform", "flip"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    assert calls["_law_arrays"].call_count == 1
+    assert calls["stationary_distribution"].call_count == 1
 
 
 class TestLiftedOrderCeilings:

@@ -245,6 +245,17 @@ class TestCensored:
         assert sched.allowed(4) == oracles.per_block_two_level(
             [0, 1], [2, 3], 4, 9)(4)
 
+    @pytest.mark.parametrize("n_left", [1, 2, 3, 5, 6])
+    def test_two_level_draws_ahead_in_chunks(self, n_left):
+        # the draws come in chunks of 1, 1, 2, 4, ... blocks; reading block
+        # 100 first and then every block crosses each chunk boundary
+        left, right = range(n_left), range(n_left, n_left + 2)
+        sched = Schedule.two_level(left, right, 3, 11)
+        want = oracles.per_block_two_level(left, right, 3, 11)
+        assert sched.allowed(300) == want(300)
+        assert ([sched.allowed(t) for t in range(0, 400, 3)]
+                == [want(t) for t in range(0, 400, 3)])
+
     @pytest.mark.parametrize("period", [0, -1])
     def test_two_level_period_below_one(self, period):
         with pytest.raises(ValueError, match="period must be at least 1"):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 from unittest import mock
 
@@ -957,6 +958,33 @@ class TestTiltedMixing:
                             == oracles.per_pinning_tilted_mixing_time(
                                 m, theta, eps))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.floats(0.05, 0.95),
+                     st.floats(5e-324, 1e-320, allow_subnormal=True)))
+    def test_derived_slices_equal_evaluated_ones(self, seed, theta):
+        # theta down among the subnormals, where theta * q1 underflows to 0:
+        # the derived cell keeps the model's successor, the evaluated one
+        # the state itself, and both add +0.0 (a tilted model's product of
+        # thetas may underflow to 0, which both refuse)
+        def slices(*args):
+            try:
+                return list(exact._tilted_slices(m, theta, *args))
+            except ValueError as e:
+                return repr(e)
+
+        m = random_monotone_model(np.random.default_rng(seed))
+        sup = enumerate_support(m)
+        derived, want = slices(sup, exact.heat_bath_arrays(m, sup)), slices()
+        if isinstance(want, str):
+            assert derived == want
+            return
+        assert len(derived) == len(want)
+        for got, stack in zip(derived, want):
+            assert got[0] == stack[0]
+            for x, y in zip(got[1:], stack[1:]):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_pinned_kernels_are_bit_identical(self, rng):
         for m in tilted_pool(rng):
             for theta in (0.3, 0.9):
@@ -997,6 +1025,10 @@ class TestKernelsMatchLoops:
                     glauber_kernel(m, sup, site).matrix,
                     oracles.loop_law_kernel(m, models.heat_bath_law(m), site,
                                             sup))
+            given = glauber_kernel(m, sup, stationary=np.ones(sup.size),
+                                   arrays=exact.heat_bath_arrays(m, sup))
+            assert np.array_equal(given.matrix, glauber_kernel(m, sup).matrix)
+            assert np.array_equal(given.stationary, np.ones(sup.size))
 
     def test_lifted_kernels(self, rng):
         for m in kernel_pool(rng):
@@ -1098,6 +1130,146 @@ class TestStackedMixing:
             exact._mixing_times(np.array([mat, frozen.matrix]),
                                 np.array([mu, frozen.stationary]), 0.25,
                                 10 ** 6)
+
+
+def shaped_chain(rng, m, kind):
+    """A random stochastic matrix and its stationary law: plain (kind 0),
+    lazy (1: mostly the identity), near-periodic (2: mostly a cyclic shift)
+    or near-frozen (3: almost the identity).  Each keeps at least a 0.005
+    share of the uniform law, so its time at eps >= 1e-7 is at most about
+    3200 steps."""
+    mat = rng.random((m, m)) ** 4
+    mat = 0.5 * mat / mat.sum(axis=1, keepdims=True) + 0.5 / m
+    stay = np.roll(np.eye(m), 1, axis=1) if kind == 2 else np.eye(m)
+    share = (1.0, 0.1, 0.1, 0.01)[kind]
+    mat = (1 - share) * stay + share * mat
+    w, vecs = np.linalg.eig(mat.T)
+    mu = np.real(vecs[:, np.argmin(np.abs(w - 1.0))])
+    return mat, mu / mu.sum()
+
+
+def two_state(a, b):
+    """A two-state chain with off-diagonal rates a, b and its stationary
+    law."""
+    return np.array([[1 - a, a], [b, 1 - b]]), np.array([b, a]) / (a + b)
+
+
+class TestSquaredMixing:
+    """Worst-start times by powers of the kernels, certified against the
+    step loop, which runs for every chain they do not certify."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 4),
+           st.floats(-7, math.log10(0.6)))
+    def test_matches_one_chain_loops(self, seed, m, g, log_eps):
+        rng = np.random.default_rng(seed)
+        eps = 10 ** log_eps
+        chains = [shaped_chain(rng, m, int(rng.integers(4))) for _ in range(g)]
+        mats, mus = (np.array(x) for x in zip(*chains))
+        assert exact._mixing_times(mats, mus, eps, 10 ** 6).tolist() == [
+            oracles.loop_mixing_time(mat, mu, None, eps) for mat, mu in chains]
+
+    def test_near_tie_takes_the_step_loop(self):
+        # eps is the closed-form worst distance at t = 5, max(pi) |1-a-b|^5:
+        # the computed distances sit on it to within rounding
+        mat, mu = two_state(0.3, 0.2)
+        eps = mu.max() * 0.5 ** 5
+        assert two_state_mixing_time(0.3, 0.2, mu[1], False, eps) == 5
+        with mock.patch.object(exact, "_stepped_times",
+                               wraps=exact._stepped_times) as loop:
+            got = exact._mixing_times(mat[None], mu[None], eps, 10 ** 6)
+        assert loop.call_count == 1
+        assert got.tolist() == [oracles.loop_mixing_time(mat, mu, None, eps)]
+        # the one-power certificate refuses the tie, and passes a step later
+        within = [exact._within(mat[None], mu[None], eps, 10 ** 6, t)[0]
+                  for t in (5, 6)]
+        assert within == [False, True]
+
+    def test_clear_chains_need_no_step_loop(self):
+        mat, mu = two_state(0.3, 0.2)
+        with mock.patch.object(exact, "_stepped_times") as loop:
+            for eps, t in ((0.6, 0), (0.1, 3), (1e-3, 10), (1e-7, 23)):
+                assert exact._mixing_times(mat[None], mu[None], eps,
+                                           10 ** 6).tolist() == [t]
+        loop.assert_not_called()
+
+    def test_slow_chains_past_the_bracket_take_the_step_loop(self):
+        # t = 1955 for the lazy chain: the powers stop at 1024, so it alone
+        # runs the step loop; the fast chain keeps its certified t
+        fast, slow = two_state(0.3, 0.2), two_state(1e-3, 1e-3)
+        mats, mus = (np.array(x) for x in zip(fast, slow))
+        with mock.patch.object(exact, "_stepped_times",
+                               wraps=exact._stepped_times) as loop:
+            assert exact._mixing_times(mats, mus, 0.01, 10 ** 6).tolist() == [
+                6, 1955] == [oracles.loop_mixing_time(*c, None, 0.01)
+                             for c in (fast, slow)]
+        assert len(loop.call_args.args[0]) == 1
+
+
+def stacks_far_at_start(model, theta, eps):
+    """(chains, states) of each stack of _tilted_slices, counting only its
+    chains farther than eps at the start."""
+    out = []
+    for _, _, mats, mus in exact._tilted_slices(model, theta):
+        far = [max(exact.tv_distance(row, mu) for row in np.eye(len(mu))) > eps
+               for mu in mus]
+        if any(far):
+            out.append((sum(far), mats.shape[-1]))
+    return out
+
+
+class TestTiltedCertificates:
+    """tilted_mixing_time runs the first stack, then certifies each later
+    stack from one power of its kernels."""
+
+    # a left marginal whose pinned slices mix slower than the full slice:
+    # its stacks' times are 24, then 26, 25, 26, 26, then 30 and 24 (x3)
+    slow_pins = models.LeftMarginalModel(models.BipartiteHardcoreModel(
+        Graph(6, [(0, 5), (1, 4), (3, 4), (3, 5), (0, 4), (1, 5), (2, 5)],
+              bipartite_k=4), 1.5, 1.9))
+    # a left marginal whose full slice (15) ties with a pinned slice
+    tie = models.LeftMarginalModel(models.BipartiteHardcoreModel(
+        Graph(5, [(1, 3), (2, 3)], bipartite_k=3), 1.8, 1.3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+           st.floats(-4, -0.5))
+    def test_matches_per_pinning_oracle(self, seed, theta, log_eps):
+        m = random_monotone_model(np.random.default_rng(seed), max_vars=5)
+        eps = 10 ** log_eps
+        sup = enumerate_support(m)
+        want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
+        assert tilted_mixing_time(m, theta, eps) == want
+        arrays = exact.heat_bath_arrays(m, sup)
+        assert tilted_mixing_time(m, theta, eps, support=sup,
+                                  arrays=arrays) == want
+
+    def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
+        with mock.patch.object(exact, "_mixing_times",
+                               wraps=exact._mixing_times) as run:
+            assert tilted_mixing_time(self.slow_pins, 0.11, 0.005) == 30
+        assert oracles.stepped_tilted_mixing_time(self.slow_pins, 0.11,
+                                                  0.005) == 30
+        # the full slice; all four chains of the next stack (24 < 25, 26);
+        # the three chains of the one after that take 30 > 26
+        assert [len(c.args[0]) for c in run.call_args_list] == [1, 4, 3]
+
+    def test_stack_tied_with_the_first_is_certified(self):
+        with mock.patch.object(exact, "_mixing_times",
+                               wraps=exact._mixing_times) as run:
+            assert tilted_mixing_time(self.tie, 0.7, 0.008) == 15
+        assert oracles.stepped_tilted_mixing_time(self.tie, 0.7, 0.008) == 15
+        assert run.call_count == 1
+
+    def test_every_stack_meets_the_refusal_at_step_zero(self):
+        for m, theta, eps in ((self.slow_pins, 0.11, 0.005),
+                              (self.tie, 0.7, 0.008)):
+            with mock.patch.object(exact, "_refuse_unreachable",
+                                   wraps=exact._refuse_unreachable) as refuse:
+                tilted_mixing_time(m, theta, eps)
+            at_zero = Counter((len(c.args[0]), c.args[0].shape[-1])
+                              for c in refuse.call_args_list if c.args[5] == 0)
+            assert Counter(stacks_far_at_start(m, theta, eps)) <= at_zero
 
 
 class TestUnderflowAndRanges:
