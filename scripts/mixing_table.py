@@ -4,7 +4,8 @@
 For a small flipped random cluster instance, prints one CSV row per theta:
 the Glauber mixing time from all-ones, the field dynamics mixing time (worst
 start), the worst tilted-and-pinned Glauber mixing time, and their product,
-which upper-bounds the first column.
+which upper-bounds the first column: the columns of `exact.comparison_times`,
+which the `mixing` command prints too.
 """
 
 import argparse
@@ -26,19 +27,11 @@ def main():
     g = models.Graph(n, edges)
     m = models.flip(models.RandomClusterModel(g, [args.p] * g.m,
                                               [args.lam] * n))
-    sup = exact.enumerate_support(m)
-    gker = exact.glauber_kernel(m, sup)
-    ones = tuple([1] * m.n_vars)
-    t_gd = exact.exact_mixing_time(gker, ones, args.eps)
-
     print("theta,t_gd_ones,t_fd_worst,t_tilted,product_bound")
     for tok in args.thetas.split(","):
         theta = float(tok)
-        fker = exact.fd_kernel(m, theta, sup)
-        t_fd = exact.exact_mixing_time(fker, None, args.eps / 2)
-        delta = args.eps / (2 * max(t_fd, 1))
-        t_tilted = exact.tilted_mixing_time(m, theta, delta)
-        bound = max(t_fd, 1) * t_tilted
+        t_gd, _, t_fd, t_tilted, bound = exact.comparison_times(m, theta,
+                                                                args.eps)
         flag = "" if t_gd <= bound else "  # VIOLATION"
         print(f"{theta},{t_gd},{t_fd},{t_tilted},{bound}{flag}")
 

@@ -340,26 +340,11 @@ def cmd_analyze(args):
 def cmd_mixing(args):
     graph, params, model, chash = _load(args)
     theta = fileio.parse_float("theta", params.get("theta", 0.25))
-    eps = args.eps
-    sup = exact.enumerate_support(model)
-    # the heat-bath law and the stationary law, evaluated once for the
-    # Glauber, field-dynamics and tilted kernels
-    mu = exact.stationary_distribution(model, sup)
-    arrays = exact.heat_bath_arrays(model, sup)
-    gker = exact.glauber_kernel(model, sup, stationary=mu, arrays=arrays)
-    ones = tuple([1] * model.n_vars)
-    t_gd = exact.exact_mixing_time(gker, ones, eps)
-    fker = exact.fd_kernel(model, theta, sup, stationary=mu)
-    t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
-    t_fd_worst = exact.exact_mixing_time(fker, None, eps / 2)
-    t_fd = t_fd_worst
-    delta = eps / (2 * max(t_fd, 1))
-    t_tilted = exact.tilted_mixing_time(model, theta, delta, support=sup,
-                                        arrays=arrays)
-    bound = t_fd * t_tilted
+    t_gd, t_fd_ones, t_fd_worst, t_tilted, bound = exact.comparison_times(
+        model, theta, args.eps)
     head = ("config,seed,eps,theta,t_gd_ones,t_fd_ones,t_fd_worst,"
             "t_tilted,product_bound\n")
-    row = (f"{chash},{args.seed},{exact.format_float(eps)},"
+    row = (f"{chash},{args.seed},{exact.format_float(args.eps)},"
            f"{exact.format_float(theta)},{t_gd},{t_fd_ones},{t_fd_worst},"
            f"{t_tilted},{bound}\n")
     _emit(args, head + row)

@@ -585,6 +585,9 @@ class Schedule:
             raise ValueError(f"period must be at least 1, got {period}")
         right = frozenset(right)
         allowed = [right | {v} for v in left]
+        if not allowed:
+            raise ValueError("a two-level schedule needs at least one left "
+                             "vertex")
         rng = make_rng(seed, 0, "schedule")
         picks = []  # the index into left drawn for each block so far
 

@@ -175,14 +175,11 @@ def _stationary(model, support, given):
     return stationary_distribution(model, support) if given is None else given
 
 
-def glauber_kernel(model, support=None, site=None, stationary=None,
-                   arrays=None) -> Kernel:
+def glauber_kernel(model, support=None, site=None, stationary=None) -> Kernel:
     """Single-site heat-bath kernel: uniform site choice (or always `site`),
     conditional resample.  A caller holding the model's stationary law over
-    the support, or (for a uniform site) its heat_bath_arrays, passes them
-    in."""
-    return _law_kernel(model, heat_bath_law(model), site, support,
-                       stationary, arrays)
+    the support passes it in."""
+    return _law_kernel(model, heat_bath_law(model), site, support, stationary)
 
 
 def freeze_kernel(lifted: LiftedModel, support=None,
@@ -883,20 +880,17 @@ def _tilted_slices(model, theta, support=None, arrays=None):
     slices, as stacks of equal-size slices of at most k^2 matrix entries in
     all (k the support size), built one stack at a time by _slice_stack.
     Yields (pinned, sel, mats, mus): the pinned site sets (tuples), sel
-    (g, m) the slices' state indices in the tilted support, mats (g, m, m)
-    their row-checked kernels and mus (g, m) their stationary laws.
+    (g, m) the slices' state indices in the support, mats (g, m, m) their
+    row-checked kernels and mus (g, m) their stationary laws.
 
-    The tilted conditional is evaluated once per (state, site), or derived
-    by _tilted_arrays from the model's heat_bath_arrays over its support
-    when the caller holds them, and the log weights once per state; each
-    slice's kernel and stationary law equal those of the pinned tilted
+    The tilt is made (and refused) first.  The slices read the model's
+    support, which the tilt keeps state for state, the tilted conditional
+    of _tilted_arrays and the tilted log weights, evaluated once per state;
+    each slice's kernel and stationary law equal those of the pinned tilted
     model bit for bit."""
     tilted = tilt(model, theta)
-    if arrays is None:
-        support = enumerate_support(tilted)
-        succ, prob = heat_bath_arrays(tilted, support)
-    else:
-        succ, prob = _tilted_arrays(model, tilted, support, arrays)
+    support = support or enumerate_support(model)
+    succ, prob = _tilted_arrays(model, tilted, support, arrays)
     k = support.size
     lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
     by_size = {}
@@ -911,7 +905,7 @@ def _tilted_slices(model, theta, support=None, arrays=None):
 def _tilted_arrays(model, tilted, support: Poset, arrays):
     """heat_bath_arrays of tilted = tilt(model, theta) over the model's
     support, which the tilt keeps state for state, from the model's own
-    arrays.
+    arrays (evaluated unless given).
 
     Where the tilt wraps the model in a TiltedModel, its conditional's
     arithmetic is applied elementwise: z = q0 + theta q1, then q0 / z and
@@ -922,7 +916,7 @@ def _tilted_arrays(model, tilted, support: Poset, arrays):
     tilted model) are evaluated."""
     if not (isinstance(tilted, TiltedModel) and tilted.base is model):
         return heat_bath_arrays(tilted, support)
-    succ, prob = arrays
+    succ, prob = arrays or heat_bath_arrays(model, support)
     q0, q1 = prob[..., 0], tilted.theta * prob[..., 1]
     z = q0 + q1
     if np.any(z == 0.0):
@@ -961,12 +955,15 @@ def _slice_stack(slices, succ, prob, lw):
     return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
 
-def tilted_mixing_time(model, theta, eps, cap=10 ** 6, support=None,
-                       arrays=None) -> int:
+def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
     pinnings, maximized over starting states: the largest time
-    _mixing_times gives a chain of the stacks of _tilted_slices.  A caller
-    holding the model's support and its heat_bath_arrays passes them in.
+    _mixing_times gives a chain of the stacks of _tilted_slices."""
+    return _tilted_time(model, theta, eps, cap)
+
+
+def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None):
+    """tilted_mixing_time, given the model's support and heat_bath_arrays.
 
     Only the largest is needed.  The first stack (the full slice) gives a
     time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
@@ -983,6 +980,28 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6, support=None,
             best = max(best, int(_mixing_times(mats, mus, eps, cap).max()))
         del mats, mus  # let the stack go before the next one is built
     return best
+
+
+def comparison_times(model, theta, eps):
+    """(t_gd_ones, t_fd_ones, t_fd_worst, t_tilted, product_bound) of the
+    comparison t_gd <= t_fd * t_tilted of Glauber with field dynamics (Chen,
+    Liu and Yin, FOCS'23): Glauber from the all-1 state at eps, field
+    dynamics from the all-1 state and the worst start at eps / 2, the
+    tilted-and-pinned time at eps / (2 max(t_fd_worst, 1)) and the bound
+    t_fd_worst * t_tilted.  The heat-bath and stationary laws are evaluated
+    once and shared."""
+    sup = enumerate_support(model)
+    mu = stationary_distribution(model, sup)
+    arrays = heat_bath_arrays(model, sup)
+    gker = _law_kernel(model, heat_bath_law(model), None, sup, mu, arrays)
+    ones = tuple([1] * model.n_vars)
+    t_gd = exact_mixing_time(gker, ones, eps)
+    fker = fd_kernel(model, theta, sup, stationary=mu)
+    t_fd_ones = exact_mixing_time(fker, ones, eps / 2)
+    t_fd = exact_mixing_time(fker, None, eps / 2)
+    t_tilted = _tilted_time(model, theta, eps / (2 * max(t_fd, 1)),
+                            support=sup, arrays=arrays)
+    return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 
 def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:

@@ -557,14 +557,12 @@ def heat_bath_law(model):
 def star_frozen_law(lifted: LiftedModel):
     """The star-frozen dynamics on a lifted model: a star never moves; any
     other site is resampled from the theta-tilted base conditional."""
-    base, theta = lifted.base, lifted.theta
+    tilted = TiltedModel(lifted.base, lifted.theta)
 
     def law(state, v):
         if state[v] == STAR:
             return (STAR,), (1.0,)
-        q0, q1 = base.conditional(contract(state), v)
-        z = q0 + theta * q1
-        return (0, 1), (q0 / z, theta * q1 / z)
+        return (0, 1), tilted.conditional(contract(state), v)
 
     return law
 

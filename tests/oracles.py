@@ -22,7 +22,9 @@ pair of conditionings; the kernel builders that loop over states, sites and
 values (site-update laws) or over rows and kept sets (field dynamics), the
 freeze kernel and the lift and contract pushforwards that fan each binary
 state out over its lifts with one support.index per entry, and the mixing
-time of one chain at a time without the refusal by distance.
+time of one chain at a time without the refusal by distance; the tilted
+slices over the tilted model's own support and conditional, and the
+Glauber vs field-dynamics comparison composed from the public calls.
 """
 
 import functools
@@ -392,6 +394,40 @@ def stepped_tilted_mixing_time(model, theta, eps, cap=10 ** 6):
     return max((int(exact._stepped_times(mats, mus, eps, cap).max())
                 for _, _, mats, mus in exact._tilted_slices(model, theta)),
                default=0)
+
+
+def evaluated_tilted_slices(model, theta):
+    """_tilted_slices over the tilted model's own enumerated support, with
+    the tilted conditional evaluated once per (state, site) in place of
+    being derived from the model's."""
+    tilted = models.tilt(model, theta)
+    support = exact.enumerate_support(tilted)
+    succ, prob = exact.heat_bath_arrays(tilted, support)
+    lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
+    by_size = {}
+    for pinned, idx in exact._one_slices(support.array == 1):
+        by_size.setdefault(idx.size, []).append((pinned, idx))
+    for m, slices in by_size.items():
+        per = max(1, support.size ** 2 // (m * m))
+        for c in range(0, len(slices), per):
+            yield exact._slice_stack(slices[c:c + per], succ, prob, lw)
+
+
+def composed_comparison(model, theta, eps):
+    """exact.comparison_times composed from the public calls, each kernel
+    and the tilted slices evaluating their own laws (only the stationary
+    law is handed on)."""
+    sup = exact.enumerate_support(model)
+    mu = exact.stationary_distribution(model, sup)
+    gker = exact.glauber_kernel(model, sup, stationary=mu)
+    ones = tuple([1] * model.n_vars)
+    t_gd = exact.exact_mixing_time(gker, ones, eps)
+    fker = exact.fd_kernel(model, theta, sup, stationary=mu)
+    t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
+    t_fd = exact.exact_mixing_time(fker, None, eps / 2)
+    t_tilted = exact.tilted_mixing_time(model, theta,
+                                        eps / (2 * max(t_fd, 1)))
+    return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 
 def per_pinning_tilted_kernels(model, theta):

@@ -418,6 +418,16 @@ class TestSample:
         occ = (out.parent / "cen.occupancy.csv").read_text()
         assert occ.count("\n") == 5  # header comment + csv header + 3 vars
 
+    def test_censored_without_left_vertex_exits_two(self, tmp_path, capsys):
+        graph = write(tmp_path / "b0.graph", "2 0 bipartite 0\n")
+        params = write(tmp_path / "c.params",
+                       "model=bipartite-hardcore\nlambda=1\nbeta=1\n"
+                       "dynamics=censored\n")
+        assert run_cli(["sample", "--graph", graph, "--params", params,
+                        "--steps", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a two-level schedule needs at least one left vertex\n")
+
     @pytest.mark.parametrize("period", ["0", "-1"])
     def test_censored_period_below_one_exits_two(self, bip, tmp_path, capsys,
                                                  period):

@@ -261,6 +261,12 @@ class TestCensored:
         with pytest.raises(ValueError, match="period must be at least 1"):
             Schedule.two_level([0], [1], period, 0)
 
+    def test_two_level_empty_left_side(self):
+        # numpy's rng.integers(0) raised "high <= 0" at the first step
+        with pytest.raises(ValueError, match="^a two-level schedule needs at "
+                                             "least one left vertex$"):
+            Schedule.two_level([], [0, 1], 3, 0)
+
     @pytest.mark.parametrize("period, calls", [(1, 40), (7, 6), (None, 1)])
     def test_rule_read_once_per_block(self, period, calls):
         # a rule constant on blocks of 7 steps, read where a block starts;

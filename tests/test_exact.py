@@ -967,23 +967,36 @@ class TestTiltedMixing:
         # the derived cell keeps the model's successor, the evaluated one
         # the state itself, and both add +0.0 (a tilted model's product of
         # thetas may underflow to 0, which both refuse)
-        def slices(*args):
+        def slices(make, *args):
             try:
-                return list(exact._tilted_slices(m, theta, *args))
+                return list(make(m, theta, *args))
             except ValueError as e:
                 return repr(e)
 
         m = random_monotone_model(np.random.default_rng(seed))
         sup = enumerate_support(m)
-        derived, want = slices(sup, exact.heat_bath_arrays(m, sup)), slices()
-        if isinstance(want, str):
-            assert derived == want
-            return
-        assert len(derived) == len(want)
-        for got, stack in zip(derived, want):
-            assert got[0] == stack[0]
-            for x, y in zip(got[1:], stack[1:]):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        want = slices(oracles.evaluated_tilted_slices)
+        for derived in (slices(exact._tilted_slices),
+                        slices(exact._tilted_slices, sup,
+                               exact.heat_bath_arrays(m, sup))):
+            if isinstance(want, str):
+                assert derived == want
+                continue
+            assert len(derived) == len(want)
+            for got, stack in zip(derived, want):
+                assert got[0] == stack[0]
+                for x, y in zip(got[1:], stack[1:]):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_refuses_the_tilt_before_enumerating(self):
+        with mock.patch.object(exact, "enumerate_support") as enum:
+            with pytest.raises(ValueError, match="^tilting is defined for "
+                                                 "binary models$"):
+                tilted_mixing_time(lift_model(k2_flipped_rc(), 0.5), 0.5, 0.1)
+            with pytest.raises(ValueError, match="^tilt parameter must be "
+                                                 "positive$"):
+                tilted_mixing_time(k2_flipped_rc(), -0.5, 0.1)
+        enum.assert_not_called()
 
     def test_pinned_kernels_are_bit_identical(self, rng):
         for m in tilted_pool(rng):
@@ -1025,8 +1038,7 @@ class TestKernelsMatchLoops:
                     glauber_kernel(m, sup, site).matrix,
                     oracles.loop_law_kernel(m, models.heat_bath_law(m), site,
                                             sup))
-            given = glauber_kernel(m, sup, stationary=np.ones(sup.size),
-                                   arrays=exact.heat_bath_arrays(m, sup))
+            given = glauber_kernel(m, sup, stationary=np.ones(sup.size))
             assert np.array_equal(given.matrix, glauber_kernel(m, sup).matrix)
             assert np.array_equal(given.stationary, np.ones(sup.size))
 
@@ -1241,7 +1253,7 @@ class TestTiltedCertificates:
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
         assert tilted_mixing_time(m, theta, eps) == want
         arrays = exact.heat_bath_arrays(m, sup)
-        assert tilted_mixing_time(m, theta, eps, support=sup,
+        assert exact._tilted_time(m, theta, eps, support=sup,
                                   arrays=arrays) == want
 
     def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
@@ -1270,6 +1282,46 @@ class TestTiltedCertificates:
             at_zero = Counter((len(c.args[0]), c.args[0].shape[-1])
                               for c in refuse.call_args_list if c.args[5] == 0)
             assert Counter(stacks_far_at_start(m, theta, eps)) <= at_zero
+
+
+def hardcore_path(rng):
+    n = int(rng.integers(2, 5))
+    return HardcoreModel(Graph(n, [(i, i + 1) for i in range(n - 1)]),
+                         float(rng.uniform(0.2, 3.0)))
+
+
+class TestComparisonTimes:
+    """comparison_times, which shares its laws, gives the times and the
+    refusals of the public calls composed one by one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["monotone",
+                                                         "flipped-hardcore",
+                                                         "tilted"]),
+           st.sampled_from([0.1, 0.5, 0.9]), st.sampled_from([0.25, 0.1,
+                                                              0.02]))
+    def test_matches_composed_calls(self, seed, kind, theta, eps):
+        rng = np.random.default_rng(seed)
+        if kind == "flipped-hardcore":
+            m = flip(hardcore_path(rng))
+        else:
+            m = random_monotone_model(rng)
+            if kind == "tilted":
+                # the tilt of a TiltedModel is evaluated, not derived
+                m = models.TiltedModel(m, float(rng.uniform(0.2, 0.9)))
+        assert (outcome(exact.comparison_times, m, theta, eps)
+                == outcome(oracles.composed_comparison, m, theta, eps))
+
+    @pytest.mark.parametrize("model, theta, eps", [
+        (lift_model(k2_flipped_rc(), 0.5), 0.5, 0.1),
+        (k2_flipped_rc(), 0.5, 1.5),
+        (k2_flipped_rc(), 1.5, 0.1),
+        (HardcoreModel(K2, 1.0), 0.5, 0.1),
+    ], ids=["lifted", "eps", "theta", "no-all-1-state"])
+    def test_refusals_match_composed_calls(self, model, theta, eps):
+        got = outcome(exact.comparison_times, model, theta, eps)
+        assert got.startswith("ValueError: ")
+        assert got == outcome(oracles.composed_comparison, model, theta, eps)
 
 
 class TestUnderflowAndRanges:

@@ -1,4 +1,5 @@
-"""The example scripts run end to end and print their header line."""
+"""The example scripts run end to end and print their header line; the
+mixing table prints the columns of the `mixing` command."""
 
 import os
 import subprocess
@@ -7,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from glauberlab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
+                          + args, capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("script, args, header", [
@@ -17,12 +29,27 @@ ROOT = Path(__file__).resolve().parents[1]
     ("schedule_scan.py", [], "== random cluster schedules =="),
 ])
 def test_script_runs(script, args, header):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
-                          + args, capture_output=True, text=True, env=env,
-                          timeout=300)
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
     assert "VIOLATION" not in proc.stdout
+
+
+def test_mixing_table_row_equals_the_mixing_command(tmp_path):
+    # the script's flipped RC path on 4 vertices, given to `mixing`
+    proc = run_script("mixing_table.py", ["--thetas", "0.25"])
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    graph = tmp_path / "p4.graph"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    params = tmp_path / "rc.params"
+    params.write_text("model = rc\np.default = 0.5\nlambda.default = 0.5\n"
+                      "theta = 0.25\n")
+    out = tmp_path / "mixing.csv"
+    assert cli.main(["mixing", "--graph", str(graph), "--params", str(params),
+                     "--transform", "flip", "--eps", "0.1",
+                     "--out", str(out)]) == 0
+    mixing = dict(zip(*(line.split(",")
+                        for line in out.read_text().splitlines())))
+    assert row == ",".join(["0.25"] + [mixing[c]
+                                       for c in head.split(",")[1:]])
