@@ -1041,6 +1041,12 @@ class TestKernelsMatchLoops:
             given = glauber_kernel(m, sup, stationary=np.ones(sup.size))
             assert np.array_equal(given.matrix, glauber_kernel(m, sup).matrix)
             assert np.array_equal(given.stationary, np.ones(sup.size))
+            # the arrays comparison_times shares give the same kernel
+            shared = exact._law_kernel(m, models.heat_bath_law(m), None, sup,
+                                       np.ones(sup.size),
+                                       exact.heat_bath_arrays(m, sup))
+            assert shared.matrix.tobytes() == glauber_kernel(m, sup).matrix.tobytes()
+            assert np.array_equal(shared.stationary, np.ones(sup.size))
 
     def test_lifted_kernels(self, rng):
         for m in kernel_pool(rng):
