@@ -203,9 +203,12 @@ class ChainRun:
 def _check_start(model, x0):
     """x0 as a tuple, if it is a feasible start of model."""
     x0 = tuple(x0)
+    if len(x0) != model.n_vars:
+        raise ValueError(f"infeasible start: the start state has {len(x0)} "
+                         f"values for {model.n_vars} variables")
     if not set(x0) <= set(model.alphabet):
         raise ValueError("infeasible start: values outside the model alphabet")
-    if len(x0) != model.n_vars or model.log_weight(x0) is None:
+    if model.log_weight(x0) is None:
         raise ValueError("infeasible start: the start state has weight 0")
     return x0
 
@@ -264,76 +267,47 @@ class _SiteGraph:
         return node, slot
 
 
-# raw words the single-site loop draws at most at once, the largest block
-# decoded word by word rather than in numpy (which costs more below it),
-# and the uniform's scale 2^-53
+# raw words the single-site loop draws at most at once, and the uniform's
+# scale 2^-53
 _RAW_BLOCK = 2 ** 10
-_WORD_BY_WORD = 32
 _TWO_TO_MINUS_53 = 2.0 ** -53
 
 
 class _RawDraws:
     """Site and uniform draws decoded from the raw 64-bit words of a
-    `make_rng` generator (numpy's PCG64), the way `rng.integers(n)` draws a
-    site and `rng.random()` a uniform, one call each:
+    `make_rng` bit generator (numpy's PCG64), the way `rng.integers(n)`
+    draws a site and `rng.random()` a uniform, one call each:
 
     - site: Lemire's method on 32-bit halves (n < 2^32, as for any state
       tuple).  A word gives its low half first and keeps the high half as
-      the spare, carried in the generator's `has_uint32` / `uinteger`; a
-      low product below 2^32 mod n is rejected and drawn again.  n = 1
-      draws nothing.
+      the spare; a low product below 2^32 mod n is rejected and drawn
+      again.  The generator's own spare half (`has_uint32` / `uinteger`) is
+      read once, at entry, and used first.  n = 1 draws nothing.
     - uniform: `(w >> 11) * 2^-53` of the next word; the spare half stays.
-      Between blocks, `random` (the simulation run's lift uniforms) lets
-      `Generator.random` read that word itself.
 
     `words` bounds the words the run can use without rejections.  Words are
     drawn in blocks of at most what is left of it (at least one), capped
-    at _RAW_BLOCK, and each block is decoded once (in numpy, or word by
-    word up to _WORD_BY_WORD words) into lists of low-half sites,
-    high-half sites, high halves and uniforms (a rejected half has site
-    -1) that the step loop only indexes.  `close` hands the
-    unused words of the last block back by
-    `bit_generator.advance(2**128 - unused)`, then writes `has_uint32` and
-    `uinteger` (advance clears both, and numpy keeps the last high half in
-    `uinteger` after using it), so the generator is the one the per-call
-    draws leave."""
+    at _RAW_BLOCK, and each block is decoded once, in numpy, into lists of
+    low-half sites, high-half sites and uniforms (a rejected half has site
+    -1) that the step loop and `random` only index.  The bit generator's
+    state is never written: the generator belongs to the run."""
 
-    def __init__(self, rng, n, words):
-        self.rng, self.bits = rng, rng.bit_generator
-        self.n, self.reject_below, self.left = n, (1 << 32) % n, words
-        self.lo = self.hi = self.high = self.unif = ()
+    def __init__(self, bits, n, words):
+        self.bits, self.n, self.left = bits, n, words
+        self.reject_below = (1 << 32) % n
+        self.lo = self.hi = self.unif = ()
         self.i = self.nw = 0
-        # the generator's spare half as found, then as carried; one site
-        # draws no site half, so its spare is read only if close needs it
-        self.entry = self.has = self.spare = None
-        self.spare_site = -1
-        if n > 1:
-            self._read_spare()
-
-    def _read_spare(self):
-        st = self.bits.state
-        self.entry = self.has, self.spare = st["has_uint32"], st["uinteger"]
-        if self.has:
-            self.spare_site = self._site(self.spare)
-
-    def _site(self, half):
-        m = half * self.n
-        return m >> 32 if (m & 0xFFFFFFFF) >= self.reject_below else -1
+        st = bits.state
+        self.has, m = st["has_uint32"], st["uinteger"] * n
+        self.spare_site = (m >> 32 if (m & 0xFFFFFFFF) >= self.reject_below
+                           else -1)
 
     def refill(self):
-        """Draw and decode the next block; returns its four lists."""
+        """Draw and decode the next block; returns its three lists."""
         k = max(1, min(_RAW_BLOCK, self.left))
         words = self.bits.random_raw(k)
         self.left -= k
         self.i, self.nw = 0, k
-        if k <= _WORD_BY_WORD:
-            words = words.tolist()
-            self.unif = [(w >> 11) * _TWO_TO_MINUS_53 for w in words]
-            if self.n > 1:
-                self.high = [w >> 32 for w in words]
-                self.lo = [self._site(w & 0xFFFFFFFF) for w in words]
-                self.hi = [self._site(h) for h in self.high]
-            return self.lo, self.hi, self.high, self.unif
         self.unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
         if self.n > 1:
             high, low = np.divmod(words, 1 << 32)
@@ -342,30 +316,14 @@ class _RawDraws:
             sites[(m & 0xFFFFFFFF) < self.reject_below] = -1
             sites = sites.tolist()
             self.lo, self.hi = sites[:k], sites[k:]
-            self.high = high.tolist()
-        return self.lo, self.hi, self.high, self.unif
+        return self.lo, self.hi, self.unif
 
     def random(self):
-        """The next uniform, as `Generator.random` draws it: from the block,
-        or from the generator itself if no decoded word is left."""
-        self.left -= 1
+        """The next uniform, as `Generator.random` draws it."""
         if self.i == self.nw:
-            return self.rng.random()
+            self.refill()
         self.i += 1
         return self.unif[self.i - 1]
-
-    def close(self):
-        """Hand back the unused words and write the spare half."""
-        unused = self.nw - self.i
-        if unused:
-            if self.entry is None:
-                self._read_spare()
-            self.bits.advance(2 ** 128 - unused)
-        if self.entry is not None and (
-                unused or (self.has, self.spare) != self.entry):
-            st = self.bits.state
-            st["has_uint32"], st["uinteger"] = self.has, self.spare
-            self.bits.state = st
 
 
 def _single_site_words(n, steps):
@@ -386,9 +344,9 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
     n = len(state)
     n1 = n + 1
     sites = n > 1
-    lo, hi, high, unif = draws.lo, draws.hi, draws.high, draws.unif
+    lo, hi, unif = draws.lo, draws.hi, draws.unif
     i, nw = draws.i, draws.nw
-    has, spare, spare_site = draws.has, draws.spare, draws.spare_site
+    has, spare_site = draws.has, draws.spare_site
     node = graph.node(state)
     append = path.append
     v = 0
@@ -407,11 +365,10 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                         has, v = 0, spare_site
                         continue
                     if i == nw:
-                        lo, hi, high, unif = draws.refill()
+                        lo, hi, unif = draws.refill()
                         i, nw = 0, len(unif)
                     v = lo[i]
                     spare_site = hi[i]
-                    spare = high[i]
                     has = 1
                     i += 1
             if keep is None or v in keep:
@@ -421,7 +378,7 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                 edges, cum, succ, multi = slot
                 if multi:
                     if i == nw:
-                        lo, hi, high, unif = draws.refill()
+                        lo, hi, unif = draws.refill()
                         i, nw = 0, len(unif)
                     j = bisect_right(cum, unif[i])
                     i += 1
@@ -430,17 +387,17 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                     continue
             append(node[n1])
     draws.i, draws.nw = i, nw
-    draws.has, draws.spare, draws.spare_site = has, spare, spare_site
+    draws.has, draws.spare_site = has, spare_site
     return node[n]
 
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     x0 = _check_start(model, x0)
     graph = _SiteGraph(heat_bath_law(model))
-    draws = _RawDraws(rng, len(x0), _single_site_words(len(x0), steps))
+    draws = _RawDraws(rng.bit_generator, len(x0),
+                      _single_site_words(len(x0), steps))
     path = []
     final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
-    draws.close()
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
                     list(graph.ids), path, final=final)
 
@@ -521,7 +478,8 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     rng = make_rng(seed, chain_index, "simulate")
     lifted = LiftedModel(model, theta)
     n, steps = model.n_vars, t1 * t2
-    draws = _RawDraws(rng, n, _single_site_words(n, steps) + (t1 + 1) * n)
+    draws = _RawDraws(rng.bit_generator, n,
+                      _single_site_words(n, steps) + (t1 + 1) * n)
     state = _check_start(lifted, lift((1,) * n, theta, draws))
     x0 = state
     graph = _SiteGraph(star_frozen_law(lifted))
@@ -535,7 +493,6 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
             if relift[v] != state[v]:
                 relifts.append((t + 1, v, relift[v]))
         state = _site_steps(graph, relift, draws, t, t2, path)
-    draws.close()
     start_id = graph.ids.setdefault(x0, len(graph.ids))
     run = ChainRun(lifted, x0, seed, steps, _record_times(record_at, steps),
                    list(graph.ids), path, relifts=relifts, start_id=start_id,
@@ -581,8 +538,6 @@ class Schedule:
         keeps the spare half of a 64-bit output in the bit generator, so
         rng.integers(n, size=c) gives the values of c calls
         rng.integers(n), in order."""
-        if period < 1:
-            raise ValueError(f"period must be at least 1, got {period}")
         right = frozenset(right)
         allowed = [right | {v} for v in left]
         if not allowed:

@@ -341,6 +341,8 @@ class TestSample:
         # a state outside the binary alphabet of the random cluster model
         ("*1", "infeasible start: values outside the model alphabet"),
         ("*2", "start must be ones, zeros or a string over 01*, got '*2'"),
+        ("011", "infeasible start: the start state has 3 values for 2 "
+                "variables"),
     ])
     def test_bad_start_exits_two(self, p3, tmp_path, capsys, start, message):
         params = write(tmp_path / "s.params",
