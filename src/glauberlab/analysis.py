@@ -19,6 +19,7 @@ from .ordercore import enumerate_up_sets
 
 _TRANSPORT_SCALE = 10 ** 12
 _FREE = 2  # index of "free" on each axis of a pinned-mass table
+_EI_BLOCK_ENTRIES = 1 << 20  # candidate entries ei_witness scores at once
 
 
 def _support_data(model):
@@ -109,8 +110,13 @@ def max_sinf_norm(model, max_pin=None) -> float:
     """Max influence-matrix norm over all feasible pinnings leaving at least
     two free variables: every pinning is a cell of the pinned-mass table, so
     each row u is computed for all of them at once."""
-    n = model.n_vars
-    marg = _marginals(_pinned_masses(*_support_data(model)))
+    return _max_sinf_norm(_marginals(_pinned_masses(*_support_data(model))),
+                          max_pin)
+
+
+def _max_sinf_norm(marg, max_pin=None) -> float:
+    """max_sinf_norm, read from the model's _marginals table."""
+    n = len(marg)
     limit = n - 2 if max_pin is None else min(max_pin, n - 2)
     if limit < 0:
         return 0.0
@@ -146,10 +152,21 @@ def marginal_stability(model, max_vars=10) -> float:
     and P[v=0 | tau] >= 1/K.  Returns math.inf when some conditional forces
     v to 1.  Every pinning leaving v free is a cell of one odds array per v,
     and the sub-pinning side is one minimum over sub-cells."""
-    n = model.n_vars
-    if n > max_vars:
+    _check_stability_guard(model, max_vars)
+    return _marginal_stability(
+        _marginals(_pinned_masses(*_support_data(model))))
+
+
+def _check_stability_guard(model, max_vars=10):
+    """Refuse marginal_stability past max_vars variables, before any table
+    is built."""
+    if model.n_vars > max_vars:
         raise ValueError(f"guarded to {max_vars} variables")
-    marg = _marginals(_pinned_masses(*_support_data(model)))
+
+
+def _marginal_stability(marg) -> float:
+    """marginal_stability, read from the model's _marginals table."""
+    n = len(marg)
     best = 1.0
     for v in range(n):
         m1 = marg[v].take(_FREE, axis=v)
@@ -228,10 +245,17 @@ def coupling_independence(model, max_states=512) -> float:
     sites, read from the pinned-mass table with no flow.  Every other model
     solves one min-cost flow per pair of conditionings, each guarded to
     max_states states."""
+    return _coupling_independence(model, *_support_data(model), max_states)
+
+
+def _coupling_independence(model, sup, probs, max_states=512,
+                           marg=None) -> float:
+    """coupling_independence over the model's support and law; marg, the
+    _marginals table of that law, is built if needed and not given."""
     n = model.n_vars
-    sup, probs = _support_data(model)
     if _certified_monotone(model, sup, probs):
-        marg = _marginals(_pinned_masses(sup, probs))
+        if marg is None:
+            marg = _marginals(_pinned_masses(sup, probs))
         return max(float(np.abs(marg.take(1, axis=1 + i)
                                 - marg.take(0, axis=1 + i)).sum(axis=0).max())
                    for i in range(n))
@@ -256,40 +280,138 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
     sum_i KL(nu_i || mu_i) / KL(nu || mu): a constructive lower bound on the
     entropic-independence constant (never a certificate).
 
+    The candidates, the k point masses and (when k <= 22) the normalized
+    laws of mu on the up-sets of positive mass, are scored as matrices, in
+    row blocks of at most _EI_BLOCK_ENTRIES entries (_ei_ratios), with the
+    arithmetic of a loop over them: every KL adds its terms left to right
+    with math.log, as exact.kl_divergence does, each site marginal is one
+    dot product, and the numerator adds the n two-point KLs in site order.
+    A law whose KL(nu || mu) is below 1e-12 or infinite has no ratio (NaN,
+    which never wins).  The witness is the first candidate that attains the
+    largest positive ratio: a later tie, even to the last bit, does not
+    replace it.  Then each restart climbs from a Dirichlet draw by
+    multiplicative log-normal proposals, one at a time, keeping a proposal
+    whose ratio is larger (_climb_ratio), and replaces the witness if it
+    ends strictly higher.
+
     Returns (best ratio, best nu as an array over the support)."""
-    rng = rng or np.random.default_rng(0)
-    sup, mu = _support_data(model)
-    n = model.n_vars
-    k = sup.size
-    ind = (sup.array == 1).astype(float)
-    mu_marg = mu @ ind
+    return _ei_witness(*_support_data(model), iterations, rng, restarts)
+
+
+def _log(x) -> np.ndarray:
+    """math.log of every entry of the 1-D array x, the libm log that
+    exact.kl_divergence takes (np.log may round the last bit otherwise)."""
+    return np.fromiter(map(math.log, x.tolist()), float, count=len(x))
+
+
+def _site_marginals(nus, ind) -> np.ndarray:
+    """P[v=1] of every row of nus (c, k): one dot product per row and
+    column of the 0/1 table ind (k, n), the additions of a loop over rows
+    and sites (a matrix product may add in another order)."""
+    cols = list(ind.T)
+    return np.array([[row.dot(col) for col in cols] for row in nus],
+                    dtype=float).reshape(len(nus), len(cols))
+
+
+def _kl_rows(nus, mu) -> np.ndarray:
+    """KL(nu || mu) for every law nu along the last axis of nus, mu
+    broadcast against it, the terms added left to right as
+    exact.kl_divergence adds them: 0 log 0 = 0, and +inf where nu charges a
+    mu-null state."""
+    mu = np.broadcast_to(mu, nus.shape)
+    charged = nus > 0.0
+    live = charged & (mu > 0.0)
+    terms = np.zeros(nus.shape)
+    a = nus[live]
+    terms[live] = a * _log(a / mu[live])
+    kl = np.add.accumulate(terms, axis=-1)[..., -1]
+    kl[(charged & ~live).any(axis=-1)] = np.inf
+    return kl
+
+
+def _ei_ratios(nus, mu, marg, pair_mu) -> np.ndarray:
+    """The ei_witness ratio of every row of nus (c, k), NaN where a row has
+    none; marg (c, n) holds the rows' site marginals P[v=1] and pair_mu
+    (n, 2) the two-point laws (1 - mu_v, mu_v)."""
+    denom = _kl_rows(nus, mu)
+    m1 = np.clip(marg, 0.0, 1.0)
+    pair_kl = _kl_rows(np.stack([1.0 - m1, m1], axis=-1), pair_mu)
+    num = np.add.accumulate(pair_kl, axis=-1)[:, -1]
+    out = np.full(len(nus), np.nan)
+    ok = (denom >= 1e-12) & (denom < math.inf)
+    np.divide(num, denom, out=out, where=ok)
+    return out
+
+
+def _climb_ratio(mu, ind, pair_mu):
+    """The ei_witness ratio of one law nu, None where it has none.  Where mu
+    and nu are positive everywhere, KL(nu || mu) is one accumulated array
+    under np.log, which may differ from math.log in the last bit: the climb
+    compares continuous proposals, where a last bit decides nothing except
+    on laws whose ratios are all 1 (one variable).  Otherwise it is
+    exact.kl_divergence.  Each site marginal is one dot product with a
+    column of ind, as in a loop over sites."""
+    lean = bool((mu > 0.0).all())
+    sites = list(zip(ind.T, pair_mu.tolist()))
 
     def ratio(nu):
-        denom = kl_divergence(nu, mu)
+        if lean and nu.all():
+            denom = float(np.add.accumulate(nu * np.log(nu / mu))[-1])
+        else:
+            denom = kl_divergence(nu, mu)
         if not denom or denom < 1e-12 or math.isinf(denom):
             return None
         num = 0.0
-        for i in range(n):
-            m1 = min(1.0, max(0.0, float(nu @ ind[:, i])))
-            num += kl_divergence((1 - m1, m1), (1 - mu_marg[i], mu_marg[i]))
+        for col, q in sites:
+            m1 = min(1.0, max(0.0, float(nu.dot(col))))
+            num += kl_divergence((1 - m1, m1), q)
         return num / denom
 
-    candidates = list(np.eye(k))
+    return ratio
+
+
+def _ei_candidates(sup, mu):
+    """The ei_witness candidates in order, as blocks of rows of at most
+    _EI_BLOCK_ENTRIES entries: the k point masses, then (when k <= 22) the
+    normalized laws of mu on the up-sets of positive mass."""
+    k = sup.size
+    per = max(1, _EI_BLOCK_ENTRIES // k)
+    for a in range(0, k, per):
+        yield np.eye(min(per, k - a), k, a)
     if k <= 22:
         nus = enumerate_up_sets(sup) * mu
         mass = nus.sum(axis=1)
         keep = mass > 0.0  # not the empty set, nor a mass lost to underflow
-        candidates.extend(nus[keep] / mass[keep, None])
+        nus = nus[keep] / mass[keep, None]
+        for a in range(0, len(nus), per):
+            yield nus[a:a + per]
+
+
+def _ei_witness(sup, mu, iterations=200, rng=None, restarts=4):
+    """ei_witness over the model's support and law."""
+    rng = rng or np.random.default_rng(0)
+    k = sup.size
+    ind = (sup.array == 1).astype(float)
+    mu_marg = mu @ ind
+    pair_mu = np.stack([1 - mu_marg, mu_marg], axis=-1)
     best_r, best_nu = 0.0, None
-    for nu in candidates:
-        r = ratio(nu)
-        if r is not None and r > best_r:
-            best_r, best_nu = r, nu
+    for block in _ei_candidates(sup, mu):
+        ratios = _ei_ratios(block, mu, _site_marginals(block, ind), pair_mu)
+        # the first maximum among the positive ratios (NaN is not positive);
+        # a tie with an earlier block keeps the earlier candidate
+        scores = np.where(ratios > 0.0, ratios, 0.0)
+        first = int(np.argmax(scores))
+        if scores[first] > best_r:
+            best_r, best_nu = float(ratios[first]), block[first].copy()
+    ratio = _climb_ratio(mu, ind, pair_mu)
+    # the climb stays sequential: it keeps about 40 % of its proposals, so
+    # each proposal depends on the one before
     for _ in range(restarts):
         nu = rng.dirichlet(np.ones(k))
+        steps = np.exp(0.3 * rng.standard_normal((iterations, k)))
         cur = ratio(nu)
-        for _ in range(iterations):
-            cand = nu * np.exp(0.3 * rng.standard_normal(k))
+        for step in steps:
+            cand = nu * step
             cand /= cand.sum()
             r = ratio(cand)
             if r is not None and (cur is None or r > cur):
@@ -463,6 +585,7 @@ class IndependenceReport:
     coupling: float = None
     ei_ratio: float = None
     ei_nu: list = None
+    mu_min: float = None  # the smallest stationary probability (t_bound)
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -470,12 +593,18 @@ class IndependenceReport:
 
 
 def independence_report(model, rng=None) -> IndependenceReport:
+    """The four diagnostics at their defaults, from one support, one law
+    and one pinned-mass table, built once and shared."""
+    # first: the variable guard refuses a model before any n 3^n table is built
+    _check_stability_guard(model)
+    sup, probs = _support_data(model)
+    marg = _marginals(_pinned_masses(sup, probs))
     rep = IndependenceReport()
-    # first: its variable guard refuses a model before any n 3^n table is built
-    rep.marginal_stability = marginal_stability(model)
-    rep.sinf = max_sinf_norm(model)
-    rep.coupling = coupling_independence(model)
-    r, nu = ei_witness(model, rng=rng)
+    rep.marginal_stability = _marginal_stability(marg)
+    rep.sinf = _max_sinf_norm(marg)
+    rep.coupling = _coupling_independence(model, sup, probs, marg=marg)
+    r, nu = _ei_witness(sup, probs, rng=rng)
     rep.ei_ratio = r
     rep.ei_nu = None if nu is None else [float(x) for x in nu]
+    rep.mu_min = float(probs.min())
     return rep

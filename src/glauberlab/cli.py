@@ -323,9 +323,7 @@ def cmd_analyze(args):
         out["schedule"] = {"theta": theta, "segments": sched.segments,
                           "kappa": analysis.kappa(sched),
                           "log_kappa": analysis.log_kappa(sched)}
-        sup = exact.enumerate_support(model)
-        mu = exact.stationary_distribution(model, sup)
-        out["t_bound"] = analysis.t_bound(sched, float(mu.min()), args.eps)
+        out["t_bound"] = analysis.t_bound(sched, rep.mu_min, args.eps)
     if {"lambda", "d", "beta"} <= params.keys():
         lam, d, beta = (fileio.parse_float(k, params[k])
                         for k in ("lambda", "d", "beta"))

@@ -49,8 +49,12 @@ def pinnings(n, max_size, values=(0, 1)):
 
 def stationary_distribution(model, support: Poset) -> np.ndarray:
     """Normalized weights over the enumerated support (log-stable)."""
-    return _normalized(np.array([model.log_weight(s) for s in support.states],
-                                dtype=float))
+    return _normalized(_log_weights(model, support))
+
+
+def _log_weights(model, support: Poset) -> np.ndarray:
+    """model.log_weight of every state of the support, in support order."""
+    return np.array([model.log_weight(s) for s in support.states], dtype=float)
 
 
 def _normalized(lws) -> np.ndarray:
@@ -60,12 +64,17 @@ def _normalized(lws) -> np.ndarray:
 
 
 def _tilted_weights(model, theta, support: Poset) -> np.ndarray:
-    """The unnormalised theta-tilted weights over the support: exp of each
-    log weight, less the largest one only when that one, times the support
-    size, would not be finite.  Otherwise nothing is subtracted, and each
-    weight is `tilt(model, theta).weight` of its state, bit for bit."""
-    tilted = tilt(model, theta)
-    lws = [tilted.log_weight(s) for s in support.states]
+    """The unnormalised theta-tilted weights over the support, _weights of
+    the tilted model's log weights."""
+    return _weights(_log_weights(tilt(model, theta), support))
+
+
+def _weights(lws) -> np.ndarray:
+    """exp of each log weight, less the largest one only when that one,
+    times the number of weights, would not be finite.  Otherwise nothing is
+    subtracted, and each weight is the model's `weight` of its state, bit
+    for bit."""
+    lws = lws.tolist()
     top = max(lws, default=0.0)
     shift = top if top + math.log(max(len(lws), 1)) >= _LOG_MAX else 0.0
     return np.array([math.exp(lw - shift) for lw in lws])
@@ -214,6 +223,12 @@ def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
     meets its own kept sets in that order (itertools.product over its
     1-sites), so each entry receives the same addends in the same order as
     a loop over rows and kept sets would give it."""
+    return _fd_kernel(model, theta, support, stationary)[0]
+
+
+def _fd_kernel(model, theta, support=None, stationary=None):
+    """(fd_kernel, the tilted _log_weights it read), for a caller that
+    needs those again."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     if model.n_vars > 20:
@@ -221,7 +236,8 @@ def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
     support = support or enumerate_support(model)
     k, n = support.size, model.n_vars
     _check_dense(k)
-    w = _tilted_weights(model, theta, support)
+    lws = _log_weights(tilt(model, theta), support)
+    w = _weights(lws)
     ones = support.array == 1
     count = ones.sum(axis=1)
     move = np.array([[theta ** (c - r) * (1 - theta) ** r if r <= c else 0.0
@@ -238,7 +254,7 @@ def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
         for a in range(0, idx.size, per):
             mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per], to)
     return Kernel(support, mat,
-                  stationary=_stationary(model, support, stationary))
+                  stationary=_stationary(model, support, stationary)), lws
 
 
 def _one_slices(ones):
@@ -875,7 +891,7 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
                              eps, cap, start)[0])
 
 
-def _tilted_slices(model, theta, support=None, arrays=None):
+def _tilted_slices(model, theta, support=None, arrays=None, lws=None):
     """The Glauber kernels of the tilted model on its feasible all-1 pinned
     slices, as stacks of equal-size slices of at most k^2 matrix entries in
     all (k the support size), built one stack at a time by _slice_stack.
@@ -885,21 +901,22 @@ def _tilted_slices(model, theta, support=None, arrays=None):
 
     The tilt is made (and refused) first.  The slices read the model's
     support, which the tilt keeps state for state, the tilted conditional
-    of _tilted_arrays and the tilted log weights, evaluated once per state;
-    each slice's kernel and stationary law equal those of the pinned tilted
-    model bit for bit."""
+    of _tilted_arrays and the tilted log weights, evaluated once per state
+    unless given as lws; each slice's kernel and stationary law equal those
+    of the pinned tilted model bit for bit."""
     tilted = tilt(model, theta)
     support = support or enumerate_support(model)
     succ, prob = _tilted_arrays(model, tilted, support, arrays)
     k = support.size
-    lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
+    if lws is None:
+        lws = _log_weights(tilted, support)
     by_size = {}
     for pinned, idx in _one_slices(support.array == 1):
         by_size.setdefault(idx.size, []).append((pinned, idx))
     for m, slices in by_size.items():
         per = max(1, k * k // (m * m))
         for c in range(0, len(slices), per):
-            yield _slice_stack(slices[c:c + per], succ, prob, lw)
+            yield _slice_stack(slices[c:c + per], succ, prob, lws)
 
 
 def _tilted_arrays(model, tilted, support: Poset, arrays):
@@ -962,8 +979,10 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     return _tilted_time(model, theta, eps, cap)
 
 
-def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None):
-    """tilted_mixing_time, given the model's support and heat_bath_arrays.
+def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None,
+                 lws=None):
+    """tilted_mixing_time, given the model's support, heat_bath_arrays and
+    tilted _log_weights.
 
     Only the largest is needed.  The first stack (the full slice) gives a
     time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
@@ -972,7 +991,8 @@ def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None):
     t.  Every stack still meets the step loop's refusal at step 0."""
     _check_eps(eps)
     best = 0
-    for _, _, mats, mus in _tilted_slices(model, theta, support, arrays):
+    for _, _, mats, mus in _tilted_slices(model, theta, support, arrays,
+                                          lws):
         if 1 <= best <= _FIXED_POINT_EVERY:
             slow = ~_within(mats, mus, eps, cap, best)
             mats, mus = mats[slow], mus[slow]
@@ -988,19 +1008,19 @@ def comparison_times(model, theta, eps):
     Liu and Yin, FOCS'23): Glauber from the all-1 state at eps, field
     dynamics from the all-1 state and the worst start at eps / 2, the
     tilted-and-pinned time at eps / (2 max(t_fd_worst, 1)) and the bound
-    t_fd_worst * t_tilted.  The heat-bath and stationary laws are evaluated
-    once and shared."""
+    t_fd_worst * t_tilted.  The heat-bath and stationary laws and the tilted
+    log weights are evaluated once and shared."""
     sup = enumerate_support(model)
     mu = stationary_distribution(model, sup)
     arrays = heat_bath_arrays(model, sup)
     gker = _law_kernel(model, heat_bath_law(model), None, sup, mu, arrays)
     ones = tuple([1] * model.n_vars)
     t_gd = exact_mixing_time(gker, ones, eps)
-    fker = fd_kernel(model, theta, sup, stationary=mu)
+    fker, lws = _fd_kernel(model, theta, sup, stationary=mu)
     t_fd_ones = exact_mixing_time(fker, ones, eps / 2)
     t_fd = exact_mixing_time(fker, None, eps / 2)
     t_tilted = _tilted_time(model, theta, eps / (2 * max(t_fd, 1)),
-                            support=sup, arrays=arrays)
+                            support=sup, arrays=arrays, lws=lws)
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 

@@ -18,7 +18,8 @@ line at a time, the up-set enumeration one frozenset at a time, the up-set
 test and the up-set cross-check of stochastic dominance, the covers and
 height of a poset by their definitions, and the independence diagnostics
 that scan the state table once per pinning and solve one min-cost flow per
-pair of conditionings; the kernel builders that loop over states, sites and
+pair of conditionings, and the entropic-independence witness search that
+scores one law at a time; the kernel builders that loop over states, sites and
 values (site-update laws) or over rows and kept sets (field dynamics), the
 freeze kernel and the lift and contract pushforwards that fan each binary
 state out over its lifts with one support.index per entry, and the mixing
@@ -710,3 +711,49 @@ def per_pair_coupling(model):
             best = max(best, transport_cost(sup.array[m1], probs[m1] / mass1,
                                             sup.array[m0], probs[m0] / mass0))
     return best
+
+
+def loop_ei_witness(model, iterations=200, rng=None, restarts=4):
+    """The entropic-independence witness search scored one law at a time,
+    one kl_divergence call for each law and each two-point marginal."""
+    rng = rng or np.random.default_rng(0)
+    sup, mu = _support_data(model)
+    n = model.n_vars
+    k = sup.size
+    ind = (sup.array == 1).astype(float)
+    mu_marg = mu @ ind
+
+    def ratio(nu):
+        denom = exact.kl_divergence(nu, mu)
+        if not denom or denom < 1e-12 or math.isinf(denom):
+            return None
+        num = 0.0
+        for i in range(n):
+            m1 = min(1.0, max(0.0, float(nu @ ind[:, i])))
+            num += exact.kl_divergence((1 - m1, m1),
+                                       (1 - mu_marg[i], mu_marg[i]))
+        return num / denom
+
+    candidates = list(np.eye(k))
+    if k <= 22:
+        nus = ordercore.enumerate_up_sets(sup) * mu
+        mass = nus.sum(axis=1)
+        keep = mass > 0.0  # not the empty set, nor a mass lost to underflow
+        candidates.extend(nus[keep] / mass[keep, None])
+    best_r, best_nu = 0.0, None
+    for nu in candidates:
+        r = ratio(nu)
+        if r is not None and r > best_r:
+            best_r, best_nu = r, nu
+    for _ in range(restarts):
+        nu = rng.dirichlet(np.ones(k))
+        cur = ratio(nu)
+        for _ in range(iterations):
+            cand = nu * np.exp(0.3 * rng.standard_normal(k))
+            cand /= cand.sum()
+            r = ratio(cand)
+            if r is not None and (cur is None or r > cur):
+                nu, cur = cand, r
+        if cur is not None and cur > best_r:
+            best_r, best_nu = cur, nu
+    return best_r, best_nu

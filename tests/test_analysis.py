@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from glauberlab import analysis, exact, models
 from glauberlab.analysis import (AlphaSchedule, bhc_schedule, coupling_independence,
@@ -19,6 +20,10 @@ K2 = Graph(2, [(0, 1)])
 
 def hc_k2():
     return HardcoreModel(K2, 1.0)
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def independent_pair(lam=0.5):
@@ -149,15 +154,106 @@ class TestEiWitness:
         assert r >= best - 1e-9
 
     def test_up_sets_of_zero_mass_are_skipped(self):
-        # tilting by 1e-300 underflows the mass of every state with an edge,
-        # so most up-sets carry none; none of them may be normalized
-        rc = RandomClusterModel(Graph(3, [(0, 1), (0, 2)]), [0.5, 0.5],
-                                [0.5, 0.5, 0.5])
-        m = models.tilt(models.tilt(rc, 3.0), 1e-300)
+        # most up-sets carry no mass; none of them may be normalized
+        m = zero_mass_up_sets_model()
         with np.errstate(divide="raise", invalid="raise"):
             r, nu = ei_witness(m, iterations=20, restarts=1)
         assert math.isfinite(r)
         assert nu is None or np.isfinite(nu).all()
+
+
+def zero_mass_up_sets_model():
+    # tilting by 1e-300 underflows the mass of every state with an edge
+    rc = RandomClusterModel(Graph(3, [(0, 1), (0, 2)]), [0.5, 0.5],
+                            [0.5, 0.5, 0.5])
+    return models.tilt(models.tilt(rc, 3.0), 1e-300)
+
+
+def assert_same_witness(model, iterations, restarts, seed, witness=True):
+    """ei_witness gives the loop oracle's witness, bit for bit (unless told
+    not to check it), and its ratio within relative 1e-9, with no
+    floating-point warning."""
+    with np.errstate(divide="raise", invalid="raise"):
+        r, nu = ei_witness(model, iterations, np.random.default_rng(seed),
+                           restarts)
+    want_r, want_nu = oracles.loop_ei_witness(
+        model, iterations, np.random.default_rng(seed), restarts)
+    assert (nu is None) == (want_nu is None)
+    if witness and nu is not None:
+        assert np.array_equal(nu, want_nu)
+    assert abs(r - want_r) <= 1e-9 * abs(want_r), (r, want_r)
+
+
+# plain hard-core (not monotone), a law whose up-sets mostly carry no mass,
+# and an equal-parameter cycle whose point masses tie
+SHARP_EI_MODELS = [
+    pytest.param(HardcoreModel(Graph(6, [(i, i + 1) for i in range(5)]), 1.0),
+                 id="hardcore-p6"),
+    pytest.param(zero_mass_up_sets_model(), id="zero-mass-up-sets"),
+    pytest.param(HardcoreModel(cycle(4), 1.0), id="hardcore-c4")]
+
+
+class TestEiWitnessAgainstLoop:
+    """The candidate matrices and the lean climb against the
+    one-law-at-a-time search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+    def test_random_monotone_models(self, seed, restarts):
+        # the candidates are scored with the loop's own arithmetic, so their
+        # witness is the loop's even among ties to the last bit.  The climb
+        # takes np.log; on one variable every law has ratio 1, so which
+        # proposal it keeps is rounding noise there, and only the ratio is
+        # compared
+        m = random_monotone_model(np.random.default_rng(seed))
+        assert_same_witness(m, 20, restarts, seed,
+                            witness=restarts == 0 or m.n_vars > 1)
+
+    @pytest.mark.parametrize("model", SHARP_EI_MODELS)
+    @pytest.mark.parametrize("restarts", [0, 1])
+    def test_fixed_models(self, model, restarts):
+        assert_same_witness(model, 20, restarts, 7)
+
+    @pytest.mark.parametrize("seed", [493, 1237])
+    def test_candidates_tied_to_the_last_bit(self, seed):
+        # laws whose candidates all have ratio 1 up to rounding; with the
+        # site marginals of one matrix product (another order of additions)
+        # these two picked another witness than the loop
+        m = random_monotone_model(np.random.default_rng(seed))
+        assert_same_witness(m, 0, 0, seed)
+
+    @pytest.mark.parametrize("model", SHARP_EI_MODELS)
+    def test_one_row_blocks(self, model, monkeypatch):
+        # ties and NaN then meet across block boundaries
+        monkeypatch.setattr(analysis, "_EI_BLOCK_ENTRIES", 1)
+        assert_same_witness(model, 0, 0, 7)
+
+    @pytest.mark.parametrize("model", SHARP_EI_MODELS)
+    def test_fixed_models_tie_or_have_no_ratio(self, model):
+        # the cases above are sharp: several candidates attain the largest
+        # ratio (the first must win), and some have no ratio (NaN must lose)
+        sup, mu = analysis._support_data(model)
+        ind = (sup.array == 1).astype(float)
+        pair_mu = np.stack([1 - mu @ ind, mu @ ind], axis=-1)
+        nus = np.concatenate(list(analysis._ei_candidates(sup, mu)))
+        ratios = analysis._ei_ratios(nus, mu,
+                                     analysis._site_marginals(nus, ind),
+                                     pair_mu)
+        assert (ratios == np.nanmax(ratios)).sum() >= 2
+        assert np.isnan(ratios).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 1e-300, 0.1, 0.25, 0.5,
+                                              1.0]),
+                             min_size=4, max_size=4), min_size=1, max_size=6),
+           st.lists(st.sampled_from([0.0, 1e-300, 0.2, 0.3, 0.5]),
+                    min_size=4, max_size=4))
+    def test_kl_rows_match_kl_divergence(self, rows, mu):
+        nus, mu = np.array(rows), np.array(mu)
+        with np.errstate(divide="raise", invalid="raise"):
+            got = analysis._kl_rows(nus, mu)
+        want = [exact.kl_divergence(nu, mu) for nu in nus]
+        assert got.tolist() == want
 
 
 class TestAlphaSchedule:
@@ -300,9 +396,28 @@ class TestReport:
         assert abs(rep.marginal_stability - 2.0) < 1e-12
         assert rep.ei_ratio > 0
 
+    @pytest.mark.parametrize("model", [
+        hc_k2(), HardcoreModel(cycle(5), 1.0),
+        flip(RandomClusterModel(cycle(4), [0.4, 0.5, 0.6, 0.5], [0.5] * 4))])
+    def test_equals_the_four_diagnostics(self, model):
+        # one support and one pinned-mass table, shared, give the values of
+        # the four public calls that each build their own
+        rep = independence_report(model, rng=np.random.default_rng(3))
+        r, nu = ei_witness(model, rng=np.random.default_rng(3))
+        assert rep.marginal_stability == marginal_stability(model)
+        assert rep.sinf == max_sinf_norm(model)
+        assert rep.coupling == coupling_independence(model)
+        assert rep.ei_ratio == r
+        assert rep.ei_nu == nu.tolist()
+        sup = exact.enumerate_support(model)
+        assert rep.mu_min == exact.stationary_distribution(model, sup).min()
 
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    def test_guard_refuses_before_any_table(self, monkeypatch):
+        m = HardcoreModel(cycle(11), 1.0)
+        monkeypatch.setattr(analysis, "enumerate_support",
+                            lambda *a: pytest.fail("support enumerated"))
+        with pytest.raises(ValueError, match="guarded to 10 variables"):
+            independence_report(m)
 
 
 def assert_same_value(got, want, rel):
