@@ -21,21 +21,24 @@ from .ordercore import first_dominance_failure, parse_state
 
 
 def _build_parser():
+    """The parser of every subcommand: one set of options, declared once on
+    a parent parser that each subcommand takes."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--graph", required=True)
+    common.add_argument("--params", required=True)
+    common.add_argument("--transform", action="append", default=[])
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None)
+    common.add_argument("--check", action="append", default=[])
+    common.add_argument("--eps", type=float, default=0.1)
+    common.add_argument("--t1", type=int, default=2)
+    common.add_argument("--t2", type=int, default=3)
+    common.add_argument("--steps", type=int, default=1000)
+    common.add_argument("--record", default="")
     ap = argparse.ArgumentParser(prog="glauberlab")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("sample", "verify", "analyze", "mixing", "kernel-export"):
-        p = sub.add_parser(name)
-        p.add_argument("--graph", required=True)
-        p.add_argument("--params", required=True)
-        p.add_argument("--transform", action="append", default=[])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--check", action="append", default=[])
-        p.add_argument("--eps", type=float, default=0.1)
-        p.add_argument("--t1", type=int, default=2)
-        p.add_argument("--t2", type=int, default=3)
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--record", default="")
+        sub.add_parser(name, parents=[common])
     return ap
 
 
@@ -143,7 +146,10 @@ def cmd_sample(args):
 
 
 class _VerifyContext:
-    """What the checks share; each kernel is built on first use, at most once."""
+    """What the checks share; each table and kernel is built on first use,
+    at most once.  The model's heat-bath law is evaluated once per (site,
+    fiber) of its support; the lifted Glauber and star-frozen laws are
+    derived from that one table."""
 
     def __init__(self, model, theta, t1, t2):
         self.model, self.theta, self.t1, self.t2 = model, theta, t1, t2
@@ -152,21 +158,44 @@ class _VerifyContext:
                             and model.graph.m > 0)
 
     sup = cached_property(lambda c: exact.enumerate_support(c.model))
-    gker = cached_property(lambda c: exact.glauber_kernel(c.model, c.sup))
+    # the heat-bath law over sup, one conditional per (site, fiber)
+    table = cached_property(
+        lambda c: exact._site_conditionals(c.model, c.sup))
+
+    @cached_property
+    def gker(c):
+        exact._check_dense(c.sup.size)  # before the law is evaluated
+        return exact._law_kernel(c.model, exact._heat_bath(c.sup, c.table),
+                                 c.sup)
+
     lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
     lsup = cached_property(lambda c: exact.enumerate_support(c.lifted))
+    # the index in sup of each lifted state's contraction
+    index = cached_property(lambda c: exact._contraction_index(c.lsup, c.sup))
+
+    @cached_property
+    def lsites(c):
+        """The base conditional of each lifted state, per site."""
+        exact._check_dense(c.lsup.size)  # before the lifted tables
+        return exact._lift_sites(c.lsup, c.table, c.index)
+
+    # the lifted heat-bath and star-frozen law arrays
+    larrays = cached_property(
+        lambda c: exact._lifted_heat_bath(c.lifted, c.lsup, c.lsites))
+    sarrays = cached_property(
+        lambda c: exact._star_frozen(c.lifted, c.lsup, c.lsites))
     # the stationary law of the lift, over lsup
     lmu = cached_property(
         lambda c: exact.stationary_distribution(c.lifted, c.lsup))
     lker = cached_property(
-        lambda c: exact.glauber_kernel(c.lifted, c.lsup, stationary=c.lmu))
+        lambda c: exact._law_kernel(c.lifted, c.larrays, c.lsup, c.lmu))
     freeze = cached_property(
         lambda c: exact.freeze_kernel(c.lifted, c.lsup, stationary=c.lmu))
-    starg = cached_property(lambda c: exact.star_glauber_kernel(
-        c.lifted, c.lsup, stationary=c.lmu))
+    starg = cached_property(
+        lambda c: exact._law_kernel(c.lifted, c.sarrays, c.lsup, c.lmu))
     # the lift of the point mass at the all-1 state
-    pi0 = cached_property(lambda c: exact.lift_pushforward(
-        exact.point_mass(c.sup, c.ones), c.sup, c.theta, c.lsup))
+    pi0 = cached_property(lambda c: exact._lift(
+        exact.point_mass(c.sup, c.ones), c.index, c.theta, c.lsup))
     # laws of the simulation run over 2*t1*t2 steps from pi0
     alg = cached_property(lambda c: exact.propagate(
         c.pi0, exact.algorithm_kernel_sequence(
@@ -188,7 +217,8 @@ def _check_detailed_balance(c):
 
 
 def _check_monotone_system(c):
-    ok, wit = exact.check_monotone_system(c.model)
+    exact._monotone_guard(c.model)
+    ok, wit = exact._monotone_system(c.model, c.sup, c.table)
     return ok, not c.is_plain_hc, None if wit is None else repr(wit)
 
 
@@ -211,7 +241,7 @@ def _check_many_stationary(c):
 
 def _check_lift_identity(c):
     worst = max(exact.tv_distance(
-        exact.lift_pushforward(mu_t, c.sup, c.theta, c.lsup), pi_t)
+        exact._lift(mu_t, c.index, c.theta, c.lsup), pi_t)
         for mu_t, pi_t in zip(c.laws[1:21], c.lifted_laws[1:21]))
     return worst <= 1e-10, True, worst
 
@@ -225,16 +255,17 @@ def _check_tv_comparison(c):
     mu = c.gker.stationary
     worst = max(
         exact.tv_distance(mu_t, mu)
-        - exact.tv_distance(exact.contract_pushforward(nu, c.lsup, c.sup), mu)
+        - exact.tv_distance(exact._contract(nu, c.index, c.sup), mu)
         for mu_t, nu in zip(c.laws, c.alg[:c.t1 * c.t2 + 1]))
     return worst <= 1e-10, True, worst
 
 
 def _check_single_vertex_mc(c):
-    laws = models.heat_bath_law(c.lifted), models.star_frozen_law(c.lifted)
     ok, wit = True, None
     for v in range(c.model.n_vars):
-        ok, wit = exact.check_site_mc_leq(c.lifted, *laws, v, c.lsup, c.lmu)
+        laws = [(succ[:, [v]], prob[:, [v]])
+                for succ, prob in (c.larrays, c.sarrays)]
+        ok, wit = exact._site_mc_leq(c.lifted, laws, v, c.lsup, c.lmu)
         if not ok:
             break
     return ok, True, None if wit is None else repr(wit)

@@ -9,14 +9,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, TiltedModel, heat_bath_law,
-                     star_frozen_law, tilt)
+from .models import (ENUM_GUARD, LiftedModel, TiltedModel, star_frozen_law,
+                     tilt)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -135,7 +136,8 @@ def _law_arrays(law, support: Poset, sites, a):
     succ (k, n, a) int, the index of the successor state, and prob (k, n, a),
     its probability, for a law of at most a values.  A value of probability
     0, and the padding of a law with fewer than a values, is given the
-    state's own index and prob 0."""
+    state's own index and prob 0.  The path of a law given as a callable;
+    the heat-bath law and its lifts are read from _site_conditionals."""
     k, n = support.size, len(sites)
     succ = np.repeat(np.arange(k), n * a).reshape(k, n, a)
     prob = np.zeros((k, n, a))
@@ -150,31 +152,160 @@ def _law_arrays(law, support: Poset, sites, a):
     return succ, prob
 
 
+class _Fibers(NamedTuple):
+    """The fibers of one site over a support, a fiber being the states that
+    agree off the site: fiber (k,) numbers each state's fiber, in the order
+    of the fibers' first states; first (f,) holds those first states; cand
+    (k, a) the index of the state of the same fiber with each value at the
+    site, or -1 where the support has none."""
+    site: int
+    fiber: np.ndarray
+    first: np.ndarray
+    cand: np.ndarray
+
+
+def _site_fibers(support: Poset, a, sites) -> list:
+    """The _Fibers of each of sites, from integer state codes: a state's
+    code has its value at site v as digit v in base a, site 0 the most
+    significant.  The states of a fiber share the code less the site's
+    digit; the one with value c, found by searchsorted on the codes, has c
+    put in.  Every state of a fiber finds the same states, so its fiber's
+    first state is the least of them."""
+    arr = support.array
+    k, n = arr.shape
+    if a ** n > 2 ** 62:
+        raise ValueError(f"state codes are guarded to {a}^n <= 2^62")
+    digits = arr.astype(np.int64)
+    place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = digits @ place
+    order = np.argsort(codes)
+    out = []
+    for v in sites:
+        want = (codes - digits[:, v] * place[v])[:, None] + (
+            np.arange(a) * place[v])
+        at = order[np.searchsorted(codes, want, sorter=order) % k]
+        cand = np.where(codes[at] == want, at, -1)
+        lead = np.where(cand < 0, k, cand).min(axis=1)
+        head = lead == np.arange(k)
+        out.append(_Fibers(v, (np.cumsum(head) - 1)[lead],
+                           np.flatnonzero(head), cand))
+    return out
+
+
+def _site_conditionals(model, support: Poset, sites=None) -> list:
+    """The model's heat-bath law at each of sites (every site by default)
+    over the support, evaluated once per (site, fiber): a list of
+    (_Fibers, cond), cond (f, a) holding model.conditional at each fiber's
+    first state.  A conditional ignores the site's own value, so that is
+    the conditional of every state of the fiber."""
+    sites = range(model.n_vars) if sites is None else sites
+    states = support.states
+    return [(fib, np.array([model.conditional(states[i], fib.site)
+                            for i in fib.first], dtype=float))
+            for fib in _site_fibers(support, len(model.alphabet), sites)]
+
+
+def _site_arrays(support: Poset, columns):
+    """(succ, prob) of _law_arrays from one (_Fibers, p) pair per site, p
+    (k, a) the probability of each value at the site from each state: a
+    value of nonzero probability moves to the state of the fiber with that
+    value, and a value of probability 0 keeps the state's own index and
+    +0.0, as _law_arrays gives them."""
+    own = np.arange(support.size)[:, None]
+    succ, prob = [], []
+    for fib, p in columns:
+        moved = p != 0.0
+        lost = moved & (fib.cand < 0)
+        if lost.any():
+            i, c = np.argwhere(lost)[0]
+            t = list(support.states[i])
+            t[fib.site] = int(c)
+            raise ValueError(f"the law at site {fib.site} moves to "
+                             f"{state_str(t)}, which is not in the support")
+        succ.append(np.where(moved, fib.cand, own))
+        prob.append(np.where(moved, p, 0.0))
+    return np.stack(succ, axis=1), np.stack(prob, axis=1)
+
+
+def _heat_bath(support: Poset, table):
+    """(succ, prob) of the heat-bath law from its _site_conditionals
+    table: each state reads its fiber's conditional."""
+    return _site_arrays(support, [(fib, cond[fib.fiber])
+                                  for fib, cond in table])
+
+
 def heat_bath_arrays(model, support: Poset):
-    """(succ, prob) of _law_arrays for the heat-bath law at every site."""
-    return _law_arrays(heat_bath_law(model), support, range(model.n_vars),
-                       len(model.alphabet))
+    """(succ, prob) of _law_arrays for the heat-bath law at every site, the
+    law evaluated once per (site, fiber) by _site_conditionals."""
+    return _heat_bath(support, _site_conditionals(model, support))
 
 
-def _law_kernel(model, law, site, support, stationary=None,
-                arrays=None) -> Kernel:
-    """Kernel of one step of `law` at `site`, or at a uniform site if None,
-    from the law arrays of `law` over the support (evaluated unless given)
-    and with the model's stationary law (computed unless given).
+def _lift_sites(lifted_support: Poset, table, index) -> list:
+    """Per site of the base model's table (_site_conditionals over the
+    binary support), (_Fibers over the lifted support, q0, q1): each lifted
+    state's base conditional, read at the fiber of its contraction, whose
+    index in the binary support is given.  LiftedModel.conditional and the
+    star-frozen law both evaluate the base conditional at the contraction."""
+    fibers = _site_fibers(lifted_support, 3, [fib.site for fib, _ in table])
+    return [(lfib, *cond[fib.fiber[index]].T)
+            for lfib, (fib, cond) in zip(fibers, table)]
 
-    Entry (i, j) sums prob / n over the (site, value) pairs of state i that
+
+def _zero_division(z):
+    """Refuse a denominator of 0 as the float division of a conditional
+    would."""
+    if np.any(z == 0.0):
+        raise ZeroDivisionError("float division by zero")
+
+
+def _lifted_heat_bath(lifted: LiftedModel, lifted_support: Poset, sites):
+    """(succ, prob) of the heat-bath law of the lift from its _lift_sites:
+    LiftedModel.conditional's arithmetic, elementwise, z = q0 + q1 and
+    (q0 / z, theta q1 / z, (1 - theta) q1 / z), the same bits."""
+    theta, columns = lifted.theta, []
+    for fib, q0, q1 in sites:
+        z = q0 + q1
+        _zero_division(z)
+        columns.append((fib, np.stack(
+            [q0 / z, theta * q1 / z, (1 - theta) * q1 / z], axis=1)))
+    return _site_arrays(lifted_support, columns)
+
+
+def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
+    """(succ, prob) of star_frozen_law(lifted) from its _lift_sites: a star
+    stays with probability 1 (its own index at value slot 0), any other
+    state follows TiltedModel.conditional's arithmetic, z = q0 + theta q1
+    and (q0 / z, theta q1 / z), the same bits, with slot 2 empty."""
+    theta, columns = lifted.theta, []
+    own = np.arange(lifted_support.size)[:, None]
+    for fib, q0, q1 in sites:
+        star = lifted_support.array[:, fib.site] == STAR
+        t1 = theta * q1
+        z = q0 + t1
+        _zero_division(z[~star])
+        z = np.where(star, 1.0, z)
+        p = np.stack([q0 / z, t1 / z, np.zeros_like(z)], axis=1)
+        columns.append((fib._replace(cand=np.where(star[:, None], own,
+                                                   fib.cand)),
+                        np.where(star[:, None], (1.0, 0.0, 0.0), p)))
+    return _site_arrays(lifted_support, columns)
+
+
+def _law_kernel(model, arrays, support: Poset, stationary=None) -> Kernel:
+    """Kernel of one step at a uniform site of the law arrays (succ, prob)
+    (k, s, a) over the support, with the model's stationary law (computed
+    unless given).
+
+    Entry (i, j) sums prob / s over the (site, value) pairs of state i that
     lead to j; np.add.at adds in the flattened (state, site, value) order, so
     each entry is the sum a loop over states, sites and values would form,
     in the same order (a zero-probability pair adds 0.0 to the diagonal)."""
-    support = support or enumerate_support(model)
     _check_dense(support.size)
-    sites = range(model.n_vars) if site is None else (site,)
-    succ, prob = arrays or _law_arrays(law, support, sites,
-                                       len(model.alphabet))
+    succ, prob = arrays
     k = support.size
     mat = np.zeros(k * k)
     np.add.at(mat, (np.arange(k)[:, None, None] * k + succ).ravel(),
-              (prob / len(sites)).ravel())
+              (prob / succ.shape[1]).ravel())
     return Kernel(support, mat.reshape(k, k),
                   stationary=_stationary(model, support, stationary))
 
@@ -184,11 +315,24 @@ def _stationary(model, support, given):
     return stationary_distribution(model, support) if given is None else given
 
 
+def _dense_support(model, support):
+    """The given support, or the model's, refused past DENSE_GUARD before
+    any law is evaluated over it."""
+    support = support or enumerate_support(model)
+    _check_dense(support.size)
+    return support
+
+
 def glauber_kernel(model, support=None, site=None, stationary=None) -> Kernel:
     """Single-site heat-bath kernel: uniform site choice (or always `site`),
-    conditional resample.  A caller holding the model's stationary law over
-    the support passes it in."""
-    return _law_kernel(model, heat_bath_law(model), site, support, stationary)
+    conditional resample, the law evaluated once per (site, fiber).  A
+    caller holding the model's stationary law over the support passes it
+    in."""
+    support = _dense_support(model, support)
+    sites = None if site is None else (site,)
+    return _law_kernel(model, _heat_bath(
+        support, _site_conditionals(model, support, sites)), support,
+        stationary)
 
 
 def freeze_kernel(lifted: LiftedModel, support=None,
@@ -207,8 +351,10 @@ def star_glauber_kernel(lifted: LiftedModel, support=None, site=None,
                         stationary=None) -> Kernel:
     """Star-frozen single-site kernel: uniform site choice (or always
     `site`); stars stay, other sites follow the tilted base conditional."""
-    return _law_kernel(lifted, star_frozen_law(lifted), site, support,
-                       stationary)
+    support = _dense_support(lifted, support)
+    sites = range(lifted.n_vars) if site is None else (site,)
+    return _law_kernel(lifted, _law_arrays(star_frozen_law(lifted), support,
+                                           sites, 3), support, stationary)
 
 
 def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
@@ -347,16 +493,26 @@ def lift_pushforward(probs, bin_support: Poset, theta,
                      lifted_support: Poset) -> np.ndarray:
     """Pushforward of a binary law under the randomized lift: each lifted
     state gets its contraction's mass times its lift weight (+0.0 if 0)."""
-    mass = np.asarray(probs, dtype=float)[
-        _contraction_index(lifted_support, bin_support)]
+    return _lift(probs, _contraction_index(lifted_support, bin_support),
+                 theta, lifted_support)
+
+
+def _lift(probs, index, theta, lifted_support: Poset) -> np.ndarray:
+    """lift_pushforward, given the _contraction_index."""
+    mass = np.asarray(probs, dtype=float)[index]
     return np.where(mass == 0, 0.0, _lift_weights(lifted_support, theta, mass))
 
 
 def contract_pushforward(probs, lifted_support: Poset,
                          bin_support: Poset) -> np.ndarray:
     """Pushforward of a lifted law under the contraction."""
-    return np.bincount(_contraction_index(lifted_support, bin_support),
-                       probs, minlength=bin_support.size)
+    return _contract(probs, _contraction_index(lifted_support, bin_support),
+                     bin_support)
+
+
+def _contract(probs, index, bin_support: Poset) -> np.ndarray:
+    """contract_pushforward, given the _contraction_index."""
+    return np.bincount(index, probs, minlength=bin_support.size)
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +594,31 @@ def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     coordinates (keys), tested per site by _first_unordered.
 
     Returns (True, None) or (False, (v, state_lo, state_hi))."""
+    _monotone_guard(model, max_vars)
+    support = enumerate_support(model)
+    return _monotone_system(model, support,
+                            _site_conditionals(model, support), tol)
+
+
+def _monotone_guard(model, max_vars=12):
+    """Refuse check_monotone_system past max_vars variables."""
     if model.n_vars > max_vars:
         raise ValueError(f"guarded to {max_vars} variables")
-    support = enumerate_support(model)
+
+
+def _monotone_system(model, support: Poset, table, tol=PROB_TOL):
+    """check_monotone_system from the model's _site_conditionals table over
+    its support: the keys of a site are its fibers, in the order of their
+    first states, each with its one conditional."""
     chain = Poset(tuple((a,) for a in model.alphabet))
-    for v in range(model.n_vars):
-        # the first state of each configuration of the other sites, in
-        # support order, and its conditional at v (computed once per key)
-        _, first = np.unique(np.delete(support.array, v, axis=1), axis=0,
-                             return_index=True)
-        first = np.sort(first)
-        reps = [support.states[i] for i in first]
-        conds = np.array([model.conditional(s, v) for s in reps])
-        others = support.array[first]
-        others[:, v] = 0
+    for fib, cond in table:
+        others = support.array[fib.first]
+        others[:, fib.site] = 0
         keys = Poset(tuple(map(tuple, others.tolist())))
-        fail = _first_unordered(conds, keys, chain, tol)
+        fail = _first_unordered(cond, keys, chain, tol)
         if fail is not None:
-            return False, (v, reps[fail[0]], reps[fail[1]])
+            lo, hi = fib.first[fail[0]], fib.first[fail[1]]
+            return False, (fib.site, support.states[lo], support.states[hi])
     return True, None
 
 
@@ -569,13 +732,21 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
     4. otherwise a ValueError naming the fiber.
 
     Returns (True, None) or (False, (up_set, "extreme-ray"))."""
+    _check_dense(support.size)
+    a = len(model.alphabet)
+    return _site_mc_leq(model, [_law_arrays(law, support, (site,), a)
+                                for law in (p_law, q_law)],
+                        site, support, mu, tol)
+
+
+def _site_mc_leq(model, laws, site, support: Poset, mu, tol=PROB_TOL):
+    """check_site_mc_leq from the (succ, prob) arrays (k, 1, a) of both
+    laws at the site."""
     k, a = support.size, len(model.alphabet)
     mu = np.asarray(mu, dtype=float)
     budget = (1 - _FIBER_SHARE) * tol * _FLOW_SCALE - (k + 48) / 8
     bad = None
     if k <= DENSE_GUARD and tol <= 1e-6 and budget >= 0 and np.all(mu >= 0):
-        laws = [_law_arrays(law, support, (site,), a)
-                for law in (p_law, q_law)]
         tails = [_site_tails(succ, prob, support, site, a)
                  for succ, prob in laws]
         dev = np.abs(np.array([t[:, 0] for t in tails]) - 1).max(axis=1)
@@ -599,8 +770,8 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
             if not bad.any():
                 return True, None
     if bad is None or k <= _RAY_ELEMENTS:
-        return check_mc_leq(_law_kernel(model, p_law, site, support),
-                            _law_kernel(model, q_law, site, support), mu, tol)
+        return check_mc_leq(*(_law_kernel(model, law, support, mu)
+                              for law in laws), mu, tol)
     f, s = np.argwhere(bad)[0]
     seed = np.flatnonzero((fiber == f) & (at >= a - 1 - s))
     row = np.zeros(k)
@@ -936,8 +1107,7 @@ def _tilted_arrays(model, tilted, support: Poset, arrays):
     succ, prob = arrays or heat_bath_arrays(model, support)
     q0, q1 = prob[..., 0], tilted.theta * prob[..., 1]
     z = q0 + q1
-    if np.any(z == 0.0):
-        raise ZeroDivisionError("float division by zero")
+    _zero_division(z)
     return succ, np.stack([q0 / z, q1 / z], axis=-1)
 
 
@@ -1013,7 +1183,7 @@ def comparison_times(model, theta, eps):
     sup = enumerate_support(model)
     mu = stationary_distribution(model, sup)
     arrays = heat_bath_arrays(model, sup)
-    gker = _law_kernel(model, heat_bath_law(model), None, sup, mu, arrays)
+    gker = _law_kernel(model, arrays, sup, mu)
     ones = tuple([1] * model.n_vars)
     t_gd = exact_mixing_time(gker, ones, eps)
     fker, lws = _fd_kernel(model, theta, sup, stationary=mu)

@@ -24,10 +24,12 @@ values (site-update laws) or over rows and kept sets (field dynamics), the
 freeze kernel and the lift and contract pushforwards that fan each binary
 state out over its lifts with one support.index per entry, and the mixing
 time of one chain at a time without the refusal by distance; the tilted
-slices over the tilted model's own support and conditional, and the
-Glauber vs field-dynamics comparison composed from the public calls.
+slices over the tilted model's own support and conditional, the
+Glauber vs field-dynamics comparison composed from the public calls, and
+the CLI parser that declares every option on each subcommand again.
 """
 
+import argparse
 import functools
 import itertools
 import math
@@ -265,9 +267,9 @@ def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu,
                            tol=PROB_TOL):
     """exact.check_site_mc_leq by the path it replaced: both kernels of one
     step at the site, then check_mc_leq over every up-set of the support."""
-    return exact.check_mc_leq(exact._law_kernel(model, p_law, site, support),
-                              exact._law_kernel(model, q_law, site, support),
-                              mu, tol)
+    return exact.check_mc_leq(
+        *(exact.Kernel(support, loop_law_kernel(model, law, site, support))
+          for law in (p_law, q_law)), mu, tol)
 
 
 def per_row_mixing_time(kernel, eps, cap=10 ** 6):
@@ -403,7 +405,8 @@ def evaluated_tilted_slices(model, theta):
     being derived from the model's."""
     tilted = models.tilt(model, theta)
     support = exact.enumerate_support(tilted)
-    succ, prob = exact.heat_bath_arrays(tilted, support)
+    succ, prob = exact._law_arrays(models.heat_bath_law(tilted), support,
+                                   range(tilted.n_vars), 2)
     lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
     by_size = {}
     for pinned, idx in exact._one_slices(support.array == 1):
@@ -757,3 +760,24 @@ def loop_ei_witness(model, iterations=200, rng=None, restarts=4):
         if cur is not None and cur > best_r:
             best_r, best_nu = cur, nu
     return best_r, best_nu
+
+
+def per_subcommand_parser():
+    """cli._build_parser with the eleven options added to each of the five
+    subcommand parsers, 55 add_argument calls."""
+    ap = argparse.ArgumentParser(prog="glauberlab")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("sample", "verify", "analyze", "mixing", "kernel-export"):
+        p = sub.add_parser(name)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--params", required=True)
+        p.add_argument("--transform", action="append", default=[])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.add_argument("--check", action="append", default=[])
+        p.add_argument("--eps", type=float, default=0.1)
+        p.add_argument("--t1", type=int, default=2)
+        p.add_argument("--t2", type=int, default=3)
+        p.add_argument("--steps", type=int, default=1000)
+        p.add_argument("--record", default="")
+    return ap

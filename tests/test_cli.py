@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from glauberlab import cli, exact, models, ordercore
+from glauberlab.ordercore import PROB_TOL
 import oracles
 
 
@@ -128,23 +130,63 @@ def cycle_graph(tmp_path, n):
 def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
                                              capsys):
     # the simulation run reuses the freeze and star-frozen kernels that the
-    # other checks hold, over the one lifted support
-    calls = {name: mock.Mock(wraps=getattr(exact, name)) for name in
-             ("enumerate_support", "freeze_kernel", "star_glauber_kernel",
-              "stationary_distribution")}
+    # other checks hold, over the one lifted support and contraction index
+    made = {}
+
+    def keep(name, fn):
+        def call(*args, **kwargs):
+            made[name] = fn(*args, **kwargs)
+            return made[name]
+        return call
+
+    calls = {name: mock.Mock(side_effect=keep(name, getattr(exact, name)))
+             for name in ("enumerate_support", "freeze_kernel",
+                          "_star_frozen", "_lifted_heat_bath", "_law_kernel",
+                          "_contraction_index", "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["verify", "--graph", p3, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"]
-    lifted = [c for c in calls["enumerate_support"].call_args_list
-              if isinstance(c.args[0], models.LiftedModel)]
-    assert len(lifted) == 1
+
+    def on_lift(name):
+        return [c for c in calls[name].call_args_list
+                if isinstance(c.args[0], models.LiftedModel)]
+
+    assert len(on_lift("enumerate_support")) == 1
     assert calls["freeze_kernel"].call_count == 1
-    assert calls["star_glauber_kernel"].call_count == 1
+    # one star-frozen and one lifted heat-bath table, each summed into its
+    # kernel once
+    assert calls["_star_frozen"].call_count == 1
+    assert calls["_lifted_heat_bath"].call_count == 1
+    tables = [c.args[1] for c in on_lift("_law_kernel")]
+    assert len(tables) == 2
+    assert tables[0] is made["_lifted_heat_bath"]
+    assert tables[1] is made["_star_frozen"]
+    assert calls["_contraction_index"].call_count == 1
     # one lifted stationary law, handed to the three lifted kernels
-    assert len([c for c in calls["stationary_distribution"].call_args_list
-                if isinstance(c.args[0], models.LiftedModel)]) == 1
+    assert len(on_lift("stationary_distribution")) == 1
+
+
+def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
+                                                       monkeypatch, capsys):
+    # the model's conditional runs once per (site, fiber of its support);
+    # every lifted and star-frozen entry is derived from those calls
+    calls = []
+    for cls in (models.FlippedModel, models.LiftedModel, models.TiltedModel):
+        def spy(self, state, v, cls=cls, fn=cls.conditional):
+            calls.append((cls, tuple(state), v))
+            return fn(self, state, v)
+        monkeypatch.setattr(cls, "conditional", spy)
+    assert run_cli(["verify", "--graph", p3, "--params", rc_params,
+                    "--transform", "flip"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
+    assert {cls for cls, _, _ in calls} == {models.FlippedModel}
+    # RC on P3 has two edge variables and every edge set in its support
+    fibers = {(v, s[:v] + s[v + 1:])
+              for s in itertools.product((0, 1), repeat=2) for v in range(2)}
+    got = [(v, s[:v] + s[v + 1:]) for _, s, v in calls]
+    assert len(got) == len(fibers) == 4 and set(got) == fibers
 
 
 def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
@@ -152,13 +194,15 @@ def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
     # heat-bath law, and the Glauber and field-dynamics kernels one
     # stationary law
     calls = {name: mock.Mock(wraps=getattr(exact, name))
-             for name in ("_law_arrays", "stationary_distribution")}
+             for name in ("_site_conditionals", "_law_arrays",
+                          "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
-    assert calls["_law_arrays"].call_count == 1
+    assert calls["_site_conditionals"].call_count == 1
+    assert calls["_law_arrays"].call_count == 0
     assert calls["stationary_distribution"].call_count == 1
 
 
@@ -246,8 +290,14 @@ class TestSingleVertexByFibers:
         # only product-comparison builds kernels for check_mc_leq: the
         # default suite certifies every site by its fibers
         assert kernel_path.called == ("product-comparison" in argv)
-        monkeypatch.setattr(exact, "check_site_mc_leq",
-                            oracles.per_site_kernel_mc_leq)
+        # verify hands the sites' derived tables to the fiber decision; the
+        # kernel path evaluates both laws at every state instead
+        def kernel_path_of_laws(model, laws, site, support, mu, tol=PROB_TOL):
+            return oracles.per_site_kernel_mc_leq(
+                model, models.heat_bath_law(model),
+                models.star_frozen_law(model), site, support, mu, tol)
+
+        monkeypatch.setattr(exact, "_site_mc_leq", kernel_path_of_laws)
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == fibers
 
@@ -725,6 +775,40 @@ def test_cli_import_leaves_networkx_and_scipy_unloaded():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def parse_with(build, argv):
+    """(namespace or None, stdout, stderr, exit code) of parsing argv with
+    the parser that build makes."""
+    out, err = io.StringIO(), io.StringIO()
+    code, ns = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(build().parse_args(argv))
+        except SystemExit as e:
+            code = e.code
+    return ns, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--graph", "g", "--params", "p", "--transform", "flip",
+     "--check", "dominance", "--check", "lift-identity", "--eps", "0.2"],
+    ["sample", "--graph", "g", "--params", "p", "--steps", "9",
+     "--record", "0,3", "--seed", "4", "--t1", "5", "--t2", "6"],
+    [], ["bogus"], ["verify"], ["mixing", "--graph", "g"], ["--help"],
+    ["sample", "--help"], ["verify", "--help"], ["analyze", "--help"],
+    ["mixing", "--help"], ["kernel-export", "--help"],
+    ["sample", "--graph", "g", "--params", "p", "--steps", "x"],
+    ["verify", "--graph", "g", "--params", "p", "--eps=--"],
+    ["verify", "--graph", "g", "--params", "p", "--bogus", "1"],
+])
+def test_parser_equals_the_per_subcommand_one(argv, monkeypatch):
+    # the options declared once on a parent parser read, print and refuse
+    # every argv as the options declared on each subcommand did
+    monkeypatch.setenv("COLUMNS", "80")
+    got = parse_with(cli._build_parser, argv)
+    assert got == parse_with(oracles.per_subcommand_parser, argv)
+    assert (got[0] is None) == (got[3] is not None)
 
 
 @pytest.mark.parametrize("option", ["--transform=--", "--check=--",

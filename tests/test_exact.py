@@ -757,10 +757,10 @@ class TestSiteComparisonByFibers:
                     row = np.isin(np.arange(sup.size), list(up))
                     assert oracles.is_up_set(sup, up)
                     nu = row * mu / (row @ mu)
-                    pk = exact._law_kernel(lm, p, v, sup)
-                    qk = exact._law_kernel(lm, q_bad, v, sup)
+                    pk, qk = (oracles.loop_law_kernel(lm, law, v, sup)
+                              for law in (p, q_bad))
                     assert not ordercore.stochastic_dominance(
-                        nu @ pk.matrix, nu @ qk.matrix, sup)[0]
+                        nu @ pk, nu @ qk, sup)[0]
 
     def test_a_suffix_fails_where_the_whole_fiber_passes(self):
         # T(x, c) = -1 at x = 0 and +1 at 1 and *, for c >= 1: the whole
@@ -1042,9 +1042,8 @@ class TestKernelsMatchLoops:
             assert np.array_equal(given.matrix, glauber_kernel(m, sup).matrix)
             assert np.array_equal(given.stationary, np.ones(sup.size))
             # the arrays comparison_times shares give the same kernel
-            shared = exact._law_kernel(m, models.heat_bath_law(m), None, sup,
-                                       np.ones(sup.size),
-                                       exact.heat_bath_arrays(m, sup))
+            shared = exact._law_kernel(m, exact.heat_bath_arrays(m, sup), sup,
+                                       np.ones(sup.size))
             assert shared.matrix.tobytes() == glauber_kernel(m, sup).matrix.tobytes()
             assert np.array_equal(shared.stationary, np.ones(sup.size))
 
@@ -1065,6 +1064,112 @@ class TestKernelsMatchLoops:
             for theta in (0.3, 0.5, 0.9):
                 assert np.array_equal(fd_kernel(m, theta).matrix,
                                       oracles.loop_fd_kernel(m, theta))
+
+
+def table_model(rng, kind, theta):
+    """A model for the site-table property: a monotone model, plain
+    hard-core (forced values), bipartite hard-core or a left marginal, by
+    kind % 4; pinned at a support state on random sites for kind >= 4; then
+    tilted by theta unless it is None or the tilt is refused."""
+    m = (random_monotone_model, random_hardcore, random_bhc,
+         lambda r: models.LeftMarginalModel(random_bhc(r)))[kind % 4](rng)
+    if kind >= 4:
+        states = enumerate_support(m).states
+        x = states[rng.integers(len(states))]
+        sites = rng.choice(m.n_vars, rng.integers(1, m.n_vars + 1),
+                           replace=False)
+        m = models.pin(m, {int(v): x[v] for v in sites})
+    if theta is not None:
+        try:
+            m = models.tilt(m, theta)
+        except ValueError:
+            pass
+    return m
+
+
+THETAS = st.one_of(st.floats(0.05, 0.95),
+                   st.floats(5e-324, 1e-320, allow_subnormal=True))
+
+
+class TestSiteTables:
+    """The heat-bath table read once per (site, fiber), and the lifted and
+    star-frozen tables derived from the base one, equal the law evaluated
+    at every (state, site) by _law_arrays, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        def made(build):
+            try:
+                return build()
+            except (ValueError, ZeroDivisionError) as e:
+                return repr(e)
+
+        got, want = made(got), made(want)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7),
+           st.one_of(st.none(), THETAS), THETAS)
+    def test_tables_equal_the_evaluated_laws(self, seed, kind, tilt_by,
+                                             lift_by):
+        m = table_model(np.random.default_rng(seed), kind, tilt_by)
+        sup, n = enumerate_support(m), m.n_vars
+        self.same(lambda: exact.heat_bath_arrays(m, sup),
+                  lambda: exact._law_arrays(heat_bath_law(m), sup, range(n),
+                                            2))
+        lifted = lift_model(m, lift_by)
+        lsup = enumerate_support(lifted)
+        sites = exact._lift_sites(lsup, exact._site_conditionals(m, sup),
+                                  exact._contraction_index(lsup, sup))
+        for derived, law in ((exact._lifted_heat_bath, heat_bath_law),
+                             (exact._star_frozen, star_frozen_law)):
+            self.same(lambda: derived(lifted, lsup, sites),
+                      lambda: exact._law_arrays(law(lifted), lsup, range(n),
+                                                3))
+        self.same(lambda: exact.heat_bath_arrays(lifted, lsup),
+                  lambda: exact._law_arrays(heat_bath_law(lifted), lsup,
+                                            range(n), 3))
+
+    def test_forced_value_keeps_the_state(self):
+        # hard-core on K2: from (1, 0) site 1 is forced to 0, so its value 1
+        # has probability 0 and points back at the state, with +0.0
+        sup = enumerate_support(HardcoreModel(K2, 1.0))
+        succ, prob = exact.heat_bath_arrays(HardcoreModel(K2, 1.0), sup)
+        i = sup.index((1, 0))
+        assert succ[i, 1].tolist() == [i, i]
+        assert prob[i, 1].tolist() == [1.0, 0.0]
+        assert not np.signbit(prob[i, 1, 1])
+
+    def test_law_onto_a_state_outside_the_support_is_refused(self):
+        # a conditional that charges an infeasible state has no successor
+        # in the support; the table refuses it rather than point elsewhere
+        class Careless(HardcoreModel):
+            def conditional(self, state, v):
+                return (0.5, 0.5)
+
+        m = Careless(K2, 1.0)
+        with pytest.raises(ValueError, match="^the law at site 0 moves to "
+                                             "11, which is not in the "
+                                             "support$"):
+            exact.heat_bath_arrays(m, enumerate_support(m))
+
+    def test_one_conditional_per_fiber(self):
+        m = random_monotone_model(np.random.default_rng(3))
+        sup = enumerate_support(m)
+        with mock.patch.object(type(m), "conditional", autospec=True,
+                               side_effect=type(m).conditional) as cond:
+            table = exact._site_conditionals(m, sup)
+        keys = [(c.args[2], c.args[1][:c.args[2]] + c.args[1][c.args[2] + 1:])
+                for c in cond.call_args_list]
+        assert len(keys) == len(set(keys)) == sum(
+            len(fib.first) for fib, _ in table)
+        assert set(keys) == {(v, s[:v] + s[v + 1:]) for s in sup.states
+                             for v in range(m.n_vars)}
 
 
 def random_chain(rng, m, lazy):
