@@ -16,8 +16,7 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, TiltedModel, star_frozen_law,
-                     tilt)
+from .models import ENUM_GUARD, LiftedModel, TiltedModel, tilt
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -136,8 +135,9 @@ def _law_arrays(law, support: Poset, sites, a):
     succ (k, n, a) int, the index of the successor state, and prob (k, n, a),
     its probability, for a law of at most a values.  A value of probability
     0, and the padding of a law with fewer than a values, is given the
-    state's own index and prob 0.  The path of a law given as a callable;
-    the heat-bath law and its lifts are read from _site_conditionals."""
+    state's own index and prob 0.  The path of a law given as a callable,
+    for check_site_mc_leq; the heat-bath law, its lift and the star-frozen
+    law are read from _site_conditionals."""
     k, n = support.size, len(sites)
     succ = np.repeat(np.arange(k), n * a).reshape(k, n, a)
     prob = np.zeros((k, n, a))
@@ -173,8 +173,7 @@ def _site_fibers(support: Poset, a, sites) -> list:
     first state is the least of them."""
     arr = support.array
     k, n = arr.shape
-    if a ** n > 2 ** 62:
-        raise ValueError(f"state codes are guarded to {a}^n <= 2^62")
+    # a support is enumerated under ENUM_GUARD >= a ** n, so codes fit int64
     digits = arr.astype(np.int64)
     place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = digits @ place
@@ -272,10 +271,11 @@ def _lifted_heat_bath(lifted: LiftedModel, lifted_support: Poset, sites):
 
 
 def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
-    """(succ, prob) of star_frozen_law(lifted) from its _lift_sites: a star
-    stays with probability 1 (its own index at value slot 0), any other
-    state follows TiltedModel.conditional's arithmetic, z = q0 + theta q1
-    and (q0 / z, theta q1 / z), the same bits, with slot 2 empty."""
+    """(succ, prob) of models.star_frozen_law(lifted) from its _lift_sites:
+    a star stays with probability 1 (its own index at value slot 0), any
+    other state follows TiltedModel.conditional's arithmetic, z = q0 +
+    theta q1 and (q0 / z, theta q1 / z), the same bits, with slot 2
+    empty."""
     theta, columns = lifted.theta, []
     own = np.arange(lifted_support.size)[:, None]
     for fib, q0, q1 in sites:
@@ -350,11 +350,15 @@ def freeze_kernel(lifted: LiftedModel, support=None,
 def star_glauber_kernel(lifted: LiftedModel, support=None, site=None,
                         stationary=None) -> Kernel:
     """Star-frozen single-site kernel: uniform site choice (or always
-    `site`); stars stay, other sites follow the tilted base conditional."""
+    `site`); stars stay, other sites follow the tilted base conditional,
+    evaluated once per (site, fiber) of the base support."""
     support = _dense_support(lifted, support)
-    sites = range(lifted.n_vars) if site is None else (site,)
-    return _law_kernel(lifted, _law_arrays(star_frozen_law(lifted), support,
-                                           sites, 3), support, stationary)
+    bsup = enumerate_support(lifted.base)
+    sites = _lift_sites(support, _site_conditionals(
+        lifted.base, bsup, None if site is None else (site,)),
+        _contraction_index(support, bsup))
+    return _law_kernel(lifted, _star_frozen(lifted, support, sites), support,
+                       stationary)
 
 
 def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
@@ -692,7 +696,8 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
     Let u = 2^-53 and SC = _FLOW_SCALE units per unit of mass (SC u <
     1/8), and e_P, e_Q the largest |row sum - 1| of P and Q.  The fast path
     applies where every law probability and mu are >= 0, every law sums to
-    within PROB_TOL/2 of 1, k <= DENSE_GUARD and tol <= 1e-6; a law's
+    within PROB_TOL/2 of 1 and tol <= 1e-6 (k <= DENSE_GUARD, as both
+    callers refuse larger k first); a law's
     (state, value) entry is then the kernel entry (_site_tails), and the
     terms of second order in u, tol, e_P and e_Q below add under a unit.
     (a) The certificate is computed in floats, each tail and suffix sum a
@@ -746,7 +751,7 @@ def _site_mc_leq(model, laws, site, support: Poset, mu, tol=PROB_TOL):
     mu = np.asarray(mu, dtype=float)
     budget = (1 - _FIBER_SHARE) * tol * _FLOW_SCALE - (k + 48) / 8
     bad = None
-    if k <= DENSE_GUARD and tol <= 1e-6 and budget >= 0 and np.all(mu >= 0):
+    if tol <= 1e-6 and budget >= 0 and np.all(mu >= 0):
         tails = [_site_tails(succ, prob, support, site, a)
                  for succ, prob in laws]
         dev = np.abs(np.array([t[:, 0] for t in tails]) - 1).max(axis=1)
