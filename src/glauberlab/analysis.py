@@ -323,7 +323,8 @@ def _kl_rows(nus, mu) -> np.ndarray:
     live = charged & (mu > 0.0)
     terms = np.zeros(nus.shape)
     a = nus[live]
-    terms[live] = a * _log(a / mu[live])
+    with np.errstate(over="ignore"):  # a / mu overflows to inf, as in floats
+        terms[live] = a * _log(a / mu[live])
     kl = np.add.accumulate(terms, axis=-1)[..., -1]
     kl[(charged & ~live).any(axis=-1)] = np.inf
     return kl

@@ -265,7 +265,8 @@ def _check_single_vertex_mc(c):
     for v in range(c.model.n_vars):
         laws = [(succ[:, [v]], prob[:, [v]])
                 for succ, prob in (c.larrays, c.sarrays)]
-        ok, wit = exact._site_mc_leq(c.lifted, laws, v, c.lsup, c.lmu)
+        ok, wit = exact.check_site_mc_leq(c.lifted, laws, v, c.lsup,
+                                          c.lmu)
         if not ok:
             break
     return ok, True, None if wit is None else repr(wit)

@@ -129,29 +129,6 @@ def _check_rows(matrix):
 # kernels
 
 
-def _law_arrays(law, support: Poset, sites, a):
-    """One step of `law` at each of `sites` from every state of the support,
-    evaluated once per (state, site), as arrays over (state, site, value):
-    succ (k, n, a) int, the index of the successor state, and prob (k, n, a),
-    its probability, for a law of at most a values.  A value of probability
-    0, and the padding of a law with fewer than a values, is given the
-    state's own index and prob 0.  The path of a law given as a callable,
-    for check_site_mc_leq; the heat-bath law, its lift and the star-frozen
-    law are read from _site_conditionals."""
-    k, n = support.size, len(sites)
-    succ = np.repeat(np.arange(k), n * a).reshape(k, n, a)
-    prob = np.zeros((k, n, a))
-    for i, s in enumerate(support.states):
-        for j, v in enumerate(sites):
-            t = list(s)
-            for c, (val, pr) in enumerate(zip(*law(s, v))):
-                if pr != 0.0:
-                    t[v] = val
-                    succ[i, j, c] = support.index(tuple(t))
-                    prob[i, j, c] = pr
-    return succ, prob
-
-
 class _Fibers(NamedTuple):
     """The fibers of one site over a support, a fiber being the states that
     agree off the site: fiber (k,) numbers each state's fiber, in the order
@@ -205,11 +182,14 @@ def _site_conditionals(model, support: Poset, sites=None) -> list:
 
 
 def _site_arrays(support: Poset, columns):
-    """(succ, prob) of _law_arrays from one (_Fibers, p) pair per site, p
-    (k, a) the probability of each value at the site from each state: a
-    value of nonzero probability moves to the state of the fiber with that
-    value, and a value of probability 0 keeps the state's own index and
-    +0.0, as _law_arrays gives them."""
+    """The law arrays (succ, prob) of a single-site law over the support,
+    from one (_Fibers, p) pair per site, p (k, a) the probability of each
+    value at the site from each state.  Law arrays are over (state, site,
+    value), (k, s, a) for s sites and at most a values: succ, int, the
+    index of the successor state, and prob its probability.  A value of
+    nonzero probability moves to the state of the fiber with that value; a
+    value of probability 0, and a value slot the law leaves empty, keeps
+    the state's own index and +0.0, as a loop over the law gives them."""
     own = np.arange(support.size)[:, None]
     succ, prob = [], []
     for fib, p in columns:
@@ -234,8 +214,8 @@ def _heat_bath(support: Poset, table):
 
 
 def heat_bath_arrays(model, support: Poset):
-    """(succ, prob) of _law_arrays for the heat-bath law at every site, the
-    law evaluated once per (site, fiber) by _site_conditionals."""
+    """The law arrays (_site_arrays) of the heat-bath law at every site,
+    the law evaluated once per (site, fiber) by _site_conditionals."""
     return _heat_bath(support, _site_conditionals(model, support))
 
 
@@ -270,21 +250,30 @@ def _lifted_heat_bath(lifted: LiftedModel, lifted_support: Poset, sites):
     return _site_arrays(lifted_support, columns)
 
 
+def _tilted(theta, q0, q1, star=None):
+    """TiltedModel.conditional's arithmetic, elementwise over the arrays
+    of base conditionals q0, q1: z = q0 + theta q1, then (q0 / z, theta q1
+    / z) stacked on a last axis, the same bits.  A z of 0 is refused as the
+    float division would refuse it, except on the rows of the mask star,
+    which divide by 1 (their values are not read)."""
+    t1 = theta * q1
+    z = q0 + t1
+    if star is not None:
+        z = np.where(star, 1.0, z)
+    _zero_division(z)
+    return np.stack([q0 / z, t1 / z], axis=-1)
+
+
 def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
     """(succ, prob) of models.star_frozen_law(lifted) from its _lift_sites:
     a star stays with probability 1 (its own index at value slot 0), any
-    other state follows TiltedModel.conditional's arithmetic, z = q0 +
-    theta q1 and (q0 / z, theta q1 / z), the same bits, with slot 2
-    empty."""
-    theta, columns = lifted.theta, []
+    other state follows the _tilted base conditional, with slot 2 empty."""
+    columns = []
     own = np.arange(lifted_support.size)[:, None]
     for fib, q0, q1 in sites:
         star = lifted_support.array[:, fib.site] == STAR
-        t1 = theta * q1
-        z = q0 + t1
-        _zero_division(z[~star])
-        z = np.where(star, 1.0, z)
-        p = np.stack([q0 / z, t1 / z, np.zeros_like(z)], axis=1)
+        p = np.concatenate([_tilted(lifted.theta, q0, q1, star),
+                            np.zeros((len(star), 1))], axis=1)
         columns.append((fib._replace(cand=np.where(star[:, None], own,
                                                    fib.cand)),
                         np.where(star[:, None], (1.0, 0.0, 0.0), p)))
@@ -293,21 +282,28 @@ def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
 
 def _law_kernel(model, arrays, support: Poset, stationary=None) -> Kernel:
     """Kernel of one step at a uniform site of the law arrays (succ, prob)
-    (k, s, a) over the support, with the model's stationary law (computed
-    unless given).
-
-    Entry (i, j) sums prob / s over the (site, value) pairs of state i that
-    lead to j; np.add.at adds in the flattened (state, site, value) order, so
-    each entry is the sum a loop over states, sites and values would form,
-    in the same order (a zero-probability pair adds 0.0 to the diagonal)."""
+    over the support (_site_arrays), summed by _step_matrices, with the
+    model's stationary law (computed unless given)."""
     _check_dense(support.size)
-    succ, prob = arrays
-    k = support.size
-    mat = np.zeros(k * k)
-    np.add.at(mat, (np.arange(k)[:, None, None] * k + succ).ravel(),
-              (prob / succ.shape[1]).ravel())
-    return Kernel(support, mat.reshape(k, k),
+    return Kernel(support, _step_matrices(*arrays),
                   stationary=_stationary(model, support, stationary))
+
+
+def _step_matrices(to, prob):
+    """The matrices (..., m, m) of one step at a uniform site of law arrays
+    (..., m, s, a), to giving each successor's position among the m states
+    of its matrix.
+
+    Entry (i, j) sums prob / s over the (site, value) pairs of row i that
+    lead to j; np.add.at adds in the flattened (matrix, row, site, value)
+    order, so each entry is the sum a loop over rows, sites and values
+    would form, in the same order (a zero-probability pair adds 0.0 to the
+    diagonal)."""
+    *lead, m, s, _ = to.shape
+    rows = np.arange(math.prod(lead) * m).reshape(*lead, m, 1, 1)
+    mats = np.zeros(rows.size * m)
+    np.add.at(mats, (rows * m + to).ravel(), (prob / s).ravel())
+    return mats.reshape(*lead, m, m)
 
 
 def _stationary(model, support, given):
@@ -530,14 +526,16 @@ def tv_distance(nu, mu) -> float:
 
 
 def kl_divergence(nu, mu) -> float:
-    """KL(nu || mu) with 0 log 0 = 0; +inf if nu charges a mu-null state."""
+    """KL(nu || mu) with 0 log 0 = 0; +inf if nu charges a mu-null state.
+    Each ratio is a float division, which overflows to inf without the
+    warning a numpy scalar division prints."""
     total = 0.0
     for a, b in zip(nu, mu):
         if a == 0.0:
             continue
         if b == 0.0:
             return math.inf
-        total += a * math.log(a / b)
+        total += a * math.log(float(a) / float(b))
     return total
 
 
@@ -670,12 +668,14 @@ def _site_tails(succ, prob, support: Poset, site, a):
     return np.cumsum(table.reshape(k, a)[:, ::-1], axis=1)[:, ::-1]
 
 
-def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
+def check_site_mc_leq(model, laws, site, support: Poset, mu,
                       tol=PROB_TOL):
-    """check_mc_leq(P, Q, mu, tol) for the kernels P and Q of one step of
-    p_law and q_law at `site` over the support (as _law_kernel builds
-    them), decided fiber by fiber in O(k) from the law arrays, without
-    either kernel.
+    """check_mc_leq(P, Q, mu, tol) for the kernels P and Q of one step at
+    `site` over the support of two laws, given as law arrays laws =
+    [(succ, prob), (succ, prob)], each (k, 1, a) for the model's a values
+    (the site's column of _site_arrays; _law_kernel sums P and Q from
+    them), decided fiber by fiber in O(k) without either kernel.  Arrays
+    of another shape, or with a successor outside [0, k), are refused.
 
     A fiber is one configuration of the other sites.  P and Q move the
     site only, so within fibers, and an up-set meets a fiber f in a suffix
@@ -696,8 +696,8 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
     Let u = 2^-53 and SC = _FLOW_SCALE units per unit of mass (SC u <
     1/8), and e_P, e_Q the largest |row sum - 1| of P and Q.  The fast path
     applies where every law probability and mu are >= 0, every law sums to
-    within PROB_TOL/2 of 1 and tol <= 1e-6 (k <= DENSE_GUARD, as both
-    callers refuse larger k first); a law's
+    within PROB_TOL/2 of 1 and tol <= 1e-6 (k <= DENSE_GUARD, refused
+    first); a law's
     (state, value) entry is then the kernel entry (_site_tails), and the
     terms of second order in u, tol, e_P and e_Q below add under a unit.
     (a) The certificate is computed in floats, each tail and suffix sum a
@@ -738,16 +738,14 @@ def check_site_mc_leq(model, p_law, q_law, site, support: Poset, mu,
 
     Returns (True, None) or (False, (up_set, "extreme-ray"))."""
     _check_dense(support.size)
-    a = len(model.alphabet)
-    return _site_mc_leq(model, [_law_arrays(law, support, (site,), a)
-                                for law in (p_law, q_law)],
-                        site, support, mu, tol)
-
-
-def _site_mc_leq(model, laws, site, support: Poset, mu, tol=PROB_TOL):
-    """check_site_mc_leq from the (succ, prob) arrays (k, 1, a) of both
-    laws at the site."""
     k, a = support.size, len(model.alphabet)
+    for succ, prob in laws:
+        if (succ.shape != (k, 1, a) or prob.shape != (k, 1, a)
+                or succ.min() < 0 or succ.max() >= k):
+            raise ValueError(
+                f"check_site_mc_leq takes law arrays of shape (k, 1, a) = "
+                f"{(k, 1, a)} with successors in [0, {k}); got succ of "
+                f"shape {succ.shape} and prob of shape {prob.shape}")
     mu = np.asarray(mu, dtype=float)
     budget = (1 - _FIBER_SHARE) * tol * _FLOW_SCALE - (k + 48) / 8
     bad = None
@@ -1067,7 +1065,7 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
                              eps, cap, start)[0])
 
 
-def _tilted_slices(model, theta, support=None, arrays=None, lws=None):
+def _tilted_slices(model, theta, support=None, table=None, lws=None):
     """The Glauber kernels of the tilted model on its feasible all-1 pinned
     slices, as stacks of equal-size slices of at most k^2 matrix entries in
     all (k the support size), built one stack at a time by _slice_stack.
@@ -1076,13 +1074,22 @@ def _tilted_slices(model, theta, support=None, arrays=None, lws=None):
     row-checked kernels and mus (g, m) their stationary laws.
 
     The tilt is made (and refused) first.  The slices read the model's
-    support, which the tilt keeps state for state, the tilted conditional
-    of _tilted_arrays and the tilted log weights, evaluated once per state
-    unless given as lws; each slice's kernel and stationary law equal those
-    of the pinned tilted model bit for bit."""
+    support, which the tilt keeps state for state, and the tilted log
+    weights, evaluated once per state unless given as lws.  Where the tilt
+    wraps the model in a TiltedModel, each fiber's conditional of the
+    model's _site_conditionals table (evaluated unless given) is _tilted
+    before its states read it; other tilts (of a hard-core or an already
+    tilted model) are evaluated.  Each slice's kernel and stationary law
+    equal those of the pinned tilted model bit for bit."""
     tilted = tilt(model, theta)
     support = support or enumerate_support(model)
-    succ, prob = _tilted_arrays(model, tilted, support, arrays)
+    if isinstance(tilted, TiltedModel) and tilted.base is model:
+        if table is None:
+            table = _site_conditionals(model, support)
+        succ, prob = _heat_bath(support, [
+            (fib, _tilted(tilted.theta, *cond.T)) for fib, cond in table])
+    else:
+        succ, prob = heat_bath_arrays(tilted, support)
     k = support.size
     if lws is None:
         lws = _log_weights(tilted, support)
@@ -1095,27 +1102,6 @@ def _tilted_slices(model, theta, support=None, arrays=None, lws=None):
             yield _slice_stack(slices[c:c + per], succ, prob, lws)
 
 
-def _tilted_arrays(model, tilted, support: Poset, arrays):
-    """heat_bath_arrays of tilted = tilt(model, theta) over the model's
-    support, which the tilt keeps state for state, from the model's own
-    arrays (evaluated unless given).
-
-    Where the tilt wraps the model in a TiltedModel, its conditional's
-    arithmetic is applied elementwise: z = q0 + theta q1, then q0 / z and
-    theta q1 / z, the same bits.  A probability that underflows to 0 keeps
-    the model's successor where an evaluation would point at the state
-    itself; either adds +0.0 to a kernel entry, which is never -0.0, so no
-    kernel or slice changes.  Other tilts (of a hard-core or an already
-    tilted model) are evaluated."""
-    if not (isinstance(tilted, TiltedModel) and tilted.base is model):
-        return heat_bath_arrays(tilted, support)
-    succ, prob = arrays or heat_bath_arrays(model, support)
-    q0, q1 = prob[..., 0], tilted.theta * prob[..., 1]
-    z = q0 + q1
-    _zero_division(z)
-    return succ, np.stack([q0 / z, q1 / z], axis=-1)
-
-
 def _slice_stack(slices, succ, prob, lw):
     """(pinned, sel, mats, mus) of _tilted_slices for the equal-size slices
     [(pinned sites, state indices), ...] of the law arrays succ, prob of a
@@ -1123,7 +1109,7 @@ def _slice_stack(slices, succ, prob, lw):
 
     A slice's kernel takes its states' rows of the law arrays, holds each
     pinned site (its own index with prob 1, as the pinned model's
-    conditional gives it) and sums them as _law_kernel does; its stationary
+    conditional gives it) and sums them by _step_matrices; its stationary
     law normalizes its states' log weights as stationary_distribution
     does."""
     pinned, sel = zip(*slices)
@@ -1138,11 +1124,7 @@ def _slice_stack(slices, succ, prob, lw):
     # successor of its states (a held site stays, the others keep the pins)
     local = np.zeros((g, k), dtype=int)
     local[np.arange(g)[:, None], sel] = np.arange(m)
-    cells = (np.arange(g * m).reshape(g, m, 1, 1) * m
-             + local[np.arange(g)[:, None, None, None], to])
-    mats = np.zeros(g * m * m)
-    np.add.at(mats, cells.ravel(), (pr / n).ravel())
-    mats = mats.reshape(g, m, m)
+    mats = _step_matrices(local[np.arange(g)[:, None, None, None], to], pr)
     _check_rows(mats)
     return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
@@ -1154,10 +1136,10 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     return _tilted_time(model, theta, eps, cap)
 
 
-def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None,
+def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, table=None,
                  lws=None):
-    """tilted_mixing_time, given the model's support, heat_bath_arrays and
-    tilted _log_weights.
+    """tilted_mixing_time, given the model's support, _site_conditionals
+    table and tilted _log_weights.
 
     Only the largest is needed.  The first stack (the full slice) gives a
     time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
@@ -1166,7 +1148,7 @@ def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, arrays=None,
     t.  Every stack still meets the step loop's refusal at step 0."""
     _check_eps(eps)
     best = 0
-    for _, _, mats, mus in _tilted_slices(model, theta, support, arrays,
+    for _, _, mats, mus in _tilted_slices(model, theta, support, table,
                                           lws):
         if 1 <= best <= _FIXED_POINT_EVERY:
             slow = ~_within(mats, mus, eps, cap, best)
@@ -1187,15 +1169,15 @@ def comparison_times(model, theta, eps):
     log weights are evaluated once and shared."""
     sup = enumerate_support(model)
     mu = stationary_distribution(model, sup)
-    arrays = heat_bath_arrays(model, sup)
-    gker = _law_kernel(model, arrays, sup, mu)
+    table = _site_conditionals(model, sup)
+    gker = _law_kernel(model, _heat_bath(sup, table), sup, mu)
     ones = tuple([1] * model.n_vars)
     t_gd = exact_mixing_time(gker, ones, eps)
     fker, lws = _fd_kernel(model, theta, sup, stationary=mu)
     t_fd_ones = exact_mixing_time(fker, ones, eps / 2)
     t_fd = exact_mixing_time(fker, None, eps / 2)
     t_tilted = _tilted_time(model, theta, eps / (2 * max(t_fd, 1)),
-                            support=sup, arrays=arrays, lws=lws)
+                            support=sup, table=table, lws=lws)
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 

@@ -26,7 +26,9 @@ state out over its lifts with one support.index per entry, and the mixing
 time of one chain at a time without the refusal by distance; the tilted
 slices over the tilted model's own support and conditional, the
 Glauber vs field-dynamics comparison composed from the public calls, and
-the CLI parser that declares every option on each subcommand again.
+the CLI parser that declares every option on each subcommand again; and
+the law arrays of a site-update law evaluated once per (state, site), which
+the exact layer derives from one conditional per fiber instead.
 """
 
 import argparse
@@ -285,6 +287,34 @@ def per_row_mixing_time(kernel, eps, cap=10 ** 6):
     return t
 
 
+def law_arrays(law, support, sites, a):
+    """One step of `law` at each of `sites` from every state of the support,
+    evaluated once per (state, site), as the law arrays of exact._site_arrays
+    (k, n, a): succ, the index of the successor state, and prob, its
+    probability, for a law of at most a values.  A value of probability 0,
+    and the padding of a law with fewer than a values, is given the state's
+    own index and prob 0."""
+    k, n = support.size, len(sites)
+    succ = np.repeat(np.arange(k), n * a).reshape(k, n, a)
+    prob = np.zeros((k, n, a))
+    for i, s in enumerate(support.states):
+        for j, v in enumerate(sites):
+            t = list(s)
+            for c, (val, pr) in enumerate(zip(*law(s, v))):
+                if pr != 0.0:
+                    t[v] = val
+                    succ[i, j, c] = support.index(tuple(t))
+                    prob[i, j, c] = pr
+    return succ, prob
+
+
+def site_law_arrays(model, laws, site, support):
+    """The (k, 1, a) law arrays that exact.check_site_mc_leq takes, of each
+    law given as a callable, evaluated at every state by law_arrays."""
+    return [law_arrays(law, support, (site,), len(model.alphabet))
+            for law in laws]
+
+
 def loop_law_kernel(model, law, site=None, support=None):
     """Kernel of one step of law at site (uniform if None): a loop over
     states, sites and values adding prob / n at each successor."""
@@ -405,8 +435,8 @@ def evaluated_tilted_slices(model, theta):
     being derived from the model's."""
     tilted = models.tilt(model, theta)
     support = exact.enumerate_support(tilted)
-    succ, prob = exact._law_arrays(models.heat_bath_law(tilted), support,
-                                   range(tilted.n_vars), 2)
+    succ, prob = law_arrays(models.heat_bath_law(tilted), support,
+                            range(tilted.n_vars), 2)
     lw = np.array([tilted.log_weight(s) for s in support.states], dtype=float)
     by_size = {}
     for pinned, idx in exact._one_slices(support.array == 1):

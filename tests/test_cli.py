@@ -194,15 +194,13 @@ def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
     # heat-bath law, and the Glauber and field-dynamics kernels one
     # stationary law
     calls = {name: mock.Mock(wraps=getattr(exact, name))
-             for name in ("_site_conditionals", "_law_arrays",
-                          "stationary_distribution")}
+             for name in ("_site_conditionals", "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
     assert calls["_site_conditionals"].call_count == 1
-    assert calls["_law_arrays"].call_count == 0
     assert calls["stationary_distribution"].call_count == 1
 
 
@@ -297,7 +295,7 @@ class TestSingleVertexByFibers:
                 model, models.heat_bath_law(model),
                 models.star_frozen_law(model), site, support, mu, tol)
 
-        monkeypatch.setattr(exact, "_site_mc_leq", kernel_path_of_laws)
+        monkeypatch.setattr(exact, "check_site_mc_leq", kernel_path_of_laws)
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == fibers
 
@@ -833,6 +831,9 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
     # the law underflows: up-sets of zero mass, then mu_min = 0
     ("analyze", _RC + "theta=0.5\n", ["tilt=3", "tilt=1e-300"],
      "mu_min and eps must lie in (0,1)"),
+    # the same, with KL ratios a / mu that overflow to inf on the way
+    ("analyze", _RC + "theta=0.5\n", ["flip", "tilt=1e-320"],
+     "mu_min and eps must lie in (0,1)"),
     # a key that no command reads
     ("sample", _RC + "steps=5\n", [], "unknown key: steps"),
     # the all-1 law stops changing long before the cap of 10**6 steps
@@ -843,7 +844,8 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
     ("sample", _RC + "dynamics=field\ntheta=1e-300\n", ["flip"],
      "tilted weights underflow to 0 on a pinned slice"),
 ], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
-        "analyze-underflow", "sample-steps-key", "mixing-frozen-law",
+        "analyze-underflow", "analyze-kl-overflow", "sample-steps-key",
+        "mixing-frozen-law",
         "sample-field-underflow"])
 def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
                                              transforms, message):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glauberlab import exact, models, ordercore
 from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
@@ -691,18 +692,24 @@ class TestSiteComparisonByFibers:
     """check_site_mc_leq decides P_v <=_mc Q_v per fiber and gives the
     verdict, witness and errors of both site kernels and check_mc_leq
     (oracles.per_site_kernel_mc_leq) on every lifted poset of at most 32
-    elements."""
+    elements.  The laws given as callables are turned into the law arrays
+    it takes by oracles.law_arrays, one call per state."""
 
     @staticmethod
-    def compare(lm, p_law, q_law, site, sup=None, mu=None):
+    def check(lm, p_law, q_law, site, sup, mu):
+        """check_site_mc_leq of the two laws given as callables."""
+        return exact.check_site_mc_leq(
+            lm, oracles.site_law_arrays(lm, (p_law, q_law), site, sup), site,
+            sup, mu)
+
+    def compare(self, lm, p_law, q_law, site, sup=None, mu=None):
         """The result of check_site_mc_leq, asserted equal to the oracle's,
         and whether it built the kernels."""
         sup = sup or enumerate_support(lm)
         mu = stationary_distribution(lm, sup) if mu is None else mu
         with mock.patch.object(exact, "check_mc_leq",
                                wraps=exact.check_mc_leq) as kernel_path:
-            got = outcome(exact.check_site_mc_leq, lm, p_law, q_law, site,
-                          sup, mu)
+            got = outcome(self.check, lm, p_law, q_law, site, sup, mu)
         want = outcome(oracles.per_site_kernel_mc_leq, lm, p_law, q_law,
                        site, sup, mu)
         assert got == want
@@ -751,8 +758,7 @@ class TestSiteComparisonByFibers:
                         got, _ = self.compare(lm, p, q_bad, v, sup, mu)
                         assert got.startswith("(False,")
                         continue
-                    ok, (up, kind) = exact.check_site_mc_leq(
-                        lm, p, q_bad, v, sup, mu)
+                    ok, (up, kind) = self.check(lm, p, q_bad, v, sup, mu)
                     assert not ok and kind == "extreme-ray"
                     row = np.isin(np.arange(sup.size), list(up))
                     assert oracles.is_up_set(sup, up)
@@ -841,18 +847,43 @@ class TestSiteComparisonByFibers:
             return law
 
         top, bottom = (STAR,) * 3, (0,) * 3
-        assert exact.check_site_mc_leq(lm, q, moved(top, 3e-13), 0, sup,
-                                       mu) == (True, None)
-        ok, (up, _) = exact.check_site_mc_leq(lm, q, moved(top, 4e-12), 0,
-                                              sup, mu)
+        assert self.check(lm, q, moved(top, 3e-13), 0, sup,
+                          mu) == (True, None)
+        ok, (up, _) = self.check(lm, q, moved(top, 4e-12), 0, sup, mu)
         assert not ok
         assert sorted(up) == [sup.index((1,) + top), sup.index((STAR,) + top)]
         with pytest.raises(ValueError, match="fiber _000 is not certified"):
-            exact.check_site_mc_leq(lm, q, moved(bottom, 7e-13), 0, sup, mu)
+            self.check(lm, q, moved(bottom, 7e-13), 0, sup, mu)
         # past the dense guard, as before: the kernel path refuses
         with mock.patch.object(exact, "DENSE_GUARD", 80):
             with pytest.raises(ValueError, match="k = 81"):
-                exact.check_site_mc_leq(lm, q, q, 0, sup, mu)
+                self.check(lm, q, q, 0, sup, mu)
+
+    def test_refuses_arrays_not_at_one_site(self):
+        # the full (k, n, a) tables, or one with a successor outside the
+        # support's indices, are refused instead of read at column 0
+        lm = cycle_lift(3)
+        sup = enumerate_support(lm)
+        mu = stationary_distribution(lm, sup)
+        full = exact.heat_bath_arrays(lm, sup)
+        one = [(succ[:, [1]], prob[:, [1]]) for succ, prob in (full, full)]
+        assert exact.check_site_mc_leq(lm, one, 1, sup, mu) == (True, None)
+        shape = re.escape("law arrays of shape (k, 1, a) = (27, 1, 3)")
+        with pytest.raises(ValueError, match=shape + ".*succ of shape "
+                           r"\(27, 3, 3\) and prob of shape \(27, 3, 3\)$"):
+            exact.check_site_mc_leq(lm, [full, one[1]], 1, sup, mu)
+        with pytest.raises(ValueError, match=shape + ".*prob of shape "
+                           r"\(27, 1, 2\)$"):
+            exact.check_site_mc_leq(lm, [one[0], (one[1][0],
+                                                  one[1][1][..., :2])],
+                                    1, sup, mu)
+        for bad in (-1, 27):
+            succ = one[1][0].copy()
+            succ[5, 0, 2] = bad
+            with pytest.raises(ValueError, match=shape + re.escape(
+                    " with successors in [0, 27)")):
+                exact.check_site_mc_leq(lm, [one[0], (succ, one[1][1])], 1,
+                                        sup, mu)
 
 
 class TestMixing:
@@ -964,9 +995,9 @@ class TestTiltedMixing:
                      st.floats(5e-324, 1e-320, allow_subnormal=True)))
     def test_derived_slices_equal_evaluated_ones(self, seed, theta):
         # theta down among the subnormals, where theta * q1 underflows to 0:
-        # the derived cell keeps the model's successor, the evaluated one
-        # the state itself, and both add +0.0 (a tilted model's product of
-        # thetas may underflow to 0, which both refuse)
+        # the derived cell and the evaluated one both keep the state itself
+        # and +0.0 (a tilted model's product of thetas may underflow to 0,
+        # which both refuse)
         def slices(make, *args):
             try:
                 return list(make(m, theta, *args))
@@ -978,7 +1009,7 @@ class TestTiltedMixing:
         want = slices(oracles.evaluated_tilted_slices)
         for derived in (slices(exact._tilted_slices),
                         slices(exact._tilted_slices, sup,
-                               exact.heat_bath_arrays(m, sup))):
+                               exact._site_conditionals(m, sup))):
             if isinstance(want, str):
                 assert derived == want
                 continue
@@ -1092,9 +1123,9 @@ THETAS = st.one_of(st.floats(0.05, 0.95),
 
 
 class TestSiteTables:
-    """The heat-bath table read once per (site, fiber), and the lifted and
-    star-frozen tables derived from the base one, equal the law evaluated
-    at every (state, site) by _law_arrays, bit for bit."""
+    """The heat-bath table read once per (site, fiber), and the lifted,
+    star-frozen and tilted tables derived from the base one, equal the law
+    evaluated at every (state, site) by oracles.law_arrays, bit for bit."""
 
     @staticmethod
     def same(got, want):
@@ -1120,8 +1151,8 @@ class TestSiteTables:
         m = table_model(np.random.default_rng(seed), kind, tilt_by)
         sup, n = enumerate_support(m), m.n_vars
         self.same(lambda: exact.heat_bath_arrays(m, sup),
-                  lambda: exact._law_arrays(heat_bath_law(m), sup, range(n),
-                                            2))
+                  lambda: oracles.law_arrays(heat_bath_law(m), sup, range(n),
+                                             2))
         lifted = lift_model(m, lift_by)
         lsup = enumerate_support(lifted)
         sites = exact._lift_sites(lsup, exact._site_conditionals(m, sup),
@@ -1129,11 +1160,43 @@ class TestSiteTables:
         for derived, law in ((exact._lifted_heat_bath, heat_bath_law),
                              (exact._star_frozen, star_frozen_law)):
             self.same(lambda: derived(lifted, lsup, sites),
-                      lambda: exact._law_arrays(law(lifted), lsup, range(n),
-                                                3))
+                      lambda: oracles.law_arrays(law(lifted), lsup, range(n),
+                                                 3))
         self.same(lambda: exact.heat_bath_arrays(lifted, lsup),
-                  lambda: exact._law_arrays(heat_bath_law(lifted), lsup,
-                                            range(n), 3))
+                  lambda: oracles.law_arrays(heat_bath_law(lifted), lsup,
+                                             range(n), 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11),
+           st.one_of(st.none(), THETAS), THETAS)
+    @example(0, 8, None, 5e-324)
+    @example(1, 9, None, 5e-324)
+    @example(2, 10, None, 5e-324)
+    def test_tilted_table_equals_the_evaluated_tilt(self, seed, kind,
+                                                    tilt_by, theta):
+        # the law arrays mixing's tilted slices are summed from: derived from
+        # the model's table where the tilt wraps the model, evaluated
+        # otherwise; theta among the subnormals makes theta q1 underflow to
+        # 0, which must keep the state's own index as the evaluation does.
+        # Kinds 8 to 11 draw a flipped RC, whose q1 of at most 1/2 underflows
+        # at the least subnormal theta
+        rng = np.random.default_rng(seed)
+        if kind < 8:
+            m = table_model(rng, kind, tilt_by)
+        else:
+            m = models.flip(random_rc(rng))
+            if tilt_by is not None:
+                m = models.tilt(m, tilt_by)
+        sup, n = enumerate_support(m), m.n_vars
+
+        def summed():
+            with mock.patch.object(exact, "_slice_stack",
+                                   wraps=exact._slice_stack) as stack:
+                list(exact._tilted_slices(m, theta))
+            return stack.call_args_list[0].args[1:3]
+
+        self.same(summed, lambda: oracles.law_arrays(
+            heat_bath_law(models.tilt(m, theta)), sup, range(n), 2))
 
     def test_forced_value_keeps_the_state(self):
         # hard-core on K2: from (1, 0) site 1 is forced to 0, so its value 1
@@ -1363,9 +1426,9 @@ class TestTiltedCertificates:
         sup = enumerate_support(m)
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
         assert tilted_mixing_time(m, theta, eps) == want
-        arrays = exact.heat_bath_arrays(m, sup)
+        table = exact._site_conditionals(m, sup)
         assert exact._tilted_time(m, theta, eps, support=sup,
-                                  arrays=arrays) == want
+                                  table=table) == want
 
     def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
         with mock.patch.object(exact, "_mixing_times",
