@@ -6,9 +6,8 @@ checks."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -587,10 +586,6 @@ class IndependenceReport:
     ei_ratio: float = None
     ei_nu: list = None
     mu_min: float = None  # the smallest stationary probability (t_bound)
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2, default=str)
 
 
 def independence_report(model, rng=None) -> IndependenceReport:

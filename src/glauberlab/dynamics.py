@@ -514,9 +514,6 @@ class Schedule:
         if self.period is not None and self.period < 1:
             raise ValueError(f"period must be at least 1, got {self.period}")
 
-    def allowed(self, t) -> frozenset:
-        return self.rule(t)
-
     @classmethod
     def always(cls, n):
         full = frozenset(range(n))

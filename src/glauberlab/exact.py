@@ -335,16 +335,15 @@ def freeze_kernel(lifted: LiftedModel, support=None,
                   stationary=None) -> Kernel:
     """Contract-then-lift kernel: from X, mass theta^{#1}(1-theta)^{#star} on
     every Y with the same contraction."""
-    support = support or enumerate_support(lifted)
-    _check_dense(support.size)
+    support = _dense_support(lifted, support)
     code = _contraction_codes(support.array)
     mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
     return Kernel(support, mat,
                   stationary=_stationary(lifted, support, stationary))
 
 
-def star_glauber_kernel(lifted: LiftedModel, support=None, site=None,
-                        stationary=None) -> Kernel:
+def star_glauber_kernel(lifted: LiftedModel, support=None,
+                        site=None) -> Kernel:
     """Star-frozen single-site kernel: uniform site choice (or always
     `site`); stars stay, other sites follow the tilted base conditional,
     evaluated once per (site, fiber) of the base support."""
@@ -353,8 +352,7 @@ def star_glauber_kernel(lifted: LiftedModel, support=None, site=None,
     sites = _lift_sites(support, _site_conditionals(
         lifted.base, bsup, None if site is None else (site,)),
         _contraction_index(support, bsup))
-    return _law_kernel(lifted, _star_frozen(lifted, support, sites), support,
-                       stationary)
+    return _law_kernel(lifted, _star_frozen(lifted, support, sites), support)
 
 
 def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
@@ -379,9 +377,8 @@ def _fd_kernel(model, theta, support=None, stationary=None):
         raise ValueError("theta must lie in (0,1)")
     if model.n_vars > 20:
         raise ValueError("field-dynamics kernel is guarded to 20 variables")
-    support = support or enumerate_support(model)
+    support = _dense_support(model, support)
     k, n = support.size, model.n_vars
-    _check_dense(k)
     lws = _log_weights(tilt(model, theta), support)
     w = _weights(lws)
     ones = support.array == 1
@@ -442,8 +439,7 @@ def propagate(nu0: np.ndarray, kernels) -> list:
     """
     out = [np.asarray(nu0, dtype=float)]
     for ker in kernels:
-        mat = ker.matrix if isinstance(ker, Kernel) else ker
-        nxt = out[-1] @ mat
+        nxt = out[-1] @ ker.matrix
         if abs(nxt.sum() - 1.0) > DRIFT_TOL:
             raise ArithmeticError("propagation drifted off the simplex")
         out.append(nxt)
@@ -1073,16 +1069,17 @@ def _tilted_slices(model, theta, support=None, table=None, lws=None):
     (g, m) the slices' state indices in the support, mats (g, m, m) their
     row-checked kernels and mus (g, m) their stationary laws.
 
-    The tilt is made (and refused) first.  The slices read the model's
-    support, which the tilt keeps state for state, and the tilted log
-    weights, evaluated once per state unless given as lws.  Where the tilt
-    wraps the model in a TiltedModel, each fiber's conditional of the
-    model's _site_conditionals table (evaluated unless given) is _tilted
-    before its states read it; other tilts (of a hard-core or an already
-    tilted model) are evaluated.  Each slice's kernel and stationary law
-    equal those of the pinned tilted model bit for bit."""
+    The tilt is made (and refused) first, then the support is taken
+    through _dense_support.  The slices read the model's support, which
+    the tilt keeps state for state, and the tilted log weights, evaluated
+    once per state unless given as lws.  Where the tilt wraps the model in
+    a TiltedModel, each fiber's conditional of the model's
+    _site_conditionals table (evaluated unless given) is _tilted before its
+    states read it; other tilts (of a hard-core or an already tilted model)
+    are evaluated.  Each slice's kernel and stationary law equal those of
+    the pinned tilted model bit for bit."""
     tilted = tilt(model, theta)
-    support = support or enumerate_support(model)
+    support = _dense_support(model, support)
     if isinstance(tilted, TiltedModel) and tilted.base is model:
         if table is None:
             table = _site_conditionals(model, support)
@@ -1165,9 +1162,10 @@ def comparison_times(model, theta, eps):
     Liu and Yin, FOCS'23): Glauber from the all-1 state at eps, field
     dynamics from the all-1 state and the worst start at eps / 2, the
     tilted-and-pinned time at eps / (2 max(t_fd_worst, 1)) and the bound
-    t_fd_worst * t_tilted.  The heat-bath and stationary laws and the tilted
+    t_fd_worst * t_tilted.  The support is refused past DENSE_GUARD before
+    any law is evaluated; the heat-bath and stationary laws and the tilted
     log weights are evaluated once and shared."""
-    sup = enumerate_support(model)
+    sup = _dense_support(model, None)
     mu = stationary_distribution(model, sup)
     table = _site_conditionals(model, sup)
     gker = _law_kernel(model, _heat_bath(sup, table), sup, mu)
@@ -1179,23 +1177,6 @@ def comparison_times(model, theta, eps):
     t_tilted = _tilted_time(model, theta, eps / (2 * max(t_fd, 1)),
                             support=sup, table=table, lws=lws)
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
-
-
-def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:
-    """Closed-form mixing of a 2-state chain with off-diagonal rates a, b:
-    TV after t steps is |1-a-b|^t times the start's TV.  A frozen (a = b =
-    0) or periodic (a = b = 1) chain never comes closer, so a start farther
-    than eps raises RuntimeError, as exact_mixing_time does."""
-    gap = abs(1.0 - a - b)
-    d0 = abs((1.0 if x0_is_state1 else 0.0) - pi1)
-    if d0 <= eps:
-        return 0
-    if gap == 0.0:
-        return 1
-    if gap == 1.0:
-        raise RuntimeError(f"the chain never mixes: |1 - a - b| = 1 and "
-                           f"the start is {d0} > eps = {eps} away")
-    return math.ceil(math.log(eps / d0) / math.log(gap) - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,11 +1192,4 @@ def kernel_to_csv(kernel: Kernel) -> str:
     lines = [head]
     for s, row in zip(kernel.support.states, kernel.matrix):
         lines.append(state_str(s) + "," + ",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def dist_to_csv(probs, support: Poset) -> str:
-    lines = ["state,prob"]
-    for s, x in zip(support.states, probs):
-        lines.append(state_str(s) + "," + format_float(x))
     return "\n".join(lines) + "\n"

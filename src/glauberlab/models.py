@@ -515,12 +515,25 @@ class LiftedModel(Model):
 
 
 def tilt(model, theta):
-    """Tilted model; a hardcore model is rewritten in place of wrapping."""
+    """Tilted model; a hardcore model is rewritten in place of wrapping, and
+    a tilted model's base is tilted by the product of the two parameters."""
     if isinstance(model, HardcoreModel):
-        return HardcoreModel(model.graph, model.lam * theta)
+        return HardcoreModel(model.graph,
+                             _tilt_product("lambda", model.lam, theta))
     if isinstance(model, TiltedModel):
-        return TiltedModel(model.base, model.theta * theta)
+        return TiltedModel(model.base, _tilt_product(
+            "tilt parameter", model.theta, theta))
     return TiltedModel(model, theta)
+
+
+def _tilt_product(name, value, theta):
+    """value * theta, refused by name when a positive theta underflows it
+    to 0 (value is positive, as its model checked)."""
+    product = value * theta
+    if product == 0 and theta > 0:
+        raise ValueError(f"{name} {float(value)!r} * {float(theta)!r} "
+                         "underflows to 0")
+    return product
 
 
 def flip(model):
@@ -575,22 +588,6 @@ def rc_for_ising(ising: IsingModel):
     """The random cluster model coupled to an Ising model: p_e = 1 - 1/beta_e."""
     return RandomClusterModel(ising.graph,
                               [1 - 1 / b for b in ising.beta], ising.lam)
-
-
-def rc_to_ising(edge_state, ising: IsingModel, rng):
-    """Assign each connected component of the sampled edge set all-1 with
-    probability prod(lambda)/(1 + prod(lambda)), independently."""
-    g = ising.graph
-    present = [g.edges[i] for i in range(g.m) if edge_state[i] == 1]
-    spin = [0] * g.n
-    for comp in components(g.n, present):
-        prod = 1.0
-        for v in comp:
-            prod *= ising.lam[v]
-        if rng.random() < prod / (1 + prod):
-            for v in comp:
-                spin[v] = 1
-    return tuple(spin)
 
 
 def sw_for_rc(rc: RandomClusterModel):

@@ -23,7 +23,8 @@ scores one law at a time; the kernel builders that loop over states, sites and
 values (site-update laws) or over rows and kept sets (field dynamics), the
 freeze kernel and the lift and contract pushforwards that fan each binary
 state out over its lifts with one support.index per entry, and the mixing
-time of one chain at a time without the refusal by distance; the tilted
+time of one chain at a time without the refusal by distance, and the
+closed-form mixing time of a two-state chain; the tilted
 slices over the tilted model's own support and conditional, the
 Glauber vs field-dynamics comparison composed from the public calls, and
 the CLI parser that declares every option on each subcommand again; and
@@ -419,6 +420,23 @@ def loop_mixing_time(matrix, mu, x0_index=None, eps=0.25, cap=10 ** 6,
                                f"stopped changing by step {t}")
         cur = nxt
     return t
+
+
+def two_state_mixing_time(a, b, pi1, x0_is_state1, eps) -> int:
+    """Closed-form mixing of a 2-state chain with off-diagonal rates a, b:
+    TV after t steps is |1-a-b|^t times the start's TV.  A frozen (a = b =
+    0) or periodic (a = b = 1) chain never comes closer, so a start farther
+    than eps raises RuntimeError, as exact_mixing_time does."""
+    gap = abs(1.0 - a - b)
+    d0 = abs((1.0 if x0_is_state1 else 0.0) - pi1)
+    if d0 <= eps:
+        return 0
+    if gap == 0.0:
+        return 1
+    if gap == 1.0:
+        raise RuntimeError(f"the chain never mixes: |1 - a - b| = 1 and "
+                           f"the start is {d0} > eps = {eps} away")
+    return math.ceil(math.log(eps / d0) / math.log(gap) - 1e-12)
 
 
 def stepped_tilted_mixing_time(model, theta, eps, cap=10 ** 6):

@@ -843,10 +843,13 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
     # the field sampler's tilted weights underflow to 0 on a pinned slice
     ("sample", _RC + "dynamics=field\ntheta=1e-300\n", ["flip"],
      "tilted weights underflow to 0 on a pinned slice"),
+    # a tilt of a tilt whose product of two positive parameters underflows
+    ("mixing", _RC + "theta=5e-324\n", ["flip", "tilt=0.3"],
+     "tilt parameter 0.3 * 5e-324 underflows to 0"),
 ], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
         "analyze-underflow", "analyze-kl-overflow", "sample-steps-key",
         "mixing-frozen-law",
-        "sample-field-underflow"])
+        "sample-field-underflow", "mixing-tilt-product-underflow"])
 def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
                                              transforms, message):
     """One error: line on stderr and nothing else, no numpy warning."""

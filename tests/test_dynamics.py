@@ -235,8 +235,8 @@ class TestCensored:
 
     def test_two_level_schedule_state_independent(self):
         sched = Schedule.two_level([0, 1], [2, 3], period=4, seed=9)
-        first = [sched.allowed(t) for t in range(40)]
-        again = [sched.allowed(t) for t in range(40)]
+        first = [sched.rule(t) for t in range(40)]
+        again = [sched.rule(t) for t in range(40)]
         assert first == again
         for t, allowed in enumerate(first):
             assert {2, 3} <= allowed
@@ -246,8 +246,8 @@ class TestCensored:
 
     def test_two_level_allowed_set_built_once_per_block(self):
         sched = Schedule.two_level([0, 1], [2, 3], period=4, seed=9)
-        assert sched.allowed(4) is sched.allowed(7)
-        assert sched.allowed(4) == oracles.per_block_two_level(
+        assert sched.rule(4) is sched.rule(7)
+        assert sched.rule(4) == oracles.per_block_two_level(
             [0, 1], [2, 3], 4, 9)(4)
 
     @pytest.mark.parametrize("n_left", [1, 2, 3, 5, 6])
@@ -257,8 +257,8 @@ class TestCensored:
         left, right = range(n_left), range(n_left, n_left + 2)
         sched = Schedule.two_level(left, right, 3, 11)
         want = oracles.per_block_two_level(left, right, 3, 11)
-        assert sched.allowed(300) == want(300)
-        assert ([sched.allowed(t) for t in range(0, 400, 3)]
+        assert sched.rule(300) == want(300)
+        assert ([sched.rule(t) for t in range(0, 400, 3)]
                 == [want(t) for t in range(0, 400, 3)])
 
     @pytest.mark.parametrize("period", [0, -1])

@@ -14,14 +14,13 @@ from glauberlab import exact, models, ordercore
 from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               check_detailed_balance, check_mc_leq,
                               check_stochastic_monotonicity, contract_pushforward,
-                              dist_to_csv, enumerate_support, exact_mixing_time,
+                              enumerate_support, exact_mixing_time,
                               fd_kernel, glauber_kernel, kernel_to_csv,
                               kl_divergence, lift_pushforward, freeze_kernel,
                               pinnings, point_mass,
                               propagate, star_glauber_kernel,
                               stationary_distribution,
-                              tilted_mixing_time, tv_distance,
-                              two_state_mixing_time)
+                              tilted_mixing_time, tv_distance)
 from glauberlab.models import (Graph, HardcoreModel, IsingModel,
                                RandomClusterModel, flip, heat_bath_law,
                                lift_model, star_frozen_law)
@@ -928,7 +927,7 @@ class TestMixing:
                      stationary=np.array([0.5, 0.5]))
         t = exact_mixing_time(ker, (0,), 0.01)
         assert t > 2048
-        assert t == two_state_mixing_time(a, b, 0.5, False, 0.01)
+        assert t == oracles.two_state_mixing_time(a, b, 0.5, False, 0.01)
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_frozen_or_periodic_two_state_chain_is_refused(self, a):
@@ -940,8 +939,8 @@ class TestMixing:
         with pytest.raises(RuntimeError, match="exceeds the cap 1000"):
             exact_mixing_time(ker, (1,), 0.1, cap=1000)
         with pytest.raises(RuntimeError, match="never mixes"):
-            two_state_mixing_time(a, a, 0.5, True, 0.1)
-        assert (two_state_mixing_time(a, a, 0.5, True, 0.6) == 0
+            oracles.two_state_mixing_time(a, a, 0.5, True, 0.1)
+        assert (oracles.two_state_mixing_time(a, a, 0.5, True, 0.6) == 0
                 == exact_mixing_time(ker, (1,), 0.6, cap=1000))
 
     def test_k2_rc_matches_two_state_closed_form(self):
@@ -953,7 +952,7 @@ class TestMixing:
         pi1 = ker.stationary[1]
         eps = 1e-3
         got = exact_mixing_time(ker, (0,), eps)
-        want = two_state_mixing_time(a, b, pi1, False, eps)
+        want = oracles.two_state_mixing_time(a, b, pi1, False, eps)
         assert got == want
 
     def test_tilted_mixing_enumerates_pinnings(self):
@@ -968,6 +967,13 @@ class TestMixing:
         ker = glauber_kernel(k2_flipped_rc())
         with pytest.raises(ValueError):
             exact_mixing_time(ker, (0,), 1.5)
+
+
+# the lowest subnormals are drawn on their own too, so that theta q1
+# underflows to 0 (q1 < 2.5e-324 / theta) in a share of the draws
+THETAS = st.one_of(st.floats(0.05, 0.95),
+                   st.floats(5e-324, 1e-320, allow_subnormal=True),
+                   st.sampled_from([5e-324, 1e-323, 1.5e-323]))
 
 
 def tilted_pool(rng):
@@ -990,9 +996,7 @@ class TestTiltedMixing:
                                 m, theta, eps))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1),
-           st.one_of(st.floats(0.05, 0.95),
-                     st.floats(5e-324, 1e-320, allow_subnormal=True)))
+    @given(st.integers(0, 2 ** 32 - 1), THETAS)
     def test_derived_slices_equal_evaluated_ones(self, seed, theta):
         # theta down among the subnormals, where theta * q1 underflows to 0:
         # the derived cell and the evaluated one both keep the state itself
@@ -1116,10 +1120,6 @@ def table_model(rng, kind, theta):
         except ValueError:
             pass
     return m
-
-
-THETAS = st.one_of(st.floats(0.05, 0.95),
-                   st.floats(5e-324, 1e-320, allow_subnormal=True))
 
 
 class TestSiteTables:
@@ -1360,7 +1360,7 @@ class TestSquaredMixing:
         # the computed distances sit on it to within rounding
         mat, mu = two_state(0.3, 0.2)
         eps = mu.max() * 0.5 ** 5
-        assert two_state_mixing_time(0.3, 0.2, mu[1], False, eps) == 5
+        assert oracles.two_state_mixing_time(0.3, 0.2, mu[1], False, eps) == 5
         with mock.patch.object(exact, "_stepped_times",
                                wraps=exact._stepped_times) as loop:
             got = exact._mixing_times(mat[None], mu[None], eps, 10 ** 6)
@@ -1529,21 +1529,30 @@ class TestUnderflowAndRanges:
 
 
 class TestDenseGuard:
-    """Every dense kernel builder refuses more than DENSE_GUARD states with a
-    ValueError naming k, before it allocates the matrix."""
+    """Every dense kernel builder, comparison_times and tilted_mixing_time
+    refuse more than DENSE_GUARD states with a ValueError naming k, before
+    any law is evaluated or a matrix allocated."""
 
     def test_builders_refuse_past_the_guard(self, monkeypatch):
         m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
                                     [0.5] * 3, [0.5] * 3))
         lifted = models.LiftedModel(m, 0.5)
         monkeypatch.setattr(exact, "DENSE_GUARD", 7)
+        # a refusal comes before any conditional is evaluated
+        calls = []
+        conditional = type(m).conditional
+        monkeypatch.setattr(type(m), "conditional", lambda self, state, v: (
+            calls.append(v) or conditional(self, state, v)))
         for build in (lambda: glauber_kernel(m),
                       lambda: glauber_kernel(m, site=0),
                       lambda: star_glauber_kernel(lifted),
                       lambda: freeze_kernel(lifted),
-                      lambda: fd_kernel(m, 0.5)):
+                      lambda: fd_kernel(m, 0.5),
+                      lambda: exact.comparison_times(m, 0.5, 0.1),
+                      lambda: tilted_mixing_time(m, 0.25, 0.1)):
             with pytest.raises(ValueError, match=r"k = (8|27) states"):
                 build()
+        assert calls == []
 
     def test_guard_admits_its_own_size(self, monkeypatch):
         m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2), (0, 2)]),
@@ -1575,10 +1584,3 @@ class TestCsv:
         assert lines[0] == "state,0,1"
         vals = [float(x) for x in lines[1].split(",")[1:]]
         assert vals == pytest.approx(ker.matrix[0].tolist(), abs=0)
-
-    def test_dist_csv(self):
-        m = k2_flipped_rc()
-        sup = enumerate_support(m)
-        text = dist_to_csv(stationary_distribution(m, sup), sup)
-        assert text.startswith("state,prob\n")
-        assert "0.3333333333333333" in text

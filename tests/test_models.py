@@ -259,6 +259,18 @@ class TestTransforms:
         m = flip(random_rc(rng))
         assert _same_distribution(tilt(tilt(m, 0.5), 0.4), tilt(m, 0.2))
 
+    @pytest.mark.parametrize("model, name", [
+        (models.TiltedModel(HardcoreModel(K2, 0.3), 0.3), "tilt parameter"),
+        (HardcoreModel(K2, 0.3), "lambda")])
+    def test_tilt_names_an_underflowing_product(self, model, name):
+        # both factors are positive; their product is not
+        with pytest.raises(ValueError, match=f"^{name} 0.3 \\* 5e-324 "
+                                             "underflows to 0$"):
+            tilt(model, 5e-324)
+        # a parameter that is not positive is refused as before
+        with pytest.raises(ValueError, match="must be positive$"):
+            tilt(model, 0.0)
+
     def test_flip_involution(self, rng):
         m = random_rc(rng)
         assert flip(flip(m)) is m
@@ -329,12 +341,6 @@ class TestCouplingConstructors:
         ising = IsingModel(K2, [2.0], [1.0, 1.0])
         rc = models.rc_for_ising(ising)
         assert rc.p == [0.5]
-
-    def test_rc_to_ising_zero_field_component(self, rng):
-        g = Graph(2, [(0, 1)])
-        ising = IsingModel(g, [2.0], [0.0, 1.0])
-        out = models.rc_to_ising((1,), ising, np.random.default_rng(0))
-        assert out == (0, 0)  # a lambda = 0 vertex forces its component to 0
 
 
 class TestLambdaC:
