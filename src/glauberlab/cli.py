@@ -135,8 +135,7 @@ def cmd_sample(args):
 
     # occupancy of value 1 across recorded states, per variable: integer
     # counts over the number of records
-    rows = run.state_rows()
-    occ = [c / len(rows) for c in (rows == 1).sum(axis=0).tolist()]
+    occ = [c / len(run.times) for c in run.one_counts().tolist()]
     head = f"# config={chash} seed={args.seed} wall={wall:.3f}\n"
     _emit(args, head + run.dump_trajectory(), suffix=".traj.tsv")
     occ_csv = head + "var,frac_one\n" + "".join(
@@ -149,7 +148,14 @@ class _VerifyContext:
     """What the checks share; each table and kernel is built on first use,
     at most once.  The model's heat-bath law is evaluated once per (site,
     fiber) of its support; the lifted Glauber and star-frozen laws are
-    derived from that one table."""
+    derived from that one table.
+
+    Every kernel is dense, and each is refused past DENSE_GUARD by
+    `exact._dense_support` before any law is evaluated over its support:
+    the base kernel's support as `gker` starts, the lifted support as it
+    is enumerated, since every lifted check builds a kernel or law table
+    over it.  `sup` itself is not refused: monotone-system reads only the
+    conditionals."""
 
     def __init__(self, model, theta, t1, t2):
         self.model, self.theta, self.t1, self.t2 = model, theta, t1, t2
@@ -164,20 +170,16 @@ class _VerifyContext:
 
     @cached_property
     def gker(c):
-        exact._check_dense(c.sup.size)  # before the law is evaluated
-        return exact._law_kernel(c.model, exact._heat_bath(c.sup, c.table),
-                                 c.sup)
+        sup = exact._dense_support(c.model, c.sup)
+        return exact._law_kernel(c.model, exact._heat_bath(sup, c.table), sup)
 
     lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
-    lsup = cached_property(lambda c: exact.enumerate_support(c.lifted))
+    lsup = cached_property(lambda c: exact._dense_support(c.lifted, None))
     # the index in sup of each lifted state's contraction
     index = cached_property(lambda c: exact._contraction_index(c.lsup, c.sup))
-
-    @cached_property
-    def lsites(c):
-        """The base conditional of each lifted state, per site."""
-        exact._check_dense(c.lsup.size)  # before the lifted tables
-        return exact._lift_sites(c.lsup, c.table, c.index)
+    # the base conditional of each lifted state, per site
+    lsites = cached_property(
+        lambda c: exact._lift_sites(c.lsup, c.table, c.index))
 
     # the lifted heat-bath and star-frozen law arrays
     larrays = cached_property(

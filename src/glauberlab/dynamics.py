@@ -13,13 +13,13 @@ import math
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
 
 from .exact import _tilted_weights, enumerate_support
-from .ordercore import contract, lift, state_str
+from .ordercore import STAR, contract, lift, state_str
 from .models import LiftedModel, heat_bath_law, star_frozen_law
 
 
@@ -32,6 +32,9 @@ def make_rng(seed, chain_index=0, purpose=""):
 
 # filled site slots of a run's state graph; beyond it the graph is dropped
 _SITE_TABLE_SIZE = 2 ** 14
+# slice entries a field run's table of pinned slices holds; beyond it the
+# table is dropped
+_FIELD_TABLE_SIZE = 2 ** 16
 
 
 def _cumulative(probs):
@@ -44,10 +47,6 @@ def _cumulative(probs):
         out.append(acc)
     out[-1] = math.inf
     return tuple(out)
-
-
-def _sample_from(probs, rng):
-    return bisect_right(_cumulative(probs), rng.random())
 
 
 _NO_TIMES = np.zeros(0, np.int64)
@@ -139,9 +138,13 @@ class ChainRun:
         return dict(zip(self.times.tolist(),
                         map(self.states.__getitem__, ids.tolist())))
 
-    def state_rows(self):
-        """The recorded states in time order as int8 rows (STAR = 2)."""
-        return self._table[self._columns[0][self.times]]
+    def one_counts(self):
+        """How many recorded states have value 1 at each variable, as an
+        int64 array: the count of each state id among the records times the
+        state table's 1-entries."""
+        ids = self._columns[0][self.times]
+        return np.bincount(ids, minlength=len(self.states)) @ (
+            self._table == 1)
 
     def replay(self):
         """Recompute the recorded states from the assignment log alone."""
@@ -161,9 +164,12 @@ class ChainRun:
 
     def dump_trajectory(self) -> str:
         """`t<TAB>state` lines in time order, written into one byte array
-        that is decoded once: each distinct recorded state is rendered once,
-        and each run of times of one digit count is one block of rows.  A
-        run with no recorded state gives one empty line."""
+        that is decoded once.  Each distinct recorded state is rendered once,
+        as one `S{n + 2}` item (tab, state, newline).  Each run of times of
+        one digit count w is one block of fixed-width records
+        (`_line_record`): the time's digits in fields of at most four, read
+        from `_digits`, then the gathered state item.  A run with no
+        recorded state gives one empty line."""
         times = self.times
         if not times.size:
             return "\n"
@@ -173,12 +179,11 @@ class ChainRun:
         used = np.flatnonzero(used)
         row = np.zeros(len(self.states), np.intp)
         row[used] = np.arange(len(used))
-        rows = row[ids]  # each recorded time's row of `rendered`
+        rows = row[ids]  # each recorded time's item of `rendered`
         text = "".join(f"\t{state_str(self.states[i])}\n"
                        for i in used.tolist())
         width = len(self.x0) + 2
-        rendered = np.frombuffer(text.encode(), np.uint8).reshape(
-            len(used), width)
+        rendered = np.frombuffer(text.encode(), f"S{width}")
         digits = len(str(times[-1]))
         cuts = [0, *np.searchsorted(times, 10 ** np.arange(1, digits)),
                 len(times)]
@@ -188,16 +193,39 @@ class ChainRun:
         start = 0
         for w in range(1, digits + 1):
             a, b = cuts[w - 1], cuts[w]
-            block = out[start:start + (b - a) * (w + width)].reshape(
-                b - a, w + width)
-            rest, digit = times[a:b].copy(), np.empty(b - a, np.int64)
-            for k in range(w - 1, -1, -1):
-                np.divmod(rest, 10, out=(rest, digit))
-                block[:, k] = digit
-            block[:, :w] += 48
-            block[:, w:] = rendered[rows[a:b]]
-            start += block.size
+            rec = _line_record(w, width)
+            block = out[start:start + (b - a) * rec.itemsize].view(rec)
+            rest = times[a:b]
+            *low, high = rec.names[-2::-1]  # time fields, lowest first
+            for name in low:
+                rest, four = np.divmod(rest, 10_000)
+                block[name] = _digits(4)[four]
+            block[high] = _digits(rec[high].itemsize)[rest]
+            block["state"] = rendered[rows[a:b]]
+            start += block.nbytes
         return str(out, "ascii")
+
+
+@cache
+def _digits(d):
+    """The d-digit decimal text, zero-padded, of each of 0 .. 10^d - 1, as
+    one `S{d}` item each (d <= 4).  The table is allocated before its
+    temporaries, so the allocator can hand their memory back."""
+    text = np.empty((10 ** d, d), np.uint8)
+    r = np.arange(10 ** d)
+    for k in range(d):
+        text[:, d - 1 - k] = r // 10 ** k % 10 + 48
+    return text.view(f"S{d}").ravel()
+
+
+def _line_record(w, width):
+    """The fixed-width record of a trajectory line whose time has w digits:
+    the time's digits in `S` fields of four, the first field holding the
+    (w - 1) % 4 + 1 leading ones, then the `S{width}` state item."""
+    first = (w - 1) % 4 + 1
+    sizes = [first] + [4] * ((w - first) // 4)
+    return np.dtype([(f"t{i}", f"S{d}") for i, d in enumerate(sizes)]
+                    + [("state", f"S{width}")])
 
 
 def _check_start(model, x0):
@@ -226,17 +254,21 @@ class _SiteGraph:
     id s (n + 1).
 
     A node is a list: n site slots, its state tuple, its stay edge id and
-    its state id.  The first use of slot v calls the law once and fills the
-    slot with (the edge id of each value, cumulative probabilities
-    (`_cumulative`), successor nodes, whether there is more than one
-    value); a step then follows a pointer and hashes no tuple.  Beyond
-    _SITE_TABLE_SIZE filled slots, the next fill drops the nodes and starts
-    again at a fresh node for the current state, so no old node stays
-    reachable.  The law is deterministic, so dropping changes no draw."""
+    its state id.  The first use of slot v fills it with (the edge id of
+    each value, cumulative probabilities (`_cumulative`), successor nodes,
+    whether there is more than one value); a step then follows a pointer
+    and hashes no tuple.  `fiber(state, v)`, if given, names a fiber on
+    which the law's answer at v is constant (None: none): the law is then
+    called once per fiber, and the fiber table `fibers` keeps its values
+    and cumulative probabilities for every slot of that fiber.  Without
+    `fiber` each slot calls the law.  Beyond _SITE_TABLE_SIZE filled slots,
+    the next fill drops the nodes and the fiber table and starts again at a
+    fresh node for the current state, so no old node stays reachable.  The
+    law is deterministic, so dropping changes no draw."""
 
-    def __init__(self, law):
-        self.law = law
-        self.nodes, self.filled, self.ids = {}, 0, {}
+    def __init__(self, law, fiber=None):
+        self.law, self.fiber = law, fiber
+        self.nodes, self.fibers, self.filled, self.ids = {}, {}, 0, {}
 
     def node(self, state):
         """The node of the state tuple, new if the graph has none; a state
@@ -254,17 +286,38 @@ class _SiteGraph:
         """Fill slot v of node; returns (node, slot), with node the fresh
         one for the same state if the graph was dropped."""
         if self.filled >= _SITE_TABLE_SIZE:
-            self.nodes, self.filled = {}, 0
+            self.nodes, self.fibers, self.filled = {}, {}, 0
             node = self.node(node[-3])
         state = node[-3]
-        values, probs = self.law(state, v)
+        key = None if self.fiber is None else self.fiber(state, v)
+        law = self.fibers.get(key)  # None is never a key
+        if law is None:
+            values, probs = self.law(state, v)
+            law = values, _cumulative(probs)
+            if key is not None:
+                self.fibers[key] = law
+        values, cum = law
         succ = [node if val == state[v]
                 else self.node(state[:v] + (val,) + state[v + 1:])
                 for val in values]
         node[v] = slot = (tuple([nxt[-2] + v + 1 for nxt in succ]),
-                          _cumulative(probs), succ, len(values) > 1)
+                          cum, succ, len(values) > 1)
         self.filled += 1
         return node, slot
+
+
+def _heat_bath_fiber(state, v):
+    """The fiber of a heat-bath update at v: the rest of the state."""
+    return v, state[:v] + state[v + 1:]
+
+
+def _star_frozen_fiber(state, v):
+    """The fiber of a star-frozen update at v: the rest of the contracted
+    state; none at a star, whose law is its own value."""
+    if state[v] == STAR:
+        return None
+    c = contract(state)
+    return v, c[:v] + c[v + 1:]
 
 
 # raw words the single-site loop draws at most at once, and the uniform's
@@ -393,7 +446,7 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     x0 = _check_start(model, x0)
-    graph = _SiteGraph(heat_bath_law(model))
+    graph = _SiteGraph(heat_bath_law(model), _heat_bath_fiber)
     draws = _RawDraws(rng.bit_generator, len(x0),
                       _single_site_words(len(x0), steps))
     path = []
@@ -408,22 +461,28 @@ def glauber_run(model, x0, steps, seed, record_at=(), chain_index=0) -> ChainRun
                           make_rng(seed, chain_index, "glauber"))
 
 
-def _kept_ones(x, theta, rng):
-    """Pins at 1 for the 1-sites of x, each kept with probability 1 - theta."""
-    return {v: 1 for v in range(len(x)) if x[v] == 1 and rng.random() >= theta}
-
-
 def _field_sampler(model, theta):
     """The support table of model and the exact field-dynamics step
-    (x, rng) -> index of the next state in it, drawing from the unnormalized
-    theta-tilted weights (`exact._tilted_weights`)."""
+    (x, random) -> index of the next state in it, drawing its uniforms by
+    calling random() and its state from the unnormalized theta-tilted
+    weights (`exact._tilted_weights`).
+
+    Each 1-site of x is kept pinned at 1 when its uniform is at least
+    theta; the kept set, as a bitmask, looks up its slice in the sampler's
+    table: the slice's support indices and the `_cumulative` sums of its
+    weights over their sum, computed at the first step that keeps that
+    set.  When an entry would take the table past _FIELD_TABLE_SIZE slice
+    entries, the table is dropped first."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     support = enumerate_support(model)
     weights = _tilted_weights(model, theta, support)
+    table, held = {}, 0
 
-    def step(x, rng):
-        idx = np.flatnonzero(support.where(_kept_ones(x, theta, rng)))
+    def pinned_slice(kept):
+        nonlocal held
+        idx = np.flatnonzero(support.where(
+            {v: 1 for v in range(kept.bit_length()) if kept >> v & 1}))
         if not idx.size:
             raise ValueError("infeasible pin: the slice has empty support")
         w = weights[idx]
@@ -431,7 +490,20 @@ def _field_sampler(model, theta):
         if z == 0.0:
             raise ValueError("tilted weights underflow to 0 on a pinned "
                              "slice")
-        return int(idx[_sample_from(w / z, rng)])
+        if held + idx.size > _FIELD_TABLE_SIZE:
+            table.clear()
+            held = 0
+        held += idx.size
+        entry = table[kept] = idx.tolist(), _cumulative((w / z).tolist())
+        return entry
+
+    def step(x, random):
+        kept = 0
+        for v, b in enumerate(x):
+            if b == 1 and random() >= theta:
+                kept |= 1 << v
+        idx, cum = table.get(kept) or pinned_slice(kept)
+        return idx[bisect_right(cum, random())]
 
     return support, step
 
@@ -439,27 +511,31 @@ def _field_sampler(model, theta):
 def field_dynamics_step(model, theta, x, rng):
     """One field-dynamics transition: every 0-site is freed, each 1-site is
     freed independently with probability theta; the freed set is resampled
-    exactly from the tilted conditional."""
+    exactly from the tilted conditional.  Draws by `rng.random()`."""
     support, step = _field_sampler(model, theta)
-    return support.states[step(x, rng)]
+    return support.states[step(x, rng.random)]
 
 
 def field_run(model, theta, x0, steps, seed, record_at=(),
               chain_index=0) -> ChainRun:
-    """Field-dynamics run with exact inner resampling.  The path holds the
-    support index of each step's state; the log holds the coordinates each
-    step changes."""
+    """Field-dynamics run with exact inner resampling, the step of
+    `field_dynamics_step` on one table of slices, with its uniforms decoded
+    from raw words (`_RawDraws.random`).  The path holds the support index
+    of each step's state; the log holds the coordinates each step changes."""
     support, step = _field_sampler(model, theta)
     rng = make_rng(seed, chain_index, "field")
     x0 = _check_start(model, x0)
-    state, path = x0, []
+    # at most one uniform per 1-site and one for the draw, per step
+    random = _RawDraws(rng.bit_generator, 1, steps * (len(x0) + 1)).random
+    states, path = support.states, []
+    state = x0
     for _ in range(steps):
-        i = step(state, rng)
+        i = step(state, random)
         path.append(i)
-        state = support.states[i]
+        state = states[i]
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
-                    support.states, path, field=True,
-                    start_id=support.index(x0), final=state)
+                    states, path, field=True, start_id=support.index(x0),
+                    final=state)
 
 
 def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
@@ -482,7 +558,7 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
                       _single_site_words(n, steps) + (t1 + 1) * n)
     state = _check_start(lifted, lift((1,) * n, theta, draws))
     x0 = state
-    graph = _SiteGraph(star_frozen_law(lifted))
+    graph = _SiteGraph(star_frozen_law(lifted), _star_frozen_fiber)
     path, relifts = [], []
     for block in range(t1):
         t = block * t2

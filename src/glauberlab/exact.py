@@ -80,14 +80,6 @@ def _weights(lws) -> np.ndarray:
     return np.array([math.exp(lw - shift) for lw in lws])
 
 
-def _check_dense(k):
-    """Refuse a dense kernel over more than DENSE_GUARD states."""
-    if k > DENSE_GUARD:
-        raise ValueError(f"a dense kernel over k = {k} states exceeds the "
-                         f"guard of {DENSE_GUARD} ({8 * k * k >> 20} MiB "
-                         "per matrix)")
-
-
 def point_mass(support: Poset, state) -> np.ndarray:
     if state not in support:
         raise ValueError(f"state {state_str(state)} is not in the support")
@@ -283,8 +275,8 @@ def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
 def _law_kernel(model, arrays, support: Poset, stationary=None) -> Kernel:
     """Kernel of one step at a uniform site of the law arrays (succ, prob)
     over the support (_site_arrays), summed by _step_matrices, with the
-    model's stationary law (computed unless given)."""
-    _check_dense(support.size)
+    model's stationary law (computed unless given).  Every caller took the
+    support through _dense_support."""
     return Kernel(support, _step_matrices(*arrays),
                   stationary=_stationary(model, support, stationary))
 
@@ -313,9 +305,13 @@ def _stationary(model, support, given):
 
 def _dense_support(model, support):
     """The given support, or the model's, refused past DENSE_GUARD before
-    any law is evaluated over it."""
+    any law is evaluated over it: the one owner of the dense guard."""
     support = support or enumerate_support(model)
-    _check_dense(support.size)
+    k = support.size
+    if k > DENSE_GUARD:
+        raise ValueError(f"a dense kernel over k = {k} states exceeds the "
+                         f"guard of {DENSE_GUARD} ({8 * k * k >> 20} MiB "
+                         "per matrix)")
     return support
 
 
@@ -733,7 +729,7 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     4. otherwise a ValueError naming the fiber.
 
     Returns (True, None) or (False, (up_set, "extreme-ray"))."""
-    _check_dense(support.size)
+    _dense_support(model, support)
     k, a = support.size, len(model.alphabet)
     for succ, prob in laws:
         if (succ.shape != (k, 1, a) or prob.shape != (k, 1, a)

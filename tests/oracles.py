@@ -12,14 +12,15 @@ calls each in the monotone-system check, the per-row worst-start distance
 of the exact mixing time, the tilted mixing time that rebuilds and
 re-enumerates one pinned model per pinning and the one that runs every
 stack by the step loop, the sampler loops that call
-the site-update law (or the field step) on every step and log a tuple and
-store each recorded state as they go, the trajectory text one formatted
-line at a time, the up-set enumeration one frozenset at a time, the up-set
-test and the up-set cross-check of stochastic dominance, the covers and
-height of a poset by their definitions, and the independence diagnostics
-that scan the state table once per pinning and solve one min-cost flow per
-pair of conditionings, and the entropic-independence witness search that
-scores one law at a time; the kernel builders that loop over states, sites and
+the site-update law on every step (or compute each field step's pinned
+slice afresh) and log a tuple and store each recorded state as they go,
+the trajectory text one formatted line at a time, the up-set enumeration
+one frozenset at a time, the up-set test and the up-set cross-check of
+stochastic dominance, the covers and height of a poset by their
+definitions, and the independence diagnostics that scan the state table
+once per pinning and solve one min-cost flow per pair of conditionings,
+and the entropic-independence witness search that scores one law at a
+time; the kernel builders that loop over states, sites and
 values (site-update laws) or over rows and kept sets (field dynamics), the
 freeze kernel and the lift and contract pushforwards that fan each binary
 state out over its lifts with one support.index per entry, and the mixing
@@ -601,12 +602,27 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
 
 
 def per_step_field_run(model, theta, x0, steps, seed, record_at=()):
-    """field_run by field_dynamics_step, logging each changed coordinate."""
+    """field_run by the per-step loop: each step draws its kept 1-sites by
+    one rng.random() each, scans the support for the pinned slice and draws
+    from its tilted weights by linear scan, with no table; logs each
+    changed coordinate."""
+    support = exact.enumerate_support(model)
+    weights = exact._tilted_weights(model, theta, support)
     rng = dynamics.make_rng(seed, 0, "field")
     run, record_at = _per_step_run(model, x0, record_at)
     state = run.x0
     for t in range(1, steps + 1):
-        nxt = dynamics.field_dynamics_step(model, theta, state, rng)
+        kept = {v: 1 for v in range(len(state))
+                if state[v] == 1 and rng.random() >= theta}
+        idx = np.flatnonzero(support.where(kept))
+        if not idx.size:
+            raise ValueError("infeasible pin: the slice has empty support")
+        w = weights[idx]
+        z = w.sum()
+        if z == 0.0:
+            raise ValueError("tilted weights underflow to 0 on a pinned "
+                             "slice")
+        nxt = support.states[idx[linear_sample_from(w / z, rng)]]
         run.log.extend((t, v, b) for v, (a, b) in enumerate(zip(state, nxt))
                        if a != b)
         state = nxt

@@ -11,6 +11,7 @@ from glauberlab.dynamics import (ChainRun, Schedule, censored_glauber,
                                  field_dynamics_step, field_run, glauber_run,
                                  make_rng, simulate_algorithm)
 from glauberlab.models import Graph, HardcoreModel, RandomClusterModel, flip
+from glauberlab.ordercore import Poset
 from conftest import random_hardcore, random_monotone_model
 import oracles
 
@@ -773,15 +774,21 @@ def record_times(steps):
         st.just(()))
 
 
+def row_sum_occupancy(recorded, n):
+    """How many recorded states have value 1 at each of n variables, by a
+    sum over the recorded states."""
+    return [sum(s[v] == 1 for s in recorded.values()) for v in range(n)]
+
+
 def same_columns(run, ref):
     """The run's derived log, recorded states, final state, trajectory text
-    and state rows against the per-step loop's run."""
+    and occupancy counts against the per-step loop's run."""
     assert run.log == ref.log
     assert run.recorded == ref.recorded
     assert run.final == ref.final
     assert run.dump_trajectory() == oracles.trajectory_text(ref.recorded)
-    rows = [ref.recorded[t] for t in sorted(ref.recorded)]
-    assert run.state_rows().tolist() == [list(s) for s in rows]
+    assert run.one_counts().tolist() == row_sum_occupancy(ref.recorded,
+                                                          len(run.x0))
 
 
 class TestColumnsMatchPerStepLoops:
@@ -845,4 +852,218 @@ class TestColumnsMatchPerStepLoops:
     def test_nothing_recorded(self):
         run = glauber_run(k2_flipped_rc(), (1,), 10, 0, record_at=[-1, 11])
         assert run.recorded == {} and run.dump_trajectory() == "\n"
-        assert run.state_rows().shape == (0, 1)
+        assert run.one_counts().tolist() == [0]
+
+
+def slices_computed(run):
+    """Call run() and return its result with the pinned sites of each
+    Poset.where call it made, in order."""
+    with mock.patch.object(Poset, "where", autospec=True,
+                           side_effect=Poset.where) as where:
+        out = run()
+    return out, [tuple(c.args[1]) for c in where.call_args_list]
+
+
+class TestFieldTable:
+    """field_run looks each kept set's slice up in a bounded table; every
+    bound gives the per-step loop's run, which computes each slice afresh."""
+
+    @pytest.mark.parametrize("bound", [1, 2, None])
+    def test_equals_per_step_loop(self, rng, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(dynamics, "_FIELD_TABLE_SIZE", bound)
+        recomputed = False
+        for _ in range(6):
+            m = random_monotone_model(rng)
+            x0 = (1,) * m.n_vars
+            for seed in range(2):
+                run, calls = slices_computed(lambda: field_run(
+                    m, 0.4, x0, 150, seed, record_at=range(0, 151, 3)))
+                ref = oracles.per_step_field_run(m, 0.4, x0, 150, seed,
+                                                 record_at=range(0, 151, 3))
+                assert same_run(run, ref)
+                recomputed |= len(calls) > len(set(calls))
+        # the default table computes each kept set's slice once; a small one
+        # drops entries and computes them again
+        assert recomputed == (bound is not None)
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_underflow_refused_by_name(self, rng, monkeypatch, bound):
+        # at theta = 1e-300 a step from all-1 keeps every 1-site pinned with
+        # probability 1 - 1e-300; the all-1 slice's tilted weight theta^n
+        # underflows to 0 for n >= 2
+        monkeypatch.setattr(dynamics, "_FIELD_TABLE_SIZE", bound)
+        for seed in range(4):
+            m = random_monotone_model(rng)
+            while m.n_vars < 2:
+                m = random_monotone_model(rng)
+            x0 = (1,) * m.n_vars
+            with pytest.raises(ValueError, match="underflow") as ours:
+                field_run(m, 1e-300, x0, 5, seed)
+            with pytest.raises(ValueError, match="underflow") as ref:
+                oracles.per_step_field_run(m, 1e-300, x0, 5, seed)
+            assert str(ours.value) == str(ref.value)
+
+    def test_field_dynamics_step_draws_from_the_generator(self):
+        # the one-step form reads rng.random and nothing of the bit
+        # generator, so a stand-in generator with only `random` will do
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2)]), [0.5] * 2,
+                                    [0.5] * 3))
+        gen = make_rng(3, 0, "field")
+
+        class RandomOnly:
+            random = gen.random
+
+        assert field_dynamics_step(m, 0.4, (1, 1), RandomOnly()) == (
+            field_dynamics_step(m, 0.4, (1, 1), make_rng(3, 0, "field")))
+
+
+def fiber_spy(monkeypatch, law_name):
+    """Wrap dynamics.<law_name> so each call of the law it builds is
+    recorded as (state, v); returns the list."""
+    calls = []
+    build = getattr(dynamics, law_name)
+
+    def spied(model):
+        law = build(model)
+
+        def counted(state, v):
+            calls.append((state, v))
+            return law(state, v)
+        return counted
+
+    monkeypatch.setattr(dynamics, law_name, spied)
+    return calls
+
+
+class TestFiberKey:
+    """The state graph calls a law once per (site, fiber) between drops."""
+
+    def test_heat_bath_once_per_fiber(self, rng, monkeypatch):
+        calls = fiber_spy(monkeypatch, "heat_bath_law")
+        for m, x0 in table_cases(rng):
+            del calls[:]
+            run = glauber_run(m, x0, 3000, 1, record_at=range(3001))
+            ref = oracles.per_step_heat_bath_run(m, x0, 3000, 1,
+                                                 record_at=range(3001))
+            assert same_run(run, ref)
+            keys = [dynamics._heat_bath_fiber(s, v) for s, v in calls]
+            assert calls and len(keys) == len(set(keys))
+            # states that differ only at the updated site share the call
+            slots = {(s, v) for s in set(run.recorded.values())
+                     for v in range(m.n_vars)}
+            assert len(calls) <= len({dynamics._heat_bath_fiber(s, v)
+                                      for s, v in slots})
+
+    def test_simulate_once_per_fiber(self, rng, monkeypatch):
+        calls = fiber_spy(monkeypatch, "star_frozen_law")
+        for _ in range(4):
+            m = random_monotone_model(rng, max_vars=4)
+            del calls[:]
+            run, out = simulate_algorithm(m, 0.5, 60, 40, 2)
+            ref, ref_out = oracles.per_step_simulate(m, 0.5, 60, 40, 2)
+            assert same_run(run, ref) and out == ref_out
+            keys = [dynamics._star_frozen_fiber(s, v) for s, v in calls
+                    if s[v] != models.STAR]
+            assert keys and len(keys) == len(set(keys))
+            # one call per (site, base fiber): at most n 2^(n-1)
+            assert len(keys) <= m.n_vars * 2 ** (m.n_vars - 1)
+
+    def test_star_has_no_fiber(self):
+        # a star and a 1 contract alike, but only the 1 is redrawn
+        assert dynamics._star_frozen_fiber((models.STAR, 1), 0) is None
+        assert dynamics._star_frozen_fiber((1, models.STAR), 0) == (0, (1,))
+        assert dynamics._star_frozen_fiber((0, models.STAR), 0) == (0, (1,))
+
+    @pytest.mark.parametrize("slots, calls", [(2 ** 14, 1), (1, 2)])
+    def test_fiber_table_dropped_with_the_nodes(self, monkeypatch, slots,
+                                                calls):
+        # (0, 0) and (1, 0) share the fiber of site 0; a drop between the
+        # two fills forgets it
+        monkeypatch.setattr(dynamics, "_SITE_TABLE_SIZE", slots)
+        seen = []
+
+        def law(state, v):
+            seen.append((state, v))
+            return (0, 1), (0.5, 0.5)
+
+        graph = dynamics._SiteGraph(law, dynamics._heat_bath_fiber)
+        node, slot = graph.fill(graph.node((0, 0)), 0)
+        other, again = graph.fill(graph.node((1, 0)), 0)
+        assert len(seen) == calls
+        assert again[:2] == slot[:2]  # the same two edges, one law
+        assert len(graph.fibers) == 1
+
+    def test_law_without_a_fiber_shares_nothing(self):
+        seen = []
+
+        def law(state, v):
+            seen.append((state, v))
+            return (0, 1), (0.5, 0.5)
+
+        graph = dynamics._SiteGraph(law)
+        graph.fill(graph.node((0, 0)), 0)
+        graph.fill(graph.node((1, 0)), 0)
+        assert seen == [((0, 0), 0), ((1, 0), 0)] and graph.fibers == {}
+
+
+def columns_run(states, ids, times):
+    """A field-style run over the state table `states` whose state id at
+    time t is ids[t], recorded at `times`."""
+    return ChainRun(None, states[ids[0]], 0, len(ids) - 1,
+                    np.array(times, np.int64), states, ids[1:].tolist(),
+                    field=True, start_id=int(ids[0]))
+
+
+class TestRecordWriter:
+    """dump_trajectory writes fixed-width records; its text equals the
+    per-line formatting at every digit boundary."""
+
+    BOUNDARIES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 99_999,
+                  100_000, 999_999, 1_000_000]
+
+    def ternary_states(self, gen, n, k):
+        return sorted({tuple(gen.integers(0, 3, n).tolist())
+                       for _ in range(k)})
+
+    def test_every_digit_boundary(self):
+        gen = np.random.default_rng(5)
+        states = self.ternary_states(gen, 4, 12)
+        ids = gen.integers(0, len(states), 1_000_001)
+        times = sorted(set(self.BOUNDARIES)
+                       | set(range(0, 1_000_001, 9_973)))
+        for chosen in (times, self.BOUNDARIES):
+            run = columns_run(states, ids, chosen)
+            recorded = {t: states[ids[t]] for t in chosen}
+            assert run.dump_trajectory() == oracles.trajectory_text(recorded)
+            assert run.one_counts().tolist() == row_sum_occupancy(recorded, 4)
+
+    @pytest.mark.parametrize("t", BOUNDARIES)
+    def test_single_time(self, t):
+        states = [(0, 1, models.STAR), (models.STAR, 0, 0)]
+        ids = np.arange(t + 1) % 2
+        run = columns_run(states, ids, [t])
+        assert run.dump_trajectory() == oracles.trajectory_text(
+            {t: states[t % 2]})
+        assert run.one_counts().tolist() == row_sum_occupancy(
+            {t: states[t % 2]}, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+           sparse=st.booleans())
+    def test_random_ternary_runs(self, n, seed, sparse):
+        gen = np.random.default_rng(seed)
+        states = self.ternary_states(gen, n, 20)
+        steps = int(gen.integers(0, 20_000))
+        ids = gen.integers(0, len(states), steps + 1)
+        times = (sorted(set(gen.integers(0, steps + 1, 7).tolist()))
+                 if sparse else list(range(steps + 1)))
+        run = columns_run(states, ids, times)
+        recorded = {t: states[ids[t]] for t in times}
+        assert run.dump_trajectory() == oracles.trajectory_text(recorded)
+        assert run.one_counts().tolist() == row_sum_occupancy(recorded, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_digit_tables(self, d):
+        assert dynamics._digits(d).tolist() == [
+            f"{i:0{d}d}".encode() for i in range(10 ** d)]
