@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, exact, fileio, models
-from .ordercore import first_dominance_failure, parse_state
+from .ordercore import STAR, first_dominance_failure, parse_state
 
 
 def _build_parser():
@@ -147,8 +147,8 @@ def cmd_sample(args):
 class _VerifyContext:
     """What the checks share; each table and kernel is built on first use,
     at most once.  The model's heat-bath law is evaluated once per (site,
-    fiber) of its support; the lifted Glauber and star-frozen laws are
-    derived from that one table.
+    fiber) of its support, its log weight once per state; the lifted laws
+    and stationary law are derived from those.
 
     Every kernel is dense, and each is refused past DENSE_GUARD by
     `exact._dense_support` before any law is evaluated over its support:
@@ -167,11 +167,13 @@ class _VerifyContext:
     # the heat-bath law over sup, one conditional per (site, fiber)
     table = cached_property(
         lambda c: exact._site_conditionals(c.model, c.sup))
+    lws = cached_property(lambda c: exact._log_weights(c.model, c.sup))
 
     @cached_property
     def gker(c):
         sup = exact._dense_support(c.model, c.sup)
-        return exact._law_kernel(c.model, exact._heat_bath(sup, c.table), sup)
+        return exact._law_kernel(c.model, exact._heat_bath(sup, c.table), sup,
+                                 exact._normalized(c.lws))
 
     lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
     lsup = cached_property(lambda c: exact._dense_support(c.lifted, None))
@@ -186,9 +188,10 @@ class _VerifyContext:
         lambda c: exact._lifted_heat_bath(c.lifted, c.lsup, c.lsites))
     sarrays = cached_property(
         lambda c: exact._star_frozen(c.lifted, c.lsup, c.lsites))
-    # the stationary law of the lift, over lsup
-    lmu = cached_property(
-        lambda c: exact.stationary_distribution(c.lifted, c.lsup))
+    # the lift's stationary law over lsup, from its contractions' log weights
+    lmu = cached_property(lambda c: exact._normalized(models.lift_log_weight(
+        c.lws[c.index], (c.lsup.array == 1).sum(axis=1),
+        (c.lsup.array == STAR).sum(axis=1), c.lifted.theta)))
     lker = cached_property(
         lambda c: exact._law_kernel(c.lifted, c.larrays, c.lsup, c.lmu))
     freeze = cached_property(

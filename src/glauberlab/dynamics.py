@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import _tilted_weights, enumerate_support
+from .exact import _slice_law, _tilted_weights, enumerate_support
 from .ordercore import STAR, contract, lift, state_str
 from .models import LiftedModel, heat_bath_law, star_frozen_law
 
@@ -257,16 +257,15 @@ class _SiteGraph:
     its state id.  The first use of slot v fills it with (the edge id of
     each value, cumulative probabilities (`_cumulative`), successor nodes,
     whether there is more than one value); a step then follows a pointer
-    and hashes no tuple.  `fiber(state, v)`, if given, names a fiber on
-    which the law's answer at v is constant (None: none): the law is then
-    called once per fiber, and the fiber table `fibers` keeps its values
-    and cumulative probabilities for every slot of that fiber.  Without
-    `fiber` each slot calls the law.  Beyond _SITE_TABLE_SIZE filled slots,
+    and hashes no tuple.  `fiber(state, v)` names a fiber on which the
+    law's answer at v is constant: the law is called once per fiber, and
+    the fiber table `fibers` keeps its values and cumulative probabilities
+    for every slot of that fiber.  Beyond _SITE_TABLE_SIZE filled slots,
     the next fill drops the nodes and the fiber table and starts again at a
     fresh node for the current state, so no old node stays reachable.  The
     law is deterministic, so dropping changes no draw."""
 
-    def __init__(self, law, fiber=None):
+    def __init__(self, law, fiber):
         self.law, self.fiber = law, fiber
         self.nodes, self.fibers, self.filled, self.ids = {}, {}, 0, {}
 
@@ -289,14 +288,11 @@ class _SiteGraph:
             self.nodes, self.fibers, self.filled = {}, {}, 0
             node = self.node(node[-3])
         state = node[-3]
-        key = None if self.fiber is None else self.fiber(state, v)
-        law = self.fibers.get(key)  # None is never a key
-        if law is None:
+        key = self.fiber(state, v)
+        if key not in self.fibers:
             values, probs = self.law(state, v)
-            law = values, _cumulative(probs)
-            if key is not None:
-                self.fibers[key] = law
-        values, cum = law
+            self.fibers[key] = values, _cumulative(probs)
+        values, cum = self.fibers[key]
         succ = [node if val == state[v]
                 else self.node(state[:v] + (val,) + state[v + 1:])
                 for val in values]
@@ -313,9 +309,9 @@ def _heat_bath_fiber(state, v):
 
 def _star_frozen_fiber(state, v):
     """The fiber of a star-frozen update at v: the rest of the contracted
-    state; none at a star, whose law is its own value."""
+    state; STAR at every star, whose law is its own value."""
     if state[v] == STAR:
-        return None
+        return STAR
     c = contract(state)
     return v, c[:v] + c[v + 1:]
 
@@ -470,9 +466,9 @@ def _field_sampler(model, theta):
     Each 1-site of x is kept pinned at 1 when its uniform is at least
     theta; the kept set, as a bitmask, looks up its slice in the sampler's
     table: the slice's support indices and the `_cumulative` sums of its
-    weights over their sum, computed at the first step that keeps that
-    set.  When an entry would take the table past _FIELD_TABLE_SIZE slice
-    entries, the table is dropped first."""
+    law (`exact._slice_law`, as fd_kernel reads it), computed at the first
+    step that keeps that set.  When an entry would take the table past
+    _FIELD_TABLE_SIZE slice entries, the table is dropped first."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     support = enumerate_support(model)
@@ -485,16 +481,12 @@ def _field_sampler(model, theta):
             {v: 1 for v in range(kept.bit_length()) if kept >> v & 1}))
         if not idx.size:
             raise ValueError("infeasible pin: the slice has empty support")
-        w = weights[idx]
-        z = w.sum()
-        if z == 0.0:
-            raise ValueError("tilted weights underflow to 0 on a pinned "
-                             "slice")
+        law = _slice_law(weights[idx])
         if held + idx.size > _FIELD_TABLE_SIZE:
             table.clear()
             held = 0
         held += idx.size
-        entry = table[kept] = idx.tolist(), _cumulative((w / z).tolist())
+        entry = table[kept] = idx.tolist(), _cumulative(law.tolist())
         return entry
 
     def step(x, random):
@@ -583,7 +575,6 @@ class Schedule:
     period), or on every step if period is None."""
 
     rule: object  # callable t -> frozenset of variable indices
-    name: str = "custom"
     period: int | None = 1
 
     def __post_init__(self):
@@ -593,12 +584,12 @@ class Schedule:
     @classmethod
     def always(cls, n):
         full = frozenset(range(n))
-        return cls(lambda t: full, name="always", period=None)
+        return cls(lambda t: full, period=None)
 
     @classmethod
     def never(cls):
         empty = frozenset()
-        return cls(lambda t: empty, name="never", period=None)
+        return cls(lambda t: empty, period=None)
 
     @classmethod
     def two_level(cls, left, right, period, seed):
@@ -626,7 +617,7 @@ class Schedule:
                                           size=max(1, len(picks))).tolist())
             return allowed[picks[block]]
 
-        return cls(rule, name="two-level", period=period)
+        return cls(rule, period=period)
 
 
 def censored_glauber(model, x0, schedule: Schedule, steps, seed,

@@ -16,7 +16,8 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import ENUM_GUARD, LiftedModel, TiltedModel, tilt
+from .models import (ENUM_GUARD, LiftedModel, TiltedModel, lifted_probs,
+                     tilt, tilted_probs)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -133,23 +134,26 @@ class _Fibers(NamedTuple):
     cand: np.ndarray
 
 
-def _site_fibers(support: Poset, a, sites) -> list:
-    """The _Fibers of each of sites, from integer state codes: a state's
-    code has its value at site v as digit v in base a, site 0 the most
-    significant.  The states of a fiber share the code less the site's
-    digit; the one with value c, found by searchsorted on the codes, has c
-    put in.  Every state of a fiber finds the same states, so its fiber's
-    first state is the least of them."""
-    arr = support.array
-    k, n = arr.shape
+def _state_codes(array, a):
+    """(codes, place): each row's int64 code, its value at site v as digit
+    v in base a (place value place[v]), site 0 the most significant.  The
+    codes less a site's digit order the site's fibers lexicographically."""
     # a support is enumerated under ENUM_GUARD >= a ** n, so codes fit int64
-    digits = arr.astype(np.int64)
-    place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = digits @ place
+    place = a ** np.arange(array.shape[1] - 1, -1, -1, dtype=np.int64)
+    return array.astype(np.int64) @ place, place
+
+
+def _site_fibers(support: Poset, a, sites) -> list:
+    """The _Fibers of each of sites, from _state_codes: the state of a
+    fiber with value c, found by searchsorted on the codes, has the code
+    less the site's digit with c put in.  Every state of a fiber finds the
+    same states, so its fiber's first state is the least of them."""
+    arr, k = support.array, support.size
+    codes, place = _state_codes(arr, a)
     order = np.argsort(codes)
     out = []
     for v in sites:
-        want = (codes - digits[:, v] * place[v])[:, None] + (
+        want = (codes - arr[:, v] * place[v])[:, None] + (
             np.arange(a) * place[v])
         at = order[np.searchsorted(codes, want, sorter=order) % k]
         cand = np.where(codes[at] == want, at, -1)
@@ -222,53 +226,28 @@ def _lift_sites(lifted_support: Poset, table, index) -> list:
             for lfib, (fib, cond) in zip(fibers, table)]
 
 
-def _zero_division(z):
-    """Refuse a denominator of 0 as the float division of a conditional
-    would."""
-    if np.any(z == 0.0):
-        raise ZeroDivisionError("float division by zero")
-
-
 def _lifted_heat_bath(lifted: LiftedModel, lifted_support: Poset, sites):
     """(succ, prob) of the heat-bath law of the lift from its _lift_sites:
-    LiftedModel.conditional's arithmetic, elementwise, z = q0 + q1 and
-    (q0 / z, theta q1 / z, (1 - theta) q1 / z), the same bits."""
-    theta, columns = lifted.theta, []
-    for fib, q0, q1 in sites:
-        z = q0 + q1
-        _zero_division(z)
-        columns.append((fib, np.stack(
-            [q0 / z, theta * q1 / z, (1 - theta) * q1 / z], axis=1)))
-    return _site_arrays(lifted_support, columns)
-
-
-def _tilted(theta, q0, q1, star=None):
-    """TiltedModel.conditional's arithmetic, elementwise over the arrays
-    of base conditionals q0, q1: z = q0 + theta q1, then (q0 / z, theta q1
-    / z) stacked on a last axis, the same bits.  A z of 0 is refused as the
-    float division would refuse it, except on the rows of the mask star,
-    which divide by 1 (their values are not read)."""
-    t1 = theta * q1
-    z = q0 + t1
-    if star is not None:
-        z = np.where(star, 1.0, z)
-    _zero_division(z)
-    return np.stack([q0 / z, t1 / z], axis=-1)
+    models.lifted_probs of each state's base conditional."""
+    return _site_arrays(lifted_support, [
+        (fib, np.stack(lifted_probs(lifted.theta, q0, q1), axis=1))
+        for fib, q0, q1 in sites])
 
 
 def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
     """(succ, prob) of models.star_frozen_law(lifted) from its _lift_sites:
-    a star stays with probability 1 (its own index at value slot 0), any
-    other state follows the _tilted base conditional, with slot 2 empty."""
+    each state follows models.tilted_probs of its base conditional, with
+    slot 2 empty.  A star's row is tilted from (1, 0), which gives (1, 0),
+    and its value slot 0 holds its own index: it stays with probability 1."""
     columns = []
     own = np.arange(lifted_support.size)[:, None]
     for fib, q0, q1 in sites:
         star = lifted_support.array[:, fib.site] == STAR
-        p = np.concatenate([_tilted(lifted.theta, q0, q1, star),
-                            np.zeros((len(star), 1))], axis=1)
+        p = tilted_probs(lifted.theta, np.where(star, 1.0, q0),
+                         np.where(star, 0.0, q1))
         columns.append((fib._replace(cand=np.where(star[:, None], own,
                                                    fib.cand)),
-                        np.where(star[:, None], (1.0, 0.0, 0.0), p)))
+                        np.stack(p + (np.zeros(len(star)),), axis=1)))
     return _site_arrays(lifted_support, columns)
 
 
@@ -383,17 +362,21 @@ def _fd_kernel(model, theta, support=None, stationary=None):
                       for r in range(n + 1)] for c in range(n + 1)])
     mat = np.zeros((k, k))
     for kept, idx in _one_slices(ones):
-        z = w[idx].sum()
-        if z == 0.0:
-            raise ValueError("tilted weights underflow to 0 on a "
-                             "pinned slice")
         # in row blocks, so that no temporary exceeds _FD_BLOCK_ENTRIES
-        rows, to = move[count[idx], len(kept)], w[idx] / z
+        rows, to = move[count[idx], len(kept)], _slice_law(w[idx])
         per = max(1, _FD_BLOCK_ENTRIES // idx.size)
         for a in range(0, idx.size, per):
             mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per], to)
     return Kernel(support, mat,
                   stationary=_stationary(model, support, stationary)), lws
+
+
+def _slice_law(w):
+    """A pinned slice's law: w over its sum, refused if that is 0."""
+    z = w.sum()
+    if z == 0.0:
+        raise ValueError("tilted weights underflow to 0 on a pinned slice")
+    return w / z
 
 
 def _one_slices(ones):
@@ -748,10 +731,9 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
         if (all(np.all(prob >= 0) for _, prob in laws)
                 and np.all(dev <= PROB_TOL / 2)
                 and _FLOW_SCALE * dev.sum() <= budget):
-            arr = support.array
-            _, fiber = np.unique(np.delete(arr, site, axis=1), axis=0,
-                                 return_inverse=True)
-            fiber, at = fiber.ravel(), arr[:, site]
+            codes, place = _state_codes(support.array, a)
+            at = support.array[:, site]
+            _, fiber = np.unique(codes - at * place[site], return_inverse=True)
             # mass and tail difference per (fiber, value at the site); the
             # suffix sums run down from the top, so column j is the suffix
             # of the values >= a - 1 - j
@@ -1069,18 +1051,18 @@ def _tilted_slices(model, theta, support=None, table=None, lws=None):
     through _dense_support.  The slices read the model's support, which
     the tilt keeps state for state, and the tilted log weights, evaluated
     once per state unless given as lws.  Where the tilt wraps the model in
-    a TiltedModel, each fiber's conditional of the model's
-    _site_conditionals table (evaluated unless given) is _tilted before its
-    states read it; other tilts (of a hard-core or an already tilted model)
-    are evaluated.  Each slice's kernel and stationary law equal those of
-    the pinned tilted model bit for bit."""
+    a TiltedModel, models.tilted_probs tilts each fiber's conditional of
+    the model's _site_conditionals table (evaluated unless given); other
+    tilts (of a hard-core or a tilted model) are evaluated.  Each slice's
+    kernel and stationary law equal the pinned tilted model's bit for bit."""
     tilted = tilt(model, theta)
     support = _dense_support(model, support)
     if isinstance(tilted, TiltedModel) and tilted.base is model:
         if table is None:
             table = _site_conditionals(model, support)
         succ, prob = _heat_bath(support, [
-            (fib, _tilted(tilted.theta, *cond.T)) for fib, cond in table])
+            (fib, np.stack(tilted_probs(tilted.theta, *cond.T), axis=-1))
+            for fib, cond in table])
     else:
         succ, prob = heat_bath_arrays(tilted, support)
     k = support.size

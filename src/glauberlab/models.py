@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from .ordercore import STAR, contract, num_ones, num_stars
 
 ENUM_GUARD = 2 ** 20
@@ -418,9 +420,7 @@ class TiltedModel(Model):
         return lw + num_ones(state) * math.log(self.theta)
 
     def conditional(self, state, v):
-        q0, q1 = self.base.conditional(state, v)
-        z = q0 + self.theta * q1
-        return (q0 / z, self.theta * q1 / z)
+        return tilted_probs(self.theta, *self.base.conditional(state, v))
 
 
 class FlippedModel(Model):
@@ -504,14 +504,39 @@ class LiftedModel(Model):
         lw = self.base.log_weight(contract(state))
         if lw is None:
             return None
-        return (lw + num_ones(state) * math.log(self.theta)
-                + num_stars(state) * math.log1p(-self.theta))
+        return lift_log_weight(lw, num_ones(state), num_stars(state),
+                               self.theta)
 
     def conditional(self, state, v):
-        q0, q1 = self.base.conditional(contract(state), v)
-        z = q0 + q1
-        p0 = q0 / z
-        return (p0, self.theta * q1 / z, (1 - self.theta) * q1 / z)
+        return lifted_probs(self.theta,
+                            *self.base.conditional(contract(state), v))
+
+
+def _divisor(z):
+    """z; an array with an entry 0 is refused as a float division by 0 is."""
+    if isinstance(z, np.ndarray) and not z.all():
+        raise ZeroDivisionError("float division by zero")
+    return z
+
+
+def tilted_probs(theta, q0, q1):
+    """(q0 / z, theta q1 / z), z = q0 + theta q1: the theta-tilt of the
+    conditional (q0, q1), of floats or elementwise of arrays."""
+    t1 = theta * q1
+    z = _divisor(q0 + t1)
+    return q0 / z, t1 / z
+
+
+def lifted_probs(theta, q0, q1):
+    """(q0 / z, theta q1 / z, (1 - theta) q1 / z), z = q0 + q1: the lift of
+    the conditional (q0, q1) to the values 0, 1, STAR, as tilted_probs."""
+    z = _divisor(q0 + q1)
+    return q0 / z, theta * q1 / z, (1 - theta) * q1 / z
+
+
+def lift_log_weight(lw, ones, stars, theta):
+    """A lift's log weight from lw, its contraction's, and its 1s and stars."""
+    return lw + ones * math.log(theta) + stars * math.log1p(-theta)
 
 
 def tilt(model, theta):
@@ -570,12 +595,11 @@ def heat_bath_law(model):
 def star_frozen_law(lifted: LiftedModel):
     """The star-frozen dynamics on a lifted model: a star never moves; any
     other site is resampled from the theta-tilted base conditional."""
-    tilted = TiltedModel(lifted.base, lifted.theta)
-
     def law(state, v):
         if state[v] == STAR:
             return (STAR,), (1.0,)
-        return (0, 1), tilted.conditional(contract(state), v)
+        q = lifted.base.conditional(contract(state), v)
+        return (0, 1), tilted_probs(lifted.theta, *q)
 
     return law
 

@@ -30,7 +30,9 @@ slices over the tilted model's own support and conditional, the
 Glauber vs field-dynamics comparison composed from the public calls, and
 the CLI parser that declares every option on each subcommand again; and
 the law arrays of a site-update law evaluated once per (state, site), which
-the exact layer derives from one conditional per fiber instead.
+the exact layer derives from one conditional per fiber instead; and the
+fibers of a site numbered by np.unique over the rows with the site deleted,
+which the exact layer reads from integer state codes instead.
 """
 
 import argparse
@@ -274,6 +276,14 @@ def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu,
     return exact.check_mc_leq(
         *(exact.Kernel(support, loop_law_kernel(model, law, site, support))
           for law in (p_law, q_law)), mu, tol)
+
+
+def row_fibers(support: Poset, site):
+    """check_site_mc_leq's numbering of the fibers of a site as it was: the
+    inverse of np.unique over the support's rows with the site deleted."""
+    _, fiber = np.unique(np.delete(support.array, site, axis=1), axis=0,
+                         return_inverse=True)
+    return fiber.ravel()
 
 
 def per_row_mixing_time(kernel, eps, cap=10 ** 6):

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from glauberlab import cli, exact, models, ordercore
 from glauberlab.ordercore import PROB_TOL
 import oracles
+from conftest import random_bhc, random_monotone_model, random_rc
 
 
 def write(path, text):
@@ -164,8 +165,25 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
     assert tables[0] is made["_lifted_heat_bath"]
     assert tables[1] is made["_star_frozen"]
     assert calls["_contraction_index"].call_count == 1
-    # one lifted stationary law, handed to the three lifted kernels
-    assert len(on_lift("stationary_distribution")) == 1
+    # the lifted stationary law is derived from the base log weights, not
+    # evaluated over the lifted support
+    assert len(on_lift("stationary_distribution")) == 0
+
+
+@pytest.mark.parametrize("theta", [0.3, 1e-300])
+def test_verify_derives_the_lifted_stationary_law(rng, theta):
+    # lmu, from the base log weights, is the lifted model's own stationary
+    # law bit for bit; gker's is the model's
+    pool = [random_monotone_model(rng) for _ in range(3)]
+    pool += [models.flip(random_rc(rng)), random_bhc(rng),
+             models.LeftMarginalModel(random_bhc(rng)),
+             models.pin(random_monotone_model(rng), {0: 1})]
+    for m in pool:
+        c = cli._VerifyContext(m, theta, 2, 3)
+        assert c.lmu.tobytes() == exact.stationary_distribution(
+            c.lifted, c.lsup).tobytes()
+        assert c.gker.stationary.tobytes() == exact.stationary_distribution(
+            m, c.sup).tobytes()
 
 
 def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,

@@ -548,7 +548,8 @@ def steps_vs_per_call(law, x0, steps, seed=0, spare=None, allowed=None, t0=5):
     oracle's, shifted back by t0) and final state."""
     a, b = rng_copies(seed, spare)
     x0 = tuple(x0)
-    graph = dynamics._SiteGraph(law)
+    # every slot its own fiber, so the law is called once per (state, site)
+    graph = dynamics._SiteGraph(law, lambda state, v: (state, v))
     draws = dynamics._RawDraws(a.bit_generator, len(x0),
                                dynamics._single_site_words(len(x0), steps))
     path = []
@@ -969,9 +970,11 @@ class TestFiberKey:
             # one call per (site, base fiber): at most n 2^(n-1)
             assert len(keys) <= m.n_vars * 2 ** (m.n_vars - 1)
 
-    def test_star_has_no_fiber(self):
-        # a star and a 1 contract alike, but only the 1 is redrawn
-        assert dynamics._star_frozen_fiber((models.STAR, 1), 0) is None
+    def test_every_star_shares_one_key(self):
+        # a star and a 1 contract alike, but only the 1 is redrawn; every
+        # star has the one law that keeps it, under the key STAR
+        assert dynamics._star_frozen_fiber((models.STAR, 1), 0) == models.STAR
+        assert dynamics._star_frozen_fiber((0, models.STAR), 1) == models.STAR
         assert dynamics._star_frozen_fiber((1, models.STAR), 0) == (0, (1,))
         assert dynamics._star_frozen_fiber((0, models.STAR), 0) == (0, (1,))
 
@@ -993,18 +996,6 @@ class TestFiberKey:
         assert len(seen) == calls
         assert again[:2] == slot[:2]  # the same two edges, one law
         assert len(graph.fibers) == 1
-
-    def test_law_without_a_fiber_shares_nothing(self):
-        seen = []
-
-        def law(state, v):
-            seen.append((state, v))
-            return (0, 1), (0.5, 0.5)
-
-        graph = dynamics._SiteGraph(law)
-        graph.fill(graph.node((0, 0)), 0)
-        graph.fill(graph.node((1, 0)), 0)
-        assert seen == [((0, 0), 0), ((1, 0), 0)] and graph.fibers == {}
 
 
 def columns_run(states, ids, times):

@@ -714,6 +714,22 @@ class TestSiteComparisonByFibers:
         assert got == want
         return got, kernel_path.called
 
+    def test_fiber_codes_number_fibers_as_rows_did(self, rng):
+        # the lifts of bipartite hard-core K3,3, whose support is not a
+        # product, and of a left marginal; the fiber numbering picks the
+        # witness, so the code order must be the row order
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)],
+                    bipartite_k=3)
+        bhc = models.BipartiteHardcoreModel(k33, 1.0, 1.0)
+        assert enumerate_support(lift_model(bhc, 0.5)).size < 3 ** 6
+        for base in (bhc, models.LeftMarginalModel(random_bhc(rng))):
+            sup = enumerate_support(lift_model(base, 0.5))
+            codes, place = exact._state_codes(sup.array, 3)
+            for v in range(base.n_vars):
+                _, fiber = np.unique(codes - sup.array[:, v] * place[v],
+                                     return_inverse=True)
+                assert np.array_equal(fiber, oracles.row_fibers(sup, v))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95))
     def test_matches_kernel_path_on_random_models(self, seed, theta):
@@ -974,6 +990,72 @@ class TestMixing:
 THETAS = st.one_of(st.floats(0.05, 0.95),
                    st.floats(5e-324, 1e-320, allow_subnormal=True),
                    st.sampled_from([5e-324, 1e-323, 1.5e-323]))
+
+
+# conditionals with zero entries of either sign, so that a denominator may
+# be 0 (also where theta q1 underflows), and subnormal ones
+PROBS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1),
+                  st.floats(5e-324, 1e-300, allow_subnormal=True))
+
+
+def float_division_error():
+    try:
+        1.0 / 0.0
+    except ZeroDivisionError as e:
+        return str(e)
+
+
+class TestDerivedLaws:
+    """models.tilted_probs, lifted_probs and lift_log_weight are each one
+    arithmetic for the models' floats and the exact tables' arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(THETAS, st.sampled_from([0.3, 0.7])),
+           st.lists(st.tuples(PROBS, PROBS), min_size=1, max_size=6))
+    def test_probs_of_arrays_are_those_of_floats(self, theta, pairs):
+        q0, q1 = (np.array(column) for column in zip(*pairs))
+        for law in (models.tilted_probs, models.lifted_probs):
+            try:
+                want = np.array([law(theta, a, b) for a, b in pairs])
+            except ZeroDivisionError as e:
+                assert str(e) == float_division_error()
+                with pytest.raises(ZeroDivisionError, match=f"^{e}$"):
+                    law(theta, q0, q1)
+                continue
+            got = np.stack(law(theta, q0, q1), axis=1)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(THETAS, st.sampled_from([0.3, 0.7])),
+           st.lists(st.tuples(st.sampled_from([0.0, -0.0])
+                              | st.floats(-1e3, 1e3),
+                              st.integers(0, 20), st.integers(0, 20)),
+                    min_size=1, max_size=6))
+    def test_lift_log_weight_of_arrays_is_that_of_floats(self, theta, rows):
+        want = np.array([models.lift_log_weight(lw, ones, stars, theta)
+                         for lw, ones, stars in rows])
+        lw, ones, stars = (np.array(column) for column in zip(*rows))
+        got = models.lift_log_weight(lw, ones, stars, theta)
+        assert got.tobytes() == want.tobytes()
+
+    def test_models_call_them(self, rng):
+        # each model's own float evaluation is the function's
+        for _ in range(4):
+            m = random_monotone_model(rng)
+            lifted, tilted = lift_model(m, 0.3), models.TiltedModel(m, 0.3)
+            law = star_frozen_law(lifted)
+            for s in enumerate_support(lifted).states:
+                lw = m.log_weight(ordercore.contract(s))
+                assert lifted.log_weight(s) == models.lift_log_weight(
+                    lw, ordercore.num_ones(s), ordercore.num_stars(s), 0.3)
+                for v in range(m.n_vars):
+                    q = m.conditional(ordercore.contract(s), v)
+                    assert lifted.conditional(s, v) == models.lifted_probs(
+                        0.3, *q)
+                    if s[v] != STAR:
+                        assert law(s, v)[1] == models.tilted_probs(0.3, *q)
+                        assert tilted.conditional(
+                            ordercore.contract(s), v) == law(s, v)[1]
 
 
 def tilted_pool(rng):
