@@ -11,19 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (check_monotone_system, enumerate_support, kl_divergence,
-                    pinnings, stationary_distribution)
+from .exact import Tables, kl_divergence, pinnings
 from .models import lambda_c  # noqa: F401  (re-exported)
 from .ordercore import enumerate_up_sets
 
 _TRANSPORT_SCALE = 10 ** 12
 _FREE = 2  # index of "free" on each axis of a pinned-mass table
 _EI_BLOCK_ENTRIES = 1 << 20  # candidate entries ei_witness scores at once
-
-
-def _support_data(model):
-    sup = enumerate_support(model)
-    return sup, stationary_distribution(model, sup)
 
 
 def _pinned_masses(sup, probs) -> np.ndarray:
@@ -91,7 +85,8 @@ def influence_matrix(model, pinning=None, include_diagonal=True) -> InfluenceMat
     n = model.n_vars
     if len(pinning) > n - 2:
         raise ValueError("pinning must leave at least two free variables")
-    marg = _marginals(_pinned_masses(*_support_data(model)))
+    tables = Tables(model)
+    marg = _marginals(_pinned_masses(tables.support, tables.mu))
     cell = [pinning.get(v, _FREE) for v in range(n)]
     mat = np.zeros((n, n))
     for u in range(n):
@@ -109,8 +104,9 @@ def max_sinf_norm(model, max_pin=None) -> float:
     """Max influence-matrix norm over all feasible pinnings leaving at least
     two free variables: every pinning is a cell of the pinned-mass table, so
     each row u is computed for all of them at once."""
-    return _max_sinf_norm(_marginals(_pinned_masses(*_support_data(model))),
-                          max_pin)
+    tables = Tables(model)
+    return _max_sinf_norm(_marginals(_pinned_masses(tables.support,
+                                                    tables.mu)), max_pin)
 
 
 def _max_sinf_norm(marg, max_pin=None) -> float:
@@ -152,8 +148,9 @@ def marginal_stability(model, max_vars=10) -> float:
     v to 1.  Every pinning leaving v free is a cell of one odds array per v,
     and the sub-pinning side is one minimum over sub-cells."""
     _check_stability_guard(model, max_vars)
+    tables = Tables(model)
     return _marginal_stability(
-        _marginals(_pinned_masses(*_support_data(model))))
+        _marginals(_pinned_masses(tables.support, tables.mu)))
 
 
 def _check_stability_guard(model, max_vars=10):
@@ -209,7 +206,7 @@ def _transport_cost(states_a, pa, states_b, pb) -> float:
     return cost / _TRANSPORT_SCALE
 
 
-def _certified_monotone(model, sup, probs) -> bool:
+def _certified_monotone(tables: Tables) -> bool:
     """Whether every pair of conditionings law(.|tau, i=1), law(.|tau, i=0)
     is ordered by stochastic dominance, certified once for the model.
 
@@ -221,12 +218,14 @@ def _certified_monotone(model, sup, probs) -> bool:
     support with mu > 0, and check_monotone_system, which decides monotone
     conditionals up to PROB_TOL; the ordering holds up to the same
     tolerance."""
-    if tuple(model.alphabet) != (0, 1) or sup.size != 2 ** model.n_vars:
+    model = tables.model
+    if (tuple(model.alphabet) != (0, 1)
+            or tables.support.size != 2 ** model.n_vars):
         return False
-    if not (probs > 0.0).all():
+    if not (tables.mu > 0.0).all():
         return False
     try:
-        return check_monotone_system(model)[0]
+        return tables.monotone_system()[0]
     except ValueError:  # guarded out of the check
         return False
 
@@ -244,15 +243,15 @@ def coupling_independence(model, max_states=512) -> float:
     sites, read from the pinned-mass table with no flow.  Every other model
     solves one min-cost flow per pair of conditionings, each guarded to
     max_states states."""
-    return _coupling_independence(model, *_support_data(model), max_states)
+    return _coupling_independence(Tables(model), max_states)
 
 
-def _coupling_independence(model, sup, probs, max_states=512,
+def _coupling_independence(tables: Tables, max_states=512,
                            marg=None) -> float:
-    """coupling_independence over the model's support and law; marg, the
-    _marginals table of that law, is built if needed and not given."""
-    n = model.n_vars
-    if _certified_monotone(model, sup, probs):
+    """coupling_independence over the model's Tables; marg, the _marginals
+    table of its law, is built if needed and not given."""
+    n, sup, probs = tables.model.n_vars, tables.support, tables.mu
+    if _certified_monotone(tables):
         if marg is None:
             marg = _marginals(_pinned_masses(sup, probs))
         return max(float(np.abs(marg.take(1, axis=1 + i)
@@ -294,7 +293,8 @@ def ei_witness(model, iterations=200, rng=None, restarts=4):
     ends strictly higher.
 
     Returns (best ratio, best nu as an array over the support)."""
-    return _ei_witness(*_support_data(model), iterations, rng, restarts)
+    tables = Tables(model)
+    return _ei_witness(tables.support, tables.mu, iterations, rng, restarts)
 
 
 def _log(x) -> np.ndarray:
@@ -589,16 +589,18 @@ class IndependenceReport:
 
 
 def independence_report(model, rng=None) -> IndependenceReport:
-    """The four diagnostics at their defaults, from one support, one law
-    and one pinned-mass table, built once and shared."""
+    """The four diagnostics at their defaults, from one Tables (one
+    support, law and heat-bath table) and one pinned-mass table, built once
+    and shared."""
     # first: the variable guard refuses a model before any n 3^n table is built
     _check_stability_guard(model)
-    sup, probs = _support_data(model)
+    tables = Tables(model)
+    sup, probs = tables.support, tables.mu
     marg = _marginals(_pinned_masses(sup, probs))
     rep = IndependenceReport()
     rep.marginal_stability = _marginal_stability(marg)
     rep.sinf = _max_sinf_norm(marg)
-    rep.coupling = _coupling_independence(model, sup, probs, marg=marg)
+    rep.coupling = _coupling_independence(tables, marg=marg)
     r, nu = _ei_witness(sup, probs, rng=rng)
     rep.ei_ratio = r
     rep.ei_nu = None if nu is None else [float(x) for x in nu]

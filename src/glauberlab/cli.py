@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, exact, fileio, models
-from .ordercore import STAR, first_dominance_failure, parse_state
+from .ordercore import first_dominance_failure, parse_state
 
 
 def _build_parser():
@@ -144,63 +144,20 @@ def cmd_sample(args):
     return 0
 
 
-class _VerifyContext:
-    """What the checks share; each table and kernel is built on first use,
-    at most once.  The model's heat-bath law is evaluated once per (site,
-    fiber) of its support, its log weight once per state; the lifted laws
-    and stationary law are derived from those.
-
-    Every kernel is dense, and each is refused past DENSE_GUARD by
-    `exact._dense_support` before any law is evaluated over its support:
-    the base kernel's support as `gker` starts, the lifted support as it
-    is enumerated, since every lifted check builds a kernel or law table
-    over it.  `sup` itself is not refused: monotone-system reads only the
-    conditionals."""
+class _VerifyContext(exact.Tables):
+    """The tables of the model and its lift, and the propagations the
+    checks share over them; each is built on first use, at most once."""
 
     def __init__(self, model, theta, t1, t2):
-        self.model, self.theta, self.t1, self.t2 = model, theta, t1, t2
+        super().__init__(model, theta)
+        self.t1, self.t2 = t1, t2
         self.ones = tuple([1] * model.n_vars)
         self.is_plain_hc = (isinstance(model, models.HardcoreModel)
                             and model.graph.m > 0)
 
-    sup = cached_property(lambda c: exact.enumerate_support(c.model))
-    # the heat-bath law over sup, one conditional per (site, fiber)
-    table = cached_property(
-        lambda c: exact._site_conditionals(c.model, c.sup))
-    lws = cached_property(lambda c: exact._log_weights(c.model, c.sup))
-
-    @cached_property
-    def gker(c):
-        sup = exact._dense_support(c.model, c.sup)
-        return exact._law_kernel(c.model, exact._heat_bath(sup, c.table), sup,
-                                 exact._normalized(c.lws))
-
-    lifted = cached_property(lambda c: models.lift_model(c.model, c.theta))
-    lsup = cached_property(lambda c: exact._dense_support(c.lifted, None))
-    # the index in sup of each lifted state's contraction
-    index = cached_property(lambda c: exact._contraction_index(c.lsup, c.sup))
-    # the base conditional of each lifted state, per site
-    lsites = cached_property(
-        lambda c: exact._lift_sites(c.lsup, c.table, c.index))
-
-    # the lifted heat-bath and star-frozen law arrays
-    larrays = cached_property(
-        lambda c: exact._lifted_heat_bath(c.lifted, c.lsup, c.lsites))
-    sarrays = cached_property(
-        lambda c: exact._star_frozen(c.lifted, c.lsup, c.lsites))
-    # the lift's stationary law over lsup, from its contractions' log weights
-    lmu = cached_property(lambda c: exact._normalized(models.lift_log_weight(
-        c.lws[c.index], (c.lsup.array == 1).sum(axis=1),
-        (c.lsup.array == STAR).sum(axis=1), c.lifted.theta)))
-    lker = cached_property(
-        lambda c: exact._law_kernel(c.lifted, c.larrays, c.lsup, c.lmu))
-    freeze = cached_property(
-        lambda c: exact.freeze_kernel(c.lifted, c.lsup, stationary=c.lmu))
-    starg = cached_property(
-        lambda c: exact._law_kernel(c.lifted, c.sarrays, c.lsup, c.lmu))
     # the lift of the point mass at the all-1 state
-    pi0 = cached_property(lambda c: exact._lift(
-        exact.point_mass(c.sup, c.ones), c.index, c.theta, c.lsup))
+    pi0 = cached_property(lambda c: c.lift(exact.point_mass(c.support,
+                                                            c.ones)))
     # laws of the simulation run over 2*t1*t2 steps from pi0
     alg = cached_property(lambda c: exact.propagate(
         c.pi0, exact.algorithm_kernel_sequence(
@@ -210,7 +167,8 @@ class _VerifyContext:
     lifted_laws = cached_property(lambda c: exact.propagate(
         c.pi0, [c.lker] * max(20, 2 * c.t1 * c.t2)))
     laws = cached_property(lambda c: exact.propagate(
-        exact.point_mass(c.sup, c.ones), [c.gker] * max(20, 2 * c.t1 * c.t2)))
+        exact.point_mass(c.support, c.ones),
+        [c.gker] * max(20, 2 * c.t1 * c.t2)))
 
 
 def _check_detailed_balance(c):
@@ -222,8 +180,7 @@ def _check_detailed_balance(c):
 
 
 def _check_monotone_system(c):
-    exact._monotone_guard(c.model)
-    ok, wit = exact._monotone_system(c.model, c.sup, c.table)
+    ok, wit = c.monotone_system()
     return ok, not c.is_plain_hc, None if wit is None else repr(wit)
 
 
@@ -245,9 +202,8 @@ def _check_many_stationary(c):
 
 
 def _check_lift_identity(c):
-    worst = max(exact.tv_distance(
-        exact._lift(mu_t, c.index, c.theta, c.lsup), pi_t)
-        for mu_t, pi_t in zip(c.laws[1:21], c.lifted_laws[1:21]))
+    worst = max(exact.tv_distance(c.lift(mu_t), pi_t)
+                for mu_t, pi_t in zip(c.laws[1:21], c.lifted_laws[1:21]))
     return worst <= 1e-10, True, worst
 
 
@@ -259,8 +215,7 @@ def _check_dominance(c):
 def _check_tv_comparison(c):
     mu = c.gker.stationary
     worst = max(
-        exact.tv_distance(mu_t, mu)
-        - exact.tv_distance(exact._contract(nu, c.index, c.sup), mu)
+        exact.tv_distance(mu_t, mu) - exact.tv_distance(c.contract(nu), mu)
         for mu_t, nu in zip(c.laws, c.alg[:c.t1 * c.t2 + 1]))
     return worst <= 1e-10, True, worst
 

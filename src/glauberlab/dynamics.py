@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import _slice_law, _tilted_weights, enumerate_support
+from .exact import Tables, _check_theta, _slice_law
 from .ordercore import STAR, contract, lift, state_str
 from .models import LiftedModel, heat_bath_law, star_frozen_law
 
@@ -461,7 +461,7 @@ def _field_sampler(model, theta):
     """The support table of model and the exact field-dynamics step
     (x, random) -> index of the next state in it, drawing its uniforms by
     calling random() and its state from the unnormalized theta-tilted
-    weights (`exact._tilted_weights`).
+    weights (`exact.Tables.tilted_weights`).
 
     Each 1-site of x is kept pinned at 1 when its uniform is at least
     theta; the kept set, as a bitmask, looks up its slice in the sampler's
@@ -469,10 +469,9 @@ def _field_sampler(model, theta):
     law (`exact._slice_law`, as fd_kernel reads it), computed at the first
     step that keeps that set.  When an entry would take the table past
     _FIELD_TABLE_SIZE slice entries, the table is dropped first."""
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0,1)")
-    support = enumerate_support(model)
-    weights = _tilted_weights(model, theta, support)
+    _check_theta(theta)
+    tables = Tables(model, theta)
+    support, weights = tables.support, tables.tilted_weights
     table, held = {}, 0
 
     def pinned_slice(kept):

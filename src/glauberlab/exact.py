@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, TiltedModel, lifted_probs,
-                     tilt, tilted_probs)
+from .models import (ENUM_GUARD, LiftedModel, TiltedModel, lift_log_weight,
+                     lifted_probs, tilt, tilted_probs)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -62,12 +63,6 @@ def _normalized(lws) -> np.ndarray:
     """The law with log weights lws (1-D), the largest subtracted first."""
     w = np.exp(lws - lws.max())
     return w / w.sum()
-
-
-def _tilted_weights(model, theta, support: Poset) -> np.ndarray:
-    """The unnormalised theta-tilted weights over the support, _weights of
-    the tilted model's log weights."""
-    return _weights(_log_weights(tilt(model, theta), support))
 
 
 def _weights(lws) -> np.ndarray:
@@ -143,8 +138,8 @@ def _state_codes(array, a):
     return array.astype(np.int64) @ place, place
 
 
-def _site_fibers(support: Poset, a, sites) -> list:
-    """The _Fibers of each of sites, from _state_codes: the state of a
+def _site_fibers(support: Poset, a) -> list:
+    """The _Fibers of each site, from _state_codes: the state of a
     fiber with value c, found by searchsorted on the codes, has the code
     less the site's digit with c put in.  Every state of a fiber finds the
     same states, so its fiber's first state is the least of them."""
@@ -152,7 +147,7 @@ def _site_fibers(support: Poset, a, sites) -> list:
     codes, place = _state_codes(arr, a)
     order = np.argsort(codes)
     out = []
-    for v in sites:
+    for v in range(support.array.shape[1]):
         want = (codes - arr[:, v] * place[v])[:, None] + (
             np.arange(a) * place[v])
         at = order[np.searchsorted(codes, want, sorter=order) % k]
@@ -164,17 +159,16 @@ def _site_fibers(support: Poset, a, sites) -> list:
     return out
 
 
-def _site_conditionals(model, support: Poset, sites=None) -> list:
-    """The model's heat-bath law at each of sites (every site by default)
-    over the support, evaluated once per (site, fiber): a list of
-    (_Fibers, cond), cond (f, a) holding model.conditional at each fiber's
-    first state.  A conditional ignores the site's own value, so that is
-    the conditional of every state of the fiber."""
-    sites = range(model.n_vars) if sites is None else sites
+def _site_conditionals(model, support: Poset) -> list:
+    """The model's heat-bath law at each site over the support, evaluated
+    once per (site, fiber): a list of (_Fibers, cond), cond (f, a) holding
+    model.conditional at each fiber's first state.  A conditional ignores
+    the site's own value, so that is the conditional of every state of the
+    fiber."""
     states = support.states
     return [(fib, np.array([model.conditional(states[i], fib.site)
                             for i in fib.first], dtype=float))
-            for fib in _site_fibers(support, len(model.alphabet), sites)]
+            for fib in _site_fibers(support, len(model.alphabet))]
 
 
 def _site_arrays(support: Poset, columns):
@@ -221,9 +215,9 @@ def _lift_sites(lifted_support: Poset, table, index) -> list:
     state's base conditional, read at the fiber of its contraction, whose
     index in the binary support is given.  LiftedModel.conditional and the
     star-frozen law both evaluate the base conditional at the contraction."""
-    fibers = _site_fibers(lifted_support, 3, [fib.site for fib, _ in table])
     return [(lfib, *cond[fib.fiber[index]].T)
-            for lfib, (fib, cond) in zip(fibers, table)]
+            for lfib, (fib, cond) in zip(_site_fibers(lifted_support, 3),
+                                         table)]
 
 
 def _lifted_heat_bath(lifted: LiftedModel, lifted_support: Poset, sites):
@@ -251,13 +245,12 @@ def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
     return _site_arrays(lifted_support, columns)
 
 
-def _law_kernel(model, arrays, support: Poset, stationary=None) -> Kernel:
+def _law_kernel(arrays, support: Poset, stationary) -> Kernel:
     """Kernel of one step at a uniform site of the law arrays (succ, prob)
     over the support (_site_arrays), summed by _step_matrices, with the
-    model's stationary law (computed unless given).  Every caller took the
-    support through _dense_support."""
-    return Kernel(support, _step_matrices(*arrays),
-                  stationary=_stationary(model, support, stationary))
+    given stationary law.  Every caller took the support through
+    _dense_support."""
+    return Kernel(support, _step_matrices(*arrays), stationary=stationary)
 
 
 def _step_matrices(to, prob):
@@ -277,11 +270,6 @@ def _step_matrices(to, prob):
     return mats.reshape(*lead, m, m)
 
 
-def _stationary(model, support, given):
-    """The given stationary law, or the model's over the support."""
-    return stationary_distribution(model, support) if given is None else given
-
-
 def _dense_support(model, support):
     """The given support, or the model's, refused past DENSE_GUARD before
     any law is evaluated over it: the one owner of the dense guard."""
@@ -294,16 +282,15 @@ def _dense_support(model, support):
     return support
 
 
-def glauber_kernel(model, support=None, site=None, stationary=None) -> Kernel:
+def glauber_kernel(model, support=None, site=None) -> Kernel:
     """Single-site heat-bath kernel: uniform site choice (or always `site`),
-    conditional resample, the law evaluated once per (site, fiber).  A
-    caller holding the model's stationary law over the support passes it
-    in."""
-    support = _dense_support(model, support)
-    sites = None if site is None else (site,)
-    return _law_kernel(model, _heat_bath(
-        support, _site_conditionals(model, support, sites)), support,
-        stationary)
+    conditional resample, the law evaluated once per (site, fiber): the
+    Tables kernel gker, or one step at `site` of its law arrays."""
+    tables = Tables(model, support=support)
+    if site is None:
+        return tables.gker
+    return _law_kernel(tuple(a[:, [site]] for a in tables.arrays),
+                       tables.dense, tables.mu)
 
 
 def freeze_kernel(lifted: LiftedModel, support=None,
@@ -313,24 +300,26 @@ def freeze_kernel(lifted: LiftedModel, support=None,
     support = _dense_support(lifted, support)
     code = _contraction_codes(support.array)
     mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
-    return Kernel(support, mat,
-                  stationary=_stationary(lifted, support, stationary))
+    if stationary is None:
+        stationary = stationary_distribution(lifted, support)
+    return Kernel(support, mat, stationary=stationary)
 
 
 def star_glauber_kernel(lifted: LiftedModel, support=None,
                         site=None) -> Kernel:
     """Star-frozen single-site kernel: uniform site choice (or always
     `site`); stars stay, other sites follow the tilted base conditional,
-    evaluated once per (site, fiber) of the base support."""
-    support = _dense_support(lifted, support)
-    bsup = enumerate_support(lifted.base)
-    sites = _lift_sites(support, _site_conditionals(
-        lifted.base, bsup, None if site is None else (site,)),
-        _contraction_index(support, bsup))
-    return _law_kernel(lifted, _star_frozen(lifted, support, sites), support)
+    evaluated once per (site, fiber) of the base support: the Tables
+    kernel starg of the lift's base, or one step at `site` of its law
+    arrays."""
+    tables = Tables(lifted.base, lifted.theta, lifted_support=support)
+    if site is None:
+        return tables.starg
+    return _law_kernel(tuple(a[:, [site]] for a in tables.sarrays),
+                       tables.lsup, tables.lmu)
 
 
-def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
+def fd_kernel(model, theta, support=None) -> Kernel:
     """Field dynamics: free every 0-site and each 1-site independently with
     probability theta, then resample the freed set from the tilted conditional.
     Exact sum over all freed sets; guarded to at most 20 variables.
@@ -342,33 +331,12 @@ def fd_kernel(model, theta, support=None, stationary=None) -> Kernel:
     meets its own kept sets in that order (itertools.product over its
     1-sites), so each entry receives the same addends in the same order as
     a loop over rows and kept sets would give it."""
-    return _fd_kernel(model, theta, support, stationary)[0]
+    return Tables(model, theta, support).fker
 
 
-def _fd_kernel(model, theta, support=None, stationary=None):
-    """(fd_kernel, the tilted _log_weights it read), for a caller that
-    needs those again."""
+def _check_theta(theta):
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
-    if model.n_vars > 20:
-        raise ValueError("field-dynamics kernel is guarded to 20 variables")
-    support = _dense_support(model, support)
-    k, n = support.size, model.n_vars
-    lws = _log_weights(tilt(model, theta), support)
-    w = _weights(lws)
-    ones = support.array == 1
-    count = ones.sum(axis=1)
-    move = np.array([[theta ** (c - r) * (1 - theta) ** r if r <= c else 0.0
-                      for r in range(n + 1)] for c in range(n + 1)])
-    mat = np.zeros((k, k))
-    for kept, idx in _one_slices(ones):
-        # in row blocks, so that no temporary exceeds _FD_BLOCK_ENTRIES
-        rows, to = move[count[idx], len(kept)], _slice_law(w[idx])
-        per = max(1, _FD_BLOCK_ENTRIES // idx.size)
-        for a in range(0, idx.size, per):
-            mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per], to)
-    return Kernel(support, mat,
-                  stationary=_stationary(model, support, stationary)), lws
 
 
 def _slice_law(w):
@@ -491,6 +459,114 @@ def _contract(probs, index, bin_support: Poset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the derived tables of one model
+
+
+class Tables:
+    """What the exact layer derives from one model and, for its lift and
+    its tilt, one theta, each table built on first use, at most once, from
+    the ones it reads: the model's conditional is evaluated once per (site,
+    fiber) of its support and its log weight once per state, and the
+    lifted and tilted tables are derived from those.
+
+    `support` (given, or enumerated under ENUM_GUARD) is not refused by
+    size; `dense`, which every base kernel reads, is the same support
+    refused past DENSE_GUARD before any law is evaluated over it, and the
+    lifted support `lsup` (given, or enumerated) is refused as it is
+    taken."""
+
+    def __init__(self, model, theta=None, support=None, lifted_support=None):
+        self.model, self.theta = model, theta
+        if support is not None:
+            self.support = support
+        self._lifted_support = lifted_support
+
+    support = cached_property(lambda t: enumerate_support(t.model))
+    dense = cached_property(lambda t: _dense_support(t.model, t.support))
+    lws = cached_property(lambda t: _log_weights(t.model, t.support))
+    mu = cached_property(lambda t: _normalized(t.lws))
+    # the heat-bath law over the support, one conditional per (site, fiber)
+    table = cached_property(lambda t: _site_conditionals(t.model, t.support))
+    arrays = cached_property(lambda t: _heat_bath(t.dense, t.table))
+    gker = cached_property(lambda t: _law_kernel(t.arrays, t.dense, t.mu))
+
+    lifted = cached_property(lambda t: LiftedModel(t.model, t.theta))
+    lsup = cached_property(
+        lambda t: _dense_support(t.lifted, t._lifted_support))
+    index = cached_property(lambda t: _contraction_index(t.lsup, t.support))
+    lsites = cached_property(lambda t: _lift_sites(t.lsup, t.table, t.index))
+    larrays = cached_property(
+        lambda t: _lifted_heat_bath(t.lifted, t.lsup, t.lsites))
+    sarrays = cached_property(
+        lambda t: _star_frozen(t.lifted, t.lsup, t.lsites))
+    lmu = cached_property(lambda t: _normalized(lift_log_weight(
+        t.lws[t.index], (t.lsup.array == 1).sum(axis=1),
+        (t.lsup.array == STAR).sum(axis=1), t.lifted.theta)))
+    lker = cached_property(lambda t: _law_kernel(t.larrays, t.lsup, t.lmu))
+    freeze = cached_property(lambda t: freeze_kernel(t.lifted, t.lsup, t.lmu))
+    starg = cached_property(lambda t: _law_kernel(t.sarrays, t.lsup, t.lmu))
+
+    def lift(self, probs) -> np.ndarray:
+        """lift_pushforward of a law over the support."""
+        return _lift(probs, self.index, self.theta, self.lsup)
+
+    def contract(self, probs) -> np.ndarray:
+        """contract_pushforward of a law over the lifted support."""
+        return _contract(probs, self.index, self.support)
+
+    tilted = cached_property(lambda t: tilt(t.model, t.theta))
+    tilted_lws = cached_property(
+        lambda t: _log_weights(t.tilted, t.support))
+    tilted_weights = cached_property(lambda t: _weights(t.tilted_lws))
+
+    @cached_property
+    def fker(self) -> Kernel:
+        """fd_kernel over the support, theta and the variables refused
+        first, with the model's stationary law."""
+        theta, n = self.theta, self.model.n_vars
+        _check_theta(theta)
+        if n > 20:
+            raise ValueError("field-dynamics kernel is guarded to 20 "
+                             "variables")
+        support = self.dense
+        k, w = support.size, self.tilted_weights
+        ones = support.array == 1
+        count = ones.sum(axis=1)
+        move = np.array([[theta ** (c - r) * (1 - theta) ** r if r <= c
+                          else 0.0 for r in range(n + 1)]
+                         for c in range(n + 1)])
+        mat = np.zeros((k, k))
+        for kept, idx in _one_slices(ones):
+            # in row blocks, so that no temporary exceeds _FD_BLOCK_ENTRIES
+            rows, to = move[count[idx], len(kept)], _slice_law(w[idx])
+            per = max(1, _FD_BLOCK_ENTRIES // idx.size)
+            for a in range(0, idx.size, per):
+                mat[np.ix_(idx[a:a + per], idx)] += np.outer(rows[a:a + per],
+                                                             to)
+        return Kernel(support, mat, stationary=self.mu)
+
+    def monotone_system(self, tol=PROB_TOL, max_vars=12):
+        """check_monotone_system, refused past max_vars variables first,
+        from the table: the keys of a site are its fibers, in the order of
+        their first states, each with its one conditional."""
+        model = self.model
+        if model.n_vars > max_vars:
+            raise ValueError(f"guarded to {max_vars} variables")
+        chain = Poset(tuple((a,) for a in model.alphabet))
+        support = self.support
+        for fib, cond in self.table:
+            others = support.array[fib.first]
+            others[:, fib.site] = 0
+            keys = Poset(tuple(map(tuple, others.tolist())))
+            fail = _first_unordered(cond, keys, chain, tol)
+            if fail is not None:
+                lo, hi = fib.first[fail[0]], fib.first[fail[1]]
+                return False, (fib.site, support.states[lo],
+                               support.states[hi])
+        return True, None
+
+
+# ---------------------------------------------------------------------------
 # divergences and checks
 
 
@@ -568,35 +644,11 @@ def check_stochastic_monotonicity(kernel: Kernel, tol=PROB_TOL):
 def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
     """Single-site conditionals must be stochastically increasing in the
     conditioning configuration, over all feasible full pinnings of the other
-    coordinates (keys), tested per site by _first_unordered.
+    coordinates (keys), tested per site by _first_unordered
+    (Tables.monotone_system).
 
     Returns (True, None) or (False, (v, state_lo, state_hi))."""
-    _monotone_guard(model, max_vars)
-    support = enumerate_support(model)
-    return _monotone_system(model, support,
-                            _site_conditionals(model, support), tol)
-
-
-def _monotone_guard(model, max_vars=12):
-    """Refuse check_monotone_system past max_vars variables."""
-    if model.n_vars > max_vars:
-        raise ValueError(f"guarded to {max_vars} variables")
-
-
-def _monotone_system(model, support: Poset, table, tol=PROB_TOL):
-    """check_monotone_system from the model's _site_conditionals table over
-    its support: the keys of a site are its fibers, in the order of their
-    first states, each with its one conditional."""
-    chain = Poset(tuple((a,) for a in model.alphabet))
-    for fib, cond in table:
-        others = support.array[fib.first]
-        others[:, fib.site] = 0
-        keys = Poset(tuple(map(tuple, others.tolist())))
-        fail = _first_unordered(cond, keys, chain, tol)
-        if fail is not None:
-            lo, hi = fib.first[fail[0]], fib.first[fail[1]]
-            return False, (fib.site, support.states[lo], support.states[hi])
-    return True, None
+    return Tables(model).monotone_system(tol, max_vars)
 
 
 def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL):
@@ -747,8 +799,8 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
             if not bad.any():
                 return True, None
     if bad is None or k <= _RAY_ELEMENTS:
-        return check_mc_leq(*(_law_kernel(model, law, support, mu)
-                              for law in laws), mu, tol)
+        return check_mc_leq(*(_law_kernel(law, support, mu) for law in laws),
+                            mu, tol)
     f, s = np.argwhere(bad)[0]
     seed = np.flatnonzero((fiber == f) & (at >= a - 1 - s))
     row = np.zeros(k)
@@ -1039,7 +1091,7 @@ def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
                              eps, cap, start)[0])
 
 
-def _tilted_slices(model, theta, support=None, table=None, lws=None):
+def _tilted_slices(tables: Tables):
     """The Glauber kernels of the tilted model on its feasible all-1 pinned
     slices, as stacks of equal-size slices of at most k^2 matrix entries in
     all (k the support size), built one stack at a time by _slice_stack.
@@ -1049,25 +1101,19 @@ def _tilted_slices(model, theta, support=None, table=None, lws=None):
 
     The tilt is made (and refused) first, then the support is taken
     through _dense_support.  The slices read the model's support, which
-    the tilt keeps state for state, and the tilted log weights, evaluated
-    once per state unless given as lws.  Where the tilt wraps the model in
-    a TiltedModel, models.tilted_probs tilts each fiber's conditional of
-    the model's _site_conditionals table (evaluated unless given); other
-    tilts (of a hard-core or a tilted model) are evaluated.  Each slice's
-    kernel and stationary law equal the pinned tilted model's bit for bit."""
-    tilted = tilt(model, theta)
-    support = _dense_support(model, support)
-    if isinstance(tilted, TiltedModel) and tilted.base is model:
-        if table is None:
-            table = _site_conditionals(model, support)
+    the tilt keeps state for state, and the tilted log weights.  Where the
+    tilt wraps the model in a TiltedModel, models.tilted_probs tilts each
+    fiber's conditional of the model's table; other tilts (of a hard-core
+    or a tilted model) are evaluated.  Each slice's kernel and stationary
+    law equal the pinned tilted model's bit for bit."""
+    tilted, support = tables.tilted, tables.dense
+    if isinstance(tilted, TiltedModel) and tilted.base is tables.model:
         succ, prob = _heat_bath(support, [
             (fib, np.stack(tilted_probs(tilted.theta, *cond.T), axis=-1))
-            for fib, cond in table])
+            for fib, cond in tables.table])
     else:
         succ, prob = heat_bath_arrays(tilted, support)
-    k = support.size
-    if lws is None:
-        lws = _log_weights(tilted, support)
+    k, lws = support.size, tables.tilted_lws
     by_size = {}
     for pinned, idx in _one_slices(support.array == 1):
         by_size.setdefault(idx.size, []).append((pinned, idx))
@@ -1108,13 +1154,11 @@ def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
     pinnings, maximized over starting states: the largest time
     _mixing_times gives a chain of the stacks of _tilted_slices."""
-    return _tilted_time(model, theta, eps, cap)
+    return _tilted_time(Tables(model, theta), eps, cap)
 
 
-def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, table=None,
-                 lws=None):
-    """tilted_mixing_time, given the model's support, _site_conditionals
-    table and tilted _log_weights.
+def _tilted_time(tables: Tables, eps, cap=10 ** 6):
+    """tilted_mixing_time of the model and theta of the tables.
 
     Only the largest is needed.  The first stack (the full slice) gives a
     time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
@@ -1123,8 +1167,7 @@ def _tilted_time(model, theta, eps, cap=10 ** 6, support=None, table=None,
     t.  Every stack still meets the step loop's refusal at step 0."""
     _check_eps(eps)
     best = 0
-    for _, _, mats, mus in _tilted_slices(model, theta, support, table,
-                                          lws):
+    for _, _, mats, mus in _tilted_slices(tables):
         if 1 <= best <= _FIXED_POINT_EVERY:
             slow = ~_within(mats, mus, eps, cap, best)
             mats, mus = mats[slow], mus[slow]
@@ -1140,20 +1183,19 @@ def comparison_times(model, theta, eps):
     Liu and Yin, FOCS'23): Glauber from the all-1 state at eps, field
     dynamics from the all-1 state and the worst start at eps / 2, the
     tilted-and-pinned time at eps / (2 max(t_fd_worst, 1)) and the bound
-    t_fd_worst * t_tilted.  The support is refused past DENSE_GUARD before
-    any law is evaluated; the heat-bath and stationary laws and the tilted
-    log weights are evaluated once and shared."""
-    sup = _dense_support(model, None)
-    mu = stationary_distribution(model, sup)
-    table = _site_conditionals(model, sup)
-    gker = _law_kernel(model, _heat_bath(sup, table), sup, mu)
+    t_fd_worst * t_tilted.  The support is refused past DENSE_GUARD, then
+    eps, a support without the all-1 state and theta, before any law is
+    evaluated; the laws are those of one Tables."""
+    tables = Tables(model, theta)
+    sup = tables.dense
+    _check_eps(eps)
     ones = tuple([1] * model.n_vars)
-    t_gd = exact_mixing_time(gker, ones, eps)
-    fker, lws = _fd_kernel(model, theta, sup, stationary=mu)
-    t_fd_ones = exact_mixing_time(fker, ones, eps / 2)
-    t_fd = exact_mixing_time(fker, None, eps / 2)
-    t_tilted = _tilted_time(model, theta, eps / (2 * max(t_fd, 1)),
-                            support=sup, table=table, lws=lws)
+    point_mass(sup, ones)
+    _check_theta(theta)
+    t_gd = exact_mixing_time(tables.gker, ones, eps)
+    t_fd_ones = exact_mixing_time(tables.fker, ones, eps / 2)
+    t_fd = exact_mixing_time(tables.fker, None, eps / 2)
+    t_tilted = _tilted_time(tables, eps / (2 * max(t_fd, 1)))
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 

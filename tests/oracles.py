@@ -454,7 +454,8 @@ def stepped_tilted_mixing_time(model, theta, eps, cap=10 ** 6):
     """tilted_mixing_time with every stack of _tilted_slices run by the
     step loop, without certificates."""
     return max((int(exact._stepped_times(mats, mus, eps, cap).max())
-                for _, _, mats, mus in exact._tilted_slices(model, theta)),
+                for _, _, mats, mus in exact._tilted_slices(
+                    exact.Tables(model, theta))),
                default=0)
 
 
@@ -478,14 +479,19 @@ def evaluated_tilted_slices(model, theta):
 
 def composed_comparison(model, theta, eps):
     """exact.comparison_times composed from the public calls, each kernel
-    and the tilted slices evaluating their own laws (only the stationary
-    law is handed on)."""
+    and the tilted slices evaluating their own laws, with its refusals of
+    eps, of a support without the all-1 state and of theta after the dense
+    guard and before any mixing time."""
     sup = exact.enumerate_support(model)
-    mu = exact.stationary_distribution(model, sup)
-    gker = exact.glauber_kernel(model, sup, stationary=mu)
+    gker = exact.glauber_kernel(model, sup)
     ones = tuple([1] * model.n_vars)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    exact.point_mass(sup, ones)
+    if not 0 < theta < 1:
+        raise ValueError("theta must lie in (0,1)")
     t_gd = exact.exact_mixing_time(gker, ones, eps)
-    fker = exact.fd_kernel(model, theta, sup, stationary=mu)
+    fker = exact.fd_kernel(model, theta, sup)
     t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
     t_fd = exact.exact_mixing_time(fker, None, eps / 2)
     t_tilted = exact.tilted_mixing_time(model, theta,
@@ -617,7 +623,7 @@ def per_step_field_run(model, theta, x0, steps, seed, record_at=()):
     from its tilted weights by linear scan, with no table; logs each
     changed coordinate."""
     support = exact.enumerate_support(model)
-    weights = exact._tilted_weights(model, theta, support)
+    weights = exact.Tables(model, theta, support).tilted_weights
     rng = dynamics.make_rng(seed, 0, "field")
     run, record_at = _per_step_run(model, x0, record_at)
     state = run.x0

@@ -232,7 +232,8 @@ class TestEiWitnessAgainstLoop:
     def test_fixed_models_tie_or_have_no_ratio(self, model):
         # the cases above are sharp: several candidates attain the largest
         # ratio (the first must win), and some have no ratio (NaN must lose)
-        sup, mu = analysis._support_data(model)
+        tables = exact.Tables(model)
+        sup, mu = tables.support, tables.mu
         ind = (sup.array == 1).astype(float)
         pair_mu = np.stack([1 - mu @ ind, mu @ ind], axis=-1)
         nus = np.concatenate(list(analysis._ei_candidates(sup, mu)))
@@ -412,7 +413,7 @@ class TestReport:
 
     def test_guard_refuses_before_any_table(self, monkeypatch):
         m = HardcoreModel(cycle(11), 1.0)
-        monkeypatch.setattr(analysis, "enumerate_support",
+        monkeypatch.setattr(exact, "enumerate_support",
                             lambda *a: pytest.fail("support enumerated"))
         with pytest.raises(ValueError, match="guarded to 10 variables"):
             independence_report(m)
@@ -439,7 +440,8 @@ class TestPinnedTable:
 
     def test_masses_and_marginals_match_scans(self, rng):
         for m in self.cases(rng):
-            sup, probs = analysis._support_data(m)
+            tables = exact.Tables(m)
+            sup, probs = tables.support, tables.mu
             table = analysis._pinned_masses(sup, probs)
             marg = analysis._marginals(table)
             assert table.shape == (3,) * m.n_vars
@@ -494,8 +496,7 @@ class TestAgainstOracles:
                 m = random_monotone_model(r, max_vars=5)
                 got = coupling_independence(m)
                 assert abs(got - oracles.per_pair_coupling(m)) <= 1e-9
-                done += analysis._certified_monotone(
-                    m, *analysis._support_data(m))
+                done += analysis._certified_monotone(exact.Tables(m))
         assert done >= 10  # most random monotone instances take the closed form
 
     @pytest.mark.parametrize("model", [
@@ -509,8 +510,7 @@ class TestAgainstOracles:
     ], ids=["hardcore-c5", "flipped-hardcore-c4", "lifted-rc-path",
             "bipartite-hardcore"])
     def test_uncertified_models_take_the_flow(self, model, monkeypatch):
-        assert not analysis._certified_monotone(
-            model, *analysis._support_data(model))
+        assert not analysis._certified_monotone(exact.Tables(model))
         calls = []
         flow = analysis._transport_cost
         monkeypatch.setattr(analysis, "_transport_cost",

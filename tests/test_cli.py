@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glauberlab import cli, exact, models, ordercore
+from glauberlab import analysis, cli, dynamics, exact, models, ordercore
 from glauberlab.ordercore import PROB_TOL
 import oracles
 from conftest import random_bhc, random_monotone_model, random_rc
@@ -157,13 +157,13 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
     assert len(on_lift("enumerate_support")) == 1
     assert calls["freeze_kernel"].call_count == 1
     # one star-frozen and one lifted heat-bath table, each summed into its
-    # kernel once
+    # kernel once, after the base heat-bath table
     assert calls["_star_frozen"].call_count == 1
     assert calls["_lifted_heat_bath"].call_count == 1
-    tables = [c.args[1] for c in on_lift("_law_kernel")]
-    assert len(tables) == 2
-    assert tables[0] is made["_lifted_heat_bath"]
-    assert tables[1] is made["_star_frozen"]
+    summed = [c.args[0] for c in calls["_law_kernel"].call_args_list]
+    assert len(summed) == 3
+    assert summed[1] is made["_lifted_heat_bath"]
+    assert summed[2] is made["_star_frozen"]
     assert calls["_contraction_index"].call_count == 1
     # the lifted stationary law is derived from the base log weights, not
     # evaluated over the lifted support
@@ -179,11 +179,11 @@ def test_verify_derives_the_lifted_stationary_law(rng, theta):
              models.LeftMarginalModel(random_bhc(rng)),
              models.pin(random_monotone_model(rng), {0: 1})]
     for m in pool:
-        c = cli._VerifyContext(m, theta, 2, 3)
-        assert c.lmu.tobytes() == exact.stationary_distribution(
-            c.lifted, c.lsup).tobytes()
-        assert c.gker.stationary.tobytes() == exact.stationary_distribution(
-            m, c.sup).tobytes()
+        t = exact.Tables(m, theta)
+        assert t.lmu.tobytes() == exact.stationary_distribution(
+            t.lifted, t.lsup).tobytes()
+        assert t.gker.stationary.tobytes() == exact.stationary_distribution(
+            m, t.support).tobytes()
 
 
 def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
@@ -209,17 +209,88 @@ def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
 
 def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
     # the Glauber kernel and the tilted slices share one evaluation of the
-    # heat-bath law, and the Glauber and field-dynamics kernels one
-    # stationary law
+    # heat-bath law, the Glauber and field-dynamics kernels one stationary
+    # law (one log weight per state of the model), and the field-dynamics
+    # kernel and the tilted slices one evaluation of the tilted log weights
     calls = {name: mock.Mock(wraps=getattr(exact, name))
-             for name in ("_site_conditionals", "stationary_distribution")}
+             for name in ("_site_conditionals", "_log_weights",
+                          "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
     assert calls["_site_conditionals"].call_count == 1
-    assert calls["stationary_distribution"].call_count == 1
+    assert [type(c.args[0]) for c in calls["_log_weights"].call_args_list
+            ] == [models.FlippedModel, models.TiltedModel]
+    assert calls["stationary_distribution"].call_count == 0
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("analyze", 1), ("mixing", 1), ("verify", 2)])
+def test_each_command_enumerates_its_support_once(p3, tmp_path, command,
+                                                  expected, monkeypatch,
+                                                  capsys):
+    # verify enumerates the model's support and its lift's; analyze also
+    # reads the monotone-system certificate from the one support
+    params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
+                   "lambda.default = 0.5\ntheta = 0.5\n")
+    spy = mock.Mock(wraps=exact.enumerate_support)
+    for mod in (analysis, cli, dynamics, exact):  # wherever it is bound
+        if hasattr(mod, "enumerate_support"):
+            monkeypatch.setattr(mod, "enumerate_support", spy)
+    assert run_cli([command, "--graph", p3, "--params", params,
+                    "--transform", "flip"]) == 0
+    capsys.readouterr()
+    assert spy.call_count == expected
+    assert isinstance(spy.call_args_list[0].args[0], models.FlippedModel)
+
+
+def test_analyze_evaluates_each_log_weight_twice(tmp_path, monkeypatch,
+                                                 capsys):
+    # flipped RC on C6 (k = 64): one log weight per state to enumerate the
+    # support, and one per state for its law
+    params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
+                   "lambda.default = 0.5\ntheta = 0.5\n")
+    calls = []
+    log_weight = models.FlippedModel.log_weight
+    monkeypatch.setattr(models.FlippedModel, "log_weight",
+                        lambda self, state: calls.append(1)
+                        or log_weight(self, state))
+    assert run_cli(["analyze", "--graph", cycle_graph(tmp_path, 6),
+                    "--params", params, "--transform", "flip"]) == 0
+    assert json.loads(capsys.readouterr().out)["coupling"] > 0
+    assert len(calls) == 128
+
+
+@pytest.mark.parametrize("params, expected", [
+    ("model = rc\np.default = 0.5\nlambda.default = 1.0\ntheta = 0.5\n",
+     "error: eps must lie in (0,1)\n"),
+    ("model = hardcore\nlambda = 1.0\ntheta = 0.5\n",
+     "error: state 11 is not in the support\n"),
+    ("model = rc\np.default = 0.5\nlambda.default = 1.0\ntheta = 1.5\n",
+     "error: theta must lie in (0,1)\n"),
+], ids=["eps", "no-all-1-state", "theta"])
+def test_mixing_refuses_its_configuration_before_any_law(
+        k2, tmp_path, params, expected, monkeypatch, capsys):
+    # eps, then the all-1 start, then theta, each before any conditional
+    calls = []
+    for cls in (models.FlippedModel, models.RandomClusterModel,
+                models.HardcoreModel):
+        def spy(self, state, v, fn=cls.conditional):
+            calls.append(v)
+            return fn(self, state, v)
+        monkeypatch.setattr(cls, "conditional", spy)
+    argv = ["mixing", "--graph", k2, "--params",
+            write(tmp_path / "m.params", params)]
+    if "rc" in params:
+        argv += ["--transform", "flip"]
+    if "eps" in expected:
+        argv += ["--eps", "1.5"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == expected
+    assert calls == []
 
 
 class TestLiftedOrderCeilings:

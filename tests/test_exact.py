@@ -1086,16 +1086,16 @@ class TestTiltedMixing:
         # which both refuse)
         def slices(make, *args):
             try:
-                return list(make(m, theta, *args))
+                return list(make(*args))
             except ValueError as e:
                 return repr(e)
 
         m = random_monotone_model(np.random.default_rng(seed))
         sup = enumerate_support(m)
-        want = slices(oracles.evaluated_tilted_slices)
-        for derived in (slices(exact._tilted_slices),
-                        slices(exact._tilted_slices, sup,
-                               exact._site_conditionals(m, sup))):
+        want = slices(oracles.evaluated_tilted_slices, m, theta)
+        for derived in (slices(exact._tilted_slices, exact.Tables(m, theta)),
+                        slices(exact._tilted_slices,
+                               exact.Tables(m, theta, sup))):
             if isinstance(want, str):
                 assert derived == want
                 continue
@@ -1121,7 +1121,8 @@ class TestTiltedMixing:
                 tilted = models.tilt(m, theta)
                 states = enumerate_support(tilted).states
                 got = {}
-                for pinned, sel, mats, mus in exact._tilted_slices(m, theta):
+                for pinned, sel, mats, mus in exact._tilted_slices(
+                        exact.Tables(m, theta)):
                     for sites, rows, mat, mu in zip(pinned, sel, mats, mus):
                         got[sites] = ([states[i] for i in rows], mat, mu)
                 want = list(oracles.per_pinning_tilted_kernels(m, theta))
@@ -1155,11 +1156,9 @@ class TestKernelsMatchLoops:
                     glauber_kernel(m, sup, site).matrix,
                     oracles.loop_law_kernel(m, models.heat_bath_law(m), site,
                                             sup))
-            given = glauber_kernel(m, sup, stationary=np.ones(sup.size))
-            assert np.array_equal(given.matrix, glauber_kernel(m, sup).matrix)
-            assert np.array_equal(given.stationary, np.ones(sup.size))
-            # the arrays comparison_times shares give the same kernel
-            shared = exact._law_kernel(m, exact.heat_bath_arrays(m, sup), sup,
+            # the heat-bath arrays summed with a given stationary law give
+            # the same kernel
+            shared = exact._law_kernel(exact.heat_bath_arrays(m, sup), sup,
                                        np.ones(sup.size))
             assert shared.matrix.tobytes() == glauber_kernel(m, sup).matrix.tobytes()
             assert np.array_equal(shared.stationary, np.ones(sup.size))
@@ -1274,7 +1273,7 @@ class TestSiteTables:
         def summed():
             with mock.patch.object(exact, "_slice_stack",
                                    wraps=exact._slice_stack) as stack:
-                list(exact._tilted_slices(m, theta))
+                list(exact._tilted_slices(exact.Tables(m, theta)))
             return stack.call_args_list[0].args[1:3]
 
         self.same(summed, lambda: oracles.law_arrays(
@@ -1351,7 +1350,7 @@ class TestStackedMixing:
 
     def test_tilted_stacks_match_one_chain_loops(self, rng):
         for m in tilted_pool(rng):
-            for _, _, mats, mus in exact._tilted_slices(m, 0.5):
+            for _, _, mats, mus in exact._tilted_slices(exact.Tables(m, 0.5)):
                 for eps in (0.25, 1e-3):
                     assert exact._mixing_times(mats, mus, eps, 10 ** 6
                                                ).tolist() == [
@@ -1478,7 +1477,7 @@ def stacks_far_at_start(model, theta, eps):
     """(chains, states) of each stack of _tilted_slices, counting only its
     chains farther than eps at the start."""
     out = []
-    for _, _, mats, mus in exact._tilted_slices(model, theta):
+    for _, _, mats, mus in exact._tilted_slices(exact.Tables(model, theta)):
         far = [max(exact.tv_distance(row, mu) for row in np.eye(len(mu))) > eps
                for mu in mus]
         if any(far):
@@ -1508,9 +1507,7 @@ class TestTiltedCertificates:
         sup = enumerate_support(m)
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
         assert tilted_mixing_time(m, theta, eps) == want
-        table = exact._site_conditionals(m, sup)
-        assert exact._tilted_time(m, theta, eps, support=sup,
-                                  table=table) == want
+        assert exact._tilted_time(exact.Tables(m, theta, sup), eps) == want
 
     def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
         with mock.patch.object(exact, "_mixing_times",
