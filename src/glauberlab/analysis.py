@@ -344,14 +344,15 @@ def _ei_ratios(nus, mu, marg, pair_mu) -> np.ndarray:
 
 
 def _climb_ratio(mu, ind, pair_mu):
-    """The ei_witness ratio of one law nu, None where it has none.  Where mu
-    and nu are positive everywhere, KL(nu || mu) is one accumulated array
-    under np.log, which may differ from math.log in the last bit: the climb
-    compares continuous proposals, where a last bit decides nothing except
-    on laws whose ratios are all 1 (one variable).  Otherwise it is
-    exact.kl_divergence.  Each site marginal is one dot product with a
-    column of ind, as in a loop over sites."""
-    lean = bool((mu > 0.0).all())
+    """The ei_witness ratio of one law nu, None where it has none.  Above
+    one variable, where mu and nu are positive everywhere, KL(nu || mu) is
+    one accumulated array under np.log, which may differ from math.log in
+    the last bit: the climb compares continuous proposals, where a last bit
+    decides nothing.  On one variable every law has ratio 1, so the last
+    bit decides which proposal the climb keeps, and KL is
+    exact.kl_divergence, as everywhere else.  Each site marginal is one
+    dot product with a column of ind, as in a loop over sites."""
+    lean = ind.shape[1] > 1 and bool((mu > 0.0).all())
     sites = list(zip(ind.T, pair_mu.tolist()))
 
     def ratio(nu):

@@ -20,26 +20,51 @@ from . import analysis, dynamics, exact, fileio, models
 from .ordercore import first_dominance_failure, parse_state
 
 
+_COMMANDS = ("sample", "verify", "analyze", "mixing", "kernel-export")
+
+
+def _add_options(parser):
+    """Declare on parser the options that every subcommand takes."""
+    parser.add_argument("--graph", required=True)
+    parser.add_argument("--params", required=True)
+    parser.add_argument("--transform", action="append", default=[])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--check", action="append", default=[])
+    parser.add_argument("--eps", type=float, default=0.1)
+    parser.add_argument("--t1", type=int, default=2)
+    parser.add_argument("--t2", type=int, default=3)
+    parser.add_argument("--steps", type=int, default=1000)
+    parser.add_argument("--record", default="")
+    return parser
+
+
 def _build_parser():
-    """The parser of every subcommand: one set of options, declared once on
-    a parent parser that each subcommand takes."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", required=True)
-    common.add_argument("--params", required=True)
-    common.add_argument("--transform", action="append", default=[])
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None)
-    common.add_argument("--check", action="append", default=[])
-    common.add_argument("--eps", type=float, default=0.1)
-    common.add_argument("--t1", type=int, default=2)
-    common.add_argument("--t2", type=int, default=3)
-    common.add_argument("--steps", type=int, default=1000)
-    common.add_argument("--record", default="")
+    """The parser of every subcommand, each with the options of
+    _add_options."""
     ap = argparse.ArgumentParser(prog="glauberlab")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("sample", "verify", "analyze", "mixing", "kernel-export"):
-        sub.add_parser(name, parents=[common])
+    for name in _COMMANDS:
+        _add_options(sub.add_parser(name))
     return ap
+
+
+def _parse_args(argv):
+    """The namespace that _build_parser gives argv (default sys.argv[1:]),
+    read by the named command's parser alone: _build_parser hands that
+    parser every argument after the command and sets `command` first.
+    An argv that names no command first, or leaves an argument over, goes
+    to _build_parser, which prints its usage, help or error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_options(argparse.ArgumentParser(
+            prog=f"glauberlab {argv[0]}"))
+        args, rest = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _load(args):
@@ -360,7 +385,7 @@ def _check_option_values(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     handlers = {"sample": cmd_sample, "verify": cmd_verify,
                 "analyze": cmd_analyze, "mixing": cmd_mixing,
                 "kernel-export": cmd_kernel_export}

@@ -9,9 +9,11 @@ text are derived from them on first use."""
 
 from __future__ import annotations
 
+import gc
 import math
 import zlib
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -263,7 +265,9 @@ class _SiteGraph:
     for every slot of that fiber.  Beyond _SITE_TABLE_SIZE filled slots,
     the next fill drops the nodes and the fiber table and starts again at a
     fresh node for the current state, so no old node stays reachable.  The
-    law is deterministic, so dropping changes no draw."""
+    law is deterministic, so dropping changes no draw.  Nodes hold each
+    other in cycles; `drop` clears them, so that reference counting frees
+    them without the cyclic collector."""
 
     def __init__(self, law, fiber):
         self.law, self.fiber = law, fiber
@@ -284,10 +288,10 @@ class _SiteGraph:
     def fill(self, node, v):
         """Fill slot v of node; returns (node, slot), with node the fresh
         one for the same state if the graph was dropped."""
-        if self.filled >= _SITE_TABLE_SIZE:
-            self.nodes, self.fibers, self.filled = {}, {}, 0
-            node = self.node(node[-3])
         state = node[-3]
+        if self.filled >= _SITE_TABLE_SIZE:
+            self.drop()
+            node = self.node(state)
         key = self.fiber(state, v)
         if key not in self.fibers:
             values, probs = self.law(state, v)
@@ -300,6 +304,30 @@ class _SiteGraph:
                           cum, succ, len(values) > 1)
         self.filled += 1
         return node, slot
+
+    def drop(self):
+        """Empty the graph but its state table, each node cleared."""
+        for node in self.nodes.values():
+            node.clear()
+        self.nodes, self.fibers, self.filled = {}, {}, 0
+
+
+@contextmanager
+def _site_graph(law, fiber):
+    """A _SiteGraph for the length of one run, with the cyclic collector
+    held off: a fill allocates a node's containers, and the collections
+    they trigger walk the whole graph (a quarter of a fill-heavy run's
+    time).  On exit the graph is dropped and the collector restored to its
+    previous state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    graph = _SiteGraph(law, fiber)
+    try:
+        yield graph
+    finally:
+        graph.drop()
+        if enabled:
+            gc.enable()
 
 
 def _heat_bath_fiber(state, v):
@@ -442,11 +470,11 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
 
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     x0 = _check_start(model, x0)
-    graph = _SiteGraph(heat_bath_law(model), _heat_bath_fiber)
     draws = _RawDraws(rng.bit_generator, len(x0),
                       _single_site_words(len(x0), steps))
     path = []
-    final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
+    with _site_graph(heat_bath_law(model), _heat_bath_fiber) as graph:
+        final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
                     list(graph.ids), path, final=final)
 
@@ -549,17 +577,18 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
                       _single_site_words(n, steps) + (t1 + 1) * n)
     state = _check_start(lifted, lift((1,) * n, theta, draws))
     x0 = state
-    graph = _SiteGraph(star_frozen_law(lifted), _star_frozen_fiber)
     path, relifts = [], []
-    for block in range(t1):
-        t = block * t2
-        # the relift belongs to the next step, so recorded states at block
-        # boundaries are the pre-relift ones; the log timestamps reflect that
-        relift = lift(contract(state), theta, draws)
-        for v in range(n):
-            if relift[v] != state[v]:
-                relifts.append((t + 1, v, relift[v]))
-        state = _site_steps(graph, relift, draws, t, t2, path)
+    with _site_graph(star_frozen_law(lifted), _star_frozen_fiber) as graph:
+        for block in range(t1):
+            t = block * t2
+            # the relift belongs to the next step, so recorded states at
+            # block boundaries are the pre-relift ones; the log timestamps
+            # reflect that
+            relift = lift(contract(state), theta, draws)
+            for v in range(n):
+                if relift[v] != state[v]:
+                    relifts.append((t + 1, v, relift[v]))
+            state = _site_steps(graph, relift, draws, t, t2, path)
     start_id = graph.ids.setdefault(x0, len(graph.ids))
     run = ChainRun(lifted, x0, seed, steps, _record_times(record_at, steps),
                    list(graph.ids), path, relifts=relifts, start_id=start_id,

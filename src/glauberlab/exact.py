@@ -17,8 +17,9 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, TiltedModel, lift_log_weight,
-                     lifted_probs, tilt, tilted_probs)
+from .models import (ENUM_GUARD, LiftedModel, TiltedModel, _check_guard,
+                     lift_log_weight, lifted_probs, tilt, tilt_log_weight,
+                     tilted_probs)
 
 DRIFT_TOL = 1e-9
 TV_TOL = 1e-10
@@ -38,6 +39,14 @@ _RAY_ELEMENTS = 32
 
 def enumerate_support(model, guard=ENUM_GUARD) -> Poset:
     return Poset(tuple(model.support_iter(guard=guard)))
+
+
+def _weighted_support(model):
+    """(enumerate_support(model), the log weight of each of its states):
+    each log weight is the one that admitted its state to the support."""
+    pairs = list(model._weighted_support(ENUM_GUARD))
+    return (Poset(tuple(s for s, _ in pairs)),
+            np.array([lw for _, lw in pairs], dtype=float))
 
 
 def pinnings(n, max_size, values=(0, 1)):
@@ -272,14 +281,19 @@ def _step_matrices(to, prob):
 
 def _dense_support(model, support):
     """The given support, or the model's, refused past DENSE_GUARD before
-    any law is evaluated over it: the one owner of the dense guard."""
+    any law is evaluated over it."""
     support = support or enumerate_support(model)
-    k = support.size
+    _dense_guard(support.size)
+    return support
+
+
+def _dense_guard(k):
+    """Refuse a dense kernel over k states past DENSE_GUARD: the one owner
+    of the dense guard."""
     if k > DENSE_GUARD:
         raise ValueError(f"a dense kernel over k = {k} states exceeds the "
                          f"guard of {DENSE_GUARD} ({8 * k * k >> 20} MiB "
                          "per matrix)")
-    return support
 
 
 def glauber_kernel(model, support=None, site=None) -> Kernel:
@@ -418,6 +432,27 @@ def _contraction_codes(array):
     return (array != 0) @ (1 << np.arange(array.shape[1], dtype=np.int64))
 
 
+def _lifts(bin_support: Poset) -> Poset:
+    """Every lift of every state of the binary support, each 1 kept or
+    made a STAR, in the lexicographic order of LiftedModel.support_iter
+    (0 < 1 < STAR): the lifted model's support, whose states are exactly
+    the lifts of the base's.  Only dense kernels read it, so it is refused
+    past DENSE_GUARD before it is built."""
+    arr = bin_support.array
+    ones = arr == 1
+    fan = 1 << ones.sum(axis=1)
+    _dense_guard(int(fan.sum()))
+    base = np.repeat(np.arange(bin_support.size), fan)
+    # lift j of a state stars the ones whose rank among its ones is a set
+    # bit of j
+    j = np.arange(base.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    rank = np.where(ones, np.cumsum(ones, axis=1) - 1, 0)[base]
+    star = ones[base] & ((j[:, None] >> rank) & 1 == 1)
+    lifted = np.where(star, STAR, arr[base]).astype(np.int8)
+    lifted = lifted[np.argsort(_state_codes(lifted, 3)[0])]
+    return Poset(tuple(map(tuple, lifted.tolist())))
+
+
 def _contraction_index(lifted_support: Poset, bin_support: Poset):
     """The index in bin_support of each lifted state's contraction; refused
     unless the lifted support holds exactly the lifts of bin_support."""
@@ -466,24 +501,34 @@ class Tables:
     """What the exact layer derives from one model and, for its lift and
     its tilt, one theta, each table built on first use, at most once, from
     the ones it reads: the model's conditional is evaluated once per (site,
-    fiber) of its support and its log weight once per state, and the
-    lifted and tilted tables are derived from those.
+    fiber) of its support and its log weight once per candidate state, as
+    the support is enumerated, and the lifted and tilted tables are derived
+    from those.
 
     `support` (given, or enumerated under ENUM_GUARD) is not refused by
     size; `dense`, which every base kernel reads, is the same support
     refused past DENSE_GUARD before any law is evaluated over it, and the
-    lifted support `lsup` (given, or enumerated) is refused as it is
-    taken."""
+    lifted support `lsup` is refused as it is taken."""
 
     def __init__(self, model, theta=None, support=None, lifted_support=None):
         self.model, self.theta = model, theta
-        if support is not None:
-            self.support = support
-        self._lifted_support = lifted_support
+        self._support, self._lifted_support = support, lifted_support
 
-    support = cached_property(lambda t: enumerate_support(t.model))
+    _weighted = cached_property(lambda t: _weighted_support(t.model))
+
+    @cached_property
+    def support(self) -> Poset:
+        return self._weighted[0] if self._support is None else self._support
+
+    @cached_property
+    def lws(self) -> np.ndarray:
+        """The log weight of each support state: the one its enumeration
+        evaluated, or over a given support one evaluation per state."""
+        if self._support is None:
+            return self._weighted[1]
+        return _log_weights(self.model, self._support)
+
     dense = cached_property(lambda t: _dense_support(t.model, t.support))
-    lws = cached_property(lambda t: _log_weights(t.model, t.support))
     mu = cached_property(lambda t: _normalized(t.lws))
     # the heat-bath law over the support, one conditional per (site, fiber)
     table = cached_property(lambda t: _site_conditionals(t.model, t.support))
@@ -491,8 +536,19 @@ class Tables:
     gker = cached_property(lambda t: _law_kernel(t.arrays, t.dense, t.mu))
 
     lifted = cached_property(lambda t: LiftedModel(t.model, t.theta))
-    lsup = cached_property(
-        lambda t: _dense_support(t.lifted, t._lifted_support))
+
+    @cached_property
+    def lsup(self) -> Poset:
+        """The given lifted support; else, over an enumerated support, its
+        _lifts, the lift's candidates refused past ENUM_GUARD first as its
+        own enumeration refuses them; else the lift's support enumerated.
+        Refused past DENSE_GUARD."""
+        lifted, support = self.lifted, self._lifted_support
+        if support is None and self._support is None:
+            _check_guard(lifted)
+            support = _lifts(self.support)
+        return _dense_support(lifted, support)
+
     index = cached_property(lambda t: _contraction_index(t.lsup, t.support))
     lsites = cached_property(lambda t: _lift_sites(t.lsup, t.table, t.index))
     larrays = cached_property(
@@ -515,8 +571,19 @@ class Tables:
         return _contract(probs, self.index, self.support)
 
     tilted = cached_property(lambda t: tilt(t.model, t.theta))
-    tilted_lws = cached_property(
-        lambda t: _log_weights(t.tilted, t.support))
+
+    @cached_property
+    def tilted_lws(self) -> np.ndarray:
+        """The tilt's log weight of each support state: tilt_log_weight of
+        lws where the tilt is a TiltedModel of the model, else one
+        evaluation per state (a hard-core tilt rewrites lambda)."""
+        tilted = self.tilted
+        if isinstance(tilted, TiltedModel) and tilted.base is self.model:
+            return tilt_log_weight(self.lws,
+                                   (self.support.array == 1).sum(axis=1),
+                                   tilted.theta)
+        return _log_weights(tilted, self.support)
+
     tilted_weights = cached_property(lambda t: _weights(t.tilted_lws))
 
     @cached_property

@@ -138,13 +138,26 @@ class Model:
 
     def support_iter(self, guard=ENUM_GUARD):
         """Yield support states in lexicographic order (guarded)."""
-        total = len(self.alphabet) ** self.n_vars
-        if total > guard:
-            raise ValueError(
-                f"state space of size {total} exceeds the guard {guard}")
+        for s, _ in self._weighted_support(guard):
+            yield s
+
+    def _weighted_support(self, guard=ENUM_GUARD):
+        """Yield (state, log weight) for each support state, in
+        support_iter's order and under its guard: one log_weight call per
+        candidate."""
+        _check_guard(self, guard)
         for s in itertools.product(self.alphabet, repeat=self.n_vars):
-            if self.log_weight(s) is not None:
-                yield s
+            lw = self.log_weight(s)
+            if lw is not None:
+                yield s, lw
+
+
+def _check_guard(model, guard=ENUM_GUARD):
+    """Refuse to enumerate the model's candidates past guard."""
+    total = len(model.alphabet) ** model.n_vars
+    if total > guard:
+        raise ValueError(
+            f"state space of size {total} exceeds the guard {guard}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ class TiltedModel(Model):
         lw = self.base.log_weight(state)
         if lw is None:
             return None
-        return lw + num_ones(state) * math.log(self.theta)
+        return tilt_log_weight(lw, num_ones(state), self.theta)
 
     def conditional(self, state, v):
         return tilted_probs(self.theta, *self.base.conditional(state, v))
@@ -532,6 +545,11 @@ def lifted_probs(theta, q0, q1):
     the conditional (q0, q1) to the values 0, 1, STAR, as tilted_probs."""
     z = _divisor(q0 + q1)
     return q0 / z, theta * q1 / z, (1 - theta) * q1 / z
+
+
+def tilt_log_weight(lw, ones, theta):
+    """A tilt's log weight from lw, its base's, and its number of 1s."""
+    return lw + ones * math.log(theta)
 
 
 def lift_log_weight(lw, ones, stars, theta):

@@ -32,7 +32,10 @@ the CLI parser that declares every option on each subcommand again; and
 the law arrays of a site-update law evaluated once per (state, site), which
 the exact layer derives from one conditional per fiber instead; and the
 fibers of a site numbered by np.unique over the rows with the site deleted,
-which the exact layer reads from integer state codes instead.
+which the exact layer reads from integer state codes instead; and the log
+weights, tilted log weights, lifted support and lifted law of a model
+evaluated state by state, which the exact layer keeps from the support's
+enumeration and derives from it.
 """
 
 import argparse
@@ -840,6 +843,24 @@ def loop_ei_witness(model, iterations=200, rng=None, restarts=4):
         if cur is not None and cur > best_r:
             best_r, best_nu = cur, nu
     return best_r, best_nu
+
+
+def per_state_tables(model, theta):
+    """The log weights, tilted log weights, lifted support and lifted
+    stationary law that exact.Tables derives, each evaluated state by
+    state: the model's and its tilt's log_weight at every support state,
+    the lift's support enumerated over all 3^n candidates, and its law
+    from the lift's own log_weight."""
+    support = exact.enumerate_support(model)
+    tilted = models.tilt(model, theta)
+    lifted = models.LiftedModel(model, theta)
+    lsup = exact.enumerate_support(lifted)
+    llws = np.array([lifted.log_weight(s) for s in lsup.states])
+    lmu = np.exp(llws - llws.max())
+    return {"lws": np.array([model.log_weight(s) for s in support.states]),
+            "tilted_lws": np.array([tilted.log_weight(s)
+                                    for s in support.states]),
+            "lsup": lsup, "lmu": lmu / lmu.sum()}
 
 
 def per_subcommand_parser():

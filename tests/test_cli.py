@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -131,7 +133,8 @@ def cycle_graph(tmp_path, n):
 def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
                                              capsys):
     # the simulation run reuses the freeze and star-frozen kernels that the
-    # other checks hold, over the one lifted support and contraction index
+    # other checks hold, over the one lifted support and contraction index;
+    # that support is the lifts of the base support, not enumerated
     made = {}
 
     def keep(name, fn):
@@ -141,7 +144,7 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
         return call
 
     calls = {name: mock.Mock(side_effect=keep(name, getattr(exact, name)))
-             for name in ("enumerate_support", "freeze_kernel",
+             for name in ("enumerate_support", "_lifts", "freeze_kernel",
                           "_star_frozen", "_lifted_heat_bath", "_law_kernel",
                           "_contraction_index", "stationary_distribution")}
     for name, spy in calls.items():
@@ -154,7 +157,8 @@ def test_default_verify_builds_the_lift_once(p3, rc_params, monkeypatch,
         return [c for c in calls[name].call_args_list
                 if isinstance(c.args[0], models.LiftedModel)]
 
-    assert len(on_lift("enumerate_support")) == 1
+    assert calls["enumerate_support"].call_count == 0
+    assert calls["_lifts"].call_count == 1
     assert calls["freeze_kernel"].call_count == 1
     # one star-frozen and one lifted heat-bath table, each summed into its
     # kernel once, after the base heat-bath table
@@ -210,46 +214,88 @@ def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
 def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
     # the Glauber kernel and the tilted slices share one evaluation of the
     # heat-bath law, the Glauber and field-dynamics kernels one stationary
-    # law (one log weight per state of the model), and the field-dynamics
-    # kernel and the tilted slices one evaluation of the tilted log weights
+    # law (the log weights that the support's enumeration evaluated), and
+    # the field-dynamics kernel and the tilted slices the tilted log
+    # weights derived from those
     calls = {name: mock.Mock(wraps=getattr(exact, name))
-             for name in ("_site_conditionals", "_log_weights",
-                          "stationary_distribution")}
+             for name in ("_site_conditionals", "_weighted_support",
+                          "_log_weights", "stationary_distribution")}
     for name, spy in calls.items():
         monkeypatch.setattr(exact, name, spy)
     assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
     assert calls["_site_conditionals"].call_count == 1
-    assert [type(c.args[0]) for c in calls["_log_weights"].call_args_list
-            ] == [models.FlippedModel, models.TiltedModel]
+    assert [type(c.args[0]) for c in calls["_weighted_support"].call_args_list
+            ] == [models.FlippedModel]
+    assert calls["_log_weights"].call_count == 0
     assert calls["stationary_distribution"].call_count == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "mixing"])
+def test_each_log_weight_is_evaluated_once(p3, rc_params, command,
+                                           monkeypatch, capsys):
+    # flipped RC on P3 has 4 candidate states, all in its support: each
+    # log weight is evaluated once, as the support is enumerated; the lift's
+    # support and law (verify) and the tilt's log weights (mixing) are
+    # derived from those, so neither the LiftedModel nor the TiltedModel
+    # evaluates one
+    calls = []
+    for cls in (models.FlippedModel, models.LiftedModel, models.TiltedModel):
+        def spy(self, state, cls=cls, fn=cls.log_weight):
+            calls.append(cls)
+            return fn(self, state)
+        monkeypatch.setattr(cls, "log_weight", spy)
+    assert run_cli([command, "--graph", p3, "--params", rc_params,
+                    "--transform", "flip"]) == 0
+    capsys.readouterr()
+    assert Counter(calls) == {models.FlippedModel: 4}
+
+
+def test_a_command_builds_its_own_parser_alone(p3, rc_params, monkeypatch):
+    # a named command's argv is read by that command's parser, not by the
+    # parser of every subcommand
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def count(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", count)
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
+    assert run_cli(["verify", "--graph", p3, "--params", rc_params]) == 0
+    assert built == ["glauberlab verify"]
+
+
 @pytest.mark.parametrize("command, expected", [
-    ("analyze", 1), ("mixing", 1), ("verify", 2)])
+    ("analyze", 1), ("mixing", 1), ("verify", 1)])
 def test_each_command_enumerates_its_support_once(p3, tmp_path, command,
                                                   expected, monkeypatch,
                                                   capsys):
-    # verify enumerates the model's support and its lift's; analyze also
+    # verify derives its lift's support from the model's; analyze also
     # reads the monotone-system certificate from the one support
     params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
                    "lambda.default = 0.5\ntheta = 0.5\n")
-    spy = mock.Mock(wraps=exact.enumerate_support)
-    for mod in (analysis, cli, dynamics, exact):  # wherever it is bound
-        if hasattr(mod, "enumerate_support"):
-            monkeypatch.setattr(mod, "enumerate_support", spy)
+    spies = {name: mock.Mock(wraps=getattr(exact, name))
+             for name in ("enumerate_support", "_weighted_support")}
+    for mod in (analysis, cli, dynamics, exact):  # wherever they are bound
+        for name, spy in spies.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
     assert run_cli([command, "--graph", p3, "--params", params,
                     "--transform", "flip"]) == 0
     capsys.readouterr()
+    assert spies["enumerate_support"].call_count == 0
+    spy = spies["_weighted_support"]
     assert spy.call_count == expected
     assert isinstance(spy.call_args_list[0].args[0], models.FlippedModel)
 
 
-def test_analyze_evaluates_each_log_weight_twice(tmp_path, monkeypatch,
-                                                 capsys):
+def test_analyze_evaluates_each_log_weight_once(tmp_path, monkeypatch,
+                                                capsys):
     # flipped RC on C6 (k = 64): one log weight per state to enumerate the
-    # support, and one per state for its law
+    # support, which its law reads
     params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
                    "lambda.default = 0.5\ntheta = 0.5\n")
     calls = []
@@ -260,7 +306,7 @@ def test_analyze_evaluates_each_log_weight_twice(tmp_path, monkeypatch,
     assert run_cli(["analyze", "--graph", cycle_graph(tmp_path, 6),
                     "--params", params, "--transform", "flip"]) == 0
     assert json.loads(capsys.readouterr().out)["coupling"] > 0
-    assert len(calls) == 128
+    assert len(calls) == 64
 
 
 @pytest.mark.parametrize("params, expected", [
@@ -864,38 +910,67 @@ def test_cli_import_leaves_networkx_and_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def parse_with(build, argv):
-    """(namespace or None, stdout, stderr, exit code) of parsing argv with
-    the parser that build makes."""
+def parse_with(parse, argv):
+    """(the namespace's items in order, or None; stdout; stderr; exit code)
+    of parse(argv)."""
     out, err = io.StringIO(), io.StringIO()
-    code, ns = None, None
+    code, items = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            ns = vars(build().parse_args(argv))
+            items = list(vars(parse(argv)).items())
         except SystemExit as e:
             code = e.code
-    return ns, out.getvalue(), err.getvalue(), code
+    return items, out.getvalue(), err.getvalue(), code
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--graph", "g", "--params", "p", "--transform", "flip",
-     "--check", "dominance", "--check", "lift-identity", "--eps", "0.2"],
+def oracle_parse(argv):
+    return oracles.per_subcommand_parser().parse_args(argv)
+
+
+_VERIFY = ["verify", "--graph", "g", "--params", "p"]
+PARSER_ARGVS = [
+    _VERIFY + ["--transform", "flip", "--check", "dominance", "--check",
+               "lift-identity", "--eps", "0.2"],
     ["sample", "--graph", "g", "--params", "p", "--steps", "9",
      "--record", "0,3", "--seed", "4", "--t1", "5", "--t2", "6"],
     [], ["bogus"], ["verify"], ["mixing", "--graph", "g"], ["--help"],
     ["sample", "--help"], ["verify", "--help"], ["analyze", "--help"],
     ["mixing", "--help"], ["kernel-export", "--help"],
     ["sample", "--graph", "g", "--params", "p", "--steps", "x"],
-    ["verify", "--graph", "g", "--params", "p", "--eps=--"],
-    ["verify", "--graph", "g", "--params", "p", "--bogus", "1"],
-])
+    _VERIFY + ["--eps=--"], _VERIFY + ["--bogus", "1"],
+    ["verify", "--gr", "g", "--par", "p"], _VERIFY + ["extra"],
+    _VERIFY + ["--", "x"], ["verify", "-h", "--graph"], ["verify", "--graph"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_parser_equals_the_per_subcommand_one(argv, monkeypatch):
-    # the options declared once on a parent parser read, print and refuse
-    # every argv as the options declared on each subcommand did
+    # the named command's parser alone, with the full parser behind it,
+    # reads, prints and refuses every argv as the options declared on each
+    # subcommand of one parser did, namespace order included (the first
+    # empty option that _check_option_values reports depends on it)
     monkeypatch.setenv("COLUMNS", "80")
-    got = parse_with(cli._build_parser, argv)
-    assert got == parse_with(oracles.per_subcommand_parser, argv)
+    got = parse_with(cli._parse_args, argv)
+    assert got == parse_with(oracle_parse, argv)
     assert (got[0] is None) == (got[3] is not None)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_main_reads_sys_argv_as_the_per_subcommand_parser(argv, monkeypatch):
+    # main(argv=None) parses sys.argv[1:], and hands each command the
+    # namespace the oracle gives
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["glauberlab"] + argv)
+    seen = []
+    monkeypatch.setattr(cli, "_check_option_values", seen.append)
+    for name in ("sample", "verify", "analyze", "mixing", "kernel_export"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: 0)
+
+    def run_main(_):
+        assert cli.main() == 0
+        return seen[-1]
+
+    assert parse_with(run_main, None) == parse_with(oracle_parse, argv)
 
 
 @pytest.mark.parametrize("option", ["--transform=--", "--check=--",

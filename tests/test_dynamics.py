@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from collections import Counter
 from unittest import mock
@@ -523,6 +524,72 @@ class TestSiteTable:
                 state[v] = val
                 seen.add(tuple(state))
             assert 0 < calls[0] <= len(seen) * m.n_vars < 2000
+
+
+class TestCollectorHeldOff:
+    """A single-site run holds the cyclic collector off while its state
+    graph lives, and gives it back as it found it, also when the run
+    raises; reference counting frees the graph's nodes."""
+
+    def test_no_collection_while_the_steps_run(self, monkeypatch):
+        # flipped RC on C10 visits hundreds of states, each fill allocating
+        # a node's containers; none of them sets off a collection
+        steps, inside, started = dynamics._site_steps, [False], []
+
+        def counted(*args, **kwargs):
+            inside[0] = True
+            try:
+                return steps(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def count(phase, info):
+            if phase == "start" and inside[0]:
+                started.append(info["generation"])
+
+        monkeypatch.setattr(dynamics, "_site_steps", counted)
+        c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+        m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
+        gc.callbacks.append(count)
+        try:
+            glauber_run(m, (1,) * 10, 20_000, 0)
+            censored_glauber(m, (1,) * 10, Schedule.always(10), 5_000, 0)
+            simulate_algorithm(m, 0.5, 50, 100, 0)
+        finally:
+            gc.callbacks.remove(count)
+        assert started == []
+        assert gc.isenabled()
+
+    def test_collector_state_is_restored(self, monkeypatch):
+        m = path_hardcore(4)
+        gc.disable()
+        try:
+            glauber_run(m, (0,) * 4, 100, 0)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+        def fail(self, state, v):
+            raise RuntimeError("law failed")
+
+        monkeypatch.setattr(HardcoreModel, "conditional", fail)
+        with pytest.raises(RuntimeError, match="law failed"):
+            glauber_run(m, (0,) * 4, 100, 0)
+        assert gc.isenabled()
+
+    def test_a_drop_clears_every_node(self, monkeypatch):
+        # a cleared node holds no other, so no cycle is left to collect
+        monkeypatch.setattr(dynamics, "_SITE_TABLE_SIZE", 4)
+        graph = dynamics._SiteGraph(models.heat_bath_law(path_hardcore(4)),
+                                    dynamics._heat_bath_fiber)
+        node = graph.node((0,) * 4)
+        for v in range(4):
+            node, slot = graph.fill(node, v)
+        old = list(graph.nodes.values())
+        assert len(old) > 1
+        node, slot = graph.fill(node, 0)  # the fifth fill drops the graph
+        assert all(n == [] for n in old)
+        assert node is not old[0] and node[4] == (0,) * 4
 
 
 def path_hardcore(n):

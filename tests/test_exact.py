@@ -1006,8 +1006,9 @@ def float_division_error():
 
 
 class TestDerivedLaws:
-    """models.tilted_probs, lifted_probs and lift_log_weight are each one
-    arithmetic for the models' floats and the exact tables' arrays."""
+    """models.tilted_probs, lifted_probs, tilt_log_weight and
+    lift_log_weight are each one arithmetic for the models' floats and the
+    exact tables' arrays."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(THETAS, st.sampled_from([0.3, 0.7])),
@@ -1037,6 +1038,10 @@ class TestDerivedLaws:
         lw, ones, stars = (np.array(column) for column in zip(*rows))
         got = models.lift_log_weight(lw, ones, stars, theta)
         assert got.tobytes() == want.tobytes()
+        want = np.array([models.tilt_log_weight(lw, ones, theta)
+                         for lw, ones, _ in rows])
+        got = models.tilt_log_weight(lw, ones, theta)
+        assert got.tobytes() == want.tobytes()
 
     def test_models_call_them(self, rng):
         # each model's own float evaluation is the function's
@@ -1048,6 +1053,9 @@ class TestDerivedLaws:
                 lw = m.log_weight(ordercore.contract(s))
                 assert lifted.log_weight(s) == models.lift_log_weight(
                     lw, ordercore.num_ones(s), ordercore.num_stars(s), 0.3)
+                c = ordercore.contract(s)
+                assert tilted.log_weight(c) == models.tilt_log_weight(
+                    lw, ordercore.num_ones(c), 0.3)
                 for v in range(m.n_vars):
                     q = m.conditional(ordercore.contract(s), v)
                     assert lifted.conditional(s, v) == models.lifted_probs(
@@ -1314,6 +1322,106 @@ class TestSiteTables:
             len(fib.first) for fib, _ in table)
         assert set(keys) == {(v, s[:v] + s[v + 1:]) for s in sup.states
                              for v in range(m.n_vars)}
+
+
+def per_state_model(rng, kind):
+    """RC, Ising, hard-core (whose tilt rewrites lambda), bipartite
+    hard-core, its left marginal, a pinned hard-core model (with infeasible
+    states among its candidates) or a tilted flipped RC (whose tilt is
+    another tilt of its base), by kind."""
+    if kind == 0:
+        return random_rc(rng)
+    if kind == 1:
+        g = Graph(3, [(0, 1), (1, 2)])
+        return IsingModel(g, rng.uniform(1.1, 3.0, g.m).tolist(),
+                          rng.uniform(0.1, 1.0, g.n).tolist())
+    if kind == 2:
+        return random_hardcore(rng)
+    if kind == 3:
+        return random_bhc(rng)
+    if kind == 4:
+        return models.LeftMarginalModel(random_bhc(rng))
+    if kind == 5:
+        return models.pin(random_hardcore(rng), {0: 0})
+    return models.tilt(flip(random_rc(rng)), float(rng.uniform(0.2, 0.9)))
+
+
+class TestTablesAgainstPerState:
+    """Tables keeps the log weights its support's enumeration evaluated,
+    derives the tilted ones and the lifted support and law from them, and
+    equals oracles.per_state_tables, which evaluates each state, bit for
+    bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), THETAS)
+    @example(0, 2, 0.5)
+    @example(0, 5, 5e-324)
+    @example(0, 6, 0.5)
+    def test_tables_equal_the_per_state_ones(self, seed, kind, theta):
+        m = per_state_model(np.random.default_rng(seed), kind)
+        try:
+            want = oracles.per_state_tables(m, theta)
+        except ValueError as e:  # a tilt that underflows lambda to 0
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                exact.Tables(m, theta).tilted_lws
+            return
+        t = exact.Tables(m, theta)
+        assert np.array_equal(t.lws, want["lws"])
+        assert np.array_equal(t.tilted_lws, want["tilted_lws"])
+        assert t.lsup.states == want["lsup"].states
+        assert np.array_equal(t.lmu, want["lmu"])
+
+    def test_a_given_support_is_evaluated_and_enumerates_the_lift(self):
+        # Tables derives nothing from a support it is given: its log weights
+        # are evaluated over it and the lift's support is enumerated
+        m = flip(random_rc(np.random.default_rng(4)))
+        sup = enumerate_support(m)
+        want = oracles.per_state_tables(m, 0.5)
+        with mock.patch.object(exact, "_lifts") as lifts:
+            t = exact.Tables(m, 0.5, sup)
+            assert np.array_equal(t.lws, want["lws"])
+            assert t.lsup.states == want["lsup"].states
+        assert lifts.call_count == 0
+
+    def test_a_ternary_model_is_refused(self):
+        lifted = lift_model(k2_flipped_rc(), 0.5)
+        for build in (lambda: exact.Tables(lifted, 0.5).lsup,
+                      lambda: exact.enumerate_support(lift_model(lifted,
+                                                                 0.5))):
+            with pytest.raises(ValueError, match="^base model must be "
+                                                 "binary$"):
+                build()
+
+    def test_lifted_guard_refuses_before_the_support(self, monkeypatch):
+        # flipped RC on C13: 2^13 base candidates, 3^13 lifted ones past
+        # ENUM_GUARD; the lift is refused as its enumeration refuses it,
+        # before any log weight is evaluated
+        c13 = Graph(13, [(i, (i + 1) % 13) for i in range(13)])
+        m = flip(RandomClusterModel(c13, [0.5] * 13, [0.5] * 13))
+        calls = []
+        monkeypatch.setattr(models.FlippedModel, "log_weight",
+                            lambda self, s: calls.append(s))
+        message = "^state space of size 1594323 exceeds the guard 1048576$"
+        for build in (lambda: exact.Tables(m, 0.5).lsup,
+                      lambda: exact.enumerate_support(lift_model(m, 0.5))):
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert calls == []
+
+    def test_lifted_dense_guard_names_the_lifted_size(self, monkeypatch):
+        # flipped RC on C8: 3^8 = 6561 lifted states, all in the support,
+        # counted and refused before the lifts are built and sorted
+        c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+        m = flip(RandomClusterModel(c8, [0.5] * 8, [0.5] * 8))
+        message = ("^a dense kernel over k = 6561 states exceeds the guard "
+                   "of 4096 \\(328 MiB per matrix\\)$")
+        codes = mock.Mock(wraps=exact._state_codes)
+        monkeypatch.setattr(exact, "_state_codes", codes)
+        with pytest.raises(ValueError, match=message):
+            exact.Tables(m, 0.5).lsup
+        assert codes.call_count == 0
+        with pytest.raises(ValueError, match=message):
+            freeze_kernel(lift_model(m, 0.5))
 
 
 def random_chain(rng, m, lazy):
