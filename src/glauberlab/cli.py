@@ -386,12 +386,10 @@ def _check_option_values(args):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    handlers = {"sample": cmd_sample, "verify": cmd_verify,
-                "analyze": cmd_analyze, "mixing": cmd_mixing,
-                "kernel-export": cmd_kernel_export}
     try:
         _check_option_values(args)
-        return handlers[args.command](args)
+        # each command of _COMMANDS runs its cmd_ function
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, RuntimeError, ArithmeticError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

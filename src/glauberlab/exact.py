@@ -37,16 +37,18 @@ _FIBER_SHARE = 0.5
 _RAY_ELEMENTS = 32
 
 
-def enumerate_support(model, guard=ENUM_GUARD) -> Poset:
-    return Poset(tuple(model.support_iter(guard=guard)))
+def enumerate_support(model, guard=ENUM_GUARD, *,
+                      _log_weights=None) -> Poset:
+    return Poset(tuple(model.support_iter(guard=guard,
+                                          _log_weights=_log_weights)))
 
 
 def _weighted_support(model):
     """(enumerate_support(model), the log weight of each of its states):
     each log weight is the one that admitted its state to the support."""
-    pairs = list(model._weighted_support(ENUM_GUARD))
-    return (Poset(tuple(s for s, _ in pairs)),
-            np.array([lw for _, lw in pairs], dtype=float))
+    lws = []
+    support = enumerate_support(model, _log_weights=lws)
+    return support, np.array(lws, dtype=float)
 
 
 def pinnings(n, max_size, values=(0, 1)):
@@ -539,15 +541,18 @@ class Tables:
 
     @cached_property
     def lsup(self) -> Poset:
-        """The given lifted support; else, over an enumerated support, its
-        _lifts, the lift's candidates refused past ENUM_GUARD first as its
-        own enumeration refuses them; else the lift's support enumerated.
-        Refused past DENSE_GUARD."""
-        lifted, support = self.lifted, self._lifted_support
-        if support is None and self._support is None:
-            _check_guard(lifted)
-            support = _lifts(self.support)
-        return _dense_support(lifted, support)
+        """The given lifted support; else the _lifts of the enumerated
+        support, the lift's candidates refused past ENUM_GUARD first as its
+        own enumeration refuses them.  Refused past DENSE_GUARD.  A base
+        support given without its lift has none: its callers (the base
+        kernel builders) read no lifted table."""
+        if self._lifted_support is not None:
+            return _dense_support(self.lifted, self._lifted_support)
+        if self._support is not None:
+            raise ValueError("no lifted support is derived from a given "
+                             "support")
+        _check_guard(self.lifted)
+        return _lifts(self.support)
 
     index = cached_property(lambda t: _contraction_index(t.lsup, t.support))
     lsites = cached_property(lambda t: _lift_sites(t.lsup, t.table, t.index))

@@ -136,20 +136,17 @@ class Model:
         z = sum(ws)
         return tuple(w / z for w in ws)
 
-    def support_iter(self, guard=ENUM_GUARD):
-        """Yield support states in lexicographic order (guarded)."""
-        for s, _ in self._weighted_support(guard):
-            yield s
-
-    def _weighted_support(self, guard=ENUM_GUARD):
-        """Yield (state, log weight) for each support state, in
-        support_iter's order and under its guard: one log_weight call per
-        candidate."""
+    def support_iter(self, guard=ENUM_GUARD, *, _log_weights=None):
+        """Yield support states in lexicographic order (guarded): one
+        log_weight call per candidate, and each yielded state's log weight
+        appended to the list _log_weights when one is given."""
         _check_guard(self, guard)
         for s in itertools.product(self.alphabet, repeat=self.n_vars):
             lw = self.log_weight(s)
             if lw is not None:
-                yield s, lw
+                if _log_weights is not None:
+                    _log_weights.append(lw)
+                yield s
 
 
 def _check_guard(model, guard=ENUM_GUARD):

@@ -1371,16 +1371,23 @@ class TestTablesAgainstPerState:
         assert t.lsup.states == want["lsup"].states
         assert np.array_equal(t.lmu, want["lmu"])
 
-    def test_a_given_support_is_evaluated_and_enumerates_the_lift(self):
+    def test_a_given_support_is_evaluated_and_has_no_lift(self):
         # Tables derives nothing from a support it is given: its log weights
-        # are evaluated over it and the lift's support is enumerated
+        # are evaluated over it, no lifted support is derived from it, and
+        # a given lifted support is used as it is
         m = flip(random_rc(np.random.default_rng(4)))
         sup = enumerate_support(m)
         want = oracles.per_state_tables(m, 0.5)
         with mock.patch.object(exact, "_lifts") as lifts:
             t = exact.Tables(m, 0.5, sup)
             assert np.array_equal(t.lws, want["lws"])
-            assert t.lsup.states == want["lsup"].states
+            with pytest.raises(ValueError, match="^no lifted support is "
+                                                 "derived from a given "
+                                                 "support$"):
+                t.lsup
+            t = exact.Tables(m, 0.5, sup, want["lsup"])
+            assert t.lsup is want["lsup"]
+            assert np.array_equal(t.lmu, want["lmu"])
         assert lifts.call_count == 0
 
     def test_a_ternary_model_is_refused(self):
