@@ -26,25 +26,19 @@ def main():
 
     g = models.Graph(3, [(0, 1), (1, 2)])
     m = models.flip(models.RandomClusterModel(g, [0.5, 0.5], [1.0] * 3))
-    sup = exact.enumerate_support(m)
-    mu = exact.stationary_distribution(m, sup)
+    tables = exact.Tables(m, args.theta)
+    sup, mu = tables.support, tables.mu
 
     print("== structural checks ==")
-    gker = exact.glauber_kernel(m, sup)
     print("detailed balance violation:",
-          exact.check_detailed_balance(gker))
-    print("monotone system:", exact.check_monotone_system(m)[0])
+          exact.check_detailed_balance(tables.gker))
+    print("monotone system:", tables.monotone_system()[0])
 
-    lifted = models.lift_model(m, args.theta)
-    lsup = exact.enumerate_support(lifted)
-    lker = exact.glauber_kernel(lifted, lsup)
-    freeze = exact.freeze_kernel(lifted, lsup)
-    starg = exact.star_glauber_kernel(lifted, lsup)
-    ok, wit = exact.check_mc_leq(lker, freeze @ starg)
+    ok, wit = exact.check_mc_leq(tables.lker, tables.freeze @ tables.starg)
     print("freeze-then-update comparison holds:", ok)
     if not ok:
         u, kind = wit
-        names = [state_str(lsup.states[i]) for i in sorted(u)]
+        names = [state_str(tables.lsup.states[i]) for i in sorted(u)]
         print(f"  failing {kind} up-set: {names}")
 
     print("== sampler vs exact law ==")

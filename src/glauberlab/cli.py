@@ -368,8 +368,7 @@ def cmd_mixing(args):
 
 def cmd_kernel_export(args):
     graph, params, model, chash = _load(args)
-    sup = exact.enumerate_support(model)
-    ker = exact.glauber_kernel(model, sup)
+    ker = exact.glauber_kernel(model)
     text = f"# config={chash} seed={args.seed}\n" + exact.kernel_to_csv(ker)
     _emit(args, text)
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
                         enumerate_up_sets, first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (ENUM_GUARD, LiftedModel, TiltedModel, _check_guard,
+from .models import (LiftedModel, TiltedModel, _check_guard,
                      lift_log_weight, lifted_probs, tilt, tilt_log_weight,
                      tilted_probs)
 
@@ -37,10 +37,8 @@ _FIBER_SHARE = 0.5
 _RAY_ELEMENTS = 32
 
 
-def enumerate_support(model, guard=ENUM_GUARD, *,
-                      _log_weights=None) -> Poset:
-    return Poset(tuple(model.support_iter(guard=guard,
-                                          _log_weights=_log_weights)))
+def enumerate_support(model, *, _log_weights=None) -> Poset:
+    return Poset(tuple(model.support_iter(_log_weights=_log_weights)))
 
 
 def _weighted_support(model):
@@ -214,12 +212,6 @@ def _heat_bath(support: Poset, table):
                                   for fib, cond in table])
 
 
-def heat_bath_arrays(model, support: Poset):
-    """The law arrays (_site_arrays) of the heat-bath law at every site,
-    the law evaluated once per (site, fiber) by _site_conditionals."""
-    return _heat_bath(support, _site_conditionals(model, support))
-
-
 def _lift_sites(lifted_support: Poset, table, index) -> list:
     """Per site of the base model's table (_site_conditionals over the
     binary support), (_Fibers over the lifted support, q0, q1): each lifted
@@ -259,8 +251,8 @@ def _star_frozen(lifted: LiftedModel, lifted_support: Poset, sites):
 def _law_kernel(arrays, support: Poset, stationary) -> Kernel:
     """Kernel of one step at a uniform site of the law arrays (succ, prob)
     over the support (_site_arrays), summed by _step_matrices, with the
-    given stationary law.  Every caller took the support through
-    _dense_support."""
+    given stationary law.  Every caller refused the support past
+    DENSE_GUARD first."""
     return Kernel(support, _step_matrices(*arrays), stationary=stationary)
 
 
@@ -281,14 +273,6 @@ def _step_matrices(to, prob):
     return mats.reshape(*lead, m, m)
 
 
-def _dense_support(model, support):
-    """The given support, or the model's, refused past DENSE_GUARD before
-    any law is evaluated over it."""
-    support = support or enumerate_support(model)
-    _dense_guard(support.size)
-    return support
-
-
 def _dense_guard(k):
     """Refuse a dense kernel over k states past DENSE_GUARD: the one owner
     of the dense guard."""
@@ -298,44 +282,31 @@ def _dense_guard(k):
                          "per matrix)")
 
 
-def glauber_kernel(model, support=None, site=None) -> Kernel:
-    """Single-site heat-bath kernel: uniform site choice (or always `site`),
-    conditional resample, the law evaluated once per (site, fiber): the
-    Tables kernel gker, or one step at `site` of its law arrays."""
-    tables = Tables(model, support=support)
-    if site is None:
-        return tables.gker
-    return _law_kernel(tuple(a[:, [site]] for a in tables.arrays),
-                       tables.dense, tables.mu)
+def glauber_kernel(model) -> Kernel:
+    """Single-site heat-bath kernel: uniform site choice, conditional
+    resample, the law evaluated once per (site, fiber): Tables.gker."""
+    return Tables(model).gker
 
 
-def freeze_kernel(lifted: LiftedModel, support=None,
-                  stationary=None) -> Kernel:
-    """Contract-then-lift kernel: from X, mass theta^{#1}(1-theta)^{#star} on
-    every Y with the same contraction."""
-    support = _dense_support(lifted, support)
+def freeze_kernel(lifted: LiftedModel, support: Poset,
+                  stationary) -> Kernel:
+    """Contract-then-lift kernel over the lifted support, with the given
+    stationary law: from X, mass theta^{#1}(1-theta)^{#star} on every Y
+    with the same contraction.  Tables.freeze builds it over Tables.lsup."""
+    _dense_guard(support.size)
     code = _contraction_codes(support.array)
     mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
-    if stationary is None:
-        stationary = stationary_distribution(lifted, support)
     return Kernel(support, mat, stationary=stationary)
 
 
-def star_glauber_kernel(lifted: LiftedModel, support=None,
-                        site=None) -> Kernel:
-    """Star-frozen single-site kernel: uniform site choice (or always
-    `site`); stars stay, other sites follow the tilted base conditional,
-    evaluated once per (site, fiber) of the base support: the Tables
-    kernel starg of the lift's base, or one step at `site` of its law
-    arrays."""
-    tables = Tables(lifted.base, lifted.theta, lifted_support=support)
-    if site is None:
-        return tables.starg
-    return _law_kernel(tuple(a[:, [site]] for a in tables.sarrays),
-                       tables.lsup, tables.lmu)
+def star_glauber_kernel(lifted: LiftedModel) -> Kernel:
+    """Star-frozen single-site kernel: uniform site choice; stars stay,
+    other sites follow the tilted base conditional, evaluated once per
+    (site, fiber) of the base support: Tables.starg of the lift's base."""
+    return Tables(lifted.base, lifted.theta).starg
 
 
-def fd_kernel(model, theta, support=None) -> Kernel:
+def fd_kernel(model, theta) -> Kernel:
     """Field dynamics: free every 0-site and each 1-site independently with
     probability theta, then resample the freed set from the tilted conditional.
     Exact sum over all freed sets; guarded to at most 20 variables.
@@ -347,7 +318,7 @@ def fd_kernel(model, theta, support=None) -> Kernel:
     meets its own kept sets in that order (itertools.product over its
     1-sites), so each entry receives the same addends in the same order as
     a loop over rows and kept sets would give it."""
-    return Tables(model, theta, support).fker
+    return Tables(model, theta).fker
 
 
 def _check_theta(theta):
@@ -419,8 +390,8 @@ def _lift_weights(support: Poset, theta, mass=1.0) -> np.ndarray:
     looked up by the entry's value (0, 1, STAR): the loop that fans a binary
     state out over its lifts multiplies the same factors in the same order
     (a 0 site here by an exact 1.0).  With one addend per kernel and lifted
-    entry, and np.bincount adding in support order, the freeze kernel and
-    both pushforwards equal those loops bit for bit."""
+    entry, and np.bincount adding in support order, the freeze kernel,
+    Tables.lift and Tables.contract equal those loops bit for bit."""
     w = mass * np.ones(support.size)
     for col in np.array([1.0, theta, 1 - theta])[support.array].T:
         w = w * col
@@ -456,43 +427,12 @@ def _lifts(bin_support: Poset) -> Poset:
 
 
 def _contraction_index(lifted_support: Poset, bin_support: Poset):
-    """The index in bin_support of each lifted state's contraction; refused
-    unless the lifted support holds exactly the lifts of bin_support."""
+    """The index in bin_support of each lifted state's contraction; the
+    lifted support is the _lifts of bin_support, so each one is found."""
     bcode = _contraction_codes(bin_support.array)
-    lcode = _contraction_codes(lifted_support.array)
     order = np.argsort(bcode)
-    idx = order[np.searchsorted(bcode, lcode, sorter=order) % bcode.size]
-    if np.any(bcode[idx] != lcode) or lifted_support.size != np.exp2(
-            (bin_support.array == 1).sum(axis=1)).sum():
-        raise ValueError("the lifted support is not the lift of the binary "
-                         "support")
-    return idx
-
-
-def lift_pushforward(probs, bin_support: Poset, theta,
-                     lifted_support: Poset) -> np.ndarray:
-    """Pushforward of a binary law under the randomized lift: each lifted
-    state gets its contraction's mass times its lift weight (+0.0 if 0)."""
-    return _lift(probs, _contraction_index(lifted_support, bin_support),
-                 theta, lifted_support)
-
-
-def _lift(probs, index, theta, lifted_support: Poset) -> np.ndarray:
-    """lift_pushforward, given the _contraction_index."""
-    mass = np.asarray(probs, dtype=float)[index]
-    return np.where(mass == 0, 0.0, _lift_weights(lifted_support, theta, mass))
-
-
-def contract_pushforward(probs, lifted_support: Poset,
-                         bin_support: Poset) -> np.ndarray:
-    """Pushforward of a lifted law under the contraction."""
-    return _contract(probs, _contraction_index(lifted_support, bin_support),
-                     bin_support)
-
-
-def _contract(probs, index, bin_support: Poset) -> np.ndarray:
-    """contract_pushforward, given the _contraction_index."""
-    return np.bincount(index, probs, minlength=bin_support.size)
+    return order[np.searchsorted(bcode, _contraction_codes(
+        lifted_support.array), sorter=order)]
 
 
 # ---------------------------------------------------------------------------
@@ -507,30 +447,24 @@ class Tables:
     the support is enumerated, and the lifted and tilted tables are derived
     from those.
 
-    `support` (given, or enumerated under ENUM_GUARD) is not refused by
-    size; `dense`, which every base kernel reads, is the same support
-    refused past DENSE_GUARD before any law is evaluated over it, and the
-    lifted support `lsup` is refused as it is taken."""
+    `support`, enumerated under ENUM_GUARD, is not refused by size;
+    `dense`, which every base kernel reads, is the same support refused
+    past DENSE_GUARD before any law is evaluated over it, and the lifted
+    support `lsup` is refused as it is taken."""
 
-    def __init__(self, model, theta=None, support=None, lifted_support=None):
+    def __init__(self, model, theta=None):
         self.model, self.theta = model, theta
-        self._support, self._lifted_support = support, lifted_support
 
     _weighted = cached_property(lambda t: _weighted_support(t.model))
+    support = cached_property(lambda t: t._weighted[0])
+    # the log weight of each support state, the one its enumeration evaluated
+    lws = cached_property(lambda t: t._weighted[1])
 
     @cached_property
-    def support(self) -> Poset:
-        return self._weighted[0] if self._support is None else self._support
+    def dense(self) -> Poset:
+        _dense_guard(self.support.size)
+        return self.support
 
-    @cached_property
-    def lws(self) -> np.ndarray:
-        """The log weight of each support state: the one its enumeration
-        evaluated, or over a given support one evaluation per state."""
-        if self._support is None:
-            return self._weighted[1]
-        return _log_weights(self.model, self._support)
-
-    dense = cached_property(lambda t: _dense_support(t.model, t.support))
     mu = cached_property(lambda t: _normalized(t.lws))
     # the heat-bath law over the support, one conditional per (site, fiber)
     table = cached_property(lambda t: _site_conditionals(t.model, t.support))
@@ -541,16 +475,9 @@ class Tables:
 
     @cached_property
     def lsup(self) -> Poset:
-        """The given lifted support; else the _lifts of the enumerated
-        support, the lift's candidates refused past ENUM_GUARD first as its
-        own enumeration refuses them.  Refused past DENSE_GUARD.  A base
-        support given without its lift has none: its callers (the base
-        kernel builders) read no lifted table."""
-        if self._lifted_support is not None:
-            return _dense_support(self.lifted, self._lifted_support)
-        if self._support is not None:
-            raise ValueError("no lifted support is derived from a given "
-                             "support")
+        """The _lifts of the support, the lift's candidates refused past
+        ENUM_GUARD first as its own enumeration refuses them.  Refused past
+        DENSE_GUARD."""
         _check_guard(self.lifted)
         return _lifts(self.support)
 
@@ -568,12 +495,17 @@ class Tables:
     starg = cached_property(lambda t: _law_kernel(t.sarrays, t.lsup, t.lmu))
 
     def lift(self, probs) -> np.ndarray:
-        """lift_pushforward of a law over the support."""
-        return _lift(probs, self.index, self.theta, self.lsup)
+        """Pushforward of a law over the support under the randomized lift:
+        each lifted state gets its contraction's mass times its lift weight
+        (+0.0 if 0)."""
+        mass = np.asarray(probs, dtype=float)[self.index]
+        return np.where(mass == 0, 0.0,
+                        _lift_weights(self.lsup, self.theta, mass))
 
     def contract(self, probs) -> np.ndarray:
-        """contract_pushforward of a law over the lifted support."""
-        return _contract(probs, self.index, self.support)
+        """Pushforward of a law over the lifted support under the
+        contraction."""
+        return np.bincount(self.index, probs, minlength=self.support.size)
 
     tilted = cached_property(lambda t: tilt(t.model, t.theta))
 
@@ -836,7 +768,7 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     4. otherwise a ValueError naming the fiber.
 
     Returns (True, None) or (False, (up_set, "extreme-ray"))."""
-    _dense_support(model, support)
+    _dense_guard(support.size)
     k, a = support.size, len(model.alphabet)
     for succ, prob in laws:
         if (succ.shape != (k, 1, a) or prob.shape != (k, 1, a)
@@ -1171,8 +1103,8 @@ def _tilted_slices(tables: Tables):
     (g, m) the slices' state indices in the support, mats (g, m, m) their
     row-checked kernels and mus (g, m) their stationary laws.
 
-    The tilt is made (and refused) first, then the support is taken
-    through _dense_support.  The slices read the model's support, which
+    The tilt is made (and refused) first, then the support is taken as
+    Tables.dense.  The slices read the model's support, which
     the tilt keeps state for state, and the tilted log weights.  Where the
     tilt wraps the model in a TiltedModel, models.tilted_probs tilts each
     fiber's conditional of the model's table; other tilts (of a hard-core
@@ -1184,7 +1116,7 @@ def _tilted_slices(tables: Tables):
             (fib, np.stack(tilted_probs(tilted.theta, *cond.T), axis=-1))
             for fib, cond in tables.table])
     else:
-        succ, prob = heat_bath_arrays(tilted, support)
+        succ, prob = _heat_bath(support, _site_conditionals(tilted, support))
     k, lws = support.size, tables.tilted_lws
     by_size = {}
     for pinned, idx in _one_slices(support.array == 1):

@@ -136,11 +136,11 @@ class Model:
         z = sum(ws)
         return tuple(w / z for w in ws)
 
-    def support_iter(self, guard=ENUM_GUARD, *, _log_weights=None):
+    def support_iter(self, *, _log_weights=None):
         """Yield support states in lexicographic order (guarded): one
         log_weight call per candidate, and each yielded state's log weight
         appended to the list _log_weights when one is given."""
-        _check_guard(self, guard)
+        _check_guard(self)
         for s in itertools.product(self.alphabet, repeat=self.n_vars):
             lw = self.log_weight(s)
             if lw is not None:
@@ -149,12 +149,12 @@ class Model:
                 yield s
 
 
-def _check_guard(model, guard=ENUM_GUARD):
-    """Refuse to enumerate the model's candidates past guard."""
+def _check_guard(model):
+    """Refuse to enumerate the model's candidates past ENUM_GUARD."""
     total = len(model.alphabet) ** model.n_vars
-    if total > guard:
+    if total > ENUM_GUARD:
         raise ValueError(
-            f"state space of size {total} exceeds the guard {guard}")
+            f"state space of size {total} exceeds the guard {ENUM_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -617,22 +617,3 @@ def star_frozen_law(lifted: LiftedModel):
         return (0, 1), tilted_probs(lifted.theta, *q)
 
     return law
-
-
-# ---------------------------------------------------------------------------
-# couplings between models
-
-
-def rc_for_ising(ising: IsingModel):
-    """The random cluster model coupled to an Ising model: p_e = 1 - 1/beta_e."""
-    return RandomClusterModel(ising.graph,
-                              [1 - 1 / b for b in ising.beta], ising.lam)
-
-
-def sw_for_rc(rc: RandomClusterModel):
-    """Subgraph-world model whose coupling targets rc: p' = p/2,
-    eta_v = (1-lambda_v)/(1+lambda_v)."""
-    return SubgraphWorldModel(rc.graph,
-                              [x / 2 for x in rc.p],
-                              [(1 - l) / (1 + l) for l in rc.lam])
-

@@ -35,7 +35,9 @@ fibers of a site numbered by np.unique over the rows with the site deleted,
 which the exact layer reads from integer state codes instead; and the log
 weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
-enumeration and derives from it.
+enumeration and derives from it.  Last, the couplings between models that
+only the coupling tests build: the random cluster model of an Ising model
+and the subgraph-world model of a random cluster model.
 """
 
 import argparse
@@ -281,6 +283,16 @@ def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu,
           for law in (p_law, q_law)), mu, tol)
 
 
+def lifted_site_kernels(tables, site):
+    """The lifted Glauber and star-frozen Kernels of one step at the site
+    over tables.lsup, with stationary law tables.lmu, by loop_law_kernel."""
+    lifted, lsup = tables.lifted, tables.lsup
+    return [exact.Kernel(lsup, loop_law_kernel(lifted, law, site, lsup),
+                         stationary=tables.lmu)
+            for law in (models.heat_bath_law(lifted),
+                        models.star_frozen_law(lifted))]
+
+
 def row_fibers(support: Poset, site):
     """check_site_mc_leq's numbering of the fibers of a site as it was: the
     inverse of np.unique over the support's rows with the site deleted."""
@@ -485,8 +497,8 @@ def composed_comparison(model, theta, eps):
     and the tilted slices evaluating their own laws, with its refusals of
     eps, of a support without the all-1 state and of theta after the dense
     guard and before any mixing time."""
-    sup = exact.enumerate_support(model)
-    gker = exact.glauber_kernel(model, sup)
+    gker = exact.glauber_kernel(model)
+    sup = gker.support
     ones = tuple([1] * model.n_vars)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
@@ -494,7 +506,7 @@ def composed_comparison(model, theta, eps):
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0,1)")
     t_gd = exact.exact_mixing_time(gker, ones, eps)
-    fker = exact.fd_kernel(model, theta, sup)
+    fker = exact.fd_kernel(model, theta)
     t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
     t_fd = exact.exact_mixing_time(fker, None, eps / 2)
     t_tilted = exact.tilted_mixing_time(model, theta,
@@ -625,8 +637,8 @@ def per_step_field_run(model, theta, x0, steps, seed, record_at=()):
     one rng.random() each, scans the support for the pinned slice and draws
     from its tilted weights by linear scan, with no table; logs each
     changed coordinate."""
-    support = exact.enumerate_support(model)
-    weights = exact.Tables(model, theta, support).tilted_weights
+    tables = exact.Tables(model, theta)
+    support, weights = tables.support, tables.tilted_weights
     rng = dynamics.make_rng(seed, 0, "field")
     run, record_at = _per_step_run(model, x0, record_at)
     state = run.x0
@@ -882,3 +894,18 @@ def per_subcommand_parser():
         p.add_argument("--steps", type=int, default=1000)
         p.add_argument("--record", default="")
     return ap
+
+
+def rc_for_ising(ising: models.IsingModel):
+    """The random cluster model coupled to an Ising model: p_e = 1 - 1/beta_e."""
+    return models.RandomClusterModel(ising.graph,
+                                     [1 - 1 / b for b in ising.beta],
+                                     ising.lam)
+
+
+def sw_for_rc(rc: models.RandomClusterModel):
+    """Subgraph-world model whose coupling targets rc: p' = p/2,
+    eta_v = (1-lambda_v)/(1+lambda_v)."""
+    return models.SubgraphWorldModel(rc.graph,
+                                     [x / 2 for x in rc.p],
+                                     [(1 - l) / (1 + l) for l in rc.lam])

@@ -20,6 +20,7 @@ from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
 from glauberlab.ordercore import STAR, stochastic_dominance
 from conftest import (random_bhc, random_bipartite_graph, random_graph,
                       random_hardcore, random_rc, random_monotone_model)
+import oracles
 
 
 def report(num, name):
@@ -39,10 +40,8 @@ def mixed_instance(rng):
 
 
 def lifted_kernels(model, theta):
-    lifted = models.lift_model(model, theta)
-    lsup = exact.enumerate_support(lifted)
-    return (lifted, lsup, exact.glauber_kernel(lifted, lsup),
-            exact.freeze_kernel(lifted, lsup), exact.star_glauber_kernel(lifted, lsup))
+    t = exact.Tables(model, theta)
+    return t, t.lker, t.freeze, t.starg
 
 
 def test_01_detailed_balance(rng):
@@ -53,7 +52,7 @@ def test_01_detailed_balance(rng):
         theta = float(rng.uniform(0.2, 0.8))
         worst = max(worst, exact.check_detailed_balance(
             exact.glauber_kernel(m)))
-        _, _, lker, freeze, starg = lifted_kernels(m, theta)
+        _, lker, freeze, starg = lifted_kernels(m, theta)
         for ker in (lker, freeze, starg):
             worst = max(worst, exact.check_detailed_balance(ker))
     assert worst <= 1e-12, worst
@@ -66,14 +65,13 @@ def test_02_03_lift_identity_and_freeze_stationarity(rng):
     for _ in range(20):
         m = random_monotone_model(rng, max_vars=4)
         theta = float(rng.uniform(0.2, 0.8))
-        sup = exact.enumerate_support(m)
-        gker = exact.glauber_kernel(m, sup)
-        _, lsup, lker, freeze, _ = lifted_kernels(m, theta)
+        t, lker, freeze, _ = lifted_kernels(m, theta)
+        gker = t.gker
         ones = tuple([1] * m.n_vars)
-        mu_t = exact.point_mass(sup, ones)
-        pi_t = exact.lift_pushforward(mu_t, sup, theta, lsup)
+        mu_t = exact.point_mass(t.support, ones)
+        pi_t = t.lift(mu_t)
         for _ in range(21):
-            push = exact.lift_pushforward(mu_t, sup, theta, lsup)
+            push = t.lift(mu_t)
             worst_tv = max(worst_tv, exact.tv_distance(push, pi_t))
             worst_l1 = max(worst_l1,
                            float(np.abs(pi_t @ freeze.matrix - pi_t).sum()))
@@ -100,16 +98,14 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
     horizon = 2 * t1 * t2
     worst_slack = -math.inf
     for m, theta in small_monotone_pool:
-        sup = exact.enumerate_support(m)
-        gker = exact.glauber_kernel(m, sup)
+        tables, lker, freeze, starg = lifted_kernels(m, theta)
+        sup, lsup, gker = tables.support, tables.lsup, tables.gker
         mu = gker.stationary
-        _, lsup, lker, freeze, starg = lifted_kernels(m, theta)
         seq = exact.algorithm_kernel_sequence(freeze, starg, t1, t2,
                                               steps=horizon)
         assert seq[0].support.states == lsup.states
         ones = tuple([1] * m.n_vars)
-        pi0 = exact.lift_pushforward(exact.point_mass(sup, ones), sup,
-                                     theta, lsup)
+        pi0 = tables.lift(exact.point_mass(sup, ones))
         alg = exact.propagate(pi0, seq)
         gd = pi0
         mu_t = exact.point_mass(sup, ones)
@@ -117,8 +113,7 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
             ok, wit = stochastic_dominance(gd, alg[t], lsup)
             assert ok, (t, wit)
             lhs = exact.tv_distance(mu_t, mu)
-            rhs = exact.tv_distance(
-                exact.contract_pushforward(alg[t], lsup, sup), mu)
+            rhs = exact.tv_distance(tables.contract(alg[t]), mu)
             worst_slack = max(worst_slack, lhs - rhs)
             gd = gd @ lker.matrix
             mu_t = mu_t @ gker.matrix
@@ -129,7 +124,7 @@ def test_04_05_dominance_and_tv_comparison(small_monotone_pool):
 
 def test_06_kernel_monotonicity(small_monotone_pool):
     for m, theta in small_monotone_pool:
-        _, _, lker, freeze, starg = lifted_kernels(m, theta)
+        _, lker, freeze, starg = lifted_kernels(m, theta)
         for ker in (lker, freeze, starg):
             ok, wit = exact.check_stochastic_monotonicity(ker)
             assert ok, wit
@@ -142,11 +137,9 @@ def test_06_kernel_monotonicity(small_monotone_pool):
 
 def test_07_single_vertex_comparison(small_monotone_pool):
     for m, theta in small_monotone_pool:
-        lifted, lsup, _, _, _ = lifted_kernels(m, theta)
+        t = exact.Tables(m, theta)
         for v in range(m.n_vars):
-            pv = exact.glauber_kernel(lifted, lsup, site=v)
-            qv = exact.star_glauber_kernel(lifted, lsup, site=v)
-            ok, wit = exact.check_mc_leq(pv, qv)
+            ok, wit = exact.check_mc_leq(*oracles.lifted_site_kernels(t, v))
             assert ok, (v, wit)
     report(7, "per-vertex lifted update is comparison-dominated")
 
@@ -155,19 +148,19 @@ def test_08_two_kernel_product_counterexample():
     m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2)]),
                                 [0.5, 0.5], [1.0, 1.0, 1.0]))
     theta = 0.5
-    _, lsup, lker, freeze, starg = lifted_kernels(m, theta)
+    t, lker, freeze, starg = lifted_kernels(m, theta)
     ok, wit = exact.check_mc_leq(lker, freeze @ starg)
     assert not ok
     u, kind = wit
     assert kind == "extreme-ray"
     all_star = tuple([STAR] * m.n_vars)
-    assert u == frozenset({lsup.index(all_star)})
+    assert u == frozenset({t.lsup.index(all_star)})
     report(8, "freeze-then-update product is not comparison-dominating")
 
 
 def _sw_rc_pushforward(rc):
     """Exact law of (subgraph-world sample) union (independent extra edges)."""
-    sw = models.sw_for_rc(rc)
+    sw = oracles.sw_for_rc(rc)
     sup = exact.enumerate_support(sw)
     probs = exact.stationary_distribution(sw, sup)
     mvars = rc.n_vars
@@ -199,7 +192,7 @@ def test_09_subgraph_world_coupling(rng):
     # Monte Carlo on one 4-edge instance at a million samples
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     rc = RandomClusterModel(g, [0.6, 0.4, 0.5, 0.7], [0.8, 0.5, 1.0, 0.3])
-    sw = models.sw_for_rc(rc)
+    sw = oracles.sw_for_rc(rc)
     ssup = exact.enumerate_support(sw)
     sprobs = exact.stationary_distribution(sw, ssup)
     n = 10 ** 6
@@ -227,7 +220,7 @@ def test_10_cluster_to_spin_transfer():
                   Graph(3, [(0, 1), (1, 2), (0, 2)])):
         for lam in (0.5, 1.0):
             ising = IsingModel(graph, [2.0] * graph.m, [lam] * graph.n)
-            rc = models.rc_for_ising(ising)
+            rc = oracles.rc_for_ising(ising)
             rsup = exact.enumerate_support(rc)
             rmu = exact.stationary_distribution(rc, rsup)
             push = {}
@@ -295,11 +288,10 @@ def test_12_product_mixing_bound():
     for _ in range(10):
         m = random_monotone_model(rng, max_vars=3)
         theta = float(rng.uniform(0.3, 0.7))
-        sup = exact.enumerate_support(m)
-        gker = exact.glauber_kernel(m, sup)
+        gker = exact.glauber_kernel(m)
         ones = tuple([1] * m.n_vars)
         t_gd = exact.exact_mixing_time(gker, ones, eps)
-        fker = exact.fd_kernel(m, theta, sup)
+        fker = exact.fd_kernel(m, theta)
         t_fd = exact.exact_mixing_time(fker, None, eps / 2)
         delta = eps / (2 * max(t_fd, 1))
         t_tilted = exact.tilted_mixing_time(m, theta, delta)

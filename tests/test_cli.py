@@ -233,14 +233,15 @@ def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
     assert calls["stationary_distribution"].call_count == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "mixing"])
+@pytest.mark.parametrize("command", ["verify", "mixing", "kernel-export"])
 def test_each_log_weight_is_evaluated_once(p3, rc_params, command,
                                            monkeypatch, capsys):
     # flipped RC on P3 has 4 candidate states, all in its support: each
-    # log weight is evaluated once, as the support is enumerated; the lift's
-    # support and law (verify) and the tilt's log weights (mixing) are
-    # derived from those, so neither the LiftedModel nor the TiltedModel
-    # evaluates one
+    # log weight is evaluated once, as the support is enumerated (the
+    # Glauber kernel's stationary law, kernel-export's included, reads
+    # them); the lift's support and law (verify) and the tilt's log weights
+    # (mixing) are derived from those, so neither the LiftedModel nor the
+    # TiltedModel evaluates one
     calls = []
     for cls in (models.FlippedModel, models.LiftedModel, models.TiltedModel):
         def spy(self, state, cls=cls, fn=cls.log_weight):
@@ -270,7 +271,7 @@ def test_a_command_builds_its_own_parser_alone(p3, rc_params, monkeypatch):
 
 
 @pytest.mark.parametrize("command, expected", [
-    ("analyze", 1), ("mixing", 1), ("verify", 1)])
+    ("analyze", 1), ("mixing", 1), ("verify", 1), ("kernel-export", 1)])
 def test_each_command_enumerates_its_support_once(p3, tmp_path, command,
                                                   expected, monkeypatch,
                                                   capsys):

@@ -24,12 +24,9 @@ def k2_flipped_rc():
 
 
 def algorithm_sequence(m, theta, t1, t2):
-    """The lifted support of m and the kernels of its simulation run."""
-    lifted = models.lift_model(m, theta)
-    lsup = exact.enumerate_support(lifted)
-    return lsup, exact.algorithm_kernel_sequence(
-        exact.freeze_kernel(lifted, lsup),
-        exact.star_glauber_kernel(lifted, lsup), t1, t2)
+    """The Tables of m at theta and the kernels of its simulation run."""
+    t = exact.Tables(m, theta)
+    return t, exact.algorithm_kernel_sequence(t.freeze, t.starg, t1, t2)
 
 
 class TestRng:
@@ -105,8 +102,8 @@ class TestFieldDynamics:
     def test_one_step_law_matches_kernel(self, rng):
         theta = 0.4
         m = random_monotone_model(rng, max_vars=2)
-        sup = exact.enumerate_support(m)
-        ker = exact.fd_kernel(m, theta, sup)
+        ker = exact.fd_kernel(m, theta)
+        sup = ker.support
         x0 = sup.states[-1]
         i = sup.index(x0)
         stream = make_rng(17, 0, "fd-test")
@@ -184,17 +181,15 @@ class TestSimulateAlgorithm:
     def test_one_step_law_matches_kernel_product(self):
         m = k2_flipped_rc()
         theta, t1, t2 = 0.5, 1, 1
-        lsup, seq = algorithm_sequence(m, theta, t1, t2)
-        sup = exact.enumerate_support(m)
-        pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,)), sup, theta,
-                                     lsup)
+        t, seq = algorithm_sequence(m, theta, t1, t2)
+        pi0 = t.lift(exact.point_mass(t.support, (1,)))
         want = exact.propagate(pi0, seq)[-1]
         cnt = Counter()
         n = 40000
         for s in range(n):
             run, _ = simulate_algorithm(m, theta, t1, t2, seed=s)
             cnt[run.final] += 1
-        emp = np.array([cnt[s] / n for s in lsup.states])
+        emp = np.array([cnt[s] / n for s in t.lsup.states])
         assert exact.tv_distance(emp, want) < 0.015
 
     def test_final_tv_decreases_in_t2(self):
@@ -205,11 +200,9 @@ class TestSimulateAlgorithm:
         mu = exact.stationary_distribution(m, sup)
         tvs = []
         for t2 in (1, 4, 16):
-            lsup, seq = algorithm_sequence(m, theta, 2, t2)
-            pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,)), sup,
-                                         theta, lsup)
-            out = exact.contract_pushforward(exact.propagate(pi0, seq)[-1],
-                                             lsup, sup)
+            t, seq = algorithm_sequence(m, theta, 2, t2)
+            pi0 = t.lift(exact.point_mass(sup, (1,)))
+            out = t.contract(exact.propagate(pi0, seq)[-1])
             tvs.append(exact.tv_distance(out, mu))
         assert tvs[0] >= tvs[1] >= tvs[2]
 
@@ -309,7 +302,7 @@ class TestCensored:
         m = models.BipartiteHardcoreModel(g, 1.3, 0.7)
         sup = exact.enumerate_support(m)
         mu = exact.stationary_distribution(m, sup)
-        ker = exact.glauber_kernel(m, sup)
+        ker = exact.glauber_kernel(m)
         # censored one-step kernel allowing only {v} + right side, v = 0
         allowed = {0, 1}
         n = m.n_vars

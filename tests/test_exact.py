@@ -13,10 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from glauberlab import exact, models, ordercore
 from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               check_detailed_balance, check_mc_leq,
-                              check_stochastic_monotonicity, contract_pushforward,
+                              check_stochastic_monotonicity,
                               enumerate_support, exact_mixing_time,
                               fd_kernel, glauber_kernel, kernel_to_csv,
-                              kl_divergence, lift_pushforward, freeze_kernel,
+                              kl_divergence, freeze_kernel,
                               pinnings, point_mass,
                               propagate, star_glauber_kernel,
                               stationary_distribution,
@@ -53,7 +53,7 @@ class TestSupport:
         g = Graph(30, [])
         hc = HardcoreModel(g, 1.0)
         with pytest.raises(ValueError, match="guard"):
-            enumerate_support(hc, guard=2 ** 20)
+            enumerate_support(hc)
 
 
 def where_by_tuples(support, pins):
@@ -139,9 +139,8 @@ class TestKernels:
 
     def test_freeze_row_formula(self):
         theta = 0.3
-        lm = lift_model(k2_flipped_rc(0.4, (0.5, 0.8)), theta)
-        sup = enumerate_support(lm)
-        ker = freeze_kernel(lm, sup)
+        tables = exact.Tables(k2_flipped_rc(0.4, (0.5, 0.8)), theta)
+        sup, ker = tables.lsup, tables.freeze
         for i, s in enumerate(sup.states):
             tau = models.contract(s)
             for j, t in enumerate(sup.states):
@@ -156,9 +155,8 @@ class TestKernels:
         # flipping one coordinate costs (1/n) * theta*mu(new) / (theta*mu(new)+mu(old))
         theta = 0.5
         base = k2_flipped_rc()
-        lm = lift_model(base, theta)
-        sup = enumerate_support(lm)
-        ker = star_glauber_kernel(lm, sup)
+        ker = star_glauber_kernel(lift_model(base, theta))
+        sup = ker.support
         n = 1
         i = sup.index((0,))
         j = sup.index((1,))
@@ -175,12 +173,14 @@ class TestKernels:
         for _ in range(6):
             m = random_monotone_model(rng, max_vars=3)
             lm = lift_model(m, 0.4)
-            for build, model in ((glauber_kernel, m), (glauber_kernel, lm),
-                                 (star_glauber_kernel, lm)):
-                sup = enumerate_support(model)
-                full = build(model, sup).matrix
-                mean = sum(build(model, sup, site=v).matrix
+            for build, model, law in (
+                    (glauber_kernel, m, heat_bath_law(m)),
+                    (glauber_kernel, lm, heat_bath_law(lm)),
+                    (star_glauber_kernel, lm, star_frozen_law(lm))):
+                full = build(model)
+                mean = sum(oracles.loop_law_kernel(model, law, v, full.support)
                            for v in range(model.n_vars)) / model.n_vars
+                full = full.matrix
                 assert np.max(np.abs(full - mean)) <= 1e-15
 
     def test_rows_stochastic_and_reversible(self, rng):
@@ -188,7 +188,8 @@ class TestKernels:
             m = random_monotone_model(rng, max_vars=3)
             lm = lift_model(m, 0.35)
             for ker in (glauber_kernel(m), glauber_kernel(lm),
-                        freeze_kernel(lm), star_glauber_kernel(lm)):
+                        exact.Tables(m, 0.35).freeze,
+                        star_glauber_kernel(lm)):
                 assert np.allclose(ker.matrix.sum(axis=1), 1.0, atol=1e-12)
                 assert check_detailed_balance(ker) <= 1e-12
 
@@ -196,9 +197,8 @@ class TestKernels:
         theta = 0.45
         for _ in range(5):
             m = random_monotone_model(rng, max_vars=3)
-            sup = enumerate_support(m)
-            ker = fd_kernel(m, theta, sup)
-            mu = ker.stationary
+            ker = fd_kernel(m, theta)
+            sup, mu = ker.support, ker.stationary
             assert np.abs(mu @ ker.matrix - mu).max() <= 1e-12
             # from the all-0 state everything is freed: one step lands on the tilt
             if tuple([0] * m.n_vars) in sup:
@@ -216,8 +216,7 @@ class TestKernels:
 
     def test_fd_kernel_high_theta_limit(self):
         m = k2_flipped_rc()
-        sup = enumerate_support(m)
-        ker = fd_kernel(m, 1 - 1e-12, sup)
+        ker = fd_kernel(m, 1 - 1e-12)
         for row in ker.matrix:
             assert tv_distance(row, ker.stationary) < 1e-9
 
@@ -229,11 +228,9 @@ class TestKernels:
 
 class TestSequences:
     def test_block_structure(self):
-        m = k2_flipped_rc()
-        lm = lift_model(m, 0.5)
-        sup = enumerate_support(lm)
-        p_starg = star_glauber_kernel(lm, sup)
-        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup), p_starg, 2, 3)
+        tables = exact.Tables(k2_flipped_rc(), 0.5)
+        p_starg = tables.starg
+        seq = algorithm_kernel_sequence(tables.freeze, p_starg, 2, 3)
         assert len(seq) == 6
         for t, ker in enumerate(seq):
             if t % 3 == 0:
@@ -242,12 +239,9 @@ class TestSequences:
                 assert np.allclose(ker.matrix, p_starg.matrix)
 
     def test_t2_one_always_prefixed(self):
-        m = k2_flipped_rc()
-        lm = lift_model(m, 0.5)
-        sup = enumerate_support(lm)
-        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup),
-                                        star_glauber_kernel(lm, sup), 3, 1)
-        both = (freeze_kernel(lm, sup) @ star_glauber_kernel(lm, sup)).matrix
+        t = exact.Tables(k2_flipped_rc(), 0.5)
+        seq = algorithm_kernel_sequence(t.freeze, t.starg, 3, 1)
+        both = (t.freeze @ t.starg).matrix
         for ker in seq:
             assert np.allclose(ker.matrix, both)
 
@@ -256,12 +250,10 @@ class TestSequences:
         # trajectory laws unchanged when started from the lifted all-1 law
         m = k2_flipped_rc(0.4, (0.6, 0.9))
         theta = 0.5
-        lm = lift_model(m, theta)
-        sup = enumerate_support(lm)
-        gd = glauber_kernel(lm, sup)
-        seq = algorithm_kernel_sequence(freeze_kernel(lm, sup), gd, 2, 3)
-        bsup = enumerate_support(m)
-        pi0 = lift_pushforward(point_mass(bsup, (1,)), bsup, theta, sup)
+        tables = exact.Tables(m, theta)
+        gd = tables.lker
+        seq = algorithm_kernel_sequence(tables.freeze, gd, 2, 3)
+        pi0 = tables.lift(point_mass(tables.support, (1,)))
         via_seq = propagate(pi0, seq)
         plain = pi0.copy()
         for t in range(1, len(seq) + 1):
@@ -299,23 +291,23 @@ class TestPushforwards:
     def test_lift_pushforward_mass(self, rng):
         m = random_monotone_model(rng, max_vars=3)
         theta = 0.4
-        sup = enumerate_support(m)
-        lsup = enumerate_support(lift_model(m, theta))
+        t = exact.Tables(m, theta)
+        sup, lsup = t.support, t.lsup
         mu = stationary_distribution(m, sup)
-        pushed = lift_pushforward(mu, sup, theta, lsup)
+        pushed = t.lift(mu)
         assert pushed.sum() == pytest.approx(1.0, abs=1e-12)
         # pushing forward mu gives the lifted stationary law
         pi = stationary_distribution(lift_model(m, theta), lsup)
         assert tv_distance(pushed, pi) <= 1e-12
         # and contracting inverts it
-        back = contract_pushforward(pushed, lsup, sup)
+        back = t.contract(pushed)
         assert tv_distance(back, mu) <= 1e-12
 
     def test_dominance_preserved_by_lift_and_contract(self, rng):
         m = k2_flipped_rc(0.4, (0.5, 0.5))
         theta = 0.3
-        sup = enumerate_support(m)
-        lsup = enumerate_support(lift_model(m, theta))
+        t = exact.Tables(m, theta)
+        sup, lsup = t.support, t.lsup
         found = 0
         for _ in range(50):
             a = rng.dirichlet(np.ones(sup.size))
@@ -323,12 +315,10 @@ class TestPushforwards:
             if not ordercore.stochastic_dominance(a, b, sup)[0]:
                 continue
             found += 1
-            la = lift_pushforward(a, sup, theta, lsup)
-            lb = lift_pushforward(b, sup, theta, lsup)
+            la, lb = t.lift(a), t.lift(b)
             assert ordercore.stochastic_dominance(la, lb, lsup)[0]
             assert ordercore.stochastic_dominance(
-                contract_pushforward(la, lsup, sup),
-                contract_pushforward(lb, lsup, sup), sup)[0]
+                t.contract(la), t.contract(lb), sup)[0]
         assert found > 0
 
     @settings(max_examples=80, deadline=None)
@@ -336,10 +326,11 @@ class TestPushforwards:
            st.floats(0, 1, exclude_min=True, exclude_max=True),
            st.sampled_from(["none", "tilt", "flip", "pin"]), st.booleans())
     def test_lift_table_equals_loops(self, seed, theta, transform, shuffle):
-        """freeze_kernel and both pushforwards equal their loop forms bit for
-        bit: random monotone models (tilted and left marginals among them)
-        and their tilts, flips and pins, supports in lexicographic or random
-        order, laws with zero entries of either sign."""
+        """freeze_kernel, Tables.lift and Tables.contract equal their loop
+        forms bit for bit: random monotone models (tilted and left marginals
+        among them) and their tilts, flips and pins, the freeze kernel over
+        a lifted support in lexicographic or random order, laws with zero
+        entries of either sign."""
         rng = np.random.default_rng(seed)
         m = random_monotone_model(rng, max_vars=3)
         sup = enumerate_support(m)
@@ -350,12 +341,12 @@ class TestPushforwards:
         elif transform == "pin":
             v = int(rng.integers(m.n_vars))
             m = models.pin(m, {v: sup.states[rng.integers(sup.size)][v]})
-        lm = lift_model(m, theta)
-        sup, lsup = enumerate_support(m), enumerate_support(lm)
+        t = exact.Tables(m, theta)
+        sup, lsup = t.support, t.lsup
+        fsup = lsup
         if shuffle:
-            sup, lsup = (Poset(tuple(p.states[i]
-                                     for i in rng.permutation(p.size)))
-                         for p in (sup, lsup))
+            fsup = Poset(tuple(lsup.states[i]
+                               for i in rng.permutation(lsup.size)))
 
         def law(k):
             p = rng.dirichlet(np.ones(k))
@@ -363,42 +354,31 @@ class TestPushforwards:
             p[(p == 0.0) & (rng.random(k) < 0.5)] = -0.0
             return p
 
-        assert (freeze_kernel(lm, lsup).matrix.tobytes()
-                == oracles.loop_freeze_kernel(lm, lsup).tobytes())
+        assert (freeze_kernel(t.lifted, fsup, None).matrix.tobytes()
+                == oracles.loop_freeze_kernel(t.lifted, fsup).tobytes())
         p = law(sup.size)
-        assert (lift_pushforward(p, sup, theta, lsup).tobytes()
+        assert (t.lift(p).tobytes()
                 == oracles.loop_lift_pushforward(p, sup, theta,
                                                  lsup).tobytes())
         q = law(lsup.size)
-        assert (contract_pushforward(q, lsup, sup).tobytes()
+        assert (t.contract(q).tobytes()
                 == oracles.loop_contract_pushforward(q, lsup, sup).tobytes())
 
-    def test_pushforwards_refuse_supports_that_are_not_a_lift(self):
-        m = k2_flipped_rc(0.4, (0.5, 0.8))
-        sup = enumerate_support(m)
-        lsup = enumerate_support(lift_model(m, 0.5))
-        short = Poset(sup.states[1:])
-        # a lifted state contracts outside the binary support
-        with pytest.raises(ValueError, match="not the lift"):
-            contract_pushforward(np.ones(lsup.size) / lsup.size, lsup, short)
-        # a binary state lacks one of its lifts
-        with pytest.raises(ValueError, match="not the lift"):
-            lift_pushforward(np.ones(sup.size) / sup.size, sup, 0.5,
-                             Poset(lsup.states[:-1]))
+    def test_contraction_codes_are_guarded_to_62_sites(self):
         # a contraction code is one int64 bit per site
         wide = Poset(((1,) * 63,))
+        lm = lift_model(HardcoreModel(Graph(63, []), 1.0), 0.5)
         with pytest.raises(ValueError, match="guarded to 62 sites"):
-            contract_pushforward([1.0], wide, wide)
+            freeze_kernel(lm, wide, None)
 
     def test_initial_lifted_density_is_increasing(self):
         # law of lift(all-1) has increasing density against the lifted law
         m = k2_flipped_rc(0.4, (0.7, 0.2))
         theta = 0.5
-        lm = lift_model(m, theta)
-        sup = enumerate_support(m)
-        lsup = enumerate_support(lm)
-        pi0 = lift_pushforward(point_mass(sup, (1,)), sup, theta, lsup)
-        pi = stationary_distribution(lm, lsup)
+        t = exact.Tables(m, theta)
+        pi0 = t.lift(point_mass(t.support, (1,)))
+        lsup = t.lsup
+        pi = stationary_distribution(t.lifted, lsup)
         dens = [a / b if b > 0 else 0.0 for a, b in zip(pi0, pi)]
         assert ordercore.is_increasing(dens, lsup, tol=1e-12)[0]
 
@@ -445,11 +425,8 @@ class TestChecks:
         assert check_mc_leq(ker, ker)[0]
 
     def test_mc_leq_random_cross_check(self, rng):
-        m = k2_flipped_rc(0.5, (0.9, 0.3))
-        lm = lift_model(m, 0.5)
-        sup = enumerate_support(lm)
-        pv = glauber_kernel(lm, sup, site=0)
-        qv = star_glauber_kernel(lm, sup, site=0)
+        pv, qv = oracles.lifted_site_kernels(
+            exact.Tables(k2_flipped_rc(0.5, (0.9, 0.3)), 0.5), 0)
         assert check_mc_leq(pv, qv) == (True, None)
         assert oracles.per_ray_mc_leq(pv, qv, n_random=100, rng=rng)[0]
 
@@ -480,10 +457,8 @@ class TestChecksMatchOracles:
         kers = [glauber_kernel(random_monotone_model(rng)) for _ in range(4)]
         kers.append(glauber_kernel(HardcoreModel(Graph(3, [(0, 1), (1, 2)]),
                                                  1.3)))
-        lm = lift_model(random_monotone_model(rng, max_vars=2), 0.5)
-        lsup = enumerate_support(lm)
-        kers += [glauber_kernel(lm, lsup), freeze_kernel(lm, lsup),
-                 star_glauber_kernel(lm, lsup)]
+        t = exact.Tables(random_monotone_model(rng, max_vars=2), 0.5)
+        kers += [t.lker, t.freeze, t.starg]
         for ker in kers:
             assert (check_stochastic_monotonicity(ker)
                     == oracles.per_pair_monotonicity(ker))
@@ -492,13 +467,11 @@ class TestChecksMatchOracles:
     def test_lifted_c4_kernels(self):
         # the exact-large verify instance: 81 states, more than the up-set
         # path takes, so closure tables and cuts per cover
-        lm = lift_model(flip(RandomClusterModel(
+        t = exact.Tables(flip(RandomClusterModel(
             Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [0.5] * 4,
             [0.5] * 4)), 0.5)
-        lsup = enumerate_support(lm)
-        assert lsup.size == 81 and lsup.up_set_matrix is None
-        for ker in (glauber_kernel(lm, lsup), freeze_kernel(lm, lsup),
-                    star_glauber_kernel(lm, lsup)):
+        assert t.lsup.size == 81 and t.lsup.up_set_matrix is None
+        for ker in (t.lker, t.freeze, t.starg):
             got = check_stochastic_monotonicity(ker)
             assert got == (True, None) == oracles.per_pair_monotonicity(ker)
 
@@ -537,19 +510,17 @@ class TestChecksMatchOracles:
 
     def test_mc_leq_site_kernels_and_product_counterexample(self):
         for p, lams in ((0.5, (0.9, 0.3)), (0.3, (0.5, 0.5)), (0.7, (0.2, 1.0))):
-            lm = lift_model(flip(RandomClusterModel(
+            t = exact.Tables(flip(RandomClusterModel(
                 Graph(3, [(0, 1), (1, 2)]), [p, 1 - p], list(lams) + [0.5])),
                 0.5)
-            sup = enumerate_support(lm)
-            for v in range(lm.n_vars):
-                pv = glauber_kernel(lm, sup, site=v)
-                qv = star_glauber_kernel(lm, sup, site=v)
+            for v in range(t.lifted.n_vars):
+                pv, qv = oracles.lifted_site_kernels(t, v)
                 got = check_mc_leq(pv, qv)
                 assert got == (True, None)
                 assert got == oracles.per_ray_mc_leq(
                     pv, qv, n_random=30, rng=np.random.default_rng(v))
-            lker = glauber_kernel(lm, sup)
-            prod = freeze_kernel(lm, sup) @ star_glauber_kernel(lm, sup)
+            lker = t.lker
+            prod = t.freeze @ t.starg
             ok, wit = check_mc_leq(lker, prod)
             assert not ok and wit is not None
             assert (ok, wit) == oracles.per_ray_mc_leq(lker, prod)
@@ -878,9 +849,8 @@ class TestSiteComparisonByFibers:
         # the full (k, n, a) tables, or one with a successor outside the
         # support's indices, are refused instead of read at column 0
         lm = cycle_lift(3)
-        sup = enumerate_support(lm)
-        mu = stationary_distribution(lm, sup)
-        full = exact.heat_bath_arrays(lm, sup)
+        t = exact.Tables(lm)
+        sup, mu, full = t.support, t.mu, t.arrays
         one = [(succ[:, [1]], prob[:, [1]]) for succ, prob in (full, full)]
         assert exact.check_site_mc_leq(lm, one, 1, sup, mu) == (True, None)
         shape = re.escape("law arrays of shape (k, 1, a) = (27, 1, 3)")
@@ -1099,19 +1069,16 @@ class TestTiltedMixing:
                 return repr(e)
 
         m = random_monotone_model(np.random.default_rng(seed))
-        sup = enumerate_support(m)
         want = slices(oracles.evaluated_tilted_slices, m, theta)
-        for derived in (slices(exact._tilted_slices, exact.Tables(m, theta)),
-                        slices(exact._tilted_slices,
-                               exact.Tables(m, theta, sup))):
-            if isinstance(want, str):
-                assert derived == want
-                continue
-            assert len(derived) == len(want)
-            for got, stack in zip(derived, want):
-                assert got[0] == stack[0]
-                for x, y in zip(got[1:], stack[1:]):
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        derived = slices(exact._tilted_slices, exact.Tables(m, theta))
+        if isinstance(want, str):
+            assert derived == want
+            return
+        assert len(derived) == len(want)
+        for got, stack in zip(derived, want):
+            assert got[0] == stack[0]
+            for x, y in zip(got[1:], stack[1:]):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_refuses_the_tilt_before_enumerating(self):
         with mock.patch.object(exact, "enumerate_support") as enum:
@@ -1156,32 +1123,42 @@ class TestKernelsMatchLoops:
     kept set, add the loops' addends in the loops' order: equal bit for
     bit."""
 
+    @staticmethod
+    def site_kernels(arrays, sup):
+        """The matrix of one step at each site of the law arrays."""
+        return [exact._law_kernel(tuple(a[:, [site]] for a in arrays), sup,
+                                  None).matrix
+                for site in range(arrays[0].shape[1])]
+
     def test_glauber_kernels(self, rng):
         for m in kernel_pool(rng):
-            sup = enumerate_support(m)
-            for site in (None, *range(m.n_vars)):
+            t = exact.Tables(m)
+            sup, law = t.support, models.heat_bath_law(m)
+            assert np.array_equal(glauber_kernel(m).matrix,
+                                  oracles.loop_law_kernel(m, law, None, sup))
+            for site, mat in enumerate(self.site_kernels(t.arrays, sup)):
                 assert np.array_equal(
-                    glauber_kernel(m, sup, site).matrix,
-                    oracles.loop_law_kernel(m, models.heat_bath_law(m), site,
-                                            sup))
+                    mat, oracles.loop_law_kernel(m, law, site, sup))
             # the heat-bath arrays summed with a given stationary law give
             # the same kernel
-            shared = exact._law_kernel(exact.heat_bath_arrays(m, sup), sup,
-                                       np.ones(sup.size))
-            assert shared.matrix.tobytes() == glauber_kernel(m, sup).matrix.tobytes()
+            shared = exact._law_kernel(t.arrays, sup, np.ones(sup.size))
+            assert shared.matrix.tobytes() == glauber_kernel(m).matrix.tobytes()
             assert np.array_equal(shared.stationary, np.ones(sup.size))
 
     def test_lifted_kernels(self, rng):
         for m in kernel_pool(rng):
-            lifted = lift_model(m, float(rng.uniform(0.2, 0.8)))
-            sup = enumerate_support(lifted)
-            for site in (None, *range(m.n_vars)):
-                for build, law in (
-                        (glauber_kernel, models.heat_bath_law(lifted)),
-                        (star_glauber_kernel, models.star_frozen_law(lifted))):
+            t = exact.Tables(m, float(rng.uniform(0.2, 0.8)))
+            lifted, sup = t.lifted, t.lsup
+            assert np.array_equal(glauber_kernel(lifted).matrix,
+                                  t.lker.matrix)
+            for ker, arrays, law in (
+                    (t.lker, t.larrays, models.heat_bath_law(lifted)),
+                    (t.starg, t.sarrays, models.star_frozen_law(lifted))):
+                assert np.array_equal(
+                    ker.matrix, oracles.loop_law_kernel(lifted, law, None, sup))
+                for site, mat in enumerate(self.site_kernels(arrays, sup)):
                     assert np.array_equal(
-                        build(lifted, sup, site).matrix,
-                        oracles.loop_law_kernel(lifted, law, site, sup))
+                        mat, oracles.loop_law_kernel(lifted, law, site, sup))
 
     def test_fd_kernel(self, rng):
         for m in kernel_pool(rng):
@@ -1239,7 +1216,7 @@ class TestSiteTables:
                                              lift_by):
         m = table_model(np.random.default_rng(seed), kind, tilt_by)
         sup, n = enumerate_support(m), m.n_vars
-        self.same(lambda: exact.heat_bath_arrays(m, sup),
+        self.same(lambda: exact.Tables(m).arrays,
                   lambda: oracles.law_arrays(heat_bath_law(m), sup, range(n),
                                              2))
         lifted = lift_model(m, lift_by)
@@ -1251,7 +1228,7 @@ class TestSiteTables:
             self.same(lambda: derived(lifted, lsup, sites),
                       lambda: oracles.law_arrays(law(lifted), lsup, range(n),
                                                  3))
-        self.same(lambda: exact.heat_bath_arrays(lifted, lsup),
+        self.same(lambda: exact.Tables(lifted).arrays,
                   lambda: oracles.law_arrays(heat_bath_law(lifted), lsup,
                                              range(n), 3))
 
@@ -1290,8 +1267,8 @@ class TestSiteTables:
     def test_forced_value_keeps_the_state(self):
         # hard-core on K2: from (1, 0) site 1 is forced to 0, so its value 1
         # has probability 0 and points back at the state, with +0.0
-        sup = enumerate_support(HardcoreModel(K2, 1.0))
-        succ, prob = exact.heat_bath_arrays(HardcoreModel(K2, 1.0), sup)
+        t = exact.Tables(HardcoreModel(K2, 1.0))
+        sup, (succ, prob) = t.support, t.arrays
         i = sup.index((1, 0))
         assert succ[i, 1].tolist() == [i, i]
         assert prob[i, 1].tolist() == [1.0, 0.0]
@@ -1308,7 +1285,7 @@ class TestSiteTables:
         with pytest.raises(ValueError, match="^the law at site 0 moves to "
                                              "11, which is not in the "
                                              "support$"):
-            exact.heat_bath_arrays(m, enumerate_support(m))
+            exact.Tables(m).arrays
 
     def test_one_conditional_per_fiber(self):
         m = random_monotone_model(np.random.default_rng(3))
@@ -1371,25 +1348,6 @@ class TestTablesAgainstPerState:
         assert t.lsup.states == want["lsup"].states
         assert np.array_equal(t.lmu, want["lmu"])
 
-    def test_a_given_support_is_evaluated_and_has_no_lift(self):
-        # Tables derives nothing from a support it is given: its log weights
-        # are evaluated over it, no lifted support is derived from it, and
-        # a given lifted support is used as it is
-        m = flip(random_rc(np.random.default_rng(4)))
-        sup = enumerate_support(m)
-        want = oracles.per_state_tables(m, 0.5)
-        with mock.patch.object(exact, "_lifts") as lifts:
-            t = exact.Tables(m, 0.5, sup)
-            assert np.array_equal(t.lws, want["lws"])
-            with pytest.raises(ValueError, match="^no lifted support is "
-                                                 "derived from a given "
-                                                 "support$"):
-                t.lsup
-            t = exact.Tables(m, 0.5, sup, want["lsup"])
-            assert t.lsup is want["lsup"]
-            assert np.array_equal(t.lmu, want["lmu"])
-        assert lifts.call_count == 0
-
     def test_a_ternary_model_is_refused(self):
         lifted = lift_model(k2_flipped_rc(), 0.5)
         for build in (lambda: exact.Tables(lifted, 0.5).lsup,
@@ -1428,7 +1386,7 @@ class TestTablesAgainstPerState:
             exact.Tables(m, 0.5).lsup
         assert codes.call_count == 0
         with pytest.raises(ValueError, match=message):
-            freeze_kernel(lift_model(m, 0.5))
+            exact.Tables(m, 0.5).freeze
 
 
 def random_chain(rng, m, lazy):
@@ -1619,10 +1577,8 @@ class TestTiltedCertificates:
     def test_matches_per_pinning_oracle(self, seed, theta, log_eps):
         m = random_monotone_model(np.random.default_rng(seed), max_vars=5)
         eps = 10 ** log_eps
-        sup = enumerate_support(m)
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
         assert tilted_mixing_time(m, theta, eps) == want
-        assert exact._tilted_time(exact.Tables(m, theta, sup), eps) == want
 
     def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
         with mock.patch.object(exact, "_mixing_times",
@@ -1738,9 +1694,10 @@ class TestDenseGuard:
         monkeypatch.setattr(type(m), "conditional", lambda self, state, v: (
             calls.append(v) or conditional(self, state, v)))
         for build in (lambda: glauber_kernel(m),
-                      lambda: glauber_kernel(m, site=0),
                       lambda: star_glauber_kernel(lifted),
-                      lambda: freeze_kernel(lifted),
+                      lambda: exact.Tables(m, 0.5).freeze,
+                      lambda: freeze_kernel(lifted, exact.enumerate_support(
+                          lifted), None),
                       lambda: fd_kernel(m, 0.5),
                       lambda: exact.comparison_times(m, 0.5, 0.1),
                       lambda: tilted_mixing_time(m, 0.25, 0.1)):
@@ -1760,10 +1717,11 @@ class TestDenseGuard:
         # small next to the 8 MiB output matrix
         c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
         m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
-        sup = enumerate_support(m)
+        t = exact.Tables(m, 0.5)
+        t.support
         tracemalloc.start()
         try:
-            ker = fd_kernel(m, 0.5, sup)
+            ker = t.fker
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,9 +10,10 @@ from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
                                IsingModel, LeftMarginalModel,
                                RandomClusterModel, SubgraphWorldModel,
                                components, flip, lambda_c, lift_model, pin,
-                               rc_marginal_ratio, sw_for_rc, tilt)
+                               rc_marginal_ratio, tilt)
 from conftest import (random_bhc, random_graph, random_hardcore,
                       random_monotone_model, random_rc)
+from oracles import rc_for_ising, sw_for_rc
 
 K2 = Graph(2, [(0, 1)])
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -339,7 +340,7 @@ class TestCouplingConstructors:
 
     def test_rc_for_ising(self):
         ising = IsingModel(K2, [2.0], [1.0, 1.0])
-        rc = models.rc_for_ising(ising)
+        rc = rc_for_ising(ising)
         assert rc.p == [0.5]
 
 

@@ -495,13 +495,10 @@ def lifted_c4():
     and its three lifted kernels."""
     c4 = models.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     m = models.flip(models.RandomClusterModel(c4, [0.5] * 4, [0.5] * 4))
-    lm = models.lift_model(m, 0.5)
-    sup, lsup = exact.enumerate_support(m), exact.enumerate_support(lm)
-    pi0 = exact.lift_pushforward(exact.point_mass(sup, (1,) * 4), sup, 0.5,
-                                 lsup)
-    lker = exact.glauber_kernel(lm, lsup)
-    kernels = (lker, exact.freeze_kernel(lm, lsup),
-               exact.star_glauber_kernel(lm, lsup))
+    t = exact.Tables(m, 0.5)
+    lsup, lker = t.lsup, t.lker
+    pi0 = t.lift(exact.point_mass(t.support, (1,) * 4))
+    kernels = (lker, t.freeze, t.starg)
     alg = exact.propagate(pi0, exact.algorithm_kernel_sequence(
         *kernels[1:], 2, 3, steps=12))
     laws = exact.propagate(pi0, [lker] * 20)[:len(alg)]

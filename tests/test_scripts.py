@@ -1,6 +1,8 @@
 """The example scripts run end to end and print their header line; the
-mixing table prints the columns of the `mixing` command."""
+mixing table prints the columns of the `mixing` command, and the edge demo
+prints the stdout pinned by its sha256."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,6 +35,15 @@ def test_script_runs(script, args, header):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
     assert "VIOLATION" not in proc.stdout
+
+
+def test_edge_demo_stdout_is_pinned():
+    # the whole stdout at 200 chains: the exact checks, each state's exact
+    # and empirical occupancy, and their TV distance
+    proc = run_script("run_edge_demo.py", ["--chains", "200"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "419b75d2bbf100b61626ddd2b1710d8c47285e95d20def5abd0cbbec4565fd55")
 
 
 def test_mixing_table_row_equals_the_mixing_command(tmp_path):
