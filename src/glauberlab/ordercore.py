@@ -8,7 +8,10 @@ dominance, all on the same integers and slack: every pair or stack of pairs
 is decided by sums over the rows of the up-set matrix (small posets) or
 each row's largest up-set excess by a table of closure sums or one closure
 min cut (larger posets), and the same sums or a closure cut give the first
-failing row's witness: its least up-set of largest excess.
+failing row's witness: its least up-set of largest excess.  Before a row
+takes a cut, a greedy monotone coupling may pass it: for every up-set U
+the flow leaving the positive entries in U lands in U, so the mass it
+leaves unrouted bounds the row's excess.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ _FLOW_SCALE = 10 ** 15
 _UP_SET_CAP = 4096
 # above the up-set cap, a stack row whose closure table (2^g subsets of g
 # generators, times the |W| elements where the two laws differ) has at most
-# this many entries is decided by the table, a larger one by a min cut
+# this many entries is decided by the table, a larger one by a min cut unless
+# a greedy monotone coupling passes it first
 _TABLE_ENTRIES = 2 ** 16
 # row pairs per stack in first_dominance_failure and in the cover stage of
 # the order checks; a stack's up-set sums are PAIR_BLOCK x (#up-sets)
@@ -328,21 +332,30 @@ def _slack(tol, k) -> int:
     return int(tol * _FLOW_SCALE) + k + 1
 
 
-def _table_chunk(signed: np.ndarray, rel: np.ndarray, g: int):
-    """Per row s of signed, with at most g positive entries P (generators):
-    the max over subsets A of P of s(A) + s(N ∩ rel-image of A), N the
-    negative entries.  That is the max of s over rel-images of subsets of
-    P: an image scores at least the value of A, and exactly that of its own
-    trace on P.  Generator subsets are bitmasks; a row with fewer
-    generators is padded with generators of zero mass that reach nothing.
-    With key(n) the generators that reach n, the image of A misses n iff
-    key(n) lies in the complement of A, so the loss of every A comes from
-    one subset-sum transform of the masses of N placed at their keys."""
-    pos = signed > 0
-    rows, cols = np.nonzero(pos)
-    gens = np.zeros((len(signed), g), dtype=np.intp)
-    gens[rows, (np.cumsum(pos, axis=1) - 1)[rows, cols]] = cols
-    real = np.arange(g) < pos.sum(axis=1)[:, None]
+def _packed(mask: np.ndarray):
+    """(cols, real): per row of mask, the columns of its True entries in
+    increasing order, left-aligned in a (rows, most per row) array padded
+    with column 0, and the bool mask of the entries that are not padding."""
+    n = mask.sum(axis=1)
+    rows, cols = np.nonzero(mask)
+    out = np.zeros((len(mask), int(n.max(initial=0))), dtype=np.intp)
+    out[rows, (np.cumsum(mask, axis=1) - 1)[rows, cols]] = cols
+    return out, np.arange(out.shape[1]) < n[:, None]
+
+
+def _table_chunk(signed: np.ndarray, rel: np.ndarray):
+    """Per row s of signed, with positive entries P (generators): the max
+    over subsets A of P of s(A) + s(N ∩ rel-image of A), N the negative
+    entries.  That is the max of s over rel-images of subsets of P: an
+    image scores at least the value of A, and exactly that of its own trace
+    on P.  Generator subsets are bitmasks of the g generators of the row
+    with most; a row with fewer generators is padded with generators of
+    zero mass that reach nothing.  With key(n) the generators that reach n,
+    the image of A misses n iff key(n) lies in the complement of A, so the
+    loss of every A comes from one subset-sum transform of the masses of N
+    placed at their keys."""
+    gens, real = _packed(signed > 0)
+    g = gens.shape[1]
     rows, negs = np.nonzero(signed < 0)
     reach = rel[gens[rows], negs[:, None]] & real[rows]
     missed = np.zeros((len(signed), 1 << g), dtype=np.int64)
@@ -376,8 +389,42 @@ def _table_excess(signed: np.ndarray, rel: np.ndarray):
                (stop + 1 - start) << g[order[stop]] <= _TABLE_ENTRIES):
             stop += 1
         rows = order[start:stop]
-        out[rows] = _table_chunk(signed[rows], rel, g[order[stop - 1]])
+        out[rows] = _table_chunk(signed[rows], rel)
         start = stop
+    return out
+
+
+def _coupling_bound(diff: np.ndarray, poset: Poset) -> np.ndarray:
+    """Per integer row d of diff: the mass of its positive entries P that a
+    greedy monotone coupling leaves unrouted, an upper bound on max_U d(U).  The sources in P are taken along poset.extension, each
+    filling, in increasing lexicographic order, what remains of the capacity
+    -d of the negative entries N above it.  For every up-set U, the flow
+    leaving P ∩ U lands in N ∩ U, so d(U) <= d(P ∩ U) - flow(P ∩ U) <= the
+    unrouted mass.  Vectorised over the rows, one pass per source rank, over
+    the rows with that many sources."""
+    ext = np.array(poset.extension, dtype=np.intp)
+    # the columns where a row is nonzero, in extension order, and the rows
+    # by decreasing source count, so that pass t reads a prefix of the rows
+    ext = ext[diff[:, ext].any(axis=0)]
+    d = diff[:, ext]
+    order = np.argsort(-(d > 0).sum(axis=1), kind="stable")
+    d = d[order]
+    src, real = _packed(d > 0)
+    supply = np.where(real, np.take_along_axis(d, src, 1), 0)
+    # sinks in reverse extension order: increasing lexicographic order
+    snk, sink = _packed(d[:, ::-1] < 0)
+    cap = np.where(sink, -np.take_along_axis(d[:, ::-1], snk, 1), 0)
+    src, snk = ext[src], ext[::-1][snk]
+    routed = cap.sum(axis=1)
+    leq = poset.leq_matrix()
+    for t, a in enumerate(real.sum(axis=0).tolist()):
+        c = cap[:a] * leq[src[:a, t, None], snk[:a]]
+        # the supply left over when the source reaches each sink
+        left = supply[:a, t, None] - np.cumsum(c, axis=1) + c
+        cap[:a] -= np.minimum(c, np.maximum(left, 0))
+    routed -= cap.sum(axis=1)
+    out = np.empty(len(d), dtype=np.int64)
+    out[order] = supply.sum(axis=1) - routed
     return out
 
 
@@ -420,9 +467,12 @@ def _first_violation(nus, nus_prime, poset: Poset, slack: int):
     largest excess as a bool mask, or (r, None) for a first row r invalid
     on either side, or None.  With an up_set_matrix, by the sums over its
     up-sets; else each row's excess max_U d(U), d the integer row difference,
-    by its closure table when that has at most _TABLE_ENTRIES entries, and by
-    one closure cut otherwise, the cuts in row order up to the first
-    failure."""
+    by its closure table when that has at most _TABLE_ENTRIES entries.  Each
+    other valid row before the first invalid row or failing table row
+    passes if the greedy monotone coupling of _coupling_bound leaves at most
+    slack units unrouted (sound: the unrouted mass bounds every up-set's
+    excess); the rest take one closure cut each, in row order up to the
+    first failure."""
     bad = _invalid(nus) | _invalid(nus_prime)
     with np.errstate(invalid="ignore"):  # non-finite rows are bad already
         diff = (_scale_to_ints(np.clip(nus, 0.0, None))
@@ -449,9 +499,8 @@ def _first_violation(nus, nus_prime, poset: Poset, slack: int):
         rows = np.flatnonzero(table & side)
         fail[rows] = _table_excess(sign * diff[rows], rel) > slack
     first = int(fail.argmax()) if fail.any() else len(fail)
-    for r in np.flatnonzero(~table & ~bad).tolist():
-        if r > first:
-            break
+    cut = np.flatnonzero(~table[:first] & ~bad[:first])
+    for r in cut[_coupling_bound(diff[cut], poset) > slack].tolist():
         excess, least = _closure_cut(diff[r], poset)
         if excess > slack:
             return r, least
@@ -487,12 +536,17 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
        down-closure of a subset of the negative entries N.  The side with
        fewer entries, g = min(|P|, |N|), is enumerated, all 2^g subsets in
        int64, when 2^g |P ∪ N| is at most _TABLE_ENTRIES;
-    3. one min cut (Picard) on P, N and the order, by _closure_cut.
+    3. a greedy monotone coupling (_coupling_bound), which only passes: P's
+       entries, along poset.extension, fill the entries of N above them in
+       increasing lexicographic order, and the row passes if at most the
+       slack is left unrouted.  The flow leaving P ∩ U lands in N ∩ U for
+       every up-set U, so d(U) <= the unrouted mass;
+    4. one min cut (Picard) on P, N and the order, by _closure_cut.
 
     The witness is the least up-set U* of largest excess: d is modular,
     d(U ∩ V) + d(U ∪ V) = d(U) + d(V), so those up-sets are closed under ∩.
     On path 1 it is the AND of the up-sets at the largest sum, else the
-    least min cut of one closure cut (_closure_cut, run already on path 3).
+    least min cut of one closure cut (_closure_cut, run already on path 4).
     It is also the witness of the coupling's max-flow on supp(nu) x
     supp(nu_prime), arcs x -> y for x <= y: a cut with sources S costs at
     least _FLOW_SCALE - d(up(S)), with equality at S = U ∩ supp(nu) for an

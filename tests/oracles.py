@@ -20,12 +20,13 @@ stochastic dominance, the covers and height of a poset by their
 definitions, and the independence diagnostics that scan the state table
 once per pinning and solve one min-cost flow per pair of conditionings,
 and the entropic-independence witness search that scores one law at a
-time; the kernel builders that loop over states, sites and
-values (site-update laws) or over rows and kept sets (field dynamics), the
-freeze kernel and the lift and contract pushforwards that fan each binary
-state out over its lifts with one support.index per entry, and the mixing
-time of one chain at a time without the refusal by distance, and the
-closed-form mixing time of a two-state chain; the tilted
+time; the greedy monotone coupling that bounds a row's excess, one
+source and one sink at a time; the kernel builders that loop over states,
+sites and values (site-update laws) or over rows and kept sets (field
+dynamics), the freeze kernel and the lift and contract pushforwards that
+fan each binary state out over its lifts with one support.index per
+entry, and the mixing time of one chain at a time without the refusal by
+distance, and the closed-form mixing time of a two-state chain; the tilted
 slices over the tilted model's own support and conditional, the
 Glauber vs field-dynamics comparison composed from the public calls, and
 the CLI parser that declares every option on each subcommand again; and
@@ -175,6 +176,26 @@ def per_row_flow_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL, *,
         if not ok:
             return False, (r, wit)
     return True, None
+
+
+def greedy_coupling_bound(d, poset: Poset) -> int:
+    """ordercore._coupling_bound of one integer row d, one source and one
+    sink at a time: the positive entries, along poset.extension, each fill
+    what is left of the negative entries above them in increasing
+    lexicographic order; returns the supply left unrouted."""
+    m = poset.leq_matrix()
+    cap = {j: -int(d[j]) for j in range(len(d)) if d[j] < 0}
+    sinks = sorted(cap, key=poset.states.__getitem__)
+    unrouted = 0
+    for i in poset.extension:
+        supply = max(int(d[i]), 0)
+        for j in sinks:
+            if m[i, j]:
+                take = min(supply, cap[j])
+                cap[j] -= take
+                supply -= take
+        unrouted += supply
+    return unrouted
 
 
 def comparable_pairs(poset: Poset):

@@ -342,13 +342,24 @@ class TestLiftedOrderCeilings:
 
     def test_flipped_rc_c6_dominance_and_monotonicity(self, tmp_path):
         # lifted k = 729: the freeze kernel's cover rows have 16 or 32
-        # entries of each sign, past every closure table, so they take cuts
+        # entries of each sign, past every closure table, so they reach the
+        # greedy coupling, which routes them within the slack of a cover
+        # (the lifted C6 poset has height 12): no closure cut runs
         params = write(tmp_path / "rc.params", "model = rc\n"
                        "p.default = 0.5\nlambda.default = 0.5\n"
                        "theta = 0.5\n")
         out = tmp_path / "verify.json"
+        rows, bound_of = [], ordercore._coupling_bound
+
+        def coupling_bound(diff, poset):
+            bound = bound_of(diff, poset)
+            rows.extend(zip(diff, bound))
+            return bound
+
         with mock.patch.object(ordercore, "_closure_cut",
-                               wraps=ordercore._closure_cut) as cut:
+                               wraps=ordercore._closure_cut) as cut, \
+                mock.patch.object(ordercore, "_coupling_bound",
+                                  coupling_bound):
             assert run_cli(["verify", "--graph", cycle_graph(tmp_path, 6),
                             "--params", params, "--transform", "flip",
                             "--check", "dominance",
@@ -356,8 +367,10 @@ class TestLiftedOrderCeilings:
                             "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["all_pass"] and all(r["observed"] for r in rep["results"])
-        sides = {min(int((d > 0).sum()), int((d < 0).sum()))
-                 for (d, _), _ in cut.call_args_list}
+        assert cut.call_count == 0
+        cover_slack = ordercore._slack(PROB_TOL, 729) // 12
+        assert all(bound <= cover_slack for _, bound in rows)
+        sides = {min(int((d > 0).sum()), int((d < 0).sum())) for d, _ in rows}
         assert {16, 32} <= sides
 
     def test_plain_hardcore_c9_witness(self, tmp_path, capsys):

@@ -16,7 +16,8 @@ from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance, up_set_of_row)
 from oracles import (brute_covers, brute_height, dominance_by_up_sets,
-                     flow_dominance, full_network_dominance, is_up_set,
+                     flow_dominance, full_network_dominance,
+                     greedy_coupling_bound, is_up_set,
                      per_row_flow_dominance, up_sets_by_sets)
 
 
@@ -643,6 +644,122 @@ class TestClosureStacks:
             assert got[0] == (offset == 0)
             want = per_row_flow_dominance([nu], [nup], p, split=split)
             assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_posets(), st.data(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, PROB_TOL]))
+    def test_coupling_bound_is_sound(self, poset, data, seed, tol):
+        # the greedy coupling's unrouted mass equals the one-at-a-time
+        # oracle's, is never below the row's excess, and a row it passes
+        # passes the flow; dense ties at the slack and one unit past it
+        split = data.draw(st.sampled_from([1, 2, poset.height]))
+        kinds = data.draw(st.lists(st.sampled_from(
+            ["dominated", "few", "tie", "sparse", "random", "lopsided"]),
+            max_size=6))
+        rng = np.random.default_rng(seed)
+        slack = ordercore._slack(tol, poset.size) // split
+        pairs = [stack_row(rng, poset, slack, kind) for kind in kinds]
+        pairs += [closure_tie(rng, poset, slack + offset, poset.size)
+                  for offset in (0, 1)]
+        nus, nups = map(np.array, zip(*pairs))
+        d = (ordercore._scale_to_ints(np.clip(nus, 0.0, None))
+             - ordercore._scale_to_ints(np.clip(nups, 0.0, None)))
+        bound = ordercore._coupling_bound(d, poset)
+        for r, row in enumerate(d):
+            assert bound[r] == greedy_coupling_bound(row, poset)
+            assert bound[r] >= ordercore._closure_cut(row, poset)[0]
+            if bound[r] <= slack:
+                assert flow_dominance(nus[r], nups[r], poset, slack) == (
+                    True, None)
+
+    def test_greedy_strands_mass_a_coupling_routes(self):
+        # the 6-cube: nu's atoms 100000 and 001000 fit under nu''s atoms
+        # 101000 and 110000 (excess 0), but the greedy coupling fills 101000
+        # from 100000 first and strands 001000's half: not certified
+        p = Poset(tuple(itertools.product((0, 1), repeat=6)))
+        nu, nup = np.zeros((2, p.size))
+        nu[[p.index((1, 0, 0, 0, 0, 0)), p.index((0, 0, 1, 0, 0, 0))]] = 0.5
+        nup[[p.index((1, 0, 1, 0, 0, 0)), p.index((1, 1, 0, 0, 0, 0))]] = 0.5
+        d = ordercore._scale_to_ints(nu) - ordercore._scale_to_ints(nup)
+        slack = ordercore._slack(PROB_TOL, p.size)
+        assert slack == 1065
+        assert ordercore._closure_cut(d, p)[0] == 0
+        assert ordercore._coupling_bound(d[None], p).tolist() == [SCALE // 2]
+        assert stochastic_dominance(nu, nup, p) == (True, None)
+
+    @staticmethod
+    def chains_and_gadget(excess, gadget):
+        """Sixteen disjoint 2-chains x_i < y_i (x_i = e_i, y_i = e_i +
+        e_{16+i} on 32 sites) and, on 3 more sites, the four states of the
+        6-cube case above: 36 elements, above the up-set cap.  nu puts a on
+        each x_i and gadget on each lower state, nu' the same on each y_i and
+        upper state, and excess more units on x_0 and on y_1: the row's
+        excess is exactly excess (up-set {x_0, y_0}), and with 16 entries of
+        each sign it is past every closure table.  The greedy coupling
+        routes the chains exactly, so it leaves excess unrouted, plus
+        gadget."""
+        def elem(*ones):
+            x = [0] * 35
+            for i in ones:
+                x[i] = 1
+            return tuple(x)
+
+        xs = [elem(i) for i in range(16)]
+        ys = [elem(i, 16 + i) for i in range(16)]
+        lower, upper = [elem(32), elem(34)], [elem(32, 34), elem(32, 33)]
+        p = Poset(tuple(xs + ys + lower + upper))
+        a = 6 * 10 ** 13
+        left = np.zeros(p.size, dtype=np.int64)
+        left[:16] = a
+        left[15] += SCALE - 16 * a - 2 * gadget - excess
+        right = np.zeros_like(left)
+        right[16:32] = left[:16]
+        left[0] += excess
+        right[17] += excess
+        left[32:34] = right[34:36] = gadget
+        return p, left / SCALE, right / SCALE
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_certificate_at_the_slack(self, offset):
+        # an unrouted mass of exactly the slack passes without a cut; one
+        # unit more goes to the cut, which fails the row
+        p, nu, nup = self.chains_and_gadget(
+            ordercore._slack(PROB_TOL, 36) + offset, 0)
+        assert p.up_set_matrix is None
+        d = ordercore._scale_to_ints(nu) - ordercore._scale_to_ints(nup)
+        assert (d > 0).sum() == (d < 0).sum() == 16
+        assert ordercore._coupling_bound(d[None], p).tolist() == [
+            ordercore._slack(PROB_TOL, 36) + offset]
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            got = stochastic_dominance(nu, nup, p)
+        assert cut.call_count == offset  # the verdict and the witness
+        assert got == ((True, None) if offset == 0
+                       else (False, frozenset({0, 16})))
+        assert stochastic_dominance([nu], [nup], p) == (
+            per_row_flow_dominance([nu], [nup], p))
+
+    def test_mass_moved_down_is_not_routed(self):
+        # nu' <=_sd nu but not the reverse: every source of the reversed row
+        # is a y_i, with sinks only below it, so nothing is routed
+        p, nu, nup = self.chains_and_gadget(0, 0)
+        d = ordercore._scale_to_ints(nup) - ordercore._scale_to_ints(nu)
+        assert ordercore._coupling_bound(d[None], p).tolist() == [SCALE]
+        assert stochastic_dominance(nu, nup, p) == (True, None)
+        ok, wit = stochastic_dominance(nup, nu, p)
+        assert not ok and wit == per_row_flow_dominance([nup], [nu], p)[1][1]
+
+    def test_uncertified_rows_go_to_the_cut(self):
+        # the gadget strands its mass, so a passing row takes one cut
+        p, nu, nup = self.chains_and_gadget(ordercore._slack(PROB_TOL, 36),
+                                            10 ** 13)
+        d = ordercore._scale_to_ints(nu) - ordercore._scale_to_ints(nup)
+        assert ordercore._coupling_bound(d[None], p).tolist() == [
+            ordercore._slack(PROB_TOL, 36) + 10 ** 13]
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            assert stochastic_dominance(nu, nup, p) == (True, None)
+        assert cut.call_count == 1
 
     def test_table_memory_on_lifted_c4(self):
         # the dominance laws of the exact-large verify instance, and the
