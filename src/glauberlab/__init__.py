@@ -1,8 +1,7 @@
 """Sampling dynamics and exact verification tools for monotone spin systems."""
 
-from .ordercore import (STAR, Poset, contract, enumerate_up_sets,
-                        is_increasing, leq, lift, state_str,
-                        stochastic_dominance)
+from .ordercore import (STAR, Poset, contract, enumerate_up_sets, leq, lift,
+                        state_str, stochastic_dominance)
 from .models import (BipartiteHardcoreModel, FlippedModel, Graph,
                      HardcoreModel, IsingModel, LeftMarginalModel,
                      LiftedModel, PinnedModel, RandomClusterModel,
@@ -10,8 +9,8 @@ from .models import (BipartiteHardcoreModel, FlippedModel, Graph,
                      rc_marginal_ratio, tilt)
 
 __all__ = [
-    "STAR", "Poset", "contract", "enumerate_up_sets", "is_increasing", "leq",
-    "lift", "state_str", "stochastic_dominance",
+    "STAR", "Poset", "contract", "enumerate_up_sets", "leq", "lift",
+    "state_str", "stochastic_dominance",
     "BipartiteHardcoreModel", "FlippedModel", "Graph", "HardcoreModel",
     "IsingModel", "LeftMarginalModel", "LiftedModel", "PinnedModel",
     "RandomClusterModel", "SubgraphWorldModel", "TiltedModel", "flip",

@@ -6,12 +6,12 @@ Provides up-set enumeration, as one indicator matrix with a row per up-set,
 the covering pairs and height of a poset, and exact tests for stochastic
 dominance, all on the same integers and slack: every pair or stack of pairs
 is decided by sums over the rows of the up-set matrix (small posets) or
-each row's largest up-set excess by a table of closure sums or one closure
-min cut (larger posets), and the same sums or a closure cut give the first
-failing row's witness: its least up-set of largest excess.  Before a row
-takes a cut, a greedy monotone coupling may pass it: for every up-set U
-the flow leaving the positive entries in U lands in U, so the mass it
-leaves unrouted bounds the row's excess.
+by a greedy monotone coupling and closure min cuts (larger posets), and the
+same sums or a closure cut give the first failing row's witness: its least
+up-set of largest excess.  The coupling only passes rows: for every up-set
+U the flow leaving the positive entries in U lands in U, so the mass it
+leaves unrouted bounds the row's excess; each row it does not pass takes
+one cut, which decides its excess exactly.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ _FLOW_SCALE = 10 ** 15
 # posets with at most this many up-sets decide dominance by up-set sums; the
 # up-set matrix of such a poset is at most _UP_SET_CAP x 32 floats (1 MB)
 _UP_SET_CAP = 4096
-# above the up-set cap, a stack row whose closure table (2^g subsets of g
-# generators, times the |W| elements where the two laws differ) has at most
-# this many entries is decided by the table, a larger one by a min cut unless
-# a greedy monotone coupling passes it first
-_TABLE_ENTRIES = 2 ** 16
 # row pairs per stack in first_dominance_failure and in the cover stage of
 # the order checks; a stack's up-set sums are PAIR_BLOCK x (#up-sets)
 PAIR_BLOCK = 64
@@ -202,21 +197,6 @@ class Poset:
         return frozenset(out)
 
 
-def is_increasing(values, poset: Poset, tol: float = 0.0):
-    """Check f(x) <= f(y) for all comparable pairs x <= y.
-
-    values: sequence aligned with poset.states.
-    Returns (True, None) or (False, (i, j)) with a violating index pair.
-    """
-    m = poset.leq_matrix()
-    k = poset.size
-    for i in range(k):
-        for j in np.nonzero(m[i])[0]:
-            if i != j and values[i] > values[j] + tol:
-                return False, (i, j)
-    return True, None
-
-
 def enumerate_up_sets(poset: Poset, max_elements: int = 32,
                       max_up_sets: int = 10 ** 6) -> np.ndarray:
     """All upward-closed subsets, as a read-only (r, k) bool matrix with one
@@ -343,57 +323,6 @@ def _packed(mask: np.ndarray):
     return out, np.arange(out.shape[1]) < n[:, None]
 
 
-def _table_chunk(signed: np.ndarray, rel: np.ndarray):
-    """Per row s of signed, with positive entries P (generators): the max
-    over subsets A of P of s(A) + s(N ∩ rel-image of A), N the negative
-    entries.  That is the max of s over rel-images of subsets of P: an
-    image scores at least the value of A, and exactly that of its own trace
-    on P.  Generator subsets are bitmasks of the g generators of the row
-    with most; a row with fewer generators is padded with generators of
-    zero mass that reach nothing.  With key(n) the generators that reach n,
-    the image of A misses n iff key(n) lies in the complement of A, so the
-    loss of every A comes from one subset-sum transform of the masses of N
-    placed at their keys."""
-    gens, real = _packed(signed > 0)
-    g = gens.shape[1]
-    rows, negs = np.nonzero(signed < 0)
-    reach = rel[gens[rows], negs[:, None]] & real[rows]
-    missed = np.zeros((len(signed), 1 << g), dtype=np.int64)
-    np.add.at(missed, (rows, reach @ (1 << np.arange(g))), signed[rows, negs])
-    value = np.zeros_like(missed)
-    gen_mass = np.where(real, np.take_along_axis(signed, gens, 1), 0)
-    for i in range(g):
-        np.add(value[:, :1 << i], gen_mass[:, i, None],
-               out=value[:, 1 << i:2 << i])
-        # missed[C] becomes the mass of N with key(n) within C
-        half = missed.reshape(len(signed), -1, 2, 1 << i)
-        half[:, :, 1] += half[:, :, 0]
-    # value[A] = s(A) + s(N) - missed[complement of A]: A = 0 scores 0
-    value += missed[:, -1:]
-    value -= missed[:, ::-1]
-    return value.max(axis=1)
-
-
-def _table_excess(signed: np.ndarray, rel: np.ndarray):
-    """_table_chunk over every row of signed, in chunks of rows in order of
-    their generator count whose padded tables hold at most _TABLE_ENTRIES
-    subsets together."""
-    g = (signed > 0).sum(axis=1)
-    order = np.argsort(g, kind="stable").tolist()
-    g = g.tolist()
-    out = np.empty(len(signed), dtype=np.int64)
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while (stop < len(order) and
-               (stop + 1 - start) << g[order[stop]] <= _TABLE_ENTRIES):
-            stop += 1
-        rows = order[start:stop]
-        out[rows] = _table_chunk(signed[rows], rel)
-        start = stop
-    return out
-
-
 def _coupling_bound(diff: np.ndarray, poset: Poset) -> np.ndarray:
     """Per integer row d of diff: the mass of its positive entries P that a
     greedy monotone coupling leaves unrouted, an upper bound on max_U d(U).  The sources in P are taken along poset.extension, each
@@ -466,13 +395,11 @@ def _first_violation(nus, nus_prime, poset: Poset, slack: int):
     for some up-set U, in integers at the scale, U then the least up-set of
     largest excess as a bool mask, or (r, None) for a first row r invalid
     on either side, or None.  With an up_set_matrix, by the sums over its
-    up-sets; else each row's excess max_U d(U), d the integer row difference,
-    by its closure table when that has at most _TABLE_ENTRIES entries.  Each
-    other valid row before the first invalid row or failing table row
-    passes if the greedy monotone coupling of _coupling_bound leaves at most
-    slack units unrouted (sound: the unrouted mass bounds every up-set's
-    excess); the rest take one closure cut each, in row order up to the
-    first failure."""
+    up-sets.  Else each valid row before the first invalid row passes if
+    the greedy monotone coupling of _coupling_bound leaves at most slack
+    units unrouted (sound: the unrouted mass bounds every up-set's excess);
+    the rest take one closure cut each, in row order up to the first
+    failure."""
     bad = _invalid(nus) | _invalid(nus_prime)
     with np.errstate(invalid="ignore"):  # non-finite rows are bad already
         diff = (_scale_to_ints(np.clip(nus, 0.0, None))
@@ -485,28 +412,13 @@ def _first_violation(nus, nus_prime, poset: Poset, slack: int):
             return None
         r = int(fail.argmax())
         return r, None if bad[r] else ups[sums[r] == sums[r].max()].all(0)
-    n_pos = (diff > 0).sum(axis=1)
-    n_neg = (diff < 0).sum(axis=1)
-    up = n_pos <= n_neg
-    # 2^g |W| entries, g = min(n_pos, n_neg) (capped where 2^g alone is over)
-    table = ~bad & ((n_pos + n_neg) << np.minimum(n_pos, n_neg).clip(max=17)
-                    <= _TABLE_ENTRIES)
-    fail = bad.copy()
-    leq = poset.leq_matrix()
-    # the dual side: max_U d(U) = max over down-sets D of -d(D), as d sums
-    # to 0, so the negative entries generate down-closures
-    for side, sign, rel in ((up, 1, leq), (~up, -1, leq.T)):
-        rows = np.flatnonzero(table & side)
-        fail[rows] = _table_excess(sign * diff[rows], rel) > slack
-    first = int(fail.argmax()) if fail.any() else len(fail)
-    cut = np.flatnonzero(~table[:first] & ~bad[:first])
-    for r in cut[_coupling_bound(diff[cut], poset) > slack].tolist():
+    first = int(bad.argmax()) if bad.any() else len(bad)
+    rows = np.flatnonzero(_coupling_bound(diff[:first], poset) > slack)
+    for r in rows.tolist():
         excess, least = _closure_cut(diff[r], poset)
         if excess > slack:
             return r, least
-    if first == len(fail):
-        return None
-    return first, None if bad[first] else _closure_cut(diff[first], poset)[1]
+    return None if first == len(bad) else (first, None)
 
 
 def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
@@ -529,24 +441,20 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     1. the poset's up_set_matrix: one product over every up-set, exact in
        float64, every partial sum being an integer of magnitude at most
        _FLOW_SCALE < 2**53;
-    2. a closure table: for A = U ∩ P, P the positive entries of d, the
-       up-closure of A lies in U and holds A, so d(up(A)) >= d(U), and the
-       maximum is reached at the up-closure of a subset of P.  Dually, as d
-       sums to 0, it is max over down-sets D of -d(D), reached at the
-       down-closure of a subset of the negative entries N.  The side with
-       fewer entries, g = min(|P|, |N|), is enumerated, all 2^g subsets in
-       int64, when 2^g |P ∪ N| is at most _TABLE_ENTRIES;
-    3. a greedy monotone coupling (_coupling_bound), which only passes: P's
-       entries, along poset.extension, fill the entries of N above them in
-       increasing lexicographic order, and the row passes if at most the
-       slack is left unrouted.  The flow leaving P ∩ U lands in N ∩ U for
-       every up-set U, so d(U) <= the unrouted mass;
-    4. one min cut (Picard) on P, N and the order, by _closure_cut.
+    2. a greedy monotone coupling (_coupling_bound), which only passes: the
+       positive entries P of d, along poset.extension, fill the negative
+       entries N above them in increasing lexicographic order, and the row
+       passes if at most the slack is left unrouted.  The flow leaving
+       P ∩ U lands in N ∩ U for every up-set U, so d(U) <= the unrouted
+       mass;
+    3. one min cut (Picard) on P, N and the order, by _closure_cut: for
+       A = U ∩ P, the up-closure of A lies in U and holds A, so
+       d(up(A)) >= d(U), and the maximum is a max-weight closure.
 
     The witness is the least up-set U* of largest excess: d is modular,
     d(U ∩ V) + d(U ∪ V) = d(U) + d(V), so those up-sets are closed under ∩.
     On path 1 it is the AND of the up-sets at the largest sum, else the
-    least min cut of one closure cut (_closure_cut, run already on path 4).
+    least min cut of the closure cut that path 3 runs on the row.
     It is also the witness of the coupling's max-flow on supp(nu) x
     supp(nu_prime), arcs x -> y for x <= y: a cut with sources S costs at
     least _FLOW_SCALE - d(up(S)), with equality at S = U ∩ supp(nu) for an

@@ -38,7 +38,8 @@ weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
 enumeration and derives from it.  Last, the couplings between models that
 only the coupling tests build: the random cluster model of an Ising model
-and the subgraph-world model of a random cluster model.
+and the subgraph-world model of a random cluster model; and the test that
+a function on a poset increases, which no command makes.
 """
 
 import argparse
@@ -60,6 +61,21 @@ def is_up_set(poset: Poset, members) -> bool:
         if not all(j in members for j in np.nonzero(m[i])[0]):
             return False
     return True
+
+
+def is_increasing(values, poset: Poset, tol: float = 0.0):
+    """Check f(x) <= f(y) for all comparable pairs x <= y.
+
+    values: sequence aligned with poset.states.
+    Returns (True, None) or (False, (i, j)) with a violating index pair.
+    """
+    m = poset.leq_matrix()
+    k = poset.size
+    for i in range(k):
+        for j in np.nonzero(m[i])[0]:
+            if i != j and values[i] > values[j] + tol:
+                return False, (i, j)
+    return True, None
 
 
 def up_sets_by_sets(poset: Poset, max_elements: int = 32,

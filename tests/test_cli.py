@@ -342,9 +342,9 @@ class TestLiftedOrderCeilings:
 
     def test_flipped_rc_c6_dominance_and_monotonicity(self, tmp_path):
         # lifted k = 729: the freeze kernel's cover rows have 16 or 32
-        # entries of each sign, past every closure table, so they reach the
-        # greedy coupling, which routes them within the slack of a cover
-        # (the lifted C6 poset has height 12): no closure cut runs
+        # entries of each sign; the greedy coupling routes them within the
+        # slack of a cover (the lifted C6 poset has height 12), so no
+        # closure cut runs
         params = write(tmp_path / "rc.params", "model = rc\n"
                        "p.default = 0.5\nlambda.default = 0.5\n"
                        "theta = 0.5\n")

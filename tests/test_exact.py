@@ -380,7 +380,7 @@ class TestPushforwards:
         lsup = t.lsup
         pi = stationary_distribution(t.lifted, lsup)
         dens = [a / b if b > 0 else 0.0 for a, b in zip(pi0, pi)]
-        assert ordercore.is_increasing(dens, lsup, tol=1e-12)[0]
+        assert oracles.is_increasing(dens, lsup, tol=1e-12)[0]
 
 
 class TestDivergences:
@@ -466,7 +466,7 @@ class TestChecksMatchOracles:
 
     def test_lifted_c4_kernels(self):
         # the exact-large verify instance: 81 states, more than the up-set
-        # path takes, so closure tables and cuts per cover
+        # path takes, so the greedy coupling and closure cuts per cover
         t = exact.Tables(flip(RandomClusterModel(
             Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [0.5] * 4,
             [0.5] * 4)), 0.5)

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from glauberlab import exact, models, ordercore
 from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   enumerate_up_sets, first_dominance_failure,
-                                  is_increasing, leq, lift,
+                                  leq, lift,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance, up_set_of_row)
 from oracles import (brute_covers, brute_height, dominance_by_up_sets,
                      flow_dominance, full_network_dominance,
-                     greedy_coupling_bound, is_up_set,
+                     greedy_coupling_bound, is_increasing, is_up_set,
                      per_row_flow_dominance, up_sets_by_sets)
 
 
@@ -454,7 +454,7 @@ class TestDominanceOracles:
                                  split=0)
 
     def test_flow_fallback_above_the_cap(self, rng):
-        # 64 elements: no up-set matrix, closure tables and cuts per pair
+        # 64 elements: no up-set matrix, the coupling and cuts per pair
         p = Poset(tuple(itertools.product((0, 1), repeat=6)))
         assert p.up_set_matrix is None
         pairs = [row_pair(rng, p, PROB_TOL, kind) for kind in
@@ -468,8 +468,9 @@ class TestDominanceOracles:
         assert stochastic_dominance(nus, nus_prime, p) == (False, want)
 
     def test_invalid_row_after_a_violation_is_not_reached(self):
-        # a 2-element chain (up-set sums) and {0,1}^6 (64 elements: closure
-        # tables); each law puts its mass on the bottom and the top
+        # a 2-element chain (up-set sums) and {0,1}^6 (64 elements: the
+        # coupling and cuts); each law puts its mass on the bottom and the
+        # top
         for n in (1, 6):
             p = Poset(tuple(itertools.product((0, 1), repeat=n)))
             bottom_top = np.zeros((3, p.size))
@@ -522,11 +523,10 @@ def large_posets(draw):
 
 def closure_tie(rng, poset, excess, n_atoms):
     """A pair whose largest up-set excess is exactly excess flow units, with
-    left on n_atoms elements (the first one, where the closure table's pad
-    slots point, half the time): right moves excess units from b down to
-    some a < b, then pushes mass up within U = up(b) and within its
-    complement only, which lowers no up-set's mass; so U keeps the excess
-    and no up-set has more."""
+    left on n_atoms elements (the first one half the time): right moves
+    excess units from b down to some a < b, then pushes mass up within
+    U = up(b) and within its complement only, which lowers no up-set's
+    mass; so U keeps the excess and no up-set has more."""
     k = poset.size
     m = poset.leq_matrix()
     below = np.argwhere(m & ~np.eye(k, dtype=bool))
@@ -552,10 +552,10 @@ def closure_tie(rng, poset, excess, n_atoms):
 def stack_row(rng, poset, slack, kind):
     k = poset.size
     if kind == "few":
-        # a dominated pair on a few atoms: a closure table row
+        # a dominated pair on a few atoms
         return closure_tie(rng, poset, 0, int(rng.integers(1, 8)))
     if kind == "tie":
-        # a dense tie takes a cut, a tie on a few atoms a table
+        # a tie on every element or on a few atoms
         n_atoms = k if rng.random() < 0.5 else int(rng.integers(1, 8))
         return closure_tie(rng, poset, slack + int(rng.integers(2)), n_atoms)
     if kind == "lopsided":
@@ -580,8 +580,8 @@ def outcome(f, *args, **kwargs):
 
 
 class TestClosureStacks:
-    """Stacks above the up-set cap: closure tables and closure cuts against
-    one flow per row."""
+    """Stacks above the up-set cap: the greedy coupling and closure cuts
+    against one flow per row."""
 
     @settings(max_examples=100, deadline=None)
     @given(large_posets(), st.data(), st.integers(0, 2 ** 32 - 1),
@@ -614,30 +614,26 @@ class TestClosureStacks:
         assert (None if found is None else found[0]) == stop
         assert (found is not None and found[1] is None) == (
             want[0] == "raises")
-        # a row takes a cut only if the closure table of neither side fits,
-        # or for the witness of the first failing row
-        cuts = [d for (d, _), _ in cut.call_args_list]
-        if want[0] is False:
-            r = want[1][0]
-            d = (ordercore._scale_to_ints(np.clip(nus[r], 0.0, None))
-                 - ordercore._scale_to_ints(np.clip(nups[r], 0.0, None)))
-            if cuts and np.array_equal(cuts[-1], d):
-                cuts.pop()
-        for d in cuts:
-            g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
-            assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
+        # the cuts, in row order, are those of every valid row up to the
+        # stop that the greedy coupling leaves above the slack: the failing
+        # row's cut gives its witness, and no other row takes one
+        end = len(nus) if stop is None else stop + (want[0] is False)
+        d = (ordercore._scale_to_ints(np.clip(nus[:end], 0.0, None))
+             - ordercore._scale_to_ints(np.clip(nups[:end], 0.0, None)))
+        cut_rows = np.flatnonzero(ordercore._coupling_bound(d, poset) > slack)
+        cuts = [row for (row, _), _ in cut.call_args_list]
+        assert len(cuts) == len(cut_rows)
+        assert all(np.array_equal(row, d[r]) for row, r in zip(cuts, cut_rows))
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_tie_on_a_cut_row(self, rng, offset):
-        # dense rows: both sides too large for a table, so the cut decides
+        # dense rows whose excess is the slack or one unit past it
         p = lifted_c4()[0]
         for split in (1, 2, p.height):
             slack = ordercore._slack(PROB_TOL, p.size) // split
             nu, nup = closure_tie(rng, p, slack + offset, p.size)
             d = (ordercore._scale_to_ints(nu)
                  - ordercore._scale_to_ints(nup))
-            g = min(np.count_nonzero(d > 0), np.count_nonzero(d < 0))
-            assert np.count_nonzero(d) << g > ordercore._TABLE_ENTRIES
             excess, least = ordercore._closure_cut(d, p)
             assert excess == d[least].sum() == slack + offset
             got = stochastic_dominance([nu], [nup], p, split=split)
@@ -694,8 +690,8 @@ class TestClosureStacks:
         6-cube case above: 36 elements, above the up-set cap.  nu puts a on
         each x_i and gadget on each lower state, nu' the same on each y_i and
         upper state, and excess more units on x_0 and on y_1: the row's
-        excess is exactly excess (up-set {x_0, y_0}), and with 16 entries of
-        each sign it is past every closure table.  The greedy coupling
+        excess is exactly excess (up-set {x_0, y_0}), with 16 entries of
+        each sign.  The greedy coupling
         routes the chains exactly, so it leaves excess unrouted, plus
         gadget."""
         def elem(*ones):
@@ -761,22 +757,41 @@ class TestClosureStacks:
             assert stochastic_dominance(nu, nup, p) == (True, None)
         assert cut.call_count == 1
 
-    def test_table_memory_on_lifted_c4(self):
+    def test_no_cut_and_memory_on_lifted_c4(self):
         # the dominance laws of the exact-large verify instance, and the
-        # cover stacks of its three lifted kernels, in at most 2 MB each
+        # cover stacks of its three lifted kernels: the greedy coupling
+        # passes every row, so no closure cut runs, in at most 2 MB each
         p, laws, alg, kernels = lifted_c4()
         stacks = [(laws, alg, 1)] + [
             (*ker.matrix[p.covers[c:c + ordercore.PAIR_BLOCK].T], p.height)
             for ker in kernels
             for c in range(0, len(p.covers), ordercore.PAIR_BLOCK)]
-        for nus, nups, split in stacks:
-            tracemalloc.start()
-            try:
-                assert stochastic_dominance(nus, nups, p, split=split)[0]
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * 2 ** 20
+        assert len(stacks) == 13
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            for nus, nups, split in stacks:
+                tracemalloc.start()
+                try:
+                    assert stochastic_dominance(nus, nups, p, split=split)[0]
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2 * 2 ** 20
+        assert cut.call_count == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_empty_stacks(self, n):
+        # a block of rays all of mass 0 leaves check_mc_leq no pair to test:
+        # 27 elements take the up-set sums, 81 the coupling and cuts
+        p = Poset(tuple(itertools.product((0, 1, STAR), repeat=n)))
+        assert (p.up_set_matrix is None) == (n == 4)
+        empty = np.zeros((0, p.size))
+        with mock.patch.object(ordercore, "_closure_cut",
+                               wraps=ordercore._closure_cut) as cut:
+            assert stochastic_dominance(empty, empty, p) == (True, None)
+            assert stochastic_dominance(empty, empty, p, split=2) == (
+                True, None)
+        assert cut.call_count == 0
 
 
 class TestCovers:
