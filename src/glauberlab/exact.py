@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR, Poset,
-                        enumerate_up_sets, first_dominance_failure, state_str,
+from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR,
+                        UP_SET_ELEMENTS, Poset, enumerate_up_sets,
+                        first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
 from .models import (LiftedModel, TiltedModel, _check_guard,
                      lift_log_weight, lifted_probs, tilt, tilt_log_weight,
@@ -33,8 +34,6 @@ _FD_BLOCK_ENTRIES = 2 ** 16
 # the share of tol a fiber certificate of check_site_mc_leq may use; the
 # rest of tol is its rounding budget
 _FIBER_SHARE = 0.5
-# the most elements whose up-sets check_mc_leq enumerates
-_RAY_ELEMENTS = 32
 
 
 def enumerate_support(model, *, _log_weights=None) -> Poset:
@@ -759,8 +758,9 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     Past the certificate, in this order:
     1. laws or mu outside these conditions, or over the budget: both
        kernels and check_mc_leq, which raise as they do for any caller;
-    2. an uncertified fiber, on at most _RAY_ELEMENTS elements: the same,
-       for the same verdict, witness and messages;
+    2. an uncertified fiber, on at most UP_SET_ELEMENTS elements (the most
+       whose rays check_mc_leq enumerates): the same, for the same
+       verdict, witness and messages;
     3. on more: the ray of the up-closure U of the first uncertified
        suffix is tested by stochastic_dominance over every up-set V (the
        up-closures of the fiber's suffixes among them), and (U,
@@ -802,7 +802,7 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
             bad = sums.max(axis=2) > _FIBER_SHARE * tol * mass
             if not bad.any():
                 return True, None
-    if bad is None or k <= _RAY_ELEMENTS:
+    if bad is None or k <= UP_SET_ELEMENTS:
         return check_mc_leq(*(_law_kernel(law, support, mu) for law in laws),
                             mu, tol)
     f, s = np.argwhere(bad)[0]
@@ -818,7 +818,7 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     raise ValueError(
         f"single-vertex-mc at site {site}: fiber "
         f"{state_str(x[:site])}_{state_str(x[site + 1:])} is not certified "
-        f"and the ray of its up-closure passes; {k} > {_RAY_ELEMENTS} "
+        f"and the ray of its up-closure passes; {k} > {UP_SET_ELEMENTS} "
         "elements are too many to enumerate the rays")
 
 

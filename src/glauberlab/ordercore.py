@@ -30,8 +30,11 @@ PROB_TOL = 1e-12
 # integer scale for exact flow arithmetic; 1e-12 tolerance maps to 1000 units
 _FLOW_SCALE = 10 ** 15
 
+# the most elements whose up-sets enumerate_up_sets enumerates
+UP_SET_ELEMENTS = 32
 # posets with at most this many up-sets decide dominance by up-set sums; the
-# up-set matrix of such a poset is at most _UP_SET_CAP x 32 floats (1 MB)
+# up-set matrix of such a poset is at most _UP_SET_CAP x UP_SET_ELEMENTS
+# floats (1 MB)
 _UP_SET_CAP = 4096
 # row pairs per stack in first_dominance_failure and in the cover stage of
 # the order checks; a stack's up-set sums are PAIR_BLOCK x (#up-sets)
@@ -139,8 +142,8 @@ class Poset:
     @cached_property
     def up_set_matrix(self) -> np.ndarray | None:
         """Read-only float 0/1 rows of enumerate_up_sets, computed once, or
-        None when there are more than _UP_SET_CAP up-sets or more than 32
-        elements."""
+        None when there are more than _UP_SET_CAP up-sets or more than
+        UP_SET_ELEMENTS elements."""
         try:
             ind = enumerate_up_sets(self, max_up_sets=_UP_SET_CAP) * 1.0
         except ValueError:
@@ -197,7 +200,7 @@ class Poset:
         return frozenset(out)
 
 
-def enumerate_up_sets(poset: Poset, max_elements: int = 32,
+def enumerate_up_sets(poset: Poset, max_elements: int = UP_SET_ELEMENTS,
                       max_up_sets: int = 10 ** 6) -> np.ndarray:
     """All upward-closed subsets, as a read-only (r, k) bool matrix with one
     indicator row per up-set.
@@ -325,10 +328,11 @@ def _packed(mask: np.ndarray):
 
 def _coupling_bound(diff: np.ndarray, poset: Poset) -> np.ndarray:
     """Per integer row d of diff: the mass of its positive entries P that a
-    greedy monotone coupling leaves unrouted, an upper bound on max_U d(U).  The sources in P are taken along poset.extension, each
-    filling, in increasing lexicographic order, what remains of the capacity
-    -d of the negative entries N above it.  For every up-set U, the flow
-    leaving P ∩ U lands in N ∩ U, so d(U) <= d(P ∩ U) - flow(P ∩ U) <= the
+    greedy monotone coupling leaves unrouted, an upper bound on max_U d(U).
+    The sources in P are taken along poset.extension, each filling, in
+    increasing lexicographic order, what remains of the capacity -d of the
+    negative entries N above it.  For every up-set U, the flow leaving
+    P ∩ U lands in N ∩ U, so d(U) <= d(P ∩ U) - flow(P ∩ U) <= the
     unrouted mass.  Vectorised over the rows, one pass per source rank, over
     the rows with that many sources."""
     ext = np.array(poset.extension, dtype=np.intp)
@@ -359,34 +363,26 @@ def _coupling_bound(diff: np.ndarray, poset: Poset) -> np.ndarray:
 
 def _closure_cut(d: np.ndarray, poset: Poset):
     """(max over up-sets U of d(U), the least U reaching it) for an integer
-    row d of total 0, by one min cut (Picard): source arcs carry d on its
-    positive entries P, sink arcs carry -d on its negative entries N, and
-    the order arcs, of capacity _FLOW_SCALE (no less than the whole source
-    capacity), are the leq pairs P -> N or the covers of the poset,
-    whichever are fewer.  The excess is the source capacity less the max
-    flow; U, a bool mask, is the up-closure of P on the source side of the
-    final residual graph, the least min cut."""
+    row d of total 0, by one min cut (Picard) on every element of the
+    poset: source arcs carry d on its positive entries P, sink arcs carry
+    -d on its negative entries N, and the order arcs, of capacity
+    _FLOW_SCALE (no less than the whole source capacity), are the covers
+    of the poset.  The excess is the source capacity less the max flow; U,
+    a bool mask, is the up-closure of P on the source side of the final
+    residual graph, the least min cut."""
     pos = np.flatnonzero(d > 0)
     neg = np.flatnonzero(d < 0)
-    pairs = np.nonzero(poset.leq_matrix()[np.ix_(pos, neg)])
-    if len(pairs[0]) <= len(poset.covers):
-        # nodes: source, P, N, sink
-        node = {e: v for v, e in enumerate(pos.tolist() + neg.tolist(), 1)}
-        arcs = zip(pos[pairs[0]].tolist(), neg[pairs[1]].tolist())
-    else:
-        # nodes: source, every element, sink
-        node = range(1, poset.size + 1)
-        arcs = poset.covers.tolist()
-    s, t = 0, len(node) + 1
+    # nodes: the source 0, element i at i + 1, the sink k + 1
+    s, t = 0, poset.size + 1
     net = _Dinic(t + 1)
-    for i, j in arcs:
-        net.add_edge(node[i], node[j], _FLOW_SCALE)
+    for i, j in poset.covers.tolist():
+        net.add_edge(i + 1, j + 1, _FLOW_SCALE)
     for i in pos.tolist():
-        net.add_edge(s, node[i], int(d[i]))
+        net.add_edge(s, i + 1, int(d[i]))
     for j in neg.tolist():
-        net.add_edge(node[j], t, -int(d[j]))
+        net.add_edge(j + 1, t, -int(d[j]))
     excess = int(d[pos].sum()) - net.max_flow(s, t)
-    gens = [i for i in pos.tolist() if net.level[node[i]] >= 0]
+    gens = [i for i in pos.tolist() if net.level[i + 1] >= 0]
     return excess, poset.leq_matrix()[gens].any(axis=0)
 
 
@@ -447,9 +443,9 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
        passes if at most the slack is left unrouted.  The flow leaving
        P ∩ U lands in N ∩ U for every up-set U, so d(U) <= the unrouted
        mass;
-    3. one min cut (Picard) on P, N and the order, by _closure_cut: for
-       A = U ∩ P, the up-closure of A lies in U and holds A, so
-       d(up(A)) >= d(U), and the maximum is a max-weight closure.
+    3. one min cut (Picard) on the covers, by _closure_cut: for A = U ∩ P,
+       the up-closure of A lies in U and holds A, so d(up(A)) >= d(U), and
+       the maximum is a max-weight closure.
 
     The witness is the least up-set U* of largest excess: d is modular,
     d(U ∩ V) + d(U ∪ V) = d(U) + d(V), so those up-sets are closed under ∩.

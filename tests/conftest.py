@@ -1,9 +1,19 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glauberlab import models
+
+
+def src_env():
+    """os.environ with the repository's src first on PYTHONPATH, for a
+    child process."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def random_graph(rng, n_lo=2, n_hi=4, m_hi=6, require_edge=True):

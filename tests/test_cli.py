@@ -15,10 +15,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glauberlab import analysis, cli, dynamics, exact, models, ordercore
+from glauberlab import (analysis, cli, dynamics, exact, fileio, models,
+                        ordercore)
 from glauberlab.ordercore import PROB_TOL
 import oracles
-from conftest import random_bhc, random_monotone_model, random_rc
+from conftest import (random_bhc, random_monotone_model, random_rc,
+                      src_env)
 
 
 def write(path, text):
@@ -741,6 +743,24 @@ class TestKernelExport:
                             "--transform", f"pin={tmp_path / 'b' / 'pins'}"],
                            capsys) != heads[0]
 
+    def test_pin_files_merge(self, p3, rc_params, tmp_path, capsys):
+        # a second pin= pins the first one's PinnedModel: the kernel is that
+        # of one file with both pins, and a contradictory pin exits 2
+        def export(*pins):
+            argv = ["kernel-export", "--graph", p3, "--params", rc_params,
+                    "--transform", "flip"]
+            for i, text in enumerate(pins):
+                pin = write(tmp_path / f"pins{i}", text)
+                argv += ["--transform", f"pin={pin}"]
+            code = run_cli(argv)
+            out, err = capsys.readouterr()
+            return code, out.split("\n", 1)[-1], err
+
+        assert (export("0 1\n", "1 1\n") == export("0 1\n1 1\n")
+                != export("0 1\n"))
+        assert export("0 1\n", "0 0\n") == (
+            2, "", "error: contradictory pins\n")
+
     def test_rows_are_stochastic(self, k2, rc_params, capsys):
         rc = run_cli(["kernel-export", "--graph", k2, "--params", rc_params,
                       "--transform", "flip"])
@@ -894,31 +914,32 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
 
     def test_module_entry_point(self, k2, rc_params):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src")]
-            + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "glauberlab", "kernel-export",
              "--graph", k2, "--params", rc_params, "--transform", "flip"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("# config=")
 
 
 def test_cli_import_leaves_networkx_and_scipy_unloaded():
     # only the min-cost-flow fallback of coupling_independence needs
-    # networkx, and nothing in the package needs scipy
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
+    # networkx, and nothing in the package needs scipy; the benchmark's
+    # setup_s times this import
     code = ("import sys, glauberlab.cli; "
             "print([m for m in ('networkx', 'scipy') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        fileio.atomic_write(str(path), b"bytes to a text file")
+    assert os.listdir(tmp_path) == ["out"] and path.read_text() == "old"
 
 
 def parse_with(parse, argv):
@@ -984,6 +1005,21 @@ def test_main_reads_sys_argv_as_the_per_subcommand_parser(argv, monkeypatch):
     assert parse_with(run_main, None) == parse_with(oracle_parse, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["verify"], _VERIFY + ["--bogus", "1"], ["--help"],
+    ["verify", "--help"]])
+def test_module_parses_as_the_per_subcommand_parser(argv, monkeypatch):
+    # python -m glauberlab, a real process reading sys.argv and building
+    # only the named command's parser, prints and exits as the oracle
+    # parser does in-process
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "glauberlab"] + argv,
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=60)
+    _, out, err, code = parse_with(oracle_parse, argv)
+    assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code)
+
+
 @pytest.mark.parametrize("option", ["--transform=--", "--check=--",
                                     "--record=--", "--seed=--", "--out=--"])
 def test_option_given_double_dash_exits_two(k2, rc_params, capsys, option):
@@ -1032,12 +1068,8 @@ def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
     argv = [command, "--graph", bip, "--params", path,
             "--out", str(tmp_path / "repro.out")]
     argv += [f"--transform={t}" for t in transforms]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-m", "glauberlab"] + argv,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr

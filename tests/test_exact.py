@@ -1533,6 +1533,19 @@ class TestSquaredMixing:
                                            10 ** 6).tolist() == [t]
         loop.assert_not_called()
 
+    def test_chains_within_eps_at_the_start_leave_the_stack(self):
+        # at eps 0.55 the first chain is within eps at step 0, so both
+        # certificates run on the rest of the stack
+        chains = [two_state(0.3, 0.3), two_state(0.1, 0.05),
+                  two_state(0.3, 0.2)]
+        mats, mus = (np.array(x) for x in zip(*chains))
+        want = [oracles.loop_mixing_time(*c, None, 0.55) for c in chains]
+        ts, unsure = exact._squared_times(mats, mus, 0.55, 10 ** 6)
+        assert ts.tolist() == want == [0, 2, 1] and not unsure.any()
+        for t in (1, 2):
+            assert exact._within(mats, mus, 0.55, 10 ** 6, t).tolist() == [
+                w <= t for w in want]
+
     def test_slow_chains_past_the_bracket_take_the_step_loop(self):
         # t = 1955 for the lazy chain: the powers stop at 1024, so it alone
         # runs the step loop; the fast chain keeps its certified t

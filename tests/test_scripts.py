@@ -1,9 +1,12 @@
 """The example scripts run end to end and print their header line; the
 mixing table prints the columns of the `mixing` command, and the edge demo
-prints the stdout pinned by its sha256."""
+prints the stdout pinned by its sha256.  The ceiling runner passes its
+cheapest cells and fails a cell that misses its pin or bound, and no script
+reads a private name of `exact`."""
 
+import ast
 import hashlib
-import os
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,17 +14,15 @@ from pathlib import Path
 import pytest
 
 from glauberlab import cli
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
-                          + args, capture_output=True, text=True, env=env,
-                          timeout=300)
+                          + args, capture_output=True, text=True,
+                          env=src_env(), timeout=300)
 
 
 @pytest.mark.parametrize("script, args, header", [
@@ -64,3 +65,73 @@ def test_mixing_table_row_equals_the_mixing_command(tmp_path):
                         for line in out.read_text().splitlines())))
     assert row == ",".join(["0.25"] + [mixing[c]
                                        for c in head.split(",")[1:]])
+
+
+# runs the named cells of scripts/ceiling.py, each with its fields changed
+# as given, and exits as the runner does
+CEILING = """import dataclasses, json, runpy, sys
+ns = runpy.run_path(sys.argv[1])
+cells = {cell.name: cell for cell in ns["CELLS"]}
+sys.exit(ns["main"]([dataclasses.replace(cells[name], **change)
+                     for name, change in json.loads(sys.argv[2])]))"""
+
+
+def run_ceiling(cells):
+    """(exit code, JSON rows) of the ceiling runner on the cells, in a
+    process of its own: on Linux a child's peak RSS counts the RSS of the
+    process it was spawned from."""
+    proc = subprocess.run([sys.executable, "-c", CEILING,
+                           str(ROOT / "scripts" / "ceiling.py"),
+                           json.dumps(cells)],
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, [json.loads(line)
+                             for line in proc.stdout.splitlines()]
+
+
+def test_ceiling_cells_pass():
+    code, rows = run_ceiling([("kernel-export-c16", {}), ("verify-c6", {})])
+    assert code == 0 and [r["name"] for r in rows] == [
+        "kernel-export-c16", "verify-c6"], rows
+
+
+@pytest.mark.parametrize("name, change, reason", [
+    ("kernel-export-c16", {"want": "error: other\n"},
+     "got 'error: a dense kernel over k = 65536 states"),
+    ("verify-c6", {"bound": {"wall_s": 0.01}}, "wall_s "),
+], ids=["wrong-pin", "over-bound"])
+def test_a_cell_that_misses_fails_the_run(name, change, reason):
+    code, [row] = run_ceiling([(name, change)])
+    assert code == 1
+    assert row["name"] == name and row["ok"] is False
+    assert row["reason"].startswith(reason)
+
+
+def test_each_cell_reports_its_own_peak_rss():
+    # RUSAGE_CHILDREN would give the refusal after the 10^6-step sampler
+    # the sampler's peak
+    code, rows = run_ceiling([("sample-ising-c6", {}),
+                              ("kernel-export-c16", {})])
+    assert code == 0, rows
+    assert rows[1]["peak_rss_mb"] < rows[0]["peak_rss_mb"]
+
+
+def test_no_script_reads_a_private_exact_name():
+    # exact.Tables derives every table that cli.py, analysis.py and the
+    # scripts use
+    paths = [ROOT / "src" / "glauberlab" / "cli.py",
+             ROOT / "src" / "glauberlab" / "analysis.py",
+             *sorted((ROOT / "scripts").glob("*.py"))]
+    assert ROOT / "scripts" / "ceiling.py" in paths
+    bad = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "exact"):
+                bad.append(f"{path.name}:{node.lineno}: exact.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "exact"):
+                bad += [f"{path.name}:{node.lineno}: from exact import "
+                        f"{a.name}" for a in node.names
+                        if a.name.startswith("_")]
+    assert bad == []
