@@ -7,8 +7,8 @@ against a pinned value, and its bounds on wall time and peak RSS, the
 child's own from os.wait4 (RUSAGE_CHILDREN would keep the largest over
 every earlier cell).  On Linux that peak starts from the runner's RSS at
 the spawn, about 20 MB: the runner imports no numpy.  Prints one JSON line
-per cell (k is the support size, the lifted one for verify) and exits 1 if
-any cell misses:
+per cell (k is the support size, the lifted one where verify lifts) and
+exits 1 if any cell misses:
 
     python scripts/ceiling.py
 """
@@ -30,11 +30,13 @@ ROOT = Path(__file__).resolve().parents[1]
 RC = "model = rc\np.default = 0.5\nlambda.default = 0.5\ntheta = {}\n"
 FILES = {
     **{f"c{n}.graph": f"{n} {n}\n" + "".join(
-        f"{i} {(i + 1) % n}\n" for i in range(n)) for n in (6, 7, 10, 11, 16)},
+        f"{i} {(i + 1) % n}\n" for i in range(n))
+       for n in (6, 7, 9, 10, 11, 16)},
     "k33.graph": "6 9 bipartite 3\n" + "".join(
         f"{i} {j}\n" for i in range(3) for j in range(3, 6)),
     "rc.params": RC.format(0.5),
     "rc-0.25.params": RC.format(0.25),
+    "hardcore.params": "model = hardcore\nlambda = 1.0\n",
     "field.params": RC.format(0.5) + "dynamics = field\n",
     "simulate.params": RC.format(0.5) + "dynamics = simulate\n",
     "censored.params": "model = bipartite-hardcore\nlambda = 1.0\n"
@@ -88,6 +90,11 @@ def near(out, err):
             for key, pin in ANALYZE.items()}
 
 
+def digest(out, err):
+    """The sha256 of the output file."""
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def bodies(*suffixes):
     """The sha256 of each output file past its header line, which carries
     the wall time."""
@@ -107,6 +114,13 @@ CELLS = [
          {"wall_s": 15}, read=verdicts, want=VERDICTS),
     Cell("verify-c7", 2187, "verify c7.graph rc.params --transform flip", 120,
          {"wall_s": 20}, read=verdicts, want=VERDICTS),
+    # the negative control above the up-set cap: its failing
+    # stochastic-monotonicity check takes two closure cuts, the only cell
+    # that takes any
+    Cell("verify-hardcore-c9", 76, "verify c9.graph hardcore.params --check "
+         "monotone-system --check stochastic-monotonicity", 60,
+         {"wall_s": 10}, read=digest, want=(
+         "2b258ce0cdf2d342a0aeef5b3d1db35863d8429ed81e03626bd7eb1d7918596e")),
     Cell("mixing-c11", 2048, "mixing c11.graph rc-0.25.params", 120,
          {"wall_s": 45}, read=lambda out, err: out.read_text().split("\n")[1],
          want="b25905a30ad17a62,0,0.10000000000000001,0.25,34,9,9,70,630"),

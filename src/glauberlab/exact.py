@@ -31,9 +31,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 DENSE_GUARD = 4096
 # entries of the largest temporary fd_kernel builds to add one slice
 _FD_BLOCK_ENTRIES = 2 ** 16
-# the share of tol a fiber certificate of check_site_mc_leq may use; the
-# rest of tol is its rounding budget
+# the share of PROB_TOL a fiber certificate of check_site_mc_leq may use;
+# the rest of PROB_TOL is its rounding budget
 _FIBER_SHARE = 0.5
+# the most variables check_monotone_system takes
+_MONOTONE_VARS = 12
 
 
 def enumerate_support(model, *, _log_weights=None) -> Poset:
@@ -548,20 +550,20 @@ class Tables:
                                                              to)
         return Kernel(support, mat, stationary=self.mu)
 
-    def monotone_system(self, tol=PROB_TOL, max_vars=12):
-        """check_monotone_system, refused past max_vars variables first,
-        from the table: the keys of a site are its fibers, in the order of
-        their first states, each with its one conditional."""
+    def monotone_system(self):
+        """check_monotone_system, refused past _MONOTONE_VARS variables
+        first, from the table: the keys of a site are its fibers, in the
+        order of their first states, each with its one conditional."""
         model = self.model
-        if model.n_vars > max_vars:
-            raise ValueError(f"guarded to {max_vars} variables")
+        if model.n_vars > _MONOTONE_VARS:
+            raise ValueError(f"guarded to {_MONOTONE_VARS} variables")
         chain = Poset(tuple((a,) for a in model.alphabet))
         support = self.support
         for fib, cond in self.table:
             others = support.array[fib.first]
             others[:, fib.site] = 0
             keys = Poset(tuple(map(tuple, others.tolist())))
-            fail = _first_unordered(cond, keys, chain, tol)
+            fail = _first_unordered(cond, keys, chain)
             if fail is not None:
                 lo, hi = fib.first[fail[0]], fib.first[fail[1]]
                 return False, (fib.site, support.states[lo],
@@ -600,14 +602,14 @@ def check_detailed_balance(kernel: Kernel, probs=None) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
-def _first_unordered(laws, index: Poset, target: Poset, tol):
+def _first_unordered(laws, index: Poset, target: Poset):
     """First pair i < j of the poset index, in row-major order, with laws[i]
     not <=_sd laws[j] over target, as (i, j, witness up-set), or None; row i
     of laws is the law at state i of index.
 
     <=_sd is transitive, so the covers of index are tested first, in stacks
     of PAIR_BLOCK, each at 1/height of the integer slack (stochastic_dominance
-    with split), so that every comparable pair passes at tol.  Only if a
+    with split), so that every comparable pair passes at PROB_TOL.  Only if a
     cover fails, or a law is not a probability vector, does the scan over
     every comparable pair run; it alone gives the verdict and the witness,
     or raises."""
@@ -615,8 +617,7 @@ def _first_unordered(laws, index: Poset, target: Poset, tol):
     stacks = (laws[covers[c:c + PAIR_BLOCK].T]
               for c in range(0, len(covers), PAIR_BLOCK))
     try:
-        if all(stochastic_dominance(*stack, target, tol=tol,
-                                    split=index.height)[0]
+        if all(stochastic_dominance(*stack, target, split=index.height)[0]
                for stack in stacks):
             return None
     except ValueError:
@@ -624,37 +625,37 @@ def _first_unordered(laws, index: Poset, target: Poset, tol):
     pairs = np.argwhere(index.leq_matrix()
                         & ~np.eye(index.size, dtype=bool)).tolist()
     fail = first_dominance_failure(((laws[i], laws[j]) for i, j in pairs),
-                                   target, tol=tol)
+                                   target)
     if fail is None:
         return None
     r, wit = fail
     return (*pairs[r], wit)
 
 
-def check_stochastic_monotonicity(kernel: Kernel, tol=PROB_TOL):
+def check_stochastic_monotonicity(kernel: Kernel):
     """Rows at comparable states must be stochastically ordered; tested
     over covers first by _first_unordered.
 
     Returns (True, None) or (False, (state_lo, state_hi, up_set))."""
     sup = kernel.support
-    fail = _first_unordered(kernel.matrix, sup, sup, tol)
+    fail = _first_unordered(kernel.matrix, sup, sup)
     if fail is None:
         return True, None
     i, j, wit = fail
     return False, (sup.states[i], sup.states[j], wit)
 
 
-def check_monotone_system(model, tol=PROB_TOL, max_vars=12):
+def check_monotone_system(model):
     """Single-site conditionals must be stochastically increasing in the
     conditioning configuration, over all feasible full pinnings of the other
     coordinates (keys), tested per site by _first_unordered
     (Tables.monotone_system).
 
     Returns (True, None) or (False, (v, state_lo, state_hi))."""
-    return Tables(model).monotone_system(tol, max_vars)
+    return Tables(model).monotone_system()
 
 
-def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL):
+def check_mc_leq(p: Kernel, q: Kernel, mu=None):
     """Comparison of kernels: nu P <=_sd nu Q for every nu whose density
     against mu is increasing.
 
@@ -677,8 +678,7 @@ def check_mc_leq(p: Kernel, q: Kernel, mu=None, tol=PROB_TOL):
         mass = block @ mu
         block, mass = block[mass > 0.0], mass[mass > 0.0]
         nus = block * mu / mass[:, None]
-        ok, wit = stochastic_dominance(nus @ p.matrix, nus @ q.matrix, poset,
-                                       tol=tol)
+        ok, wit = stochastic_dominance(nus @ p.matrix, nus @ q.matrix, poset)
         if not ok:
             return False, (up_set_of_row(poset, block[wit[0]]), "extreme-ray")
     return True, None
@@ -698,9 +698,8 @@ def _site_tails(succ, prob, support: Poset, site, a):
     return np.cumsum(table.reshape(k, a)[:, ::-1], axis=1)[:, ::-1]
 
 
-def check_site_mc_leq(model, laws, site, support: Poset, mu,
-                      tol=PROB_TOL):
-    """check_mc_leq(P, Q, mu, tol) for the kernels P and Q of one step at
+def check_site_mc_leq(model, laws, site, support: Poset, mu):
+    """check_mc_leq(P, Q, mu) for the kernels P and Q of one step at
     `site` over the support of two laws, given as law arrays laws =
     [(succ, prob), (succ, prob)], each (k, 1, a) for the model's a values
     (the site's column of _site_arrays; _law_kernel sums P and Q from
@@ -718,18 +717,18 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     with T(x, c) = P(x, values >= c) - Q(x, values >= c) the tail
     difference.  The certificate is max_c S(f, s, c) <= h mu(f, s) for
     every fiber f and suffix s, with mu(f, s) the suffix's mass and h =
-    _FIBER_SHARE * tol (an empty suffix of V gives 0).  Summed over the
-    fibers U meets, every ray and up-set V then have
-    (nu_U P - nu_U Q)(V) <= h.
+    _FIBER_SHARE * tol, tol = PROB_TOL the tolerance of check_mc_leq (an
+    empty suffix of V gives 0).  Summed over the fibers U meets, every ray
+    and up-set V then have (nu_U P - nu_U Q)(V) <= h.
 
     Proof that a certificate implies check_mc_leq's integer-slack pass.
     Let u = 2^-53 and SC = _FLOW_SCALE units per unit of mass (SC u <
     1/8), and e_P, e_Q the largest |row sum - 1| of P and Q.  The fast path
-    applies where every law probability and mu are >= 0, every law sums to
-    within PROB_TOL/2 of 1 and tol <= 1e-6 (k <= DENSE_GUARD, refused
-    first); a law's
-    (state, value) entry is then the kernel entry (_site_tails), and the
-    terms of second order in u, tol, e_P and e_Q below add under a unit.
+    applies where every law probability and mu are >= 0 and every law
+    sums to within PROB_TOL/2 of 1 (k <= DENSE_GUARD, refused first); a
+    law's (state, value) entry is then the kernel entry (_site_tails), and,
+    as tol = PROB_TOL <= 1e-6, the terms of second order in u, tol, e_P and
+    e_Q below add under a unit.
     (a) The certificate is computed in floats, each tail and suffix sum a
         running sum of at most 3 terms: a computed pass gives the exact
         S(f, s, c) <= (h + 12u) mu(f, s).
@@ -778,9 +777,9 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
                 f"{(k, 1, a)} with successors in [0, {k}); got succ of "
                 f"shape {succ.shape} and prob of shape {prob.shape}")
     mu = np.asarray(mu, dtype=float)
-    budget = (1 - _FIBER_SHARE) * tol * _FLOW_SCALE - (k + 48) / 8
+    budget = (1 - _FIBER_SHARE) * PROB_TOL * _FLOW_SCALE - (k + 48) / 8
     bad = None
-    if tol <= 1e-6 and budget >= 0 and np.all(mu >= 0):
+    if budget >= 0 and np.all(mu >= 0):
         tails = [_site_tails(succ, prob, support, site, a)
                  for succ, prob in laws]
         dev = np.abs(np.array([t[:, 0] for t in tails]) - 1).max(axis=1)
@@ -799,12 +798,12 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
             diff[fiber, at] = tails[0] - tails[1]
             sums = np.cumsum((cells[:, :, None] * diff)[:, ::-1], axis=1)
             mass = np.cumsum(cells[:, ::-1], axis=1)
-            bad = sums.max(axis=2) > _FIBER_SHARE * tol * mass
+            bad = sums.max(axis=2) > _FIBER_SHARE * PROB_TOL * mass
             if not bad.any():
                 return True, None
     if bad is None or k <= UP_SET_ELEMENTS:
         return check_mc_leq(*(_law_kernel(law, support, mu) for law in laws),
-                            mu, tol)
+                            mu)
     f, s = np.argwhere(bad)[0]
     seed = np.flatnonzero((fiber == f) & (at >= a - 1 - s))
     row = np.zeros(k)
@@ -812,7 +811,7 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
     nu = row * mu / (row @ mu)
     images = [np.bincount(succ.ravel(), (nu[:, None, None] * prob).ravel(),
                           minlength=k) for succ, prob in laws]
-    if not stochastic_dominance(*images, support, tol=tol)[0]:
+    if not stochastic_dominance(*images, support)[0]:
         return False, (up_set_of_row(support, row), "extreme-ray")
     x = support.states[seed[0]]
     raise ValueError(
@@ -828,6 +827,8 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu,
 
 # the mixing loop compares a step with the one before it this often
 _FIXED_POINT_EVERY = 1024
+# the most steps a mixing time runs before it is refused
+_MIXING_CAP = 10 ** 6
 # the unit roundoff of a float
 _UNIT = sys.float_info.epsilon / 2
 
@@ -1083,7 +1084,8 @@ def _within(mats, mus, eps, cap, t):
     return ok
 
 
-def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25, cap=10 ** 6) -> int:
+def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25,
+                      cap=_MIXING_CAP) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
     x0 is a start state (tuple) or None for the worst case over all starts,
@@ -1154,14 +1156,14 @@ def _slice_stack(slices, succ, prob, lw):
     return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
 
-def tilted_mixing_time(model, theta, eps, cap=10 ** 6) -> int:
+def tilted_mixing_time(model, theta, eps) -> int:
     """Worst Glauber mixing time of the tilted model over all feasible all-1
     pinnings, maximized over starting states: the largest time
     _mixing_times gives a chain of the stacks of _tilted_slices."""
-    return _tilted_time(Tables(model, theta), eps, cap)
+    return _tilted_time(Tables(model, theta), eps)
 
 
-def _tilted_time(tables: Tables, eps, cap=10 ** 6):
+def _tilted_time(tables: Tables, eps):
     """tilted_mixing_time of the model and theta of the tables.
 
     Only the largest is needed.  The first stack (the full slice) gives a
@@ -1173,10 +1175,11 @@ def _tilted_time(tables: Tables, eps, cap=10 ** 6):
     best = 0
     for _, _, mats, mus in _tilted_slices(tables):
         if 1 <= best <= _FIXED_POINT_EVERY:
-            slow = ~_within(mats, mus, eps, cap, best)
+            slow = ~_within(mats, mus, eps, _MIXING_CAP, best)
             mats, mus = mats[slow], mus[slow]
         if len(mats):
-            best = max(best, int(_mixing_times(mats, mus, eps, cap).max()))
+            best = max(best, int(_mixing_times(mats, mus, eps,
+                                               _MIXING_CAP).max()))
         del mats, mus  # let the stack go before the next one is built
     return best
 

@@ -11,14 +11,16 @@ same sums or a closure cut give the first failing row's witness: its least
 up-set of largest excess.  The coupling only passes rows: for every up-set
 U the flow leaving the positive entries in U lands in U, so the mass it
 leaves unrouted bounds the row's excess; each row it does not pass takes
-one cut, which decides its excess exactly.
+one cut, which decides its excess exactly.  The cut is networkx's
+preflow-push on the covers network, its least min cut read as what the
+residual graph reaches from the source; networkx is imported by the first
+cut, not with the module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -251,57 +253,6 @@ def _scale_to_ints(p: np.ndarray) -> np.ndarray:
     return ints
 
 
-class _Dinic:
-    """Max-flow on small graphs with exact (Python int) capacities.  After
-    max_flow, level[v] >= 0 iff v is on the source side of the final
-    residual graph, the least min cut: the last search found no sink."""
-
-    def __init__(self, n):
-        self.n = n
-        self.adj = [[] for _ in range(n)]
-
-    def add_edge(self, u, v, cap):
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s, t):
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and self.level[e[0]] < 0:
-                    self.level[e[0]] = self.level[u] + 1
-                    q.append(e[0])
-        return self.level[t] >= 0
-
-    def _dfs(self, u, t, f):
-        if u == t:
-            return f
-        while self.it[u] < len(self.adj[u]):
-            e = self.adj[u][self.it[u]]
-            if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
-                d = self._dfs(e[0], t, min(f, e[1]))
-                if d > 0:
-                    e[1] -= d
-                    self.adj[e[0]][e[2]][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s, t):
-        total = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, float("inf"))
-                if f == 0:
-                    break
-                total += f
-        return total
-
-
 def _invalid(p: np.ndarray):
     """Per row of p: not a probability vector (a negative entry beyond
     PROB_TOL, a total off 1 by more than PROB_TOL, or a NaN)."""
@@ -364,25 +315,40 @@ def _coupling_bound(diff: np.ndarray, poset: Poset) -> np.ndarray:
 def _closure_cut(d: np.ndarray, poset: Poset):
     """(max over up-sets U of d(U), the least U reaching it) for an integer
     row d of total 0, by one min cut (Picard) on every element of the
-    poset: source arcs carry d on its positive entries P, sink arcs carry
-    -d on its negative entries N, and the order arcs, of capacity
-    _FLOW_SCALE (no less than the whole source capacity), are the covers
-    of the poset.  The excess is the source capacity less the max flow; U,
-    a bool mask, is the up-closure of P on the source side of the final
-    residual graph, the least min cut."""
+    poset, solved by networkx's preflow-push on Python int capacities:
+    source arcs carry d on its positive entries P, sink arcs carry -d on
+    its negative entries N, and the order arcs, of capacity _FLOW_SCALE
+    (no less than the whole source capacity), are the covers of the
+    poset.  The excess is the source capacity less the max flow; U, a
+    bool mask, is the up-closure of the elements of P reachable from the
+    source in the residual graph, over arcs whose capacity exceeds their
+    flow: the least min cut, the same for every max flow.  (The source
+    side of nx.minimum_cut is the greatest min cut.)  Only the rows that
+    the greedy coupling leaves come here: none of a passing default verify
+    on flipped RC C4, C6 or C7, which never imports networkx."""
+    import networkx as nx  # only a closure cut needs it
+    from networkx.algorithms.flow import preflow_push
+
     pos = np.flatnonzero(d > 0)
     neg = np.flatnonzero(d < 0)
     # nodes: the source 0, element i at i + 1, the sink k + 1
     s, t = 0, poset.size + 1
-    net = _Dinic(t + 1)
-    for i, j in poset.covers.tolist():
-        net.add_edge(i + 1, j + 1, _FLOW_SCALE)
-    for i in pos.tolist():
-        net.add_edge(s, i + 1, int(d[i]))
-    for j in neg.tolist():
-        net.add_edge(j + 1, t, -int(d[j]))
-    excess = int(d[pos].sum()) - net.max_flow(s, t)
-    gens = [i for i in pos.tolist() if net.level[i + 1] >= 0]
+    net = nx.DiGraph()
+    net.add_nodes_from((s, t))  # also where d is 0
+    net.add_edges_from(((i + 1, j + 1) for i, j in poset.covers.tolist()),
+                       capacity=_FLOW_SCALE)
+    net.add_edges_from((s, i + 1, {"capacity": int(d[i])})
+                       for i in pos.tolist())
+    net.add_edges_from((j + 1, t, {"capacity": -int(d[j])})
+                       for j in neg.tolist())
+    res = preflow_push(net, s, t)
+
+    def residual(u, v):
+        return res[u][v]["flow"] < res[u][v]["capacity"]
+
+    side = nx.descendants(nx.subgraph_view(res, filter_edge=residual), s)
+    excess = int(d[pos].sum()) - res.graph["flow_value"]
+    gens = [i for i in pos.tolist() if i + 1 in side]
     return excess, poset.leq_matrix()[gens].any(axis=0)
 
 

@@ -2,7 +2,9 @@
 single-site samplers.
 
 These are the slow forms the fast code replaced, kept to compare against:
-the max-flow over the full k x k order network, the max-flow over
+a Dinic max-flow of their own, which the max-flows below run, and the
+closure cut on it that networkx's preflow-push replaced; the max-flow
+over the full k x k order network, the max-flow over
 supp(nu) x supp(nu_prime) that gave each dominance witness, one such flow
 per row of a dominance stack, one flow per comparable
 pair in the monotonicity check, one flow per extreme ray in the kernel
@@ -46,13 +48,14 @@ import argparse
 import functools
 import itertools
 import math
+from collections import deque
 
 import networkx as nx
 import numpy as np
 
 from glauberlab import dynamics, exact, models, ordercore
 from glauberlab.ordercore import contract, leq, lift
-from glauberlab.ordercore import PROB_TOL, _FLOW_SCALE, Poset, _Dinic
+from glauberlab.ordercore import PROB_TOL, _FLOW_SCALE, Poset
 
 
 def is_up_set(poset: Poset, members) -> bool:
@@ -120,6 +123,57 @@ def _scale_to_ints(p):
     ints = [int(round(x * _FLOW_SCALE)) for x in p]
     ints[int(np.argmax(p))] += _FLOW_SCALE - sum(ints)
     return ints
+
+
+class _Dinic:
+    """Max-flow on small graphs with exact (Python int) capacities.  After
+    max_flow, level[v] >= 0 iff v is on the source side of the final
+    residual graph, the least min cut: the last search found no sink."""
+
+    def __init__(self, n):
+        self.n = n
+        self.adj = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+
+    def _bfs(self, s, t):
+        self.level = [-1] * self.n
+        self.level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for e in self.adj[u]:
+                if e[1] > 0 and self.level[e[0]] < 0:
+                    self.level[e[0]] = self.level[u] + 1
+                    q.append(e[0])
+        return self.level[t] >= 0
+
+    def _dfs(self, u, t, f):
+        if u == t:
+            return f
+        while self.it[u] < len(self.adj[u]):
+            e = self.adj[u][self.it[u]]
+            if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
+                d = self._dfs(e[0], t, min(f, e[1]))
+                if d > 0:
+                    e[1] -= d
+                    self.adj[e[0]][e[2]][1] += d
+                    return d
+            self.it[u] += 1
+        return 0
+
+    def max_flow(self, s, t):
+        total = 0
+        while self._bfs(s, t):
+            self.it = [0] * self.n
+            while True:
+                f = self._dfs(s, t, float("inf"))
+                if f == 0:
+                    break
+                total += f
+        return total
 
 
 def full_network_dominance(nu, nu_prime, poset: Poset, tol=PROB_TOL):
@@ -212,6 +266,27 @@ def greedy_coupling_bound(d, poset: Poset) -> int:
                 supply -= take
         unrouted += supply
     return unrouted
+
+
+def dinic_closure_cut(d, poset: Poset):
+    """ordercore._closure_cut by _Dinic on the same network: the covers at
+    _FLOW_SCALE, source arcs on the positive entries of the integer row d,
+    sink arcs on its negative entries.  Returns the source capacity less
+    the max flow and the up-closure, as a bool mask, of the positive
+    entries on the source side of the final residual graph."""
+    pos = np.flatnonzero(d > 0)
+    neg = np.flatnonzero(d < 0)
+    s, t = 0, poset.size + 1
+    net = _Dinic(t + 1)
+    for i, j in poset.covers.tolist():
+        net.add_edge(i + 1, j + 1, _FLOW_SCALE)
+    for i in pos.tolist():
+        net.add_edge(s, i + 1, int(d[i]))
+    for j in neg.tolist():
+        net.add_edge(j + 1, t, -int(d[j]))
+    excess = int(d[pos].sum()) - net.max_flow(s, t)
+    gens = [i for i in pos.tolist() if net.level[i + 1] >= 0]
+    return excess, poset.leq_matrix()[gens].any(axis=0)
 
 
 def comparable_pairs(poset: Poset):
@@ -311,13 +386,12 @@ def per_ray_mc_leq(p, q, mu=None, tol=PROB_TOL, n_random=0, rng=None):
     return True, None
 
 
-def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu,
-                           tol=PROB_TOL):
+def per_site_kernel_mc_leq(model, p_law, q_law, site, support, mu):
     """exact.check_site_mc_leq by the path it replaced: both kernels of one
     step at the site, then check_mc_leq over every up-set of the support."""
     return exact.check_mc_leq(
         *(exact.Kernel(support, loop_law_kernel(model, law, site, support))
-          for law in (p_law, q_law)), mu, tol)
+          for law in (p_law, q_law)), mu)
 
 
 def lifted_site_kernels(tables, site):

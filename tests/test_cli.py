@@ -438,10 +438,10 @@ class TestSingleVertexByFibers:
         assert kernel_path.called == ("product-comparison" in argv)
         # verify hands the sites' derived tables to the fiber decision; the
         # kernel path evaluates both laws at every state instead
-        def kernel_path_of_laws(model, laws, site, support, mu, tol=PROB_TOL):
+        def kernel_path_of_laws(model, laws, site, support, mu):
             return oracles.per_site_kernel_mc_leq(
                 model, models.heat_bath_law(model),
-                models.star_frozen_law(model), site, support, mu, tol)
+                models.star_frozen_law(model), site, support, mu)
 
         monkeypatch.setattr(exact, "check_site_mc_leq", kernel_path_of_laws)
         assert run_cli(argv) == 0
@@ -923,15 +923,43 @@ class TestErrors:
 
 
 def test_cli_import_leaves_networkx_and_scipy_unloaded():
-    # only the min-cost-flow fallback of coupling_independence needs
-    # networkx, and nothing in the package needs scipy; the benchmark's
-    # setup_s times this import
+    # only the min-cost-flow fallback of coupling_independence and a closure
+    # cut need networkx, and nothing in the package needs scipy; the
+    # benchmark's setup_s times this import
     code = ("import sys, glauberlab.cli; "
             "print([m for m in ('networkx', 'scipy') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# runs cli.main on the JSON argv in sys.argv[1] and prints its exit code,
+# the closure cuts it took and whether networkx was imported
+COUNT_CUTS = """import json, sys
+from unittest import mock
+from glauberlab import cli, ordercore
+with mock.patch.object(ordercore, "_closure_cut",
+                       wraps=ordercore._closure_cut) as cut:
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, cut.call_count, "networkx" in sys.modules]))"""
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_passing_verify_takes_no_cut(tmp_path, n):
+    # the default verify on flipped RC C4 (the exact-large verify instance)
+    # and C6, in a process of its own: the greedy coupling passes every
+    # row, so no closure cut runs and networkx is never imported
+    params = write(tmp_path / "rc.params", "model = rc\np.default = 0.5\n"
+                   "lambda.default = 0.5\ntheta = 0.5\n")
+    argv = ["verify", "--graph", cycle_graph(tmp_path, n), "--params",
+            params, "--transform", "flip", "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", COUNT_CUTS,
+                           json.dumps(argv)], capture_output=True, text=True,
+                          env=src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, False]
+    assert json.loads((tmp_path / "out").read_text())["all_pass"]
 
 
 def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):

@@ -15,10 +15,11 @@ from glauberlab.ordercore import (PROB_TOL, STAR, Poset, contract,
                                   leq, lift,
                                   num_ones, num_stars, parse_state, state_str,
                                   stochastic_dominance, up_set_of_row)
-from oracles import (brute_covers, brute_height, dominance_by_up_sets,
-                     flow_dominance, full_network_dominance,
-                     greedy_coupling_bound, is_increasing, is_up_set,
-                     per_row_flow_dominance, up_sets_by_sets)
+from oracles import (brute_covers, brute_height, dinic_closure_cut,
+                     dominance_by_up_sets, flow_dominance,
+                     full_network_dominance, greedy_coupling_bound,
+                     is_increasing, is_up_set, per_row_flow_dominance,
+                     up_sets_by_sets)
 
 
 def chain(vals):
@@ -491,15 +492,15 @@ class TestDominanceOracles:
 
 
 @functools.cache
-def lifted_c4():
-    """The support of the exact-large verify instance: flipped RC on C4,
-    lifted at theta = 0.5 (81 states), with the laws of its dominance check
-    and its three lifted kernels."""
-    c4 = models.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    m = models.flip(models.RandomClusterModel(c4, [0.5] * 4, [0.5] * 4))
+def lifted_cycle(n):
+    """The support of flipped RC on the cycle C_n lifted at theta = 0.5
+    (3^n states; C4 is the exact-large verify instance), with the laws of
+    its dominance check and its three lifted kernels."""
+    cycle = models.Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    m = models.flip(models.RandomClusterModel(cycle, [0.5] * n, [0.5] * n))
     t = exact.Tables(m, 0.5)
     lsup, lker = t.lsup, t.lker
-    pi0 = t.lift(exact.point_mass(t.support, (1,) * 4))
+    pi0 = t.lift(exact.point_mass(t.support, (1,) * n))
     kernels = (lker, t.freeze, t.starg)
     alg = exact.propagate(pi0, exact.algorithm_kernel_sequence(
         *kernels[1:], 2, 3, steps=12))
@@ -512,7 +513,7 @@ def large_posets(draw):
     """Lifted C4, or a random sub-poset of {0,1,*}^n of 33 to 100 elements:
     above the up-set cap; either half the time in a permuted index order."""
     if draw(st.booleans()):
-        return permuted(draw, lifted_c4()[0])
+        return permuted(draw, lifted_cycle(4)[0])
     n = draw(st.integers(4, 5))
     elems = list(itertools.product((0, 1, STAR), repeat=n))
     size = draw(st.integers(33, min(100, len(elems))))
@@ -628,7 +629,7 @@ class TestClosureStacks:
     @pytest.mark.parametrize("offset", [0, 1])
     def test_tie_on_a_cut_row(self, rng, offset):
         # dense rows whose excess is the slack or one unit past it
-        p = lifted_c4()[0]
+        p = lifted_cycle(4)[0]
         for split in (1, 2, p.height):
             slack = ordercore._slack(PROB_TOL, p.size) // split
             nu, nup = closure_tie(rng, p, slack + offset, p.size)
@@ -663,7 +664,7 @@ class TestClosureStacks:
         bound = ordercore._coupling_bound(d, poset)
         for r, row in enumerate(d):
             assert bound[r] == greedy_coupling_bound(row, poset)
-            assert bound[r] >= ordercore._closure_cut(row, poset)[0]
+            assert bound[r] >= dinic_closure_cut(row, poset)[0]
             if bound[r] <= slack:
                 assert flow_dominance(nus[r], nups[r], poset, slack) == (
                     True, None)
@@ -761,7 +762,7 @@ class TestClosureStacks:
         # the dominance laws of the exact-large verify instance, and the
         # cover stacks of its three lifted kernels: the greedy coupling
         # passes every row, so no closure cut runs, in at most 2 MB each
-        p, laws, alg, kernels = lifted_c4()
+        p, laws, alg, kernels = lifted_cycle(4)
         stacks = [(laws, alg, 1)] + [
             (*ker.matrix[p.covers[c:c + ordercore.PAIR_BLOCK].T], p.height)
             for ker in kernels
@@ -792,6 +793,98 @@ class TestClosureStacks:
             assert stochastic_dominance(empty, empty, p, split=2) == (
                 True, None)
         assert cut.call_count == 0
+
+
+def scaled_diff(nus, nups):
+    return (ordercore._scale_to_ints(np.clip(nus, 0.0, None))
+            - ordercore._scale_to_ints(np.clip(nups, 0.0, None)))
+
+
+class TestClosureCut:
+    """_closure_cut against oracles.dinic_closure_cut, a Dinic max-flow on
+    the same Picard network: the same excess and least mask, on rows the
+    greedy coupling passes and rows it leaves, ties at the slack and one
+    unit past it, and rows whose min cut is not unique."""
+
+    @staticmethod
+    def check(d, poset):
+        got = ordercore._closure_cut(d, poset)
+        want = dinic_closure_cut(d, poset)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert is_up_set(poset, set(np.flatnonzero(got[1]).tolist()))
+        assert d[got[1]].sum() == got[0]
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 4]).map(lambda n: lifted_cycle(n)[0])
+           | large_posets(), st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_the_dinic(self, poset, data, seed):
+        split = data.draw(st.sampled_from([1, poset.height]))
+        kinds = data.draw(st.lists(st.sampled_from(
+            ["dominated", "few", "tie", "sparse", "random", "lopsided"]),
+            max_size=5))
+        rng = np.random.default_rng(seed)
+        slack = ordercore._slack(PROB_TOL, poset.size) // split
+        pairs = [stack_row(rng, poset, slack, kind) for kind in kinds]
+        pairs += [closure_tie(rng, poset, slack + offset, poset.size)
+                  for offset in (0, 1)]
+        d = scaled_diff(*map(np.array, zip(*pairs)))
+        excess = [self.check(row, poset)[0] for row in d]
+        assert (excess <= ordercore._coupling_bound(d, poset)).all()
+        # the dense ties at the slack and one unit past it
+        assert excess[-2:] == [slack, slack + 1]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_the_coupling_passes(self, n):
+        # rows of the lifted cycle's dominance laws and of a sample of its
+        # three lifted kernels' cover stacks, all within a cover's slack of
+        # the greedy coupling; the excess is 0 on each, reached by the
+        # empty up-set and the whole poset alike, and the cut returns the
+        # empty one
+        p, laws, alg, kernels = lifted_cycle(n)
+        covers = p.covers[::max(1, len(p.covers) // 12)].T
+        d = np.concatenate([scaled_diff(laws, alg)] + [
+            scaled_diff(*ker.matrix[covers]) for ker in kernels])
+        slack = ordercore._slack(PROB_TOL, p.size) // p.height
+        assert (ordercore._coupling_bound(d, p) <= slack).all()
+        for row in d:
+            excess, least = self.check(row, p)
+            assert excess == 0 and not least.any()
+
+    def test_rows_the_coupling_leaves(self):
+        # the gadget strands mass that a coupling routes: a passing row
+        # whose excess is exactly the slack, and one unit past it
+        slack = ordercore._slack(PROB_TOL, 36)
+        for offset in (0, 1):
+            p, nu, nup = TestClosureStacks.chains_and_gadget(slack + offset,
+                                                             10 ** 13)
+            d = scaled_diff(nu, nup)
+            assert ordercore._coupling_bound(d[None], p)[0] > slack
+            excess, least = self.check(d, p)
+            assert excess == slack + offset
+            assert np.flatnonzero(least).tolist() == [0, 16]
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_min_cut_that_is_not_unique(self, rng, n):
+        # d moves t units from b down to a < b: every up-set holding b but
+        # not a reaches the excess t, from up(b), the least, to the
+        # complement of down(a); the cut returns up(b).  At d = 0 every
+        # up-set reaches 0, and the cut returns the empty one
+        p = (lifted_cycle(n)[0] if n < 6 else
+             Poset(tuple(itertools.product((0, 1), repeat=n))))
+        excess, least = self.check(np.zeros(p.size, dtype=np.int64), p)
+        assert excess == 0 and not least.any()
+        m = p.leq_matrix()
+        for a, b in np.argwhere(m & ~np.eye(p.size, dtype=bool))[
+                rng.choice(int(m.sum()) - p.size, 10, replace=False)]:
+            t = int(rng.integers(1, SCALE))
+            d = np.zeros(p.size, dtype=np.int64)
+            d[b], d[a] = t, -t
+            excess, least = self.check(d, p)
+            greatest = ~m[:, a]
+            assert excess == d[greatest].sum() == t
+            assert np.array_equal(least, m[b])
+            assert not np.array_equal(least, greatest)
 
 
 class TestCovers:

@@ -89,9 +89,10 @@ def run_ceiling(cells):
 
 
 def test_ceiling_cells_pass():
-    code, rows = run_ceiling([("kernel-export-c16", {}), ("verify-c6", {})])
-    assert code == 0 and [r["name"] for r in rows] == [
-        "kernel-export-c16", "verify-c6"], rows
+    # the hard-core C9 control is the one cell that takes closure cuts
+    names = ["kernel-export-c16", "verify-c6", "verify-hardcore-c9"]
+    code, rows = run_ceiling([(name, {}) for name in names])
+    assert code == 0 and [r["name"] for r in rows] == names, rows
 
 
 @pytest.mark.parametrize("name, change, reason", [
