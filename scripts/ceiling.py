@@ -32,8 +32,9 @@ FILES = {
     **{f"c{n}.graph": f"{n} {n}\n" + "".join(
         f"{i} {(i + 1) % n}\n" for i in range(n))
        for n in (6, 7, 9, 10, 11, 16)},
-    "k33.graph": "6 9 bipartite 3\n" + "".join(
-        f"{i} {j}\n" for i in range(3) for j in range(3, 6)),
+    **{f"k{n}{n}.graph": f"{2 * n} {n * n} bipartite {n}\n" + "".join(
+        f"{i} {j}\n" for i in range(n) for j in range(n, 2 * n))
+       for n in (3, 8)},
     "rc.params": RC.format(0.5),
     "rc-0.25.params": RC.format(0.25),
     "hardcore.params": "model = hardcore\nlambda = 1.0\n",
@@ -41,6 +42,8 @@ FILES = {
     "simulate.params": RC.format(0.5) + "dynamics = simulate\n",
     "censored.params": "model = bipartite-hardcore\nlambda = 1.0\n"
                        "beta = 1.0\ndynamics = censored\nperiod = 10\n",
+    "bhc.params": "model = bipartite-hardcore\nlambda = 1.0\nbeta = 1.0\n"
+                  "theta = 0.5\n",
     "ising.params": "model = ising\nbeta.default = 1.5\n"
                     "lambda.default = 0.5\n",
 }
@@ -90,6 +93,11 @@ def near(out, err):
             for key, pin in ANALYZE.items()}
 
 
+def second_line(out, err):
+    """The output file's second line: a mixing report's one row."""
+    return out.read_text().split("\n")[1]
+
+
 def digest(out, err):
     """The sha256 of the output file."""
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -122,8 +130,13 @@ CELLS = [
          {"wall_s": 10}, read=digest, want=(
          "2b258ce0cdf2d342a0aeef5b3d1db35863d8429ed81e03626bd7eb1d7918596e")),
     Cell("mixing-c11", 2048, "mixing c11.graph rc-0.25.params", 120,
-         {"wall_s": 45}, read=lambda out, err: out.read_text().split("\n")[1],
+         {"wall_s": 45}, read=second_line,
          want="b25905a30ad17a62,0,0.10000000000000001,0.25,34,9,9,70,630"),
+    # the paper's second application: the tilted times (778) of the left
+    # marginal take the floor certificate far from 1
+    Cell("mixing-bhc-lm-k8", 256, "mixing k88.graph bhc.params --transform "
+         "left-marginal", 60, {"wall_s": 10}, read=second_line,
+         want="687f2aaa5ae8b18b,0,0.10000000000000001,0.5,283,3,5,778,3890"),
     Cell("analyze-c10", 1024, "analyze c10.graph rc-0.25.params", 60,
          {"wall_s": 10}, read=near, want=ANALYZE),
     *(Cell(f"{command}-c16", 65536, f"{command} c16.graph rc.params", 60,

@@ -442,12 +442,13 @@ class AlphaSchedule:
         if not self.segments:
             raise ValueError("empty schedule")
         for end, val in self.segments:
-            if val <= 0:
+            # negated, so that a NaN fails each check
+            if not val > 0:
                 raise ValueError("rate values must be positive")
-            if end <= prev:
+            if not end > prev:
                 raise ValueError("segment ends must increase")
             prev = end
-        if abs(prev - length) > 1e-9 * max(1.0, length):
+        if not abs(prev - length) <= 1e-9 * max(1.0, length):
             raise ValueError("segments must cover [0, -log theta] exactly")
 
     def value_at(self, t):
@@ -473,10 +474,7 @@ def log_kappa(schedule: AlphaSchedule) -> float:
 
 
 def kappa(schedule: AlphaSchedule) -> float:
-    try:
-        return math.exp(log_kappa(schedule))
-    except OverflowError:  # pragma: no cover - log_kappa is negative
-        return 0.0
+    return math.exp(log_kappa(schedule))
 
 
 def t_bound(schedule: AlphaSchedule, mu_min: float, eps: float) -> float:

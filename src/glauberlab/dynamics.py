@@ -615,11 +615,6 @@ class Schedule:
         return cls(lambda t: full, period=None)
 
     @classmethod
-    def never(cls):
-        empty = frozenset()
-        return cls(lambda t: empty, period=None)
-
-    @classmethod
     def two_level(cls, left, right, period, seed):
         """Bipartite two-level schedule: for each block of `period` steps an
         outer left vertex is drawn (from the schedule's own stream, so the

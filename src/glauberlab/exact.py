@@ -838,31 +838,92 @@ def _check_eps(eps):
         raise ValueError("eps must lie in (0,1)")
 
 
-def _mixing_times(mats, mus, eps, cap, cur=None):
-    """Exact mixing times of a stack of chains: for each kernel of mats
-    (g, m, m), with stationary law mus (g, m) and start laws cur (g, s, m),
-    one row per start (by default one per state: the worst start), the
-    smallest t with every row at TV <= eps from stationarity, as the step
-    loop _stepped_times gives it, refusals included.
+def _mixing_times(mats, mus, eps, cap, floor=0):
+    """Worst-start mixing times of a stack of chains: for each kernel of
+    mats (g, m, m), with stationary law mus (g, m), the smallest t with
+    every row of P^t at TV <= eps from stationarity, as the step loop
+    _stepped_times gives it from every state, refusals included; except
+    that a chain whose time is at most floor may get floor.
 
-    A worst start goes to _squared_times first; only the chains it cannot
-    certify run the step loop.  The loop treats each chain on its own (see
-    _stepped_times), and every chain _squared_times certifies has t <= cap
-    and t <= _FIXED_POINT_EVERY, past its refusal at step 0, so that chain
+    Step 0 is the loop's own: its test, then its refusal of the chains
+    farther than eps.  If 1 <= floor <= min(cap, _FIXED_POINT_EVERY), a
+    far chain whose worst TV of P^floor is at most eps less _power_margin
+    gets floor (the loop's TV at floor is within eps) and leaves the stack.
+    The rest are bracketed: P, P^2, P^4, ... until every chain is within
+    eps or the power reaches min(cap, _FIXED_POINT_EVERY).  From its last
+    power P^h still farther than eps, a chain then steps on by P, and its t
+    is the first step within eps, or 2h.  Every TV compared with eps must
+    clear it by _power_margin at the last power, so that the step loop's TV
+    at t is within eps, and at t - 1, hence (by the margin's (c)) at every
+    step before, above it.
+
+    A chain not within eps by the limit, whose t exceeds the limit, or with
+    a TV inside its margin runs the step loop.  Every other chain has t <=
+    cap and t <= _FIXED_POINT_EVERY, past its refusal at step 0, so it
     could not raise in the loop: running the rest alone raises the loop's
-    first refusal, and gives each of their times."""
-    if cur is not None:
-        return _stepped_times(mats, mus, eps, cap, cur)
-    ts, unsure = _squared_times(mats, mus, eps, cap)
-    if unsure.any():
-        ts[unsure] = _stepped_times(mats[unsure], mus[unsure], eps, cap)
+    first refusal, and gives each of their times.
+
+    Holds the kernels and at most three stacks of the same size."""
+    g, m = len(mats), mats.shape[-1]
+    ts = np.zeros(g, dtype=int)
+    mus, eye = mus[:, None, :], np.eye(m)
+    live = np.flatnonzero(_worst_tv(eye, mus) > eps)
+    if live.size < g:
+        mats, mus = mats[live], mus[live]
+    _refuse_unreachable(mats, eye, mus, eps, cap, 0)
+    limit = min(cap, _FIXED_POINT_EVERY)
+    if live.size and 1 <= floor <= limit:
+        ok = (_worst_tv(_power(mats, floor), mus)
+              <= eps - _power_margin(mats, mus, eps, floor))
+        ts[live[ok]] = floor
+        if ok.any():
+            live, mats, mus = live[~ok], mats[~ok], mus[~ok]
+    if not live.size:
+        return ts
+    gap = np.full(live.size, np.inf)  # the least |TV - eps| compared
+    half = np.zeros(live.size, dtype=int)  # the last power still far
+    far = np.ones(live.size, dtype=bool)
+    power, last, p = mats, mats, 1
+    while True:
+        d = _worst_tv(power, mus)
+        gap[far] = np.minimum(gap[far], np.abs(d - eps)[far])
+        far &= d > eps
+        last = power if far.all() else np.where(far[:, None, None], power,
+                                                last)
+        half[far] = p
+        if not far.any() or p >= limit:
+            break
+        power, p = power @ power, 2 * p
+    power = None  # only the last far powers step on
+    t = np.where(half > 0, 2 * half, 1)
+    stepping = ~far & (half > 1)
+    for s in range(1, half.max()):
+        stepping &= s < half
+        if not stepping.any():
+            break
+        last = last @ mats
+        d = _worst_tv(last, mus)
+        gap[stepping] = np.minimum(gap[stepping],
+                                   np.abs(d - eps)[stepping])
+        done = stepping & (d <= eps)
+        t[done] = half[done] + s
+        stepping &= ~done
+    last = None
+    sure = ~far & (t <= limit) & (gap > _power_margin(mats, mus, eps, p))
+    ts[live[sure]] = t[sure]
+    if not sure.all():
+        ts[live[~sure]] = _stepped_times(mats[~sure], mus[~sure, 0], eps, cap)
     return ts
 
 
 def _stepped_times(mats, mus, eps, cap, cur=None):
-    """_mixing_times by the step loop: each chain stops at its own t;
-    matmul multiplies a stack slice by slice, so a chain's products, and
-    its t, are those of a loop over it alone.
+    """Exact mixing times of a stack of chains by the step loop: for each
+    kernel of mats (g, m, m), with stationary law mus (g, m) and start laws
+    cur (g, s, m), one row per start (by default one per state: the worst
+    start), the smallest t with every row at TV <= eps from stationarity.
+    Each chain stops at its own t; matmul multiplies a stack slice by
+    slice, so a chain's products, and its t, are those of a loop over it
+    alone.
 
     Raises RuntimeError past the cap, and every _FIXED_POINT_EVERY steps
     (from step 0) when it is already clear that some row would reach the
@@ -928,20 +989,6 @@ def _refuse_unreachable(mats, cur, mus, eps, cap, t):
                            f"within eps by step {cap}")
 
 
-def _far_at_start(mats, mus, eps, cap):
-    """Which chains of the stack have a worst start farther than eps, as
-    _stepped_times computes it at step 0, after its refusal at step 0 of
-    those chains (the same call on the same arrays)."""
-    g, m = len(mats), mats.shape[-1]
-    cur = np.zeros((g, m, m))
-    cur[:, np.arange(m), np.arange(m)] = 1.0
-    far = _worst_tv(cur, mus[:, None, :]) > eps
-    if not far.all():
-        mats, cur, mus = mats[far], cur[far], mus[far]
-    _refuse_unreachable(mats, cur, mus[:, None, :], eps, cap, 0)
-    return far
-
-
 def _worst_tv(power, mus):
     """Each chain's largest row TV to stationarity (mus (g, 1, m)), each
     row's as _stepped_times computes it."""
@@ -965,7 +1012,9 @@ def _power_margin(mats, mus, eps, horizon):
     """How far each chain's TV computed from a product of its kernel's
     powers, at any t <= horizon <= _FIXED_POINT_EVERY, must clear eps for
     the step loop to be on the same side of eps at t and, if it is above,
-    at every step before t.
+    at every step before t.  _mixing_times is its one caller: at horizon
+    floor for its floor certificate, and at its last power for its
+    bracket.
 
     Let P be a chain's (float) kernel taken as exact, u = 2^-53, gamma =
     (m + 2) u / (1 - (m + 2) u), R = max(1, the largest row l1 of |P|),
@@ -980,7 +1029,7 @@ def _power_margin(mats, mus, eps, horizon):
         the second-order terms while horizon^2 gamma <= 1/16, that is for m
         below 2^29 at horizon 1024.
     (b) A computed TV of a row x is within tau = gamma (|x|_1 + |pi|_1) / 2
-        of the exact one, with |x|_1 <= R^t + E.  So the fast path's TV and
+        of the exact one, with |x|_1 <= R^t + E.  So _mixing_times's TV and
         the loop's are each within E/2 + tau of d(t).
     (c) With the drift r = |pi P - pi|_1 / 2, d(t + 1) <= R d(t) + r (one
         step is a contraction in TV when R = 1 and pi is stationary: Levin,
@@ -1006,95 +1055,19 @@ def _power_margin(mats, mus, eps, horizon):
                 + horizon * drift * grow)
 
 
-def _squared_times(mats, mus, eps, cap):
-    """(ts, unsure): the worst-start times of _stepped_times for the chains
-    of the stack that powers of their kernels certify, and a mask of the
-    chains they do not.
-
-    After the loop's own test and refusal at step 0 (_far_at_start), each
-    chain farther than eps is bracketed: P, P^2, P^4, ... until every chain
-    is within eps or the power reaches min(cap, _FIXED_POINT_EVERY).  From
-    its last power P^h still farther than eps, a chain then steps on by P,
-    and its t is the first step within eps, or 2h.  Every TV compared with
-    eps must clear it by _power_margin at the last power, so that the step
-    loop's TV at t is within eps, and at t - 1, hence (by the margin's (c))
-    at every step before, above it.  A chain not within eps by the limit,
-    whose t exceeds the limit, or with a TV inside its margin is unsure.
-
-    Holds the kernels and at most three stacks of the same size."""
-    g = len(mats)
-    ts, unsure = np.zeros(g, dtype=int), np.zeros(g, dtype=bool)
-    live = np.flatnonzero(_far_at_start(mats, mus, eps, cap))
-    if not live.size:
-        return ts, unsure
-    if live.size < g:
-        mats, mus = mats[live], mus[live]
-    mus = mus[:, None, :]
-    limit = min(cap, _FIXED_POINT_EVERY)
-    gap = np.full(live.size, np.inf)  # the least |TV - eps| compared
-    half = np.zeros(live.size, dtype=int)  # the last power still far
-    far = np.ones(live.size, dtype=bool)
-    power, last, p = mats, mats, 1
-    while True:
-        d = _worst_tv(power, mus)
-        gap[far] = np.minimum(gap[far], np.abs(d - eps)[far])
-        far &= d > eps
-        last = power if far.all() else np.where(far[:, None, None], power,
-                                                last)
-        half[far] = p
-        if not far.any() or p >= limit:
-            break
-        power, p = power @ power, 2 * p
-    power = None  # only the last far powers step on
-    t = np.where(half > 0, 2 * half, 1)
-    stepping = ~far & (half > 1)
-    for s in range(1, half.max()):
-        stepping &= s < half
-        if not stepping.any():
-            break
-        last = last @ mats
-        d = _worst_tv(last, mus)
-        gap[stepping] = np.minimum(gap[stepping],
-                                   np.abs(d - eps)[stepping])
-        done = stepping & (d <= eps)
-        t[done] = half[done] + s
-        stepping &= ~done
-    sure = ~far & (t <= limit) & (gap > _power_margin(mats, mus, eps, p))
-    ts[live[sure]] = t[sure]
-    unsure[live[~sure]] = True
-    return ts, unsure
-
-
-def _within(mats, mus, eps, cap, t):
-    """Which chains of the stack have a worst-start time of at most t (1 <=
-    t <= _FIXED_POINT_EVERY) in _stepped_times, certified from P^t alone:
-    its worst TV at most eps less _power_margin puts the loop's TV at t
-    within eps, so the loop stops by t.  Chains within eps at step 0 pass;
-    the loop's refusal at step 0 is raised first.  Since every chain that
-    passes has t <= _FIXED_POINT_EVERY, none could raise later in the loop
-    (see _mixing_times)."""
-    ok = ~_far_at_start(mats, mus, eps, cap)
-    live = np.flatnonzero(~ok)
-    if live.size:
-        if live.size < len(mats):
-            mats, mus = mats[live], mus[live]
-        mus = mus[:, None, :]
-        ok[live] = (_worst_tv(_power(mats, t), mus)
-                    <= eps - _power_margin(mats, mus, eps, t))
-    return ok
-
-
 def exact_mixing_time(kernel: Kernel, x0=None, eps=0.25,
                       cap=_MIXING_CAP) -> int:
     """Smallest t with TV(law at t, stationary) <= eps, by exact propagation.
 
-    x0 is a start state (tuple) or None for the worst case over all starts,
-    one row per start: _mixing_times of the one-chain stack, with its
-    refusals."""
+    x0 is a start state (tuple), whose time the step loop _stepped_times
+    gives, or None for the worst case over all starts, which _mixing_times
+    gives; both with their refusals."""
     _check_eps(eps)
-    start = None if x0 is None else point_mass(kernel.support, x0)[None, None]
-    return int(_mixing_times(kernel.matrix[None], kernel.stationary[None],
-                             eps, cap, start)[0])
+    mats, mus = kernel.matrix[None], kernel.stationary[None]
+    if x0 is None:
+        return int(_mixing_times(mats, mus, eps, cap)[0])
+    start = point_mass(kernel.support, x0)[None, None]
+    return int(_stepped_times(mats, mus, eps, cap, start)[0])
 
 
 def _tilted_slices(tables: Tables):
@@ -1166,20 +1139,15 @@ def tilted_mixing_time(model, theta, eps) -> int:
 def _tilted_time(tables: Tables, eps):
     """tilted_mixing_time of the model and theta of the tables.
 
-    Only the largest is needed.  The first stack (the full slice) gives a
-    time t; then, while 1 <= t <= _FIXED_POINT_EVERY, a later stack's
-    chains that _within certifies from P^t have times <= t and need
-    nothing more, and only the others run _mixing_times, which may raise
-    t.  Every stack still meets the step loop's refusal at step 0."""
+    Only the largest time is needed, so each stack runs _mixing_times with
+    the largest time so far as its floor: the first stack (the full slice)
+    gives a time, and a later stack's chain certified at the floor needs
+    nothing more."""
     _check_eps(eps)
     best = 0
     for _, _, mats, mus in _tilted_slices(tables):
-        if 1 <= best <= _FIXED_POINT_EVERY:
-            slow = ~_within(mats, mus, eps, _MIXING_CAP, best)
-            mats, mus = mats[slow], mus[slow]
-        if len(mats):
-            best = max(best, int(_mixing_times(mats, mus, eps,
-                                               _MIXING_CAP).max()))
+        best = max(best, int(_mixing_times(mats, mus, eps, _MIXING_CAP,
+                                           best).max()))
         del mats, mus  # let the stack go before the next one is built
     return best
 

@@ -456,7 +456,7 @@ def stochastic_dominance(nu, nu_prime, poset: Poset, tol: float = PROB_TOL,
     return False, (r, wit) if stack else wit
 
 
-def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):
+def first_dominance_failure(pairs, poset: Poset):
     """(index, witness up-set) of the first pair (nu, nu_prime) of the
     iterable pairs with nu not <=_sd nu_prime, or None.  Pairs are drawn and
     tested in stacks of PAIR_BLOCK."""
@@ -466,7 +466,7 @@ def first_dominance_failure(pairs, poset: Poset, tol: float = PROB_TOL):
         if not block:
             return None
         ok, wit = stochastic_dominance([a for a, _ in block],
-                                       [b for _, b in block], poset, tol=tol)
+                                       [b for _, b in block], poset)
         if not ok:
             return start + wit[0], wit[1]
 

@@ -269,6 +269,16 @@ class TestAlphaSchedule:
         with pytest.raises(ValueError):
             AlphaSchedule(0.5, ((0.1, 1.0),))  # does not cover [0, log 2]
 
+    @pytest.mark.parametrize("segments, message", [
+        (((math.nan, 1.0),), "segment ends must increase"),
+        (((0.3, 1.0), (math.nan, 1.0)), "segment ends must increase"),
+        (((math.log(2), math.nan),), "rate values must be positive"),
+    ], ids=["end", "later-end", "rate"])
+    def test_nan_is_refused(self, segments, message):
+        # a NaN compares false with everything, so each check must fail it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AlphaSchedule(0.5, segments)
+
     def test_constant_closed_form(self):
         theta, a = 0.25, 3.0
         length = -math.log(theta)

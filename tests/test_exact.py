@@ -2,7 +2,6 @@ import itertools
 import math
 import re
 import tracemalloc
-from collections import Counter
 
 from unittest import mock
 
@@ -1402,8 +1401,9 @@ def random_chain(rng, m, lazy):
 
 
 class TestStackedMixing:
-    """_mixing_times runs a stack of chains at once; each chain's time, and
-    each refusal, is that of its own loop."""
+    """_mixing_times runs a stack of chains at once, and _stepped_times from
+    given starts; each chain's time, and each refusal, is that of its own
+    loop."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_one_chain_loops(self, seed):
@@ -1416,7 +1416,7 @@ class TestStackedMixing:
             assert exact._mixing_times(mats, mus, eps, 10 ** 6).tolist() == [
                 oracles.loop_mixing_time(mat, mu, None, eps)
                 for mat, mu in chains]
-            assert exact._mixing_times(
+            assert exact._stepped_times(
                 mats, mus, eps, 10 ** 6, np.eye(m)[x0][:, None]).tolist() == [
                 oracles.loop_mixing_time(mat, mu, i, eps)
                 for (mat, mu), i in zip(chains, x0)]
@@ -1453,8 +1453,8 @@ class TestStackedMixing:
         with pytest.raises(RuntimeError, match="^mixing time exceeds the cap "
                            "10000: at step 0 a law is too far from "
                            "stationarity to come within eps by step 10000$"):
-            exact._mixing_times(lazy(1e-5)[None], mus[:1], 0.01, 10 ** 4,
-                                np.eye(2)[None, :1])
+            exact._stepped_times(lazy(1e-5)[None], mus[:1], 0.01, 10 ** 4,
+                                 np.eye(2)[None, :1])
 
     def test_fixed_point(self, rng):
         m = models.tilt(flip(HardcoreModel(Graph(3, [(0, 1), (0, 2)]), 1.0)),
@@ -1520,10 +1520,13 @@ class TestSquaredMixing:
             got = exact._mixing_times(mat[None], mu[None], eps, 10 ** 6)
         assert loop.call_count == 1
         assert got.tolist() == [oracles.loop_mixing_time(mat, mu, None, eps)]
-        # the one-power certificate refuses the tie, and passes a step later
-        within = [exact._within(mat[None], mu[None], eps, 10 ** 6, t)[0]
-                  for t in (5, 6)]
-        assert within == [False, True]
+        # the floor's one-power certificate refuses the tie, so the chain
+        # takes the bracket and the step loop; a step later it passes
+        with mock.patch.object(exact, "_stepped_times",
+                               wraps=exact._stepped_times) as loop:
+            got = [exact._mixing_times(mat[None], mu[None], eps, 10 ** 6,
+                                       floor)[0] for floor in (5, 6)]
+        assert got == [5, 6] and loop.call_count == 1
 
     def test_clear_chains_need_no_step_loop(self):
         mat, mu = two_state(0.3, 0.2)
@@ -1534,17 +1537,33 @@ class TestSquaredMixing:
         loop.assert_not_called()
 
     def test_chains_within_eps_at_the_start_leave_the_stack(self):
-        # at eps 0.55 the first chain is within eps at step 0, so both
-        # certificates run on the rest of the stack
+        # at eps 0.55 the first chain is within eps at step 0, so the floor
+        # and the bracket run on the rest of the stack: at floor 1 the third
+        # chain passes the floor and the second takes the bracket
         chains = [two_state(0.3, 0.3), two_state(0.1, 0.05),
                   two_state(0.3, 0.2)]
         mats, mus = (np.array(x) for x in zip(*chains))
         want = [oracles.loop_mixing_time(*c, None, 0.55) for c in chains]
-        ts, unsure = exact._squared_times(mats, mus, 0.55, 10 ** 6)
-        assert ts.tolist() == want == [0, 2, 1] and not unsure.any()
-        for t in (1, 2):
-            assert exact._within(mats, mus, 0.55, 10 ** 6, t).tolist() == [
-                w <= t for w in want]
+        assert want == [0, 2, 1]
+        with mock.patch.object(exact, "_stepped_times") as loop:
+            got = [exact._mixing_times(mats, mus, 0.55, 10 ** 6,
+                                       floor).tolist() for floor in (0, 1, 2)]
+        loop.assert_not_called()
+        assert got == [want, want, [0, 2, 2]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10), st.integers(1, 4),
+           st.floats(-7, math.log10(0.6)), st.integers(0, 1100))
+    def test_floor_gives_the_loop_time_or_the_floor(self, seed, m, g,
+                                                    log_eps, floor):
+        rng = np.random.default_rng(seed)
+        eps = 10 ** log_eps
+        chains = [shaped_chain(rng, m, int(rng.integers(4))) for _ in range(g)]
+        mats, mus = (np.array(x) for x in zip(*chains))
+        got = exact._mixing_times(mats, mus, eps, 10 ** 6, floor).tolist()
+        for t, (mat, mu) in zip(got, chains):
+            want = oracles.loop_mixing_time(mat, mu, None, eps)
+            assert t == want or want <= floor == t
 
     def test_slow_chains_past_the_bracket_take_the_step_loop(self):
         # t = 1955 for the lazy chain: the powers stop at 1024, so it alone
@@ -1566,8 +1585,7 @@ def stacks_far_at_start(model, theta, eps):
     for _, _, mats, mus in exact._tilted_slices(exact.Tables(model, theta)):
         far = [max(exact.tv_distance(row, mu) for row in np.eye(len(mu))) > eps
                for mu in mus]
-        if any(far):
-            out.append((sum(far), mats.shape[-1]))
+        out.append((sum(far), mats.shape[-1]))
     return out
 
 
@@ -1593,32 +1611,71 @@ class TestTiltedCertificates:
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
         assert tilted_mixing_time(m, theta, eps) == want
 
-    def test_slower_stack_fails_its_certificate_and_raises_the_time(self):
-        with mock.patch.object(exact, "_mixing_times",
-                               wraps=exact._mixing_times) as run:
-            assert tilted_mixing_time(self.slow_pins, 0.11, 0.005) == 30
+    @staticmethod
+    def stack_runs(monkeypatch):
+        """(floor, times) of each _mixing_times call, as it is made."""
+        runs, run = [], exact._mixing_times
+
+        def record(mats, mus, eps, cap, floor=0):
+            ts = run(mats, mus, eps, cap, floor)
+            runs.append((floor, ts.tolist()))
+            return ts
+
+        monkeypatch.setattr(exact, "_mixing_times", record)
+        return runs
+
+    def test_slower_stack_fails_its_certificate_and_raises_the_time(
+            self, monkeypatch):
+        runs = self.stack_runs(monkeypatch)
+        assert tilted_mixing_time(self.slow_pins, 0.11, 0.005) == 30
         assert oracles.stepped_tilted_mixing_time(self.slow_pins, 0.11,
                                                   0.005) == 30
-        # the full slice; all four chains of the next stack (24 < 25, 26);
-        # the three chains of the one after that take 30 > 26
-        assert [len(c.args[0]) for c in run.call_args_list] == [1, 4, 3]
+        # every chain of the second stack (26, 25, 26, 26 > 24) and the
+        # three chains of 30 > 26 in the third fail the floor and get their
+        # exact times; the others get the floor, and the last stack's one
+        # chain is within eps at the start
+        assert runs == [(0, [24]), (24, [26, 25, 26, 26]),
+                        (26, [30, 26, 30, 26, 30, 26]), (30, [30] * 4),
+                        (30, [0])]
 
-    def test_stack_tied_with_the_first_is_certified(self):
-        with mock.patch.object(exact, "_mixing_times",
-                               wraps=exact._mixing_times) as run:
+    def test_stack_tied_with_the_first_is_certified(self, monkeypatch):
+        runs = self.stack_runs(monkeypatch)
+        with mock.patch.object(exact, "_power_margin",
+                               wraps=exact._power_margin) as margin, \
+                mock.patch.object(exact, "_power", wraps=exact._power) as power:
             assert tilted_mixing_time(self.tie, 0.7, 0.008) == 15
         assert oracles.stepped_tilted_mixing_time(self.tie, 0.7, 0.008) == 15
-        assert run.call_count == 1
+        assert runs == [(0, [15]), (15, [15] * 3), (15, [15] * 3), (15, [0])]
+        # only the full slice takes the bracket (its last power P^16); the
+        # tied stacks are certified from P^15 alone
+        assert [c.args[3] for c in margin.call_args_list] == [16, 15, 15]
+        assert [c.args[1] for c in power.call_args_list] == [15, 15]
 
-    def test_every_stack_meets_the_refusal_at_step_zero(self):
-        for m, theta, eps in ((self.slow_pins, 0.11, 0.005),
-                              (self.tie, 0.7, 0.008)):
-            with mock.patch.object(exact, "_refuse_unreachable",
-                                   wraps=exact._refuse_unreachable) as refuse:
-                tilted_mixing_time(m, theta, eps)
-            at_zero = Counter((len(c.args[0]), c.args[0].shape[-1])
-                              for c in refuse.call_args_list if c.args[5] == 0)
-            assert Counter(stacks_far_at_start(m, theta, eps)) <= at_zero
+    def test_every_stack_meets_the_refusal_at_step_zero(self, monkeypatch):
+        # once per stack, on the chains farther than eps at the start
+        cases = [(m, theta, eps, [[far] for far in stacks_far_at_start(
+            m, theta, eps)]) for m, theta, eps in ((self.slow_pins, 0.11,
+                                                    0.005),
+                                                   (self.tie, 0.7, 0.008))]
+        slices, refuse = exact._tilted_slices, exact._refuse_unreachable
+        at_zero = []  # per stack built, (chains, states) of each refusal
+
+        def counted(tables):
+            for stack in slices(tables):
+                at_zero.append([])
+                yield stack
+
+        def counting(mats, cur, mus, eps, cap, t):
+            if t == 0:
+                at_zero[-1].append((len(mats), mats.shape[-1]))
+            refuse(mats, cur, mus, eps, cap, t)
+
+        monkeypatch.setattr(exact, "_tilted_slices", counted)
+        monkeypatch.setattr(exact, "_refuse_unreachable", counting)
+        for m, theta, eps, want in cases:
+            at_zero.clear()
+            tilted_mixing_time(m, theta, eps)
+            assert at_zero == want
 
 
 def hardcore_path(rng):
