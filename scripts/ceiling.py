@@ -8,7 +8,8 @@ child's own from os.wait4 (RUSAGE_CHILDREN would keep the largest over
 every earlier cell).  On Linux that peak starts from the runner's RSS at
 the spawn, about 20 MB: the runner imports no numpy.  Prints one JSON line
 per cell (k is the support size, the lifted one where verify lifts) and
-exits 1 if any cell misses:
+exits 1 if any cell misses.  Each command runs one OpenBLAS thread
+unless OPENBLAS_NUM_THREADS is set:
 
     python scripts/ceiling.py
 """
@@ -161,16 +162,26 @@ CELLS = [
 ]
 
 
+def child_env():
+    """The environment of a cell's command: this one, with src/ first on
+    PYTHONPATH and, unless it is set, OPENBLAS_NUM_THREADS=1, as
+    perfbench/run.py sets it: a second BLAS thread spin-waits against any
+    concurrent process, and the cell's wall time then measures the
+    scheduler."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return env
+
+
 def run(cell, d):
     """One cell's JSON row, its command run in the instance directory d."""
     command, graph, params, *options = cell.line.split()
     argv = [sys.executable, "-m", "glauberlab", command, "--graph", graph,
             "--params", params, "--out", cell.name, *options]
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     with tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=d, env=env, stderr=err,
+        proc = subprocess.Popen(argv, cwd=d, env=child_env(), stderr=err,
                                 stdout=subprocess.DEVNULL)
         # os.kill, not proc.kill, whose poll could reap the child first
         timer = threading.Timer(cell.timeout, os.kill,

@@ -1,13 +1,16 @@
-"""Quantitative independence diagnostics and bound formulas: influence
-matrices, marginal stability, coupling independence (exact optimal transport
-with Hamming cost), an entropic-independence witness search, piecewise
-schedules with their exponential-decay constant, and fixed-point uniqueness
-checks."""
+"""Quantitative independence diagnostics and bound formulas.  The four
+diagnostics (the largest influence-matrix norm over pinnings, marginal
+stability, coupling independence by exact optimal transport with Hamming
+cost, and an entropic-independence witness search) each read one
+Diagnostics, the tables of one model built once and shared; then
+piecewise schedules with their exponential-decay constant, and fixed-point
+uniqueness checks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +21,9 @@ from .ordercore import enumerate_up_sets
 _TRANSPORT_SCALE = 10 ** 12
 _FREE = 2  # index of "free" on each axis of a pinned-mass table
 _EI_BLOCK_ENTRIES = 1 << 20  # candidate entries ei_witness scores at once
+_STABILITY_VARS = 10  # the most variables marginal_stability takes
+# the most states of a conditioning that coupling_independence's flow takes
+_FLOW_STATES = 512
 
 
 def _pinned_masses(sup, probs) -> np.ndarray:
@@ -54,63 +60,36 @@ def _marginals(table) -> np.ndarray:
     return out
 
 
-def _influence_rows(marg, u, include_diagonal=True) -> np.ndarray:
+class Diagnostics(Tables):
+    """The tables the four diagnostics read: exact.Tables of one model, and
+    `marginals`, the _marginals table of its pinned-mass table, built on
+    first use, at most once."""
+
+    marginals = cached_property(
+        lambda d: _marginals(_pinned_masses(d.support, d.mu)))
+
+
+def _influence_rows(marg, u) -> np.ndarray:
     """Row u of the influence matrix of every pinning tau that leaves u free,
     as an array over those pinnings (axis u of the table dropped) by column:
     entry v is P[v=1 | tau, u=1] - P[v=1 | tau, u=0], and 0 when u is not
     decisive (infeasible, or P[u=1 | tau] in {0, 1}), when P[v=1 | tau] = 0,
-    when either u-pinning has no mass, or when tau pins v."""
+    when either u-pinning has no mass, or when tau pins v.  The diagonal
+    entry is 1 where u is decisive."""
     hi, lo = marg.take(1, axis=1 + u), marg.take(0, axis=1 + u)
     given = marg.take(_FREE, axis=1 + u)
     m_u = given[u]
     ok = (m_u > 0.0) & (m_u < 1.0) & (given != 0.0) & ~np.isnan(hi - lo)
-    if not include_diagonal:
-        ok[u] = False
     # C order: each row then sums exactly as a row of a single matrix does
     return np.moveaxis(np.where(ok, hi - lo, 0.0), 0, -1).copy()
 
 
-@dataclass
-class InfluenceMatrix:
-    matrix: np.ndarray
-    pinning: dict
-    include_diagonal: bool = True
-
-
-def influence_matrix(model, pinning=None, include_diagonal=True) -> InfluenceMatrix:
-    """Entry (u,v) = P[v=1 | pins, u=1] - P[v=1 | pins, u=0], set to 0 when
-    either u-pinning is infeasible or v cannot take value 1.  The literal
-    definition gives diagonal entries equal to 1; a flag drops them."""
-    pinning = dict(pinning or {})
-    n = model.n_vars
-    if len(pinning) > n - 2:
-        raise ValueError("pinning must leave at least two free variables")
-    tables = Tables(model)
-    marg = _marginals(_pinned_masses(tables.support, tables.mu))
-    cell = [pinning.get(v, _FREE) for v in range(n)]
-    mat = np.zeros((n, n))
-    for u in range(n):
-        if u not in pinning:
-            mat[u] = _influence_rows(marg, u, include_diagonal)[
-                tuple(cell[:u] + cell[u + 1:])]
-    return InfluenceMatrix(mat, pinning, include_diagonal)
-
-
-def sinf_norm(psi: InfluenceMatrix) -> float:
-    return float(np.max(np.abs(psi.matrix).sum(axis=1)))
-
-
-def max_sinf_norm(model, max_pin=None) -> float:
-    """Max influence-matrix norm over all feasible pinnings leaving at least
-    two free variables: every pinning is a cell of the pinned-mass table, so
-    each row u is computed for all of them at once."""
-    tables = Tables(model)
-    return _max_sinf_norm(_marginals(_pinned_masses(tables.support,
-                                                    tables.mu)), max_pin)
-
-
-def _max_sinf_norm(marg, max_pin=None) -> float:
-    """max_sinf_norm, read from the model's _marginals table."""
+def max_sinf_norm(d: Diagnostics, max_pin=None) -> float:
+    """Max influence-matrix norm, the largest absolute row sum with the
+    diagonal, over all feasible pinnings of at most max_pin sites (at most,
+    and by default, n - 2): every pinning is a cell of the pinned-mass
+    table, so each row u is computed for all of them at once."""
+    marg = d.marginals
     n = len(marg)
     limit = n - 2 if max_pin is None else min(max_pin, n - 2)
     if limit < 0:
@@ -141,30 +120,18 @@ def _strict_sub_min(x) -> np.ndarray:
     return out
 
 
-def marginal_stability(model, max_vars=10) -> float:
+def marginal_stability(d: Diagnostics) -> float:
     """Smallest K such that, for every feasible pinning tau on Lambda, every
     sub-pinning tau_S and every free v: odds(v | tau) <= K * odds(v | tau_S)
     and P[v=0 | tau] >= 1/K.  Returns math.inf when some conditional forces
     v to 1.  Every pinning leaving v free is a cell of one odds array per v,
-    and the sub-pinning side is one minimum over sub-cells."""
-    _check_stability_guard(model, max_vars)
-    tables = Tables(model)
-    return _marginal_stability(
-        _marginals(_pinned_masses(tables.support, tables.mu)))
-
-
-def _check_stability_guard(model, max_vars=10):
-    """Refuse marginal_stability past max_vars variables, before any table
-    is built."""
-    if model.n_vars > max_vars:
-        raise ValueError(f"guarded to {max_vars} variables")
-
-
-def _marginal_stability(marg) -> float:
-    """marginal_stability, read from the model's _marginals table."""
-    n = len(marg)
+    and the sub-pinning side is one minimum over sub-cells.  Refused past
+    _STABILITY_VARS variables, before any table is built."""
+    if d.model.n_vars > _STABILITY_VARS:
+        raise ValueError(f"guarded to {_STABILITY_VARS} variables")
+    marg = d.marginals
     best = 1.0
-    for v in range(n):
+    for v in range(len(marg)):
         m1 = marg[v].take(_FREE, axis=v)
         feasible = ~np.isnan(m1)
         m0 = 1.0 - m1
@@ -230,7 +197,7 @@ def _certified_monotone(tables: Tables) -> bool:
         return False
 
 
-def coupling_independence(model, max_states=512) -> float:
+def coupling_independence(d: Diagnostics) -> float:
     """Exact optimal value C: the worst (over pinnings and a discrepancy
     coordinate) expected Hamming distance of the best coupling between the
     two single-site conditionings.
@@ -240,20 +207,12 @@ def coupling_independence(model, max_states=512) -> float:
     and attains the lower bound sum_j |P[j=1 | tau, i=1] - P[j=1 | tau, i=0]|
     that every coupling obeys; the j = i term is 1.  C is then the largest
     influence-matrix row sum (diagonal included) over pinnings of up to n-1
-    sites, read from the pinned-mass table with no flow.  Every other model
+    sites, read from the marginals table with no flow.  Every other model
     solves one min-cost flow per pair of conditionings, each guarded to
-    max_states states."""
-    return _coupling_independence(Tables(model), max_states)
-
-
-def _coupling_independence(tables: Tables, max_states=512,
-                           marg=None) -> float:
-    """coupling_independence over the model's Tables; marg, the _marginals
-    table of its law, is built if needed and not given."""
-    n, sup, probs = tables.model.n_vars, tables.support, tables.mu
-    if _certified_monotone(tables):
-        if marg is None:
-            marg = _marginals(_pinned_masses(sup, probs))
+    _FLOW_STATES states."""
+    n, sup, probs = d.model.n_vars, d.support, d.mu
+    if _certified_monotone(d):
+        marg = d.marginals
         return max(float(np.abs(marg.take(1, axis=1 + i)
                                 - marg.take(0, axis=1 + i)).sum(axis=0).max())
                    for i in range(n))
@@ -266,35 +225,11 @@ def _coupling_independence(tables: Tables, max_states=512,
             mass0, mass1 = probs[m0].sum(), probs[m1].sum()
             if mass0 == 0.0 or mass1 == 0.0:
                 continue
-            if max(m0.sum(), m1.sum()) > max_states:
+            if max(m0.sum(), m1.sum()) > _FLOW_STATES:
                 raise ValueError("conditional support exceeds the guard")
             best = max(best, _transport_cost(sup.array[m1], probs[m1] / mass1,
                                              sup.array[m0], probs[m0] / mass0))
     return best
-
-
-def ei_witness(model, iterations=200, rng=None, restarts=4):
-    """Search for a distribution nu maximizing
-    sum_i KL(nu_i || mu_i) / KL(nu || mu): a constructive lower bound on the
-    entropic-independence constant (never a certificate).
-
-    The candidates, the k point masses and (when k <= 22) the normalized
-    laws of mu on the up-sets of positive mass, are scored as matrices, in
-    row blocks of at most _EI_BLOCK_ENTRIES entries (_ei_ratios), with the
-    arithmetic of a loop over them: every KL adds its terms left to right
-    with math.log, as exact.kl_divergence does, each site marginal is one
-    dot product, and the numerator adds the n two-point KLs in site order.
-    A law whose KL(nu || mu) is below 1e-12 or infinite has no ratio (NaN,
-    which never wins).  The witness is the first candidate that attains the
-    largest positive ratio: a later tie, even to the last bit, does not
-    replace it.  Then each restart climbs from a Dirichlet draw by
-    multiplicative log-normal proposals, one at a time, keeping a proposal
-    whose ratio is larger (_climb_ratio), and replaces the witness if it
-    ends strictly higher.
-
-    Returns (best ratio, best nu as an array over the support)."""
-    tables = Tables(model)
-    return _ei_witness(tables.support, tables.mu, iterations, rng, restarts)
 
 
 def _log(x) -> np.ndarray:
@@ -388,8 +323,27 @@ def _ei_candidates(sup, mu):
             yield nus[a:a + per]
 
 
-def _ei_witness(sup, mu, iterations=200, rng=None, restarts=4):
-    """ei_witness over the model's support and law."""
+def ei_witness(d: Diagnostics, iterations=200, rng=None, restarts=4):
+    """Search for a distribution nu maximizing
+    sum_i KL(nu_i || mu_i) / KL(nu || mu): a constructive lower bound on the
+    entropic-independence constant (never a certificate).
+
+    The candidates, the k point masses and (when k <= 22) the normalized
+    laws of mu on the up-sets of positive mass, are scored as matrices, in
+    row blocks of at most _EI_BLOCK_ENTRIES entries (_ei_ratios), with the
+    arithmetic of a loop over them: every KL adds its terms left to right
+    with math.log, as exact.kl_divergence does, each site marginal is one
+    dot product, and the numerator adds the n two-point KLs in site order.
+    A law whose KL(nu || mu) is below 1e-12 or infinite has no ratio (NaN,
+    which never wins).  The witness is the first candidate that attains the
+    largest positive ratio: a later tie, even to the last bit, does not
+    replace it.  Then each restart climbs from a Dirichlet draw by
+    multiplicative log-normal proposals, one at a time, keeping a proposal
+    whose ratio is larger (_climb_ratio), and replaces the witness if it
+    ends strictly higher.
+
+    Returns (best ratio, best nu as an array over the support)."""
+    sup, mu = d.support, d.mu
     rng = rng or np.random.default_rng(0)
     k = sup.size
     ind = (sup.array == 1).astype(float)
@@ -451,21 +405,12 @@ class AlphaSchedule:
         if not abs(prev - length) <= 1e-9 * max(1.0, length):
             raise ValueError("segments must cover [0, -log theta] exactly")
 
-    def value_at(self, t):
-        for end, val in self.segments:
-            if t <= end:
-                return val
-        return self.segments[-1][1]
-
     def integral(self) -> float:
         total, start = 0.0, 0.0
         for end, val in self.segments:
             total += val * (end - start)
             start = end
         return total
-
-    def breakpoints(self):
-        return [end for end, _ in self.segments[:-1]]
 
 
 def log_kappa(schedule: AlphaSchedule) -> float:
@@ -588,20 +533,16 @@ class IndependenceReport:
 
 
 def independence_report(model, rng=None) -> IndependenceReport:
-    """The four diagnostics at their defaults, from one Tables (one
-    support, law and heat-bath table) and one pinned-mass table, built once
-    and shared."""
-    # first: the variable guard refuses a model before any n 3^n table is built
-    _check_stability_guard(model)
-    tables = Tables(model)
-    sup, probs = tables.support, tables.mu
-    marg = _marginals(_pinned_masses(sup, probs))
+    """The four diagnostics at their defaults over one Diagnostics, whose
+    support, law and marginals table are each built once and shared."""
+    d = Diagnostics(model)
     rep = IndependenceReport()
-    rep.marginal_stability = _marginal_stability(marg)
-    rep.sinf = _max_sinf_norm(marg)
-    rep.coupling = _coupling_independence(tables, marg=marg)
-    r, nu = _ei_witness(sup, probs, rng=rng)
+    # first: its variable guard refuses a model before any table is built
+    rep.marginal_stability = marginal_stability(d)
+    rep.sinf = max_sinf_norm(d)
+    rep.coupling = coupling_independence(d)
+    r, nu = ei_witness(d, rng=rng)
     rep.ei_ratio = r
     rep.ei_nu = None if nu is None else [float(x) for x in nu]
-    rep.mu_min = float(probs.min())
+    rep.mu_min = float(d.mu.min())
     return rep

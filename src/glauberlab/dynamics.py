@@ -610,11 +610,6 @@ class Schedule:
             raise ValueError(f"period must be at least 1, got {self.period}")
 
     @classmethod
-    def always(cls, n):
-        full = frozenset(range(n))
-        return cls(lambda t: full, period=None)
-
-    @classmethod
     def two_level(cls, left, right, period, seed):
         """Bipartite two-level schedule: for each block of `period` steps an
         outer left vertex is drawn (from the schedule's own stream, so the

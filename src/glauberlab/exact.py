@@ -509,20 +509,26 @@ class Tables:
         return np.bincount(self.index, probs, minlength=self.support.size)
 
     tilted = cached_property(lambda t: tilt(t.model, t.theta))
+    # whether the tilt's tables derive from the model's: it is a TiltedModel
+    # of the model.  Other tilts (of a hard-core or a tilted model) are
+    # evaluated
+    derives_tilt = cached_property(lambda t: isinstance(t.tilted, TiltedModel)
+                                   and t.tilted.base is t.model)
 
     @cached_property
     def tilted_lws(self) -> np.ndarray:
         """The tilt's log weight of each support state: tilt_log_weight of
-        lws where the tilt is a TiltedModel of the model, else one
-        evaluation per state (a hard-core tilt rewrites lambda)."""
-        tilted = self.tilted
-        if isinstance(tilted, TiltedModel) and tilted.base is self.model:
+        lws where derives_tilt, else one evaluation per state."""
+        if self.derives_tilt:
             return tilt_log_weight(self.lws,
                                    (self.support.array == 1).sum(axis=1),
-                                   tilted.theta)
-        return _log_weights(tilted, self.support)
+                                   self.tilted.theta)
+        return _log_weights(self.tilted, self.support)
 
     tilted_weights = cached_property(lambda t: _weights(t.tilted_lws))
+    # the feasible all-1 pinned slices of the dense support, by _one_slices
+    one_slices = cached_property(
+        lambda t: list(_one_slices(t.dense.array == 1)))
 
     @cached_property
     def fker(self) -> Kernel:
@@ -541,7 +547,7 @@ class Tables:
                           else 0.0 for r in range(n + 1)]
                          for c in range(n + 1)])
         mat = np.zeros((k, k))
-        for kept, idx in _one_slices(ones):
+        for kept, idx in self.one_slices:
             # in row blocks, so that no temporary exceeds _FD_BLOCK_ENTRIES
             rows, to = move[count[idx], len(kept)], _slice_law(w[idx])
             per = max(1, _FD_BLOCK_ENTRIES // idx.size)
@@ -1079,14 +1085,14 @@ def _tilted_slices(tables: Tables):
     row-checked kernels and mus (g, m) their stationary laws.
 
     The tilt is made (and refused) first, then the support is taken as
-    Tables.dense.  The slices read the model's support, which
-    the tilt keeps state for state, and the tilted log weights.  Where the
-    tilt wraps the model in a TiltedModel, models.tilted_probs tilts each
-    fiber's conditional of the model's table; other tilts (of a hard-core
-    or a tilted model) are evaluated.  Each slice's kernel and stationary
-    law equal the pinned tilted model's bit for bit."""
+    Tables.dense.  The slices are Tables.one_slices of the model's
+    support, which the tilt keeps state for state, and read the tilted log
+    weights.  Where Tables.derives_tilt, models.tilted_probs tilts each
+    fiber's conditional of the model's table; other tilts are evaluated.
+    Each slice's kernel and stationary law equal the pinned tilted model's
+    bit for bit."""
     tilted, support = tables.tilted, tables.dense
-    if isinstance(tilted, TiltedModel) and tilted.base is tables.model:
+    if tables.derives_tilt:
         succ, prob = _heat_bath(support, [
             (fib, np.stack(tilted_probs(tilted.theta, *cond.T), axis=-1))
             for fib, cond in tables.table])
@@ -1094,7 +1100,7 @@ def _tilted_slices(tables: Tables):
         succ, prob = _heat_bath(support, _site_conditionals(tilted, support))
     k, lws = support.size, tables.tilted_lws
     by_size = {}
-    for pinned, idx in _one_slices(support.array == 1):
+    for pinned, idx in tables.one_slices:
         by_size.setdefault(idx.size, []).append((pinned, idx))
     for m, slices in by_size.items():
         per = max(1, k * k // (m * m))
@@ -1129,15 +1135,11 @@ def _slice_stack(slices, succ, prob, lw):
     return pinned, sel, mats, np.array([_normalized(lw[r]) for r in sel])
 
 
-def tilted_mixing_time(model, theta, eps) -> int:
-    """Worst Glauber mixing time of the tilted model over all feasible all-1
-    pinnings, maximized over starting states: the largest time
-    _mixing_times gives a chain of the stacks of _tilted_slices."""
-    return _tilted_time(Tables(model, theta), eps)
-
-
-def _tilted_time(tables: Tables, eps):
-    """tilted_mixing_time of the model and theta of the tables.
+def tilted_mixing_time(tables: Tables, eps) -> int:
+    """Worst Glauber mixing time of the tilt of the tables' model by their
+    theta over all feasible all-1 pinnings, maximized over starting states:
+    the largest time _mixing_times gives a chain of the stacks of
+    _tilted_slices.
 
     Only the largest time is needed, so each stack runs _mixing_times with
     the largest time so far as its floor: the first stack (the full slice)
@@ -1170,7 +1172,7 @@ def comparison_times(model, theta, eps):
     t_gd = exact_mixing_time(tables.gker, ones, eps)
     t_fd_ones = exact_mixing_time(tables.fker, ones, eps / 2)
     t_fd = exact_mixing_time(tables.fker, None, eps / 2)
-    t_tilted = _tilted_time(tables, eps / (2 * max(t_fd, 1)))
+    t_tilted = tilted_mixing_time(tables, eps / (2 * max(t_fd, 1)))
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
 

@@ -40,8 +40,9 @@ weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
 enumeration and derives from it.  Last, the couplings between models that
 only the coupling tests build: the random cluster model of an Ising model
-and the subgraph-world model of a random cluster model; and the test that
-a function on a poset increases, which no command makes.
+and the subgraph-world model of a random cluster model; the test that a
+function on a poset increases, which no command makes; and the integral
+of a rate schedule by quadrature.
 """
 
 import argparse
@@ -52,6 +53,7 @@ from collections import deque
 
 import networkx as nx
 import numpy as np
+import scipy.integrate
 
 from glauberlab import dynamics, exact, models, ordercore
 from glauberlab.ordercore import contract, leq, lift
@@ -620,7 +622,7 @@ def composed_comparison(model, theta, eps):
     fker = exact.fd_kernel(model, theta)
     t_fd_ones = exact.exact_mixing_time(fker, ones, eps / 2)
     t_fd = exact.exact_mixing_time(fker, None, eps / 2)
-    t_tilted = exact.tilted_mixing_time(model, theta,
+    t_tilted = exact.tilted_mixing_time(exact.Tables(model, theta),
                                         eps / (2 * max(t_fd, 1)))
     return t_gd, t_fd_ones, t_fd, t_tilted, t_fd * t_tilted
 
@@ -802,7 +804,7 @@ def marginal_one(sup, probs, pins: dict, v):
     return float(probs[mask & (sup.array[:, v] == 1)].sum() / mass)
 
 
-def influence(sup, probs, pinning, include_diagonal=True):
+def influence(sup, probs, pinning):
     """The influence matrix under one pinning, entry by entry."""
     n = sup.array.shape[1]
     free = [v for v in range(n) if v not in pinning]
@@ -812,8 +814,6 @@ def influence(sup, probs, pinning, include_diagonal=True):
         if m_u0 is None or m_u0 in (0.0, 1.0):
             continue  # u is not decisive under this pinning
         for v in free:
-            if v == u and not include_diagonal:
-                continue
             m_v = marginal_one(sup, probs, pinning, v)
             if m_v is None or m_v == 0.0:
                 continue
@@ -825,9 +825,8 @@ def influence(sup, probs, pinning, include_diagonal=True):
     return mat
 
 
-def influence_matrix(model, pinning=None, include_diagonal=True):
-    return influence(*_support_data(model), dict(pinning or {}),
-                     include_diagonal)
+def influence_matrix(model, pinning=None):
+    return influence(*_support_data(model), dict(pinning or {}))
 
 
 def max_sinf_norm(model, max_pin=None):
@@ -966,6 +965,19 @@ def loop_ei_witness(model, iterations=200, rng=None, restarts=4):
         if cur is not None and cur > best_r:
             best_r, best_nu = cur, nu
     return best_r, best_nu
+
+
+def quadrature(sched):
+    """The integral of a rate schedule's step function over [0, -log
+    theta] by scipy.integrate.quad, told where the steps are."""
+    def rate(t):
+        return next((val for end, val in sched.segments if t <= end),
+                    sched.segments[-1][1])
+
+    ends = [end for end, _ in sched.segments]
+    val, _ = scipy.integrate.quad(rate, 0.0, -math.log(sched.theta),
+                                  points=ends[:-1], limit=200)
+    return val
 
 
 def per_state_tables(model, theta):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.stats
 
 from glauberlab import analysis, dynamics, exact, models
@@ -253,19 +252,22 @@ def test_11_independence_inequalities(rng):
     # influence norm is bounded by the coupling constant
     for _ in range(20):
         m = random_monotone_model(rng, max_vars=3)
-        assert (analysis.max_sinf_norm(m)
-                <= analysis.coupling_independence(m) + 1e-9)
+        d = analysis.Diagnostics(m)
+        assert (analysis.max_sinf_norm(d)
+                <= analysis.coupling_independence(d) + 1e-9)
     # coupling bound for the tilted flipped random cluster model
     for _ in range(20):
         rc = random_rc(rng, random_graph(rng, n_hi=4, m_hi=4), lam_hi=0.9)
         m = tilt(flip(rc), float(rng.uniform(0.2, 0.9)))
         bound = 2.0 * (1 - max(rc.lam)) ** -2
-        assert analysis.coupling_independence(m) <= bound + 1e-9
+        assert (analysis.coupling_independence(analysis.Diagnostics(m))
+                <= bound + 1e-9)
     # marginal stability bound for the flipped model at high edge weight
     for _ in range(20):
         rc = random_rc(rng, random_graph(rng, n_hi=4, m_hi=4),
                        p_lo=2 / 3, p_hi=0.95)
-        assert analysis.marginal_stability(flip(rc)) <= 2.0 + 1e-12
+        assert (analysis.marginal_stability(analysis.Diagnostics(flip(rc)))
+                <= 2.0 + 1e-12)
     # the entropic witness never beats the product of the two constants
     # (at least two variables, else the influence norm is vacuous)
     done = 0
@@ -274,9 +276,10 @@ def test_11_independence_inequalities(rng):
         if m.n_vars < 2:
             continue
         done += 1
-        eta = analysis.max_sinf_norm(m)
-        k = analysis.marginal_stability(m)
-        r, _ = analysis.ei_witness(m, iterations=100, restarts=2, rng=rng)
+        d = analysis.Diagnostics(m)
+        eta = analysis.max_sinf_norm(d)
+        k = analysis.marginal_stability(d)
+        r, _ = analysis.ei_witness(d, iterations=100, restarts=2, rng=rng)
         assert r <= 384.0 * eta * k ** 4 + 1e-6, (r, eta, k)
     report(11, "influence/coupling/stability/entropy inequalities hold")
 
@@ -294,31 +297,25 @@ def test_12_product_mixing_bound():
         fker = exact.fd_kernel(m, theta)
         t_fd = exact.exact_mixing_time(fker, None, eps / 2)
         delta = eps / (2 * max(t_fd, 1))
-        t_tilted = exact.tilted_mixing_time(m, theta, delta)
+        t_tilted = exact.tilted_mixing_time(exact.Tables(m, theta), delta)
         assert t_gd <= max(t_fd, 1) * t_tilted, (t_gd, t_fd, t_tilted)
     assert time.time() - t0 < 120.0
     report(12, "one-shot mixing bound: slow chain <= product of fast pieces")
 
 
 def test_13_schedules_and_critical_activity():
-    def quad(sched):
-        val, _ = scipy.integrate.quad(sched.value_at, 0.0,
-                                      -math.log(sched.theta),
-                                      points=sched.breakpoints(), limit=200)
-        return val
-
     rc_settings = [(0.3, 0.5, 50), (0.5, 0.5, 1024), (0.9, 0.1, 10),
                    (0.1, 0.8, 200), (0.6, 0.3, 64)]
     for p_min, lam_max, n in rc_settings:
         _, sched = analysis.rc_schedule(p_min, lam_max, n)
         got = sched.integral()
-        assert abs(got - quad(sched)) <= 1e-9 * abs(got)
+        assert abs(got - oracles.quadrature(sched)) <= 1e-9 * abs(got)
     bhc_settings = [(0.5, 3, 100, 0.1), (0.2, 2, 50, 0.5), (1.0, 4, 1000, 0.2),
                     (0.8, 1, 10, 0.9), (0.1, 5, 300, 0.05)]
     for lam, dd, n, delta in bhc_settings:
         _, sched = analysis.bhc_schedule(lam, dd, n, delta)
         got = sched.integral()
-        assert abs(got - quad(sched)) <= 1e-9 * abs(got)
+        assert abs(got - oracles.quadrature(sched)) <= 1e-9 * abs(got)
     assert analysis.lambda_c(3) == 4.0
     assert analysis.lambda_c(4) == 27.0 / 16.0
     report(13, "schedule integrals match quadrature; critical points exact")

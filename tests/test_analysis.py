@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
 from glauberlab import analysis, exact, models
-from glauberlab.analysis import (AlphaSchedule, bhc_schedule, coupling_independence,
-                                 ei_witness, independence_report, influence_matrix,
-                                 kappa, lambda_c, log_kappa, marginal_stability,
-                                 max_sinf_norm, rc_schedule, sinf_norm, t_bound,
-                                 uniqueness_check, uniqueness_grid)
+from glauberlab.analysis import (AlphaSchedule, Diagnostics, bhc_schedule,
+                                 coupling_independence, ei_witness,
+                                 independence_report, kappa, lambda_c,
+                                 log_kappa, marginal_stability, max_sinf_norm,
+                                 rc_schedule, t_bound, uniqueness_check,
+                                 uniqueness_grid)
 from glauberlab.models import (Graph, HardcoreModel, RandomClusterModel, flip)
 from conftest import random_monotone_model
 import oracles
@@ -31,46 +31,61 @@ def independent_pair(lam=0.5):
     return HardcoreModel(Graph(2, []), lam)
 
 
+def influence_matrix(model, pinning=None) -> np.ndarray:
+    """The influence matrix of the model under one pinning, row u read from
+    analysis._influence_rows at the pinning's cell (0 where u is pinned)."""
+    pinning = dict(pinning or {})
+    n = model.n_vars
+    marg = Diagnostics(model).marginals
+    cell = [pinning.get(v, analysis._FREE) for v in range(n)]
+    mat = np.zeros((n, n))
+    for u in range(n):
+        if u not in pinning:
+            mat[u] = analysis._influence_rows(marg, u)[
+                tuple(cell[:u] + cell[u + 1:])]
+    return mat
+
+
+def sinf(mat) -> float:
+    """The largest absolute row sum of an influence matrix."""
+    return float(np.max(np.abs(mat).sum(axis=1)))
+
+
 class TestInfluence:
     def test_hardcore_k2_values(self):
-        # mu uniform on {00, 10, 01}: pinning u=1 kills v, pinning u=0 frees it
+        # mu uniform on {00, 10, 01}: pinning u=1 kills v, pinning u=0 frees
+        # it.  With n = 2 max_sinf_norm reads only the unpinned cell, its
+        # diagonal included
         psi = influence_matrix(hc_k2())
-        assert psi.matrix[0, 0] == 1.0
-        assert abs(psi.matrix[0, 1] - (-0.5)) < 1e-12
-        assert abs(sinf_norm(psi) - 1.5) < 1e-12
-
-    def test_drop_diagonal(self):
-        psi = influence_matrix(hc_k2(), include_diagonal=False)
-        assert psi.matrix[0, 0] == 0.0
-        assert abs(sinf_norm(psi) - 0.5) < 1e-12
+        assert psi[0, 0] == 1.0
+        assert abs(psi[0, 1] - (-0.5)) < 1e-12
+        assert abs(max_sinf_norm(Diagnostics(hc_k2())) - 1.5) < 1e-12
 
     def test_product_measure_off_diagonal_zero(self):
         psi = influence_matrix(independent_pair())
-        assert abs(psi.matrix[0, 1]) < 1e-12
-        assert abs(psi.matrix[1, 0]) < 1e-12
-        assert abs(sinf_norm(psi) - 1.0) < 1e-12
-
-    def test_pinning_guard(self):
-        with pytest.raises(ValueError):
-            influence_matrix(hc_k2(), pinning={0: 0})
+        assert abs(psi[0, 1]) < 1e-12
+        assert abs(psi[1, 0]) < 1e-12
+        got = max_sinf_norm(Diagnostics(independent_pair()))
+        assert abs(got - 1.0) < 1e-12
 
     def test_max_over_pinnings(self):
         g = Graph(3, [(0, 1), (1, 2)])
         m = HardcoreModel(g, 1.0)
-        base = sinf_norm(influence_matrix(m))
-        assert max_sinf_norm(m) >= base - 1e-12
+        base = sinf(influence_matrix(m))
+        assert max_sinf_norm(Diagnostics(m)) >= base - 1e-12
+        assert max_sinf_norm(Diagnostics(m), max_pin=0) == base
 
     def test_max_is_max_over_feasible_pinnings(self, rng):
-        # exact equality: the one-table loop and the public per-pinning
-        # function compute each matrix the same way
+        # exact equality: the one-table loop and the per-pinning matrices
+        # sum each row the same way
         for _ in range(6):
             m = random_monotone_model(rng)
             states = exact.enumerate_support(m).states
-            want = max((sinf_norm(influence_matrix(m, p))
+            want = max((sinf(influence_matrix(m, p))
                         for p in exact.pinnings(m.n_vars, m.n_vars - 2)
                         if any(all(s[v] == x for v, x in p.items())
                                for s in states)), default=0.0)
-            assert max_sinf_norm(m) == want
+            assert max_sinf_norm(Diagnostics(m)) == want
 
     def test_flip_invariance(self, rng):
         done = 0
@@ -79,8 +94,8 @@ class TestInfluence:
             if m.n_vars < 2:
                 continue
             done += 1
-            a = sinf_norm(influence_matrix(m))
-            b = sinf_norm(influence_matrix(models.flip(m)))
+            a = max_sinf_norm(Diagnostics(m), max_pin=0)
+            b = max_sinf_norm(Diagnostics(models.flip(m)), max_pin=0)
             assert abs(a - b) < 1e-10
 
 
@@ -88,51 +103,54 @@ class TestMarginalStability:
     def test_single_vertex_hardcore(self):
         lam = 0.7
         m = HardcoreModel(Graph(1, []), lam)
-        assert abs(marginal_stability(m) - (1 + lam)) < 1e-12
+        assert abs(marginal_stability(Diagnostics(m)) - (1 + lam)) < 1e-12
 
     def test_hardcore_k2(self):
-        assert abs(marginal_stability(hc_k2()) - 2.0) < 1e-12
+        assert abs(marginal_stability(Diagnostics(hc_k2())) - 2.0) < 1e-12
 
     def test_forced_one_gives_inf(self):
         # flipped hardcore: pinning the neighbour to 0 forces v to 1
         m = flip(hc_k2())
-        assert marginal_stability(m) == math.inf
+        assert marginal_stability(Diagnostics(m)) == math.inf
 
     def test_product_measure(self):
         m = independent_pair(2.0)
         # odds ratios are all 1; only the 1/mu_v(0) terms bite
-        assert abs(marginal_stability(m) - 3.0) < 1e-12
+        assert abs(marginal_stability(Diagnostics(m)) - 3.0) < 1e-12
 
-    def test_guard(self):
-        m = independent_pair()
-        with pytest.raises(ValueError):
-            marginal_stability(m, max_vars=1)
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_STABILITY_VARS", 1)
+        with pytest.raises(ValueError, match="^guarded to 1 variables$"):
+            marginal_stability(Diagnostics(independent_pair()))
 
 
 class TestCoupling:
     def test_hardcore_k2(self):
-        assert abs(coupling_independence(hc_k2()) - 1.5) < 1e-9
+        assert abs(coupling_independence(Diagnostics(hc_k2())) - 1.5) < 1e-9
 
     def test_product_measure_is_one(self):
         # only the discrepancy coordinate ever differs
-        assert abs(coupling_independence(independent_pair()) - 1.0) < 1e-9
+        assert abs(coupling_independence(Diagnostics(independent_pair()))
+                   - 1.0) < 1e-9
 
     def test_flip_invariance(self, rng):
         for _ in range(3):
             m = random_monotone_model(rng, max_vars=3)
-            a = coupling_independence(m)
-            b = coupling_independence(models.flip(m))
+            a = coupling_independence(Diagnostics(m))
+            b = coupling_independence(Diagnostics(models.flip(m)))
             assert abs(a - b) < 1e-8
 
     def test_influence_bounded_by_coupling(self, rng):
         for _ in range(8):
             m = random_monotone_model(rng, max_vars=3)
-            assert max_sinf_norm(m) <= coupling_independence(m) + 1e-8
+            d = Diagnostics(m)
+            assert max_sinf_norm(d) <= coupling_independence(d) + 1e-8
 
 
 class TestEiWitness:
     def test_product_measure_ratio_is_one(self):
-        r, nu = ei_witness(independent_pair(), iterations=50, restarts=1)
+        r, nu = ei_witness(Diagnostics(independent_pair()), iterations=50,
+                           restarts=1)
         assert abs(r - 1.0) < 1e-6
         assert nu is not None
 
@@ -150,14 +168,14 @@ class TestEiWitness:
                                           (1 - marg[i], marg[i]))
                       for i in range(2))
             best = max(best, num / -math.log(p))
-        r, _ = ei_witness(m, iterations=50, restarts=1)
+        r, _ = ei_witness(Diagnostics(m), iterations=50, restarts=1)
         assert r >= best - 1e-9
 
     def test_up_sets_of_zero_mass_are_skipped(self):
         # most up-sets carry no mass; none of them may be normalized
         m = zero_mass_up_sets_model()
         with np.errstate(divide="raise", invalid="raise"):
-            r, nu = ei_witness(m, iterations=20, restarts=1)
+            r, nu = ei_witness(Diagnostics(m), iterations=20, restarts=1)
         assert math.isfinite(r)
         assert nu is None or np.isfinite(nu).all()
 
@@ -173,8 +191,8 @@ def assert_same_witness(model, iterations, restarts, seed):
     """ei_witness gives the loop oracle's witness, bit for bit, and its
     ratio within relative 1e-9, with no floating-point warning."""
     with np.errstate(divide="raise", invalid="raise"):
-        r, nu = ei_witness(model, iterations, np.random.default_rng(seed),
-                           restarts)
+        r, nu = ei_witness(Diagnostics(model), iterations,
+                           np.random.default_rng(seed), restarts)
     want_r, want_nu = oracles.loop_ei_witness(
         model, iterations, np.random.default_rng(seed), restarts)
     assert (nu is None) == (want_nu is None)
@@ -293,14 +311,6 @@ class TestAlphaSchedule:
         s2 = AlphaSchedule(theta, ((length, 4.0),))
         assert abs(kappa(s2) - kappa(s1) ** 2) < 1e-12
 
-    def test_value_at_and_breakpoints(self):
-        theta = 0.1
-        length = -math.log(theta)
-        s = AlphaSchedule(theta, ((1.0, 2.0), (length, 7.0)))
-        assert s.value_at(0.5) == 2.0
-        assert s.value_at(1.7) == 7.0
-        assert s.breakpoints() == [1.0]
-
     def test_t_bound_formula(self):
         theta = 0.5
         s = AlphaSchedule(theta, ((-math.log(theta), 0.1),))
@@ -323,12 +333,6 @@ class TestAlphaSchedule:
 
 
 class TestConcreteSchedules:
-    def quad(self, sched):
-        length = -math.log(sched.theta)
-        val, err = scipy.integrate.quad(sched.value_at, 0.0, length,
-                                        points=sched.breakpoints(), limit=200)
-        return val
-
     def test_rc_theta_formula(self):
         p_min, lam_max, n = 0.3, 0.5, 50
         theta, sched = rc_schedule(p_min, lam_max, n)
@@ -341,7 +345,7 @@ class TestConcreteSchedules:
     def test_rc_integral_matches_quadrature(self):
         _, sched = rc_schedule(0.3, 0.5, 50)
         got = sched.integral()
-        assert abs(got - self.quad(sched)) <= 1e-9 * abs(got)
+        assert abs(got - oracles.quadrature(sched)) <= 1e-9 * abs(got)
 
     def test_bhc_theta_formula(self):
         lam, dd, n, delta = 0.5, 3, 100, 0.1
@@ -356,7 +360,7 @@ class TestConcreteSchedules:
     def test_bhc_integral_matches_quadrature(self):
         _, sched = bhc_schedule(0.5, 3, 100, 0.1)
         got = sched.integral()
-        assert abs(got - self.quad(sched)) <= 1e-9 * abs(got)
+        assert abs(got - oracles.quadrature(sched)) <= 1e-9 * abs(got)
 
     def test_bhc_kappa_and_bound_degenerate_gracefully(self):
         _, sched = bhc_schedule(0.5, 3, 100, 0.1)
@@ -411,14 +415,31 @@ class TestReport:
         # one support and one pinned-mass table, shared, give the values of
         # the four public calls that each build their own
         rep = independence_report(model, rng=np.random.default_rng(3))
-        r, nu = ei_witness(model, rng=np.random.default_rng(3))
-        assert rep.marginal_stability == marginal_stability(model)
-        assert rep.sinf == max_sinf_norm(model)
-        assert rep.coupling == coupling_independence(model)
+        r, nu = ei_witness(Diagnostics(model), rng=np.random.default_rng(3))
+        assert rep.marginal_stability == marginal_stability(Diagnostics(model))
+        assert rep.sinf == max_sinf_norm(Diagnostics(model))
+        assert rep.coupling == coupling_independence(Diagnostics(model))
         assert rep.ei_ratio == r
         assert rep.ei_nu == nu.tolist()
         sup = exact.enumerate_support(model)
         assert rep.mu_min == exact.stationary_distribution(model, sup).min()
+
+    @pytest.mark.parametrize("model", [
+        HardcoreModel(cycle(5), 1.0),
+        flip(RandomClusterModel(cycle(4), [0.4, 0.5, 0.6, 0.5], [0.5] * 4))],
+        ids=["flow", "certified"])
+    def test_runs_each_public_diagnostic_once(self, model, monkeypatch):
+        # over one Diagnostics, whose pinned-mass table is built once
+        calls = []
+        for name in ("marginal_stability", "max_sinf_norm",
+                     "coupling_independence", "ei_witness", "_pinned_masses"):
+            fn = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name,
+                                **kw: calls.append(_name) or _fn(*a, **kw))
+        independence_report(model, rng=np.random.default_rng(0))
+        assert calls == ["marginal_stability", "_pinned_masses",
+                         "max_sinf_norm", "coupling_independence",
+                         "ei_witness"]
 
     def test_guard_refuses_before_any_table(self, monkeypatch):
         m = HardcoreModel(cycle(11), 1.0)
@@ -474,27 +495,27 @@ class TestAgainstOracles:
     def test_influence_matrices(self, rng):
         for _ in range(8):
             m = random_monotone_model(rng, max_vars=5)
-            for pins in exact.pinnings(m.n_vars, m.n_vars - 2):
-                for diag in (True, False):
-                    got = influence_matrix(m, pins, diag).matrix
-                    want = oracles.influence_matrix(m, pins, diag)
-                    # entries are differences of probabilities, and an
-                    # exact 0 may meet the scan's rounding noise, so they
-                    # compare absolutely; the diagonal (1 exactly where u
-                    # is decisive) is exact
-                    assert (np.diag(got) == np.diag(want)).all()
-                    assert np.abs(got - want).max() <= 1e-12
+            for pins in exact.pinnings(m.n_vars, m.n_vars):
+                got = influence_matrix(m, pins)
+                want = oracles.influence_matrix(m, pins)
+                # entries are differences of probabilities, and an exact 0
+                # may meet the scan's rounding noise, so they compare
+                # absolutely; the diagonal (1 exactly where u is decisive)
+                # is exact
+                assert (np.diag(got) == np.diag(want)).all()
+                assert np.abs(got - want).max() <= 1e-12
 
     def test_max_sinf_norm_and_marginal_stability(self, rng):
         cases = [hc_k2(), flip(hc_k2()), HardcoreModel(cycle(5), 1.0),
                  independent_pair(2.0)]
         cases += [random_monotone_model(rng, max_vars=5) for _ in range(10)]
         for m in cases:
-            assert_same_value(max_sinf_norm(m), oracles.max_sinf_norm(m),
+            d = Diagnostics(m)
+            assert_same_value(max_sinf_norm(d), oracles.max_sinf_norm(m),
                               1e-12)
-            assert_same_value(max_sinf_norm(m, max_pin=1),
+            assert_same_value(max_sinf_norm(d, max_pin=1),
                               oracles.max_sinf_norm(m, max_pin=1), 1e-12)
-            assert_same_value(marginal_stability(m),
+            assert_same_value(marginal_stability(d),
                               oracles.marginal_stability(m), 1e-12)
 
     def test_closed_form_coupling(self, rng):
@@ -503,7 +524,7 @@ class TestAgainstOracles:
             r = np.random.default_rng(seed)
             for _ in range(3):
                 m = random_monotone_model(r, max_vars=5)
-                got = coupling_independence(m)
+                got = coupling_independence(Diagnostics(m))
                 assert abs(got - oracles.per_pair_coupling(m)) <= 1e-9
                 done += analysis._certified_monotone(exact.Tables(m))
         assert done >= 10  # most random monotone instances take the closed form
@@ -524,16 +545,20 @@ class TestAgainstOracles:
         flow = analysis._transport_cost
         monkeypatch.setattr(analysis, "_transport_cost",
                             lambda *a: calls.append(1) or flow(*a))
-        assert coupling_independence(model) == oracles.per_pair_coupling(model)
+        assert (coupling_independence(Diagnostics(model))
+                == oracles.per_pair_coupling(model))
         assert calls
+        monkeypatch.setattr(analysis, "_FLOW_STATES", 1)
         with pytest.raises(ValueError, match="exceeds the guard"):
-            coupling_independence(model, max_states=1)
+            coupling_independence(Diagnostics(model))
 
     def test_certified_model_never_calls_the_flow(self, monkeypatch):
         m = flip(RandomClusterModel(cycle(5), [0.5] * 5, [0.5] * 5))
         calls = []
         monkeypatch.setattr(analysis, "_transport_cost",
                             lambda *a: calls.append(1))
-        got = coupling_independence(m, max_states=1)  # guards the flow only
+        # the guard of the flow only
+        monkeypatch.setattr(analysis, "_FLOW_STATES", 1)
+        got = coupling_independence(Diagnostics(m))
         assert calls == []
         assert abs(got - oracles.per_pair_coupling(m)) <= 1e-9

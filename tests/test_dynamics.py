@@ -207,6 +207,12 @@ class TestSimulateAlgorithm:
         assert tvs[0] >= tvs[1] >= tvs[2]
 
 
+def every_site(n):
+    """The schedule that allows every one of n sites on every step."""
+    full = frozenset(range(n))
+    return Schedule(lambda t: full, period=None)
+
+
 class TestCensored:
     def test_never_schedule_constant(self):
         m = k2_flipped_rc()
@@ -217,14 +223,14 @@ class TestCensored:
 
     def test_always_schedule_moves(self):
         m = k2_flipped_rc()
-        run = censored_glauber(m, (1,), Schedule.always(1), 200, seed=0)
+        run = censored_glauber(m, (1,), every_site(1), 200, seed=0)
         assert len(run.log) == 200
 
     def test_always_matches_glauber_law(self):
         m = k2_flipped_rc()
         sup = exact.enumerate_support(m)
         mu = exact.stationary_distribution(m, sup)
-        cnt = Counter(censored_glauber(m, (1,), Schedule.always(1), 3,
+        cnt = Counter(censored_glauber(m, (1,), every_site(1), 3,
                                        seed=s).final for s in range(30000))
         emp = np.array([cnt[s] / 30000 for s in sup.states])
         assert exact.tv_distance(emp, mu) < 0.015
@@ -290,7 +296,7 @@ class TestCensored:
         assert same_run(run, ref)
 
     def test_schedule_periods(self):
-        assert Schedule.always(3).period is None
+        assert every_site(3).period is None
         assert Schedule.two_level([0], [1], 4, 0).period == 4
         assert Schedule(lambda t: frozenset()).period == 1
         with pytest.raises(ValueError, match="period must be at least 1"):
@@ -547,7 +553,7 @@ class TestCollectorHeldOff:
         gc.callbacks.append(count)
         try:
             glauber_run(m, (1,) * 10, 20_000, 0)
-            censored_glauber(m, (1,) * 10, Schedule.always(10), 5_000, 0)
+            censored_glauber(m, (1,) * 10, every_site(10), 5_000, 0)
             simulate_algorithm(m, 0.5, 50, 100, 0)
         finally:
             gc.callbacks.remove(count)

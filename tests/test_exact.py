@@ -944,7 +944,7 @@ class TestMixing:
         m = k2_flipped_rc()
         # both the empty pinning and the single all-1 pinning are feasible;
         # the pinned chain is a point mass so the empty pinning dominates
-        t = tilted_mixing_time(m, 0.5, 0.05)
+        t = tilted_mixing_time(exact.Tables(m, 0.5), 0.05)
         ker = glauber_kernel(models.tilt(m, 0.5))
         assert t == exact_mixing_time(ker, None, 0.05)
 
@@ -1050,7 +1050,7 @@ class TestTiltedMixing:
         for m in tilted_pool(rng):
             for theta in (0.3, 0.5, 0.9):
                 for eps in (0.25, 0.05, 1e-3):
-                    assert (tilted_mixing_time(m, theta, eps)
+                    assert (tilted_mixing_time(exact.Tables(m, theta), eps)
                             == oracles.per_pinning_tilted_mixing_time(
                                 m, theta, eps))
 
@@ -1083,10 +1083,11 @@ class TestTiltedMixing:
         with mock.patch.object(exact, "enumerate_support") as enum:
             with pytest.raises(ValueError, match="^tilting is defined for "
                                                  "binary models$"):
-                tilted_mixing_time(lift_model(k2_flipped_rc(), 0.5), 0.5, 0.1)
+                tilted_mixing_time(exact.Tables(lift_model(k2_flipped_rc(),
+                                                           0.5), 0.5), 0.1)
             with pytest.raises(ValueError, match="^tilt parameter must be "
                                                  "positive$"):
-                tilted_mixing_time(k2_flipped_rc(), -0.5, 0.1)
+                tilted_mixing_time(exact.Tables(k2_flipped_rc(), -0.5), 0.1)
         enum.assert_not_called()
 
     def test_pinned_kernels_are_bit_identical(self, rng):
@@ -1609,7 +1610,7 @@ class TestTiltedCertificates:
         m = random_monotone_model(np.random.default_rng(seed), max_vars=5)
         eps = 10 ** log_eps
         want = oracles.per_pinning_tilted_mixing_time(m, theta, eps)
-        assert tilted_mixing_time(m, theta, eps) == want
+        assert tilted_mixing_time(exact.Tables(m, theta), eps) == want
 
     @staticmethod
     def stack_runs(monkeypatch):
@@ -1627,7 +1628,8 @@ class TestTiltedCertificates:
     def test_slower_stack_fails_its_certificate_and_raises_the_time(
             self, monkeypatch):
         runs = self.stack_runs(monkeypatch)
-        assert tilted_mixing_time(self.slow_pins, 0.11, 0.005) == 30
+        assert tilted_mixing_time(exact.Tables(self.slow_pins, 0.11),
+                                  0.005) == 30
         assert oracles.stepped_tilted_mixing_time(self.slow_pins, 0.11,
                                                   0.005) == 30
         # every chain of the second stack (26, 25, 26, 26 > 24) and the
@@ -1643,7 +1645,8 @@ class TestTiltedCertificates:
         with mock.patch.object(exact, "_power_margin",
                                wraps=exact._power_margin) as margin, \
                 mock.patch.object(exact, "_power", wraps=exact._power) as power:
-            assert tilted_mixing_time(self.tie, 0.7, 0.008) == 15
+            assert tilted_mixing_time(exact.Tables(self.tie, 0.7),
+                                      0.008) == 15
         assert oracles.stepped_tilted_mixing_time(self.tie, 0.7, 0.008) == 15
         assert runs == [(0, [15]), (15, [15] * 3), (15, [15] * 3), (15, [0])]
         # only the full slice takes the bracket (its last power P^16); the
@@ -1674,7 +1677,7 @@ class TestTiltedCertificates:
         monkeypatch.setattr(exact, "_refuse_unreachable", counting)
         for m, theta, eps, want in cases:
             at_zero.clear()
-            tilted_mixing_time(m, theta, eps)
+            tilted_mixing_time(exact.Tables(m, theta), eps)
             assert at_zero == want
 
 
@@ -1716,6 +1719,23 @@ class TestComparisonTimes:
         got = outcome(exact.comparison_times, model, theta, eps)
         assert got.startswith("ValueError: ")
         assert got == outcome(oracles.composed_comparison, model, theta, eps)
+
+    @pytest.mark.parametrize("tilt_by", [None, 0.6], ids=["derived",
+                                                         "evaluated"])
+    def test_one_slice_walk_and_the_public_tilted_time(self, tilt_by):
+        # fd_kernel and the tilted slices share one walk of the all-1
+        # slices, and the tilted time is tilted_mixing_time's, once
+        m = flip(RandomClusterModel(Graph(3, [(0, 1), (1, 2)]), [0.5] * 2,
+                                    [0.5] * 3))
+        if tilt_by is not None:
+            m = models.tilt(m, tilt_by)
+        with mock.patch.object(exact, "_one_slices",
+                               wraps=exact._one_slices) as walk, \
+                mock.patch.object(exact, "tilted_mixing_time",
+                                  wraps=exact.tilted_mixing_time) as tilted:
+            got = exact.comparison_times(m, 0.5, 0.1)
+        assert walk.call_count == 1 and tilted.call_count == 1
+        assert got == oracles.composed_comparison(m, 0.5, 0.1)
 
 
 class TestUnderflowAndRanges:
@@ -1770,7 +1790,7 @@ class TestDenseGuard:
                           lifted), None),
                       lambda: fd_kernel(m, 0.5),
                       lambda: exact.comparison_times(m, 0.5, 0.1),
-                      lambda: tilted_mixing_time(m, 0.25, 0.1)):
+                      lambda: tilted_mixing_time(exact.Tables(m, 0.25), 0.1)):
             with pytest.raises(ValueError, match=r"k = (8|27) states"):
                 build()
         assert calls == []

@@ -1,12 +1,15 @@
 """The example scripts run end to end and print their header line; the
 mixing table prints the columns of the `mixing` command, and the edge demo
 prints the stdout pinned by its sha256.  The ceiling runner passes its
-cheapest cells and fails a cell that misses its pin or bound, and no script
-reads a private name of `exact`."""
+cheapest cells, fails a cell that misses its pin or bound and gives each
+command one BLAS thread unless the caller chose, and no script reads a
+private name of `exact`."""
 
 import ast
 import hashlib
 import json
+import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +120,20 @@ def test_each_cell_reports_its_own_peak_rss():
                               ("kernel-export-c16", {})])
     assert code == 0, rows
     assert rows[1]["peak_rss_mb"] < rows[0]["peak_rss_mb"]
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")],
+                         ids=["unset", "set"])
+def test_ceiling_cells_run_one_blas_thread_unless_set(given, want,
+                                                      monkeypatch):
+    # as perfbench/run.py: under a concurrent process a second BLAS thread
+    # spin-waits, and a cell's wall time measures the scheduler
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if given is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    env = runpy.run_path(str(ROOT / "scripts" / "ceiling.py"))["child_env"]()
+    assert env["OPENBLAS_NUM_THREADS"] == want
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
 
 
 def test_no_script_reads_a_private_exact_name():
