@@ -141,7 +141,8 @@ CELLS = [
     Cell("analyze-c10", 1024, "analyze c10.graph rc-0.25.params", 60,
          {"wall_s": 10}, read=near, want=ANALYZE),
     *(Cell(f"{command}-c16", 65536, f"{command} c16.graph rc.params", 60,
-           {"wall_s": 5}, exit=2, read=lambda out, err: err, want=GUARD)
+           {"wall_s": 5, "peak_rss_mb": 128}, exit=2,
+           read=lambda out, err: err, want=GUARD)
       for command in ("mixing", "verify", "kernel-export")),
     Cell("sample-ising-c6", 64, "sample c6.graph ising.params --steps "
          "1000000", 120, {"wall_s": 15, "peak_rss_mb": 256},

@@ -18,7 +18,7 @@ from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR,
                         UP_SET_ELEMENTS, Poset, enumerate_up_sets,
                         first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (LiftedModel, TiltedModel, _check_guard,
+from .models import (LiftedModel, TiltedModel, _candidates, _check_guard,
                      lift_log_weight, lifted_probs, tilt, tilt_log_weight,
                      tilted_probs)
 
@@ -39,7 +39,20 @@ _MONOTONE_VARS = 12
 
 
 def enumerate_support(model, *, _log_weights=None) -> Poset:
-    return Poset(tuple(model.support_iter(_log_weights=_log_weights)))
+    """The states of nonzero weight in lexicographic order, the candidates
+    refused past ENUM_GUARD first: the candidates are evaluated in blocks,
+    one model.log_weight call per block, and the rows of finite log weight
+    kept.  Each block's kept log weights are appended to the list
+    _log_weights when one is given."""
+    _check_guard(model)
+    rows = []
+    for block in _candidates(len(model.alphabet), model.n_vars):
+        lws = model.log_weight(block)
+        kept = ~np.isnan(lws)
+        rows.append(block[kept])
+        if _log_weights is not None:
+            _log_weights.append(lws[kept])
+    return Poset.from_array(np.concatenate(rows))
 
 
 def _weighted_support(model):
@@ -47,7 +60,7 @@ def _weighted_support(model):
     each log weight is the one that admitted its state to the support."""
     lws = []
     support = enumerate_support(model, _log_weights=lws)
-    return support, np.array(lws, dtype=float)
+    return support, np.concatenate(lws)
 
 
 def pinnings(n, max_size, values=(0, 1)):
@@ -60,13 +73,9 @@ def pinnings(n, max_size, values=(0, 1)):
 
 
 def stationary_distribution(model, support: Poset) -> np.ndarray:
-    """Normalized weights over the enumerated support (log-stable)."""
-    return _normalized(_log_weights(model, support))
-
-
-def _log_weights(model, support: Poset) -> np.ndarray:
-    """model.log_weight of every state of the support, in support order."""
-    return np.array([model.log_weight(s) for s in support.states], dtype=float)
+    """Normalized weights over the enumerated support (log-stable), from
+    one log_weight call over the support's array."""
+    return _normalized(model.log_weight(support.array))
 
 
 def _normalized(lws) -> np.ndarray:
@@ -172,12 +181,10 @@ def _site_fibers(support: Poset, a) -> list:
 def _site_conditionals(model, support: Poset) -> list:
     """The model's heat-bath law at each site over the support, evaluated
     once per (site, fiber): a list of (_Fibers, cond), cond (f, a) holding
-    model.conditional at each fiber's first state.  A conditional ignores
-    the site's own value, so that is the conditional of every state of the
-    fiber."""
-    states = support.states
-    return [(fib, np.array([model.conditional(states[i], fib.site)
-                            for i in fib.first], dtype=float))
+    model.conditional at each fiber's first state, from one call per site
+    over those states.  A conditional ignores the site's own value, so that
+    is the conditional of every state of the fiber."""
+    return [(fib, model.conditional(support.array[fib.first], fib.site))
             for fib in _site_fibers(support, len(model.alphabet))]
 
 
@@ -285,7 +292,11 @@ def _dense_guard(k):
 
 def glauber_kernel(model) -> Kernel:
     """Single-site heat-bath kernel: uniform site choice, conditional
-    resample, the law evaluated once per (site, fiber): Tables.gker."""
+    resample, the law evaluated once per (site, fiber): Tables.gker.  A
+    lifted model's is derived from its base's table (Tables.lker of the
+    base and theta), the same matrix and stationary law, bit for bit."""
+    if isinstance(model, LiftedModel):
+        return Tables(model.base, model.theta).lker
     return Tables(model).gker
 
 
@@ -408,8 +419,8 @@ def _contraction_codes(array):
 
 def _lifts(bin_support: Poset) -> Poset:
     """Every lift of every state of the binary support, each 1 kept or
-    made a STAR, in the lexicographic order of LiftedModel.support_iter
-    (0 < 1 < STAR): the lifted model's support, whose states are exactly
+    made a STAR, in the lexicographic order of enumerate_support (0 < 1 <
+    STAR): the lifted model's support, whose states are exactly
     the lifts of the base's.  Only dense kernels read it, so it is refused
     past DENSE_GUARD before it is built."""
     arr = bin_support.array
@@ -423,8 +434,7 @@ def _lifts(bin_support: Poset) -> Poset:
     rank = np.where(ones, np.cumsum(ones, axis=1) - 1, 0)[base]
     star = ones[base] & ((j[:, None] >> rank) & 1 == 1)
     lifted = np.where(star, STAR, arr[base]).astype(np.int8)
-    lifted = lifted[np.argsort(_state_codes(lifted, 3)[0])]
-    return Poset(tuple(map(tuple, lifted.tolist())))
+    return Poset.from_array(lifted[np.argsort(_state_codes(lifted, 3)[0])])
 
 
 def _contraction_index(lifted_support: Poset, bin_support: Poset):
@@ -444,9 +454,9 @@ class Tables:
     """What the exact layer derives from one model and, for its lift and
     its tilt, one theta, each table built on first use, at most once, from
     the ones it reads: the model's conditional is evaluated once per (site,
-    fiber) of its support and its log weight once per candidate state, as
-    the support is enumerated, and the lifted and tilted tables are derived
-    from those.
+    fiber) of its support, one call per site, and its log weight once per
+    candidate state, one call per block, as the support is enumerated; the
+    lifted and tilted tables are derived from those.
 
     `support`, enumerated under ENUM_GUARD, is not refused by size;
     `dense`, which every base kernel reads, is the same support refused
@@ -518,12 +528,12 @@ class Tables:
     @cached_property
     def tilted_lws(self) -> np.ndarray:
         """The tilt's log weight of each support state: tilt_log_weight of
-        lws where derives_tilt, else one evaluation per state."""
+        lws where derives_tilt, else evaluated by one call over the support."""
         if self.derives_tilt:
             return tilt_log_weight(self.lws,
                                    (self.support.array == 1).sum(axis=1),
                                    self.tilted.theta)
-        return _log_weights(self.tilted, self.support)
+        return self.tilted.log_weight(self.support.array)
 
     tilted_weights = cached_property(lambda t: _weights(t.tilted_lws))
     # the feasible all-1 pinned slices of the dense support, by _one_slices

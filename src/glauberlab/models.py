@@ -4,6 +4,16 @@ Every model exposes an unnormalized weight (kept in log space, with None as
 the explicit "impossible" marker) and exact single-site conditionals.  Models
 are closed under tilting, flipping, pinning, lifting and (for the bipartite
 hardcore model) taking the left marginal.
+
+`log_weight` and `conditional` take one state tuple, or an (r, n) int array
+of states, one per row, which the exact layer passes to evaluate a whole
+table in one call: the log weights then come as an (r,) float array, NaN
+where one state's would be None, and the conditionals as an (r, a) array
+for a values.  Each family's array form is bit for bit the per-state form
+of every row: it adds the same terms column by column in the per-state
+order, multiplies in the per-state order, and takes every log, log1p, exp
+and pow of a state-dependent value from the math module, once per distinct
+value, as the per-state form does.
 """
 
 from __future__ import annotations
@@ -16,6 +26,11 @@ import numpy as np
 from .ordercore import STAR, contract, num_ones, num_stars
 
 ENUM_GUARD = 2 ** 20
+# the most candidates one log_weight call of an enumeration evaluates
+_ENUM_BLOCK = 2 ** 12
+# the most rows an array call evaluates by the per-state form, row by row:
+# up to about this many, a family's array form costs more than the loop
+_ROW_LOOP = 16
 
 
 class Graph:
@@ -98,7 +113,16 @@ def components(n, edges):
 
 
 class Model:
-    """Base interface: log_weight, weight, conditional."""
+    """Base interface: log_weight, weight, conditional.
+
+    A family defines the per-state forms _log_weight(state) and, unless the
+    generic conditional (the weights of the site's values, normalized)
+    serves, _conditional(state, v).  It may define their array forms
+    _log_weights(rows) and _conditionals(rows, v) over an (r, n) int array
+    of more than _ROW_LOOP rows; otherwise the base class loops over the
+    rows with the per-state form, or, for the generic conditional,
+    evaluates it from one log_weight call per value.  A subclass that
+    overrides a per-state form of a family overrides its array form too."""
 
     n_vars: int
     ternary: bool = False
@@ -108,7 +132,21 @@ class Model:
         return (0, 1, STAR) if self.ternary else (0, 1)
 
     def log_weight(self, state):
+        """The log weight of the state, None if its weight is 0; of an (r,
+        n) int array of states, an (r,) float array with NaN where a row's
+        would be None."""
+        if not isinstance(state, np.ndarray):
+            return self._log_weight(state)
+        if len(state) <= _ROW_LOOP:
+            return _row_loop(self._log_weight, state)
+        with _float_errors():
+            return self._log_weights(state)
+
+    def _log_weight(self, state):
         raise NotImplementedError
+
+    def _log_weights(self, rows):
+        return _row_loop(self._log_weight, rows)
 
     def weight(self, state):
         lw = self.log_weight(state)
@@ -117,10 +155,17 @@ class Model:
     def conditional(self, state, v):
         """Exact conditional law at v given the other coordinates of state.
 
-        Returns a probability tuple aligned with self.alphabet.  The value of
-        state[v] itself is ignored.
+        Returns a probability tuple aligned with self.alphabet; for an (r, n)
+        int array of states, an (r, len(alphabet)) array of them, one per
+        row.  The value of state[v] itself is ignored.
         """
-        return self._conditional_generic(state, v)
+        if not isinstance(state, np.ndarray):
+            return self._conditional(state, v)
+        if len(state) <= _ROW_LOOP:
+            return _row_loop(self._conditional, state, v).reshape(
+                len(state), len(self.alphabet))
+        with _float_errors():
+            return self._conditionals(state, v)
 
     def _conditional_generic(self, state, v):
         s = list(state)
@@ -136,16 +181,45 @@ class Model:
         z = sum(ws)
         return tuple(w / z for w in ws)
 
-    def support_iter(self, *, _log_weights=None):
-        """Yield support states in lexicographic order (guarded): one
-        log_weight call per candidate, and each yielded state's log weight
-        appended to the list _log_weights when one is given."""
+    _conditional = _conditional_generic
+
+    def _conditionals_generic(self, rows, v):
+        """_conditional_generic of each row, from one log_weight call per
+        value at v: the largest finite log weight of a row is subtracted,
+        math.exp taken of each entry and the weights summed value by
+        value."""
+        lws = []
+        for val in self.alphabet:
+            s = rows.copy()
+            s[:, v] = val
+            lws.append(self.log_weight(s))
+        lws = np.stack(lws, axis=1)
+        finite = ~np.isnan(lws)
+        if not finite.any(axis=1).all():
+            raise ValueError("infeasible pinning: no completion has weight")
+        mx = np.where(finite, lws, -np.inf).max(axis=1, keepdims=True)
+        ws = np.array([0.0 if math.isnan(x) else math.exp(x)
+                       for x in (lws - mx).ravel().tolist()]).reshape(
+                           lws.shape)
+        z = ws[:, 0]
+        for c in range(1, ws.shape[1]):
+            z = z + ws[:, c]
+        return ws / z[:, None]
+
+    def _conditionals(self, rows, v):
+        if type(self)._conditional is Model._conditional:
+            return self._conditionals_generic(rows, v)
+        return _row_loop(self._conditional, rows, v).reshape(
+            len(rows), len(self.alphabet))
+
+    def support_iter(self):
+        """Yield support states in lexicographic order (guarded), one
+        log_weight call per candidate: the per-state form of
+        exact.enumerate_support, which evaluates the candidates in
+        blocks."""
         _check_guard(self)
         for s in itertools.product(self.alphabet, repeat=self.n_vars):
-            lw = self.log_weight(s)
-            if lw is not None:
-                if _log_weights is not None:
-                    _log_weights.append(lw)
+            if self.log_weight(s) is not None:
                 yield s
 
 
@@ -155,6 +229,37 @@ def _check_guard(model):
     if total > ENUM_GUARD:
         raise ValueError(
             f"state space of size {total} exceeds the guard {ENUM_GUARD}")
+
+
+def _float_errors():
+    """The float semantics of the per-state forms for an array form: an
+    overflow gives inf, and inf / inf nan, without a word."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _row_loop(fn, rows, *args):
+    """fn(state, *args), a per-state form, of each row as a state tuple: a
+    float array, NaN for None."""
+    return np.array([fn(s, *args) for s in map(tuple, rows.tolist())],
+                    dtype=float)
+
+
+def _candidates(a, n):
+    """The a ** n states of n sites over the values 0..a-1 (an alphabet,
+    STAR = 2) in lexicographic order, as int8 arrays of at most
+    _ENUM_BLOCK rows."""
+    place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, a ** n, _ENUM_BLOCK):
+        codes = np.arange(start, min(start + _ENUM_BLOCK, a ** n),
+                          dtype=np.int64)
+        yield (codes[:, None] // place % a).astype(np.int8)
+
+
+def _libm(fn, x):
+    """fn, a function of floats such as math.log1p, of each entry of the
+    array x, evaluated once per distinct value."""
+    values, at = np.unique(x, return_inverse=True)
+    return np.array([fn(u) for u in values.tolist()])[at].reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +281,7 @@ class IsingModel(Model):
         if any(not 0 <= l <= 1 for l in self.lam):
             raise ValueError("lambda entries must lie in [0,1]")
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         lw = 0.0
         for (u, v), b in zip(self.graph.edges, self.beta):
             if state[u] == state[v]:
@@ -187,6 +292,20 @@ class IsingModel(Model):
                 if l == 0:
                     return None
                 lw += math.log(l)
+        return lw
+
+    def _log_weights(self, rows):
+        lw = np.zeros(len(rows))
+        for (u, v), b in zip(self.graph.edges, self.beta):
+            lw[rows[:, u] == rows[:, v]] += math.log(b)
+        dead = np.zeros(len(rows), dtype=bool)
+        for v, l in enumerate(self.lam):
+            one = rows[:, v] == 1
+            if l == 0:
+                dead |= one
+            else:
+                lw[one] += math.log(l)
+        lw[dead] = np.nan
         return lw
 
 
@@ -218,7 +337,26 @@ class RandomClusterModel(Model):
             self._comp_cache[key] = comps
         return comps
 
-    def log_weight(self, state):
+    def _clusters(self, rows):
+        """(labels, prods) of the edge set of each row: labels (r, n) the
+        least vertex of each vertex's component, from one pass of label
+        merges over the edges in order, and prods (r, n) at a component's
+        label the product of lambda over its vertices in ascending order,
+        as math.prod forms it (1.0 at every other vertex)."""
+        r, n = len(rows), self.graph.n
+        labels = np.broadcast_to(np.arange(n), (r, n))
+        for i, (u, v) in enumerate(self.graph.edges):
+            a, b = labels[:, u], labels[:, v]
+            hi = np.where(rows[:, i] == 1, np.maximum(a, b), -1)
+            labels = np.where(labels == hi[:, None],
+                              np.minimum(a, b)[:, None], labels)
+        prods = np.ones((r, n))
+        at = np.arange(r)
+        for v, l in enumerate(self.lam):
+            prods[at, labels[:, v]] *= l
+        return labels, prods
+
+    def _log_weight(self, state):
         lw = 0.0
         present = [i for i in range(self.n_vars) if state[i] == 1]
         for i in present:
@@ -230,10 +368,38 @@ class RandomClusterModel(Model):
             lw += math.log1p(prod)
         return lw
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        # the terms in the per-state order, 0.0 where a row has none: each
+        # present edge's, then each component's, by its least vertex
+        labels, prods = self._clusters(rows)
+        edges = [math.log(p / (1 - p)) for p in self.p]
+        terms = np.concatenate((
+            np.where(rows == 1, edges, 0.0),
+            np.where(labels == np.arange(self.graph.n),
+                     _libm(math.log1p, prods), 0.0)), axis=1)
+        return np.add.accumulate(terms, axis=1)[:, -1]
+
+    def _conditional(self, state, v):
         r = rc_marginal_ratio(self, [i for i in range(self.n_vars)
                                      if state[i] == 1], v)
         return (1.0 / (1.0 + r), r / (1.0 + r))
+
+    def _conditionals(self, rows, e):
+        """rc_marginal_ratio at edge e of each row, the components of the
+        other edges from _clusters."""
+        if not 0 <= e < self.n_vars:
+            raise ValueError("edge index out of range")
+        rest = rows.copy()
+        rest[:, e] = 0
+        labels, prods = self._clusters(rest)
+        u, v = self.graph.edges[e]
+        at = np.arange(len(rows))
+        cu, cv = labels[:, u], labels[:, v]
+        du, dv = prods[at, cu], prods[at, cv]
+        base = self.p[e] / (1 - self.p[e])
+        r = np.where(cu == cv, base,
+                     base * (1 + du * dv) / ((1 + du) * (1 + dv)))
+        return np.stack((1.0 / (1.0 + r), r / (1.0 + r)), axis=1)
 
 
 def rc_marginal_ratio(rc: RandomClusterModel, present, e) -> float:
@@ -274,7 +440,7 @@ class SubgraphWorldModel(Model):
         if any(not 0 <= x <= 1 for x in self.eta):
             raise ValueError("eta entries must lie in [0,1]")
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         lw = 0.0
         deg = [0] * self.graph.n
         for i, (u, v) in enumerate(self.graph.edges):
@@ -289,7 +455,30 @@ class SubgraphWorldModel(Model):
                 lw += math.log(self.eta[v])
         return lw
 
-    def conditional(self, state, e):
+    def _log_weights(self, rows):
+        lw = np.zeros(len(rows))
+        odd = self._odd(rows)
+        for i, p in enumerate(self.p):
+            lw[rows[:, i] == 1] += math.log(p / (1 - p))
+        dead = np.zeros(len(rows), dtype=bool)
+        for v, eta in enumerate(self.eta):
+            if eta == 0:
+                dead |= odd[:, v]
+            else:
+                lw[odd[:, v]] += math.log(eta)
+        lw[dead] = np.nan
+        return lw
+
+    def _odd(self, rows):
+        """(r, n): whether each vertex has odd degree in each row's edges."""
+        odd = np.zeros((len(rows), self.graph.n), dtype=bool)
+        for i, (u, v) in enumerate(self.graph.edges):
+            on = rows[:, i] == 1
+            odd[:, u] ^= on
+            odd[:, v] ^= on
+        return odd
+
+    def _conditional(self, state, e):
         if any(x == 0 for x in self.eta):
             return self._conditional_generic(state, e)
         u, v = self.graph.edges[e]
@@ -305,6 +494,17 @@ class SubgraphWorldModel(Model):
             r *= self.eta[w] if deg[j] % 2 == 0 else 1.0 / self.eta[w]
         return (1.0 / (1.0 + r), r / (1.0 + r))
 
+    def _conditionals(self, rows, e):
+        if any(x == 0 for x in self.eta):
+            return self._conditionals_generic(rows, e)
+        rest = rows.copy()
+        rest[:, e] = 0
+        odd = self._odd(rest)
+        r = np.full(len(rows), self.p[e] / (1 - self.p[e]))
+        for w in self.graph.edges[e]:
+            r = r * np.where(odd[:, w], 1.0 / self.eta[w], self.eta[w])
+        return np.stack((1.0 / (1.0 + r), r / (1.0 + r)), axis=1)
+
 
 class HardcoreModel(Model):
     """Plain occupancy encoding (1 = in the independent set); weight lambda^|S|."""
@@ -316,17 +516,29 @@ class HardcoreModel(Model):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         for u, v in self.graph.edges:
             if state[u] == 1 and state[v] == 1:
                 return None
         return num_ones(state) * math.log(self.lam)
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        one = rows == 1
+        lw = one.sum(axis=1) * math.log(self.lam)
+        for u, v in self.graph.edges:
+            lw[one[:, u] & one[:, v]] = np.nan
+        return lw
+
+    def _conditional(self, state, v):
         for u in self.graph.neighbors(v):
             if state[u] == 1:
                 return (1.0, 0.0)
         return (1.0 / (1.0 + self.lam), self.lam / (1.0 + self.lam))
+
+    def _conditionals(self, rows, v):
+        blocked = (rows[:, self.graph.neighbors(v)] == 1).any(axis=1)
+        return np.where(blocked[:, None], (1.0, 0.0),
+                        (1.0 / (1.0 + self.lam), self.lam / (1.0 + self.lam)))
 
 
 def lambda_c(delta: int) -> float:
@@ -360,13 +572,21 @@ class BipartiteHardcoreModel(Model):
         return [v for v in range(self.n_vars)
                 if (state[v] == 0) == (v < self.k)]
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         occ = set(self.occupied(state))
         for u, v in self.graph.edges:
             if u in occ and v in occ:
                 return None
         n_left = sum(1 for v in occ if v < self.k)
         return n_left * math.log(self.lam) + (len(occ) - n_left) * math.log(self.beta)
+
+    def _log_weights(self, rows):
+        occ = (rows == 0) == (np.arange(self.n_vars) < self.k)
+        lw = (occ[:, :self.k].sum(axis=1) * math.log(self.lam)
+              + occ[:, self.k:].sum(axis=1) * math.log(self.beta))
+        for u, v in self.graph.edges:
+            lw[occ[:, u] & occ[:, v]] = np.nan
+        return lw
 
 
 class LeftMarginalModel(Model):
@@ -386,8 +606,12 @@ class LeftMarginalModel(Model):
         self._right_nbrs = {v: frozenset(g.neighbors(v))
                             for v in range(base.k)}
         self._n_right = g.n - base.k
+        # adj[v, w]: right vertex w is a neighbor of left vertex v
+        self._adj = np.zeros((base.k, g.n), dtype=np.int64)
+        for v, nbrs in self._right_nbrs.items():
+            self._adj[v, list(nbrs)] = 1
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         blocked = set()
         occ = 0
         for v in range(self.n_vars):
@@ -397,7 +621,13 @@ class LeftMarginalModel(Model):
         free = self._n_right - len(blocked)
         return occ * math.log(self.lam) + free * math.log1p(self.beta)
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        zero = (rows == 0).astype(np.int64)
+        free = self._n_right - ((zero @ self._adj) > 0).sum(axis=1)
+        return (zero.sum(axis=1) * math.log(self.lam)
+                + free * math.log1p(self.beta))
+
+    def _conditional(self, state, v):
         blocked = set()
         for u in range(self.n_vars):
             if u != v and state[u] == 0:
@@ -405,6 +635,14 @@ class LeftMarginalModel(Model):
         newly = len(self._right_nbrs[v] - blocked)
         p0 = self.lam / (self.lam + (1 + self.beta) ** newly)
         return (p0, 1.0 - p0)
+
+    def _conditionals(self, rows, v):
+        zero = (rows == 0).astype(np.int64)
+        zero[:, v] = 0
+        newly = (((zero @ self._adj) == 0) & (self._adj[v] == 1)).sum(axis=1)
+        p0 = self.lam / (self.lam + _libm(lambda c: (1 + self.beta) ** c,
+                                          newly))
+        return np.stack((p0, 1.0 - p0), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +661,23 @@ class TiltedModel(Model):
         self.theta = float(theta)
         self.n_vars = base.n_vars
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         lw = self.base.log_weight(state)
         if lw is None:
             return None
         return tilt_log_weight(lw, num_ones(state), self.theta)
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        return tilt_log_weight(self.base.log_weight(rows),
+                               (rows == 1).sum(axis=1), self.theta)
+
+    def _conditional(self, state, v):
         return tilted_probs(self.theta, *self.base.conditional(state, v))
+
+    def _conditionals(self, rows, v):
+        return np.stack(tilted_probs(self.theta,
+                                     *self.base.conditional(rows, v).T),
+                        axis=1)
 
 
 class FlippedModel(Model):
@@ -442,12 +689,18 @@ class FlippedModel(Model):
         self.base = base
         self.n_vars = base.n_vars
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         return self.base.log_weight(tuple(1 - v for v in state))
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        return self.base.log_weight(1 - rows)
+
+    def _conditional(self, state, v):
         q0, q1 = self.base.conditional(tuple(1 - x for x in state), v)
         return (q1, q0)
+
+    def _conditionals(self, rows, v):
+        return self.base.conditional(1 - rows, v)[:, ::-1]
 
 
 class PinnedModel(Model):
@@ -464,27 +717,40 @@ class PinnedModel(Model):
         if not self._feasible():
             raise ValueError("infeasible pin: the slice has empty support")
 
+    def _pinned(self, rows):
+        """A copy of the rows with the pins put in."""
+        rows = rows.copy()
+        rows[:, list(self.pins)] = list(self.pins.values())
+        return rows
+
     def _feasible(self):
+        """Whether some completion of the pins has weight: the completions
+        in lexicographic order, one base log_weight call per block."""
         free = [v for v in range(self.n_vars) if v not in self.pins]
-        if len(self.base.alphabet) ** len(free) > ENUM_GUARD:
+        a = len(self.base.alphabet)
+        if a ** len(free) > ENUM_GUARD:
             return True  # too large to verify eagerly; trust the caller
-        s = [0] * self.n_vars
-        for v, val in self.pins.items():
-            s[v] = val
-        for vals in itertools.product(self.base.alphabet, repeat=len(free)):
-            for v, val in zip(free, vals):
-                s[v] = val
-            if self.base.log_weight(tuple(s)) is not None:
+        for block in _candidates(a, len(free)):
+            rows = np.zeros((len(block), self.n_vars), dtype=np.int8)
+            rows[:, free] = block
+            if not np.isnan(self.base.log_weight(self._pinned(rows))).all():
                 return True
         return False
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         for v, val in self.pins.items():
             if state[v] != val:
                 return None
         return self.base.log_weight(state)
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        lw = np.full(len(rows), np.nan)
+        kept = (rows[:, list(self.pins)] == list(self.pins.values())).all(
+            axis=1)
+        lw[kept] = self.base.log_weight(rows[kept])
+        return lw
+
+    def _conditional(self, state, v):
         if v in self.pins:
             out = [0.0] * len(self.alphabet)
             out[self.alphabet.index(self.pins[v])] = 1.0
@@ -493,6 +759,13 @@ class PinnedModel(Model):
         for u, val in self.pins.items():
             s[u] = val
         return self.base.conditional(tuple(s), v)
+
+    def _conditionals(self, rows, v):
+        if v in self.pins:
+            out = np.zeros((len(rows), len(self.alphabet)))
+            out[:, self.alphabet.index(self.pins[v])] = 1.0
+            return out
+        return self.base.conditional(self._pinned(rows), v)
 
 
 class LiftedModel(Model):
@@ -510,16 +783,26 @@ class LiftedModel(Model):
         self.theta = float(theta)
         self.n_vars = base.n_vars
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         lw = self.base.log_weight(contract(state))
         if lw is None:
             return None
         return lift_log_weight(lw, num_ones(state), num_stars(state),
                                self.theta)
 
-    def conditional(self, state, v):
+    def _log_weights(self, rows):
+        return lift_log_weight(
+            self.base.log_weight((rows != 0).astype(np.int8)),
+            (rows == 1).sum(axis=1), (rows == STAR).sum(axis=1), self.theta)
+
+    def _conditional(self, state, v):
         return lifted_probs(self.theta,
                             *self.base.conditional(contract(state), v))
+
+    def _conditionals(self, rows, v):
+        return np.stack(lifted_probs(
+            self.theta, *self.base.conditional((rows != 0).astype(np.int8),
+                                               v).T), axis=1)
 
 
 def _divisor(z):

@@ -107,6 +107,14 @@ class Poset:
         if len(self._index) != len(self.states):
             raise ValueError("duplicate elements")
 
+    @classmethod
+    def from_array(cls, array):
+        """The poset of the rows of an int8 array (k, n), which it holds as
+        its array."""
+        poset = cls(tuple(map(tuple, array.tolist())))
+        poset.__dict__["array"] = array
+        return poset
+
     @property
     def size(self) -> int:
         return len(self.states)

@@ -38,11 +38,14 @@ fibers of a site numbered by np.unique over the rows with the site deleted,
 which the exact layer reads from integer state codes instead; and the log
 weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
-enumeration and derives from it.  Last, the couplings between models that
-only the coupling tests build: the random cluster model of an Ising model
-and the subgraph-world model of a random cluster model; the test that a
-function on a poset increases, which no command makes; and the integral
-of a rate schedule by quadrature.
+enumeration and derives from it; and the support enumerated one
+log_weight call per candidate (Model.support_iter), the log weights of a
+support and the heat-bath table one call per state, which the exact
+layer evaluates in one array call per block or per site.  Last, the
+couplings between models that only the coupling tests build: the random
+cluster model of an Ising model and the subgraph-world model of a random
+cluster model; the test that a function on a poset increases, which no
+command makes; and the integral of a rate schedule by quadrature.
 """
 
 import argparse
@@ -980,21 +983,43 @@ def quadrature(sched):
     return val
 
 
+def per_candidate_support(model):
+    """(support, log weights) of exact.enumerate_support and
+    Tables.lws: the states of Model.support_iter, one log_weight call per
+    candidate, and their log weights by per_state_log_weights."""
+    support = Poset(tuple(model.support_iter()))
+    return support, per_state_log_weights(model, support)
+
+
+def per_state_log_weights(model, support):
+    """model.log_weight of each support state, one call per state (NaN for
+    None), which stationary_distribution and an evaluated Tables.tilted_lws
+    take in one call over the support's array."""
+    return np.array([model.log_weight(s) for s in support.states],
+                    dtype=float)
+
+
+def per_state_site_conditionals(model, support):
+    """exact._site_conditionals with one model.conditional call per (site,
+    fiber), at the fiber's first state."""
+    states = support.states
+    return [(fib, np.array([model.conditional(states[i], fib.site)
+                            for i in fib.first], dtype=float))
+            for fib in exact._site_fibers(support, len(model.alphabet))]
+
+
 def per_state_tables(model, theta):
     """The log weights, tilted log weights, lifted support and lifted
     stationary law that exact.Tables derives, each evaluated state by
     state: the model's and its tilt's log_weight at every support state,
     the lift's support enumerated over all 3^n candidates, and its law
     from the lift's own log_weight."""
-    support = exact.enumerate_support(model)
+    support, lws = per_candidate_support(model)
     tilted = models.tilt(model, theta)
     lifted = models.LiftedModel(model, theta)
-    lsup = exact.enumerate_support(lifted)
-    llws = np.array([lifted.log_weight(s) for s in lsup.states])
+    lsup, llws = per_candidate_support(lifted)
     lmu = np.exp(llws - llws.max())
-    return {"lws": np.array([model.log_weight(s) for s in support.states]),
-            "tilted_lws": np.array([tilted.log_weight(s)
-                                    for s in support.states]),
+    return {"lws": lws, "tilted_lws": per_state_log_weights(tilted, support),
             "lsup": lsup, "lmu": lmu / lmu.sum()}
 
 

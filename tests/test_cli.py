@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -53,6 +54,14 @@ def rc_params(tmp_path):
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def evaluated(states):
+    """The states one log_weight or conditional call evaluates: each row of
+    an array of states, or the one state given."""
+    if isinstance(states, np.ndarray):
+        return [tuple(row) for row in states.tolist()]
+    return [tuple(states)]
 
 
 class TestVerify:
@@ -195,12 +204,12 @@ def test_verify_derives_the_lifted_stationary_law(rng, theta):
 
 def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
                                                        monkeypatch, capsys):
-    # the model's conditional runs once per (site, fiber of its support);
-    # every lifted and star-frozen entry is derived from those calls
+    # the model's conditional is evaluated once per (site, fiber of its
+    # support); every lifted and star-frozen entry is derived from those
     calls = []
     for cls in (models.FlippedModel, models.LiftedModel, models.TiltedModel):
         def spy(self, state, v, cls=cls, fn=cls.conditional):
-            calls.append((cls, tuple(state), v))
+            calls.extend((cls, s, v) for s in evaluated(state))
             return fn(self, state, v)
         monkeypatch.setattr(cls, "conditional", spy)
     assert run_cli(["verify", "--graph", p3, "--params", rc_params,
@@ -214,25 +223,32 @@ def test_default_verify_evaluates_each_base_fiber_once(p3, rc_params,
     assert len(got) == len(fibers) == 4 and set(got) == fibers
 
 
-def test_mixing_evaluates_the_laws_once(k2, rc_params, monkeypatch, capsys):
+def test_mixing_evaluates_the_laws_once(p3, rc_params, monkeypatch, capsys):
     # the Glauber kernel and the tilted slices share one evaluation of the
     # heat-bath law, the Glauber and field-dynamics kernels one stationary
     # law (the log weights that the support's enumeration evaluated), and
     # the field-dynamics kernel and the tilted slices the tilted log
-    # weights derived from those
-    calls = {name: mock.Mock(wraps=getattr(exact, name))
-             for name in ("_site_conditionals", "_weighted_support",
-                          "_log_weights", "stationary_distribution")}
-    for name, spy in calls.items():
-        monkeypatch.setattr(exact, name, spy)
-    assert run_cli(["mixing", "--graph", k2, "--params", rc_params,
+    # weights derived from those: flipped RC on P3 has 4 states, each
+    # evaluated once, and 4 (site, fiber) pairs, each evaluated once, and
+    # the tilt evaluates nothing
+    laws, weights = [], []
+    for cls in (models.FlippedModel, models.TiltedModel):
+        def conditional(self, state, v, cls=cls, fn=cls.conditional):
+            laws.extend((cls, v, s[:v] + s[v + 1:]) for s in evaluated(state))
+            return fn(self, state, v)
+
+        def log_weight(self, state, cls=cls, fn=cls.log_weight):
+            weights.extend((cls, s) for s in evaluated(state))
+            return fn(self, state)
+        monkeypatch.setattr(cls, "conditional", conditional)
+        monkeypatch.setattr(cls, "log_weight", log_weight)
+    assert run_cli(["mixing", "--graph", p3, "--params", rc_params,
                     "--transform", "flip"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
-    assert calls["_site_conditionals"].call_count == 1
-    assert [type(c.args[0]) for c in calls["_weighted_support"].call_args_list
-            ] == [models.FlippedModel]
-    assert calls["_log_weights"].call_count == 0
-    assert calls["stationary_distribution"].call_count == 0
+    assert len(laws) == len(set(laws)) == 4
+    assert {cls for cls, _, _ in laws} == {models.FlippedModel}
+    assert Counter(weights) == {(models.FlippedModel, s): 1
+                                for s in itertools.product((0, 1), repeat=2)}
 
 
 @pytest.mark.parametrize("command", ["verify", "mixing", "kernel-export"])
@@ -247,7 +263,7 @@ def test_each_log_weight_is_evaluated_once(p3, rc_params, command,
     calls = []
     for cls in (models.FlippedModel, models.LiftedModel, models.TiltedModel):
         def spy(self, state, cls=cls, fn=cls.log_weight):
-            calls.append(cls)
+            calls.extend(cls for _ in evaluated(state))
             return fn(self, state)
         monkeypatch.setattr(cls, "log_weight", spy)
     assert run_cli([command, "--graph", p3, "--params", rc_params,
@@ -301,7 +317,7 @@ def test_analyze_evaluates_each_log_weight_once(tmp_path, monkeypatch,
     calls = []
     log_weight = models.FlippedModel.log_weight
     monkeypatch.setattr(models.FlippedModel, "log_weight",
-                        lambda self, state: calls.append(1)
+                        lambda self, state: calls.extend(evaluated(state))
                         or log_weight(self, state))
     assert run_cli(["analyze", "--graph", cycle_graph(tmp_path, 6),
                     "--params", params, "--transform", "flip"]) == 0
@@ -320,11 +336,12 @@ def test_analyze_evaluates_each_log_weight_once(tmp_path, monkeypatch,
 def test_mixing_refuses_its_configuration_before_any_law(
         k2, tmp_path, params, expected, monkeypatch, capsys):
     # eps, then the all-1 start, then theta, each before any conditional
+    # is evaluated at any state
     calls = []
     for cls in (models.FlippedModel, models.RandomClusterModel,
                 models.HardcoreModel):
         def spy(self, state, v, fn=cls.conditional):
-            calls.append(v)
+            calls.extend(evaluated(state))
             return fn(self, state, v)
         monkeypatch.setattr(cls, "conditional", spy)
     argv = ["mixing", "--graph", k2, "--params",

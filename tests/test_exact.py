@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -191,6 +192,32 @@ class TestKernels:
                         star_glauber_kernel(lm)):
                 assert np.allclose(ker.matrix.sum(axis=1), 1.0, atol=1e-12)
                 assert check_detailed_balance(ker) <= 1e-12
+
+    def test_lifted_glauber_kernel_is_derived_from_the_base(self, rng,
+                                                            monkeypatch):
+        # glauber_kernel of a lift reads its base's table (Tables.lker),
+        # not the 3^n lifted candidates: the lift's own table's matrix and
+        # stationary law, bit for bit, with no LiftedModel method called
+        for _ in range(4):
+            lm = lift_model(random_monotone_model(rng, max_vars=3),
+                            float(rng.uniform(0.2, 0.8)))
+            want = exact.Tables(lm).gker
+            calls = []
+            with monkeypatch.context() as patch:
+                for cls in (models.LiftedModel, models.Model):
+                    for name, fn in list(vars(cls).items()):
+                        if (inspect.isfunction(fn)
+                                and not name.startswith("__")):
+                            def spy(self, *args, fn=fn, name=name):
+                                if isinstance(self, models.LiftedModel):
+                                    calls.append(name)
+                                return fn(self, *args)
+                            patch.setattr(cls, name, spy)
+                got = glauber_kernel(lm)
+            assert calls == []
+            assert got.support.states == want.support.states
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.stationary.tobytes() == want.stationary.tobytes()
 
     def test_fd_kernel_stationarity_and_zero_start(self, rng):
         theta = 0.45
@@ -583,13 +610,13 @@ class _ChainKeyed(models.Model):
     def __init__(self, laws):
         self.laws = dict(zip(((0, 0), (1, 0), (1, 1)), laws))
 
-    def log_weight(self, state):
+    def _log_weight(self, state):
         return None if state[2] > state[1] else 0.0
 
-    def conditional(self, state, v):
+    def _conditional(self, state, v):
         if v == 0:
             return self.laws[state[1:]]
-        return super().conditional(state, v)
+        return super()._conditional(state, v)
 
 
 class TestMonotoneSystemScan:
@@ -1278,8 +1305,10 @@ class TestSiteTables:
         # a conditional that charges an infeasible state has no successor
         # in the support; the table refuses it rather than point elsewhere
         class Careless(HardcoreModel):
-            def conditional(self, state, v):
+            def _conditional(self, state, v):
                 return (0.5, 0.5)
+
+            _conditionals = models.Model._conditionals
 
         m = Careless(K2, 1.0)
         with pytest.raises(ValueError, match="^the law at site 0 moves to "
@@ -1288,13 +1317,16 @@ class TestSiteTables:
             exact.Tables(m).arrays
 
     def test_one_conditional_per_fiber(self):
+        # one call per site, over one state of each fiber
         m = random_monotone_model(np.random.default_rng(3))
         sup = enumerate_support(m)
         with mock.patch.object(type(m), "conditional", autospec=True,
                                side_effect=type(m).conditional) as cond:
             table = exact._site_conditionals(m, sup)
-        keys = [(c.args[2], c.args[1][:c.args[2]] + c.args[1][c.args[2] + 1:])
-                for c in cond.call_args_list]
+        assert [c.args[2] for c in cond.call_args_list] == list(
+            range(m.n_vars))
+        keys = [(v, s[:v] + s[v + 1:]) for c in cond.call_args_list
+                for v in [c.args[2]] for s in map(tuple, c.args[1].tolist())]
         assert len(keys) == len(set(keys)) == sum(
             len(fib.first) for fib, _ in table)
         assert set(keys) == {(v, s[:v] + s[v + 1:]) for s in sup.states

@@ -1,9 +1,10 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from glauberlab import dynamics, exact, models
 from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
@@ -13,6 +14,7 @@ from glauberlab.models import (BipartiteHardcoreModel, Graph, HardcoreModel,
                                rc_marginal_ratio, tilt)
 from conftest import (random_bhc, random_graph, random_hardcore,
                       random_monotone_model, random_rc)
+import oracles
 from oracles import rc_for_ising, sw_for_rc
 
 K2 = Graph(2, [(0, 1)])
@@ -371,3 +373,179 @@ class TestParameterValidation:
         lm = lift_model(HardcoreModel(K2, 1.0), 0.5)
         with pytest.raises(ValueError):
             models.TiltedModel(lm, 0.5)
+
+
+# a site field: 0, 1 or any value between
+FIELD = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+UNIT = st.floats(0.01, 0.99)
+
+
+@st.composite
+def any_models(draw):
+    """A model of every family with 1 to 8 variables (drawn uniformly),
+    fields 0, 1 or between, under up to three transforms (flip, tilt, pin,
+    a lift of at most 5 variables)."""
+    family = draw(st.sampled_from(["rc", "ising", "sw", "hardcore", "bhc",
+                                   "left-marginal"]))
+    size = draw(st.sampled_from(range(1, 9)))
+    if family in ("bhc", "left-marginal"):
+        # bhc: size vertices; left marginal: size left vertices
+        if size == 1 and family == "bhc" or size == 8 and family != "bhc":
+            reject()
+        n = size if family == "bhc" else draw(
+            st.sampled_from(range(size + 1, 9)))
+        k = (draw(st.sampled_from(range(1, n))) if family == "bhc"
+             else size)
+        pairs = [(u, v) for u in range(k) for v in range(k, n)]
+    else:
+        # rc, sw: size edges; ising, hard-core: size vertices
+        n = size if family in ("ising", "hardcore") else draw(st.sampled_from(
+            [n for n in range(2, 7) if n * (n - 1) >= 2 * size]))
+        k = None
+        pairs = list(itertools.combinations(range(n), 2))
+    if family in ("rc", "sw"):
+        m = size
+    else:
+        m = draw(st.sampled_from(range(min(8, len(pairs)) + 1)))
+    g = Graph(n, draw(st.permutations(pairs))[:m], bipartite_k=k)
+    fields = draw(st.lists(FIELD, min_size=g.n, max_size=g.n))
+    if family in ("rc", "sw"):
+        p = draw(st.lists(UNIT, min_size=g.m, max_size=g.m))
+        m = (RandomClusterModel if family == "rc" else SubgraphWorldModel)(
+            g, p, fields)
+    elif family == "ising":
+        m = IsingModel(g, draw(st.lists(st.floats(1.01, 4.0), min_size=g.m,
+                                        max_size=g.m)), fields)
+    elif family == "hardcore":
+        m = HardcoreModel(g, draw(st.floats(0.05, 3.0)))
+    else:
+        m = BipartiteHardcoreModel(g, draw(st.floats(0.05, 3.0)),
+                                   draw(st.floats(0.05, 3.0)))
+        if family == "left-marginal":
+            m = LeftMarginalModel(m)
+    for kind in draw(st.lists(st.sampled_from(["flip", "tilt", "pin",
+                                               "lift"]), max_size=3)):
+        if kind == "pin":
+            v = draw(st.integers(0, m.n_vars - 1))
+            try:
+                m = pin(m, {v: draw(st.sampled_from(m.alphabet))})
+            except ValueError:  # an infeasible or contradictory pin
+                reject()
+        elif m.ternary:
+            continue
+        elif kind == "flip":
+            m = flip(m)
+        elif kind == "tilt":
+            try:
+                m = tilt(m, draw(st.floats(0.05, 3.0)))
+            except ValueError:  # a tilt of lambda that underflows
+                reject()
+        elif m.n_vars <= 5:
+            m = lift_model(m, draw(UNIT))
+    return m
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError or
+    ZeroDivisionError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+def same_outcome(batch, per_state):
+    """The array form's outcome equals the per-state outcomes: the first
+    raising state's error, or the per-state values bit for bit (NaN for
+    None)."""
+    raised = [o for o in per_state if isinstance(o, tuple)
+              and isinstance(o[0], type)]
+    if raised:
+        assert batch == raised[0]
+        return
+    want = np.array(per_state, dtype=float)
+    assert batch.dtype == np.float64 and batch.shape == want.shape
+    assert batch.tobytes() == want.tobytes()
+
+
+class TestArrayForms:
+    """log_weight and conditional over an array of states equal their
+    per-state forms at every row, bit for bit, and the tables the exact
+    layer evaluates with them equal the per-state oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_models())
+    def test_array_forms_equal_the_per_state_forms(self, m):
+        # each family's array form, and the row loop that takes arrays of
+        # at most _ROW_LOOP rows
+        states = list(itertools.product(m.alphabet, repeat=m.n_vars))
+        rows = np.array(states, dtype=np.int8)
+        per = [m.log_weight(s) for s in states]
+        laws = [[outcome(m.conditional, s, v) for s in states]
+                for v in range(m.n_vars)]
+        for row_loop in (0, models._ROW_LOOP, len(rows)):
+            with mock.patch.object(models, "_ROW_LOOP", row_loop):
+                lws = m.log_weight(rows)
+                same_outcome(lws, per)
+                assert np.isnan(lws).tolist() == [lw is None for lw in per]
+                for v in range(m.n_vars):
+                    same_outcome(outcome(m.conditional, rows, v), laws[v])
+                # a one-row array and an empty one
+                assert m.log_weight(rows[:1]).tobytes() == lws[:1].tobytes()
+                assert m.log_weight(rows[:0]).shape == (0,)
+                assert m.conditional(rows[:0], 0).shape == (
+                    0, len(m.alphabet))
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_models(), UNIT)
+    def test_tables_equal_the_oracles(self, m, theta):
+        support, lws = oracles.per_candidate_support(m)
+        mu = np.exp(lws - lws.max())
+        table = outcome(oracles.per_state_site_conditionals, m, support)
+        tilted = None if m.ternary else outcome(
+            oracles.per_state_log_weights, tilt(m, theta), support)
+        for row_loop in (0, models._ROW_LOOP):
+            with mock.patch.object(models, "_ROW_LOOP", row_loop):
+                t = exact.Tables(m, theta)
+                assert t.support.states == support.states
+                assert t.support.array.tobytes() == support.array.tobytes()
+                assert t.lws.tobytes() == lws.tobytes()
+                assert t.mu.tobytes() == (mu / mu.sum()).tobytes()
+                assert exact.stationary_distribution(
+                    m, support).tobytes() == t.mu.tobytes()
+                got = outcome(lambda: t.table)
+                if isinstance(table, tuple):
+                    assert got == table
+                else:
+                    assert [(fib.site, cond.tobytes()) for fib, cond in got
+                            ] == [(fib.site, cond.tobytes())
+                                  for fib, cond in table]
+                if tilted is not None:
+                    got = outcome(lambda: t.tilted_lws)
+                    assert (got == tilted if isinstance(tilted, tuple)
+                            else got.tobytes() == tilted.tobytes())
+
+    def test_messages(self, monkeypatch):
+        # the guard refuses before any log weight; a conditional with no
+        # feasible completion, and a pin that leaves none, are refused by
+        # name in both forms
+        big = RandomClusterModel(Graph(21, [(i, i + 1) for i in range(20)]
+                                       + [(0, 20)]), [0.5] * 21, [0.5] * 21)
+        calls = []
+        monkeypatch.setattr(RandomClusterModel, "log_weight",
+                            lambda self, s: calls.append(s))
+        with pytest.raises(ValueError, match="^state space of size 2097152 "
+                                             "exceeds the guard 1048576$"):
+            exact.enumerate_support(big)
+        assert calls == []
+        ising = IsingModel(K2, [2.0], [0.0, 0.5])
+        message = "^infeasible pinning: no completion has weight$"
+        rows = np.array([[0, 0], [1, 0]], dtype=np.int8)
+        for row_loop in (0, models._ROW_LOOP):
+            with mock.patch.object(models, "_ROW_LOOP", row_loop):
+                for state in ((1, 0), rows):
+                    with pytest.raises(ValueError, match=message):
+                        ising.conditional(state, 1)
+        with pytest.raises(ValueError, match="^infeasible pin: the slice "
+                                             "has empty support$"):
+            pin(ising, {0: 1})

@@ -94,9 +94,9 @@ def run_ceiling(cells):
 def test_ceiling_cells_pass():
     # the hard-core C9 control is the one cell that takes closure cuts, and
     # the bhc left marginal the one whose tilted stacks take a floor far
-    # from 1
-    names = ["kernel-export-c16", "verify-c6", "verify-hardcore-c9",
-             "mixing-bhc-lm-k8"]
+    # from 1; the three C16 refusals enumerate 65,536 states each
+    names = ["kernel-export-c16", "mixing-c16", "verify-c16", "verify-c6",
+             "verify-hardcore-c9", "mixing-bhc-lm-k8"]
     code, rows = run_ceiling([(name, {}) for name in names])
     assert code == 0 and [r["name"] for r in rows] == names, rows
 
