@@ -18,7 +18,7 @@ from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR,
                         UP_SET_ELEMENTS, Poset, enumerate_up_sets,
                         first_dominance_failure, state_str,
                         stochastic_dominance, up_set_of_row)
-from .models import (LiftedModel, TiltedModel, _candidates, _check_guard,
+from .models import (LiftedModel, TiltedModel, _check_guard,
                      lift_log_weight, lifted_probs, tilt, tilt_log_weight,
                      tilted_probs)
 
@@ -39,19 +39,15 @@ _MONOTONE_VARS = 12
 
 
 def enumerate_support(model, *, _log_weights=None) -> Poset:
-    """The states of nonzero weight in lexicographic order, the candidates
-    refused past ENUM_GUARD first: the candidates are evaluated in blocks,
-    one model.log_weight call per block, and the rows of finite log weight
-    kept.  Each block's kept log weights are appended to the list
-    _log_weights when one is given."""
-    _check_guard(model)
+    """The states of nonzero weight in lexicographic order, from
+    model.support_iter (refused past ENUM_GUARD, one log_weight call per
+    block of candidates).  Each block's log weights are appended to the
+    list _log_weights when one is given."""
     rows = []
-    for block in _candidates(len(model.alphabet), model.n_vars):
-        lws = model.log_weight(block)
-        kept = ~np.isnan(lws)
-        rows.append(block[kept])
+    for block, lws in model.support_iter():
+        rows.append(block)
         if _log_weights is not None:
-            _log_weights.append(lws[kept])
+            _log_weights.append(lws)
     return Poset.from_array(np.concatenate(rows))
 
 

@@ -13,12 +13,12 @@ for a values.  Each family's array form is bit for bit the per-state form
 of every row: it adds the same terms column by column in the per-state
 order, multiplies in the per-state order, and takes every log, log1p, exp
 and pow of a state-dependent value from the math module, once per distinct
-value, as the per-state form does.
+value, as the per-state form does.  `support_iter` enumerates the support
+by blocks of candidates, one log_weight call per block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -30,6 +30,8 @@ ENUM_GUARD = 2 ** 20
 _ENUM_BLOCK = 2 ** 12
 # the most rows an array call evaluates by the per-state form, row by row:
 # up to about this many, a family's array form costs more than the loop
+# (flipped RC at C4 and C8: 8-10 us a row by the loop, 70-130 us a call by
+# the array form, which the loop passes at 12-16 rows)
 _ROW_LOOP = 16
 
 
@@ -134,8 +136,8 @@ class Model:
     def log_weight(self, state):
         """The log weight of the state, None if its weight is 0; of an (r,
         n) int array of states, an (r,) float array with NaN where a row's
-        would be None."""
-        if not isinstance(state, np.ndarray):
+        would be None.  A 1-D array is one state."""
+        if not isinstance(state, np.ndarray) or state.ndim != 2:
             return self._log_weight(state)
         if len(state) <= _ROW_LOOP:
             return _row_loop(self._log_weight, state)
@@ -157,9 +159,10 @@ class Model:
 
         Returns a probability tuple aligned with self.alphabet; for an (r, n)
         int array of states, an (r, len(alphabet)) array of them, one per
-        row.  The value of state[v] itself is ignored.
+        row; a 1-D array is one state.  The value of state[v] itself is
+        ignored.
         """
-        if not isinstance(state, np.ndarray):
+        if not isinstance(state, np.ndarray) or state.ndim != 2:
             return self._conditional(state, v)
         if len(state) <= _ROW_LOOP:
             return _row_loop(self._conditional, state, v).reshape(
@@ -172,7 +175,7 @@ class Model:
         lws = []
         for val in self.alphabet:
             s[v] = val
-            lws.append(self.log_weight(tuple(s)))
+            lws.append(self._log_weight(tuple(s)))
         finite = [x for x in lws if x is not None]
         if not finite:
             raise ValueError("infeasible pinning: no completion has weight")
@@ -213,14 +216,15 @@ class Model:
             len(rows), len(self.alphabet))
 
     def support_iter(self):
-        """Yield support states in lexicographic order (guarded), one
-        log_weight call per candidate: the per-state form of
-        exact.enumerate_support, which evaluates the candidates in
-        blocks."""
+        """The support in lexicographic order, the candidates refused past
+        ENUM_GUARD first, by blocks of at most _ENUM_BLOCK candidates: for
+        each block, one log_weight call over it and (rows, lws), the rows
+        of finite log weight and their log weights."""
         _check_guard(self)
-        for s in itertools.product(self.alphabet, repeat=self.n_vars):
-            if self.log_weight(s) is not None:
-                yield s
+        for block in _candidates(len(self.alphabet), self.n_vars):
+            lws = self.log_weight(block)
+            kept = ~np.isnan(lws)
+            yield block[kept], lws[kept]
 
 
 def _check_guard(model):

@@ -39,9 +39,9 @@ which the exact layer reads from integer state codes instead; and the log
 weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
 enumeration and derives from it; and the support enumerated one
-log_weight call per candidate (Model.support_iter), the log weights of a
-support and the heat-bath table one call per state, which the exact
-layer evaluates in one array call per block or per site.  Last, the
+log_weight call per candidate, the log weights of a support and the
+heat-bath table one call per state, which the exact layer evaluates in
+one array call per block or per site.  Last, the
 couplings between models that only the coupling tests build: the random
 cluster model of an Ising model and the subgraph-world model of a random
 cluster model; the test that a function on a poset increases, which no
@@ -984,11 +984,16 @@ def quadrature(sched):
 
 
 def per_candidate_support(model):
-    """(support, log weights) of exact.enumerate_support and
-    Tables.lws: the states of Model.support_iter, one log_weight call per
-    candidate, and their log weights by per_state_log_weights."""
-    support = Poset(tuple(model.support_iter()))
-    return support, per_state_log_weights(model, support)
+    """(support, log weights) of exact.enumerate_support and Tables.lws,
+    one log_weight call per candidate: the candidates in lexicographic
+    order that have a log weight, and those log weights."""
+    states, lws = [], []
+    for s in itertools.product(model.alphabet, repeat=model.n_vars):
+        lw = model.log_weight(s)
+        if lw is not None:
+            states.append(s)
+            lws.append(lw)
+    return Poset(tuple(states)), np.array(lws, dtype=float)
 
 
 def per_state_log_weights(model, support):

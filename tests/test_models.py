@@ -125,7 +125,7 @@ class TestConditionals:
                 SubgraphWorldModel(g, rng.uniform(0.1, 0.9, g.m).tolist(),
                                    rng.uniform(0.05, 1.0, g.n).tolist()),
             ])
-            for s in m.support_iter():
+            for s in exact.enumerate_support(m).states:
                 for v in range(m.n_vars):
                     fast = m.conditional(s, v)
                     slow = models.Model._conditional_generic(m, s, v)
@@ -150,7 +150,7 @@ class TestConditionals:
         for _ in range(5):
             m = lift_model(random_monotone_model(rng, max_vars=3),
                            float(rng.uniform(0.2, 0.8)))
-            for s in m.support_iter():
+            for s in exact.enumerate_support(m).states:
                 for v in range(m.n_vars):
                     assert m.conditional(s, v) == pytest.approx(
                         models.Model._conditional_generic(m, s, v), abs=1e-12)
@@ -285,8 +285,7 @@ class TestTransforms:
     def test_pin_restricts_support(self):
         hc = HardcoreModel(K2, 1.0)
         m = pin(hc, {0: 1})
-        states = list(m.support_iter())
-        assert states == [(1, 0)]
+        assert exact.enumerate_support(m).states == ((1, 0),)
 
     def test_infeasible_pin_raises(self):
         hc = HardcoreModel(K2, 1.0)
@@ -297,7 +296,7 @@ class TestTransforms:
         m = flip(random_rc(rng))
         theta = 0.3
         lm = lift_model(m, theta)
-        for s in lm.support_iter():
+        for s in exact.enumerate_support(lm).states:
             want = (m.weight(models.contract(s))
                     * theta ** models.num_ones(s)
                     * (1 - theta) ** models.num_stars(s))
@@ -524,6 +523,47 @@ class TestArrayForms:
                     got = outcome(lambda: t.tilted_lws)
                     assert (got == tilted if isinstance(tilted, tuple)
                             else got.tobytes() == tilted.tobytes())
+
+    def test_support_iter_yields_one_evaluated_block_at_a_time(self):
+        # 8 candidates in blocks of 3: one log_weight call per block, and
+        # the kept rows and log weights are the per-candidate oracle's
+        m = HardcoreModel(Graph(3, [(0, 1), (1, 2)]), 1.5)
+        seen = []
+        log_weight = models.Model.log_weight
+
+        def spy(self, state):
+            seen.append(state.tolist())
+            return log_weight(self, state)
+
+        with mock.patch.object(models, "_ENUM_BLOCK", 3), \
+                mock.patch.object(models.Model, "log_weight", spy):
+            blocks = list(m.support_iter())
+        assert seen == [[[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+                        [[0, 1, 1], [1, 0, 0], [1, 0, 1]],
+                        [[1, 1, 0], [1, 1, 1]]]
+        support, lws = oracles.per_candidate_support(m)
+        assert [rows.tolist() for rows, _ in blocks] == [
+            [[0, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [1, 0, 1]], []]
+        assert np.concatenate([rows for rows, _ in blocks]).tobytes() == (
+            support.array.tobytes())
+        assert np.concatenate([w for _, w in blocks]).tobytes() == (
+            lws.tobytes())
+
+    def test_a_1d_array_is_one_state(self):
+        # a 1-D array takes the per-state form, as a tuple does, with as
+        # many sites as a row loop takes and with more
+        for n in (3, models._ROW_LOOP + 1):
+            g = Graph(n + 1, [(i, i + 1) for i in range(n)])
+            rc = RandomClusterModel(g, [0.4] * n, [0.5] * (n + 1))
+            family = (rc, flip(rc), pin(rc, {0: 1}), HardcoreModel(g, 1.5),
+                      lift_model(rc, 0.3))
+            for m in family:
+                for s in ((0,) * m.n_vars, (1,) * m.n_vars,
+                          tuple(i % 2 for i in range(m.n_vars))):
+                    a = np.array(s, dtype=np.int8)
+                    assert m.log_weight(a) == m.log_weight(s)
+                    for v in (0, m.n_vars - 1):
+                        assert m.conditional(a, v) == m.conditional(s, v)
 
     def test_messages(self, monkeypatch):
         # the guard refuses before any log weight; a conditional with no
