@@ -16,7 +16,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -344,9 +344,10 @@ def _star_frozen_fiber(state, v):
     return v, c[:v] + c[v + 1:]
 
 
-# raw words the single-site loop draws at most at once, and the uniform's
-# scale 2^-53
+# raw words the single-site loop draws at most at once, steps a heat-bath
+# run decodes at once, and the uniform's scale 2^-53
 _RAW_BLOCK = 2 ** 10
+_BULK_STEPS = 2 ** 11
 _TWO_TO_MINUS_53 = 2.0 ** -53
 
 
@@ -359,15 +360,22 @@ class _RawDraws:
       tuple).  A word gives its low half first and keeps the high half as
       the spare; a low product below 2^32 mod n is rejected and drawn
       again.  The generator's own spare half (`has_uint32` / `uinteger`) is
-      read once, at entry, and used first.  n = 1 draws nothing.
+      read once, at entry, and used first.  n = 1 draws nothing and
+      ignores the spare.
     - uniform: `(w >> 11) * 2^-53` of the next word; the spare half stays.
 
     `words` bounds the words the run can use without rejections.  Words are
     drawn in blocks of at most what is left of it (at least one), capped
     at _RAW_BLOCK, and each block is decoded once, in numpy, into lists of
     low-half sites, high-half sites and uniforms (a rejected half has site
-    -1) that the step loop and `random` only index.  The bit generator's
-    state is never written: the generator belongs to the run."""
+    -1) that the step loop and `random` only index; `uniforms` chains the
+    uniform lists of such blocks.
+
+    A run whose every step draws a uniform reads its words in a fixed
+    order, so `steps_block` decodes a block of its steps up front, into its
+    sites and its uniforms, from exactly the words the block reads.  The
+    bit generator's state is never written: the generator belongs to the
+    run."""
 
     def __init__(self, bits, n, words):
         self.bits, self.n, self.left = bits, n, words
@@ -375,15 +383,14 @@ class _RawDraws:
         self.lo = self.hi = self.unif = ()
         self.i = self.nw = 0
         st = bits.state
-        self.has, m = st["has_uint32"], st["uinteger"] * n
+        self.has, m = st["has_uint32"] * (n > 1), st["uinteger"] * n
         self.spare_site = (m >> 32 if (m & 0xFFFFFFFF) >= self.reject_below
                            else -1)
 
-    def refill(self):
-        """Draw and decode the next block; returns its three lists."""
-        k = max(1, min(_RAW_BLOCK, self.left))
-        words = self.bits.random_raw(k)
-        self.left -= k
+    def load(self, words):
+        """Decode the raw words as the next block; returns its three
+        lists."""
+        k = len(words)
         self.i, self.nw = 0, k
         self.unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
         if self.n > 1:
@@ -395,12 +402,56 @@ class _RawDraws:
             self.lo, self.hi = sites[:k], sites[k:]
         return self.lo, self.hi, self.unif
 
+    def refill(self):
+        """Draw and decode the next block; returns its three lists."""
+        k = max(1, min(_RAW_BLOCK, self.left))
+        self.left -= k
+        return self.load(self.bits.random_raw(k))
+
     def random(self):
         """The next uniform, as `Generator.random` draws it."""
         if self.i == self.nw:
             self.refill()
         self.i += 1
         return self.unif[self.i - 1]
+
+    def uniforms(self):
+        """An iterator over the uniforms of every block from here on, each
+        block drawn when the last one runs out; the draws must have no
+        decoded word left unread, and belong to the iterator from then
+        on."""
+        return chain.from_iterable(iter(lambda: self.refill()[2], None))
+
+    def steps_block(self, c):
+        """(sites, uniforms) of the next c single-site steps when every step
+        draws a uniform, as iterables of ints and floats, or None.  With no
+        spare half carried, every two steps read their words as site,
+        uniform, uniform: the site word's low half picks the first step's
+        site and its high half the second's.  So the block reads exactly
+        c + ceil(c / 2) words (c for n = 1, whose site is always 0), decoded
+        in one numpy pass; an odd c leaves the last high half as the spare.
+        The uniforms are a memoryview of their array, which makes each float
+        as the loop reads it.  If a site half the block reads is rejected,
+        it returns None with its words loaded (`load`) for the per-step
+        loop, which reads them in the same order."""
+        n = self.n
+        if n == 1:
+            words = self.bits.random_raw(c)
+            return repeat(0, c), memoryview((words >> 11) * _TWO_TO_MINUS_53)
+        words = self.bits.random_raw(c + (c + 1) // 2)
+        m = words[::3].astype("<u8").view("<u4").astype(np.uint64) * n
+        if self.reject_below and (
+                (m[:c] & 0xFFFFFFFF) < self.reject_below).any():
+            self.load(words)
+            return None
+        if c % 2:
+            self.has, self.spare_site = 1, (
+                int(m[c] >> 32) if (m[c] & 0xFFFFFFFF) >= self.reject_below
+                else -1)
+        sites = m[:c] >> 32
+        unif = np.delete(words, np.s_[::3]) >> 11
+        return (sites.astype(np.uint8).tobytes() if n <= 256
+                else sites.tolist(), memoryview(unif * _TWO_TO_MINUS_53))
 
 
 def _single_site_words(n, steps):
@@ -468,13 +519,64 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
     return node[n]
 
 
+def _walk(graph, node, sites, unif, path):
+    """Take one redraw per (site, uniform) pair from node, appending its
+    edge id to path; returns the last node.  Every slot has more than one
+    value."""
+    append = path.append
+    for v, u in zip(sites, unif):
+        slot = node[v]
+        if slot is None:
+            node, slot = graph.fill(node, v)
+        edges, cum, succ, _ = slot
+        j = bisect_right(cum, u)
+        node = succ[j]
+        append(edges[j])
+    return node
+
+
+def _bulk_site_steps(graph, state, draws, steps, path):
+    """`_site_steps` with no schedule, for a law with more than one value
+    at every slot, so that every step draws a uniform: the steps go in
+    blocks of at most _BULK_STEPS, each decoded up front
+    (`_RawDraws.steps_block`) and walked by `_walk`, one block held at a
+    time.  A step that starts with a carried spare half, and a block that
+    reads a rejected half, go to `_site_steps` on the same words.  draws
+    must have no decoded word left unread and a budget of 0, so that those
+    steps draw one word at a time and leave none unread."""
+    n = len(state)
+    graph.node(state)  # the start state's id is 0, also with no step
+    t = 0
+    while t < steps:
+        if draws.has:
+            state = _site_steps(graph, state, draws, t, 1, path)
+            t += 1
+            continue
+        c = min(_BULK_STEPS, steps - t)
+        block = draws.steps_block(c)
+        if block is None:
+            state = _site_steps(graph, state, draws, t, c, path)
+        else:
+            state = _walk(graph, graph.node(state), *block, path)[n]
+            del block
+        t += c
+    return state
+
+
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     x0 = _check_start(model, x0)
-    draws = _RawDraws(rng.bit_generator, len(x0),
-                      _single_site_words(len(x0), steps))
+    n = len(x0)
     path = []
     with _site_graph(heat_bath_law(model), _heat_bath_fiber) as graph:
-        final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
+        if allowed is None:
+            # the law gives the whole alphabet, two values at least
+            final = _bulk_site_steps(graph, x0,
+                                     _RawDraws(rng.bit_generator, n, 0),
+                                     steps, path)
+        else:
+            draws = _RawDraws(rng.bit_generator, n,
+                              _single_site_words(n, steps))
+            final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
                     list(graph.ids), path, final=final)
 
@@ -539,13 +641,15 @@ def field_run(model, theta, x0, steps, seed, record_at=(),
               chain_index=0) -> ChainRun:
     """Field-dynamics run with exact inner resampling, the step of
     `field_dynamics_step` on one table of slices, with its uniforms decoded
-    from raw words (`_RawDraws.random`).  The path holds the support index
-    of each step's state; the log holds the coordinates each step changes."""
+    from raw words (`_RawDraws.uniforms`).  The path holds the support
+    index of each step's state; the log holds the coordinates each step
+    changes."""
     support, step = _field_sampler(model, theta)
     rng = make_rng(seed, chain_index, "field")
     x0 = _check_start(model, x0)
     # at most one uniform per 1-site and one for the draw, per step
-    random = _RawDraws(rng.bit_generator, 1, steps * (len(x0) + 1)).random
+    random = _RawDraws(rng.bit_generator, 1,
+                       steps * (len(x0) + 1)).uniforms().__next__
     states, path = support.states, []
     state = x0
     for _ in range(steps):

@@ -36,6 +36,9 @@ _FD_BLOCK_ENTRIES = 2 ** 16
 _FIBER_SHARE = 0.5
 # the most variables check_monotone_system takes
 _MONOTONE_VARS = 12
+# entries of the widest array of a cover stack of _first_unordered: its
+# rows, or its sums over the target's up-sets
+_COVER_STACK_ENTRIES = 2 ** 16
 
 
 def enumerate_support(model, *, _log_weights=None) -> Poset:
@@ -614,20 +617,33 @@ def check_detailed_balance(kernel: Kernel, probs=None) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
+def _cover_block(target: Poset):
+    """Covers per stack of _first_unordered over target: as many as keep
+    the stack's widest array within _COVER_STACK_ENTRIES, and at least
+    PAIR_BLOCK."""
+    ups = target.up_set_matrix
+    width = max(target.size, 0 if ups is None else len(ups))
+    return max(PAIR_BLOCK, _COVER_STACK_ENTRIES // width)
+
+
 def _first_unordered(laws, index: Poset, target: Poset):
     """First pair i < j of the poset index, in row-major order, with laws[i]
     not <=_sd laws[j] over target, as (i, j, witness up-set), or None; row i
     of laws is the law at state i of index.
 
-    <=_sd is transitive, so the covers of index are tested first, in stacks
-    of PAIR_BLOCK, each at 1/height of the integer slack (stochastic_dominance
-    with split), so that every comparable pair passes at PROB_TOL.  Only if a
-    cover fails, or a law is not a probability vector, does the scan over
-    every comparable pair run; it alone gives the verdict and the witness,
-    or raises."""
+    <=_sd is transitive, so the covers of index are tested first, each at
+    1/height of the integer slack (stochastic_dominance with split), so that
+    every comparable pair passes at PROB_TOL.  Only if a cover fails, or a
+    law is not a probability vector, does the scan over every comparable
+    pair run; it alone gives the verdict and the witness, or raises.  So
+    a failing cover stack stops nothing early, and the stacks are as large
+    as _cover_block allows."""
     covers = index.covers
-    stacks = (laws[covers[c:c + PAIR_BLOCK].T]
-              for c in range(0, len(covers), PAIR_BLOCK))
+    if not len(covers):  # no comparable pair
+        return None
+    block = _cover_block(target)
+    stacks = (laws[covers[c:c + block].T]
+              for c in range(0, len(covers), block))
     try:
         if all(stochastic_dominance(*stack, target, split=index.height)[0]
                for stack in stacks):

@@ -855,11 +855,15 @@ def tilt(model, theta):
 
 def _tilt_product(name, value, theta):
     """value * theta, refused by name when a positive theta underflows it
-    to 0 (value is positive, as its model checked)."""
+    to 0 or overflows it to inf (value is positive and finite, as its model
+    checked)."""
     product = value * theta
     if product == 0 and theta > 0:
         raise ValueError(f"{name} {float(value)!r} * {float(theta)!r} "
                          "underflows to 0")
+    if math.isinf(product):
+        raise ValueError(f"{name} {float(value)!r} * {float(theta)!r} "
+                         "overflows to inf")
     return product
 
 

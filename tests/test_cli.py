@@ -1102,10 +1102,15 @@ _RC = "model=rc\np.default=0.5\nlambda.default=0.5\n"
     # a tilt of a tilt whose product of two positive parameters underflows
     ("mixing", _RC + "theta=5e-324\n", ["flip", "tilt=0.3"],
      "tilt parameter 0.3 * 5e-324 underflows to 0"),
+    # or overflows, where the tilted log weights would read inf - inf
+    ("verify", "model=bipartite-hardcore\nlambda=1\nbeta=1\n",
+     ["tilt=1e308", "tilt=1e308"],
+     "tilt parameter 1e+308 * 1e+308 overflows to inf"),
 ], ids=["mixing-underflow", "mixing-theta-2", "mixing-theta-1e308",
         "analyze-underflow", "analyze-kl-overflow", "sample-steps-key",
         "mixing-frozen-law",
-        "sample-field-underflow", "mixing-tilt-product-underflow"])
+        "sample-field-underflow", "mixing-tilt-product-underflow",
+        "verify-tilt-product-overflow"])
 def test_underflow_and_range_errors_exit_two(bip, tmp_path, command, params,
                                              transforms, message):
     """One error: line on stderr and nothing else, no numpy warning."""

@@ -1,6 +1,7 @@
 import gc
 import hashlib
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from unittest import mock
 
 import numpy as np
@@ -533,28 +534,40 @@ class TestCollectorHeldOff:
 
     def test_no_collection_while_the_steps_run(self, monkeypatch):
         # flipped RC on C10 visits hundreds of states, each fill allocating
-        # a node's containers; none of them sets off a collection
-        steps, inside, started = dynamics._site_steps, [False], []
+        # a node's containers; none of them sets off a collection, in the
+        # per-step loop or in the bulk walk, and each sampler is seen
+        # stepping in one of them
+        inside, started, entered = [False], [], []
 
-        def counted(*args, **kwargs):
-            inside[0] = True
-            try:
-                return steps(*args, **kwargs)
-            finally:
-                inside[0] = False
+        def spy(name):
+            steps = getattr(dynamics, name)
+
+            def counted(*args, **kwargs):
+                entered.append(name)
+                inside[0] = True
+                try:
+                    return steps(*args, **kwargs)
+                finally:
+                    inside[0] = False
+
+            monkeypatch.setattr(dynamics, name, counted)
 
         def count(phase, info):
             if phase == "start" and inside[0]:
                 started.append(info["generation"])
 
-        monkeypatch.setattr(dynamics, "_site_steps", counted)
+        spy("_site_steps")
+        spy("_walk")
         c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
         m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
         gc.callbacks.append(count)
         try:
             glauber_run(m, (1,) * 10, 20_000, 0)
+            assert set(entered) == {"_walk"}
+            entered.clear()
             censored_glauber(m, (1,) * 10, every_site(10), 5_000, 0)
             simulate_algorithm(m, 0.5, 50, 100, 0)
+            assert set(entered) == {"_site_steps"}
         finally:
             gc.callbacks.remove(count)
         assert started == []
@@ -788,6 +801,175 @@ class TestBlockDraws:
                 run = sampler()
                 handing_out(monkeypatch, b)
                 assert same_run(run, oracle())
+
+
+class WordBits:
+    """A bit generator over a fixed list of raw 64-bit words, carrying no
+    spare half; `at` counts the words drawn."""
+
+    def __init__(self, words):
+        self.words, self.at = words, 0
+
+    def random_raw(self, size):
+        self.at += size
+        assert self.at <= len(self.words), "ran out of words"
+        return np.array(self.words[self.at - size:self.at], np.uint64)
+
+    state = property(lambda self: {"has_uint32": 0, "uinteger": 0})
+
+
+class PerCallWords:
+    """`Generator.integers(n)` and `Generator.random()`, one call each, on
+    a fixed list of raw words, as numpy draws them on PCG64: Lemire's
+    method on 32-bit halves (low half first, the high half kept as the
+    spare; a low product below 2^32 mod n is drawn again) and
+    (w >> 11) * 2^-53 of a whole word."""
+
+    def __init__(self, words):
+        self.bit_generator = WordBits(words)
+        self.spare = None
+
+    def word(self):
+        return int(self.bit_generator.random_raw(1)[0])
+
+    def integers(self, n):
+        while n > 1:
+            if self.spare is None:
+                w = self.word()
+                half, self.spare = w & 0xFFFFFFFF, w >> 32
+            else:
+                half, self.spare = self.spare, None
+            m = half * n
+            if m & 0xFFFFFFFF >= (1 << 32) % n:
+                return m >> 32
+        return 0
+
+    def random(self):
+        return (self.word() >> 11) * 2.0 ** -53
+
+
+def bulk_vs_per_call(monkeypatch, n, steps, seed=0, spare=None):
+    """glauber_run on path_hardcore(n) from one generator against the
+    per-call oracle on a copy of it: log, recorded states, final state and
+    the words each drew."""
+    m, x0 = path_hardcore(n), (0,) * n
+    a, b = rng_copies(seed, spare)
+    handing_out(monkeypatch, BitGeneratorOnly(CountingBits(a.bit_generator)))
+    run = glauber_run(m, x0, steps, seed, record_at=range(steps + 1))
+    handing_out(monkeypatch, b)
+    ref = oracles.per_step_heat_bath_run(m, x0, steps, seed,
+                                         record_at=range(steps + 1))
+    assert same_run(run, ref)
+    assert a.bit_generator.state["state"] == b.bit_generator.state["state"]
+    return run
+
+
+class TestBulkDraws:
+    """glauber_run decodes each block of its steps up front
+    (`_RawDraws.steps_block`); every run equals the per-call draws on a
+    copy of its generator and draws exactly the words they draw."""
+
+    @pytest.mark.parametrize("block", [7, 8])
+    @pytest.mark.parametrize("n", [1, 3, 6, 7, 13, 300])
+    def test_block_edges_and_carried_spares(self, n, block, monkeypatch):
+        # n = 3, 6, 7, 13 and 300 reject some halves, and a carried spare 0
+        # is then rejected; 300 sites are more than a byte holds.  A small
+        # block puts every edge within a few steps; an odd one leaves a
+        # spare half to the next block.
+        monkeypatch.setattr(dynamics, "_BULK_STEPS", block)
+        for steps in (0, 1, 2, block - 1, block, block + 1, 2 * block,
+                      2 * block + 1):
+            for spare in (None, 0, 0x9E3779B9):
+                bulk_vs_per_call(monkeypatch, n, steps, seed=steps,
+                                 spare=spare)
+
+    @pytest.mark.parametrize("spare", [None, 0, 12345])
+    def test_full_size_blocks(self, spare, monkeypatch):
+        block = dynamics._BULK_STEPS
+        for steps in (block - 1, block, block + 1, 2 * block + 1):
+            bulk_vs_per_call(monkeypatch, 6, steps, seed=steps, spare=spare)
+
+    def test_per_call_words_are_numpy_draws(self):
+        # the oracle of the crafted-word test draws as numpy does
+        gen = make_rng(5, 0, "words")
+        words = make_rng(5, 0, "words").bit_generator.random_raw(300).tolist()
+        ref = PerCallWords(words)
+        for k in range(150):
+            n = k % 13 + 1
+            assert ref.integers(n) == gen.integers(n)
+            if k % 3:
+                assert ref.random() == gen.random()
+
+    @pytest.mark.parametrize("block", [15, 16])
+    @pytest.mark.parametrize("at, mask", [
+        (0, 0xFFFFFFFF00000000), (15, 0xFFFFFFFF00000000),
+        (15, 0x00000000FFFFFFFF), (21, 0x00000000FFFFFFFF),
+        (24, 0xFFFFFFFF00000000), (15, 0)])
+    def test_rejected_half_in_a_block(self, at, mask, block, monkeypatch):
+        # n = 3 rejects a half 0 (2^32 mod 3 = 1); the word at `at` keeps
+        # only the bits of mask: a zero low or high half, or both.  With
+        # 16-step blocks, words 0, 15 and 21 are site words of the first
+        # block (its first, one in the middle and its last) and 24 the first
+        # of the next; with 15-step blocks the high half of word 21 is the
+        # spare the first block leaves to the second.  A block that reads a
+        # rejected half goes to the per-step loop, and the bulk walk takes
+        # over again after it.
+        monkeypatch.setattr(dynamics, "_BULK_STEPS", block)
+        words = make_rng(at, 0, "words").bit_generator.random_raw(200)
+        words[at] &= np.uint64(mask)
+        words = words.tolist()
+        for name in ("_walk", "_site_steps"):
+            monkeypatch.setattr(dynamics, name,
+                                mock.Mock(wraps=getattr(dynamics, name)))
+        m, x0, steps = path_hardcore(3), (0,) * 3, 90
+        ours = WordBits(words)
+        handing_out(monkeypatch, BitGeneratorOnly(ours))
+        run = glauber_run(m, x0, steps, 0, record_at=range(steps + 1))
+        ref_gen = PerCallWords(words)
+        handing_out(monkeypatch, ref_gen)
+        ref = oracles.per_step_heat_bath_run(m, x0, steps, 0,
+                                             record_at=range(steps + 1))
+        assert same_run(run, ref)
+        assert ours.at == ref_gen.bit_generator.at
+        assert dynamics._walk.call_count >= 4
+        assert dynamics._site_steps.call_count >= 1
+
+    def test_one_raw_call_per_block(self, monkeypatch):
+        # a carried spare costs one word of its own; one site draws none
+        block = dynamics._BULK_STEPS
+        for n, steps, spare, calls in ((6, 0, None, 0), (6, 1, None, 1),
+                                       (6, 5 * block, None, 5),
+                                       (6, 5 * block + 1, None, 6),
+                                       (6, 5 * block, 12345, 6),
+                                       (1, 5 * block, 12345, 5)):
+            a, _ = rng_copies(1, spare)
+            counted = CountingBits(a.bit_generator)
+            handing_out(monkeypatch, BitGeneratorOnly(counted))
+            glauber_run(path_hardcore(n), (0,) * n, steps, 0)
+            assert counted.draws == calls
+
+    def test_a_long_run_holds_one_block(self):
+        # 10^6 steps on a filled graph, their edges dropped as they come:
+        # the peak is that of one block's run, less than one block of
+        # uniforms above it
+        m, x0 = path_hardcore(6), (0,) * 6
+        block = dynamics._BULK_STEPS
+
+        def peak(graph, steps):
+            draws = dynamics._RawDraws(make_rng(2).bit_generator, 6, 0)
+            tracemalloc.start()
+            try:
+                dynamics._bulk_site_steps(graph, x0, draws, steps,
+                                          deque(maxlen=0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with dynamics._site_graph(models.heat_bath_law(m),
+                                  dynamics._heat_bath_fiber) as graph:
+            peak(graph, 10 ** 5)  # fills every slot the runs reach
+            one = peak(graph, block)
+            assert peak(graph, 10 ** 6) < one + 8 * block
 
 
 def frozen_at(law, stars):

@@ -534,6 +534,22 @@ class TestChecksMatchOracles:
         assert check_stochastic_monotonicity(ker) == verdict
         assert oracles.per_pair_monotonicity(ker) == verdict
 
+    @pytest.mark.parametrize("entries", [1, exact._COVER_STACK_ENTRIES])
+    def test_failing_cover_in_a_later_stack(self, entries, monkeypatch):
+        # a 70-element chain: its 69 covers go in stacks of PAIR_BLOCK = 64
+        # when a stack may hold 1 entry, and in one stack by default.  Only
+        # the cover (64, 65) fails, the first of the second stack of 64, and
+        # the scan over all pairs then finds (0, 65) first.
+        monkeypatch.setattr(exact, "_COVER_STACK_ENTRIES", entries)
+        sup = Poset(tuple((i,) for i in range(70)))
+        assert exact._cover_block(sup) == max(ordercore.PAIR_BLOCK,
+                                              entries // 70)
+        mat = np.full((70, 70), 1 / 70)
+        mat[65] = 0.0
+        mat[65, 0] = 1.0
+        ok, (lo, hi, _) = check_stochastic_monotonicity(Kernel(sup, mat))
+        assert not ok and (lo, hi) == ((0,), (65,))
+
     def test_mc_leq_site_kernels_and_product_counterexample(self):
         for p, lams in ((0.5, (0.9, 0.3)), (0.3, (0.5, 0.5)), (0.7, (0.2, 1.0))):
             t = exact.Tables(flip(RandomClusterModel(

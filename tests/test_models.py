@@ -274,6 +274,14 @@ class TestTransforms:
         with pytest.raises(ValueError, match="must be positive$"):
             tilt(model, 0.0)
 
+    @pytest.mark.parametrize("model, name", [
+        (models.TiltedModel(HardcoreModel(K2, 0.3), 1e308), "tilt parameter"),
+        (HardcoreModel(K2, 1e308), "lambda")])
+    def test_tilt_names_an_overflowing_product(self, model, name):
+        with pytest.raises(ValueError, match=f"^{name} 1e\\+308 \\* 1e\\+308 "
+                                             "overflows to inf$"):
+            tilt(model, 1e308)
+
     def test_flip_involution(self, rng):
         m = random_rc(rng)
         assert flip(flip(m)) is m

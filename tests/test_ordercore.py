@@ -763,11 +763,11 @@ class TestClosureStacks:
         # cover stacks of its three lifted kernels: the greedy coupling
         # passes every row, so no closure cut runs, in at most 2 MB each
         p, laws, alg, kernels = lifted_cycle(4)
+        block = exact._cover_block(p)
         stacks = [(laws, alg, 1)] + [
-            (*ker.matrix[p.covers[c:c + ordercore.PAIR_BLOCK].T], p.height)
-            for ker in kernels
-            for c in range(0, len(p.covers), ordercore.PAIR_BLOCK)]
-        assert len(stacks) == 13
+            (*ker.matrix[p.covers[c:c + block].T], p.height)
+            for ker in kernels for c in range(0, len(p.covers), block)]
+        assert len(stacks) == 4
         with mock.patch.object(ordercore, "_closure_cut",
                                wraps=ordercore._closure_cut) as cut:
             for nus, nups, split in stacks:

@@ -1,9 +1,9 @@
 """The example scripts run end to end and print their header line; the
 mixing table prints the columns of the `mixing` command, and the edge demo
 prints the stdout pinned by its sha256.  The ceiling runner passes its
-cheapest cells, fails a cell that misses its pin or bound and gives each
-command one BLAS thread unless the caller chose, and no script reads a
-private name of `exact`."""
+cheapest cells and every sampler's pinned output, fails a cell that misses
+its pin or bound and gives each command one BLAS thread unless the caller
+chose, and no script reads a private name of `exact`."""
 
 import ast
 import hashlib
@@ -94,9 +94,12 @@ def run_ceiling(cells):
 def test_ceiling_cells_pass():
     # the hard-core C9 control is the one cell that takes closure cuts, and
     # the bhc left marginal the one whose tilted stacks take a floor far
-    # from 1; the three C16 refusals enumerate 65,536 states each
+    # from 1; the three C16 refusals enumerate 65,536 states each.  The four
+    # sampler cells pin the bytes of every sampler's output, the 10^6-step
+    # Glauber trajectory among them.
     names = ["kernel-export-c16", "mixing-c16", "verify-c16", "verify-c6",
-             "verify-hardcore-c9", "mixing-bhc-lm-k8"]
+             "verify-hardcore-c9", "mixing-bhc-lm-k8", "sample-ising-c6",
+             "sample-field", "sample-simulate", "sample-censored"]
     code, rows = run_ceiling([(name, {}) for name in names])
     assert code == 0 and [r["name"] for r in rows] == names, rows
 
