@@ -41,8 +41,9 @@ FILES = {
     "hardcore.params": "model = hardcore\nlambda = 1.0\n",
     "field.params": RC.format(0.5) + "dynamics = field\n",
     "simulate.params": RC.format(0.5) + "dynamics = simulate\n",
-    "censored.params": "model = bipartite-hardcore\nlambda = 1.0\n"
-                       "beta = 1.0\ndynamics = censored\nperiod = 10\n",
+    **{f"censored{suffix}.params": "model = bipartite-hardcore\n"
+       f"lambda = 1.0\nbeta = 1.0\ndynamics = censored\nperiod = {period}\n"
+       for suffix, period in (("", 10), ("-odd", 7))},
     "bhc.params": "model = bipartite-hardcore\nlambda = 1.0\nbeta = 1.0\n"
                   "theta = 0.5\n",
     "ising.params": "model = ising\nbeta.default = 1.5\n"
@@ -160,6 +161,19 @@ CELLS = [
         ("censored", 15, "k33.graph", "--steps 200000",
          "c9d89a65766e3cfd32d4f28faccbd13c144af3420f5bf69100d6a8dfdc1831f2",
          "353f480eea95d40060fc81c782fa653071d8898028679bb7ca2c86c6a6ca3f80")]),
+    # odd segments: every other censored block of 7 steps, and every other
+    # phase of 49, starts with the spare half the one before it left
+    *(Cell(f"sample-{name}-odd", k, f"sample {graph} {params}.params "
+           f"{options}", 120, {}, read=bodies(".traj.tsv", ".occupancy.csv"),
+           want=want)
+      for name, k, graph, params, options, *want in [
+        ("censored", 15, "k33.graph", "censored-odd", "--steps 200000",
+         "00e2eba666874976e5c9c8487a8c2f64907cf1d5634c5fa3a627cdca52db1c2b",
+         "b578b5ee9e8da65bb212cf3a0836d2f83c23c4cf58ae5f962cf8c61c46d43a60"),
+        ("simulate", 64, "c6.graph", "simulate",
+         "--transform flip --t1 2000 --t2 49",
+         "d3bdb840f994ddf63ecb62c2325833c90e10f210adcb7b56a0d4480be47ef807",
+         "197fbee356847e913521c09ea10b7a8ef9ad9d69a82f4721fd1cc6ec5ed93a79")]),
 ]
 
 

@@ -149,6 +149,9 @@ def cmd_sample(args):
                                         sched, steps, args.seed,
                                         record_at=record)
     elif dyn == "simulate":
+        if "start" in params:
+            raise ValueError("start does not apply to dynamics = simulate, "
+                             "which starts at lift(1_V)")
         run, _ = dynamics.simulate_algorithm(
             model, theta, args.t1, args.t2, args.seed, record_at=record)
     elif dyn == "field":

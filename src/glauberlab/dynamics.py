@@ -368,7 +368,12 @@ class _RawDraws:
     drawn in blocks of at most what is left of it (at least one), capped
     at _RAW_BLOCK, and each block is decoded once, in numpy, into lists of
     low-half sites, high-half sites and uniforms (a rejected half has site
-    -1) that the step loop and `random` only index; `uniforms` chains the
+    -1), and whether it holds no rejected half (`clean`).  The step loops
+    and `random` only index these lists; the per-step loop (`_site_steps`)
+    reads each word as a site or a uniform as it comes, and the masked loop
+    (`_masked_steps`) reads a clean block two steps a site word.  A refill
+    decodes the unread words of the last block again ahead of the new
+    ones, so a loop may refill before it runs out.  `uniforms` chains the
     uniform lists of such blocks.
 
     A run whose every step draws a uniform reads its words in a fixed
@@ -380,6 +385,7 @@ class _RawDraws:
     def __init__(self, bits, n, words):
         self.bits, self.n, self.left = bits, n, words
         self.reject_below = (1 << 32) % n
+        self.words, self.clean = None, True
         self.lo = self.hi = self.unif = ()
         self.i = self.nw = 0
         st = bits.state
@@ -388,30 +394,42 @@ class _RawDraws:
                            else -1)
 
     def load(self, words):
-        """Decode the raw words as the next block; returns its three
-        lists."""
+        """Decode the raw words as the next block, dropping the last one
+        first; returns its three lists."""
+        self.lo = self.hi = self.unif = ()
         k = len(words)
-        self.i, self.nw = 0, k
+        self.words, self.i, self.nw = words, 0, k
         self.unif = ((words >> 11) * _TWO_TO_MINUS_53).tolist()
         if self.n > 1:
             high, low = np.divmod(words, 1 << 32)
             m = np.concatenate((low, high)) * self.n
             sites = (m >> 32).astype(np.int64)
-            sites[(m & 0xFFFFFFFF) < self.reject_below] = -1
+            rejected = (m & 0xFFFFFFFF) < self.reject_below
+            self.clean = not rejected.any()
+            sites[rejected] = -1
             sites = sites.tolist()
             self.lo, self.hi = sites[:k], sites[k:]
         return self.lo, self.hi, self.unif
 
-    def refill(self):
-        """Draw and decode the next block; returns its three lists."""
+    def draw(self):
+        """The next block of raw words, of at most what is left of the
+        budget (at least one word), capped at _RAW_BLOCK."""
         k = max(1, min(_RAW_BLOCK, self.left))
         self.left -= k
-        return self.load(self.bits.random_raw(k))
+        return self.bits.random_raw(k)
+
+    def refill(self, i):
+        """Draw the next block and decode it after the words of this one
+        from index i on, the unread ones; returns its three lists."""
+        words = self.draw()
+        if i < self.nw:
+            words = np.concatenate((self.words[i:], words))
+        return self.load(words)
 
     def random(self):
         """The next uniform, as `Generator.random` draws it."""
         if self.i == self.nw:
-            self.refill()
+            self.refill(self.i)
         self.i += 1
         return self.unif[self.i - 1]
 
@@ -420,7 +438,8 @@ class _RawDraws:
         block drawn when the last one runs out; the draws must have no
         decoded word left unread, and belong to the iterator from then
         on."""
-        return chain.from_iterable(iter(lambda: self.refill()[2], None))
+        return chain.from_iterable(iter(lambda: self.load(self.draw())[2],
+                                        None))
 
     def steps_block(self, c):
         """(sites, uniforms) of the next c single-site steps when every step
@@ -493,7 +512,7 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                         has, v = 0, spare_site
                         continue
                     if i == nw:
-                        lo, hi, unif = draws.refill()
+                        lo, hi, unif = draws.refill(i)
                         i, nw = 0, len(unif)
                     v = lo[i]
                     spare_site = hi[i]
@@ -506,7 +525,7 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                 edges, cum, succ, multi = slot
                 if multi:
                     if i == nw:
-                        lo, hi, unif = draws.refill()
+                        lo, hi, unif = draws.refill(i)
                         i, nw = 0, len(unif)
                     j = bisect_right(cum, unif[i])
                     i += 1
@@ -545,7 +564,6 @@ def _bulk_site_steps(graph, state, draws, steps, path):
     must have no decoded word left unread and a budget of 0, so that those
     steps draw one word at a time and leave none unread."""
     n = len(state)
-    graph.node(state)  # the start state's id is 0, also with no step
     t = 0
     while t < steps:
         if draws.has:
@@ -563,11 +581,132 @@ def _bulk_site_steps(graph, state, draws, steps, path):
     return state
 
 
+def _masked_steps(graph, state, draws, steps, path, period, rule=None,
+                  phase=None):
+    """`_site_steps` over segments of `period` steps from t = 0 (one
+    segment if None), on each of which the sites whose step draws a
+    uniform are fixed: at a segment's start t, rule(t) gives the set of
+    them, or phase(t, state) gives the segment's start state and, as a
+    list of bools by site, its mask of them, drawing any uniforms it needs
+    from draws.  Every slot of such a site must have more than one value;
+    a step at any other site takes the stay edge and draws no uniform.  So
+    within a segment two steps read one site word, the first its low half
+    and the second its high half, and each step that draws a uniform
+    reads the next word as it.
+
+    The loop reads the block of decoded words of draws (`_RawDraws`) by
+    index, two steps a site word, with one check of the block's end per
+    run of pairs the block surely holds; short of words, it decodes a new
+    block after the unread ones (`_RawDraws.refill`), so one block is held
+    at a time and the run's word budget holds.  A segment of odd length
+    ends with a lone step that keeps its word's high half as the spare,
+    which the next segment's first step takes.  Steps on one site, a spare
+    that Lemire's method rejects and a block that holds a rejected half go
+    to `_site_steps` on the same words."""
+    n = len(state)
+    n1 = n + 1
+    append = path.append
+    lo, hi, unif, i, nw = draws.lo, draws.hi, draws.unif, draws.i, draws.nw
+    has, spare = draws.has, draws.spare_site
+    node = graph.node(state) if phase is None else None
+    ok = n > 1 and draws.clean  # the pair loop may read the block
+    masks = {}
+    t = 0
+    while t < steps:
+        end = t + (period or steps)
+        if end > steps:
+            end = steps
+        if phase is None:
+            keep = rule(t)
+            mask = masks.get(keep)
+            if mask is None:
+                mask = masks[keep] = [v in keep for v in range(n)]
+        else:
+            draws.i = i
+            lo = hi = unif = ()
+            start, mask = phase(t, state if node is None else node[n])
+            node = graph.node(start)
+            lo, hi, unif, i, nw = (draws.lo, draws.hi, draws.unif, draws.i,
+                                   draws.nw)
+            ok = n > 1 and draws.clean
+        while t < end:
+            if ok and not has and end - t > 1 and nw - i > 2:
+                pairs = (end - t) >> 1
+                if 3 * pairs > nw - i:
+                    pairs = (nw - i) // 3
+                t += 2 * pairs
+                for _ in range(pairs):
+                    v, w = lo[i], hi[i]
+                    i += 1
+                    if mask[v]:
+                        slot = node[v]
+                        if slot is None:
+                            node, slot = graph.fill(node, v)
+                        edges, cum, succ, _ = slot
+                        j = bisect_right(cum, unif[i])
+                        i += 1
+                        node = succ[j]
+                        append(edges[j])
+                    else:
+                        append(node[n1])
+                    if mask[w]:
+                        slot = node[w]
+                        if slot is None:
+                            node, slot = graph.fill(node, w)
+                        edges, cum, succ, _ = slot
+                        j = bisect_right(cum, unif[i])
+                        i += 1
+                        node = succ[j]
+                        append(edges[j])
+                    else:
+                        append(node[n1])
+                continue
+            if n > 1 and nw - i < (1 if has else 2 if end - t == 1 else 3):
+                lo = hi = unif = ()
+                lo, hi, unif = draws.refill(i)
+                i, nw, ok = 0, draws.nw, draws.clean
+            elif not ok or spare < 0 < has:
+                # the per-step loop, over at least the rest of the block
+                c = 1 if has else min(end - t, 2 * (nw - i) + 1)
+                draws.i, draws.has, draws.spare_site = i, has, spare
+                lo = hi = unif = ()
+                keep = frozenset(v for v in range(n) if mask[v])
+                node = graph.node(_site_steps(graph, node[n], draws, t, c,
+                                              path, Schedule(lambda _: keep,
+                                                             None)))
+                lo, hi, unif, i, nw = (draws.lo, draws.hi, draws.unif,
+                                       draws.i, draws.nw)
+                has, spare = draws.has, draws.spare_site
+                ok = n > 1 and draws.clean
+                t += c
+            else:  # a lone step
+                if has:
+                    v, has = spare, 0
+                else:
+                    v, spare, has = lo[i], hi[i], 1
+                    i += 1
+                if mask[v]:
+                    slot = node[v]
+                    if slot is None:
+                        node, slot = graph.fill(node, v)
+                    edges, cum, succ, _ = slot
+                    j = bisect_right(cum, unif[i])
+                    i += 1
+                    node = succ[j]
+                    append(edges[j])
+                else:
+                    append(node[n1])
+                t += 1
+    draws.i, draws.has, draws.spare_site = i, has, spare
+    return state if node is None else node[n]
+
+
 def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
     x0 = _check_start(model, x0)
     n = len(x0)
     path = []
     with _site_graph(heat_bath_law(model), _heat_bath_fiber) as graph:
+        graph.node(x0)  # the start state's id is 0, also with no step
         if allowed is None:
             # the law gives the whole alphabet, two values at least
             final = _bulk_site_steps(graph, x0,
@@ -576,7 +715,12 @@ def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
         else:
             draws = _RawDraws(rng.bit_generator, n,
                               _single_site_words(n, steps))
-            final = _site_steps(graph, x0, draws, 0, steps, path, allowed)
+            if allowed.period == 1:
+                final = _site_steps(graph, x0, draws, 0, steps, path,
+                                    allowed)
+            else:
+                final = _masked_steps(graph, x0, draws, steps, path,
+                                      allowed.period, rule=allowed.rule)
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
                     list(graph.ids), path, final=final)
 
@@ -661,6 +805,24 @@ def field_run(model, theta, x0, steps, seed, record_at=(),
                     final=state)
 
 
+def _relift_phase(theta, draws, relifts):
+    """The phase function (`_masked_steps`) of the simulation run's
+    phases: at t, contract the state and lift it again by uniforms from
+    draws, append a relift entry (t + 1, var, value) to relifts for each
+    site it changes, and give the relift with its non-star sites, the ones
+    whose step draws a uniform.  The relift belongs to the next step, so a
+    state recorded at a phase boundary is the one before it."""
+    def phase(t, state):
+        # lift(contract(state)): lift reads only which values are 0
+        relift = lift(state, theta, draws)
+        for v in range(len(state)):
+            if relift[v] != state[v]:
+                relifts.append((t + 1, v, relift[v]))
+        return relift, [b != STAR for b in relift]
+
+    return phase
+
+
 def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
                        chain_index=0):
     """The lift/contract simulation run.
@@ -668,9 +830,14 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     Start at lift(1_V).  Each of the t1 phases contracts, re-lifts, freezes
     the star set, and performs t2 single-site steps: a uniformly chosen
     star site is left alone (the step is still consumed), any other site is
-    resampled from the theta-tilted base conditional.  The lifts draw their
-    uniforms from the same raw words as the steps.  Returns (ChainRun over
-    ternary states, final contracted sample).
+    resampled from the theta-tilted base conditional.  Returns (ChainRun
+    over ternary states, final contracted sample).
+
+    A star never moves and every other slot has two values, so within a
+    phase the sites that draw a uniform are the relift's non-stars: the
+    masked loop (`_masked_steps`) takes the steps, two a site word, one
+    phase a segment, and the relifts (`_relift_phase`) read their uniforms
+    from the same decoded words.
     """
     if t1 < 1 or t2 < 1:
         raise ValueError("t1 and t2 must be at least 1")
@@ -683,16 +850,8 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     x0 = state
     path, relifts = [], []
     with _site_graph(star_frozen_law(lifted), _star_frozen_fiber) as graph:
-        for block in range(t1):
-            t = block * t2
-            # the relift belongs to the next step, so recorded states at
-            # block boundaries are the pre-relift ones; the log timestamps
-            # reflect that
-            relift = lift(contract(state), theta, draws)
-            for v in range(n):
-                if relift[v] != state[v]:
-                    relifts.append((t + 1, v, relift[v]))
-            state = _site_steps(graph, relift, draws, t, t2, path)
+        state = _masked_steps(graph, state, draws, steps, path, t2,
+                              phase=_relift_phase(theta, draws, relifts))
     start_id = graph.ids.setdefault(x0, len(graph.ids))
     run = ChainRun(lifted, x0, seed, steps, _record_times(record_at, steps),
                    list(graph.ids), path, relifts=relifts, start_id=start_id,
@@ -745,6 +904,12 @@ class Schedule:
 def censored_glauber(model, x0, schedule: Schedule, steps, seed,
                      record_at=(), chain_index=0) -> ChainRun:
     """Glauber with censoring: the chosen site is resampled only when the
-    schedule allows it at that step; disallowed picks leave the state as is."""
+    schedule allows it at that step; disallowed picks leave the state as is.
+
+    The allowed set is fixed on each block of `schedule.period` steps, and
+    the heat-bath law has two values at least, so the masked loop
+    (`_masked_steps`) takes the steps, two a site word, with the block's
+    allowed set as its mask.  A schedule of period 1 goes to the per-step
+    loop (`_site_steps`) on the same words."""
     return _heat_bath_run(model, x0, steps, seed, record_at,
                           make_rng(seed, chain_index, "censored"), schedule)

@@ -16,6 +16,8 @@ re-enumerates one pinned model per pinning and the one that runs every
 stack by the step loop, the sampler loops that call
 the site-update law on every step (or compute each field step's pinned
 slice afresh) and log a tuple and store each recorded state as they go,
+and censored Glauber and the simulation run by the per-step loop over
+raw words, one draw decoded a step,
 the trajectory text one formatted line at a time, the up-set enumeration
 one frozenset at a time, the up-set test and the up-set cross-check of
 stochastic dominance, the covers and height of a poset by their
@@ -746,6 +748,45 @@ def per_step_simulate(model, theta, t1, t2, seed, record_at=()):
         per_step_site_steps(law, state, rng, t, t2, run, record_at)
     run.final = tuple(state)
     return run, contract(tuple(state))
+
+
+def site_steps_censored(model, x0, schedule, steps, seed):
+    """censored_glauber's (path, state table, final state) by the per-step
+    loop `dynamics._site_steps` over every step, as the sampler ran before
+    the masked loop."""
+    rng = dynamics.make_rng(seed, 0, "censored")
+    n, path = len(x0), []
+    draws = dynamics._RawDraws(rng.bit_generator, n,
+                               dynamics._single_site_words(n, steps))
+    with dynamics._site_graph(models.heat_bath_law(model),
+                              dynamics._heat_bath_fiber) as graph:
+        final = dynamics._site_steps(graph, tuple(x0), draws, 0, steps, path,
+                                     schedule)
+    return path, list(graph.ids), final
+
+
+def site_steps_simulate(model, theta, t1, t2, seed):
+    """simulate_algorithm's (path, state table, relifts, final state) by
+    one per-step loop `dynamics._site_steps` a phase, each after its
+    relift, as the sampler ran before the masked loop."""
+    rng = dynamics.make_rng(seed, 0, "simulate")
+    lifted = models.LiftedModel(model, theta)
+    n = model.n_vars
+    draws = dynamics._RawDraws(
+        rng.bit_generator, n,
+        dynamics._single_site_words(n, t1 * t2) + (t1 + 1) * n)
+    state = x0 = lift((1,) * n, theta, draws)
+    path, relifts = [], []
+    with dynamics._site_graph(models.star_frozen_law(lifted),
+                              dynamics._star_frozen_fiber) as graph:
+        for block in range(t1):
+            t = block * t2
+            relift = lift(contract(state), theta, draws)
+            relifts += [(t + 1, v, relift[v]) for v in range(n)
+                        if relift[v] != state[v]]
+            state = dynamics._site_steps(graph, relift, draws, t, t2, path)
+    graph.ids.setdefault(x0, len(graph.ids))
+    return path, list(graph.ids), relifts, state
 
 
 def per_step_field_run(model, theta, x0, steps, seed, record_at=()):

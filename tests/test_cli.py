@@ -566,6 +566,22 @@ class TestSample:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("start", ["ones", "zeros", "10"])
+    def test_simulate_refuses_a_start(self, p3, tmp_path, capsys, start):
+        # the simulation run always starts at lift(1_V); a start it would
+        # not read is refused, not ignored
+        params = write(tmp_path / "s.params",
+                       "model=rc\np.default=0.5\nlambda.default=1.0\n"
+                       f"dynamics=simulate\nstart={start}\n")
+        out = tmp_path / "sim"
+        assert run_cli(["sample", "--graph", p3, "--params", params,
+                        "--transform", "flip", "--t1", "2", "--t2", "3",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: start does not apply to dynamics = simulate, which "
+            "starts at lift(1_V)\n")
+        assert not list(tmp_path.glob("sim*"))
+
     @pytest.mark.parametrize("extra, value", [
         (["--steps", "10", "--record", "50"], "50"),
         (["--steps", "10", "--record", "0,50"], "50"),

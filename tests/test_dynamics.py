@@ -535,8 +535,8 @@ class TestCollectorHeldOff:
     def test_no_collection_while_the_steps_run(self, monkeypatch):
         # flipped RC on C10 visits hundreds of states, each fill allocating
         # a node's containers; none of them sets off a collection, in the
-        # per-step loop or in the bulk walk, and each sampler is seen
-        # stepping in one of them
+        # bulk walk or in the masked loop, and each sampler is seen
+        # stepping in its own one
         inside, started, entered = [False], [], []
 
         def spy(name):
@@ -556,8 +556,8 @@ class TestCollectorHeldOff:
             if phase == "start" and inside[0]:
                 started.append(info["generation"])
 
-        spy("_site_steps")
         spy("_walk")
+        spy("_masked_steps")
         c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
         m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
         gc.callbacks.append(count)
@@ -567,7 +567,7 @@ class TestCollectorHeldOff:
             entered.clear()
             censored_glauber(m, (1,) * 10, every_site(10), 5_000, 0)
             simulate_algorithm(m, 0.5, 50, 100, 0)
-            assert set(entered) == {"_site_steps"}
+            assert entered == ["_masked_steps"] * 2
         finally:
             gc.callbacks.remove(count)
         assert started == []
@@ -664,14 +664,15 @@ def handing_out(monkeypatch, gen):
 
 
 class CountingBits:
-    """A bit generator that counts its raw draws; its state can be read,
-    not written, and it has no other method."""
+    """A bit generator that counts its raw draws and the words they hold;
+    its state can be read, not written, and it has no other method."""
 
     def __init__(self, bits):
-        self.bits, self.draws = bits, 0
+        self.bits, self.draws, self.words = bits, 0, 0
 
     def random_raw(self, size):
         self.draws += 1
+        self.words += size
         return self.bits.random_raw(size)
 
     state = property(lambda self: self.bits.state)
@@ -970,6 +971,237 @@ class TestBulkDraws:
             peak(graph, 10 ** 5)  # fills every slot the runs reach
             one = peak(graph, block)
             assert peak(graph, 10 ** 6) < one + 8 * block
+
+
+def two_level(n, period, seed=0):
+    """A two-level schedule on n sites: left the first half, right the
+    rest; with period None, a schedule that allows the right side and
+    site 0 on every step."""
+    left, right = range(n // 2 or 1), range(n // 2 or 1, n)
+    if period is None:
+        keep = frozenset(right) | {0}
+        return Schedule(lambda t: keep, period=None)
+    return Schedule.two_level(left, right, period, seed)
+
+
+def censored_vs_references(monkeypatch, m, x0, schedule, steps, seed=0,
+                           spare=None):
+    """censored_glauber from one generator against the per-call oracle
+    (log, recorded states, final state) and the per-step loop (path, state
+    table, final state) on copies of it; it draws no more words than its
+    budget."""
+    n = len(x0)
+    a, b = rng_copies(seed, spare)
+    counted = CountingBits(a.bit_generator)
+    handing_out(monkeypatch, BitGeneratorOnly(counted))
+    run = censored_glauber(m, x0, schedule, steps, seed,
+                           record_at=range(steps + 1))
+    handing_out(monkeypatch, b)
+    ref = oracles.per_step_heat_bath_run(m, x0, steps, seed,
+                                         record_at=range(steps + 1),
+                                         purpose="censored",
+                                         allowed=schedule.rule)
+    assert same_run(run, ref)
+    handing_out(monkeypatch, rng_copies(seed, spare)[0])
+    assert (run.path, run.states, run.final) == oracles.site_steps_censored(
+        m, x0, schedule, steps, seed)
+    assert counted.words <= dynamics._single_site_words(n, steps)
+
+
+def simulate_vs_references(monkeypatch, m, theta, t1, t2, seed=0,
+                           spare=None):
+    """simulate_algorithm from one generator against the per-call oracle
+    (log, recorded states, final state, sample) and the per-step loop
+    (path, state table, relifts, final state) on copies of it; it draws no
+    more words than its budget."""
+    n, steps = m.n_vars, t1 * t2
+    a, b = rng_copies(seed, spare)
+    counted = CountingBits(a.bit_generator)
+    handing_out(monkeypatch, BitGeneratorOnly(counted))
+    run, out = simulate_algorithm(m, theta, t1, t2, seed,
+                                  record_at=range(steps + 1))
+    handing_out(monkeypatch, b)
+    ref, ref_out = oracles.per_step_simulate(m, theta, t1, t2, seed,
+                                             record_at=range(steps + 1))
+    assert same_run(run, ref) and out == ref_out
+    handing_out(monkeypatch, rng_copies(seed, spare)[0])
+    assert (run.path, run.states, run.relifts, run.final) == (
+        oracles.site_steps_simulate(m, theta, t1, t2, seed))
+    assert counted.words <= (dynamics._single_site_words(n, steps)
+                             + (t1 + 1) * n)
+
+
+def flipped_rc_path(edges):
+    """Flipped random cluster (p = lambda = 0.5) on the path with the given
+    number of edges, one variable each."""
+    return flip(RandomClusterModel(
+        Graph(edges + 1, [(u, u + 1) for u in range(edges)]),
+        [0.5] * edges, [0.5] * (edges + 1)))
+
+
+class TestMaskedSteps:
+    """censored_glauber and simulate_algorithm step in `_masked_steps`:
+    two steps a site word, over segments on which the sites that draw a
+    uniform are fixed.  Every run equals the per-call draws and the
+    per-step loop on copies of its generator, and draws no more words
+    than its budget."""
+
+    @pytest.mark.parametrize("raw_block", [5, 8])
+    @pytest.mark.parametrize("period", [2, 3, 7, 10, None])
+    def test_censored_periods(self, period, raw_block, monkeypatch):
+        # 6 sites reject some halves, so a carried spare 0 is rejected; a
+        # small raw block puts its edges every few steps, at every offset
+        # of a segment, and an odd period ends every other segment with a
+        # lone step that leaves a spare to the next
+        monkeypatch.setattr(dynamics, "_RAW_BLOCK", raw_block)
+        m, x0 = path_hardcore(6), (0,) * 6
+        p, b = period or 9, raw_block
+        for steps in sorted({0, 1, 2, p - 1, p, p + 1, 3 * p - 1, 3 * p + 1,
+                             b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1,
+                             60}):
+            for spare in (None, 0, 0x9E3779B9):
+                censored_vs_references(monkeypatch, m, x0,
+                                       two_level(6, period, seed=steps),
+                                       steps, seed=steps, spare=spare)
+
+    @pytest.mark.parametrize("raw_block", [5, 8])
+    @pytest.mark.parametrize("t2", [1, 2, 7, 8, 49, 50])
+    def test_simulate_phases(self, t2, raw_block, monkeypatch):
+        # the relifts read their uniforms from the blocks the steps read;
+        # an odd t2 leaves a spare half across the relift to the next
+        # phase
+        monkeypatch.setattr(dynamics, "_RAW_BLOCK", raw_block)
+        m = flipped_rc_path(6)
+        for t1 in (1, 2, 5):
+            for spare in (None, 0, 0x9E3779B9):
+                simulate_vs_references(monkeypatch, m, 0.4, t1, t2,
+                                       seed=t1 * t2, spare=spare)
+
+    @pytest.mark.parametrize("spare", [None, 0, 12345])
+    def test_full_size_blocks(self, spare, monkeypatch):
+        # runs of a few real blocks, ending on either side of an edge
+        block = dynamics._RAW_BLOCK
+        m, x0 = path_hardcore(7), (0,) * 7
+        for steps in (block - 1, block, block + 1, 2 * block + 1):
+            censored_vs_references(monkeypatch, m, x0, two_level(7, 10),
+                                   steps, seed=steps, spare=spare)
+        for t2 in (49, 50):
+            simulate_vs_references(monkeypatch, flipped_rc_path(7), 0.5,
+                                   2 * block // t2 + 1, t2, spare=spare)
+
+    def test_more_sites_than_a_byte(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_RAW_BLOCK", 64)
+        for spare in (None, 0):
+            for period in (7, 10, None):
+                censored_vs_references(monkeypatch, path_hardcore(300),
+                                       (0,) * 300, two_level(300, period),
+                                       500, seed=period or 1, spare=spare)
+            simulate_vs_references(monkeypatch, flipped_rc_path(300), 0.5,
+                                   5, 49, spare=spare)
+
+    @pytest.mark.parametrize("kind", ["censored", "simulate"])
+    @pytest.mark.parametrize("at, mask", [
+        (0, 0xFFFFFFFF00000000), (0, 0x00000000FFFFFFFF),
+        (8, 0xFFFFFFFF00000000), (8, 0x00000000FFFFFFFF), (8, 0),
+        (15, 0xFFFFFFFF00000000), (15, 0x00000000FFFFFFFF),
+        (16, 0xFFFFFFFF00000000), (40, 0)])
+    def test_rejected_half_in_a_block(self, kind, at, mask, monkeypatch):
+        # 6 and 3 sites reject a half 0 (2^32 mod n > 0); the word at `at`
+        # keeps only the bits of mask: a zero low or high half, or both, at
+        # the start, middle and end of the first 16-word block, the start
+        # of the next, and later.  A block that holds a rejected half goes
+        # to the per-step loop, and the masked loop takes over again after
+        # it.  A rejected half costs at most one word past the budget.
+        monkeypatch.setattr(dynamics, "_RAW_BLOCK", 16)
+        words = make_rng(at, 0, "words").bit_generator.random_raw(400)
+        words[at] &= np.uint64(mask)
+        words = words.tolist()
+        for name in ("_masked_steps", "_site_steps"):
+            monkeypatch.setattr(dynamics, name,
+                                mock.Mock(wraps=getattr(dynamics, name)))
+        ours, ref_gen = WordBits(words), PerCallWords(words)
+        if kind == "censored":
+            m, x0, steps = path_hardcore(6), (0,) * 6, 90
+            schedule = two_level(6, 7)
+            handing_out(monkeypatch, BitGeneratorOnly(ours))
+            run = censored_glauber(m, x0, schedule, steps, 0,
+                                   record_at=range(steps + 1))
+            handing_out(monkeypatch, ref_gen)
+            ref = oracles.per_step_heat_bath_run(
+                m, x0, steps, 0, record_at=range(steps + 1),
+                purpose="censored", allowed=schedule.rule)
+            budget = dynamics._single_site_words(6, steps)
+        else:
+            m, t1, t2 = flipped_rc_path(3), 6, 15
+            handing_out(monkeypatch, BitGeneratorOnly(ours))
+            run = simulate_algorithm(m, 0.5, t1, t2, 0,
+                                     record_at=range(t1 * t2 + 1))[0]
+            handing_out(monkeypatch, ref_gen)
+            ref = oracles.per_step_simulate(m, 0.5, t1, t2, 0,
+                                            record_at=range(t1 * t2 + 1))[0]
+            budget = dynamics._single_site_words(3, t1 * t2) + (t1 + 1) * 3
+        assert same_run(run, ref)
+        assert ref_gen.bit_generator.at <= ours.at <= budget + 1
+        assert dynamics._masked_steps.call_count == 1
+        assert dynamics._site_steps.call_count >= 1
+
+    def test_period_one_steps_per_step(self, monkeypatch):
+        # a rule that may change on every step goes to the per-step loop
+        for name in ("_masked_steps", "_site_steps"):
+            monkeypatch.setattr(dynamics, name,
+                                mock.Mock(wraps=getattr(dynamics, name)))
+        rule = Schedule.two_level((0, 1), (2, 3), 1, 0).rule
+        run = censored_glauber(path_hardcore(4), (0,) * 4, Schedule(rule),
+                               200, 0, record_at=range(201))
+        ref = oracles.per_step_heat_bath_run(
+            path_hardcore(4), (0,) * 4, 200, 0, record_at=range(201),
+            purpose="censored", allowed=rule)
+        assert same_run(run, ref)
+        assert dynamics._masked_steps.call_count == 0
+        assert dynamics._site_steps.call_count == 1
+
+    def test_long_runs_hold_one_block(self):
+        # 10^6 censored steps and 20,000 phases of 50 steps on filled
+        # graphs, their edges and relifts dropped as they come: each peaks
+        # less than one block of raw words above a run of 700 steps, whose
+        # budget asks for a whole block and which reads fewer words
+        def peak(graph, steps, **segments):
+            draws = segments.pop("draws", None) or dynamics._RawDraws(
+                make_rng(2).bit_generator, 6,
+                dynamics._single_site_words(6, steps))
+            tracemalloc.start()
+            try:
+                dynamics._masked_steps(graph, (0,) * 6, draws, steps,
+                                       deque(maxlen=0), **segments)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = dynamics._RAW_BLOCK
+        assert dynamics._single_site_words(6, 700) >= block
+        keeps = [frozenset({v, 3, 4, 5}) for v in range(3)]
+        with dynamics._site_graph(models.heat_bath_law(path_hardcore(6)),
+                                  dynamics._heat_bath_fiber) as graph:
+            # a rule that holds no state of its own
+            censored = dict(period=10, rule=lambda t: keeps[t // 10 % 3])
+            peak(graph, 10 ** 5, **censored)  # fills every slot reached
+            one = peak(graph, 700, **censored)
+            assert peak(graph, 10 ** 6, **censored) < one + 8 * block
+
+        lifted = models.LiftedModel(flipped_rc_path(6), 0.5)
+
+        def simulated(t1):
+            draws = dynamics._RawDraws(
+                make_rng(3).bit_generator, 6,
+                dynamics._single_site_words(6, 50 * t1) + (t1 + 1) * 6)
+            phase = dynamics._relift_phase(0.5, draws, deque(maxlen=0))
+            return peak(graph, 50 * t1, draws=draws, period=50, phase=phase)
+
+        with dynamics._site_graph(models.star_frozen_law(lifted),
+                                  dynamics._star_frozen_fiber) as graph:
+            simulated(2_000)
+            one = simulated(14)
+            assert simulated(20_000) < one + 8 * block
 
 
 def frozen_at(law, stars):
