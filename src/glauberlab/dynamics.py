@@ -349,6 +349,8 @@ def _star_frozen_fiber(state, v):
 _RAW_BLOCK = 2 ** 10
 _BULK_STEPS = 2 ** 11
 _TWO_TO_MINUS_53 = 2.0 ** -53
+# the most allowed sets a censored run keeps a mask of (`_censored_phase`)
+_CENSORED_MASKS = 16
 
 
 class _RawDraws:
@@ -581,18 +583,16 @@ def _bulk_site_steps(graph, state, draws, steps, path):
     return state
 
 
-def _masked_steps(graph, state, draws, steps, path, period, rule=None,
-                  phase=None):
+def _masked_steps(graph, state, draws, steps, path, period, phase):
     """`_site_steps` over segments of `period` steps from t = 0 (one
     segment if None), on each of which the sites whose step draws a
-    uniform are fixed: at a segment's start t, rule(t) gives the set of
-    them, or phase(t, state) gives the segment's start state and, as a
-    list of bools by site, its mask of them, drawing any uniforms it needs
-    from draws.  Every slot of such a site must have more than one value;
-    a step at any other site takes the stay edge and draws no uniform.  So
-    within a segment two steps read one site word, the first its low half
-    and the second its high half, and each step that draws a uniform
-    reads the next word as it.
+    uniform are fixed: at a segment's start t, phase(t, state) gives the
+    segment's start state and, as a list of bools by site, its mask of
+    them, drawing any uniforms it needs from draws.  Every slot of such a
+    site must have more than one value; a step at any other site takes the
+    stay edge and draws no uniform.  So within a segment two steps read one
+    site word, the first its low half and the second its high half, and
+    each step that draws a uniform reads the next word as it.
 
     The loop reads the block of decoded words of draws (`_RawDraws`) by
     index, two steps a site word, with one check of the block's end per
@@ -606,29 +606,24 @@ def _masked_steps(graph, state, draws, steps, path, period, rule=None,
     n = len(state)
     n1 = n + 1
     append = path.append
-    lo, hi, unif, i, nw = draws.lo, draws.hi, draws.unif, draws.i, draws.nw
-    has, spare = draws.has, draws.spare_site
-    node = graph.node(state) if phase is None else None
-    ok = n > 1 and draws.clean  # the pair loop may read the block
-    masks = {}
+    node = None
+    i, has, spare = draws.i, draws.has, draws.spare_site
     t = 0
     while t < steps:
         end = t + (period or steps)
         if end > steps:
             end = steps
-        if phase is None:
-            keep = rule(t)
-            mask = masks.get(keep)
-            if mask is None:
-                mask = masks[keep] = [v in keep for v in range(n)]
-        else:
-            draws.i = i
-            lo = hi = unif = ()
-            start, mask = phase(t, state if node is None else node[n])
+        # the phase may draw: hold no decoded block of draws across it
+        draws.i = i
+        lo = hi = unif = ()
+        if node is not None:
+            state = node[n]
+        start, mask = phase(t, state)
+        if node is None or start is not state:
             node = graph.node(start)
-            lo, hi, unif, i, nw = (draws.lo, draws.hi, draws.unif, draws.i,
-                                   draws.nw)
-            ok = n > 1 and draws.clean
+        lo, hi, unif, i, nw = (draws.lo, draws.hi, draws.unif, draws.i,
+                               draws.nw)
+        ok = n > 1 and draws.clean  # the pair loop may read the block
         while t < end:
             if ok and not has and end - t > 1 and nw - i > 2:
                 pairs = (end - t) >> 1
@@ -713,14 +708,11 @@ def _heat_bath_run(model, x0, steps, seed, record_at, rng, allowed=None):
                                      _RawDraws(rng.bit_generator, n, 0),
                                      steps, path)
         else:
-            draws = _RawDraws(rng.bit_generator, n,
-                              _single_site_words(n, steps))
-            if allowed.period == 1:
-                final = _site_steps(graph, x0, draws, 0, steps, path,
-                                    allowed)
-            else:
-                final = _masked_steps(graph, x0, draws, steps, path,
-                                      allowed.period, rule=allowed.rule)
+            final = _masked_steps(graph, x0,
+                                  _RawDraws(rng.bit_generator, n,
+                                            _single_site_words(n, steps)),
+                                  steps, path, allowed.period,
+                                  _censored_phase(allowed.rule, n))
     return ChainRun(model, x0, seed, steps, _record_times(record_at, steps),
                     list(graph.ids), path, final=final)
 
@@ -805,13 +797,34 @@ def field_run(model, theta, x0, steps, seed, record_at=(),
                     final=state)
 
 
+def _censored_phase(rule, n):
+    """The phase function (`_masked_steps`) of a censored run on n sites:
+    the state as it is, and the mask of the schedule's allowed set at t.
+    It keeps the masks of at most _CENSORED_MASKS sets, and starts afresh
+    when a new set would pass that, so a rule that gives ever new sets
+    holds no more."""
+    masks = {}
+
+    def phase(t, state):
+        keep = rule(t)
+        mask = masks.get(keep)
+        if mask is None:
+            if len(masks) == _CENSORED_MASKS:
+                masks.clear()
+            mask = masks[keep] = [v in keep for v in range(n)]
+        return state, mask
+
+    return phase
+
+
 def _relift_phase(theta, draws, relifts):
     """The phase function (`_masked_steps`) of the simulation run's
     phases: at t, contract the state and lift it again by uniforms from
     draws, append a relift entry (t + 1, var, value) to relifts for each
-    site it changes, and give the relift with its non-star sites, the ones
-    whose step draws a uniform.  The relift belongs to the next step, so a
-    state recorded at a phase boundary is the one before it."""
+    site it changes, and give the relift with the mask of its non-star
+    sites, the ones whose step draws a uniform.  The relift belongs to the
+    next step, so a state recorded at a phase boundary is the one before
+    it."""
     def phase(t, state):
         # lift(contract(state)): lift reads only which values are 0
         relift = lift(state, theta, draws)
@@ -851,7 +864,7 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     path, relifts = [], []
     with _site_graph(star_frozen_law(lifted), _star_frozen_fiber) as graph:
         state = _masked_steps(graph, state, draws, steps, path, t2,
-                              phase=_relift_phase(theta, draws, relifts))
+                              _relift_phase(theta, draws, relifts))
     start_id = graph.ids.setdefault(x0, len(graph.ids))
     run = ChainRun(lifted, x0, seed, steps, _record_times(record_at, steps),
                    list(graph.ids), path, relifts=relifts, start_id=start_id,
@@ -908,8 +921,8 @@ def censored_glauber(model, x0, schedule: Schedule, steps, seed,
 
     The allowed set is fixed on each block of `schedule.period` steps, and
     the heat-bath law has two values at least, so the masked loop
-    (`_masked_steps`) takes the steps, two a site word, with the block's
-    allowed set as its mask.  A schedule of period 1 goes to the per-step
-    loop (`_site_steps`) on the same words."""
+    (`_masked_steps`) takes the steps, two a site word, one block a
+    segment, with the block's allowed set as the sites that draw a
+    uniform; with period 1 every step is a lone one."""
     return _heat_bath_run(model, x0, steps, seed, record_at,
                           make_rng(seed, chain_index, "censored"), schedule)

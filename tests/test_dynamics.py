@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import tracemalloc
+import zlib
 from collections import Counter, deque
 from unittest import mock
 
@@ -535,29 +536,31 @@ class TestCollectorHeldOff:
     def test_no_collection_while_the_steps_run(self, monkeypatch):
         # flipped RC on C10 visits hundreds of states, each fill allocating
         # a node's containers; none of them sets off a collection, in the
-        # bulk walk or in the masked loop, and each sampler is seen
-        # stepping in its own one
-        inside, started, entered = [False], [], []
+        # bulk walk, the masked loop or the per-step loop, and each sampler
+        # is seen stepping in its own one: `entered` holds the loops
+        # entered from outside any other
+        depth, started, entered = [0], [], []
 
         def spy(name):
             steps = getattr(dynamics, name)
 
             def counted(*args, **kwargs):
-                entered.append(name)
-                inside[0] = True
+                if not depth[0]:
+                    entered.append(name)
+                depth[0] += 1
                 try:
                     return steps(*args, **kwargs)
                 finally:
-                    inside[0] = False
+                    depth[0] -= 1
 
             monkeypatch.setattr(dynamics, name, counted)
 
         def count(phase, info):
-            if phase == "start" and inside[0]:
+            if phase == "start" and depth[0]:
                 started.append(info["generation"])
 
-        spy("_walk")
-        spy("_masked_steps")
+        for name in ("_walk", "_site_steps", "_masked_steps"):
+            spy(name)
         c10 = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
         m = flip(RandomClusterModel(c10, [0.5] * 10, [0.5] * 10))
         gc.callbacks.append(count)
@@ -1047,12 +1050,13 @@ class TestMaskedSteps:
     than its budget."""
 
     @pytest.mark.parametrize("raw_block", [5, 8])
-    @pytest.mark.parametrize("period", [2, 3, 7, 10, None])
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 10, None])
     def test_censored_periods(self, period, raw_block, monkeypatch):
         # 6 sites reject some halves, so a carried spare 0 is rejected; a
         # small raw block puts its edges every few steps, at every offset
         # of a segment, and an odd period ends every other segment with a
-        # lone step that leaves a spare to the next
+        # lone step that leaves a spare to the next (period 1: every
+        # segment is one lone step)
         monkeypatch.setattr(dynamics, "_RAW_BLOCK", raw_block)
         m, x0 = path_hardcore(6), (0,) * 6
         p, b = period or 9, raw_block
@@ -1145,33 +1149,18 @@ class TestMaskedSteps:
         assert dynamics._masked_steps.call_count == 1
         assert dynamics._site_steps.call_count >= 1
 
-    def test_period_one_steps_per_step(self, monkeypatch):
-        # a rule that may change on every step goes to the per-step loop
-        for name in ("_masked_steps", "_site_steps"):
-            monkeypatch.setattr(dynamics, name,
-                                mock.Mock(wraps=getattr(dynamics, name)))
-        rule = Schedule.two_level((0, 1), (2, 3), 1, 0).rule
-        run = censored_glauber(path_hardcore(4), (0,) * 4, Schedule(rule),
-                               200, 0, record_at=range(201))
-        ref = oracles.per_step_heat_bath_run(
-            path_hardcore(4), (0,) * 4, 200, 0, record_at=range(201),
-            purpose="censored", allowed=rule)
-        assert same_run(run, ref)
-        assert dynamics._masked_steps.call_count == 0
-        assert dynamics._site_steps.call_count == 1
-
     def test_long_runs_hold_one_block(self):
         # 10^6 censored steps and 20,000 phases of 50 steps on filled
         # graphs, their edges and relifts dropped as they come: each peaks
         # less than one block of raw words above a run of 700 steps, whose
         # budget asks for a whole block and which reads fewer words
-        def peak(graph, steps, **segments):
+        def peak(graph, steps, n=6, **segments):
             draws = segments.pop("draws", None) or dynamics._RawDraws(
-                make_rng(2).bit_generator, 6,
-                dynamics._single_site_words(6, steps))
+                make_rng(2).bit_generator, n,
+                dynamics._single_site_words(n, steps))
             tracemalloc.start()
             try:
-                dynamics._masked_steps(graph, (0,) * 6, draws, steps,
+                dynamics._masked_steps(graph, (0,) * n, draws, steps,
                                        deque(maxlen=0), **segments)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -1183,10 +1172,30 @@ class TestMaskedSteps:
         with dynamics._site_graph(models.heat_bath_law(path_hardcore(6)),
                                   dynamics._heat_bath_fiber) as graph:
             # a rule that holds no state of its own
-            censored = dict(period=10, rule=lambda t: keeps[t // 10 % 3])
+            censored = dict(period=10, phase=dynamics._censored_phase(
+                lambda t: keeps[t // 10 % 3], 6))
             peak(graph, 10 ** 5, **censored)  # fills every slot reached
             one = peak(graph, 700, **censored)
             assert peak(graph, 10 ** 6, **censored) < one + 8 * block
+
+        def fresh(t):
+            # a new set object each block of 2 steps, one of the 4,096
+            # subsets of 12 sites, each of which turns up in a long run
+            bits = zlib.crc32(b"%d" % (t // 2))
+            return frozenset(v for v in range(12) if bits >> v & 1)
+
+        def censored(graph, steps):
+            return peak(graph, steps, n=12, period=2,
+                        phase=dynamics._censored_phase(fresh, 12))
+
+        with dynamics._site_graph(models.heat_bath_law(path_hardcore(12)),
+                                  dynamics._heat_bath_fiber) as graph:
+            # the masks the run keeps do not grow with the sets the rule
+            # has given: 10^5 steps, which meet all 4,096, peak less than
+            # one block above 10^4 steps, which meet 2,994
+            censored(graph, 10 ** 5)  # fills every slot reached
+            some = censored(graph, 10 ** 4)
+            assert censored(graph, 10 ** 5) < some + 8 * block
 
         lifted = models.LiftedModel(flipped_rc_path(6), 0.5)
 
