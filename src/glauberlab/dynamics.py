@@ -351,6 +351,8 @@ _BULK_STEPS = 2 ** 11
 _TWO_TO_MINUS_53 = 2.0 ** -53
 # the most allowed sets a censored run keeps a mask of (`_censored_phase`)
 _CENSORED_MASKS = 16
+# blocks whose picks Schedule.two_level draws at once
+_PICK_CHUNK = 2 ** 10
 
 
 class _RawDraws:
@@ -892,24 +894,28 @@ class Schedule:
         rule depends only on (t, seed)); the allowed set is that vertex plus
         the whole right side.
 
-        The draws are made ahead in chunks that double in size: PCG64
-        keeps the spare half of a 64-bit output in the bit generator, so
-        rng.integers(n, size=c) gives the values of c calls
-        rng.integers(n), in order."""
+        The draws come in chunks of _PICK_CHUNK blocks, and only the last
+        one read is kept (an earlier one restarts the stream): PCG64 keeps
+        the spare half of a 64-bit output in the bit generator, so
+        rng.integers(n, size=c) gives the values of c calls rng.integers(n)."""
         right = frozenset(right)
         allowed = [right | {v} for v in left]
         if not allowed:
             raise ValueError("a two-level schedule needs at least one left "
                              "vertex")
-        rng = make_rng(seed, 0, "schedule")
-        picks = []  # the index into left drawn for each block so far
+        # the picks (indices into allowed) of the blocks from start on
+        rng, start, picks = make_rng(seed, 0, "schedule"), 0, ()
 
         def rule(t):
-            block = t // period
-            while len(picks) <= block:
-                picks.extend(rng.integers(len(allowed),
-                                          size=max(1, len(picks))).tolist())
-            return allowed[picks[block]]
+            nonlocal rng, start, picks
+            at = t // period - start
+            if at < 0:  # an earlier chunk: restart the stream
+                rng, start, picks = make_rng(seed, 0, "schedule"), 0, ()
+                at = t // period
+            while at >= len(picks):
+                start, at = start + len(picks), at - len(picks)
+                picks = rng.integers(len(allowed), size=_PICK_CHUNK)
+            return allowed[picks.item(at)]
 
         return cls(rule, period=period)
 

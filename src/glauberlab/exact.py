@@ -16,7 +16,7 @@ import numpy as np
 
 from .ordercore import (_FLOW_SCALE, PAIR_BLOCK, PROB_TOL, STAR,
                         UP_SET_ELEMENTS, Poset, enumerate_up_sets,
-                        first_dominance_failure, state_str,
+                        first_dominance_failure, state_codes, state_str,
                         stochastic_dominance, up_set_of_row)
 from .models import (LiftedModel, TiltedModel, _check_guard,
                      lift_log_weight, lifted_probs, tilt, tilt_log_weight,
@@ -147,29 +147,18 @@ class _Fibers(NamedTuple):
     cand: np.ndarray
 
 
-def _state_codes(array, a):
-    """(codes, place): each row's int64 code, its value at site v as digit
-    v in base a (place value place[v]), site 0 the most significant.  The
-    codes less a site's digit order the site's fibers lexicographically."""
-    # a support is enumerated under ENUM_GUARD >= a ** n, so codes fit int64
-    place = a ** np.arange(array.shape[1] - 1, -1, -1, dtype=np.int64)
-    return array.astype(np.int64) @ place, place
-
-
 def _site_fibers(support: Poset, a) -> list:
-    """The _Fibers of each site, from _state_codes: the state of a
-    fiber with value c, found by searchsorted on the codes, has the code
-    less the site's digit with c put in.  Every state of a fiber finds the
-    same states, so its fiber's first state is the least of them."""
+    """The _Fibers of each site, from the support's codes: the state of a
+    fiber with value c, found by support.lookup, has the code less the
+    site's digit with c put in.  Every state of a fiber finds the same
+    states, so its fiber's first state is the least of them."""
     arr, k = support.array, support.size
-    codes, place = _state_codes(arr, a)
-    order = np.argsort(codes)
+    # the code of the state that is 1 at site v alone is site v's place
+    place = state_codes(np.eye(arr.shape[1], dtype=np.int8))
+    cands = support.lookup((support.codes[:, None] - arr * place)[..., None]
+                           + place[:, None] * np.arange(a))
     out = []
-    for v in range(support.array.shape[1]):
-        want = (codes - arr[:, v] * place[v])[:, None] + (
-            np.arange(a) * place[v])
-        at = order[np.searchsorted(codes, want, sorter=order) % k]
-        cand = np.where(codes[at] == want, at, -1)
+    for v, cand in enumerate(cands.transpose(1, 0, 2)):
         lead = np.where(cand < 0, k, cand).min(axis=1)
         head = lead == np.arange(k)
         out.append(_Fibers(v, (np.cumsum(head) - 1)[lead],
@@ -305,16 +294,11 @@ def freeze_kernel(lifted: LiftedModel, support: Poset,
     stationary law: from X, mass theta^{#1}(1-theta)^{#star} on every Y
     with the same contraction.  Tables.freeze builds it over Tables.lsup."""
     _dense_guard(support.size)
-    code = _contraction_codes(support.array)
+    if support.array.shape[1] > 62:  # one int64 bit per site
+        raise ValueError("contraction codes are guarded to 62 sites")
+    code = (support.array != 0) @ 2 ** np.arange(support.array.shape[1])
     mat = (code[:, None] == code) * _lift_weights(support, lifted.theta)
     return Kernel(support, mat, stationary=stationary)
-
-
-def star_glauber_kernel(lifted: LiftedModel) -> Kernel:
-    """Star-frozen single-site kernel: uniform site choice; stars stay,
-    other sites follow the tilted base conditional, evaluated once per
-    (site, fiber) of the base support: Tables.starg of the lift's base."""
-    return Tables(lifted.base, lifted.theta).starg
 
 
 def fd_kernel(model, theta) -> Kernel:
@@ -409,13 +393,6 @@ def _lift_weights(support: Poset, theta, mass=1.0) -> np.ndarray:
     return w
 
 
-def _contraction_codes(array):
-    """Each row's contraction code: bit v set where site v is 1 or STAR."""
-    if array.shape[1] > 62:
-        raise ValueError("contraction codes are guarded to 62 sites")
-    return (array != 0) @ (1 << np.arange(array.shape[1], dtype=np.int64))
-
-
 def _lifts(bin_support: Poset) -> Poset:
     """Every lift of every state of the binary support, each 1 kept or
     made a STAR, in the lexicographic order of enumerate_support (0 < 1 <
@@ -433,16 +410,7 @@ def _lifts(bin_support: Poset) -> Poset:
     rank = np.where(ones, np.cumsum(ones, axis=1) - 1, 0)[base]
     star = ones[base] & ((j[:, None] >> rank) & 1 == 1)
     lifted = np.where(star, STAR, arr[base]).astype(np.int8)
-    return Poset.from_array(lifted[np.argsort(_state_codes(lifted, 3)[0])])
-
-
-def _contraction_index(lifted_support: Poset, bin_support: Poset):
-    """The index in bin_support of each lifted state's contraction; the
-    lifted support is the _lifts of bin_support, so each one is found."""
-    bcode = _contraction_codes(bin_support.array)
-    order = np.argsort(bcode)
-    return order[np.searchsorted(bcode, _contraction_codes(
-        lifted_support.array), sorter=order)]
+    return Poset.from_array(lifted[np.argsort(state_codes(lifted))])
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +459,9 @@ class Tables:
         _check_guard(self.lifted)
         return _lifts(self.support)
 
-    index = cached_property(lambda t: _contraction_index(t.lsup, t.support))
+    # the index in the support of each lifted state's contraction
+    index = cached_property(lambda t: t.support.lookup(
+        state_codes(np.minimum(t.lsup.array, 1))))
     lsites = cached_property(lambda t: _lift_sites(t.lsup, t.table, t.index))
     larrays = cached_property(
         lambda t: _lifted_heat_bath(t.lifted, t.lsup, t.lsites))
@@ -814,9 +784,9 @@ def check_site_mc_leq(model, laws, site, support: Poset, mu):
         if (all(np.all(prob >= 0) for _, prob in laws)
                 and np.all(dev <= PROB_TOL / 2)
                 and _FLOW_SCALE * dev.sum() <= budget):
-            codes, place = _state_codes(support.array, a)
             at = support.array[:, site]
-            _, fiber = np.unique(codes - at * place[site], return_inverse=True)
+            rest = np.delete(support.array, site, axis=1)
+            _, fiber = np.unique(state_codes(rest), return_inverse=True)
             # mass and tail difference per (fiber, value at the site); the
             # suffix sums run down from the top, so column j is the suffix
             # of the values >= a - 1 - j

@@ -20,7 +20,6 @@ cut, not with the module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,46 +87,69 @@ def contract(y) -> tuple:
     return tuple(0 if v == 0 else 1 for v in y)
 
 
-@dataclass(frozen=True)
+def state_codes(array) -> np.ndarray:
+    """Each row's int64 code: its value at site v (0, 1 or STAR) as digit v
+    in base 3, site 0 the most significant, so code order is lexicographic
+    order.  Refused past 39 sites, where 3^n passes int64."""
+    if array.shape[-1] > 39:
+        raise ValueError("state codes are guarded to 39 sites")
+    return array.astype(np.int64) @ 3 ** np.arange(array.shape[-1])[::-1]
+
+
 class Poset:
     """The state table: an enumerated set of equal-length configurations
-    under leq, with index lookup, also held as a (k, n) int8 array (STAR =
-    2), one row per state."""
+    under leq, held as a (k, n) int8 array (STAR = 2), one row per state,
+    found by the rows' state_codes.  The state tuples are built when
+    `states` is first read."""
 
-    states: tuple
-
-    def __post_init__(self):
-        if len(self.states) == 0:
+    def __init__(self, states):
+        if len(states) == 0:
             raise ValueError("empty poset")
-        n = len(self.states[0])
-        if any(len(e) != n for e in self.states):
+        if len({len(e) for e in states}) > 1:
             raise ValueError("mixed configuration lengths")
-        object.__setattr__(self, "_index",
-                           {s: i for i, s in enumerate(self.states)})
-        if len(self._index) != len(self.states):
+        if len(set(states)) != len(states):
             raise ValueError("duplicate elements")
+        self.states = tuple(states)
 
     @classmethod
     def from_array(cls, array):
         """The poset of the rows of an int8 array (k, n), which it holds as
         its array."""
-        poset = cls(tuple(map(tuple, array.tolist())))
-        poset.__dict__["array"] = array
+        poset = cls.__new__(cls)
+        poset.array = array
+        if not len(array):
+            raise ValueError("empty poset")
+        ranked = poset.codes[poset._order]
+        if (ranked[1:] == ranked[:-1]).any():
+            raise ValueError("duplicate elements")
         return poset
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
+    states = cached_property(lambda p: tuple(map(tuple, p.array.tolist())))
+    array = cached_property(lambda p: np.array(p.states, dtype=np.int8))
+    codes = cached_property(lambda p: state_codes(p.array))
+    _order = cached_property(lambda p: np.argsort(p.codes))
+    size = property(lambda p: len(p.array))
+
+    def lookup(self, codes) -> np.ndarray:
+        """The row with each code (an array of any shape), -1 for none."""
+        order, k = self._order, self.size
+        at = order[np.searchsorted(self.codes, codes, sorter=order) % k]
+        return np.where(self.codes[at] == codes, at, -1)
 
     def index(self, state) -> int:
-        return self._index[state]
+        """The state's row; KeyError for a state not in the poset, a tuple
+        of another length or with a value outside {0, 1, STAR} included."""
+        if len(state) == self.array.shape[1] and {*state} <= {0, 1, STAR}:
+            i = int(self.lookup(state_codes(np.array(state, np.int8))))
+            if i >= 0:
+                return i
+        raise KeyError(state)
 
     def __contains__(self, state):
-        return state in self._index
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self.states, dtype=np.int8)
+        try:
+            return self.index(state) >= 0
+        except KeyError:
+            return False
 
     def where(self, pins: dict) -> np.ndarray:
         """Boolean mask of the states that agree with the partial assignment
@@ -165,8 +187,7 @@ class Poset:
     def extension(self) -> list:
         """Element indices by decreasing state in lexicographic order: a
         reverse linear extension."""
-        return sorted(range(self.size), key=self.states.__getitem__,
-                      reverse=True)
+        return np.lexsort(self.array.T[::-1])[::-1].tolist()
 
     @cached_property
     def _less(self) -> np.ndarray:

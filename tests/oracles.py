@@ -37,7 +37,12 @@ the CLI parser that declares every option on each subcommand again; and
 the law arrays of a site-update law evaluated once per (state, site), which
 the exact layer derives from one conditional per fiber instead; and the
 fibers of a site numbered by np.unique over the rows with the site deleted,
-which the exact layer reads from integer state codes instead; and the log
+which the exact layer reads from integer state codes instead; and the
+state table's lookups as they were: the dict over state tuples behind
+Poset.index and `in`, the extension sorted over tuples, the fibers of each
+site found in that dict, and the contraction index by searchsorted on
+binary contraction codes, which Poset.lookup over the rows' codes replaced;
+and the log
 weights, tilted log weights, lifted support and lifted law of a model
 evaluated state by state, which the exact layer keeps from the support's
 enumeration and derives from it; and the support enumerated one
@@ -409,6 +414,52 @@ def lifted_site_kernels(tables, site):
                          stationary=tables.lmu)
             for law in (models.heat_bath_law(lifted),
                         models.star_frozen_law(lifted))]
+
+
+def tuple_index(poset: Poset) -> dict:
+    """Poset.index and `in` as they were: a dict from each state tuple to
+    its row."""
+    return {s: i for i, s in enumerate(poset.states)}
+
+
+def tuple_extension(poset: Poset) -> list:
+    """Poset.extension as it was: the rows sorted by decreasing state
+    tuple."""
+    return sorted(range(poset.size), key=poset.states.__getitem__,
+                  reverse=True)
+
+
+def contraction_index(lifted_support: Poset, bin_support: Poset):
+    """Tables.index as it was: each lifted state's contraction code (bit v
+    for a 1 or STAR at site v) found by searchsorted among the binary
+    support's."""
+    def codes(array):
+        return (array != 0) @ (1 << np.arange(array.shape[1], dtype=np.int64))
+
+    bcode = codes(bin_support.array)
+    order = np.argsort(bcode)
+    return order[np.searchsorted(bcode, codes(lifted_support.array),
+                                 sorter=order)]
+
+
+def tuple_site_fibers(support: Poset, a) -> list:
+    """exact._site_fibers by the tuple index: per site, each state's fiber
+    numbered in the order of the fibers' first states, those first states,
+    and per state and value the row of the state with that value at the
+    site, or -1."""
+    index = tuple_index(support)
+    out = []
+    for v in range(support.array.shape[1]):
+        cand = np.array([[index.get(s[:v] + (c,) + s[v + 1:], -1)
+                          for c in range(a)] for s in support.states],
+                        dtype=np.intp).reshape(support.size, a)
+        heads = {}
+        for i in range(support.size):
+            heads.setdefault(min(j for j in cand[i] if j >= 0), len(heads))
+        fiber = [heads[min(j for j in cand[i] if j >= 0)]
+                 for i in range(support.size)]
+        out.append((v, np.array(fiber), np.array(list(heads)), cand))
+    return out
 
 
 def row_fibers(support: Poset, site):

@@ -256,14 +256,44 @@ class TestCensored:
 
     @pytest.mark.parametrize("n_left", [1, 2, 3, 5, 6])
     def test_two_level_draws_ahead_in_chunks(self, n_left):
-        # the draws come in chunks of 1, 1, 2, 4, ... blocks; reading block
-        # 100 first and then every block crosses each chunk boundary
+        # the draws come in chunks of _PICK_CHUNK blocks; reading block
+        # 2500 first and then every block crosses each chunk boundary
         left, right = range(n_left), range(n_left, n_left + 2)
         sched = Schedule.two_level(left, right, 3, 11)
         want = oracles.per_block_two_level(left, right, 3, 11)
-        assert sched.rule(300) == want(300)
-        assert ([sched.rule(t) for t in range(0, 400, 3)]
-                == [want(t) for t in range(0, 400, 3)])
+        assert dynamics._PICK_CHUNK < 2500
+        assert sched.rule(3 * 2500) == want(3 * 2500)
+        assert ([sched.rule(t) for t in range(0, 3 * 3000, 3)]
+                == [want(t) for t in range(0, 3 * 3000, 3)])
+
+    @pytest.mark.parametrize("n_left", [2, 5])
+    def test_two_level_reads_backward(self, n_left):
+        # a block before the kept chunk restarts the stream from the seed;
+        # one inside it is read from the chunk
+        left, right = range(n_left), range(n_left, n_left + 2)
+        sched = Schedule.two_level(left, right, 3, 11)
+        want = oracles.per_block_two_level(left, right, 3, 11)
+        chunk = dynamics._PICK_CHUNK
+        blocks = [3 * chunk + 7, chunk + 2, 2 * chunk - 1, 2 * chunk - 5,
+                  5, 4 * chunk, 3 * chunk, 0]
+        assert ([sched.rule(3 * b) for b in blocks]
+                == [want(3 * b) for b in blocks])
+
+    def test_two_level_holds_one_chunk(self):
+        # reading 10^5 blocks in order peaks no higher than reading 10^3,
+        # plus one chunk: its int64 picks and as much again for the draw
+        def peak(blocks):
+            sched = Schedule.two_level(range(5), range(5, 8), 3, 11)
+            tracemalloc.start()
+            try:
+                for t in range(0, 3 * blocks, 3):
+                    sched.rule(t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # numpy's first draw allocates what it keeps
+        assert peak(10 ** 5) <= peak(10 ** 3) + 16 * dynamics._PICK_CHUNK
 
     @pytest.mark.parametrize("period", [0, -1])
     def test_two_level_period_below_one(self, period):

@@ -18,15 +18,15 @@ from glauberlab.exact import (Kernel, algorithm_kernel_sequence,
                               fd_kernel, glauber_kernel, kernel_to_csv,
                               kl_divergence, freeze_kernel,
                               pinnings, point_mass,
-                              propagate, star_glauber_kernel,
+                              propagate,
                               stationary_distribution,
                               tilted_mixing_time, tv_distance)
 from glauberlab.models import (Graph, HardcoreModel, IsingModel,
                                RandomClusterModel, flip, heat_bath_law,
                                lift_model, star_frozen_law)
 from glauberlab.ordercore import STAR, Poset
-from conftest import (random_bhc, random_hardcore, random_monotone_model,
-                      random_rc)
+from conftest import (random_bhc, random_graph, random_hardcore,
+                      random_monotone_model, random_rc)
 import oracles
 
 K2 = Graph(2, [(0, 1)])
@@ -155,7 +155,7 @@ class TestKernels:
         # flipping one coordinate costs (1/n) * theta*mu(new) / (theta*mu(new)+mu(old))
         theta = 0.5
         base = k2_flipped_rc()
-        ker = star_glauber_kernel(lift_model(base, theta))
+        ker = exact.Tables(base, theta).starg
         sup = ker.support
         n = 1
         i = sup.index((0,))
@@ -176,7 +176,8 @@ class TestKernels:
             for build, model, law in (
                     (glauber_kernel, m, heat_bath_law(m)),
                     (glauber_kernel, lm, heat_bath_law(lm)),
-                    (star_glauber_kernel, lm, star_frozen_law(lm))):
+                    (lambda lm: exact.Tables(lm.base, lm.theta).starg, lm,
+                     star_frozen_law(lm))):
                 full = build(model)
                 mean = sum(oracles.loop_law_kernel(model, law, v, full.support)
                            for v in range(model.n_vars)) / model.n_vars
@@ -189,7 +190,7 @@ class TestKernels:
             lm = lift_model(m, 0.35)
             for ker in (glauber_kernel(m), glauber_kernel(lm),
                         exact.Tables(m, 0.35).freeze,
-                        star_glauber_kernel(lm)):
+                        exact.Tables(m, 0.35).starg):
                 assert np.allclose(ker.matrix.sum(axis=1), 1.0, atol=1e-12)
                 assert check_detailed_balance(ker) <= 1e-12
 
@@ -391,8 +392,15 @@ class TestPushforwards:
                 == oracles.loop_contract_pushforward(q, lsup, sup).tobytes())
 
     def test_contraction_codes_are_guarded_to_62_sites(self):
-        # a contraction code is one int64 bit per site
-        wide = Poset(((1,) * 63,))
+        # a contraction code is one int64 bit per site; a poset that wide
+        # runs its order operations, and only a lookup, whose base-3 codes
+        # fit int64 up to 39 sites, refuses it by name
+        wide = Poset(((1,) * 63, (0,) * 63))
+        assert (wide.extension, wide.height) == ([0, 1], 1)
+        assert wide.covers.tolist() == [[1, 0]]
+        with pytest.raises(ValueError, match="^state codes are guarded to "
+                                             "39 sites$"):
+            (1,) * 63 in wide
         lm = lift_model(HardcoreModel(Graph(63, []), 1.0), 0.5)
         with pytest.raises(ValueError, match="guarded to 62 sites"):
             freeze_kernel(lm, wide, None)
@@ -737,9 +745,9 @@ class TestSiteComparisonByFibers:
         assert enumerate_support(lift_model(bhc, 0.5)).size < 3 ** 6
         for base in (bhc, models.LeftMarginalModel(random_bhc(rng))):
             sup = enumerate_support(lift_model(base, 0.5))
-            codes, place = exact._state_codes(sup.array, 3)
             for v in range(base.n_vars):
-                _, fiber = np.unique(codes - sup.array[:, v] * place[v],
+                rest = np.delete(sup.array, v, axis=1)
+                _, fiber = np.unique(ordercore.state_codes(rest),
                                      return_inverse=True)
                 assert np.array_equal(fiber, oracles.row_fibers(sup, v))
 
@@ -1264,8 +1272,10 @@ class TestSiteTables:
                                              2))
         lifted = lift_model(m, lift_by)
         lsup = enumerate_support(lifted)
+        index = exact.Tables(m, lift_by).index
+        assert np.array_equal(index, oracles.contraction_index(lsup, sup))
         sites = exact._lift_sites(lsup, exact._site_conditionals(m, sup),
-                                  exact._contraction_index(lsup, sup))
+                                  index)
         for derived, law in ((exact._lifted_heat_bath, heat_bath_law),
                              (exact._star_frozen, star_frozen_law)):
             self.same(lambda: derived(lifted, lsup, sites),
@@ -1349,6 +1359,111 @@ class TestSiteTables:
                              for v in range(m.n_vars)}
 
 
+def lookup_model(rng, kind):
+    """A model of any family for the row-lookup property: table_model's
+    monotone, hard-core, bipartite and left-marginal models, pinned for
+    kind 4 to 7; per_state_model's for kind 8 to 14 (RC and Ising among
+    them); a subgraph-world model with some eta 0 (even-degree supports)
+    past that."""
+    if kind < 8:
+        return table_model(rng, kind, None)
+    if kind < 15:
+        return per_state_model(rng, kind - 8)
+    g = random_graph(rng)
+    return models.SubgraphWorldModel(g, rng.uniform(0.1, 0.9, g.m).tolist(),
+                                     rng.choice([0.0, 0.6], g.n).tolist())
+
+
+class TestRowLookup:
+    """Poset.index, `in`, lookup and extension, exact._site_fibers and
+    Tables.index equal the tuple oracles they replaced on every family's
+    support, its lift, pinned supports, and posets whose rows are not in
+    lexicographic order."""
+
+    @staticmethod
+    def same_lookups(poset, a):
+        index = oracles.tuple_index(poset)
+        assert [poset.index(s) for s in index] == list(index.values())
+        assert all(s in poset for s in index)
+        assert np.array_equal(poset.lookup(poset.codes),
+                              np.arange(poset.size))
+        assert poset.extension == oracles.tuple_extension(poset)
+        n = poset.array.shape[1]
+        rows = np.array(list(itertools.product(range(3), repeat=n)),
+                        dtype=np.int8).reshape(-1, n)
+        assert (poset.lookup(ordercore.state_codes(rows)).tolist()
+                == [index.get(tuple(r), -1) for r in rows.tolist()])
+        # values outside {0, 1, STAR}, among them the base-3 aliases of
+        # states (0, 3) of (1, 0), and tuples of other lengths
+        probes = [s[:v] + (c,) + s[v + 1:] for s in index for v in range(n)
+                  for c in (-1, 3, 4)]
+        probes += [s[:v - 1] + (s[v - 1] - 1, s[v] + 3) + s[v + 1:]
+                   for s in index for v in range(1, n) if s[v - 1]]
+        probes += [s[:-1] for s in index] + [s + (0,) for s in index]
+        for s in probes:
+            assert s not in poset
+            with pytest.raises(KeyError):
+                poset.index(s)
+        for got, want in zip(exact._site_fibers(poset, a),
+                             oracles.tuple_site_fibers(poset, a),
+                             strict=True):
+            assert got.site == want[0]
+            for x, y in zip(got[1:], want[1:], strict=True):
+                assert np.array_equal(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 15), THETAS)
+    def test_lookups_equal_the_tuple_oracles(self, seed, kind, theta):
+        rng = np.random.default_rng(seed)
+        m = lookup_model(rng, kind)
+        t = exact.Tables(m, theta)
+        sup, a = t.support, len(m.alphabet)
+        posets = [(sup, a), (t.lsup, 3)]
+        assert np.array_equal(t.index,
+                              oracles.contraction_index(t.lsup, sup))
+        # unsorted: the keys of Tables.monotone_system, and the rows of the
+        # support and of its lift in a random order, given as tuples or as
+        # an array
+        for fib, _ in t.table:
+            keys = sup.array[fib.first]
+            keys[:, fib.site] = 0
+            posets.append((Poset(tuple(map(tuple, keys.tolist()))), a))
+        for p, b in ((sup, a), (t.lsup, 3)):
+            order = rng.permutation(p.size)
+            posets.append((Poset(tuple(p.states[i] for i in order)), b))
+            posets.append((Poset.from_array(p.array[order]), b))
+        for p, b in posets:
+            self.same_lookups(p, b)
+
+    def test_hand_built_unsorted_posets(self):
+        for states, a in ((((1, 0), (0, 1), (1, 1), (0, 0)), 2),
+                          (((2, 0, 1), (0, 2, 2), (1, 1, 0)), 3),
+                          (((1,), (0,)), 2)):
+            self.same_lookups(Poset(states), a)
+            self.same_lookups(Poset.from_array(np.array(states, np.int8)),
+                              a)
+
+    def test_refusals_keep_their_messages(self):
+        for states, message in (((), "^empty poset$"),
+                                (((0, 1), (1,)),
+                                 "^mixed configuration lengths$"),
+                                (((0, 1), (0, 1)), "^duplicate elements$")):
+            with pytest.raises(ValueError, match=message):
+                Poset(states)
+        with pytest.raises(ValueError, match="^duplicate elements$"):
+            Poset.from_array(np.array([[1, 0], [0, 1], [1, 0]], np.int8))
+        with pytest.raises(ValueError, match="^empty poset$"):
+            Poset.from_array(np.zeros((0, 2), np.int8))
+
+    def test_support_log_weights_build_no_state_tuple(self):
+        # flipped RC on C16: 2^16 states, read as rows and codes only
+        c16 = Graph(16, [(i, (i + 1) % 16) for i in range(16)])
+        t = exact.Tables(flip(RandomClusterModel(c16, [0.5] * 16,
+                                                 [0.5] * 16)))
+        assert t.lws.shape == (t.support.size,)
+        assert "states" not in vars(t.support)
+
+
 def per_state_model(rng, kind):
     """RC, Ising, hard-core (whose tilt rewrites lambda), bipartite
     hard-core, its left marginal, a pinned hard-core model (with infeasible
@@ -1423,13 +1538,13 @@ class TestTablesAgainstPerState:
 
     def test_lifted_dense_guard_names_the_lifted_size(self, monkeypatch):
         # flipped RC on C8: 3^8 = 6561 lifted states, all in the support,
-        # counted and refused before the lifts are built and sorted
+        # counted and refused before the lifts are built and coded
         c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
         m = flip(RandomClusterModel(c8, [0.5] * 8, [0.5] * 8))
         message = ("^a dense kernel over k = 6561 states exceeds the guard "
                    "of 4096 \\(328 MiB per matrix\\)$")
-        codes = mock.Mock(wraps=exact._state_codes)
-        monkeypatch.setattr(exact, "_state_codes", codes)
+        codes = mock.Mock(wraps=exact.state_codes)
+        monkeypatch.setattr(exact, "state_codes", codes)
         with pytest.raises(ValueError, match=message):
             exact.Tables(m, 0.5).lsup
         assert codes.call_count == 0
@@ -1832,7 +1947,7 @@ class TestDenseGuard:
         monkeypatch.setattr(type(m), "conditional", lambda self, state, v: (
             calls.append(v) or conditional(self, state, v)))
         for build in (lambda: glauber_kernel(m),
-                      lambda: star_glauber_kernel(lifted),
+                      lambda: exact.Tables(m, 0.5).starg,
                       lambda: exact.Tables(m, 0.5).freeze,
                       lambda: freeze_kernel(lifted, exact.enumerate_support(
                           lifted), None),

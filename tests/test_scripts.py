@@ -3,7 +3,9 @@ mixing table prints the columns of the `mixing` command, and the edge demo
 prints the stdout pinned by its sha256.  The ceiling runner passes its
 cheapest cells and every sampler's pinned output, fails a cell that misses
 its pin or bound and gives each command one BLAS thread unless the caller
-chose, and no script reads a private name of `exact`."""
+chose, and no script reads a private name of `exact`.  The mutant table of
+`tests/mutants.py` can run: each snippet occurs once and each test it names
+exists."""
 
 import ast
 import hashlib
@@ -161,3 +163,17 @@ def test_no_script_reads_a_private_exact_name():
                         f"{a.name}" for a in node.names
                         if a.name.startswith("_")]
     assert bad == []
+
+
+def test_mutant_table_is_well_formed():
+    import mutants
+
+    assert mutants.check_table() == []
+    for mutant in mutants.MUTANTS:
+        for test in mutant.tests:
+            file, *names = test.split("::")
+            text = (ROOT / file).read_text()
+            assert names and all(f"class {name}" in text
+                                 or f"def {name}(" in text
+                                 for name in names), test
+    assert mutants.main(["no-such-mutant"]) == 2
