@@ -161,6 +161,12 @@ CELLS = [
         ("censored", 15, "k33.graph", "--steps 200000",
          "c9d89a65766e3cfd32d4f28faccbd13c144af3420f5bf69100d6a8dfdc1831f2",
          "353f480eea95d40060fc81c782fa653071d8898028679bb7ca2c86c6a6ca3f80")]),
+    # Glauber on the ternary lift: every slot has three values
+    Cell("sample-lift", 729, "sample c6.graph rc.params --transform flip "
+         "--transform lift=0.5 --steps 200000", 120, {},
+         read=bodies(".traj.tsv", ".occupancy.csv"), want=[
+         "ff42f79aa2599bc772f28fce767a2e4370bebe36295761f5730397dcc939963d",
+         "fba6d9db3a3654250a86b537d800e887c12078ee42d60cf348be8b52bc821863"]),
     # odd segments: every other censored block of 7 steps, and every other
     # phase of 49, starts with the spare half the one before it left
     *(Cell(f"sample-{name}-odd", k, f"sample {graph} {params}.params "

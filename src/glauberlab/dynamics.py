@@ -16,7 +16,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -256,18 +256,27 @@ class _SiteGraph:
     id s (n + 1).
 
     A node is a list: n site slots, its state tuple, its stay edge id and
-    its state id.  The first use of slot v fills it with (the edge id of
-    each value, cumulative probabilities (`_cumulative`), successor nodes,
-    whether there is more than one value); a step then follows a pointer
-    and hashes no tuple.  `fiber(state, v)` names a fiber on which the
-    law's answer at v is constant: the law is called once per fiber, and
-    the fiber table `fibers` keeps its values and cumulative probabilities
-    for every slot of that fiber.  Beyond _SITE_TABLE_SIZE filled slots,
-    the next fill drops the nodes and the fiber table and starts again at a
-    fresh node for the current state, so no old node stays reachable.  The
-    law is deterministic, so dropping changes no draw.  Nodes hold each
-    other in cycles; `drop` clears them, so that reference counting frees
-    them without the cyclic collector."""
+    its state id.  The first use of slot v fills it with a 6-tuple
+    (p0, edge0, node0, edge1, node1, more), from the law's values and
+    cumulative probabilities (`_cumulative`):
+
+    - two values: p0 the first one's cumulative probability, the edge id
+      and successor node of each value, and more None.  A step with
+      uniform u takes the first if u < p0 and the second otherwise, which
+      is bisect_right((p0, inf), u), ties and NaN included;
+    - three or more: p0 -inf, so that no uniform is below it, and more
+      (cumulative probabilities, edge ids, successor nodes), bisected;
+    - one value: more (), and a step takes the stay edge without a draw.
+
+    A step then follows a pointer and hashes no tuple.  `fiber(state, v)`
+    names a fiber on which the law's answer at v is constant: the law is
+    called once per fiber, and the fiber table `fibers` keeps its values
+    and cumulative probabilities for every slot of that fiber.  Beyond
+    _SITE_TABLE_SIZE filled slots, the next fill drops the nodes and the
+    fiber table and starts again at a fresh node for the current state, so
+    no old node stays reachable.  The law is deterministic, so dropping
+    changes no draw.  Nodes hold each other in cycles; `drop` clears them,
+    so that reference counting frees them without the cyclic collector."""
 
     def __init__(self, law, fiber):
         self.law, self.fiber = law, fiber
@@ -300,8 +309,14 @@ class _SiteGraph:
         succ = [node if val == state[v]
                 else self.node(state[:v] + (val,) + state[v + 1:])
                 for val in values]
-        node[v] = slot = (tuple([nxt[-2] + v + 1 for nxt in succ]),
-                          cum, succ, len(values) > 1)
+        edges = [nxt[-2] + v + 1 for nxt in succ]
+        if len(values) == 2:
+            slot = (cum[0], edges[0], succ[0], edges[1], succ[1], None)
+        elif len(values) > 2:
+            slot = (-math.inf, None, None, None, None, (cum, edges, succ))
+        else:
+            slot = (None, None, None, None, None, ())
+        node[v] = slot
         self.filled += 1
         return node, slot
 
@@ -349,8 +364,10 @@ def _star_frozen_fiber(state, v):
 _RAW_BLOCK = 2 ** 10
 _BULK_STEPS = 2 ** 11
 _TWO_TO_MINUS_53 = 2.0 ** -53
-# the most allowed sets a censored run keeps a mask of (`_censored_phase`)
+# the most allowed sets a censored run keeps a mask of, and the blocks a
+# chunk of its masks covers (`_censored_phase`)
 _CENSORED_MASKS = 16
+_MASK_CHUNK = 2 ** 6
 # blocks whose picks Schedule.two_level draws at once
 _PICK_CHUNK = 2 ** 10
 
@@ -526,15 +543,24 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
                 slot = node[v]
                 if slot is None:
                     node, slot = graph.fill(node, v)
-                edges, cum, succ, multi = slot
-                if multi:
+                more = slot[5]
+                if more is None or more:
                     if i == nw:
                         lo, hi, unif = draws.refill(i)
                         i, nw = 0, len(unif)
-                    j = bisect_right(cum, unif[i])
+                    u = unif[i]
                     i += 1
-                    node = succ[j]
-                    append(edges[j])
+                    if u < slot[0]:
+                        append(slot[1])
+                        node = slot[2]
+                    elif more is None:
+                        append(slot[3])
+                        node = slot[4]
+                    else:
+                        cum, edges, succ = more
+                        j = bisect_right(cum, u)
+                        append(edges[j])
+                        node = succ[j]
                     continue
             append(node[n1])
     draws.i, draws.nw = i, nw
@@ -545,16 +571,25 @@ def _site_steps(graph, state, draws, t0, steps, path, allowed=None):
 def _walk(graph, node, sites, unif, path):
     """Take one redraw per (site, uniform) pair from node, appending its
     edge id to path; returns the last node.  Every slot has more than one
-    value."""
+    value: a step takes the first of two values if its uniform is below
+    the slot's p0 and the second otherwise, and bisects a slot of three or
+    more (`_SiteGraph`)."""
     append = path.append
     for v, u in zip(sites, unif):
         slot = node[v]
         if slot is None:
             node, slot = graph.fill(node, v)
-        edges, cum, succ, _ = slot
-        j = bisect_right(cum, u)
-        node = succ[j]
-        append(edges[j])
+        if u < slot[0]:
+            append(slot[1])
+            node = slot[2]
+        elif slot[5] is None:
+            append(slot[3])
+            node = slot[4]
+        else:
+            cum, edges, succ = slot[5]
+            j = bisect_right(cum, u)
+            append(edges[j])
+            node = succ[j]
     return node
 
 
@@ -586,85 +621,114 @@ def _bulk_site_steps(graph, state, draws, steps, path):
 
 
 def _masked_steps(graph, state, draws, steps, path, period, phase):
-    """`_site_steps` over segments of `period` steps from t = 0 (one
-    segment if None), on each of which the sites whose step draws a
-    uniform are fixed: at a segment's start t, phase(t, state) gives the
-    segment's start state and, as a list of bools by site, its mask of
-    them, drawing any uniforms it needs from draws.  Every slot of such a
-    site must have more than one value; a step at any other site takes the
-    stay edge and draws no uniform.  So within a segment two steps read one
-    site word, the first its low half and the second its high half, and
-    each step that draws a uniform reads the next word as it.
+    """`_site_steps` over blocks of `period` steps from t = 0 (one block if
+    None), on each of which the sites whose step draws a uniform are fixed.
+    The phase function gives them a chunk of blocks at a time: at a chunk's
+    start t, phase(blocks, state), with blocks the range of the start times
+    of the run's blocks from t on, gives the chunk's start state and, as
+    lists of bools by site, the masks of its first blocks, one each and at
+    least one, drawing any uniforms it needs from draws.  Every slot of a
+    masked site must have more than one value; a step at any other site
+    takes the stay edge and draws no uniform.  So two steps read one site
+    word, the first its low half and the second its high half, and each
+    step that draws a uniform reads the next word as it.
 
     The loop reads the block of decoded words of draws (`_RawDraws`) by
-    index, two steps a site word, with one check of the block's end per
-    run of pairs the block surely holds; short of words, it decodes a new
-    block after the unread ones (`_RawDraws.refill`), so one block is held
-    at a time and the run's word budget holds.  A segment of odd length
-    ends with a lone step that keeps its word's high half as the spare,
-    which the next segment's first step takes.  Steps on one site, a spare
-    that Lemire's method rejects and a block that holds a rejected half go
-    to `_site_steps` on the same words."""
+    index, two steps a site word.  Its pair loop runs on across the
+    chunk's blocks with one check of the decoded block's end per block;
+    short of words, it decodes a new block after the unread ones
+    (`_RawDraws.refill`), so one block of words is held at a time and the
+    run's word budget holds.  A block of odd length ends with a lone step
+    that keeps its word's high half as the spare, which the next block's
+    first step takes.  Steps on one site, a spare that Lemire's method
+    rejects and a block of words that holds a rejected half go to
+    `_site_steps` on the same words."""
     n = len(state)
     n1 = n + 1
     append = path.append
+    period = period or steps
     node = None
     i, has, spare = draws.i, draws.has, draws.spare_site
     t = 0
     while t < steps:
-        end = t + (period or steps)
-        if end > steps:
-            end = steps
         # the phase may draw: hold no decoded block of draws across it
         draws.i = i
         lo = hi = unif = ()
         if node is not None:
             state = node[n]
-        start, mask = phase(t, state)
+        start, masks = phase(range(t, steps, period), state)
         if node is None or start is not state:
             node = graph.node(start)
+        t0, end = t, min(steps, t + len(masks) * period)
         lo, hi, unif, i, nw = (draws.lo, draws.hi, draws.unif, draws.i,
                                draws.nw)
         ok = n > 1 and draws.clean  # the pair loop may read the block
         while t < end:
-            if ok and not has and end - t > 1 and nw - i > 2:
-                pairs = (end - t) >> 1
-                if 3 * pairs > nw - i:
-                    pairs = (nw - i) // 3
-                t += 2 * pairs
-                for _ in range(pairs):
-                    v, w = lo[i], hi[i]
-                    i += 1
-                    if mask[v]:
-                        slot = node[v]
-                        if slot is None:
-                            node, slot = graph.fill(node, v)
-                        edges, cum, succ, _ = slot
-                        j = bisect_right(cum, unif[i])
+            b = (t - t0) // period  # t's block of the chunk, up to stop
+            stop = t0 + (b + 1) * period
+            if stop > end:
+                stop = end
+            if ok and not has and stop - t > 1 and nw - i > 2:
+                for mask in islice(masks, b, None):
+                    pairs = (stop - t) >> 1
+                    if 3 * pairs > nw - i:
+                        pairs = (nw - i) // 3
+                    t += 2 * pairs
+                    for _ in range(pairs):
+                        v, w = lo[i], hi[i]
                         i += 1
-                        node = succ[j]
-                        append(edges[j])
-                    else:
-                        append(node[n1])
-                    if mask[w]:
-                        slot = node[w]
-                        if slot is None:
-                            node, slot = graph.fill(node, w)
-                        edges, cum, succ, _ = slot
-                        j = bisect_right(cum, unif[i])
-                        i += 1
-                        node = succ[j]
-                        append(edges[j])
-                    else:
-                        append(node[n1])
+                        if mask[v]:
+                            slot = node[v]
+                            if slot is None:
+                                node, slot = graph.fill(node, v)
+                            u = unif[i]
+                            i += 1
+                            if u < slot[0]:
+                                append(slot[1])
+                                node = slot[2]
+                            elif slot[5] is None:
+                                append(slot[3])
+                                node = slot[4]
+                            else:
+                                cum, edges, succ = slot[5]
+                                j = bisect_right(cum, u)
+                                append(edges[j])
+                                node = succ[j]
+                        else:
+                            append(node[n1])
+                        if mask[w]:
+                            slot = node[w]
+                            if slot is None:
+                                node, slot = graph.fill(node, w)
+                            u = unif[i]
+                            i += 1
+                            if u < slot[0]:
+                                append(slot[1])
+                                node = slot[2]
+                            elif slot[5] is None:
+                                append(slot[3])
+                                node = slot[4]
+                            else:
+                                cum, edges, succ = slot[5]
+                                j = bisect_right(cum, u)
+                                append(edges[j])
+                                node = succ[j]
+                        else:
+                            append(node[n1])
+                    if t < stop:  # a lone step is left, or the words ran out
+                        break
+                    stop += period
+                    if stop > end:
+                        stop = end
                 continue
-            if n > 1 and nw - i < (1 if has else 2 if end - t == 1 else 3):
+            mask = masks[b]
+            if n > 1 and nw - i < (1 if has else 2 if stop - t == 1 else 3):
                 lo = hi = unif = ()
                 lo, hi, unif = draws.refill(i)
                 i, nw, ok = 0, draws.nw, draws.clean
             elif not ok or spare < 0 < has:
                 # the per-step loop, over at least the rest of the block
-                c = 1 if has else min(end - t, 2 * (nw - i) + 1)
+                c = 1 if has else min(stop - t, 2 * (nw - i) + 1)
                 draws.i, draws.has, draws.spare_site = i, has, spare
                 lo = hi = unif = ()
                 keep = frozenset(v for v in range(n) if mask[v])
@@ -686,11 +750,19 @@ def _masked_steps(graph, state, draws, steps, path, period, phase):
                     slot = node[v]
                     if slot is None:
                         node, slot = graph.fill(node, v)
-                    edges, cum, succ, _ = slot
-                    j = bisect_right(cum, unif[i])
+                    u = unif[i]
                     i += 1
-                    node = succ[j]
-                    append(edges[j])
+                    if u < slot[0]:
+                        append(slot[1])
+                        node = slot[2]
+                    elif slot[5] is None:
+                        append(slot[3])
+                        node = slot[4]
+                    else:
+                        cum, edges, succ = slot[5]
+                        j = bisect_right(cum, u)
+                        append(edges[j])
+                        node = succ[j]
                 else:
                     append(node[n1])
                 t += 1
@@ -801,39 +873,44 @@ def field_run(model, theta, x0, steps, seed, record_at=(),
 
 def _censored_phase(rule, n):
     """The phase function (`_masked_steps`) of a censored run on n sites:
-    the state as it is, and the mask of the schedule's allowed set at t.
-    It keeps the masks of at most _CENSORED_MASKS sets, and starts afresh
-    when a new set would pass that, so a rule that gives ever new sets
-    holds no more."""
+    the state as it is, and the masks of the schedule's allowed sets on
+    the next _MASK_CHUNK blocks, or on the rest of the run if fewer, read
+    by the rule's `sets` if it has one (`Schedule.two_level`).  It keeps
+    the masks of at most _CENSORED_MASKS sets, and starts afresh when a new
+    set would pass that, so a rule that gives ever new sets holds no more
+    masks than those and the chunk's."""
     masks = {}
+    sets = getattr(rule, "sets", None) or (lambda times: map(rule, times))
 
-    def phase(t, state):
-        keep = rule(t)
-        mask = masks.get(keep)
-        if mask is None:
-            if len(masks) == _CENSORED_MASKS:
-                masks.clear()
-            mask = masks[keep] = [v in keep for v in range(n)]
-        return state, mask
+    def new(keep):
+        if len(masks) == _CENSORED_MASKS:
+            masks.clear()
+        mask = masks[keep] = [v in keep for v in range(n)]
+        return mask
+
+    def phase(blocks, state):
+        return state, [masks.get(keep) or new(keep)
+                       for keep in sets(blocks[:_MASK_CHUNK])]
 
     return phase
 
 
 def _relift_phase(theta, draws, relifts):
     """The phase function (`_masked_steps`) of the simulation run's
-    phases: at t, contract the state and lift it again by uniforms from
-    draws, append a relift entry (t + 1, var, value) to relifts for each
-    site it changes, and give the relift with the mask of its non-star
-    sites, the ones whose step draws a uniform.  The relift belongs to the
-    next step, so a state recorded at a phase boundary is the one before
-    it."""
-    def phase(t, state):
+    phases: at the first time t of blocks, contract the state and lift it
+    again by uniforms from draws, append a relift entry (t + 1, var, value)
+    to relifts for each site it changes, and give the relift with the mask
+    of its non-star sites, the ones whose step draws a uniform, for one
+    block: a chunk is one phase.  The relift belongs to the next step, so a
+    state recorded at a phase boundary is the one before it."""
+    def phase(blocks, state):
         # lift(contract(state)): lift reads only which values are 0
         relift = lift(state, theta, draws)
+        t = blocks[0]
         for v in range(len(state)):
             if relift[v] != state[v]:
                 relifts.append((t + 1, v, relift[v]))
-        return relift, [b != STAR for b in relift]
+        return relift, [[b != STAR for b in relift]]
 
     return phase
 
@@ -851,7 +928,7 @@ def simulate_algorithm(model, theta, t1, t2, seed, record_at=(),
     A star never moves and every other slot has two values, so within a
     phase the sites that draw a uniform are the relift's non-stars: the
     masked loop (`_masked_steps`) takes the steps, two a site word, one
-    phase a segment, and the relifts (`_relift_phase`) read their uniforms
+    phase a block, and the relifts (`_relift_phase`) read their uniforms
     from the same decoded words.
     """
     if t1 < 1 or t2 < 1:
@@ -897,7 +974,10 @@ class Schedule:
         The draws come in chunks of _PICK_CHUNK blocks, and only the last
         one read is kept (an earlier one restarts the stream): PCG64 keeps
         the spare half of a 64-bit output in the bit generator, so
-        rng.integers(n, size=c) gives the values of c calls rng.integers(n)."""
+        rng.integers(n, size=c) gives the values of c calls rng.integers(n).
+        The rule's `sets(times)` gives its sets at each time of a range
+        (`_censored_phase`); at the start times of consecutive blocks it
+        reads their picks a chunk at a time."""
         right = frozenset(right)
         allowed = [right | {v} for v in left]
         if not allowed:
@@ -906,17 +986,35 @@ class Schedule:
         # the picks (indices into allowed) of the blocks from start on
         rng, start, picks = make_rng(seed, 0, "schedule"), 0, ()
 
-        def rule(t):
+        def chunk(b):
+            """Block b's index into picks, its chunk drawn."""
             nonlocal rng, start, picks
-            at = t // period - start
+            at = b - start
             if at < 0:  # an earlier chunk: restart the stream
                 rng, start, picks = make_rng(seed, 0, "schedule"), 0, ()
-                at = t // period
+                at = b
             while at >= len(picks):
                 start, at = start + len(picks), at - len(picks)
                 picks = rng.integers(len(allowed), size=_PICK_CHUNK)
+            return at
+
+        def rule(t):
+            at = chunk(t // period)
             return allowed[picks.item(at)]
 
+        def sets(times):
+            # each index read after chunk has drawn the chunk holding it
+            if times.step != period or times.start % period:
+                return [allowed[picks.item(at)]
+                        for at in map(chunk, (t // period for t in times))]
+            out, first = [], times.start // period
+            while len(out) < len(times):
+                at = chunk(first + len(out))
+                out += map(allowed.__getitem__,
+                           picks[at:at + len(times) - len(out)].tolist())
+            return out
+
+        rule.sets = sets
         return cls(rule, period=period)
 
 
@@ -927,8 +1025,9 @@ def censored_glauber(model, x0, schedule: Schedule, steps, seed,
 
     The allowed set is fixed on each block of `schedule.period` steps, and
     the heat-bath law has two values at least, so the masked loop
-    (`_masked_steps`) takes the steps, two a site word, one block a
-    segment, with the block's allowed set as the sites that draw a
-    uniform; with period 1 every step is a lone one."""
+    (`_masked_steps`) takes the steps, two a site word, with the block's
+    allowed set as the sites that draw a uniform, the masks of a chunk of
+    blocks at a time (`_censored_phase`); with period 1 every step is a
+    lone one."""
     return _heat_bath_run(model, x0, steps, seed, record_at,
                           make_rng(seed, chain_index, "censored"), schedule)

@@ -95,10 +95,13 @@ def _weights(lws) -> np.ndarray:
 
 
 def point_mass(support: Poset, state) -> np.ndarray:
-    if state not in support:
-        raise ValueError(f"state {state_str(state)} is not in the support")
+    try:
+        i = support.index(state)
+    except KeyError:
+        raise ValueError(
+            f"state {state_str(state)} is not in the support") from None
     v = np.zeros(support.size)
-    v[support.index(state)] = 1.0
+    v[i] = 1.0
     return v
 
 

@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 _LOOKUP = "tests/test_exact.py::TestRowLookup"
 _MASKED = "tests/test_dynamics.py::TestMaskedSteps"
+_SLOTS = "tests/test_dynamics.py::TestSlotThresholds"
+_SQUARED = "tests/test_exact.py::TestSquaredMixing"
 
 MUTANTS = (
     Mutant("lookup-sorted-position", "src/glauberlab/ordercore.py",
@@ -62,7 +64,8 @@ MUTANTS = (
     Mutant("lone-step-drops-spare", "src/glauberlab/dynamics.py",
            "v, spare, has = lo[i], hi[i], 1",
            "v, spare, has = lo[i], hi[i], 0",
-           (f"{_MASKED}::test_censored_periods",)),
+           (f"{_MASKED}::test_censored_periods",
+            f"{_MASKED}::test_chunks_end_inside_a_block_of_words")),
     Mutant("no-rejection-fallback", "src/glauberlab/dynamics.py",
            "elif not ok or spare < 0 < has:",
            "elif False:",
@@ -71,6 +74,45 @@ MUTANTS = (
            "if len(masks) == _CENSORED_MASKS:",
            "if False:",
            (f"{_MASKED}::test_long_runs_hold_one_block",)),
+    # a two-value slot steps by u < p0: at u = p0 it takes the second value
+    Mutant("walk-threshold-inclusive", "src/glauberlab/dynamics.py",
+           "            node, slot = graph.fill(node, v)\n"
+           "        if u < slot[0]:",
+           "            node, slot = graph.fill(node, v)\n"
+           "        if u <= slot[0]:",
+           (f"{_SLOTS}::test_uniforms_on_thresholds",)),
+    Mutant("masked-threshold-inclusive", "src/glauberlab/dynamics.py",
+           "                                node, slot = graph.fill(node, w)\n"
+           "                            u = unif[i]\n"
+           "                            i += 1\n"
+           "                            if u < slot[0]:",
+           "                                node, slot = graph.fill(node, w)\n"
+           "                            u = unif[i]\n"
+           "                            i += 1\n"
+           "                            if u <= slot[0]:",
+           (f"{_SLOTS}::test_uniforms_on_thresholds",)),
+    Mutant("successors-swapped", "src/glauberlab/dynamics.py",
+           "(cum[0], edges[0], succ[0], edges[1], succ[1], None)",
+           "(cum[0], edges[0], succ[1], edges[1], succ[0], None)",
+           (f"{_SLOTS}::test_uniforms_on_thresholds",)),
+    Mutant("two-level-sets-shifted", "src/glauberlab/dynamics.py",
+           "at = chunk(first + len(out))",
+           "at = chunk(first + len(out) + 1)",
+           (f"{_MASKED}::test_chunks_end_inside_a_block_of_words",)),
+    Mutant("floor-certificate-no-margin", "src/glauberlab/exact.py",
+           "<= eps - _power_margin(mats, mus, eps, floor))",
+           "<= eps)",
+           (f"{_SQUARED}::test_near_tie_takes_the_step_loop",)),
+    Mutant("floor-certificate-next-power", "src/glauberlab/exact.py",
+           "_worst_tv(_power(mats, floor), mus)",
+           "_worst_tv(_power(mats, floor + 1), mus)",
+           (f"{_SQUARED}::test_chains_within_eps_at_the_start_leave_the_stack",
+            f"{_SQUARED}::test_floor_gives_the_loop_time_or_the_floor")),
+    Mutant("rc-labels-merged-to-smaller", "src/glauberlab/models.py",
+           "np.where(rows[:, i] == 1, np.maximum(a, b), -1)",
+           "np.where(rows[:, i] == 1, np.minimum(a, b), -1)",
+           ("tests/test_models.py::TestArrayForms"
+            "::test_array_forms_equal_the_per_state_forms",)),
 )
 
 

@@ -279,6 +279,22 @@ class TestCensored:
         assert ([sched.rule(3 * b) for b in blocks]
                 == [want(3 * b) for b in blocks])
 
+    @pytest.mark.parametrize("n_left", [1, 3])
+    def test_two_level_sets_read_as_the_rule(self, n_left):
+        # the sets of consecutive blocks come from the kept chunk, across
+        # its edges and backward; any other range of times reads the rule
+        left, right = range(n_left), range(n_left, n_left + 2)
+        sched = Schedule.two_level(left, right, 3, 11)
+        want = oracles.per_block_two_level(left, right, 3, 11)
+        chunk = dynamics._PICK_CHUNK
+        for times in (range(0, 3 * 64, 3),
+                      range(3 * (chunk - 3), 3 * (chunk + 67), 3),
+                      range(3 * (3 * chunk + 1), 3 * (5 * chunk + 6), 3),
+                      range(15, 15 + 3 * 40, 3), range(16, 100, 3),
+                      range(3 * chunk - 20, 3 * chunk + 30),
+                      range(0, 300, 300), range(30, 30, 3)):
+            assert sched.rule.sets(times) == [want(t) for t in times]
+
     def test_two_level_holds_one_chunk(self):
         # reading 10^5 blocks in order peaks no higher than reading 10^3,
         # plus one chunk: its int64 picks and as much again for the draw
@@ -1009,21 +1025,26 @@ class TestBulkDraws:
 def two_level(n, period, seed=0):
     """A two-level schedule on n sites: left the first half, right the
     rest; with period None, a schedule that allows the right side and
-    site 0 on every step."""
+    site 0 on every step.  It starts on its own stream also where a test
+    hands out another generator (`handing_out`)."""
     left, right = range(n // 2 or 1), range(n // 2 or 1, n)
     if period is None:
         keep = frozenset(right) | {0}
         return Schedule(lambda t: keep, period=None)
-    return Schedule.two_level(left, right, period, seed)
+    with mock.patch.object(dynamics, "make_rng", make_rng):
+        return Schedule.two_level(left, right, period, seed)
 
 
 def censored_vs_references(monkeypatch, m, x0, schedule, steps, seed=0,
-                           spare=None):
+                           spare=None, again=None):
     """censored_glauber from one generator against the per-call oracle
     (log, recorded states, final state) and the per-step loop (path, state
     table, final state) on copies of it; it draws no more words than its
-    budget."""
+    budget.  again, if given, makes an equal schedule for each reference:
+    a reference that reads a two-level stream from t = 0 after the run read
+    it past its first chunk would restart it from the patched make_rng."""
     n = len(x0)
+    refs = [again(), again()] if again else [schedule] * 2
     a, b = rng_copies(seed, spare)
     counted = CountingBits(a.bit_generator)
     handing_out(monkeypatch, BitGeneratorOnly(counted))
@@ -1033,11 +1054,11 @@ def censored_vs_references(monkeypatch, m, x0, schedule, steps, seed=0,
     ref = oracles.per_step_heat_bath_run(m, x0, steps, seed,
                                          record_at=range(steps + 1),
                                          purpose="censored",
-                                         allowed=schedule.rule)
+                                         allowed=refs[0].rule)
     assert same_run(run, ref)
     handing_out(monkeypatch, rng_copies(seed, spare)[0])
     assert (run.path, run.states, run.final) == oracles.site_steps_censored(
-        m, x0, schedule, steps, seed)
+        m, x0, refs[1], steps, seed)
     assert counted.words <= dynamics._single_site_words(n, steps)
 
 
@@ -1179,6 +1200,37 @@ class TestMaskedSteps:
         assert dynamics._masked_steps.call_count == 1
         assert dynamics._site_steps.call_count >= 1
 
+    @pytest.mark.parametrize("raw_block", [5, 16])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("period", [1, 4, 7])
+    def test_chunks_end_inside_a_block_of_words(self, period, chunk,
+                                                raw_block, monkeypatch):
+        # a chunk of 1 to 3 blocks of masks ends every few steps, at every
+        # offset of a block of decoded words, and a chunk of odd length
+        # leaves a spare half to the next; picks drawn 5 blocks at a time
+        # put the schedule's chunk edges inside chunks of masks
+        monkeypatch.setattr(dynamics, "_RAW_BLOCK", raw_block)
+        monkeypatch.setattr(dynamics, "_MASK_CHUNK", chunk)
+        monkeypatch.setattr(dynamics, "_PICK_CHUNK", 5)
+        m, x0 = path_hardcore(6), (0,) * 6
+        span = chunk * period
+        for steps in sorted({0, 1, span - 1, span, span + 1, 2 * span + 1,
+                             61}):
+            for spare in (None, 0x9E3779B9):
+                censored_vs_references(
+                    monkeypatch, m, x0, two_level(6, period, seed=steps),
+                    steps, seed=steps, spare=spare,
+                    again=lambda: two_level(6, period, seed=steps))
+
+    def test_a_two_level_rule_read_step_by_step(self, monkeypatch):
+        # Schedule(rule) reads a two-level rule of period 3 at every step,
+        # so the masks of a chunk cover single steps, not the rule's blocks
+        m, x0 = path_hardcore(6), (0,) * 6
+        for seed in range(3):
+            rule = two_level(6, 3, seed).rule
+            censored_vs_references(monkeypatch, m, x0, Schedule(rule), 200,
+                                   seed=seed)
+
     def test_long_runs_hold_one_block(self):
         # 10^6 censored steps and 20,000 phases of 50 steps on filled
         # graphs, their edges and relifts dropped as they come: each peaks
@@ -1241,6 +1293,145 @@ class TestMaskedSteps:
             simulated(2_000)
             one = simulated(14)
             assert simulated(20_000) < one + 8 * block
+
+
+class UniformWords(PerCallWords):
+    """PerCallWords that records the index of each word it reads as a
+    uniform."""
+
+    def __init__(self, words):
+        super().__init__(words)
+        self.uniform_at = []
+
+    def random(self):
+        self.uniform_at.append(self.bit_generator.at)
+        return super().random()
+
+
+class UniformCount:
+    """A generator's `integers` and `random`, counting the uniforms."""
+
+    def __init__(self, gen):
+        self.gen, self.uniforms = gen, 0
+
+    def integers(self, n):
+        return self.gen.integers(n)
+
+    def random(self):
+        self.uniforms += 1
+        return self.gen.random()
+
+
+# raw words whose uniform (w >> 11) 2^-53 is 0.5, 0.0, 0.75, 0.25 and the
+# floats on either side of 0.5
+ON_THRESHOLDS = [1 << 63, 0, 3 << 62, 1 << 62, (1 << 63) - (1 << 11),
+                 (1 << 63) + (1 << 11)]
+
+
+def words_on_thresholds(monkeypatch, m, x0, steps, schedule):
+    """Raw words for a run of m from x0: random, but each word the per-call
+    oracle reads as a uniform is one of ON_THRESHOLDS in turn.  A
+    heat-bath step draws a uniform wherever the schedule allows its site,
+    whatever the state, so the run reads its uniforms from these words."""
+    words = make_rng(steps, 0, "words").bit_generator.random_raw(
+        2 * steps + 8).tolist()
+    probe = UniformWords(words)
+    handing_out(monkeypatch, probe)
+    oracles.per_step_heat_bath_run(m, x0, steps, 0,
+                                   allowed=schedule and schedule.rule)
+    for k, at in enumerate(probe.uniform_at):
+        words[at] = ON_THRESHOLDS[k % len(ON_THRESHOLDS)]
+    return words
+
+
+def words_vs_references(monkeypatch, m, x0, steps, words, schedule=None):
+    """glauber_run (schedule None) or censored_glauber on the raw words
+    against the per-call oracle (log, recorded states, final state) and the
+    per-step loop over every step (path, state table, final state) on the
+    same words: a Glauber run draws the words the oracle draws, a censored
+    one no more than its budget."""
+    ours = WordBits(words)
+    handing_out(monkeypatch, BitGeneratorOnly(ours))
+    record = range(steps + 1)
+    if schedule is None:
+        run = glauber_run(m, x0, steps, 0, record_at=record)
+    else:
+        run = censored_glauber(m, x0, schedule, steps, 0, record_at=record)
+    ref_gen = PerCallWords(words)
+    handing_out(monkeypatch, ref_gen)
+    ref = oracles.per_step_heat_bath_run(m, x0, steps, 0, record_at=record,
+                                         allowed=schedule and schedule.rule)
+    assert same_run(run, ref)
+    if schedule is None:
+        assert ours.at == ref_gen.bit_generator.at
+        schedule = Schedule(lambda t: frozenset(range(len(x0))), None)
+    else:
+        assert (ref_gen.bit_generator.at <= ours.at
+                <= dynamics._single_site_words(len(x0), steps))
+    handing_out(monkeypatch, BitGeneratorOnly(WordBits(words)))
+    assert (run.path, run.states, run.final) == oracles.site_steps_censored(
+        m, x0, schedule, steps, 0)
+
+
+class TestSlotThresholds:
+    """A slot of two values steps by one comparison with its p0, and a slot
+    of three or more bisects: uniforms exactly on a threshold, p0 = 0.0 and
+    1.0, and ternary lifts give the per-call draws' paths, in the Glauber
+    walk, the masked loop and the per-step loop."""
+
+    @staticmethod
+    def cases():
+        # hard-core at lambda = 1: a free site has p0 = 0.5, a blocked one
+        # keeps value 1 at probability 0, p0 = 1.0; flipped, p0 = 0.0.  The
+        # lift of the flipped model has cumulative sums 0.5 and 0.75.  On
+        # 8 and 4 sites Lemire's method rejects no half, so the masked loop
+        # reads the words in pairs; on 6 it rejects the halves 0 and 2^31
+        # of the words on 0.5 and 0.0, so the per-step loop reads them.
+        def path(n):
+            return HardcoreModel(Graph(n, [(u, u + 1) for u in range(n - 1)]),
+                                 1.0)
+
+        lifted = models.lift_model(flip(path(4)), 0.5)
+        return [(path(8), (0,) * 8), (flip(path(8)), (1,) * 8),
+                (lifted, (1,) * 4), (path(6), (0,) * 6)]
+
+    @pytest.mark.parametrize("period", [None, 4, 7])
+    def test_uniforms_on_thresholds(self, period, monkeypatch):
+        for m, x0 in self.cases():
+            n = len(x0)
+            for steps in (1, 2, 41, 200):
+                schedule = None if period is None else two_level(n, period,
+                                                                 steps)
+                words = words_on_thresholds(monkeypatch, m, x0, steps,
+                                            schedule)
+                words_vs_references(monkeypatch, m, x0, steps, words,
+                                    schedule)
+
+    @pytest.mark.parametrize("period", [None, 1, 4, 7])
+    def test_ternary_lifts_bisect(self, period, monkeypatch):
+        # every heat-bath slot of a lift has three values, so every step
+        # that draws a uniform bisects its slot
+        m = models.lift_model(flipped_rc_path(5), 0.5)
+        x0 = (1,) * 5
+        spy = mock.Mock(wraps=dynamics.bisect_right)
+        monkeypatch.setattr(dynamics, "bisect_right", spy)
+        for seed in range(3):
+            a, b = rng_copies(seed)
+            handing_out(monkeypatch, a)
+            if period is None:
+                run = glauber_run(m, x0, 300, seed, record_at=range(301))
+            else:
+                schedule = two_level(5, period, seed)
+                run = censored_glauber(m, x0, schedule, 300, seed,
+                                       record_at=range(301))
+            bisected, spy.call_count = spy.call_count, 0
+            ref_gen = UniformCount(b)
+            handing_out(monkeypatch, ref_gen)
+            ref = oracles.per_step_heat_bath_run(
+                m, x0, 300, seed, record_at=range(301),
+                allowed=None if period is None else schedule.rule)
+            assert same_run(run, ref)
+            assert bisected == ref_gen.uniforms > 0
 
 
 def frozen_at(law, stars):
@@ -1514,7 +1705,8 @@ class TestFiberKey:
         node, slot = graph.fill(graph.node((0, 0)), 0)
         other, again = graph.fill(graph.node((1, 0)), 0)
         assert len(seen) == calls
-        assert again[:2] == slot[:2]  # the same two edges, one law
+        # the same threshold and two edges, one law
+        assert again[:2] + again[3:4] == slot[:2] + slot[3:4]
         assert len(graph.fibers) == 1
 
 

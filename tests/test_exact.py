@@ -1443,6 +1443,27 @@ class TestRowLookup:
             self.same_lookups(Poset.from_array(np.array(states, np.int8)),
                               a)
 
+    def test_point_mass_looks_up_once(self, monkeypatch):
+        # one row lookup per call, found or not; a state outside the
+        # support, or of another length, keeps its message
+        poset = Poset(((1, 0), (0, 1), (1, 1), (0, 0)))
+        spy = mock.Mock(wraps=Poset.lookup)
+        monkeypatch.setattr(Poset, "lookup",
+                            lambda self, codes: spy(self, codes))
+        for i, state in enumerate(poset.states):
+            assert point_mass(poset, state).tolist() == [
+                float(j == i) for j in range(4)]
+            assert spy.call_count == i + 1
+        spy.reset_mock()
+        with pytest.raises(ValueError) as refused:
+            point_mass(Poset(((1, 0), (1, 1))), (0, STAR))
+        assert str(refused.value) == "state 0* is not in the support"
+        assert spy.call_count == 1
+        with pytest.raises(ValueError) as refused:
+            point_mass(poset, (0, 1, 1))
+        assert str(refused.value) == "state 011 is not in the support"
+        assert spy.call_count == 1
+
     def test_refusals_keep_their_messages(self):
         for states, message in (((), "^empty poset$"),
                                 (((0, 1), (1,)),

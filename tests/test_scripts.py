@@ -96,14 +96,15 @@ def run_ceiling(cells):
 def test_ceiling_cells_pass():
     # the hard-core C9 control is the one cell that takes closure cuts, and
     # the bhc left marginal the one whose tilted stacks take a floor far
-    # from 1; the three C16 refusals enumerate 65,536 states each.  The six
-    # sampler cells pin the bytes of every sampler's output, the 10^6-step
-    # Glauber trajectory among them, and censored and simulate runs whose
-    # odd segments carry a spare half across.
+    # from 1; the three C16 refusals enumerate 65,536 states each.  The
+    # seven sampler cells pin the bytes of every sampler's output, the
+    # 10^6-step Glauber trajectory among them, Glauber on a ternary lift,
+    # and censored and simulate runs whose odd segments carry a spare half
+    # across.
     names = ["kernel-export-c16", "mixing-c16", "verify-c16", "verify-c6",
              "verify-hardcore-c9", "mixing-bhc-lm-k8", "sample-ising-c6",
              "sample-field", "sample-simulate", "sample-censored",
-             "sample-censored-odd", "sample-simulate-odd"]
+             "sample-lift", "sample-censored-odd", "sample-simulate-odd"]
     code, rows = run_ceiling([(name, {}) for name in names])
     assert code == 0 and [r["name"] for r in rows] == names, rows
 
